@@ -44,6 +44,8 @@ class AddressSpace:
     def __init__(self, page_size: int = 4096):
         if page_size <= 0 or page_size & (page_size - 1):
             raise ValueError("page size must be a positive power of two")
+        if page_size > 0xFFFF:  # a diff's run header holds offset and end as two shorts
+            raise ValueError(f"a {page_size}-byte page does not fit a run header")
         self.page_size = page_size
         self._brk = 0
         self._regions: dict[str, Region] = {}

@@ -1,25 +1,30 @@
 """Run-length byte diffs, the unit of data movement in all three protocols.
 
 A diff records the byte ranges of a page that changed relative to a *twin*
-(the pristine copy captured at the first write fault of an interval), as a
-list of ``(offset, bytes)`` runs.  Its wire size is what the paper's "Data"
-row measures, so the accounting here (:attr:`Diff.wire_size`) matters:
+(the pristine copy captured at the first write fault of an interval).  Its
+wire size is what the paper's "Data" row measures, so the accounting here
+(:attr:`Diff.wire_size`) matters:
 
 ``wire_size = DIFF_HEADER + sum(RUN_HEADER + len(run)) over runs``
 
 which mirrors TreadMarks' (offset, length, data...) encoding.
 
-Hot-path notes: one vectorised run-splitter (:func:`_extract_runs`) serves
-both :func:`make_diff` and :func:`integrate_diffs`; a :class:`Diff` lazily
-caches a flat ``(indices, values)`` view of its runs (built once per diff,
-not once per application — the same diff object is applied at every
-receiving node) along with its ``wire_size``/``changed_bytes`` sums.
+Layout: a :class:`Diff` holds three numpy arrays and no per-run Python
+object — run start and end offsets as ``uint16`` (the two shorts of a run
+header) and every run's bytes concatenated into one ``uint8`` payload — built
+from a change mask entirely in numpy (:func:`_diff_from_mask`) for both
+:func:`make_diff` and :func:`integrate_diffs`.  A diff so retains about its
+wire size plus ~0.4 KB of array headers, which matters because LRC keeps every
+diff of every interval for later diff requests.  The ``intp`` scatter index
+that applies all runs in one fancy-index store costs 8 bytes per changed byte:
+it is built on a diff's first application (most stored diffs are never applied
+in the process that made them), then kept (the same diff object is applied at
+every receiving node), and never pickled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,123 +40,115 @@ __all__ = [
 
 DIFF_HEADER_BYTES = 12  # page id + run count + timestamp
 RUN_HEADER_BYTES = 4  # offset + length (2 shorts: pages are 4 KB)
+_MAX_OFFSET = 0xFFFF  # what one short of a run header can address
 
 
-@dataclass(frozen=True)
 class Diff:
-    """Immutable byte-level delta for one page."""
+    """Byte-level delta for one page; hashed and shared between nodes, so never mutated."""
 
-    page_id: int
-    runs: tuple[tuple[int, bytes], ...]
+    __slots__ = ("page_id", "_starts", "_ends", "_data", "_index")
 
-    def __post_init__(self) -> None:
+    def __init__(self, page_id: int, runs: Iterable[tuple[int, bytes]]):
+        runs = tuple(runs)
         last_end = -1
-        for off, data in self.runs:
+        for off, data in runs:
             if off < 0 or not data:
                 raise ValueError(f"bad run (offset={off}, len={len(data)})")
             if off <= last_end:
                 raise ValueError("runs must be sorted and non-overlapping")
             last_end = off + len(data) - 1
+        if last_end >= _MAX_OFFSET:
+            raise ValueError(f"run end {last_end + 1} does not fit a run header")
+        _fill(
+            self,
+            page_id,
+            np.array([off for off, _ in runs], dtype=np.uint16),
+            np.array([off + len(data) for off, data in runs], dtype=np.uint16),
+            np.frombuffer(b"".join(data for _, data in runs), dtype=np.uint8),
+        )
+
+    @property
+    def runs(self) -> tuple[tuple[int, bytes], ...]:
+        """The ``(offset, bytes)`` runs, derived on demand (tests and debugging)."""
+        payloads = np.split(self._data, np.cumsum(self._ends[:-1] - self._starts[:-1]))
+        return tuple((off, run.tobytes()) for off, run in zip(self._starts.tolist(), payloads))
 
     @property
     def empty(self) -> bool:
-        return not self.runs
+        return not self._data.size
 
     @property
     def changed_bytes(self) -> int:
-        cached = self.__dict__.get("_changed_bytes")
-        if cached is None:
-            cached = sum(len(d) for _, d in self.runs)
-            object.__setattr__(self, "_changed_bytes", cached)
-        return cached
+        return self._data.size
 
     @property
     def wire_size(self) -> int:
-        cached = self.__dict__.get("_wire_size")
-        if cached is None:
-            cached = DIFF_HEADER_BYTES + RUN_HEADER_BYTES * len(self.runs) + self.changed_bytes
-            object.__setattr__(self, "_wire_size", cached)
-        return cached
+        return DIFF_HEADER_BYTES + RUN_HEADER_BYTES * self._starts.size + self._data.size
 
-    @property
-    def flat(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(indices, values)`` covering every changed byte, cached.
+    def _wire(self) -> tuple[int, bytes, bytes, bytes]:
+        """The diff's whole value: what is pickled, compared and hashed."""
+        return self.page_id, self._starts.tobytes(), self._ends.tobytes(), self._data.tobytes()
 
-        Lets a consumer touch all runs with two fancy-index operations
-        instead of two numpy calls per run — the win that makes VC_sd's
-        diff integration scale with diff *count* rather than run count.
-        """
-        cached = self.__dict__.get("_flat")
-        if cached is None:
-            values = np.frombuffer(b"".join(data for _, data in self.runs), dtype=np.uint8)
-            offs = np.fromiter((off for off, _ in self.runs), dtype=np.intp, count=len(self.runs))
-            lengths = np.fromiter(
-                (len(data) for _, data in self.runs), dtype=np.intp, count=len(self.runs)
-            )
-            # vectorised multi-arange: ones everywhere, then fix up each
-            # run's first index so the cumulative sum jumps to its offset
-            idx = np.ones(values.size, dtype=np.intp)
-            if idx.size:
-                idx[0] = offs[0]
-                jumps = np.cumsum(lengths[:-1])
-                idx[jumps] = offs[1:] - (offs[:-1] + lengths[:-1] - 1)
-                np.cumsum(idx, out=idx)
-            cached = (idx, values)
-            object.__setattr__(self, "_flat", cached)
-        return cached
+    def __reduce__(self):
+        return _from_wire, self._wire()
 
-    def covers(self) -> list[tuple[int, int]]:
-        """Half-open ``(start, end)`` intervals touched by this diff."""
-        return [(off, off + len(d)) for off, d in self.runs]
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Diff):
+            return NotImplemented
+        return self._wire() == other._wire()
 
+    def __hash__(self) -> int:
+        return hash(self._wire())
 
-_EMPTY_RUNS: tuple = ()
+    def __repr__(self) -> str:
+        return f"Diff(page_id={self.page_id}, runs={self._starts.size}, bytes={self._data.size})"
+
+    def _scatter_index(self, page_size: int) -> np.ndarray:
+        """Page offset of every payload byte, checked to fit ``page_size``: one
+        fancy-index operation then touches all runs, so VC_sd's diff integration
+        scales with diff *count* rather than run count."""
+        idx = self._index
+        if idx is None:
+            # vectorised multi-arange: each payload position plus its run's
+            # (page offset - payload position), which is constant along a run
+            lengths = (self._ends - self._starts).astype(np.intp)
+            idx = np.repeat(self._ends - np.cumsum(lengths), lengths)
+            idx += np.arange(idx.size)
+            self._index = idx
+        if idx.size and self._ends[-1] > page_size:  # sorted: the last run ends highest
+            run = f"[{self._starts[-1]}:{self._ends[-1]}]"
+            raise ValueError(f"diff run {run} exceeds page size {page_size}")
+        return idx
 
 
-def _trusted_diff(page_id: int, runs: tuple[tuple[int, bytes], ...]) -> Diff:
-    """Construct a :class:`Diff` from runs known to be sorted and disjoint.
-
-    Skips ``__post_init__`` validation — only for runs produced by the
-    vectorised mask splitter, whose output is valid by construction.
-    """
-    diff = object.__new__(Diff)
-    object.__setattr__(diff, "page_id", page_id)
-    object.__setattr__(diff, "runs", runs)
+def _fill(diff: Diff, page_id: int, starts: np.ndarray, ends: np.ndarray, data: np.ndarray) -> Diff:
+    diff.page_id, diff._index = page_id, None
+    diff._starts, diff._ends, diff._data = starts, ends, data
     return diff
 
 
-def _extract_runs(data: np.ndarray, changed: np.ndarray) -> tuple[tuple[int, bytes], ...]:
-    """Split a boolean change mask into maximal runs of bytes from ``data``.
-
-    The run boundaries are found entirely in numpy; the payload bytes are
-    sliced out of one ``tobytes()`` snapshot (a single C-level copy) instead
-    of one numpy slice-and-copy per run.
-    """
-    return _diff_from_mask(0, data, changed).runs
+def _from_wire(page_id: int, starts: bytes, ends: bytes, data: bytes) -> Diff:
+    """Rebuild a pickled diff; trusted, so :class:`Diff`'s validation is skipped."""
+    return _fill(
+        object.__new__(Diff),
+        page_id,
+        np.frombuffer(starts, dtype=np.uint16),
+        np.frombuffer(ends, dtype=np.uint16),
+        np.frombuffer(data, dtype=np.uint8),
+    )
 
 
 def _diff_from_mask(page_id: int, data: np.ndarray, changed: np.ndarray) -> Diff:
-    """Build a :class:`Diff` from a change mask with its lazy caches primed.
+    """Build the diff carrying ``data`` wherever the boolean mask ``changed`` is set.
 
-    The mask's nonzero indices *are* the flat index array and their count is
-    ``changed_bytes``, so computing them here (vectorised) saves the
-    per-run/per-byte Python generator passes the lazy properties would do.
+    The maximal runs are the mask's rising and falling edges, found with one
+    vectorised comparison; valid by construction, so not re-validated (the
+    :class:`~repro.memory.address_space.AddressSpace` keeps pages within ``uint16``).
     """
-    idx = np.flatnonzero(changed)
-    if idx.size == 0:
-        return _trusted_diff(page_id, _EMPTY_RUNS)
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = idx[np.concatenate(([0], breaks + 1))].tolist()
-    stops = (idx[np.concatenate((breaks, [idx.size - 1]))] + 1).tolist()
-    raw = data.tobytes()
-    diff = _trusted_diff(page_id, tuple([(s, raw[s:e]) for s, e in zip(starts, stops)]))
-    nbytes = int(idx.size)
-    object.__setattr__(diff, "_changed_bytes", nbytes)
-    object.__setattr__(
-        diff, "_wire_size", DIFF_HEADER_BYTES + RUN_HEADER_BYTES * len(diff.runs) + nbytes
-    )
-    object.__setattr__(diff, "_flat", (idx, data[idx]))
-    return diff
+    padded = np.zeros(changed.shape[0] + 2, dtype=bool)
+    padded[1:-1] = changed
+    edges = np.flatnonzero(padded[1:] != padded[:-1]).astype(np.uint16)
+    return _fill(object.__new__(Diff), page_id, edges[0::2], edges[1::2], data[changed])
 
 
 def make_diff(page_id: int, twin: np.ndarray, current: np.ndarray) -> Diff:
@@ -163,13 +160,7 @@ def make_diff(page_id: int, twin: np.ndarray, current: np.ndarray) -> Diff:
 
 def apply_diff(page: np.ndarray, diff: Diff) -> None:
     """Apply ``diff`` to ``page`` in place."""
-    idx, values = diff.flat
-    if idx.size:
-        off, data = diff.runs[-1]  # runs are sorted: the last one ends highest
-        end = off + len(data)
-        if end > page.shape[0]:
-            raise ValueError(f"diff run [{off}:{end}] exceeds page size {page.shape[0]}")
-        page[idx] = values
+    page[diff._scatter_index(page.shape[0])] = diff._data
 
 
 def integrate_diffs(page_id: int, diffs: Sequence[Diff], page_size: int) -> Diff:
@@ -186,8 +177,8 @@ def integrate_diffs(page_id: int, diffs: Sequence[Diff], page_size: int) -> Diff
             raise ValueError(
                 f"cannot integrate diff for page {diff.page_id} into page {page_id}"
             )
-        idx, values = diff.flat
-        scratch[idx] = values
+        idx = diff._scatter_index(page_size)
+        scratch[idx] = diff._data
         touched[idx] = True
     return _diff_from_mask(page_id, scratch, touched)
 

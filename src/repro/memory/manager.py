@@ -162,6 +162,19 @@ class MemoryManager:
         copy.state = PageState.RW
         self.write_set.add(pid)
 
+    def _close_twin(self, pid: int) -> Optional[Diff]:
+        """Diff one written page against its twin, drop the twin, leave it RO.
+
+        Returns the diff, or ``None`` if nothing actually changed.
+        """
+        copy = self.pages[pid]
+        if copy.twin is None:
+            raise RuntimeError(f"page {pid} written without twin")
+        diff = make_diff(pid, copy.twin, copy.data)
+        copy.drop_twin()
+        copy.state = PageState.RO
+        return None if diff.empty else diff
+
     def end_interval(self) -> dict[int, Diff]:
         """Close the current interval: diff every written page against its twin.
 
@@ -170,36 +183,22 @@ class MemoryManager:
         """
         diffs: dict[int, Diff] = {}
         for pid in sorted(self.write_set):
-            copy = self.pages[pid]
-            if copy.twin is None:
-                raise RuntimeError(f"page {pid} in write set without twin")
-            diff = make_diff(pid, copy.twin, copy.data)
-            if not diff.empty:
+            diff = self._close_twin(pid)
+            if diff is not None:
                 diffs[pid] = diff
-            copy.drop_twin()
-            copy.state = PageState.RO
         self.write_set.clear()
         return diffs
 
     def flush_page(self, pid: int) -> Optional[Diff]:
         """Early-flush one written page (invalidation arrived while RW).
 
-        Diffs the page against its twin, drops the twin, removes the page
-        from the write set and leaves it RO (the caller will invalidate it).
-        Returns the diff, or ``None`` if nothing actually changed.
+        Closes the page's twin and removes the page from the write set (the
+        caller will invalidate it).  Returns the diff, or ``None`` if nothing
+        actually changed.
         """
-        copy = self.pages[pid]
-        if copy.twin is None:
-            raise RuntimeError(f"page {pid}: flush without twin")
-        diff = make_diff(pid, copy.twin, copy.data)
-        copy.drop_twin()
-        copy.state = PageState.RO
+        diff = self._close_twin(pid)
         self.write_set.discard(pid)
-        return None if diff.empty else diff
-
-    def interval_dirty_bytes(self) -> int:
-        """Bytes the pending twins cover (cost accounting for diff creation)."""
-        return len(self.write_set) * self.space.page_size
+        return diff
 
     # -- protocol data movement helpers ---------------------------------------------
 

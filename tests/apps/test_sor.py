@@ -1,10 +1,13 @@
 """SOR correctness across protocols and processor counts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.apps import sor
 from repro.apps.common import run_app
+from repro.core.program import make_system
 
 SMALL = sor.SorConfig(rows=20, cols=16, iterations=3, work_factor=1.0)
 
@@ -46,6 +49,26 @@ def test_vopp_transfers_only_borders():
     # at 4 procs the blocks are boundary-dominated, so the gap is modest; the
     # benchmark at 16 procs shows the ~2x gap (EXPERIMENTS.md, Table 6)
     assert d.stats.net.data_bytes < 0.85 * lrc.stats.net.data_bytes
+
+
+def test_lrc_retains_little_more_than_the_wire_size_of_its_diffs():
+    """LRC_d keeps every diff of every interval for later diff requests, so
+    what a diff retains sets the process's memory.  A page per row: 16 pages
+    a rank, 2 of them borders, so few stored diffs are ever applied (and
+    grow a scatter index).  Measured 2.9x; per-run Python objects gave 18.5x."""
+    cfg = sor.SorConfig(rows=64, cols=512, iterations=8, work_factor=1.0)
+    system = make_system(4, "lrc_d")
+    body = sor.build(system, cfg, "default")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        system.run_program(body)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    stored = [d for p in system.dsm.protocols for diffs in p.diff_store.values() for d in diffs]
+    assert len(stored) > 1000
+    assert peak <= 4 * sum(d.wire_size for d in stored)
 
 
 def test_relax_color_counts_updates():

@@ -54,6 +54,9 @@ def test_bad_sizes_rejected():
         AddressSpace(page_size=1000)  # not a power of two
     with pytest.raises(ValueError):
         AddressSpace(page_size=0)
+    with pytest.raises(ValueError, match="65536-byte page does not fit a run header"):
+        AddressSpace(page_size=1 << 16)  # diff run headers are two uint16
+    assert AddressSpace(page_size=1 << 15).page_size == 1 << 15
 
 
 def test_page_of_and_range_bounds():

@@ -1,5 +1,8 @@
 """Unit + property tests for the diff machinery."""
 
+import pickle
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,9 +88,22 @@ def test_diff_validation_rejects_bad_runs():
 
 
 def test_apply_out_of_range_run_raises():
+    """...and integrate_diffs raises the same error, not numpy's IndexError."""
     d = Diff(1, ((250, b"0123456789"),))
-    with pytest.raises(ValueError):
+    message = r"diff run \[250:260\] exceeds page size 256"
+    with pytest.raises(ValueError, match=message):
         apply_diff(page(), d)
+    with pytest.raises(ValueError, match=message):
+        integrate_diffs(1, [d], PAGE)
+
+
+def test_offsets_beyond_a_run_header_are_rejected():
+    """Pages too large for one are refused by ``AddressSpace`` (test_address_space)."""
+    with pytest.raises(ValueError):
+        Diff(1, ((0xFFFF, b"xy"),))
+    largest = 1 << 15  # the largest power-of-two page AddressSpace accepts
+    d = make_diff(1, np.zeros(largest, np.uint8), np.ones(largest, np.uint8))
+    assert d.runs == ((0, b"\x01" * largest),)
 
 
 def test_mismatched_shapes_raise():
@@ -143,6 +159,42 @@ def test_full_page_diff_roundtrip():
     assert d.changed_bytes == PAGE
 
 
+def sor_striped_diff():
+    """A 4 KiB page with 256 alternating 8-byte runs, as red/black SOR writes."""
+    twin = np.zeros(4096, dtype=np.uint8)
+    cur = twin.copy()
+    cur.reshape(256, 16)[:, :8] = 0xFF
+    return twin, make_diff(5, twin, cur)
+
+
+def retained_bytes(d):
+    arrays = [getattr(d, slot) for slot in Diff.__slots__]
+    return sys.getsizeof(d) + sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+
+
+def test_retained_footprint_is_near_wire_size():
+    """No per-run Python objects and no scatter index until first applied."""
+    _, d = sor_striped_diff()
+    assert d.wire_size == DIFF_HEADER_BYTES + 256 * (RUN_HEADER_BYTES + 8)
+    clone = pickle.loads(pickle.dumps(d))
+    for fresh in (d, clone):
+        assert fresh._index is None
+        assert retained_bytes(fresh) <= 2 * fresh.wire_size
+
+
+@pytest.mark.parametrize("applied_first", [False, True])
+def test_pickle_ships_no_cache(applied_first):
+    twin, striped = sor_striped_diff()
+    for d in (striped, full_page_diff(7, np.full(4096, 3, np.uint8))):
+        if applied_first:
+            apply_diff(twin.copy(), d)
+        blob = pickle.dumps(d)
+        assert len(blob) <= d.wire_size + 128
+        clone = pickle.loads(blob)
+        assert clone == d and hash(clone) == hash(d)
+        assert clone._index is None
+
+
 # -- property-based tests -------------------------------------------------------
 
 page_strategy = st.binary(min_size=PAGE, max_size=PAGE).map(
@@ -157,6 +209,36 @@ def test_prop_make_apply_roundtrip(twin, cur):
     d = make_diff(0, twin, cur)
     rebuilt = twin.copy()
     apply_diff(rebuilt, d)
+    assert np.array_equal(rebuilt, cur)
+
+
+def reference_runs(twin, cur):
+    """Pure-Python run splitter the array-backed layout is checked against."""
+    runs, start = [], None
+    for i in range(len(twin) + 1):
+        differs = i < len(twin) and twin[i] != cur[i]
+        if differs and start is None:
+            start = i
+        elif not differs and start is not None:
+            runs.append((start, cur[start:i].tobytes()))
+            start = None
+    return tuple(runs)
+
+
+# half the bytes equal the twin's, so runs of every length and position occur
+mask_strategy = st.lists(st.booleans(), min_size=PAGE, max_size=PAGE).map(np.array)
+
+
+@given(twin=page_strategy, cur=page_strategy, keep=mask_strategy)
+@settings(max_examples=60)
+def test_prop_runs_match_reference_splitter(twin, cur, keep):
+    cur = np.where(keep, twin, cur)
+    d = make_diff(3, twin, cur)
+    assert d.runs == reference_runs(twin, cur)
+    from_runs = Diff(3, d.runs)
+    assert from_runs == d and hash(from_runs) == hash(d)
+    rebuilt = twin.copy()
+    apply_diff(rebuilt, from_runs)
     assert np.array_equal(rebuilt, cur)
 
 

@@ -150,10 +150,3 @@ def test_snapshot_page(setup):
     assert snap[:3] == bytes([1, 2, 3])
     with pytest.raises(KeyError):
         mm.snapshot_page(3)
-
-
-def test_interval_dirty_bytes(setup):
-    cluster, mm, proto = setup
-    drive(cluster, mm.write_bytes(0, np.ones(1, np.uint8)))
-    drive(cluster, mm.write_bytes(64, np.ones(1, np.uint8)))
-    assert mm.interval_dirty_bytes() == 2 * 64
