@@ -188,32 +188,22 @@ def _check_consistency(
 
 
 def _write_trace_outputs(tracer, args: argparse.Namespace, host=None) -> None:
-    from repro.obs import (
-        chrome_trace,
-        merged_chrome_trace,
-        validate_chrome_trace,
-        write_chrome_trace,
-        write_jsonl,
-        write_merged_chrome_trace,
-    )
+    from repro.obs import write_chrome_trace, write_jsonl, write_merged_chrome_trace
 
     if getattr(args, "trace_out", None):
-        # validate before writing: an unbalanced trace (a span opened but
-        # never closed) silently renders wrong in Perfetto, so fail loudly
+        # the writers schema-check in the pass that writes and leave no file
+        # behind on failure: an unbalanced trace (a span opened but never
+        # closed) silently renders wrong in Perfetto, so fail loudly
         try:
             if host is not None:
-                validate_chrome_trace(merged_chrome_trace(tracer, host))
+                write_merged_chrome_trace(tracer, host, args.trace_out)
+                print(f"wrote merged simulated+host Chrome trace to {args.trace_out} "
+                      "(open in https://ui.perfetto.dev)")
             else:
-                validate_chrome_trace(chrome_trace(tracer))
+                write_chrome_trace(tracer, args.trace_out)
+                print(f"wrote Chrome trace to {args.trace_out} (open in https://ui.perfetto.dev)")
         except ValueError as exc:
             raise SystemExit(f"error: trace failed schema validation: {exc}") from exc
-        if host is not None:
-            write_merged_chrome_trace(tracer, host, args.trace_out)
-            print(f"wrote merged simulated+host Chrome trace to {args.trace_out} "
-                  "(open in https://ui.perfetto.dev)")
-        else:
-            write_chrome_trace(tracer, args.trace_out)
-            print(f"wrote Chrome trace to {args.trace_out} (open in https://ui.perfetto.dev)")
     if getattr(args, "jsonl_out", None) and tracer is not None:
         write_jsonl(tracer, args.jsonl_out)
         print(f"wrote JSONL events to {args.jsonl_out}")

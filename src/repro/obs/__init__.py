@@ -68,6 +68,7 @@ from repro.obs.export import (
     chrome_trace,
     flame_summary,
     host_trace_events,
+    iter_chrome_trace,
     iter_jsonl_lines,
     merged_chrome_trace,
     validate_chrome_trace,
@@ -125,6 +126,7 @@ __all__ = [
     "compute_breakdown",
     "format_breakdown",
     "chrome_trace",
+    "iter_chrome_trace",
     "write_chrome_trace",
     "merged_chrome_trace",
     "write_merged_chrome_trace",

@@ -89,6 +89,17 @@ For every wait piece on any rank, ``slack = duration − overlap with the
 path's same-rank segments`` — a wait with slack equal to its duration was
 fully overlapped by the critical chain elsewhere, and shortening it alone
 cannot shorten the run.
+
+The path is globally contiguous, so one rank's segments are chronological
+and disjoint (``t0 <= t1 <= next t0``) and their end times are sorted.  Per
+wait piece ``(i0, i1)`` the overlap loop bisects to the first segment ending
+after ``i0`` and stops at the first starting at or after ``i1``: *O(log s +
+k)* for ``s`` same-rank segments of which ``k`` touch the piece, *O(n log n)*
+over a trace, where scanning every segment per piece was *O(waits ×
+segments)* (1.27 M pairs on IS/8 VC_d).  The segments skipped contribute an
+empty overlap and the ones visited are visited in the same order, so the
+float additions behind ``on_path`` are the same additions in the same
+order — the result is bit-identical, not merely close.
 """
 
 from __future__ import annotations
@@ -363,18 +374,24 @@ def compute_critical_path(tracer) -> CriticalPath:
     for seg in segments:
         by_category[seg.category] = by_category.get(seg.category, 0.0) + seg.duration
 
-    # slack: per wait piece, overlap with same-rank path segments
+    # slack: per wait piece, overlap with same-rank path segments — bisect to
+    # the first segment ending after the piece, stop at the first starting
+    # at/after its end (see "Slack" in the module docstring)
     per_rank_path: dict[int, list[tuple[float, float]]] = {}
     for seg in segments:
         per_rank_path.setdefault(seg.rank, []).append((seg.t0, seg.t1))
     waits: list[WaitSlack] = []
     for w_pid in sorted(intervals):
-        spans = per_rank_path.get(w_pid, ())
+        spans = per_rank_path.get(w_pid, [])
+        span_ends = [s1 for _s0, s1 in spans]
         for i0, i1, cat in intervals[w_pid]["pieces"]:
             if cat not in WAIT_CATEGORIES or i1 <= i0:
                 continue
             on_path = 0.0
-            for s0, s1 in spans:
+            for k in range(bisect_right(span_ends, i0), len(spans)):
+                s0, s1 = spans[k]
+                if s0 >= i1:
+                    break
                 lo, hi = max(i0, s0), min(i1, s1)
                 if hi > lo:
                     on_path += hi - lo

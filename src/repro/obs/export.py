@@ -10,17 +10,26 @@ microseconds.
 Everything here is a pure function of the recorded event list, so for a
 deterministic simulation the exported bytes are identical across runs —
 ``validate_chrome_trace`` is the schema check the CI trace-smoke step runs.
+
+The document exists in two forms built from one row generator (``_rows``):
+the dict ``chrome_trace`` returns, and the text ``iter_chrome_trace``
+streams and the writers put on disk, which is byte for byte
+``json.dumps`` of that dict with ``(",", ":")`` separators plus a newline
+without the dict, or the whole string, ever being built.
 """
 
 from __future__ import annotations
 
 import json
-from typing import IO, Mapping
+import os
+from itertools import chain
+from typing import IO, Iterable, Mapping
 
 from repro.obs.tracer import EventTracer
 
 __all__ = [
     "chrome_trace",
+    "iter_chrome_trace",
     "write_chrome_trace",
     "merged_chrome_trace",
     "write_merged_chrome_trace",
@@ -43,60 +52,51 @@ HOST_PID_BASE = 1_000_000
 _PHASES = frozenset("BEiCM")
 
 
-def _events_of(trace: "EventTracer | list") -> list:
-    return trace.events if isinstance(trace, EventTracer) else list(trace)
+def _events_of(trace: "EventTracer | Iterable") -> Iterable:
+    return trace.events if isinstance(trace, EventTracer) else trace
 
 
-def chrome_trace(trace: "EventTracer | list",
+def _rows(events: Iterable, process_names: "Mapping[int, str] | None" = None):
+    """Yield the document's events in order as ``(ph, ts, pid, tid, cat, name, args)``.
+
+    The one place pids get their ``process_name`` row and ``(pid, lane)``
+    pairs their tid and ``thread_name`` row: each metadata row (``ph`` ``"M"``,
+    ``ts`` 0, the label in the ``args`` slot) comes out just ahead of the
+    first event that needs it.  Recorded events keep their ``B``/``E``/``i``/
+    ``C`` phase; ``ts`` is simulated seconds scaled to microseconds.  The dict
+    form (:func:`chrome_trace`), the text form (:func:`iter_chrome_trace`)
+    and the writers' schema check all read this stream, so no consumer
+    holds a second copy of the event list.
+    """
+    tids: dict[tuple[int, str], int] = {}
+    next_tid: dict[int, int] = {}
+    for ph, t, pid, lane, cat, name, args in events:
+        key = (pid, lane)
+        tid = tids.get(key)
+        if tid is None:
+            tid = next_tid.get(pid)
+            if tid is None:
+                tid = 0
+                if process_names is not None and pid in process_names:
+                    label = process_names[pid]
+                else:
+                    label = "simulator" if pid == GLOBAL_PID else f"node-{pid}"
+                yield "M", 0, pid, 0, None, "process_name", label
+            next_tid[pid] = tid + 1
+            tids[key] = tid
+            yield "M", 0, pid, tid, None, "thread_name", lane
+        yield ph, t * 1e6, pid, tid, cat, name, args
+
+
+def chrome_trace(trace: "EventTracer | Iterable",
                  process_names: "Mapping[int, str] | None" = None) -> dict:
     """Convert a recorded trace to a Chrome trace-event JSON document.
 
     ``process_names`` overrides the default ``node-{pid}`` labels — the
     merged host+simulated export uses it to label host-clock processes.
     """
-    events = _events_of(trace)
     out: list[dict] = []
-    tids: dict[tuple[int, str], int] = {}
-    next_tid: dict[int, int] = {}
-
-    def tid_of(pid: int, lane: str) -> int:
-        tid = tids.get((pid, lane))
-        if tid is None:
-            tid = next_tid.get(pid, 0)
-            next_tid[pid] = tid + 1
-            tids[(pid, lane)] = tid
-            out.append(
-                {
-                    "ph": "M",
-                    "name": "thread_name",
-                    "pid": pid,
-                    "tid": tid,
-                    "ts": 0,
-                    "args": {"name": lane},
-                }
-            )
-        return tid
-
-    seen_pids: set[int] = set()
-    for ph, t, pid, lane, cat, name, args in events:
-        if pid not in seen_pids:
-            seen_pids.add(pid)
-            if process_names is not None and pid in process_names:
-                pname = process_names[pid]
-            else:
-                pname = "simulator" if pid == GLOBAL_PID else f"node-{pid}"
-            out.append(
-                {
-                    "ph": "M",
-                    "name": "process_name",
-                    "pid": pid,
-                    "tid": 0,
-                    "ts": 0,
-                    "args": {"name": pname},
-                }
-            )
-        tid = tid_of(pid, lane)
-        ts = t * 1e6  # simulated seconds -> microseconds
+    for ph, ts, pid, tid, cat, name, args in _rows(_events_of(trace), process_names):
         if ph == "B":
             ev = {"ph": "B", "name": name, "cat": cat, "pid": pid, "tid": tid, "ts": ts}
             if args:
@@ -115,6 +115,15 @@ def chrome_trace(trace: "EventTracer | list",
             }
             if args:
                 ev["args"] = args
+        elif ph == "M":
+            ev = {
+                "ph": "M",
+                "name": name,
+                "pid": pid,
+                "tid": tid,
+                "ts": ts,
+                "args": {"name": args},
+            }
         else:  # "C"
             ev = {
                 "ph": "C",
@@ -128,11 +137,106 @@ def chrome_trace(trace: "EventTracer | list",
     return {"traceEvents": out, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(trace: "EventTracer | list", path: str) -> None:
-    doc = chrome_trace(trace)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=None, separators=(",", ":"), sort_keys=False)
-        fh.write("\n")
+# -- text form ------------------------------------------------------------------------
+
+# the encoder ``json.dumps(doc, separators=(",", ":"))`` builds; ``encode`` is its
+# one-shot C path
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+#: events per yielded text chunk
+_CHUNK_EVENTS = 2048
+
+
+class _Literals(dict):
+    """JSON literal of each distinct name/cat/lane, encoded on first sight —
+    a run repeats a few hundred of them over its whole event list."""
+
+    def __missing__(self, value):
+        literal = self[value] = _encode(value)
+        return literal
+
+
+def _chunks(rows: Iterable):
+    """The text of the document whose events are ``rows``, a few thousand
+    events per chunk.  Key order and number forms are those of
+    ``json.dumps(chrome_trace(...), separators=(",", ":"))``: a finite float
+    is its ``repr``; ``inf``/``nan``, ``args`` and every string go through
+    the encoder itself."""
+    lit = _Literals()
+    encode, float_repr, inf = _encode, float.__repr__, float("inf")
+    yield '{"traceEvents":['
+    sep = ""
+    buf: list[str] = []
+    for ph, ts, pid, tid, cat, name, args in rows:
+        if ph == "M":
+            buf.append(
+                f'{{"ph":"M","name":"{name}","pid":{pid},"tid":{tid},"ts":0,'
+                f'"args":{{"name":{lit[args]}}}}}'
+            )
+        else:
+            ts = float_repr(ts) if -inf < ts < inf else encode(ts)
+            if ph == "B":
+                tail = f',"args":{encode(args)}}}' if args else "}"
+                buf.append(
+                    f'{{"ph":"B","name":{lit[name]},"cat":{lit[cat]},'
+                    f'"pid":{pid},"tid":{tid},"ts":{ts}{tail}'
+                )
+            elif ph == "E":
+                buf.append(
+                    f'{{"ph":"E","cat":{lit[cat]},"pid":{pid},"tid":{tid},"ts":{ts}}}'
+                )
+            elif ph == "i":
+                tail = f',"args":{encode(args)}}}' if args else "}"
+                buf.append(
+                    f'{{"ph":"i","name":{lit[name]},"cat":{lit[cat]},'
+                    f'"pid":{pid},"tid":{tid},"ts":{ts},"s":"t"{tail}'
+                )
+            else:  # "C"
+                buf.append(
+                    f'{{"ph":"C","name":{lit[name]},"pid":{pid},"tid":{tid},'
+                    f'"ts":{ts},"args":{{"value":{encode(args)}}}}}'
+                )
+        if len(buf) >= _CHUNK_EVENTS:
+            yield sep + ",".join(buf)
+            sep = ","
+            buf = []
+    if buf:
+        yield sep + ",".join(buf)
+    yield '],"displayTimeUnit":"ms"}\n'
+
+
+def iter_chrome_trace(trace: "EventTracer | Iterable",
+                      process_names: "Mapping[int, str] | None" = None):
+    """Yield the Chrome trace document as text chunks.
+
+    Joined, the chunks are byte for byte
+    ``json.dumps(chrome_trace(trace, process_names), separators=(",", ":")) + "\\n"``
+    — what the writers put on disk — but neither the document dict nor its
+    full text ever exists: events stream from the tracer's storage to the
+    consumer, as :func:`iter_jsonl_lines` does for the JSONL form.
+    """
+    return _chunks(_rows(_events_of(trace), process_names))
+
+
+def _write_checked(rows: Iterable, path: str) -> None:
+    """Write the document of ``rows`` to ``path``, schema-checking it in the
+    same pass.  A document that fails raises ``ValueError`` and leaves
+    nothing at ``path``: the text goes to a sibling temp file that replaces
+    ``path`` only once complete."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.writelines(_chunks(_checked(rows, {})))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def write_chrome_trace(trace: "EventTracer | Iterable", path: str) -> None:
+    """Stream the trace to ``path``; ``ValueError`` (and no file) if the
+    document would fail :func:`validate_chrome_trace`."""
+    _write_checked(_rows(_events_of(trace)), path)
 
 
 # -- host-clock stream (second Perfetto process group) -----------------------------
@@ -173,18 +277,28 @@ def host_trace_events(host, base_pid: int = HOST_PID_BASE,
     for (pid, lane), group in lanes.items():
         # outermost-first at equal starts, so enclosing spans open first
         group.sort(key=lambda s: (s[4], -s[5]))
-        open_ends: list[float] = []
-        for proc, _lane, cat, name, s0, s1, args in group:
-            while open_ends and open_ends[-1] <= s0:
-                events.append(("E", open_ends.pop() - t0, pid, lane, cat, None, None))
+        open_spans: list[tuple[float, str]] = []  # (end, cat) of each open B
+        for _proc, _lane, cat, name, s0, s1, args in group:
+            while open_spans and open_spans[-1][0] <= s0:
+                end, end_cat = open_spans.pop()
+                events.append(("E", end - t0, pid, lane, end_cat, None, None))
             events.append(("B", s0 - t0, pid, lane, cat, name, args or None))
-            open_ends.append(s1)
-        while open_ends:
-            events.append(("E", open_ends.pop() - t0, pid, lane, "", None, None))
+            open_spans.append((s1, cat))
+        for end, end_cat in reversed(open_spans):
+            events.append(("E", end - t0, pid, lane, end_cat, None, None))
     return events, process_names
 
 
-def merged_chrome_trace(trace: "EventTracer | list | None", host) -> dict:
+def _merged_events(trace: "EventTracer | Iterable | None", host):
+    """``(events, process_names)`` of the merged document: the simulated
+    stream followed by the host-clock stream, chained rather than copied."""
+    sim_events = _events_of(trace) if trace is not None else ()
+    host_events, process_names = host_trace_events(host) if host is not None \
+        else ([], {})
+    return chain(sim_events, host_events), process_names
+
+
+def merged_chrome_trace(trace: "EventTracer | Iterable | None", host) -> dict:
     """One Chrome trace document: simulated stream + host-clock stream.
 
     The simulated events keep their node pids; the host profiler's spans
@@ -194,18 +308,13 @@ def merged_chrome_trace(trace: "EventTracer | list | None", host) -> dict:
     Perfetto renders side by side on one timeline.  Either side may be
     absent (``trace=None`` exports host-only).
     """
-    sim_events = _events_of(trace) if trace is not None else []
-    host_events, process_names = host_trace_events(host) if host is not None \
-        else ([], {})
-    return chrome_trace(sim_events + host_events, process_names=process_names)
+    return chrome_trace(*_merged_events(trace, host))
 
 
-def write_merged_chrome_trace(trace: "EventTracer | list | None", host,
+def write_merged_chrome_trace(trace: "EventTracer | Iterable | None", host,
                               path: str) -> None:
-    doc = merged_chrome_trace(trace, host)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=None, separators=(",", ":"), sort_keys=False)
-        fh.write("\n")
+    """:func:`write_chrome_trace` for the merged document."""
+    _write_checked(_rows(*_merged_events(trace, host)), path)
 
 
 def iter_jsonl_lines(trace: "EventTracer | list"):
@@ -249,7 +358,7 @@ def flame_summary(trace: "EventTracer | list", width: int = 40) -> str:
     """Terminal flame-style view: per-category share of total process time."""
     from repro.obs.breakdown import compute_breakdown, format_breakdown
 
-    events = _events_of(trace)
+    events = list(_events_of(trace))
     breakdown = compute_breakdown(events)
     if not breakdown:
         return "trace is empty (no run spans recorded)"
@@ -271,46 +380,74 @@ def flame_summary(trace: "EventTracer | list", width: int = 40) -> str:
     return "\n".join(lines)
 
 
+def _checked(rows: Iterable, summary: dict):
+    """Pass :func:`_rows`-shaped ``rows`` through, schema-checking each.
+
+    Raises ``ValueError`` at the first row with a bad field or an ``E``
+    that closes nothing and, once ``rows`` is exhausted, if it was empty or a
+    span is still open; otherwise fills ``summary`` with the event/span/
+    process counts.  A generator so a writer checks in the pass that writes.
+    """
+    stacks: dict[tuple[int, int], int] = {}
+    spans = 0
+    pids: set[int] = set()
+    i = -1
+    for i, row in enumerate(rows):
+        ph, ts, pid, tid, _cat, name, _args = row
+        if ph not in _PHASES:
+            raise ValueError(f"event {i}: bad phase {ph!r}")
+        if not isinstance(pid, int):
+            raise ValueError(f"event {i}: missing/non-int 'pid'")
+        if not isinstance(tid, int):
+            raise ValueError(f"event {i}: missing/non-int 'tid'")
+        if not isinstance(ts, (int, float)) or ts < 0:
+            raise ValueError(f"event {i}: bad ts {ts!r}")
+        if ph != "E" and not name:
+            raise ValueError(f"event {i}: phase {ph!r} requires a name")
+        pids.add(pid)
+        if ph == "B":
+            key = (pid, tid)
+            stacks[key] = stacks.get(key, 0) + 1
+            spans += 1
+        elif ph == "E":
+            key = (pid, tid)
+            depth = stacks.get(key, 0)
+            if depth <= 0:
+                raise ValueError(f"event {i}: 'E' without open 'B' on {key}")
+            stacks[key] = depth - 1
+        yield row
+    if i < 0:
+        raise ValueError("'traceEvents' must be a non-empty list")
+    open_lanes = {k: d for k, d in stacks.items() if d}
+    if open_lanes:
+        raise ValueError(f"unclosed spans at end of trace: {open_lanes}")
+    summary.update(events=i + 1, spans=spans, processes=len(pids))
+
+
+def _doc_rows(events: list):
+    """A loaded document's event objects in the shape :func:`_rows` yields."""
+    for i, ev in enumerate(events):
+        if not isinstance(ev, dict):
+            raise ValueError(f"event {i}: not an object")
+        get = ev.get
+        yield get("ph"), get("ts"), get("pid"), get("tid"), None, get("name"), None
+
+
 def validate_chrome_trace(doc: Mapping) -> dict:
     """Schema-check a Chrome trace-event document; raise ValueError if bad.
 
     Verifies the envelope, per-event required fields, and that every
     ``B``/``E`` pair balances per ``(pid, tid)`` lane.  Returns a small
-    summary dict (event/span/process counts) for smoke-test output.
+    summary dict (event/span/process counts) for smoke-test output.  The
+    writers run the same per-event checks while they stream, so a file
+    :func:`write_chrome_trace` produced has already passed.
     """
     if not isinstance(doc, Mapping) or "traceEvents" not in doc:
         raise ValueError("not a Chrome trace: missing 'traceEvents'")
     events = doc["traceEvents"]
-    if not isinstance(events, list) or not events:
+    if not isinstance(events, list):
         raise ValueError("'traceEvents' must be a non-empty list")
-    stacks: dict[tuple[int, int], int] = {}
-    spans = 0
-    pids: set[int] = set()
-    for i, ev in enumerate(events):
-        if not isinstance(ev, dict):
-            raise ValueError(f"event {i}: not an object")
-        ph = ev.get("ph")
-        if ph not in _PHASES:
-            raise ValueError(f"event {i}: bad phase {ph!r}")
-        for key in ("pid", "tid"):
-            if not isinstance(ev.get(key), int):
-                raise ValueError(f"event {i}: missing/non-int {key!r}")
-        ts = ev.get("ts")
-        if not isinstance(ts, (int, float)) or ts < 0:
-            raise ValueError(f"event {i}: bad ts {ts!r}")
-        if ph in ("B", "i", "C", "M") and not ev.get("name"):
-            raise ValueError(f"event {i}: phase {ph!r} requires a name")
-        pids.add(ev["pid"])
-        key = (ev["pid"], ev["tid"])
-        if ph == "B":
-            stacks[key] = stacks.get(key, 0) + 1
-            spans += 1
-        elif ph == "E":
-            depth = stacks.get(key, 0)
-            if depth <= 0:
-                raise ValueError(f"event {i}: 'E' without open 'B' on {key}")
-            stacks[key] = depth - 1
-    open_lanes = {k: d for k, d in stacks.items() if d}
-    if open_lanes:
-        raise ValueError(f"unclosed spans at end of trace: {open_lanes}")
-    return {"events": len(events), "spans": spans, "processes": len(pids)}
+    summary: dict = {}
+    for _ in _checked(_doc_rows(events), summary):
+        pass
+    return summary

@@ -12,7 +12,13 @@ import pytest
 
 from repro.apps import APPS
 from repro.apps.common import run_app
-from repro.obs import EventTracer, compute_critical_path, format_critical_path
+from repro.obs import (
+    WAIT_CATEGORIES,
+    EventTracer,
+    app_intervals,
+    compute_critical_path,
+    format_critical_path,
+)
 
 
 def _assert_exact_partition(cp):
@@ -27,18 +33,57 @@ def _assert_exact_partition(cp):
     assert math.fsum(cp.by_category.values()) == pytest.approx(cp.total, abs=1e-9)
 
 
+def _assert_rank_segments_sorted_and_disjoint(cp):
+    """What the slack bisect relies on: one rank's path segments, taken in
+    path order, run ``t0 <= t1 <= next t0``."""
+    last_end: dict[int, float] = {}
+    for seg in cp.segments:
+        assert seg.t0 <= seg.t1, seg
+        assert last_end.get(seg.rank, seg.t0) <= seg.t0, seg
+        last_end[seg.rank] = seg.t1
+
+
+def _reference_waits(tracer, cp):
+    """The wait pieces x same-rank segments double loop the bisect replaced,
+    kept as the reference: every segment, in path order, against every piece."""
+    intervals = app_intervals(tracer.events)
+    out = []
+    for pid in sorted(intervals):
+        spans = [(s.t0, s.t1) for s in cp.segments if s.rank == pid]
+        for i0, i1, cat in intervals[pid]["pieces"]:
+            if cat not in WAIT_CATEGORIES or i1 <= i0:
+                continue
+            on_path = 0.0
+            for s0, s1 in spans:
+                lo, hi = max(i0, s0), min(i1, s1)
+                if hi > lo:
+                    on_path += hi - lo
+            out.append((pid, i0, i1, on_path))
+    return out
+
+
+def _assert_waits_equal_reference(tracer, cp):
+    _assert_rank_segments_sorted_and_disjoint(cp)
+    got = [(w.rank, w.t0, w.t1, w.on_path) for w in cp.waits]
+    assert got == _reference_waits(tracer, cp)  # == on floats, not approx
+
+
 # -- synthetic walk -----------------------------------------------------------------
 
 
-def _synthetic_tracer():
+def _synthetic_tracer(rank0_waits=()):
     """Two ranks: rank 1 blocks on a lock rank 0 grants from a handler.
 
     Timeline: rank 1 computes [0,4], sends LOCK_ACQUIRE at 4; rank 0's
     handler runs (4.5, 5.5] and sends LOCK_GRANT at 5.0; the grant wakes
-    rank 1 at 9.0; rank 1 computes [9,10] and finishes last.
+    rank 1 at 9.0; rank 1 computes [9,10] and finishes last.  Rank 0's app
+    lane (run [0,8], barrier waits at ``rank0_waits``) is never walked.
     """
     tr = EventTracer()
     tr.begin(0, "app", "run", "rank 0", 0.0)
+    for t0, t1 in rank0_waits:
+        tr.begin(0, "app", "barrier-wait", "b", t0)
+        tr.end(0, "app", "barrier-wait", t1)
     tr.end(0, "app", "run", 8.0)
     tr.begin(1, "app", "run", "rank 1", 0.0)
     tr.begin(1, "app", "acquire-wait", "lock 7", 4.0)
@@ -78,6 +123,32 @@ def test_synthetic_wait_slack():
     assert w.slack == pytest.approx(1.0)
 
 
+def test_slack_edge_pieces_match_reference():
+    """Rank 0's path segments are the request flight [4, 4.5] and the handler
+    [4.5, 5]; its waits touch them end-to-start on both sides, straddle both,
+    and one is zero-length.  Rank 2 waits but never carries the path."""
+    tr = _synthetic_tracer(
+        rank0_waits=[(2.0, 4.0), (4.0, 4.0), (4.25, 5.0), (5.0, 7.0)]
+    )
+    tr.begin(2, "app", "run", "rank 2", 0.0)
+    tr.begin(2, "app", "recv-wait", "r", 1.0)
+    tr.end(2, "app", "recv-wait", 3.0)
+    tr.end(2, "app", "run", 6.0)
+
+    cp = compute_critical_path(tr)
+    _assert_exact_partition(cp)
+    assert not any(s.rank == 2 for s in cp.segments)
+    _assert_waits_equal_reference(tr, cp)
+    on_path = {(w.rank, w.t0, w.t1): w.on_path for w in cp.waits}
+    assert on_path == {
+        (0, 2.0, 4.0): 0.0,  # ends where the flight segment starts
+        (0, 4.25, 5.0): 0.75,  # tail of the flight + the whole handler
+        (0, 5.0, 7.0): 0.0,  # starts where the handler segment ends
+        (1, 4.0, 9.0): 4.0,
+        (2, 1.0, 3.0): 0.0,  # no segment on this rank: slack == duration
+    }
+
+
 def test_wake_without_edge_stays_local():
     tr = EventTracer()
     tr.begin(0, "app", "run", "rank 0", 0.0)
@@ -110,6 +181,7 @@ def test_partition_is_exact_across_matrix(app, protocol):
     run_app(APPS[app], protocol, 4, tracer=tracer)
     cp = compute_critical_path(tracer)
     _assert_exact_partition(cp)
+    _assert_waits_equal_reference(tracer, cp)
     for w in cp.waits:
         assert 0.0 <= w.on_path <= w.duration + 1e-12
         assert w.slack >= -1e-12

@@ -2,18 +2,26 @@
 
 import io
 import json
+import math
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps import APPS
 from repro.apps.common import run_app
 from repro.obs import (
     EventTracer,
     chrome_trace,
+    export,
     flame_summary,
+    iter_chrome_trace,
+    merged_chrome_trace,
     validate_chrome_trace,
     write_chrome_trace,
     write_jsonl,
+    write_merged_chrome_trace,
 )
 
 
@@ -54,6 +62,152 @@ def test_write_chrome_trace_deterministic_bytes(tmp_path):
     write_chrome_trace(small_trace(), str(p1))
     write_chrome_trace(small_trace(), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# -- byte identity of the streamed text form ---------------------------------------
+
+
+def _canonical(doc) -> str:
+    """The bytes the writers have always put on disk for ``doc``."""
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+# quotes, backslashes, control and non-ASCII characters on purpose
+_text = st.text(
+    st.one_of(st.sampled_from('"\\/\n\x00\x1f\x7f\u00e9\u20ac\U0001f600'), st.characters()),
+    max_size=6,
+)
+_times = st.one_of(
+    st.floats(),  # NaN and the infinities included
+    st.integers(-10**9, 10**9),
+    # ts = t * 1e6: overflow to inf, subnormals, negative zero
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-320, -1e-7, 1.7e308, -1.7e308,
+                     math.inf, -math.inf, math.nan]),
+)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _text,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_text, inner, max_size=3),
+    max_leaves=8,
+)
+_pids = st.one_of(st.integers(-1, 3), st.integers(export.HOST_PID_BASE,
+                                                  export.HOST_PID_BASE + 2))
+_events = st.lists(
+    st.tuples(st.sampled_from("BEiC"), _times, _pids, _text,
+              st.none() | _text, st.none() | _text, _json_values),
+    max_size=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(events=_events, process_names=st.none() | st.dictionaries(_pids, _text))
+def test_streamed_bytes_equal_dumped_document(events, process_names):
+    """The text form is ``json.dumps`` of the dict form, byte for byte —
+    unbalanced spans, hostile strings and non-finite times included — and
+    where the chunks break does not change it."""
+    want = _canonical(chrome_trace(events, process_names))
+    assert "".join(iter_chrome_trace(events, process_names)) == want
+    with mock.patch.object(export, "_CHUNK_EVENTS", 1):
+        chunks = list(iter_chrome_trace(events, process_names))
+    assert "".join(chunks) == want
+    n_rows = len(chrome_trace(events)["traceEvents"])
+    assert len(chunks) == n_rows + 2  # opening, one chunk per event, closing
+
+
+def test_empty_event_list_streams_valid_json():
+    text = "".join(iter_chrome_trace([]))
+    assert text == _canonical(chrome_trace([]))
+    assert json.loads(text) == {"traceEvents": [], "displayTimeUnit": "ms"}
+
+
+def test_iter_chrome_trace_is_lazy():
+    """Chunks come out as events go in — no second copy of the event list."""
+    pulled = []
+
+    def events():
+        for i in range(3):
+            pulled.append(i)
+            yield ("i", float(i), 0, "app", "compute", f"e{i}", None)
+
+    with mock.patch.object(export, "_CHUNK_EVENTS", 1):
+        chunks = iter_chrome_trace(events())
+        assert pulled == []
+        assert next(chunks) == '{"traceEvents":['
+        assert "process_name" in next(chunks)
+        assert pulled == [0]
+
+
+def _fake_host():
+    """Fixed host spans (the real clock differs run to run): three in
+    sequence on one lane, two nested on another, a second process."""
+    return SimpleNamespace(spans=[
+        ("main", "coord", "setup", "setup", 10.0, 11.0, None),
+        ("main", "coord", "route", "route", 11.0, 12.5, {"frames": 3}),
+        ("main", "coord", "merge", "merge", 13.0, 14.0, None),
+        ("main", "pool", "sweep", "sweep", 10.5, 13.5, None),
+        ("main", "pool", "cell", "cell 0", 11.0, 12.0, {"app": "is"}),
+        ("partition-0", "worker", "execute", "window", 11.5, 12.0, None),
+    ])
+
+
+def test_written_files_equal_dumped_documents(tmp_path):
+    tracer, host = small_trace(), _fake_host()
+    path = tmp_path / "t.json"
+    write_chrome_trace(tracer, str(path))
+    assert path.read_text() == _canonical(chrome_trace(tracer))
+    write_merged_chrome_trace(tracer, host, str(path))
+    merged = merged_chrome_trace(tracer, host)
+    assert path.read_text() == _canonical(merged)
+    host_names = {e["args"]["name"] for e in merged["traceEvents"]
+                  if e.get("name") == "process_name" and e["pid"] >= export.HOST_PID_BASE}
+    assert host_names == {"host:main", "host:partition-0"}
+    write_merged_chrome_trace(None, host, str(path))  # host-only
+    assert path.read_text() == _canonical(merged_chrome_trace(None, host))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.json"]
+
+
+def test_writer_refuses_a_bad_trace_and_leaves_no_file(tmp_path):
+    tracer = small_trace()
+    path = tmp_path / "t.json"
+    unclosed = tracer.events + [("B", 9.0, 0, "app", "compute", "never closed", None)]
+    with pytest.raises(ValueError, match="unclosed spans at end of trace"):
+        write_chrome_trace(unclosed, str(path))
+    with pytest.raises(ValueError, match="'E' without open 'B'"):
+        write_chrome_trace([("E", 0.0, 0, "app", "compute", None, None)], str(path))
+    with pytest.raises(ValueError, match="non-empty"):
+        write_merged_chrome_trace(None, None, str(path))
+    assert list(tmp_path.iterdir()) == []
+    # and a file already there is not clobbered by a failed write
+    write_chrome_trace(tracer, str(path))
+    good = path.read_bytes()
+    with pytest.raises(ValueError):
+        write_chrome_trace(unclosed, str(path))
+    assert path.read_bytes() == good
+    assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
+
+
+def test_writer_check_agrees_with_validator(tmp_path):
+    """The writer's in-pass check and ``validate_chrome_trace`` are one set of
+    rules: same verdict, same message, on the document of the same events."""
+    cases = [
+        small_trace().events,
+        [("B", 0.0, 0, "app", "compute", "", None)],  # B needs a name
+        [("i", -1.0, 0, "app", "compute", "x", None)],  # negative ts
+        [("B", 0.0, 0, "app", "c", "x", None), ("E", 1.0, 0, "nic", "c", None, None)],
+        [("B", 0.0, 0, "app", "c", "x", None)],
+    ]
+    for events in cases:
+        outcomes = []
+        for check in (
+            lambda: validate_chrome_trace(chrome_trace(events)),
+            lambda: write_chrome_trace(events, str(tmp_path / "t.json")),
+        ):
+            try:
+                check()
+                outcomes.append(None)
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], events
 
 
 def test_jsonl_roundtrip():

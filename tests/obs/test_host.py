@@ -185,6 +185,38 @@ def test_fork_profiled_run_is_bit_identical():
 # -- merged export ----------------------------------------------------------------
 
 
+def test_host_spans_close_under_their_own_category():
+    """Every ``E`` carries the category of the ``B`` it closes — sequential
+    spans, nested spans (inner closes first) and the lane's tail alike."""
+    from types import SimpleNamespace
+
+    from repro.obs import host_trace_events
+
+    host = SimpleNamespace(spans=[
+        ("main", "coord", "setup", "setup", 1.0, 2.0, None),
+        ("main", "coord", "route", "route", 2.0, 3.0, None),
+        ("main", "coord", "merge", "merge", 3.5, 4.0, None),
+        ("main", "pool", "sweep", "sweep", 1.0, 5.0, None),
+        ("main", "pool", "cell", "cell 0", 2.0, 3.0, None),
+        ("main", "pool", "verify", "verify", 3.0, 5.0, None),
+    ])
+    events, _names = host_trace_events(host)
+    by_lane = {}
+    for ph, t, _pid, lane, cat, _name, _args in events:
+        by_lane.setdefault(lane, []).append((ph, t, cat))
+    assert by_lane["coord"] == [
+        ("B", 0.0, "setup"), ("E", 1.0, "setup"),
+        ("B", 1.0, "route"), ("E", 2.0, "route"),
+        ("B", 2.5, "merge"), ("E", 3.0, "merge"),
+    ]
+    assert by_lane["pool"] == [
+        ("B", 0.0, "sweep"),
+        ("B", 1.0, "cell"), ("E", 2.0, "cell"),
+        ("B", 2.0, "verify"), ("E", 4.0, "verify"),
+        ("E", 4.0, "sweep"),
+    ]
+
+
 def test_merged_chrome_trace_validates_and_separates_clock_domains():
     from repro.apps import APPS
     from repro.apps.common import run_app

@@ -60,6 +60,23 @@ def test_trace_command_prints_breakdown_and_mix(capsys, tmp_path):
     assert summary["spans"] > 0
 
 
+@pytest.mark.parametrize("extra", [[], ["--host-trace"]])
+def test_trace_out_failing_validation_leaves_no_file(monkeypatch, tmp_path, extra):
+    """An unbalanced trace is refused with the schema error and nothing —
+    no partial file, no temp file — is left at ``--trace-out``."""
+    from repro.obs import EventTracer
+
+    # handler spans that never close
+    monkeypatch.setattr(EventTracer, "end_dispatch", lambda self, pid, t: None)
+    out_path = tmp_path / "t.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "sor", "--protocol", "vc_sd", "--nprocs", "2",
+              "--trace-out", str(out_path), *extra])
+    assert str(exc.value).startswith(
+        "error: trace failed schema validation: unclosed spans at end of trace")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_trace_command_jsonl_output(capsys, tmp_path):
     import json
 
