@@ -18,8 +18,6 @@ for how to read it.
 
 from __future__ import annotations
 
-import contextlib
-import gc
 import json
 import platform
 import resource
@@ -39,27 +37,6 @@ DEFAULT_OUTPUT = "BENCH_hotpath.json"
 def _peak_rss_kb() -> int:
     """Peak resident set size of this process, in KiB (Linux semantics)."""
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-
-
-@contextlib.contextmanager
-def _gc_paused():
-    """Suspend cyclic GC around a timed section (pyperf-style hygiene).
-
-    The simulator allocates almost exclusively acyclic objects (tuples,
-    bytes, small dataclasses), so the cycle collector contributes only
-    unpredictable pauses to the measurement.  Reference counting still
-    reclaims everything promptly; one explicit collection afterwards
-    releases whatever cycles the workload did create.
-    """
-    was_enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-        gc.collect()
 
 
 def _message_mix(stats) -> dict:
@@ -116,13 +93,12 @@ def run_hotpath_benchmark(
     for entry in entries:
         if host is not None:
             host.begin("bench", "phase", entry.label)
-        with _gc_paused():
-            t0 = time.perf_counter()
-            result = run_app(
-                is_sort, entry.protocol, nprocs,
-                config=config, variant=entry.variant, verify=verify,
-            )
-            wall = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        result = run_app(
+            is_sort, entry.protocol, nprocs,
+            config=config, variant=entry.variant, verify=verify,
+        )
+        wall = time.perf_counter() - t0
         if host is not None:
             host.end()
         total_wall += wall

@@ -38,7 +38,7 @@ Commands
     regressions a non-zero exit for CI.  With ``--trend``: track every
     metric across N reports ordered oldest -> newest (terminal table,
     ``--html`` sparkline dashboard), gating each consecutive pair with the
-    same exact-simulated / tolerance-gated-throughput semantics.
+    same exact-simulated / tolerance-gated-wall-time semantics.
 
 ``run``/``trace`` accept ``--host-trace`` to record *wall-clock* spans of
 the real work (coordinator barrier waits, frame codec, pipe I/O, partition
@@ -1013,7 +1013,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="also write a standalone HTML dashboard")
     p_report.add_argument(
         "--throughput-tolerance", type=float, default=None, metavar="FRAC",
-        help="relative slowdown allowed on events/sec metrics "
+        help="relative slowdown allowed on wall_seconds metrics "
         "(default 0.25; simulated metrics are always compared exactly)",
     )
     p_report.add_argument("--verbose", action="store_true",

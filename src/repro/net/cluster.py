@@ -5,7 +5,8 @@ A :class:`Node` is one simulated PC: a CPU (time charged through
 **dispatcher daemon** that processes incoming protocol messages *serially* —
 exactly like a SIGIO handler in TreadMarks.  Serial handler execution is what
 turns the LRC barrier manager into the bottleneck the paper measures: 2(n-1)
-messages must be handled one after another at node 0.
+messages must be handled one after another at node 0.  It has no mailbox: the
+NIC's receive completion resumes it in place, or backlogs while it is busy.
 
 Protocol layers register generator handlers per :class:`MessageKind`;
 handlers may charge compute time and send messages but must never block on a
@@ -15,9 +16,10 @@ construction.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Callable, Generator, Optional
 
-from repro.sim import Channel, Simulator, Timeout
+from repro.sim import PARK, Simulator, Timeout
 from repro.net.config import NetConfig, NodeConfig
 from repro.net.message import Message, MessageKind
 from repro.net.nic import Nic, Switch
@@ -41,8 +43,8 @@ class Node:
         self.nic = Nic(sim, node_id, netcfg, stats, self._on_frame)
         self.transport = Transport(sim, node_id, self.nic, netcfg, stats)
         self._handlers: dict[MessageKind, Handler] = {}
-        self._mailbox: Channel = Channel(sim, name=f"dispatch[{node_id}]")
-        sim.spawn(self._dispatcher(), name=f"dispatch-{node_id}")
+        self._backlog: deque[Message] = deque()  # arrived while a handler ran
+        self._proc = sim.spawn(self._dispatcher(), name=f"dispatch-{node_id}")
 
     # -- protocol plumbing -------------------------------------------------------
 
@@ -54,12 +56,12 @@ class Node:
 
     def _on_frame(self, msg: Message) -> None:
         filtered = self.transport.on_receive(msg)
-        if filtered is not None:
-            self._mailbox.put(filtered)
+        if filtered is not None and not self._proc.unpark(filtered):
+            self._backlog.append(filtered)
 
     def _dispatcher(self) -> Generator:
         while True:
-            msg = yield self._mailbox.get()
+            msg = self._backlog.popleft() if self._backlog else (yield PARK)
             handler = self._handlers.get(msg.kind)
             if handler is None:
                 raise LookupError(

@@ -7,18 +7,16 @@ Each node owns one :class:`Nic` modelling one full-duplex port:
 * the **RX side** drains the inbound buffer at link rate (plus receive
   overhead) and delivers messages to the node's dispatcher.
 
-Both sides are modelled as *flattened* rate-limited queues: plain callback
-chains instead of a daemon process blocking on a channel.  Each frame costs
-the same two simulator events the pump formulation used — a zero-delay
-hand-off followed by the timed completion — but without generator resumption,
-effect dispatch or channel-object churn.  The hand-off hop is kept (rather
-than scheduling the completion directly) because it is *order-bearing*: the
-engine drains same-instant heap events before ready-deque events, so the
-completion's tie-breaking sequence number must be allocated in the ready
-phase exactly where the pump's channel resume used to run.  This keeps runs
-event-for-event identical in simulated time to the daemon formulation —
-same-instant frame ties resolve the same way, which the seeded RED drop
-stream depends on.
+Both sides are *flattened* rate-limited queues: plain callback chains, no
+daemon process, no channel.  A frame costs three events — timed TX
+completion, the switch's arrival pump, timed RX completion — and an idle side
+starts its next frame inside the call that made it runnable, with no
+zero-delay hand-off event.  That moves a completion's tie-breaking sequence
+number relative to *other* nodes' same-instant events only, which nothing
+observes: arrivals at one ``(dst, instant)`` are delivered by one pump in
+``(src, departure seq)`` order (see :class:`Switch`), and cross-node order
+within an instant is unobservable by construction — the PDES conformance
+matrix runs those events in different OS processes, bit-identically.
 
 Messages arriving while the inbound buffer is full are **dropped** — this is
 the congestion-loss mechanism: a burst of n-1 simultaneous senders into one
@@ -97,7 +95,7 @@ class Nic:
             self._tx_backlog.append(msg)
             return
         self._tx_busy = True
-        self.sim.call_soon(self._tx_start, msg)
+        self._tx_start(msg)
 
     def _tx_start(self, msg: "Message") -> None:
         tracer = self.sim.tracer
@@ -125,7 +123,7 @@ class Nic:
             tracer.end(self.node_id, "nic-tx", "tx", self.sim.now)
         self._switch.transfer(msg)
         if self._tx_backlog:
-            self.sim.call_soon(self._tx_start, self._tx_backlog.popleft())
+            self._tx_start(self._tx_backlog.popleft())
         else:
             self._tx_busy = False
 
@@ -172,7 +170,7 @@ class Nic:
             self._rx_backlog.append(msg)
             return
         self._rx_busy = True
-        self.sim.call_soon(self._rx_start, msg)
+        self._rx_start(msg)
 
     def _trace_drop(self, msg: "Message", why: str) -> None:
         tracer = self.sim.tracer
@@ -205,7 +203,7 @@ class Nic:
         self.rx_bytes -= msg.size + self.cfg.header_bytes
         self._deliver(msg)
         if self._rx_backlog:
-            self.sim.call_soon(self._rx_start, self._rx_backlog.popleft())
+            self._rx_start(self._rx_backlog.popleft())
         else:
             self._rx_busy = False
 

@@ -3,17 +3,24 @@
 ``BENCH_hotpath.json`` and ``BENCH_sweep.json`` record two different kinds
 of number, and the comparison treats them differently:
 
-* **Simulated statistics are exact.**  ``table_row``s, fingerprints, event
-  counts, simulated seconds and the message mix are deterministic functions
-  of (code, seed) — any difference between two runs of the same code is a
+* **Simulated statistics are exact.**  ``table_row``s, fingerprints,
+  simulated seconds and the message mix are deterministic functions of
+  (code, seed) — any difference between two runs of the same code is a
   real behaviour change, so they are compared for equality with *zero*
   tolerance.  A PR that legitimately changes simulated statistics must
   regenerate the baseline; that is the point of the gate.
-* **Host-side numbers are noisy.**  ``wall_seconds``, ``events_per_sec``
-  and ``peak_rss_kb`` vary run-to-run and host-to-host, so throughput is
-  gated with a generous relative tolerance (default 25% — CI runners are
-  shared; the gate exists to catch catastrophic slowdowns, not jitter) and
-  RSS/wall are reported but never fail the check.
+* **Host-side numbers are noisy.**  ``wall_seconds`` and ``peak_rss_kb``
+  vary run-to-run and host-to-host, so host speed is gated on
+  ``wall_seconds`` (lower is better) with a generous relative tolerance
+  (default 25% — CI runners are shared; the gate exists to catch
+  catastrophic slowdowns, not jitter) and RSS is reported but never fails
+  the check.
+* **Event counts are informational.**  ``events`` is how many callbacks
+  *this implementation* of the engine ran to produce the simulated result —
+  deterministic, but a property of the host code, not of the simulation: a
+  change that deletes zero-work events leaves every simulated statistic
+  alone and makes the run faster while ``events`` and ``events_per_sec``
+  both fall.  They are reported as deltas and never fail the check.
 
 Inputs are file paths or ``git:REV[:path]`` specs (the latter read the file
 out of a git revision, default path ``BENCH_hotpath.json``), so
@@ -173,6 +180,18 @@ def _exact_delta(key: str, metric: str, old: Any, new: Any) -> MetricDelta:
     return MetricDelta(key, metric, old, new, REGRESSED, note)
 
 
+def _compare_host(key: str, old: dict, new: dict, tolerance: float,
+                  deltas: list) -> None:
+    """The host numbers of one run: wall gated, events and events/sec not."""
+    deltas.append(_ratio_delta(key, "events", old.get("events"), new.get("events"),
+                               None, higher_is_better=False))
+    deltas.append(_ratio_delta(key, "events_per_sec", old.get("events_per_sec"),
+                               new.get("events_per_sec"), None))
+    deltas.append(_ratio_delta(key, "wall_seconds", old.get("wall_seconds"),
+                               new.get("wall_seconds"), tolerance,
+                               higher_is_better=False))
+
+
 def _compare_entry(
     key: str,
     old: dict,
@@ -190,12 +209,7 @@ def _compare_entry(
                 )
                 continue
             deltas.append(_exact_delta(key, f, old.get(f), new.get(f)))
-    deltas.append(
-        _ratio_delta(key, "events_per_sec", old.get("events_per_sec"), new.get("events_per_sec"), tolerance)
-    )
-    deltas.append(
-        _ratio_delta(key, "wall_seconds", old.get("wall_seconds"), new.get("wall_seconds"), None, higher_is_better=False)
-    )
+    _compare_host(key, old, new, tolerance, deltas)
     if "peak_rss_kb" in old or "peak_rss_kb" in new:
         deltas.append(
             _ratio_delta(key, "peak_rss_kb", old.get("peak_rss_kb"), new.get("peak_rss_kb"), None, higher_is_better=False)
@@ -211,10 +225,10 @@ def compare_reports(
 ) -> Comparison:
     """Compare two bench reports of the same kind.
 
-    Exact (simulated) fields gate at zero tolerance; throughput gates at
-    ``tolerance``; wall/RSS are report-only.  Cells present only in the
-    baseline are regressions (coverage loss); cells only in the new report
-    are additions.
+    Exact (simulated) fields gate at zero tolerance; ``wall_seconds`` gates
+    at ``tolerance``; event counts, events/sec and RSS are report-only.
+    Cells present only in the baseline are regressions (coverage loss);
+    cells only in the new report are additions.
     """
     kind = _report_kind(base)
     if _report_kind(new) != kind:
@@ -232,7 +246,7 @@ def compare_reports(
     if kind == "pdes":
         _compare_pdes(base, new, tolerance, deltas)
     elif kind == "hotpath":
-        exact = ("events", "sim_time_seconds", "verified", "table_row", "message_mix")
+        exact = ("sim_time_seconds", "verified", "table_row", "message_mix")
         old_entries = base.get("protocols", {})
         new_entries = new.get("protocols", {})
         for key in old_entries:
@@ -243,15 +257,16 @@ def compare_reports(
         for key in new_entries:
             if key not in old_entries:
                 deltas.append(MetricDelta(key, "entry", "missing", "present", CHANGED))
+        _compare_host("(total)", base, new, tolerance, deltas)
         deltas.append(
             _ratio_delta(
                 "(total)", "vc_d_events_per_sec",
                 base.get("vc_d_events_per_sec"), new.get("vc_d_events_per_sec"),
-                tolerance,
+                None,
             )
         )
     else:
-        exact = ("events", "sim_time_seconds", "verified", "fingerprint", "table_row")
+        exact = ("sim_time_seconds", "verified", "fingerprint", "table_row")
         def cell_key(c: dict) -> str:
             return "/".join(
                 str(c.get(k)) for k in ("app", "protocol", "variant", "nprocs", "seed")
@@ -271,8 +286,9 @@ def compare_reports(
 
 
 def _compare_pdes(base: dict, new: dict, tolerance: float, deltas: list) -> None:
-    """BENCH_pdes.json: conformance is all-simulated (exact); scaling mixes
-    deterministic window accounting (exact) with host throughput (gated).
+    """BENCH_pdes.json: conformance is all-simulated (exact) apart from the
+    event counts (informational); scaling mixes deterministic window
+    accounting (exact) with host wall time (gated).
 
     A quick (reduced-matrix) report on either side downgrades missing cells
     to CHANGED — quick runs deliberately cover a subset.  Differing
@@ -295,8 +311,7 @@ def _compare_pdes(base: dict, new: dict, tolerance: float, deltas: list) -> None
             str(c.get(k)) for k in ("app", "protocol", "variant", "nprocs")
         )
 
-    exact = ("fingerprint", "pdes_fingerprint", "sim_time_seconds",
-             "events_serial", "events_pdes", "match")
+    exact = ("fingerprint", "pdes_fingerprint", "sim_time_seconds", "match")
     old_cells = {conf_key(c): c for c in base.get("conformance", {}).get("cells", [])}
     new_cells = {conf_key(c): c for c in new.get("conformance", {}).get("cells", [])}
     for key, old_cell in old_cells.items():
@@ -307,6 +322,9 @@ def _compare_pdes(base: dict, new: dict, tolerance: float, deltas: list) -> None
             continue
         for f in exact:
             deltas.append(_exact_delta(key, f, old_cell.get(f), new_cell.get(f)))
+        for f in ("events_serial", "events_pdes"):
+            deltas.append(_ratio_delta(key, f, old_cell.get(f), new_cell.get(f),
+                                       None, higher_is_better=False))
     for key in new_cells:
         if key not in old_cells:
             deltas.append(MetricDelta(key, "cell", "missing", "present", CHANGED))
@@ -324,11 +342,7 @@ def _compare_pdes(base: dict, new: dict, tolerance: float, deltas: list) -> None
                                new_s.get("sim_time_seconds")))
     old_serial = old_s.get("serial") or {}
     new_serial = new_s.get("serial") or {}
-    deltas.append(_exact_delta(f"{skey}/serial", "events",
-                               old_serial.get("events"), new_serial.get("events")))
-    deltas.append(_ratio_delta(f"{skey}/serial", "events_per_sec",
-                               old_serial.get("events_per_sec"),
-                               new_serial.get("events_per_sec"), tolerance))
+    _compare_host(f"{skey}/serial", old_serial, new_serial, tolerance, deltas)
     window_fields = ("windows", "elided_windows", "leased_windows", "frame_bytes")
     old_parts = {p.get("workers"): p for p in old_s.get("partitioned", [])}
     new_parts = {p.get("workers"): p for p in new_s.get("partitioned", [])}
@@ -339,8 +353,6 @@ def _compare_pdes(base: dict, new: dict, tolerance: float, deltas: list) -> None
             deltas.append(MetricDelta(pkey, "entry", "present", "missing",
                                       miss_status, miss_note))
             continue
-        deltas.append(_exact_delta(pkey, "events",
-                                   old_p.get("events"), new_p.get("events")))
         deltas.append(_exact_delta(pkey, "output_matches",
                                    old_p.get("output_matches"),
                                    new_p.get("output_matches")))
@@ -348,9 +360,7 @@ def _compare_pdes(base: dict, new: dict, tolerance: float, deltas: list) -> None
             for f in window_fields:
                 if f in old_p or f in new_p:
                     deltas.append(_exact_delta(pkey, f, old_p.get(f), new_p.get(f)))
-        deltas.append(_ratio_delta(pkey, "events_per_sec",
-                                   old_p.get("events_per_sec"),
-                                   new_p.get("events_per_sec"), tolerance))
+        _compare_host(pkey, old_p, new_p, tolerance, deltas)
     for workers in new_parts:
         if workers not in old_parts:
             deltas.append(MetricDelta(f"{skey}/x{workers}", "entry",
@@ -364,8 +374,8 @@ def _compare_pdes(base: dict, new: dict, tolerance: float, deltas: list) -> None
 # gates reuse the two-way semantics over every *consecutive* pair:
 #
 #   exact       simulated statistics — any difference is REGRESSED
-#   throughput  host events/sec — gated at the relative tolerance
-#   info        wall/RSS/derived — reported, never fails --check
+#   throughput  host speed, as wall seconds — gated at the relative tolerance
+#   info        event counts, events/sec, RSS, derived — never fails --check
 
 GATE_EXACT = "exact"
 GATE_THROUGHPUT = "throughput"
@@ -425,25 +435,25 @@ def _flatten(doc: dict, kind: str) -> dict:
 
     if kind == "hotpath":
         for label, entry in (doc.get("protocols") or {}).items():
-            put(label, "events", entry.get("events"), GATE_EXACT)
             put(label, "sim_time_seconds", entry.get("sim_time_seconds"), GATE_EXACT)
             put(label, "table_row_hash", _row_hash(entry.get("table_row")), GATE_EXACT)
-            put(label, "events_per_sec", entry.get("events_per_sec"), GATE_THROUGHPUT)
-            put(label, "wall_seconds", entry.get("wall_seconds"), GATE_INFO)
+            put(label, "wall_seconds", entry.get("wall_seconds"), GATE_THROUGHPUT)
+            put(label, "events", entry.get("events"), GATE_INFO)
+            put(label, "events_per_sec", entry.get("events_per_sec"), GATE_INFO)
+        put("(total)", "wall_seconds", doc.get("wall_seconds"), GATE_THROUGHPUT)
         put("(total)", "vc_d_events_per_sec", doc.get("vc_d_events_per_sec"),
-            GATE_THROUGHPUT)
-        put("(total)", "events_per_sec", doc.get("events_per_sec"), GATE_THROUGHPUT)
-        put("(total)", "wall_seconds", doc.get("wall_seconds"), GATE_INFO)
+            GATE_INFO)
+        put("(total)", "events_per_sec", doc.get("events_per_sec"), GATE_INFO)
         put("(total)", "peak_rss_kb", doc.get("peak_rss_kb"), GATE_INFO)
     elif kind == "sweep":
         for cell in doc.get("cells", []):
             key = "/".join(str(cell.get(k)) for k in
                            ("app", "protocol", "variant", "nprocs", "seed"))
             put(key, "fingerprint", cell.get("fingerprint"), GATE_EXACT)
-            put(key, "events", cell.get("events"), GATE_EXACT)
             put(key, "sim_time_seconds", cell.get("sim_time_seconds"), GATE_EXACT)
-            put(key, "wall_seconds", cell.get("wall_seconds"), GATE_INFO)
-        put("(total)", "wall_seconds", doc.get("wall_seconds"), GATE_INFO)
+            put(key, "wall_seconds", cell.get("wall_seconds"), GATE_THROUGHPUT)
+            put(key, "events", cell.get("events"), GATE_INFO)
+        put("(total)", "wall_seconds", doc.get("wall_seconds"), GATE_THROUGHPUT)
     elif kind == "pdes":
         for cell in (doc.get("conformance") or {}).get("cells", []):
             key = "/".join(str(cell.get(k)) for k in
@@ -458,16 +468,15 @@ def _flatten(doc: dict, kind: str) -> dict:
         scaling = doc.get("scaling") or {}
         skey = f"halo/{scaling.get('nprocs')}p"
         put(skey, "sim_time_seconds", scaling.get("sim_time_seconds"), GATE_EXACT)
-        serial = scaling.get("serial") or {}
-        put(f"{skey}/serial", "events", serial.get("events"), GATE_EXACT)
-        put(f"{skey}/serial", "events_per_sec", serial.get("events_per_sec"),
-            GATE_THROUGHPUT)
+        runs = [(f"{skey}/serial", scaling.get("serial") or {})]
         for part in scaling.get("partitioned", []):
             pkey = f"{skey}/x{part.get('workers')}"
-            put(pkey, "events", part.get("events"), GATE_EXACT)
             put(pkey, "output_matches", part.get("output_matches"), GATE_EXACT)
-            put(pkey, "events_per_sec", part.get("events_per_sec"),
-                GATE_THROUGHPUT)
+            runs.append((pkey, part))
+        for rkey, run in runs:
+            put(rkey, "wall_seconds", run.get("wall_seconds"), GATE_THROUGHPUT)
+            put(rkey, "events", run.get("events"), GATE_INFO)
+            put(rkey, "events_per_sec", run.get("events_per_sec"), GATE_INFO)
     elif kind == "degradation":
         for cell in doc.get("grid", []):
             key = f"{cell.get('protocol')}/loss={cell.get('loss_rate')}"
@@ -481,7 +490,7 @@ def _flatten(doc: dict, kind: str) -> dict:
     return out
 
 
-def _pair_status(gate: str, old: Any, new: Any,
+def _pair_status(gate: str, metric: str, old: Any, new: Any,
                  tolerance: float) -> tuple[str, str]:
     """Status + note for one consecutive revision pair of one series."""
     if old is None and new is None:
@@ -496,11 +505,10 @@ def _pair_status(gate: str, old: Any, new: Any,
         if old == new:
             return OK, ""
         return REGRESSED, "simulated statistics changed"
-    if gate == GATE_THROUGHPUT:
-        d = _ratio_delta("", "", old, new, tolerance)
-        return d.status, d.note
-    d = _ratio_delta("", "", old, new, None,
-                     higher_is_better=False)
+    # every noisy metric reads lower-is-better except the events/sec rates
+    d = _ratio_delta("", "", old, new,
+                     tolerance if gate == GATE_THROUGHPUT else None,
+                     higher_is_better=metric.endswith("_per_sec"))
     return d.status, d.note
 
 
@@ -513,7 +521,7 @@ def compute_trend(
 
     All documents must be the same report kind.  Every metric is gated over
     each *consecutive* pair with the two-way semantics (exact simulated /
-    tolerance-gated throughput / report-only host numbers); a series is a
+    tolerance-gated wall seconds / report-only counts); a series is a
     regression iff any pair regressed.
     """
     if len(docs) < 2:
@@ -538,7 +546,7 @@ def compute_trend(
                   for f in flat]
         series = TrendSeries(key=key, metric=metric, gate=gate, values=values)
         for old, new in zip(values, values[1:]):
-            status, note = _pair_status(gate, old, new, tolerance)
+            status, note = _pair_status(gate, metric, old, new, tolerance)
             series.statuses.append(status)
             series.notes.append(note)
         trend.series.append(series)

@@ -7,6 +7,7 @@ application processes are Python generators driven by :class:`Simulator`.
 Blocking operations are expressed as ``yield``/``yield from`` of *effects*:
 
 * :class:`Timeout` — sleep for a simulated duration,
+* :data:`PARK` — suspend until the process's owner calls ``unpark``,
 * :class:`Channel` operations — rendezvous message queues,
 * resource operations from :mod:`repro.sim.resources`.
 
@@ -15,7 +16,7 @@ FIFO scheduling order (a monotonically increasing sequence number breaks
 ties), so a given program produces bit-identical traces on every run.
 """
 
-from repro.sim.engine import Simulator, Process, Timeout, SimError, Interrupt
+from repro.sim.engine import Simulator, Process, Timeout, SimError, Interrupt, PARK
 from repro.sim.channel import Channel, ChannelClosed
 from repro.sim.resources import Mutex, Semaphore, Condition, Event, Barrier, TIMED_OUT
 
@@ -25,6 +26,7 @@ __all__ = [
     "Timeout",
     "SimError",
     "Interrupt",
+    "PARK",
     "Channel",
     "ChannelClosed",
     "Mutex",

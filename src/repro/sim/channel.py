@@ -1,8 +1,8 @@
 """Message channels for inter-process communication inside the simulator.
 
 A :class:`Channel` is an unbounded (or optionally bounded) FIFO queue with
-blocking ``get`` and non-blocking ``put``.  It is the building block for NIC
-queues and protocol daemon mailboxes.
+blocking ``get`` and non-blocking ``put``, for daemons with several feeders
+or several consumers (the one-feeder node dispatcher uses ``PARK`` instead).
 
 Blocked getters are registered together with their resumption token
 (:attr:`Process._epoch`); a getter that was interrupted while waiting is

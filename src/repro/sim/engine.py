@@ -48,6 +48,7 @@ __all__ = [
     "Timeout",
     "SimError",
     "Interrupt",
+    "PARK",
 ]
 
 
@@ -106,6 +107,21 @@ class Timeout(Effect):
         return f"Timeout({self.delay!r})"
 
 
+class _Park(Effect):
+    """Suspend with no wake-up registered anywhere; see :data:`PARK`."""
+
+    __slots__ = ()
+
+    def apply(self, sim: "Simulator", proc: "Process") -> None:
+        proc._parked = True
+
+
+#: ``value = yield PARK`` suspends the yielding process until whoever holds
+#: its :class:`Process` calls :meth:`Process.unpark` — a mailbox-free
+#: hand-off for a daemon with exactly one feeder (the node dispatcher).
+PARK = _Park()
+
+
 class _Fork(Effect):
     """Internal effect: spawn a child process and resume immediately."""
 
@@ -158,6 +174,7 @@ class Process:
         "_interrupt_pending",
         "_suspended",
         "_epoch",
+        "_parked",
         "_send",
         "_throw",
     )
@@ -177,6 +194,7 @@ class Process:
         self._interrupt_pending: Optional[Interrupt] = None
         self._suspended = True  # not yet resumed for the first time
         self._epoch = 0  # suspension counter; wake-up tokens must match it
+        self._parked = False  # suspended on PARK, see unpark()
         self._send = gen.send
         self._throw = gen.throw
 
@@ -197,9 +215,25 @@ class Process:
         if self.finished:
             return
         self._interrupt_pending = Interrupt(cause)
+        self._parked = False  # the interrupt, not unpark(), ends a PARK
         # Ensure the process wakes even if it was waiting on a queue that may
         # never be signalled.
         self.sim.call_soon(self._resume, None, None, self._epoch)
+
+    def unpark(self, value: Any = None) -> bool:
+        """Resume a process suspended on :data:`PARK` with ``value``, *now*.
+
+        Returns ``False``, having done nothing, if the process is not parked
+        (not started yet, waiting on something else, or finished).  Unlike
+        every other wake-up this one is synchronous — the generator runs
+        inside the caller's event instead of costing a ready-deque event of
+        its own — so call it from an event callback, not from a process.
+        """
+        if not self._parked:
+            return False
+        self._parked = False
+        self._resume(value, None, self._epoch)
+        return True
 
     # -- engine internals ----------------------------------------------------
 
@@ -371,7 +405,7 @@ class Simulator:
         """Zero-delay fast path: exactly ``schedule(0.0, fn, *args)``.
 
         Skips the delay arithmetic and branch for the wake-up paths (event
-        sets, channel puts, NIC hand-off hops) that are always immediate.
+        sets, channel puts, semaphore grants) that are always immediate.
         """
         self._ready.append((fn, args))
 

@@ -13,8 +13,8 @@ Architecture
 * Ranks are split into contiguous blocks, one per partition.  Each partition
   builds a **full replica** of the simulated system — all ``n`` nodes, the
   same allocations, the same t=0 construction order — but spawns application
-  processes only for its owned ranks; foreign nodes' dispatcher daemons park
-  on their mailboxes forever.  Replication is what keeps every sequence
+  processes only for its owned ranks; foreign nodes' dispatcher daemons stay
+  parked forever.  Replication is what keeps every sequence
   number, RNG stream and data structure bit-identical to the serial run.
 * The replica's switch is a :class:`PartitionSwitch`: frames for co-resident
   destinations take the normal staged arrival pump; frames for foreign

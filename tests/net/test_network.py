@@ -94,14 +94,19 @@ def test_message_validation():
 
 
 def test_unknown_kind_raises_via_run():
+    from repro.sim import SimError
+
     c = make_cluster()
 
     def sender():
         yield from c[0].send_reliable(1, MessageKind.TEST, None, size=10)
 
     c.sim.spawn(sender())
-    with pytest.raises(Exception):
+    with pytest.raises(SimError, match="dispatch-1") as excinfo:
         c.run()
+    cause = excinfo.value.__cause__
+    assert type(cause) is LookupError
+    assert str(cause) == f"node 1: no handler for message kind {MessageKind.TEST!r}"
 
 
 def test_buffer_overflow_drops_and_retransmission_recovers():
@@ -287,3 +292,119 @@ def test_stats_snapshot_roundtrip():
     assert snap["num_msg"] == 1
     assert snap["data_bytes"] == 64
     assert snap["by_kind"] == {str(MessageKind.TEST): {"count": 1, "bytes": 64}}
+
+
+# -- the three-event frame path and the mailbox-free dispatcher --------------------
+
+
+def parked(c):
+    """Run the cluster until every dispatcher sits parked; returns the event
+    count so far (the dispatchers' first resumes)."""
+    c.run()
+    assert all(node._proc._parked for node in c.nodes)
+    return c.sim.events_processed
+
+
+def test_one_frame_costs_three_events_plus_the_handlers_own():
+    """TX completion, arrival pump, RX completion — the handler itself runs
+    inside the RX completion, so a handler that yields nothing adds none."""
+    c = make_cluster()
+    log = install_sink(c[1])
+
+    def one_compute(msg):
+        yield from c[0].compute(1e-3)
+
+    c[0].register_handler(MessageKind.TEST, one_compute)
+    base = parked(c)
+    c[0].nic.send(Message(src=0, dst=1, kind=MessageKind.TEST, payload="a", size=100))
+    c.run()
+    assert [p for p, _ in log] == ["a"]
+    assert c.sim.events_processed - base == 3
+    base = c.sim.events_processed
+    c[1].nic.send(Message(src=1, dst=0, kind=MessageKind.TEST, payload="b", size=100))
+    c.run()
+    assert c.sim.events_processed - base == 3 + 1  # + the handler's Timeout
+
+
+def test_back_to_back_frames_complete_at_link_rate_and_drain_fifo():
+    """k frames queued on one NIC at t=0: TX serialises them at link rate and
+    the (slower) RX side backlogs and drains in arrival order; every
+    completion lands on the closed-form instant, bit for bit."""
+    cfg = NetConfig(recv_overhead=200e-6)  # RX slower than TX: backlog builds
+    c = Cluster(2, netcfg=cfg)
+    log = install_sink(c[1])
+    base = parked(c)
+    sizes = [100, 1400, 100, 4096, 8, 1400]
+    for i, size in enumerate(sizes):
+        c[0].nic.send(Message(src=0, dst=1, kind=MessageKind.TEST, payload=i, size=size))
+    assert len(c[0].nic._tx_backlog) == len(sizes) - 1
+    c.run()
+    expected, tx_done, rx_done = [], 0.0, 0.0
+    for i, size in enumerate(sizes):
+        tx_done = tx_done + (cfg.send_overhead + cfg.tx_time(size))
+        arrival = tx_done + cfg.switch_latency
+        rx_done = max(arrival, rx_done) + (cfg.tx_time(size) + cfg.recv_overhead)
+        expected.append((i, rx_done))
+    assert log == expected
+    assert rx_done > arrival + cfg.recv_overhead + cfg.tx_time(sizes[-1])  # it did backlog
+    assert c.sim.events_processed - base == 3 * len(sizes)
+    assert c[1].nic.rx_bytes == 0 and not c[1].nic._rx_busy and not c[0].nic._tx_busy
+
+
+def test_frame_arriving_mid_handler_starts_when_the_handler_ends():
+    """The dispatcher drains its backlog without yielding: the queued
+    message's handler starts at exactly the previous handler's end time and
+    costs no event of its own."""
+    c = make_cluster()
+    spans = []
+
+    def handler(msg):
+        start = c.sim.now
+        yield from c[1].compute(0.010)
+        spans.append((msg.payload, start, c.sim.now))
+
+    c[1].register_handler(MessageKind.TEST, handler)
+    base = parked(c)
+    for i in range(3):
+        c[0].nic.send(Message(src=0, dst=1, kind=MessageKind.TEST, payload=i, size=10))
+    c.run()
+    assert [p for p, _, _ in spans] == [0, 1, 2]
+    assert spans[1][1] == spans[0][2] and spans[2][1] == spans[1][2]
+    assert spans[0][2] - spans[0][1] == 0.010
+    assert c.sim.events_processed - base == 3 * 3 + 3  # frames + one Timeout each
+    assert c[1]._proc._parked and not c[1]._backlog
+
+
+def test_handlers_never_overlap_under_a_burst_and_dispatch_spans_balance():
+    from repro.obs import EventTracer
+
+    n = 16
+    c = Cluster(n)
+    tracer = c.sim.tracer = EventTracer()
+    running = []
+    handled = []
+
+    def handler(msg):
+        assert not running, f"handler re-entered while {running} was running"
+        running.append(msg.payload)
+        yield from c[0].compute(1e-4)
+        yield from c[0].compute(1e-4)
+        running.pop()
+        handled.append(msg.payload)
+
+    c[0].register_handler(MessageKind.TEST, handler)
+
+    def sender(i):
+        yield from c[i].send_reliable(0, MessageKind.TEST, i, size=64)
+
+    for i in range(1, n):
+        c.sim.spawn(sender(i))
+    c.run()
+    assert sorted(handled) == list(range(1, n))
+    depth = 0
+    for ev in tracer.events:
+        if ev[2] == 0 and ev[3] == "dispatch":
+            depth += 1 if ev[0] == "B" else -1
+            assert depth in (0, 1)
+    assert depth == 0
+    assert sum(1 for ev in tracer.events if ev[3] == "dispatch") == 2 * (n - 1)

@@ -75,17 +75,53 @@ def test_changed_table_row_is_a_regression():
 
 def test_throughput_within_tolerance_is_not_a_regression():
     new = hotpath_doc()
-    new["protocols"]["LRC_d"]["events_per_sec"] = 1700  # -15%
-    new["vc_d_events_per_sec"] = 1700
+    new["protocols"]["LRC_d"]["wall_seconds"] = 0.575  # +15%
+    new["wall_seconds"] = 0.575
     cmp = compare_reports(hotpath_doc(), new, tolerance=0.25)
     assert not cmp.regressions and not cmp.identical
 
 
 def test_throughput_beyond_tolerance_regresses():
     new = hotpath_doc()
-    new["vc_d_events_per_sec"] = 1000  # -50%
+    new["wall_seconds"] = 1.0  # twice as slow
     cmp = compare_reports(hotpath_doc(), new, tolerance=0.25)
-    assert any(d.metric == "vc_d_events_per_sec" for d in cmp.regressions)
+    assert [(d.key, d.metric) for d in cmp.regressions] == [("(total)", "wall_seconds")]
+    new["protocols"]["LRC_d"]["wall_seconds"] = 1.0
+    cmp = compare_reports(hotpath_doc(), new, tolerance=0.25)
+    assert ("LRC_d", "wall_seconds") in [(d.key, d.metric) for d in cmp.regressions]
+
+
+def test_fewer_events_and_lower_events_per_sec_never_gate():
+    """A change that deletes zero-work events: the run gets faster while the
+    event count *and* events/sec fall — informational, not a regression."""
+    new = hotpath_doc()
+    entry = new["protocols"]["LRC_d"]
+    entry["events"] = new["events"] = 600  # -40%
+    entry["wall_seconds"] = new["wall_seconds"] = 0.44  # -12%
+    entry["events_per_sec"] = new["events_per_sec"] = 1364  # -32%
+    new["vc_d_events_per_sec"] = 1364
+    for tolerance in (0.25, 0.0):
+        cmp = compare_reports(hotpath_doc(), new, tolerance=tolerance)
+        assert not cmp.regressions
+    by = {(d.key, d.metric): d.status for d in cmp.deltas}
+    assert by[("LRC_d", "events")] == "improved"
+    assert by[("LRC_d", "wall_seconds")] == "improved"
+    assert by[("LRC_d", "events_per_sec")] == "changed"
+    assert by[("(total)", "vc_d_events_per_sec")] == "changed"
+    # more events is reported, and still does not gate
+    cmp = compare_reports(new, hotpath_doc(), tolerance=0.25)
+    assert [(d.key, d.metric) for d in cmp.regressions] == []
+    assert {(d.key, d.metric): d.status for d in cmp.deltas}[("LRC_d", "events")] == "changed"
+
+
+def test_sweep_events_are_informational_wall_is_gated():
+    new = sweep_doc()
+    new["cells"][0]["events"] = 350
+    cmp = compare_reports(sweep_doc(), new)
+    assert not cmp.regressions and not cmp.identical
+    new["cells"][0]["wall_seconds"] = 0.5  # 2.5x slower
+    cmp = compare_reports(sweep_doc(), new)
+    assert [d.metric for d in cmp.regressions] == ["wall_seconds"]
 
 
 def test_missing_entry_regresses_added_entry_changes():
@@ -124,7 +160,7 @@ def test_mismatched_kinds_rejected():
 
 def test_format_html_is_standalone(tmp_path):
     new = hotpath_doc()
-    new["protocols"]["LRC_d"]["events"] = 999
+    new["protocols"]["LRC_d"]["sim_time_seconds"] = 1.26
     html = format_html(compare_reports(hotpath_doc(), new))
     assert html.startswith("<!doctype html>")
     assert "REGRESSED" in html
@@ -168,7 +204,7 @@ def test_cli_report_injected_regression_exits_nonzero(tmp_path, capsys):
 def test_cli_report_regression_without_check_exits_zero(tmp_path):
     base = _write(tmp_path, "base.json", hotpath_doc())
     bad = hotpath_doc()
-    bad["protocols"]["LRC_d"]["events"] = 1
+    bad["protocols"]["LRC_d"]["sim_time_seconds"] = 9.99
     new = _write(tmp_path, "new.json", bad)
     assert main(["report", base, new]) == 0
 
@@ -246,10 +282,25 @@ def test_pdes_fingerprint_drift_regresses():
 
 def test_pdes_throughput_gated_by_tolerance():
     new = pdes_doc()
-    new["scaling"]["serial"]["events_per_sec"] = 250000  # −17%, inside 25%
+    new["scaling"]["serial"]["wall_seconds"] = 0.24  # +20%, inside 25%
     assert not compare_reports(pdes_doc(), new).regressions
-    new["scaling"]["serial"]["events_per_sec"] = 100000  # −67%
-    assert compare_reports(pdes_doc(), new).regressions
+    new["scaling"]["partitioned"][0]["wall_seconds"] = 0.6  # 3x
+    cmp = compare_reports(pdes_doc(), new)
+    assert [(d.key, d.metric) for d in cmp.regressions] == [
+        ("halo/256p/x2", "wall_seconds")]
+
+
+def test_pdes_event_counts_are_informational():
+    new = pdes_doc()
+    new["conformance"]["cells"][0]["events_serial"] = 70
+    new["conformance"]["cells"][0]["events_pdes"] = 78
+    new["scaling"]["serial"]["events"] = 40000
+    new["scaling"]["serial"]["events_per_sec"] = 200000
+    new["scaling"]["partitioned"][0]["events"] = 40256
+    cmp = compare_reports(pdes_doc(), new)
+    assert not cmp.regressions
+    moved = {d.metric for d in cmp.deltas if d.status != "ok"}
+    assert moved == {"events_serial", "events_pdes", "events", "events_per_sec"}
 
 
 def test_pdes_quick_report_downgrades_missing_cells():

@@ -1,8 +1,8 @@
 """N-revision trend tracking (``repro report --trend``) and run manifests.
 
 The two-way regression report generalises to a trend: the same flattening
-and gating semantics (exact simulated metrics, tolerance-gated throughput,
-report-only host numbers) applied over every *consecutive* pair of N
+and gating semantics (exact simulated metrics, tolerance-gated wall seconds,
+report-only event counts and rates) applied over every *consecutive* pair of N
 reports, rendered as per-metric trend tables and standalone HTML with
 inline SVG sparklines.  Legacy BENCH files written before the run-manifest
 block loads with a warning and a backfilled ``schema: 0`` manifest.
@@ -65,18 +65,17 @@ def test_steady_trend_has_no_regressions():
 
 def test_throughput_drop_beyond_tolerance_regresses_last_pair():
     old, mid, new = hotpath_doc(), hotpath_doc(), hotpath_doc()
-    new["events_per_sec"] = 1000  # -50% vs 2000
+    new["wall_seconds"] = 1.0  # twice the 0.5 s of the other two
     trend = compute_trend([old, mid, new], ["a", "b", "c"], tolerance=0.25)
-    bad = [s for s in trend.regressions
-           if s.key == "(total)" and s.metric == "events_per_sec"]
-    assert len(bad) == 1
-    assert bad[0].gate == GATE_THROUGHPUT
-    assert bad[0].statuses == [OK, REGRESSED]
+    [bad] = trend.regressions
+    assert (bad.key, bad.metric) == ("(total)", "wall_seconds")
+    assert bad.gate == GATE_THROUGHPUT
+    assert bad.statuses == [OK, REGRESSED]
 
 
 def test_throughput_drop_within_tolerance_is_ok():
     old, new = hotpath_doc(), hotpath_doc()
-    new["events_per_sec"] = 1800  # -10%
+    new["wall_seconds"] = 0.55  # +10%
     trend = compute_trend([old, new], ["a", "b"], tolerance=0.25)
     assert trend.regressions == []
 
@@ -90,13 +89,21 @@ def test_any_exact_simulated_change_regresses():
 
 
 def test_info_metrics_never_gate():
+    """Event counts and rates across a revision that removed events: both
+    fall while the run gets faster, and neither fails the check."""
     old, new = hotpath_doc(), hotpath_doc()
-    new["wall_seconds"] = 50.0  # 100x slower host — report-only
-    trend = compute_trend([old, new], ["a", "b"])
+    new["protocols"]["LRC_d"]["events"] = 600
+    new["protocols"]["LRC_d"]["events_per_sec"] = 1364
+    new["events_per_sec"] = new["vc_d_events_per_sec"] = 1364
+    new["peak_rss_kb"] = 5_000_000
+    trend = compute_trend([old, new], ["a", "b"], tolerance=0.0)
     assert trend.regressions == []
-    walls = [s for s in trend.series
-             if s.key == "(total)" and s.metric == "wall_seconds"]
-    assert walls[0].gate == GATE_INFO
+    by = {(s.key, s.metric): s for s in trend.series}
+    for km in (("LRC_d", "events"), ("LRC_d", "events_per_sec"),
+               ("(total)", "vc_d_events_per_sec"), ("(total)", "peak_rss_kb")):
+        assert by[km].gate == GATE_INFO
+    assert by[("LRC_d", "events")].statuses == ["improved"]
+    assert by[("LRC_d", "events_per_sec")].statuses == ["changed"]
 
 
 def test_mixed_kinds_refused():
@@ -130,12 +137,12 @@ def test_degradation_exact_metrics_gate():
 
 def test_format_trend_terminal():
     old, new = hotpath_doc(), hotpath_doc()
-    new["events_per_sec"] = 100
+    new["wall_seconds"] = 10.0
     trend = compute_trend([old, new], ["base.json", "cand.json"])
     text = format_trend(trend)
     assert "base.json -> cand.json" in text
     assert "REGRESSED" in text
-    assert "events_per_sec" in text
+    assert "wall_seconds" in text
     steady = compute_trend([hotpath_doc(), hotpath_doc()], ["a", "b"])
     assert "verdict: ok" in format_trend(steady)
 
@@ -207,7 +214,7 @@ def test_cli_trend_check_exits_1_on_regression(tmp_path, capsys):
     old = _write(tmp_path, "a.json", hotpath_doc())
     mid = _write(tmp_path, "b.json", hotpath_doc())
     bad_doc = hotpath_doc()
-    bad_doc["events_per_sec"] = 100
+    bad_doc["wall_seconds"] = 10.0
     bad = _write(tmp_path, "c.json", bad_doc)
     code = main(["report", old, mid, bad, "--trend", "--check"])
     out = capsys.readouterr().out

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.sim import Simulator, Timeout, SimError, Interrupt
+from repro.sim import PARK, Simulator, Timeout, SimError, Interrupt
 
 
 def test_empty_run_finishes_at_zero():
@@ -217,6 +217,46 @@ def test_interrupt_finished_process_is_noop():
     p.interrupt("late")
     sim.run()  # must not blow up
     assert p.finished
+
+
+def test_park_is_resumed_synchronously_and_only_while_parked():
+    sim = Simulator()
+    got = []
+
+    def daemon():
+        while True:
+            got.append((yield PARK))
+            yield Timeout(1.0)
+
+    proc = sim.spawn(daemon())
+    assert proc.unpark("early") is False  # not started yet
+    sim.run()
+    events = sim.events_processed
+    assert proc.unpark("a") is True
+    assert got == ["a"]  # ran inside the call: no event, no run() needed
+    assert sim.events_processed == events
+    assert proc.unpark("b") is False  # now waiting on its Timeout
+    sim.run()
+    assert got == ["a"] and proc.unpark("c") is True and got == ["a", "c"]
+
+
+def test_interrupt_ends_a_park():
+    sim = Simulator()
+    seen = []
+
+    def daemon():
+        try:
+            yield PARK
+        except Interrupt as intr:
+            seen.append(intr.cause)
+        yield Timeout(1.0)
+
+    proc = sim.spawn(daemon())
+    sim.run()
+    proc.interrupt("stop")
+    assert proc.unpark("late") is False
+    sim.run()
+    assert seen == ["stop"] and proc.finished
 
 
 def test_live_process_count():
