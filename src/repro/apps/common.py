@@ -15,6 +15,7 @@ The EXPERIMENTS.md notes record this calibration per experiment.
 from __future__ import annotations
 
 import gc
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Optional
 
@@ -103,7 +104,6 @@ class AppResult:
     events: int = 0  # simulator callbacks executed (perf-harness denominator)
     breakdown: Any = None  # per-process time attribution (traced runs only)
     metrics: Any = None  # repro.obs.Metrics registry (metered runs only)
-    pdes: Any = None  # window-protocol accounting dict (partitioned runs only)
     consistency: Any = None  # oracle report JSON dict (checked sweep cells only)
 
     def table_row(self) -> dict:
@@ -126,9 +126,6 @@ def run_app(
     metrics: Any = None,
     oracle: Any = None,
     faults: Any = None,
-    pdes_workers: Optional[int] = None,
-    pdes_mode: str = "fork",
-    pdes_batching: bool = True,
     host: Any = None,
 ) -> AppResult:
     """Build, run and (optionally) verify one application.
@@ -145,15 +142,13 @@ def run_app(
     per-view/per-page contention metrics and is handed back on
     ``AppResult.metrics``; ``oracle`` (a
     :class:`repro.obs.oracle.AccessRecorder`) records the access history for
-    the consistency oracle (under PDES the caller's recorder receives the
-    merged per-partition history); ``faults`` (a
-    :class:`repro.faults.FaultPlan` or pre-built
-    :class:`~repro.faults.FaultInjector`) injects scripted network and node
-    faults.
+    the consistency oracle; ``faults`` (a :class:`repro.faults.FaultPlan` or
+    pre-built :class:`~repro.faults.FaultInjector`) injects scripted network
+    and node faults.
 
     ``host`` (a :class:`repro.obs.host.HostProfiler`) records *wall-clock*
-    spans around the real work — build/execute/extract/verify serially, the
-    coordinator/worker protocol under PDES — without ever touching the
+    spans around the real work — build/execute/extract/verify inside one
+    ``total`` span, each closed on every way out — without ever touching the
     simulation (simulated observables stay bit-identical).
 
     An exhausted retransmission budget or a fail-stop crash episode raises
@@ -161,152 +156,69 @@ def run_app(
     :class:`~repro.faults.RunFailure`; any other exception propagates
     unchanged (it is a bug, not a fault outcome).
     """
-    if host is None:
-        return _run_app(app_module, protocol, nprocs, config, variant, verify,
-                        netcfg, nodecfg, tracer, view_tracer, metrics, oracle,
-                        faults, pdes_workers, pdes_mode, pdes_batching, host)
-    host.begin("run", "total")
-    try:
-        return _run_app(app_module, protocol, nprocs, config, variant, verify,
-                        netcfg, nodecfg, tracer, view_tracer, metrics, oracle,
-                        faults, pdes_workers, pdes_mode, pdes_batching, host)
-    finally:
-        host.end()
-
-
-def _run_app(app_module, protocol, nprocs, config, variant, verify, netcfg,
-             nodecfg, tracer, view_tracer, metrics, oracle, faults,
-             pdes_workers, pdes_mode, pdes_batching, host) -> AppResult:
     config = config or app_module.default_config()
-    if pdes_workers is not None and pdes_workers > 1:
-        # partitioned (PDES) execution: same observables, different engine;
-        # unsupported combinations raise PdesError (see repro.sim.pdes)
-        from repro.sim.pdes import run_partitioned
 
-        outcome = run_partitioned(
-            app_module, protocol=protocol, nprocs=nprocs, config=config,
-            variant=variant, workers=pdes_workers, mode=pdes_mode,
-            netcfg=netcfg, nodecfg=nodecfg, trace=tracer is not None,
-            oracle=oracle is not None, view_trace=view_tracer is not None,
-            metrics=metrics is not None, faults=faults,
-            batching=pdes_batching, host=host,
-        )
-        result = AppResult(
-            protocol, nprocs, outcome.output, outcome.stats, outcome.time,
-            events=outcome.events,
-            pdes={
-                "workers": outcome.workers,
-                "windows": outcome.windows,
-                "elided_windows": outcome.elided_windows,
-                "leased_windows": outcome.leased_windows,
-                "frame_bytes": outcome.frame_bytes,
-            },
-        )
+    unprofiled = nullcontext()
+
+    def span(cat: str):
+        return host.span("run", cat) if host is not None else unprofiled
+
+    def install(sim) -> None:
         if tracer is not None:
-            # hand the merged trace back through the caller's tracer object
-            tracer.events[:] = outcome.tracer.events
-            tracer.sends.clear()
-            tracer.sends.update(outcome.tracer.sends)
-            tracer.wakes[:] = outcome.tracer.wakes
-            tracer._mid.clear()
-            tracer._mid.update(outcome.tracer._mid)
-            result.breakdown = tracer.breakdown()
-        if oracle is not None:
-            # hand the merged history back through the caller's recorder
-            oracle.events[:] = outcome.oracle.events
-        if view_tracer is not None:
-            # copy the merged (serial-order) shards into the caller's tracer
-            view_tracer.events[:] = outcome.view_tracer.events
-            view_tracer.profiles.clear()
-            view_tracer.profiles.update(outcome.view_tracer.profiles)
+            sim.tracer = tracer
         if metrics is not None:
-            # copy the merged registry into the caller's Metrics object
-            metrics.counters.update(outcome.metrics.counters)
-            metrics.gauges.update(outcome.metrics.gauges)
-            metrics.histograms.update(outcome.metrics.histograms)
-            result.metrics = metrics
-        if verify:
-            if host is not None:
-                host.begin("run", "verify")
-            expected = app_module.sequential(config)
-            result.verified = app_module.outputs_match(result.output, expected)
-            if host is not None:
-                host.end()
-            if not result.verified:
-                raise AssertionError(
-                    f"{app_module.__name__} on {protocol}/{nprocs}p "
-                    "produced wrong output"
-                )
-        return result
-    if host is not None:
-        host.begin("run", "build")
-    if protocol == "mpi":
-        if view_tracer is not None:
-            raise ValueError("--trace-views needs a DSM protocol, not mpi")
-        system = MpiSystem(nprocs, netcfg=netcfg, nodecfg=nodecfg)
-        cluster = system.cluster
-        if tracer is not None:
-            cluster.sim.tracer = tracer
-        if metrics is not None:
-            cluster.sim.metrics = metrics
+            sim.metrics = metrics
         if oracle is not None:
             # MPI has no shared pages: the recorder stays empty and the
             # checker reports "not-applicable", but installing it keeps the
             # call surface uniform
-            cluster.sim.oracle = oracle
-        if faults is not None:
-            cluster.install_faults(faults)
-        if host is not None:
-            host.end()  # build
-            host.begin("run", "execute")
-        output = _run_or_abort(cluster, lambda: app_module.run_mpi(system, config))
-        if host is not None:
-            host.end()
-        result = AppResult(
-            protocol, nprocs, output, system.stats, system.time,
-            events=cluster.sim.events_processed,
-        )
-    else:
-        system = make_system(nprocs, protocol, netcfg=netcfg, nodecfg=nodecfg)
-        cluster = system.dsm.cluster
-        if tracer is not None:
-            system.sim.tracer = tracer
-        if metrics is not None:
-            system.sim.metrics = metrics
-        if oracle is not None:
-            system.sim.oracle = oracle
-        if view_tracer is not None:
-            system.dsm.tracer = view_tracer
-        if faults is not None:
-            cluster.install_faults(faults)
-        body = app_module.build(system, config, variant)
-        if host is not None:
-            host.end()  # build
-            host.begin("run", "execute")
-        _run_or_abort(cluster, lambda: system.run_program(body))
-        if host is not None:
-            host.end()
-            host.begin("run", "extract")
-        output = app_module.extract(system, config)
-        if host is not None:
-            host.end()
-        result = AppResult(
-            protocol, nprocs, output, system.stats, system.stats.time,
-            events=system.sim.events_processed,
-        )
-    if tracer is not None:
-        result.breakdown = tracer.breakdown()
-    if metrics is not None:
-        result.metrics = metrics
-    if verify:
-        if host is not None:
-            host.begin("run", "verify")
-        expected = app_module.sequential(config)
-        result.verified = app_module.outputs_match(output, expected)
-        if host is not None:
-            host.end()
-        if not result.verified:
-            raise AssertionError(
-                f"{app_module.__name__} on {protocol}/{nprocs}p produced wrong output"
+            sim.oracle = oracle
+
+    with span("total"):
+        if protocol == "mpi":
+            if view_tracer is not None:
+                raise ValueError("--trace-views needs a DSM protocol, not mpi")
+            with span("build"):
+                system = MpiSystem(nprocs, netcfg=netcfg, nodecfg=nodecfg)
+                cluster = system.cluster
+                install(cluster.sim)
+                if faults is not None:
+                    cluster.install_faults(faults)
+            with span("execute"):
+                output = _run_or_abort(
+                    cluster, lambda: app_module.run_mpi(system, config))
+            result = AppResult(
+                protocol, nprocs, output, system.stats, system.time,
+                events=cluster.sim.events_processed,
             )
+        else:
+            with span("build"):
+                system = make_system(nprocs, protocol, netcfg=netcfg, nodecfg=nodecfg)
+                cluster = system.dsm.cluster
+                install(system.sim)
+                if view_tracer is not None:
+                    system.dsm.tracer = view_tracer
+                if faults is not None:
+                    cluster.install_faults(faults)
+                body = app_module.build(system, config, variant)
+            with span("execute"):
+                _run_or_abort(cluster, lambda: system.run_program(body))
+            with span("extract"):
+                output = app_module.extract(system, config)
+            result = AppResult(
+                protocol, nprocs, output, system.stats, system.stats.time,
+                events=system.sim.events_processed,
+            )
+        if tracer is not None:
+            result.breakdown = tracer.breakdown()
+        if metrics is not None:
+            result.metrics = metrics
+        if verify:
+            with span("verify"):
+                expected = app_module.sequential(config)
+                result.verified = app_module.outputs_match(output, expected)
+            if not result.verified:
+                raise AssertionError(
+                    f"{app_module.__name__} on {protocol}/{nprocs}p produced wrong output"
+                )
     return result

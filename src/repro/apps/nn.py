@@ -331,8 +331,8 @@ def extract(system, config: NnConfig):
 def build_mpi(system, config: NnConfig):
     """Program body for the Table 9 MPI baseline: scatter data once,
     allreduce the gradient.  Rank 0 stashes the read-out on
-    ``system.app_output`` (the PDES driver spawns the body per partition and
-    collects the output from whichever partition owns rank 0)."""
+    ``system.app_output`` (the partition-determinism harness spawns the body
+    per partition and reads the output from the one owning rank 0)."""
     W = n_weights(config)
 
     def body(comm) -> Generator:

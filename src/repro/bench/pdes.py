@@ -1,345 +1,86 @@
-"""PDES conformance + scaling benchmark: ``python -m repro.bench.pdes``.
+"""Partition-determinism check: ``python -m repro.bench.pdes``.
 
-Two halves, both recorded in ``BENCH_pdes.json``:
+Every cell of the committed benchmark matrix
+(:func:`repro.bench.sweep.default_cells`) is run serially and as two
+in-process partitions (:func:`repro.sim.pdes.run_partitioned`).  Per cell
+the statistics-row fingerprint (the hash ``BENCH_sweep.json`` commits) must
+be identical, the simulated completion times must be *exactly* equal (no
+tolerance: the engine is deterministic, so any drift is a bug), the
+partitioned event count must exceed the serial one by exactly
+``(K - 1) * nprocs`` replica dispatcher start-ups, and the partitioned
+output must verify against the sequential reference.
 
-1. **Conformance** — every cell of the committed benchmark matrix
-   (:func:`repro.bench.sweep.default_cells`) is run serially and under the
-   partitioned driver, and the statistics-row fingerprints (the same hash
-   ``BENCH_sweep.json`` commits) must be identical.  This is the executable
-   form of the bit-identity claim in :mod:`repro.sim.pdes`.
-
-2. **Scaling** — a halo-exchange ring over the reliable MPI transport at a
-   rank count far beyond the paper's 32-node cluster (256 by default, with
-   an optional 1024-rank point), run serially and with 2/4/8 fork
-   partitions.  Reported figures are host wall-clock events/sec; the
-   ``host_cpus`` field records how many cores the numbers were taken on —
-   on a single-core host the partitions time-slice and the speedup ceiling
-   is 1× regardless of how well the protocol scales, so treat sub-1×
-   figures on ``host_cpus: 1`` as overhead measurements, not scaling
-   results.
+Prints one line per cell and exits non-zero on any mismatch; it takes no
+flags and writes no file — the result is the exit code.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
-import os
-import time as _time
-from dataclasses import dataclass
-from typing import Generator, Optional, Sequence
-
-import numpy as np
+import sys
 
 from repro.apps import APPS
-from repro.apps.common import run_app
+from repro.apps.common import AppResult, run_app
 from repro.bench.sweep import SweepCell, default_cells
+from repro.sim.pdes import run_partitioned
 
-__all__ = [
-    "DEFAULT_OUTPUT",
-    "HaloConfig",
-    "halo_app",
-    "run_conformance",
-    "run_scaling",
-    "run_benchmark",
-    "write_report",
-]
+__all__ = ["WORKERS", "check_cell", "main"]
 
-DEFAULT_OUTPUT = "BENCH_pdes.json"
+#: partitions per cell
+WORKERS = 2
 
 
-def _row_fingerprint(result) -> str:
+def _row_fingerprint(result: AppResult) -> str:
     """Same hash :meth:`repro.bench.sweep.CellResult.fingerprint` commits."""
     return hashlib.sha256(
         json.dumps(result.table_row(), sort_keys=True).encode()
     ).hexdigest()[:16]
 
 
-# -- conformance ------------------------------------------------------------------
-
-
-def run_conformance(
-    cells: Optional[Sequence[SweepCell]] = None,
-    workers: int = 2,
-    mode: str = "fork",
-    batching: bool = True,
-) -> dict:
-    """Serial vs partitioned bit-identity over the benchmark matrix.
-
-    For every cell the serial and PDES statistics rows must hash identically
-    and the simulated completion times must be *exactly* equal (no
-    tolerance: the engine is deterministic, so any drift is a bug).
-    ``batching=False`` runs the minimal-window loop instead of the leased
-    one — CI runs both, so a lease bug cannot hide behind a batching one.
-    """
-    cells = list(cells) if cells is not None else default_cells()
-    rows = []
-    all_match = True
-    for cell in cells:
-        serial = run_app(
-            APPS[cell.app], cell.protocol, cell.nprocs,
-            config=cell.config(), variant=cell.variant,
-        )
-        pdes = run_app(
-            APPS[cell.app], cell.protocol, cell.nprocs,
-            config=cell.config(), variant=cell.variant,
-            pdes_workers=workers, pdes_mode=mode, pdes_batching=batching,
-        )
-        match = (
-            _row_fingerprint(serial) == _row_fingerprint(pdes)
-            and serial.time == pdes.time
-        )
-        all_match = all_match and match
-        rows.append({
-            "app": cell.app,
-            "protocol": cell.protocol,
-            "variant": cell.variant,
-            "nprocs": cell.nprocs,
-            "fingerprint": _row_fingerprint(serial),
-            "pdes_fingerprint": _row_fingerprint(pdes),
-            "sim_time_seconds": round(serial.time, 9),
-            "events_serial": serial.events,
-            "events_pdes": pdes.events,
-            "match": match,
-        })
-    return {"workers": workers, "mode": mode, "batching": batching,
-            "all_match": all_match, "cells": rows}
-
-
-# -- the halo-exchange scaling app -------------------------------------------------
-
-
-@dataclass
-class HaloConfig:
-    """Ring halo exchange: each rank trades edge strips with both
-    neighbours every step, computes, and the run ends with a global sum."""
-
-    steps: int = 8
-    halo_words: int = 256  # doubles exchanged per neighbour per step
-    compute_seconds: float = 200e-6  # per-step local compute
-    seed: int = 11
-
-
-class _HaloApp:
-    """App-module-shaped wrapper so the PDES driver can run the ring."""
-
-    __name__ = "halo"
-
-    @staticmethod
-    def default_config() -> HaloConfig:
-        return HaloConfig()
-
-    @staticmethod
-    def build_mpi(system, config: HaloConfig):
-        def body(comm) -> Generator:
-            rank, size = comm.rank, comm.size
-            left, right = (rank - 1) % size, (rank + 1) % size
-            halo = np.full(config.halo_words, float(rank + 1))
-            acc = 0.0
-            for step in range(config.steps):
-                yield from comm.compute(config.compute_seconds)
-                yield from comm.send(halo, left, tag=2 * step)
-                yield from comm.send(halo, right, tag=2 * step + 1)
-                from_right = yield from comm.recv(right, tag=2 * step)
-                from_left = yield from comm.recv(left, tag=2 * step + 1)
-                acc += float(from_right.sum() + from_left.sum())
-            total = yield from comm.reduce(np.array([acc]))
-            if rank == 0:
-                system.app_output = float(total[0])
-            return acc
-
-        return body
-
-
-halo_app = _HaloApp()
-
-
-def _serial_halo(nprocs: int, config: HaloConfig) -> tuple:
-    from repro.mpi.comm import MpiSystem
-
-    system = MpiSystem(nprocs)
-    t0 = _time.perf_counter()
-    system.run_program(halo_app.build_mpi(system, config))
-    wall = _time.perf_counter() - t0
-    return system.app_output, system.time, system.cluster.sim.events_processed, wall
-
-
-def run_scaling(
-    nprocs: int = 256,
-    workers_list: Sequence[int] = (2, 4, 8),
-    config: Optional[HaloConfig] = None,
-    mode: str = "fork",
-    batching: bool = True,
-) -> dict:
-    """Serial vs partitioned throughput on the halo ring at ``nprocs``.
-
-    Each partitioned entry records the window-protocol accounting
-    (``windows``/``elided_windows``/``leased_windows``/``frame_bytes``)
-    plus ``workers_effective`` and ``timesliced``: when the requested
-    worker count exceeds the host's cores the forked partitions time-slice
-    one core and the wall-clock figure measures protocol overhead, not
-    scaling — see ``docs/benchmarks.md``.
-    """
-    from repro.sim.pdes import run_partitioned
-
-    config = config or HaloConfig()
-    host_cpus = os.cpu_count() or 1
-    output, sim_time, events, wall = _serial_halo(nprocs, config)
-    report = {
-        "app": "halo-ring",
-        "nprocs": nprocs,
-        "steps": config.steps,
-        "halo_words": config.halo_words,
-        "sim_time_seconds": round(sim_time, 9),
-        "serial": {
-            "wall_seconds": round(wall, 4),
-            "events": events,
-            "events_per_sec": round(events / wall) if wall > 0 else 0,
-        },
-        "partitioned": [],
+def check_cell(cell: SweepCell, workers: int = WORKERS) -> dict:
+    """Run one cell serially and partitioned; report what was compared."""
+    app = APPS[cell.app]
+    config = cell.config()
+    serial = run_app(app, cell.protocol, cell.nprocs, config=config,
+                     variant=cell.variant)
+    out = run_partitioned(app, cell.protocol, cell.nprocs, config=config,
+                          variant=cell.variant, workers=workers)
+    parted = AppResult(cell.protocol, cell.nprocs, out.output, out.stats, out.time)
+    row = {
+        "fingerprint": _row_fingerprint(serial),
+        "pdes_fingerprint": _row_fingerprint(parted),
+        "time_equal": serial.time == out.time,
+        "extra_events": out.events - serial.events,
+        "expected_extra_events": (out.workers - 1) * cell.nprocs,
+        "verified": app.outputs_match(out.output, app.sequential(config)),
     }
-    for workers in workers_list:
-        t0 = _time.perf_counter()
-        outcome = run_partitioned(
-            halo_app, protocol="mpi", nprocs=nprocs, config=config,
-            workers=workers, mode=mode, batching=batching,
-        )
-        pwall = _time.perf_counter() - t0
-        entry = {
-            "workers": workers,
-            "workers_effective": min(workers, host_cpus),
-            "mode": mode,
-            "wall_seconds": round(pwall, 4),
-            "events": outcome.events,
-            "events_per_sec": round(outcome.events / pwall) if pwall > 0 else 0,
-            "windows": outcome.windows,
-            "elided_windows": outcome.elided_windows,
-            "leased_windows": outcome.leased_windows,
-            "frame_bytes": outcome.frame_bytes,
-            "speedup_vs_serial": round(wall / pwall, 3) if pwall > 0 else 0.0,
-            "output_matches": outcome.output == output
-            and outcome.time == sim_time,
-        }
-        if workers > host_cpus:
-            entry["timesliced"] = True
-        report["partitioned"].append(entry)
-    return report
-
-
-# -- driver -----------------------------------------------------------------------
-
-
-def run_benchmark(
-    quick: bool = False,
-    workers: int = 2,
-    mode: str = "fork",
-    scale_nprocs: Optional[int] = None,
-    workers_list: Sequence[int] = (2, 4, 8),
-    batching: bool = True,
-) -> dict:
-    """The full benchmark: conformance matrix + scaling sweep.
-
-    ``quick`` shrinks both halves for CI: a 6-cell conformance subset
-    (one per app/protocol family, inline mode) and a 64-rank scaling point.
-    """
-    import platform
-    import time
-
-    t_start = time.perf_counter()
-    if quick:
-        cells = [
-            SweepCell(app="is", protocol="lrc_d", nprocs=8),
-            SweepCell(app="gauss", protocol="vc_d", nprocs=8),
-            SweepCell(app="sor", protocol="vc_sd", nprocs=8),
-            SweepCell(app="nn", protocol="vc_sd", nprocs=8),
-            SweepCell(app="is", protocol="vc_d", nprocs=16, variant="lb"),
-            SweepCell(app="nn", protocol="mpi", nprocs=8),
-        ]
-        conformance = run_conformance(cells, workers=workers, mode="inline",
-                                      batching=batching)
-        scaling = run_scaling(
-            scale_nprocs or 64, workers_list=(2, 4), mode=mode,
-            batching=batching,
-        )
-    else:
-        conformance = run_conformance(workers=workers, mode=mode,
-                                      batching=batching)
-        scaling = run_scaling(scale_nprocs or 256, workers_list=workers_list,
-                              mode=mode, batching=batching)
-    from repro.bench.manifest import run_manifest
-
-    return {
-        "benchmark": "pdes",
-        "host_cpus": os.cpu_count() or 1,
-        "python": platform.python_version(),
-        "quick": quick,
-        "batching": batching,
-        "conformance": conformance,
-        "scaling": scaling,
-        "manifest": run_manifest(
-            config={"quick": quick, "workers": workers, "mode": mode,
-                    "scale_nprocs": scale_nprocs,
-                    "workers_list": list(workers_list), "batching": batching},
-            wall_seconds=time.perf_counter() - t_start,
-        ),
-    }
-
-
-def write_report(report: dict, path: str = DEFAULT_OUTPUT) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=1)
-        fh.write("\n")
-
-
-def main(argv: Optional[list] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.bench.pdes",
-        description="PDES conformance matrix + halo-ring scaling benchmark",
+    row["match"] = (
+        row["fingerprint"] == row["pdes_fingerprint"]
+        and row["time_equal"]
+        and row["extra_events"] == row["expected_extra_events"]
+        and row["verified"]
     )
-    parser.add_argument("--quick", action="store_true",
-                        help="reduced matrix + 64-rank scaling point (CI)")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="partition count for the conformance runs")
-    parser.add_argument("--mode", default="fork", choices=("fork", "inline"))
-    parser.add_argument("--scale-nprocs", type=int, default=None,
-                        help="rank count for the scaling half (default 256)")
-    parser.add_argument("--no-batching", action="store_true",
-                        help="disable window leases/elision (minimal windows)")
-    parser.add_argument("--out", default=DEFAULT_OUTPUT)
-    args = parser.parse_args(argv)
-    report = run_benchmark(
-        quick=args.quick, workers=args.workers, mode=args.mode,
-        scale_nprocs=args.scale_nprocs, batching=not args.no_batching,
-    )
-    write_report(report, args.out)
-    ok = report["conformance"]["all_match"]
-    for row in report["conformance"]["cells"]:
-        tag = "ok" if row["match"] else "MISMATCH"
+    return row
+
+
+def main() -> int:
+    ok = True
+    for cell in default_cells():
+        row = check_cell(cell)
+        ok = ok and row["match"]
         print(
-            f"  {row['app']:<6} {row['protocol']:<6} {row['variant']:<8}"
-            f" {row['nprocs']:>3}p  fp={row['fingerprint']}  [{tag}]"
+            f"  {cell.app:<6} {cell.protocol:<6} {cell.variant:<8}"
+            f" {cell.nprocs:>3}p  fp={row['fingerprint']}"
+            f"  [{'ok' if row['match'] else 'MISMATCH ' + json.dumps(row)}]",
+            flush=True,
         )
-    s = report["scaling"]
-    print(
-        f"halo-ring {s['nprocs']} ranks: serial "
-        f"{s['serial']['events_per_sec']} ev/s"
-    )
-    for p in s["partitioned"]:
-        print(
-            f"  {p['workers']} partitions: {p['events_per_sec']} ev/s "
-            f"({p['speedup_vs_serial']}x, {p['windows']} windows, "
-            f"{p['elided_windows']} elided, {p['leased_windows']} leased, "
-            f"{p['frame_bytes']} frame bytes, "
-            f"identical={p['output_matches']})"
-        )
-    print(f"wrote {args.out} (host_cpus={report['host_cpus']})")
     if not ok:
-        print("error: PDES results diverged from serial", flush=True)
+        print("error: partitioned results diverged from serial", file=sys.stderr)
         return 1
+    print(f"all cells bit-identical to serial at {WORKERS} partitions")
     return 0
 
 
 if __name__ == "__main__":  # pragma: no cover
-    import sys
-
     sys.exit(main())

@@ -194,7 +194,6 @@ def cell_key(
     cell: SweepCell,
     code_fp: Optional[str] = None,
     trace: bool = False,
-    pdes_workers: Optional[int] = None,
     check: bool = False,
     faults: Optional[dict] = None,
 ) -> str:
@@ -203,8 +202,6 @@ def cell_key(
     Traced and untraced runs use distinct keys (a traced result carries a
     time breakdown the untraced one lacks), so enabling ``--trace`` never
     recalls an untraced cached entry or pollutes the untraced cache.
-    Partitioned (PDES) runs likewise key separately — the simulated results
-    are bit-identical, but the host-side wall/throughput figures are not.
     Consistency-checked runs (``check``) key separately too: their results
     carry the oracle verdict.  ``faults`` (a ``FaultPlan.to_json()`` dict)
     hashes the candidate fault plan into the key — the adversarial search
@@ -223,8 +220,6 @@ def cell_key(
     }
     if trace:
         material["trace"] = True
-    if pdes_workers is not None and pdes_workers > 1:
-        material["pdes_workers"] = pdes_workers
     if check:
         material["check"] = True
     if faults is not None:
@@ -267,7 +262,6 @@ def _execute_cell(
     cell: SweepCell,
     verify: bool,
     trace: bool = False,
-    pdes_workers: Optional[int] = None,
     check: bool = False,
 ) -> tuple[AppResult, float, int]:
     """Run one cell; returns (result, wall seconds, peak RSS KiB).
@@ -298,7 +292,6 @@ def _execute_cell(
         verify=verify,
         tracer=tracer,
         oracle=oracle,
-        pdes_workers=pdes_workers,
     )
     if oracle is not None:
         from repro.obs.oracle import check_history
@@ -311,7 +304,7 @@ def _execute_cell(
 
 
 def _worker(
-    args: tuple[SweepCell, bool, Optional[str], str, bool, Optional[int], bool]
+    args: tuple[SweepCell, bool, Optional[str], str, bool, bool]
 ) -> tuple[tuple[AppResult, float, int], float, float]:
     """Pool worker: run + cache one cell; returns ``(out, t_start, t_end)``.
 
@@ -319,13 +312,11 @@ def _worker(
     system-wide on Linux, so the parent can synthesise queue-wait (submit →
     start) and run spans on its own host profiler without clock translation.
     """
-    cell, verify, cache_root, code_fp, trace, pdes_workers, check = args
+    cell, verify, cache_root, code_fp, trace, check = args
     t_start = time.perf_counter()
-    out = _execute_cell(cell, verify, trace, pdes_workers, check)
+    out = _execute_cell(cell, verify, trace, check)
     if cache_root is not None:
-        ResultCache(cache_root).put(
-            cell_key(cell, code_fp, trace, pdes_workers, check), *out
-        )
+        ResultCache(cache_root).put(cell_key(cell, code_fp, trace, check), *out)
     return out, t_start, time.perf_counter()
 
 
@@ -335,7 +326,6 @@ def run_sweep(
     cache_dir: Optional[str] = DEFAULT_CACHE_DIR,
     verify: bool = True,
     trace: bool = False,
-    pdes_workers: Optional[int] = None,
     check: bool = False,
     host=None,
 ) -> SweepReport:
@@ -343,9 +333,7 @@ def run_sweep(
 
     Cache hits are resolved first (in this process); only misses are
     dispatched to the pool.  ``jobs <= 1`` executes misses serially in this
-    process — the results are identical either way.  ``pdes_workers``
-    executes each cell under the partitioned engine (fork mode), so keep
-    ``jobs=1`` when setting it — the partitions are the parallelism.
+    process — the results are identical either way.
     ``check`` runs every cell under the consistency oracle and attaches the
     verdict to each result (see :mod:`repro.obs.oracle`).
 
@@ -357,7 +345,7 @@ def run_sweep(
     t_start = time.perf_counter()
     code_fp = code_fingerprint()
     cache = ResultCache(cache_dir) if cache_dir is not None else None
-    keys = [cell_key(cell, code_fp, trace, pdes_workers, check) for cell in cells]
+    keys = [cell_key(cell, code_fp, trace, check) for cell in cells]
 
     def _lane(cell: SweepCell) -> str:
         return f"{cell.app}/{cell.protocol}/{cell.nprocs}/{cell.variant}"
@@ -378,7 +366,7 @@ def run_sweep(
 
     if misses and jobs > 1:
         work = [
-            (cells[i], verify, cache_dir, code_fp, trace, pdes_workers, check)
+            (cells[i], verify, cache_dir, code_fp, trace, check)
             for i in misses
         ]
         with ProcessPoolExecutor(max_workers=min(jobs, len(misses))) as pool:
@@ -394,9 +382,7 @@ def run_sweep(
     else:
         for i in misses:
             t0 = time.perf_counter()
-            result, wall, rss_kb = _execute_cell(
-                cells[i], verify, trace, pdes_workers, check
-            )
+            result, wall, rss_kb = _execute_cell(cells[i], verify, trace, check)
             if cache is not None:
                 cache.put(keys[i], result, wall, rss_kb)
             slots[i] = CellResult(cells[i], result, wall, rss_kb, cache_hit=False)

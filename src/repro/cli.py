@@ -41,12 +41,10 @@ Commands
     same exact-simulated / tolerance-gated-wall-time semantics.
 
 ``run``/``trace`` accept ``--host-trace`` to record *wall-clock* spans of
-the real work (coordinator barrier waits, frame codec, pipe I/O, partition
-execute/sync under ``--pdes-workers``) and print a host-time breakdown
-whose categories sum to measured wall time; with ``--trace-out`` the host
-spans export as a second Perfetto process stream merged with the simulated
-trace.  ``profile --pdes-workers K`` collects per-partition child cProfile
-sessions over the PDES pipes and merges them with the coordinator's.
+the real work (build, execute, extract, verify) and print a host-time
+breakdown whose categories sum to measured wall time; with ``--trace-out``
+the host spans export as a second Perfetto process stream merged with the
+simulated trace.
 ``list``
     Show the available applications, protocols, variants and tables.
 
@@ -133,13 +131,6 @@ def _netcfg_override(args: argparse.Namespace):
     if drop_seed is not None:
         kw["drop_seed"] = drop_seed
     return NetConfig(**kw)
-
-
-def _pdes_error():
-    """The PdesError type, imported lazily (for ``except`` clauses)."""
-    from repro.sim.pdes import PdesError
-
-    return PdesError
 
 
 def _net_snapshot(stats) -> dict | None:
@@ -269,13 +260,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             metrics=metrics,
             oracle=oracle,
             faults=plan,
-            pdes_workers=args.pdes_workers,
-            pdes_mode=args.pdes_mode,
             host=host,
         )
-    except _pdes_error() as exc:
-        print(f"error: --pdes-workers: {exc}", file=sys.stderr)
-        return 2
     except RunAborted as exc:
         if oracle is None:
             raise
@@ -287,14 +273,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         return code or EXIT_RUN_FAILURE
     status = "verified against sequential reference" if result.verified else "NOT verified"
-    workers = f", {args.pdes_workers} PDES partitions" if args.pdes_workers else ""
-    print(f"{args.app} on {args.protocol}, {args.nprocs} processors{workers} ({status})")
-    if result.pdes:
-        p = result.pdes
-        print(
-            f"  PDES: {p['windows']} windows ({p['elided_windows']} elided, "
-            f"{p['leased_windows']} leased), {p['frame_bytes']:,} frame bytes"
-        )
+    print(f"{args.app} on {args.protocol}, {args.nprocs} processors ({status})")
     for key, value in result.table_row().items():
         print(f"  {key:<24} {value}")
     if result.breakdown is not None:
@@ -343,12 +322,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             netcfg=_netcfg_override(args),
             oracle=oracle,
             faults=plan,
-            pdes_workers=args.pdes_workers,
-            pdes_mode=args.pdes_mode,
         )
-    except _pdes_error() as exc:
-        print(f"error: --pdes-workers: {exc}", file=sys.stderr)
-        return 2
     except RunAborted as exc:
         # check the partial history anyway: injected faults may abort a run
         # but must never corrupt the consistency of what did execute
@@ -360,8 +334,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             if result.verified
             else "NOT verified"
         )
-        workers = f", {args.pdes_workers} PDES partitions" if args.pdes_workers else ""
-        print(f"{args.app} on {args.protocol}, {args.nprocs} processors{workers} ({status})")
+        print(f"{args.app} on {args.protocol}, {args.nprocs} processors ({status})")
     code = _check_consistency(oracle, args.protocol, args.nprocs, args, aborted=aborted)
     if code:
         return code
@@ -393,13 +366,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             metrics=metrics,
             oracle=oracle,
             faults=plan,
-            pdes_workers=args.pdes_workers,
-            pdes_mode=args.pdes_mode,
             host=host,
         )
-    except _pdes_error() as exc:
-        print(f"error: --pdes-workers: {exc}", file=sys.stderr)
-        return 2
     except RunAborted as exc:
         if oracle is None:
             raise
@@ -435,28 +403,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-class _StatsCarrier:
-    """Adapter so ``pstats.Stats.add`` accepts a raw cProfile stats dict.
-
-    Partition workers ship ``prof.stats`` (a plain picklable dict) over the
-    result pipe; ``Stats.add`` wants an object with a ``stats`` attribute
-    and a ``create_stats`` method.
-    """
-
-    def __init__(self, stats_dict):
-        self.stats = stats_dict
-
-    def create_stats(self):
-        pass
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
-    """Host-CPU profile of one run (the events/sec workhorse).
-
-    With ``--pdes-workers N`` (N > 1) the run forks partition workers; each
-    child runs under its own cProfile and ships its stats dict back over the
-    result pipe, and the printout merges coordinator + partition profiles.
-    """
+    """Host-CPU profile of one run (the events/sec workhorse)."""
     app = APPS[args.app]
     if args.protocol == "mpi" and not hasattr(app, "run_mpi"):
         print(f"error: {args.app} has no MPI version (only nn does)", file=sys.stderr)
@@ -465,53 +413,18 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import pstats
 
     prof = cProfile.Profile()
-    outcome = None
-    if args.pdes_workers and args.pdes_workers > 1:
-        from repro.sim.pdes import run_partitioned
-
-        config = app.default_config()
-        prof.enable()
-        try:
-            outcome = run_partitioned(
-                app, args.protocol, args.nprocs,
-                config=config, variant=args.variant,
-                workers=args.pdes_workers, mode=args.pdes_mode,
-                profile=True,
-            )
-        except _pdes_error() as exc:
-            prof.disable()
-            print(f"error: --pdes-workers: {exc}", file=sys.stderr)
-            return 2
-        prof.disable()
-        if not args.no_verify:
-            expected = app.sequential(config)
-            if not app.outputs_match(outcome.output, expected):
-                print("error: partitioned output does not match sequential "
-                      "reference", file=sys.stderr)
-                return 2
-        nparts = len(outcome.profiles or {})
-        print(
-            f"{args.app} on {args.protocol}, {args.nprocs} processors, "
-            f"{args.pdes_workers} PDES partitions — "
-            f"{outcome.time:.6f} simulated seconds, "
-            f"coordinator + {nparts} partition profiles merged"
-        )
-    else:
-        prof.enable()
-        result = run_app(
-            app, args.protocol, args.nprocs,
-            variant=args.variant, verify=not args.no_verify,
-        )
-        prof.disable()
-        print(
-            f"{args.app} on {args.protocol}, {args.nprocs} processors — "
-            f"{result.time:.6f} simulated seconds, {result.events} events"
-        )
+    prof.enable()
+    result = run_app(
+        app, args.protocol, args.nprocs,
+        variant=args.variant, verify=not args.no_verify,
+    )
+    prof.disable()
+    print(
+        f"{args.app} on {args.protocol}, {args.nprocs} processors — "
+        f"{result.time:.6f} simulated seconds, {result.events} events"
+    )
     print()
     stats = pstats.Stats(prof)
-    if outcome is not None and outcome.profiles:
-        for index in sorted(outcome.profiles):
-            stats.add(_StatsCarrier(outcome.profiles[index]))
     stats.sort_stats(args.sort)
     stats.print_stats(args.top)
     if args.profile_out:
@@ -656,19 +569,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     cache_dir = None if args.no_cache else (args.cache_dir or sweep_mod.DEFAULT_CACHE_DIR)
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    if args.pdes_workers and args.jobs is None:
-        jobs = 1  # the partitions are the parallelism; don't also fan out cells
     if args.app is None:
         # full benchmark matrix -> consolidated BENCH_sweep.json
-        try:
-            report = sweep_mod.run_sweep(
-                sweep_mod.default_cells(), jobs=jobs, cache_dir=cache_dir,
-                trace=args.trace, pdes_workers=args.pdes_workers,
-                check=args.check_consistency,
-            )
-        except _pdes_error() as exc:
-            print(f"error: --pdes-workers: {exc}", file=sys.stderr)
-            return 2
+        report = sweep_mod.run_sweep(
+            sweep_mod.default_cells(), jobs=jobs, cache_dir=cache_dir,
+            trace=args.trace, check=args.check_consistency,
+        )
         report_path = args.report or sweep_mod.DEFAULT_OUTPUT
         sweep_mod.write_report(report, report_path)
         for cell in report.cells:
@@ -866,16 +772,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seeded uniform random loss probability at the switch")
     p_run.add_argument("--drop-seed", type=int, default=None, metavar="SEED",
                        help="seed for the random-loss / RED drop streams")
-    p_run.add_argument("--pdes-workers", type=int, default=None, metavar="K",
-                       help="partition the simulated cluster across K workers "
-                       "under the conservative PDES engine (bit-identical "
-                       "results; see docs/simulator.md)")
-    p_run.add_argument("--pdes-mode", default="fork", choices=("fork", "inline"),
-                       help="PDES partition execution: OS processes (fork, "
-                       "default) or single-process round-robin (inline)")
     p_run.add_argument("--host-trace", action="store_true",
                        help="profile host wall-clock time (monotonic spans "
-                       "around coordinator/worker work); print a host-time "
+                       "around build/execute/extract/verify); print a host-time "
                        "breakdown and merge host spans into --trace-out")
     p_run.set_defaults(fn=_cmd_run)
 
@@ -904,13 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="seeded uniform random loss probability at the switch")
     p_check.add_argument("--drop-seed", type=int, default=None, metavar="SEED",
                          help="seed for the random-loss / RED drop streams")
-    p_check.add_argument("--pdes-workers", type=int, default=None, metavar="K",
-                         help="partition the simulated cluster across K workers "
-                         "under the conservative PDES engine (per-partition "
-                         "histories are merged before checking)")
-    p_check.add_argument("--pdes-mode", default="fork", choices=("fork", "inline"),
-                         help="PDES partition execution: OS processes (fork, "
-                         "default) or single-process round-robin (inline)")
     p_check.set_defaults(fn=_cmd_check)
 
     p_trace = sub.add_parser(
@@ -951,13 +843,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="seeded uniform random loss probability at the switch")
     p_trace.add_argument("--drop-seed", type=int, default=None, metavar="SEED",
                          help="seed for the random-loss / RED drop streams")
-    p_trace.add_argument("--pdes-workers", type=int, default=None, metavar="K",
-                         help="partition the simulated cluster across K workers "
-                         "under the conservative PDES engine (traces are "
-                         "merged; bit-identical results)")
-    p_trace.add_argument("--pdes-mode", default="fork", choices=("fork", "inline"),
-                         help="PDES partition execution: OS processes (fork, "
-                         "default) or single-process round-robin (inline)")
     p_trace.add_argument("--host-trace", action="store_true",
                          help="profile host wall-clock time alongside the "
                          "simulated trace; print a host-time breakdown and "
@@ -982,15 +867,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="pstats sort key (default cumulative)")
     p_profile.add_argument("--profile-out", default=None, metavar="PATH",
                            help="dump raw cProfile stats for pstats/snakeviz")
-    p_profile.add_argument("--pdes-workers", type=int, default=None, metavar="K",
-                           help="profile the partitioned PDES run: each forked "
-                           "partition worker runs under its own cProfile and "
-                           "the stats are merged into the printout")
-    p_profile.add_argument("--pdes-mode", default="fork", choices=("fork", "inline"),
-                           help="PDES partition execution: OS processes (fork, "
-                           "default; per-partition profiles collected over the "
-                           "result pipe) or single-process round-robin (inline; "
-                           "the parent profiler already sees everything)")
     p_profile.set_defaults(fn=_cmd_profile)
 
     p_report = sub.add_parser(
@@ -1060,10 +936,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="FaultPlan seed for the degradation grid")
     p_sweep.add_argument("--faults-out", default=None, metavar="PATH",
                          help="degradation report path (default BENCH_faults.json)")
-    p_sweep.add_argument("--pdes-workers", type=int, default=None, metavar="K",
-                         help="run full-matrix cells under the conservative "
-                         "PDES engine with K partitions each (separate cache "
-                         "entries; bit-identical simulated results)")
     p_sweep.add_argument("--check-consistency", action="store_true",
                          help="run every full-matrix (or degradation-grid) cell "
                          "under the consistency oracle; exit 4 if any cell "

@@ -120,27 +120,6 @@ class NetConfig:
             )
         return self.switch_latency
 
-    def min_send_delay(self) -> float:
-        """Lower bound on (event executes → its message reaches the switch).
-
-        Every send goes ``Nic.send → _tx_start → _tx_done``, costing at
-        least the fixed send overhead plus the empty-payload wire time
-        before ``Switch.transfer`` runs.  The PDES lease protocol uses this
-        as δ_send: an event at time ``t`` cannot put a *new* frame on the
-        switch before ``t + min_send_delay()``.
-        """
-        return self.send_overhead + self.tx_time(0)
-
-    def min_deliver_delay(self) -> float:
-        """Lower bound on (frame arrives at a NIC → payload handed over).
-
-        Delivery goes ``on_arrival → _rx_start → _rx_done``, costing at
-        least the empty-payload wire time plus the receive overhead.  The
-        PDES lease protocol uses this as δ_recv when bounding how soon an
-        injected frame can trigger further cross-partition influence.
-        """
-        return self.tx_time(0) + self.recv_overhead
-
     def worst_case_retry_window(self) -> float:
         """Longest interval after first receipt during which the sender can
         still retransmit: every timeout at full jitter stretch.  The

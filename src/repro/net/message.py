@@ -1,37 +1,19 @@
-"""Message representation and the PDES frame codec.
+"""Message representation.
 
 Payloads are plain Python objects (dicts, dataclasses, numpy arrays); the
 *accounted* size is carried explicitly in ``size`` because the simulator does
 not serialise anything — protocol code computes the number of bytes the real
 system would put on the wire (diff bytes, write-notice records, etc.).
-
-The frame codec (:func:`encode_frames` / :func:`decode_frames` /
-:func:`route_frames`) is the wire format of the partitioned (PDES) driver:
-cross-partition frames are struct-packed — the canonical ``(dst, t_arr,
-t_dep, src, departure#)`` ordering coordinates plus the fixed ``Message``
-fields — with only the payload object pickled, per frame.  Packing the
-coordinates lets the coordinator route a batch by destination partition
-(:func:`route_frames`) by scanning fixed-offset headers and slicing payload
-bytes through verbatim, without ever unpickling a payload it merely relays.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-import pickle
-import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable
+from typing import Any
 
-__all__ = [
-    "Message",
-    "MessageKind",
-    "encode_frames",
-    "decode_frames",
-    "route_frames",
-]
+__all__ = ["Message", "MessageKind"]
 
 
 class MessageKind(str, Enum):
@@ -72,19 +54,6 @@ class MessageKind(str, Enum):
 
 
 _msg_ids = itertools.count(1)
-
-
-def set_msg_id_base(base: int) -> None:
-    """Restart the message-id counter at ``base``.
-
-    The PDES fork driver calls this once in each freshly forked partition
-    process with a disjoint base, so message ids stay globally unique across
-    partitions even though every process has its own counter — duplicate
-    suppression keys on ``(src, msg_id)`` and the trace merge unifies the two
-    sides of a cross-partition message by raw id.  Never call this mid-run.
-    """
-    global _msg_ids
-    _msg_ids = itertools.count(base)
 
 
 @dataclass(slots=True)
@@ -128,120 +97,3 @@ class Message:
         clone.msg_id = self.msg_id
         clone.attempt = self.attempt
         return clone
-
-
-# -- PDES frame codec --------------------------------------------------------------
-#
-# One record per frame:
-#
-#   dst:i32  t_arr:f64  t_dep:f64  src:i32  departure#:i64        (routing
-#   kind:u8  size:i64  need_ack:u8  is_reply:u8  req_id:i64        coordinates)
-#   msg_id:i64  attempt:i32  payload_len:u32                       (Message fields)
-#
-# followed by payload_len bytes of pickled payload.  req_id uses -1 for None.
-# Kinds travel as their index in MessageKind declaration order, which is
-# stable across fork (both sides import the same module).
-
-_FRAME = struct.Struct("<iddiqBqBBqqiI")
-_FRAME_HEAD = struct.Struct("<id")  # dst, t_arr — routing reads
-_FRAME_SIZE = struct.Struct("<q")  # accounted wire size — induced-bound read
-_SIZE_OFFSET = struct.calcsize("<iddiqB")
-_FRAME_PLEN = struct.Struct("<I")
-_PLEN_OFFSET = _FRAME.size - _FRAME_PLEN.size
-_KIND_LIST = list(MessageKind)
-_KIND_INDEX = {k: i for i, k in enumerate(_KIND_LIST)}
-_PICKLE_PROTO = pickle.HIGHEST_PROTOCOL
-
-
-def encode_frames(frames: Iterable[tuple]) -> bytes:
-    """Pack ``(dst, t_arr, t_dep, src, departure#, msg)`` frames into bytes.
-
-    Returns ``b""`` for an empty batch — the null-barrier sentinel.
-    """
-    parts = []
-    pack = _FRAME.pack
-    dumps = pickle.dumps
-    kind_index = _KIND_INDEX
-    for dst, t_arr, t_dep, src, dep, msg in frames:
-        payload = dumps(msg.payload, _PICKLE_PROTO)
-        parts.append(pack(
-            dst, t_arr, t_dep, src, dep,
-            kind_index[msg.kind], msg.size, msg.need_ack, msg.is_reply,
-            -1 if msg.req_id is None else msg.req_id,
-            msg.msg_id, msg.attempt, len(payload),
-        ))
-        parts.append(payload)
-    return b"".join(parts)
-
-
-def decode_frames(buf: bytes) -> list[tuple]:
-    """Inverse of :func:`encode_frames`; rebuilds full ``Message`` objects."""
-    out = []
-    off = 0
-    end = len(buf)
-    unpack = _FRAME.unpack_from
-    rec_size = _FRAME.size
-    loads = pickle.loads
-    kinds = _KIND_LIST
-    while off < end:
-        (dst, t_arr, t_dep, src, dep, kind, size, need_ack, is_reply,
-         req_id, msg_id, attempt, plen) = unpack(buf, off)
-        off += rec_size
-        msg = Message.__new__(Message)
-        msg.src = src
-        msg.dst = dst
-        msg.kind = kinds[kind]
-        msg.payload = loads(buf[off:off + plen])
-        msg.size = size
-        msg.need_ack = bool(need_ack)
-        msg.req_id = None if req_id == -1 else req_id
-        msg.is_reply = bool(is_reply)
-        msg.msg_id = msg_id
-        msg.attempt = attempt
-        off += plen
-        out.append((dst, t_arr, t_dep, src, dep, msg))
-    return out
-
-
-def route_frames(
-    buffers: Iterable[bytes], dest_of: dict, nparts: int,
-    byte_seconds: float = 0.0,
-) -> tuple[list[bytes], list[float], list[float]]:
-    """Merge encoded frame buffers and split them by destination partition.
-
-    Scans only the fixed-offset ``(dst, t_arr, size, payload_len)`` header
-    of each record and slices the record through verbatim — relayed
-    payloads are never unpickled.  Returns ``(per_partition_buffers,
-    arrival_mins, load_mins)``: partition ``p`` gets ``b""`` and
-    ``math.inf`` when nothing routes to it.  ``load_mins[p]`` is the
-    minimum over routed frames of ``t_arr + byte_seconds * size`` — with
-    ``byte_seconds`` the per-payload-byte receive wire time, this is when
-    the earliest frame can clear its destination's receive wire, which the
-    PDES coordinator uses to bound the influence the injected frames can
-    induce (a 2 KiB frame cannot wake a handler until 100-odd µs after a
-    zero-size one arriving at the same instant).
-    """
-    chunks: list[list[bytes]] = [[] for _ in range(nparts)]
-    mins = [math.inf] * nparts
-    loads = [math.inf] * nparts
-    head = _FRAME_HEAD.unpack_from
-    size_at = _FRAME_SIZE.unpack_from
-    plen_at = _FRAME_PLEN.unpack_from
-    rec_size = _FRAME.size
-    size_off = _SIZE_OFFSET
-    plen_off = _PLEN_OFFSET
-    for buf in buffers:
-        off = 0
-        end = len(buf)
-        while off < end:
-            dst, t_arr = head(buf, off)
-            nxt = off + rec_size + plen_at(buf, off + plen_off)[0]
-            p = dest_of[dst]
-            chunks[p].append(buf[off:nxt])
-            if t_arr < mins[p]:
-                mins[p] = t_arr
-            load = t_arr + byte_seconds * size_at(buf, off + size_off)[0]
-            if load < loads[p]:
-                loads[p] = load
-            off = nxt
-    return [b"".join(c) for c in chunks], mins, loads

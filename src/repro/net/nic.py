@@ -15,8 +15,9 @@ zero-delay hand-off event.  That moves a completion's tie-breaking sequence
 number relative to *other* nodes' same-instant events only, which nothing
 observes: arrivals at one ``(dst, instant)`` are delivered by one pump in
 ``(src, departure seq)`` order (see :class:`Switch`), and cross-node order
-within an instant is unobservable by construction — the PDES conformance
-matrix runs those events in different OS processes, bit-identically.
+within an instant is unobservable by construction — the partition-determinism
+harness (:mod:`repro.sim.pdes`) runs those events on different simulators,
+bit-identically.
 
 Messages arriving while the inbound buffer is full are **dropped** — this is
 the congestion-loss mechanism: a burst of n-1 simultaneous senders into one
@@ -47,7 +48,7 @@ class Nic:
     __slots__ = (
         "sim", "node_id", "cfg", "stats", "_deliver", "_switch",
         "_tx_busy", "_rx_busy", "_tx_backlog", "_rx_backlog",
-        "rx_bytes", "_rng", "tx_probe",
+        "rx_bytes", "_rng",
     )
 
     def __init__(
@@ -74,11 +75,6 @@ class Nic:
         # stream is only drawn from on RED drops, and eagerly building 256+
         # RandomStates dominated cluster construction time.
         self._rng: "np.random.RandomState | None" = None
-        # optional TX-start probe ``probe(msg, t_transfer)`` — the PDES
-        # driver uses it to capture cross-partition frames the moment their
-        # transmission starts (the hand-off instant is already determined
-        # then); None (the default) is the zero-overhead fast path
-        self.tx_probe = None
 
     def attach(self, switch: "Switch") -> None:
         self._switch = switch
@@ -110,11 +106,7 @@ class Nic:
         faults = self.sim.faults
         if faults is not None:
             wire *= faults.bandwidth_factor(self.node_id)
-        delay = self.cfg.send_overhead + wire
-        probe = self.tx_probe
-        if probe is not None:
-            probe(msg, self.sim.now + delay)
-        self.sim.schedule(delay, self._tx_done, msg)
+        self.sim.schedule(self.cfg.send_overhead + wire, self._tx_done, msg)
 
     def _tx_done(self, msg: "Message") -> None:
         assert self._switch is not None, "NIC not attached to a switch"
@@ -220,7 +212,7 @@ class Switch:
     per-source departure number)`` order.  That order is canonical: it
     depends only on each source's own transmit history, never on how the
     simulator interleaved *other* nodes' events at the departure instant —
-    which is what lets the partitioned (PDES) driver reproduce serial
+    which is what lets the partition-determinism harness reproduce serial
     delivery order exactly when the sources live in different partitions.
     The pump event carries ordering class 1 (see
     :meth:`repro.sim.Simulator.schedule_keyed`), sorting after every
@@ -255,9 +247,6 @@ class Switch:
             if rng.random_sample() < self.cfg.random_drop_prob:
                 self.node_stats[msg.src].count_drop("random")
                 return
-        if msg.dst not in self.ports:
-            self._remote_transfer(msg)
-            return
         dst_nic = self.ports[msg.dst]
         faults = self.sim.faults
         if faults is not None:
@@ -281,10 +270,6 @@ class Switch:
                 )
                 return
         self._stage(msg, self.sim.now + self.cfg.switch_latency, self.sim.now)
-
-    def _remote_transfer(self, msg: "Message") -> None:
-        """Hook for partitioned switches; the flat switch knows every port."""
-        raise KeyError(f"message to unknown node {msg.dst}")
 
     def next_departure(self, src: int) -> int:
         dep = self._dep_seq.get(src, 0)

@@ -113,10 +113,8 @@ class Transport:
         self._ack_events: dict[int, Event] = {}
         self._pending_replies: dict[int, Event] = {}
         # (src, id) -> simulated time of first receipt; insertion order ==
-        # time order.  Keyed by source as well as id: message ids are only
-        # unique per sender (each PDES partition allocates from its own
-        # counter), so a bare-id table could suppress a fresh message that
-        # happened to share an id with an earlier one from another node.
+        # time order.  Keyed by source as well as id: the receiver only
+        # relies on ids being unique per sender.
         self._seen_reliable: dict[tuple[int, int], float] = {}
         # (src, req_id) -> (time cached, reply); insertion order == time order
         self._reply_cache: dict[tuple[int, int], tuple[float, Message]] = {}

@@ -29,9 +29,9 @@ protocol implementations and the runtimes:
   revisions), tracks N-revision trends (``repro report --trend``) and gates
   CI on regressions;
 * :mod:`repro.obs.host` is the host-time observatory: wall-clock span
-  profiling (:class:`HostProfiler`) of the PDES coordinator/workers, the
-  sweep pool and the perf harness, with a breakdown whose categories sum to
-  measured wall time and a merged host+simulated Perfetto export.
+  profiling (:class:`HostProfiler`) of a run's phases, the sweep pool and
+  the perf harness, with a breakdown whose categories sum to measured wall
+  time and a merged host+simulated Perfetto export.
 
 Tracing is **opt-in and zero-overhead when off**: every emission site guards
 on ``sim.tracer is not None`` (the default), so an untraced run executes the

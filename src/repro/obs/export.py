@@ -43,7 +43,7 @@ __all__ = [
 # engine-global events (pid -1) get their own Perfetto "process"
 GLOBAL_PID = -1
 
-#: host-clock processes (coordinator, partition workers, sweep pool) occupy
+#: host-clock processes (the run itself, the sweep pool) occupy
 #: pids at and above this base, far away from simulated node ids — the two
 #: streams share one Perfetto timeline but are distinct clock domains
 #: (simulated μs vs host μs since profile start)
@@ -321,7 +321,7 @@ def iter_jsonl_lines(trace: "EventTracer | list"):
     """Yield the JSONL export one line at a time (newline included).
 
     A generator so exporting never materialises a second copy of the event
-    list: large partitioned traces stream straight from the tracer's storage
+    list: large traces stream straight from the tracer's storage
     to the file.
     """
     dumps = json.dumps

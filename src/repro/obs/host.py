@@ -1,10 +1,9 @@
 """Host-time observatory: wall-clock span profiling of the real work.
 
 Every other observer in :mod:`repro.obs` lives in *simulated* time.  This
-one answers the complementary question the PDES scaling work needs: where
-does the **host** wall clock go — coordinator barrier waits, frame
-encode/decode, pipe I/O, pre-fork setup, per-partition window execution,
-sweep-pool queueing?
+one answers the complementary question: where does the **host** wall clock
+go — building the system, executing events, extracting and verifying the
+output, sweep-pool queueing?
 
 :class:`HostProfiler` follows the same contract as the tracer:
 
@@ -21,15 +20,14 @@ Span model
 ----------
 
 A span is ``(proc, lane, cat, name, t0, t1, args)``: a host-clock interval
-``[t0, t1)`` on a named process (``"main"``, ``"partition-3"``,
-``"sweep"``) and lane, with a category that feeds the breakdown.  Spans in
-one ``(proc, lane)`` must nest or be disjoint — the Chrome exporter
+``[t0, t1)`` on a named process (``"main"``, ``"sweep"``) and lane, with a
+category that feeds the breakdown.  Spans in one ``(proc, lane)`` must nest
+or be disjoint — the Chrome exporter
 (:func:`repro.obs.export.merged_chrome_trace`) emits them as ``B``/``E``
 pairs on one thread track.  ``perf_counter`` is CLOCK_MONOTONIC-based and
-system-wide on Linux, so spans recorded in forked partition workers are
-directly comparable to the coordinator's: :meth:`HostProfiler.absorb`
-merges a worker's spans (shipped back through the PDES result pipe) into
-the coordinator's profiler without any clock translation.
+system-wide on Linux, so intervals measured in sweep-pool workers are
+directly comparable to the parent's: :meth:`HostProfiler.add_span` records
+them under the worker's process name without any clock translation.
 
 The breakdown (:func:`host_breakdown`) sums each process's categorised
 spans against its ``total`` span (or, when none was recorded, the envelope
@@ -58,10 +56,9 @@ TOTAL = "total"
 class HostProfiler:
     """Wall-clock span recorder on the observer (None-default) contract.
 
-    ``proc`` names the process identity new spans are recorded under; a
-    worker creates its own profiler (``HostProfiler("partition-2")``) and
-    the coordinator ``absorb``s it, so one profiler object can end up
-    holding a whole process tree's spans.
+    ``proc`` names the process identity new spans are recorded under;
+    :meth:`add_span` can record under another one, so one profiler object
+    can end up holding a whole process tree's spans.
     """
 
     __slots__ = ("proc", "spans", "_open")
@@ -104,10 +101,6 @@ class HostProfiler:
         e.g. the sweep pool's queue-wait, measured from submit to start)."""
         self.spans.append((proc or self.proc, lane, cat, name, t0, t1, args))
 
-    def absorb(self, other: "HostProfiler") -> None:
-        """Merge another profiler's spans (same host clock, no translation)."""
-        self.spans.extend(other.spans)
-
     # -- queries -----------------------------------------------------------------
 
     def procs(self) -> list[str]:
@@ -133,11 +126,11 @@ def host_breakdown(host: HostProfiler) -> dict:
 
     Returns ``{proc: {"total": sec, "seconds": {cat: sec}, "other": sec}}``.
     ``total`` is the sum of the process's ``total``-category spans; when a
-    process recorded none (e.g. :func:`repro.sim.pdes.run_partitioned`
-    called directly, without ``run_app``'s enclosing span), the envelope
-    from its first span start to its last span end stands in — either way
-    the invariant ``sum(seconds.values()) + other == total`` holds exactly,
-    and the test suite pins ``total`` against externally measured wall time.
+    process recorded none (e.g. sweep-pool workers, whose intervals the
+    parent synthesises), the envelope from its first span start to its last
+    span end stands in — either way the invariant
+    ``sum(seconds.values()) + other == total`` holds exactly, and the test
+    suite pins ``total`` against externally measured wall time.
     """
     out: dict[str, dict] = {}
     for proc, lane, cat, name, t0, t1, args in sorted(

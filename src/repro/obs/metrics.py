@@ -113,29 +113,21 @@ class Metrics:
         print(metrics.format_contention())
     """
 
-    __slots__ = ("counters", "gauges", "histograms", "_log", "_sim")
+    __slots__ = ("counters", "gauges", "histograms")
 
-    def __init__(self, sim: Any = None) -> None:
+    def __init__(self) -> None:
         self.counters: dict[tuple, float] = {}
         self.gauges: dict[tuple, float] = {}
         self.histograms: dict[tuple, Histogram] = {}
-        # log mode (PDES partition shards): every operation is also journaled
-        # as (sim-time, op, key, value) so shards merge in serial event order
-        self._log: Optional[list] = [] if sim is not None else None
-        self._sim = sim
 
     # -- recording (called from guarded feed sites) --------------------------------
 
     def inc(self, name: str, value: float = 1.0, **labels: Any) -> None:
         k = _key(name, labels)
         self.counters[k] = self.counters.get(k, 0.0) + value
-        if self._log is not None:
-            self._log.append((self._sim.now, "c", k, value))
 
     def gauge(self, name: str, value: float, **labels: Any) -> None:
         self.gauges[_key(name, labels)] = value
-        if self._log is not None:
-            self._log.append((self._sim.now, "g", _key(name, labels), value))
 
     def observe(self, name: str, value: float, **labels: Any) -> None:
         k = _key(name, labels)
@@ -143,45 +135,6 @@ class Metrics:
         if h is None:
             h = self.histograms[k] = Histogram()
         h.observe(value)
-        if self._log is not None:
-            self._log.append((self._sim.now, "o", k, value))
-
-    def detach_clock(self) -> None:
-        """Drop the simulator reference (shards must pickle across the pipe)."""
-        self._sim = None
-
-    @classmethod
-    def merged(cls, shards: "list[Metrics]") -> "Metrics":
-        """Replay per-partition logged shards in serial (timestamp) order.
-
-        Every shard must have been created with ``Metrics(sim=...)``.  The
-        k-way merge is by simulated time, stable in shard (partition) order
-        for ties — the same discipline stats and tracers use — so a fork-run
-        merge reproduces the serial registry: counters sum identically,
-        last-write-wins gauges pick the serial winner, histogram min/max/
-        buckets see the same stream.
-        """
-        import heapq
-
-        logs = []
-        for m in shards:
-            if m._log is None:
-                raise ValueError(
-                    "Metrics.merged requires logged shards (Metrics(sim=...))"
-                )
-            logs.append(m._log)
-        out = cls()
-        for t, op, k, value in heapq.merge(*logs, key=lambda e: e[0]):
-            if op == "c":
-                out.counters[k] = out.counters.get(k, 0.0) + value
-            elif op == "g":
-                out.gauges[k] = value
-            else:
-                h = out.histograms.get(k)
-                if h is None:
-                    h = out.histograms[k] = Histogram()
-                h.observe(value)
-        return out
 
     # -- querying ------------------------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Trace-based consistency oracle: recorder + memory-model checker.
 
 The repo's other gates prove runs are *bit-identical to a baseline*
-(``repro report``, the PDES conformance suite); this module proves a run is
-*correct by the memory model*.  It has two halves:
+(``repro report``, the partition-determinism harness); this module proves a
+run is *correct by the memory model*.  It has two halves:
 
 :class:`AccessRecorder`
     An opt-in access-history recorder on the ``Simulator.tracer`` contract:
@@ -57,11 +57,6 @@ Event tuples (first element is the kind, then ``t``, then the node id)::
     ("up", t, n, view, fulls, diffs)     VC_sd piggyback grant applied;
                                          fulls/diffs = ((page, digest), …)
 
-Under PDES each partition records its own nodes (all of a node's handler
-events run in its owner's partition); :meth:`AccessRecorder.merged` k-way
-merges the shards by timestamp, stable in partition order — the same scheme
-:meth:`repro.obs.tracer.EventTracer.merged` uses.
-
 The checker is deliberately *lenient where delivery order is concurrent*: a
 full-page install credits the union of the source's incorporated set (the
 source may have applied further diffs between its reply and the install),
@@ -73,7 +68,6 @@ See docs/observability.md ("Consistency oracle") for the worked example.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
@@ -169,25 +163,6 @@ class AccessRecorder:
              tuple((pid, page_digest(data)) for pid, data in fulls),
              tuple((pid, page_digest(data)) for pid, data in diffs))
         )
-
-    # -- PDES history merging ---------------------------------------------------
-
-    @classmethod
-    def merged(cls, parts: "list[AccessRecorder]") -> "AccessRecorder":
-        """K-way merge per-partition histories by timestamp.
-
-        Each partition records only its own nodes' events (a node's handler
-        events all run in its owner's partition), so the streams are
-        disjoint by node; ``heapq.merge`` is stable, so ties keep partition
-        order — the same discipline :meth:`EventTracer.merged` uses, and
-        sufficient here because every cross-node rule in the checker spans
-        at least one network latency.
-        """
-        out = cls()
-        out.events.extend(
-            heapq.merge(*(p.events for p in parts), key=lambda ev: ev[1])
-        )
-        return out
 
     def __len__(self) -> int:
         return len(self.events)
@@ -315,7 +290,7 @@ def check_history(
 ) -> OracleReport:
     """Replay a recorded history and verify the protocol family's contract.
 
-    Accepts an :class:`AccessRecorder` (serial or PDES-merged) or a bare
+    Accepts an :class:`AccessRecorder` or a bare
     event list (the mutation tests edit recorded lists directly).  Returns
     an :class:`OracleReport`; ``report.ok`` is the pass/fail bit and
     ``report.findings`` the structured violations.

@@ -78,7 +78,7 @@ class MetricDelta:
 
 @dataclass
 class Comparison:
-    kind: str  # "hotpath", "sweep", or "pdes"
+    kind: str  # "hotpath" or "sweep"
     base_label: str
     new_label: str
     deltas: list[MetricDelta] = field(default_factory=list)
@@ -129,8 +129,6 @@ def _report_kind(doc: dict) -> str:
     bench = doc.get("benchmark")
     if bench == "sweep":
         return "sweep"
-    if bench == "pdes":
-        return "pdes"
     if bench == "faults_degradation":
         return "degradation"
     if isinstance(doc.get("protocols"), dict):
@@ -243,9 +241,7 @@ def compare_reports(
     cmp = Comparison(kind=kind, base_label=base_label, new_label=new_label)
     deltas = cmp.deltas
 
-    if kind == "pdes":
-        _compare_pdes(base, new, tolerance, deltas)
-    elif kind == "hotpath":
+    if kind == "hotpath":
         exact = ("sim_time_seconds", "verified", "table_row", "message_mix")
         old_entries = base.get("protocols", {})
         new_entries = new.get("protocols", {})
@@ -283,88 +279,6 @@ def compare_reports(
             if key not in old_cells:
                 deltas.append(MetricDelta(key, "cell", "missing", "present", CHANGED))
     return cmp
-
-
-def _compare_pdes(base: dict, new: dict, tolerance: float, deltas: list) -> None:
-    """BENCH_pdes.json: conformance is all-simulated (exact) apart from the
-    event counts (informational); scaling mixes deterministic window
-    accounting (exact) with host wall time (gated).
-
-    A quick (reduced-matrix) report on either side downgrades missing cells
-    to CHANGED — quick runs deliberately cover a subset.  Differing
-    ``batching`` settings make the window accounting incomparable, so those
-    fields are skipped (with a CHANGED marker) rather than failed.
-    """
-    reduced = bool(new.get("quick")) != bool(base.get("quick"))
-    miss_status = CHANGED if reduced else REGRESSED
-    miss_note = "reduced (quick) matrix" if reduced else "coverage lost"
-    comparable = base.get("batching", True) == new.get("batching", True)
-    if not comparable:
-        deltas.append(MetricDelta(
-            "(config)", "batching", base.get("batching", True),
-            new.get("batching", True), CHANGED,
-            "window accounting not comparable across batching settings",
-        ))
-
-    def conf_key(c: dict) -> str:
-        return "/".join(
-            str(c.get(k)) for k in ("app", "protocol", "variant", "nprocs")
-        )
-
-    exact = ("fingerprint", "pdes_fingerprint", "sim_time_seconds", "match")
-    old_cells = {conf_key(c): c for c in base.get("conformance", {}).get("cells", [])}
-    new_cells = {conf_key(c): c for c in new.get("conformance", {}).get("cells", [])}
-    for key, old_cell in old_cells.items():
-        new_cell = new_cells.get(key)
-        if new_cell is None:
-            deltas.append(MetricDelta(key, "cell", "present", "missing",
-                                      miss_status, miss_note))
-            continue
-        for f in exact:
-            deltas.append(_exact_delta(key, f, old_cell.get(f), new_cell.get(f)))
-        for f in ("events_serial", "events_pdes"):
-            deltas.append(_ratio_delta(key, f, old_cell.get(f), new_cell.get(f),
-                                       None, higher_is_better=False))
-    for key in new_cells:
-        if key not in old_cells:
-            deltas.append(MetricDelta(key, "cell", "missing", "present", CHANGED))
-
-    old_s, new_s = base.get("scaling", {}), new.get("scaling", {})
-    skey = f"halo/{old_s.get('nprocs')}p"
-    if old_s.get("nprocs") != new_s.get("nprocs"):
-        deltas.append(MetricDelta(
-            "halo", "nprocs", old_s.get("nprocs"), new_s.get("nprocs"),
-            miss_status if not reduced else CHANGED, "scaling point differs",
-        ))
-        return
-    deltas.append(_exact_delta(skey, "sim_time_seconds",
-                               old_s.get("sim_time_seconds"),
-                               new_s.get("sim_time_seconds")))
-    old_serial = old_s.get("serial") or {}
-    new_serial = new_s.get("serial") or {}
-    _compare_host(f"{skey}/serial", old_serial, new_serial, tolerance, deltas)
-    window_fields = ("windows", "elided_windows", "leased_windows", "frame_bytes")
-    old_parts = {p.get("workers"): p for p in old_s.get("partitioned", [])}
-    new_parts = {p.get("workers"): p for p in new_s.get("partitioned", [])}
-    for workers, old_p in old_parts.items():
-        pkey = f"{skey}/x{workers}"
-        new_p = new_parts.get(workers)
-        if new_p is None:
-            deltas.append(MetricDelta(pkey, "entry", "present", "missing",
-                                      miss_status, miss_note))
-            continue
-        deltas.append(_exact_delta(pkey, "output_matches",
-                                   old_p.get("output_matches"),
-                                   new_p.get("output_matches")))
-        if comparable:
-            for f in window_fields:
-                if f in old_p or f in new_p:
-                    deltas.append(_exact_delta(pkey, f, old_p.get(f), new_p.get(f)))
-        _compare_host(pkey, old_p, new_p, tolerance, deltas)
-    for workers in new_parts:
-        if workers not in old_parts:
-            deltas.append(MetricDelta(f"{skey}/x{workers}", "entry",
-                                      "missing", "present", CHANGED))
 
 
 # -- trend tracking ----------------------------------------------------------------
@@ -454,29 +368,6 @@ def _flatten(doc: dict, kind: str) -> dict:
             put(key, "wall_seconds", cell.get("wall_seconds"), GATE_THROUGHPUT)
             put(key, "events", cell.get("events"), GATE_INFO)
         put("(total)", "wall_seconds", doc.get("wall_seconds"), GATE_THROUGHPUT)
-    elif kind == "pdes":
-        for cell in (doc.get("conformance") or {}).get("cells", []):
-            key = "/".join(str(cell.get(k)) for k in
-                           ("app", "protocol", "variant", "nprocs"))
-            put(key, "fingerprint", cell.get("fingerprint"), GATE_EXACT)
-            put(key, "pdes_fingerprint", cell.get("pdes_fingerprint"), GATE_EXACT)
-            put(key, "match", cell.get("match"), GATE_EXACT)
-            # window accounting depends on the batching setting, which may
-            # differ between revisions: informational in trend mode
-            for f in ("windows", "elided_windows", "leased_windows"):
-                put(key, f, cell.get(f), GATE_INFO)
-        scaling = doc.get("scaling") or {}
-        skey = f"halo/{scaling.get('nprocs')}p"
-        put(skey, "sim_time_seconds", scaling.get("sim_time_seconds"), GATE_EXACT)
-        runs = [(f"{skey}/serial", scaling.get("serial") or {})]
-        for part in scaling.get("partitioned", []):
-            pkey = f"{skey}/x{part.get('workers')}"
-            put(pkey, "output_matches", part.get("output_matches"), GATE_EXACT)
-            runs.append((pkey, part))
-        for rkey, run in runs:
-            put(rkey, "wall_seconds", run.get("wall_seconds"), GATE_THROUGHPUT)
-            put(rkey, "events", run.get("events"), GATE_INFO)
-            put(rkey, "events_per_sec", run.get("events_per_sec"), GATE_INFO)
     elif kind == "degradation":
         for cell in doc.get("grid", []):
             key = f"{cell.get('protocol')}/loss={cell.get('loss_rate')}"

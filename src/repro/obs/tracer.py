@@ -196,54 +196,6 @@ class EventTracer:
         self._dispatch.pop(pid, None)
         self.events.append(("E", t, pid, "dispatch", "handler", None, None))
 
-    # -- PDES trace merging --------------------------------------------------------
-
-    @classmethod
-    def merged(cls, parts: "list[EventTracer]") -> "EventTracer":
-        """Merge per-partition tracers from a partitioned (PDES) run.
-
-        Each partition traces only its own nodes, so the event streams are
-        disjoint by pid; they are k-way merged by timestamp (stable in
-        partition order for ties), which keeps every ``(pid, lane)`` span
-        stack properly nested — Perfetto export and the breakdown
-        attribution work on the merged trace unchanged.
-
-        Interned message ids are re-interned through the merged tracer via
-        each partition's raw-id inverse map.  Raw ids are globally unique
-        across partitions (one shared counter inline; disjoint per-process
-        bases under fork, see :func:`repro.net.message.set_msg_id_base`), so
-        the two sides of a cross-partition message — send/tx spans on the
-        source partition, rx/dispatch spans and wake edges on the
-        destination partition — unify to a single merged id and the causal
-        graph stays connected.  Engine-global events (``pid == -1``, e.g.
-        the live-process counter) are kept from the first partition only;
-        the others would interleave partial counts into one nonsense track.
-        """
-        import heapq
-
-        out = cls()
-        invs = [{dense: raw for raw, dense in tp._mid.items()} for tp in parts]
-        streams = []
-        for idx, tp in enumerate(parts):
-            events = tp.events if idx == 0 else [e for e in tp.events if e[2] != -1]
-            streams.append([(ev, idx) for ev in events])
-        for ev, idx in heapq.merge(*streams, key=lambda item: item[0][1]):
-            args = ev[6]
-            if isinstance(args, dict) and "msg" in args:
-                args = dict(args)
-                args["msg"] = out.norm(invs[idx][args["msg"]])
-                ev = ev[:6] + (args,)
-            out.events.append(ev)
-        for idx, tp in enumerate(parts):
-            for mid, edge in tp.sends.items():
-                out.sends[out.norm(invs[idx][mid])] = edge
-        wake_streams = [
-            [(pid, t, out.norm(invs[idx][cause])) for pid, t, cause in tp.wakes]
-            for idx, tp in enumerate(parts)
-        ]
-        out.wakes.extend(heapq.merge(*wake_streams, key=lambda w: w[1]))
-        return out
-
     # -- convenience --------------------------------------------------------------
 
     def __len__(self) -> int:

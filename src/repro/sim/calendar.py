@@ -164,18 +164,6 @@ class CalendarQueue:
     def __bool__(self) -> bool:
         return self._size > 0 or self._head is not None
 
-    def __iter__(self):
-        """All pending entries, in no particular order (inspection only).
-
-        The PDES driver walks the pending set at barrier upload time to
-        compute its output bound; iteration must not disturb the queue.
-        """
-        head = self._head
-        if head is not None:
-            yield head
-        for bucket in self._buckets:
-            yield from bucket
-
     def __getitem__(self, index: int) -> Any:
         """Peek support: ``q[0]`` is the minimum entry (heap-API parity)."""
         head = self._head

@@ -314,27 +314,20 @@ class Simulator:
     ``events_processed`` counts every executed callback (the perf harness
     divides it by wall-clock seconds to get events/sec).
 
-    ``queue="calendar"`` swaps the binary heap for the array-friendly
-    calendar/bucket queue from :mod:`repro.sim.calendar`; execution order is
-    identical (property-tested), only the data structure changes.
-    ``queue="auto"`` starts on the heap and migrates to the calendar queue
-    at :meth:`run` entry once the pending population crosses
-    :attr:`AUTO_CALENDAR_THRESHOLD` — C-implemented ``heapq`` beats the
-    pure-Python calendar until its log factor bites at very large
-    populations (measured crossover ≈ 2×10⁵ pending entries), so "auto"
-    picks the measured winner for the event-count regime instead of
-    guessing.  The partitioned PDES driver uses auto-queue simulators.
-    The migration happens only between :meth:`run` calls (the run loop
-    hoists the queue into locals), and only heap→calendar.
+    ``queue="calendar"`` swaps the binary heap for the calendar/bucket queue
+    from :mod:`repro.sim.calendar`; execution order is identical
+    (property-tested), only the data structure changes.  Nothing in the
+    repository runs on it: the benchmark's own kernels measure it *slower*
+    than the C-implemented ``heapq`` at 1e5 pending entries (2,279 vs
+    1,935 ns per schedule+pop) and no cell of the matrix holds even that
+    many.  It stays constructible only because the frozen benchmark's
+    ``sim.kernel.calendar_1e5_ns`` builds one; it goes when a benchmark PR
+    drops that kernel.
     """
 
     #: maximum number of distinct-delay timer FIFO lanes before
     #: :meth:`schedule_timer` falls back to the main event queue
     MAX_TIMER_LANES = 12
-
-    #: pending-event population at which an ``queue="auto"`` simulator swaps
-    #: its heap for the calendar queue (measured heap/calendar crossover)
-    AUTO_CALENDAR_THRESHOLD = 200_000
 
     def __init__(self, queue: str = "heap") -> None:
         self.now: float = 0.0
@@ -355,22 +348,18 @@ class Simulator:
         # sync edges for the consistency oracle only when installed
         self.oracle = None
         # main event queue: entries are (t, tsched, cls, seq, fn, args)
-        if queue == "heap" or queue == "auto":
+        if queue == "heap":
             self._heap: Any = []
             self._qpush = heapq.heappush
             self._qpop = heapq.heappop
-            self.queue_active = "heap"
         elif queue == "calendar":
             from repro.sim.calendar import CalendarQueue
 
             self._heap = CalendarQueue()
             self._qpush = CalendarQueue.push
             self._qpop = CalendarQueue.pop
-            self.queue_active = "calendar"
         else:
             raise SimError(f"unknown event queue kind {queue!r}")
-        self.queue_kind = queue
-        self._auto_queue = queue == "auto"
         # timer lanes: one FIFO deque per distinct delay value (deadlines
         # within a lane are non-decreasing because `now` is), merged through
         # a small heap of lane heads; see schedule_timer
@@ -544,8 +533,6 @@ class Simulator:
             raise SimError(
                 f"run(until={until!r}) is in the past (now={self.now!r})"
             )
-        if self._auto_queue and len(self._heap) >= self.AUTO_CALENDAR_THRESHOLD:
-            self._migrate_to_calendar()
         self._running = True
         heap = self._heap
         theads = self._timer_heads
@@ -606,26 +593,6 @@ class Simulator:
             self._running = False
             self.events_processed = count
         return self.now
-
-    def _migrate_to_calendar(self) -> None:
-        """One-way heap→calendar migration for ``queue="auto"`` simulators.
-
-        Called only from :meth:`run` entry, never mid-loop (the run loop
-        hoists the queue and its pop into locals).  Entries are carried over
-        verbatim and the calendar pops in exactly the heap's total order, so
-        execution order is unchanged — only the data structure's scaling.
-        """
-        from repro.sim.calendar import CalendarQueue
-
-        cq = CalendarQueue()
-        push = cq.push
-        for entry in self._heap:
-            push(entry)
-        self._heap = cq
-        self._qpush = CalendarQueue.push
-        self._qpop = CalendarQueue.pop
-        self._auto_queue = False
-        self.queue_active = "calendar"
 
     def peek_next_time(self) -> float:
         """Earliest pending event time across all lanes (``inf`` if idle).

@@ -52,20 +52,11 @@ class ViewProfile:
 
 
 class ViewTracer:
-    """Collects view events from a run and produces a tuning report.
+    """Collects view events from a run and produces a tuning report."""
 
-    Pass ``sim=`` to run in *log mode* for partitioned (PDES) execution:
-    besides aggregating normally, the tracer journals each event with its
-    simulated timestamp so per-partition shards can later be interleaved by
-    :meth:`merged` into the exact serial event order — the same shard +
-    merge pattern :class:`repro.obs.metrics.Metrics` uses.
-    """
-
-    def __init__(self, sim=None) -> None:
+    def __init__(self) -> None:
         self.profiles: dict[int, ViewProfile] = {}
         self.events: list[dict[str, Any]] = []
-        self._sim = sim
-        self._log: list[tuple] | None = [] if sim is not None else None
 
     @classmethod
     def install(cls, system) -> "ViewTracer":
@@ -75,8 +66,6 @@ class ViewTracer:
         return tracer
 
     def record(self, **event) -> None:
-        if self._log is not None:
-            self._log.append((self._sim.now, event))
         self.events.append(event)
         profile = self.profiles.setdefault(
             event["view"], ViewProfile(view=event["view"])
@@ -91,32 +80,6 @@ class ViewTracer:
         elif event["kind"] == "grant":
             profile.grants += 1
             profile.grant_bytes += event["size"]
-
-    # -- partitioned (PDES) shard support ----------------------------------------
-
-    def detach_clock(self) -> None:
-        """Drop the simulator reference so the shard can cross a pipe."""
-        self._sim = None
-
-    @classmethod
-    def merged(cls, shards: "list[ViewTracer]") -> "ViewTracer":
-        """Interleave per-partition log-mode shards into one tracer.
-
-        Events replay through :meth:`record` in simulated-timestamp order,
-        stable in partition order at equal timestamps — the merged
-        ``events`` list and profile table are bit-identical to what one
-        serial tracer would have recorded.
-        """
-        import heapq
-
-        out = cls()
-        streams = [
-            [(t, i, event) for t, event in shard._log or ()]
-            for i, shard in enumerate(shards)
-        ]
-        for _t, _i, event in heapq.merge(*streams):
-            out.record(**event)
-        return out
 
     # -- analysis ---------------------------------------------------------------
 

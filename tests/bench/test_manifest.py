@@ -106,8 +106,7 @@ def test_perf_report_carries_manifest():
 
 @pytest.mark.parametrize(
     "name",
-    ["BENCH_hotpath.json", "BENCH_sweep.json", "BENCH_pdes.json",
-     "BENCH_faults.json"],
+    ["BENCH_hotpath.json", "BENCH_sweep.json", "BENCH_faults.json"],
 )
 def test_committed_bench_files_have_manifests(name):
     path = os.path.join(REPO_ROOT, name)

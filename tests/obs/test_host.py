@@ -1,9 +1,9 @@
 """The host-time observatory: wall-clock spans, breakdown, purity.
 
 :mod:`repro.obs.host` profiles *host* time (``time.perf_counter``, i.e.
-CLOCK_MONOTONIC) around the real work the simulated clock cannot see: the
-PDES coordinator's barrier waits and pipe I/O, the partition workers'
-execute/sync split, the sweep pool's queue waits.  The load-bearing claims:
+CLOCK_MONOTONIC) around the real work the simulated clock cannot see: a
+run's build/execute/extract/verify phases, the sweep pool's queue waits.
+The load-bearing claims:
 
 * **accounting closes** — for every process in a breakdown, the attributed
   category seconds plus ``other`` equal the process's wall time exactly
@@ -68,17 +68,15 @@ def test_end_without_begin_raises():
         host.end()
 
 
-def test_add_span_and_absorb_cross_process():
-    parent = HostProfiler("main")
-    child = HostProfiler("worker")
-    child.begin("serve", "execute")
-    child.end()
-    parent.add_span("pool", "queue-wait", "cell", 1.0, 2.5, proc="sweep")
-    parent.absorb(child)
-    # procs() lists processes that recorded spans, sorted
-    assert parent.procs() == ["sweep", "worker"]
-    assert parent.seconds("queue-wait", proc="sweep") == pytest.approx(1.5)
-    assert parent.seconds("execute", proc="worker") >= 0.0
+def test_add_span_records_under_another_process():
+    host = HostProfiler("main")
+    host.begin("run", "execute")
+    host.end()
+    host.add_span("pool", "queue-wait", "cell", 1.0, 2.5, proc="sweep")
+    # procs() lists processes that recorded spans, in first-appearance order
+    assert host.procs() == ["main", "sweep"]
+    assert host.seconds("queue-wait", proc="sweep") == pytest.approx(1.5)
+    assert host.seconds("execute", proc="main") >= 0.0
 
 
 # -- the breakdown invariant ------------------------------------------------------
@@ -113,73 +111,64 @@ def test_format_breakdown_renders_every_process():
     host = HostProfiler("main")
     host.add_span("run", TOTAL, TOTAL, 0.0, 2.0)
     host.add_span("run", "execute", "e", 0.0, 1.0)
-    child = HostProfiler("partition-0")
-    child.add_span("serve", TOTAL, TOTAL, 0.0, 1.0)
-    host.absorb(child)
+    host.add_span("pool", "run", "cell", 0.0, 1.0, proc="sweep")
     text = format_host_breakdown(host_breakdown(host))
-    assert "main" in text and "partition-0" in text
+    assert "main" in text and "sweep" in text
     assert "execute" in text and "wall" in text
 
 
-# -- fork-mode accounting closes against the measured wall clock ------------------
+# -- run_app's spans close on every way out ---------------------------------------
 
 
-def test_fork_halo_ring_breakdown_accounts_for_wall_time():
-    """The ISSUE's worked example: the 256-rank halo ring under 2 forked
-    partitions.  The main process's breakdown total must track the wall
-    clock measured *outside* the profiler, and every process's categories
-    must sum to its own wall exactly."""
-    from repro.bench.pdes import HaloConfig, halo_app
-    from repro.sim.pdes import run_partitioned
-
-    host = HostProfiler("main")
-    config = HaloConfig(steps=4, halo_words=32, compute_seconds=50e-6)
-    t0 = time.perf_counter()
-    host.begin("run", TOTAL)
-    outcome = run_partitioned(
-        halo_app, protocol="mpi", nprocs=256, config=config,
-        workers=2, mode="fork", host=host,
-    )
-    host.end()
-    wall = time.perf_counter() - t0
-    assert outcome.workers == 2
-
-    down = host_breakdown(host)
-    assert "main" in down
-    assert {"partition-0", "partition-1"} <= set(down)
-    # the profiled total may only miss the perf_counter calls themselves
-    assert down["main"]["total"] == pytest.approx(wall, rel=0.05)
-    for proc, b in down.items():
-        assert sum(b["seconds"].values()) + b["other"] == pytest.approx(
-            b["total"], rel=1e-9
-        ), proc
-    # the coordinator's real work must be visible, not lumped into other
-    assert "barrier-wait" in down["main"]["seconds"]
-    assert down["main"]["other"] < down["main"]["total"] * 0.5
-    for p in ("partition-0", "partition-1"):
-        assert {"execute", "sync-wait"} <= set(down[p]["seconds"])
-
-
-def test_fork_profiled_run_is_bit_identical():
+def test_profiled_run_breakdown_accounts_for_wall_time():
+    """The profiled total tracks the wall clock measured *outside* the
+    profiler, and the categories sum to it exactly."""
     from repro.apps import APPS
     from repro.apps.common import run_app
 
-    import hashlib
-    import json
-
-    def fp(result):
-        return hashlib.sha256(
-            json.dumps(result.table_row(), sort_keys=True).encode()
-        ).hexdigest()
-
-    plain = run_app(APPS["is"], "vc_sd", 8, pdes_workers=2, pdes_mode="fork")
     host = HostProfiler("main")
-    profiled = run_app(
-        APPS["is"], "vc_sd", 8, pdes_workers=2, pdes_mode="fork", host=host,
+    t0 = time.perf_counter()
+    run_app(APPS["is"], "vc_sd", 8, host=host)
+    wall = time.perf_counter() - t0
+
+    b = host_breakdown(host)["main"]
+    # the profiled total may only miss the perf_counter calls themselves
+    assert b["total"] == pytest.approx(wall, rel=0.05)
+    assert sum(b["seconds"].values()) + b["other"] == pytest.approx(
+        b["total"], rel=1e-9
     )
-    assert fp(profiled) == fp(plain)
-    assert profiled.time == plain.time
+    # the real work must be visible, not lumped into other
+    assert {"build", "execute", "extract", "verify"} <= set(b["seconds"])
+    assert b["other"] < b["total"] * 0.5
+
+
+def test_profiled_run_is_bit_identical():
+    from repro.apps import APPS
+    from repro.apps.common import run_app
+
+    plain = run_app(APPS["is"], "vc_sd", 8)
+    host = HostProfiler("main")
+    profiled = run_app(APPS["is"], "vc_sd", 8, host=host)
+    assert profiled.table_row() == plain.table_row()
+    assert profiled.time == plain.time and profiled.events == plain.events
     assert host.spans  # and it actually recorded something
+
+
+def test_aborted_run_closes_every_host_span():
+    """An aborted run used to leave ``("run", "total")`` open: the bare
+    ``end()`` in ``run_app``'s ``finally`` closed the still-open ``execute``
+    span instead, and the breakdown silently fell back to the envelope."""
+    from repro.apps import APPS
+    from repro.apps.common import run_app
+    from repro.faults import RunAborted
+    from repro.net.config import NetConfig
+
+    host = HostProfiler("main")
+    with pytest.raises(RunAborted):
+        run_app(APPS["is"], "lrc_d", 2,
+                netcfg=NetConfig(random_drop_prob=1.0), host=host)
+    assert host._open == []
+    assert [s[2] for s in host.spans] == ["build", "execute", TOTAL]
 
 
 # -- merged export ----------------------------------------------------------------
@@ -229,10 +218,7 @@ def test_merged_chrome_trace_validates_and_separates_clock_domains():
 
     tracer = EventTracer()
     host = HostProfiler("main")
-    run_app(
-        APPS["is"], "vc_sd", 8, tracer=tracer, host=host,
-        pdes_workers=2, pdes_mode="inline",
-    )
+    run_app(APPS["is"], "vc_sd", 8, tracer=tracer, host=host)
     doc = merged_chrome_trace(tracer, host)
     validate_chrome_trace(doc)
     pids = {e["pid"] for e in doc["traceEvents"] if "pid" in e}

@@ -11,8 +11,6 @@ The oracle's value rests on two properties, and both are pinned here:
   expected finding kind.
 """
 
-import collections
-
 import numpy as np
 import pytest
 
@@ -250,18 +248,3 @@ def test_page_digest_accepts_arrays_and_bytes():
     assert page_digest(arr) == page_digest(arr.tobytes())
     assert page_digest(arr) != page_digest(b"\x00" * 16)
     assert len(page_digest(arr)) == 16  # blake2b, digest_size=8, hex
-
-
-def test_merged_shards_reproduce_the_serial_history(lrc_history):
-    """Splitting by node and re-merging is multiset-identical and clean."""
-    even, odd = AccessRecorder(), AccessRecorder()
-    for ev in lrc_history:
-        (even if ev[2] % 2 == 0 else odd).events.append(ev)
-    merged = AccessRecorder.merged([even, odd])
-    assert len(merged) == len(lrc_history)
-    assert collections.Counter(merged.events) == collections.Counter(lrc_history)
-    # timestamps are non-decreasing after the k-way merge
-    times = [ev[1] for ev in merged.events]
-    assert times == sorted(times)
-    report = check_history(merged, nprocs=4, protocol="lrc_d")
-    assert report.verdict == "clean"

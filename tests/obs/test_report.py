@@ -220,111 +220,3 @@ def test_cli_report_unreadable_input_exits_two(tmp_path, capsys):
     a = _write(tmp_path, "a.json", hotpath_doc())
     assert main(["report", a, str(tmp_path / "missing.json")]) == 2
     assert "error" in capsys.readouterr().err
-
-
-# -- pdes reports ------------------------------------------------------------------
-
-
-def pdes_doc():
-    return {
-        "benchmark": "pdes",
-        "host_cpus": 4,
-        "quick": False,
-        "batching": True,
-        "conformance": {
-            "workers": 2, "mode": "fork", "batching": True, "all_match": True,
-            "cells": [
-                {"app": "is", "protocol": "lrc_d", "variant": "base",
-                 "nprocs": 8, "fingerprint": "aa11", "pdes_fingerprint": "aa11",
-                 "sim_time_seconds": 1.5, "events_serial": 100,
-                 "events_pdes": 108, "match": True},
-            ],
-        },
-        "scaling": {
-            "app": "halo-ring", "nprocs": 256, "sim_time_seconds": 0.0135,
-            "serial": {"wall_seconds": 0.2, "events": 59378,
-                       "events_per_sec": 300000},
-            "partitioned": [
-                {"workers": 2, "workers_effective": 2, "mode": "fork",
-                 "wall_seconds": 0.2, "events": 59634,
-                 "events_per_sec": 290000, "windows": 75,
-                 "elided_windows": 41, "leased_windows": 495,
-                 "frame_bytes": 75670, "speedup_vs_serial": 1.0,
-                 "output_matches": True},
-            ],
-        },
-    }
-
-
-def test_identical_pdes_reports_are_identical():
-    cmp = compare_reports(pdes_doc(), pdes_doc())
-    assert cmp.kind == "pdes"
-    assert not cmp.regressions
-    assert all(d.status == "ok" for d in cmp.deltas)
-
-
-def test_pdes_window_accounting_drift_regresses():
-    new = pdes_doc()
-    new["scaling"]["partitioned"][0]["windows"] = 170
-    new["scaling"]["partitioned"][0]["leased_windows"] = 0
-    cmp = compare_reports(pdes_doc(), new)
-    assert cmp.regressions
-    bad = {d.metric for d in cmp.deltas if d.status == "regressed"}
-    assert bad == {"windows", "leased_windows"}
-
-
-def test_pdes_fingerprint_drift_regresses():
-    new = pdes_doc()
-    new["conformance"]["cells"][0]["pdes_fingerprint"] = "zz99"
-    new["conformance"]["cells"][0]["match"] = False
-    assert compare_reports(pdes_doc(), new).regressions
-
-
-def test_pdes_throughput_gated_by_tolerance():
-    new = pdes_doc()
-    new["scaling"]["serial"]["wall_seconds"] = 0.24  # +20%, inside 25%
-    assert not compare_reports(pdes_doc(), new).regressions
-    new["scaling"]["partitioned"][0]["wall_seconds"] = 0.6  # 3x
-    cmp = compare_reports(pdes_doc(), new)
-    assert [(d.key, d.metric) for d in cmp.regressions] == [
-        ("halo/256p/x2", "wall_seconds")]
-
-
-def test_pdes_event_counts_are_informational():
-    new = pdes_doc()
-    new["conformance"]["cells"][0]["events_serial"] = 70
-    new["conformance"]["cells"][0]["events_pdes"] = 78
-    new["scaling"]["serial"]["events"] = 40000
-    new["scaling"]["serial"]["events_per_sec"] = 200000
-    new["scaling"]["partitioned"][0]["events"] = 40256
-    cmp = compare_reports(pdes_doc(), new)
-    assert not cmp.regressions
-    moved = {d.metric for d in cmp.deltas if d.status != "ok"}
-    assert moved == {"events_serial", "events_pdes", "events", "events_per_sec"}
-
-
-def test_pdes_quick_report_downgrades_missing_cells():
-    new = pdes_doc()
-    new["quick"] = True
-    new["conformance"]["cells"] = []
-    new["scaling"]["partitioned"] = []
-    cmp = compare_reports(pdes_doc(), new)
-    assert not cmp.regressions
-    assert any(d.status == "changed" and d.new == "missing" for d in cmp.deltas)
-
-
-def test_pdes_full_report_missing_cells_regress():
-    new = pdes_doc()
-    new["conformance"]["cells"] = []
-    assert compare_reports(pdes_doc(), new).regressions
-
-
-def test_pdes_batching_mismatch_skips_window_fields():
-    new = pdes_doc()
-    new["batching"] = False
-    new["scaling"]["partitioned"][0]["windows"] = 170
-    new["scaling"]["partitioned"][0]["elided_windows"] = 0
-    cmp = compare_reports(pdes_doc(), new)
-    assert not cmp.regressions
-    assert any(d.metric == "batching" and d.status == "changed"
-               for d in cmp.deltas)

@@ -1,10 +1,8 @@
 """Calendar/bucket queue: exact order parity with the binary heap.
 
-The PDES partitions run on calendar-queue simulators while the serial
-reference runs on the heap, so any ordering divergence between the two data
-structures would break the bit-identity gate.  These tests pin pop order to
-``heapq`` on randomized schedules and on the degenerate shapes that
-historically break calendar queues.
+``Simulator(queue="calendar")`` must execute exactly the heap's order.
+These tests pin pop order to ``heapq`` on randomized schedules and on the
+degenerate shapes that historically break calendar queues.
 """
 
 import heapq
@@ -155,50 +153,3 @@ def test_simulator_calendar_windows_match_heap_windows():
         return trace, sim.events_processed
 
     assert run("calendar") == run("heap")
-
-
-def test_calendar_iter_yields_every_pending_entry():
-    """__iter__ (the PDES horizon scan's view) sees head + all buckets."""
-    cq = CalendarQueue()
-    entries = [_entry(t, i) for i, t in enumerate(
-        [5e-3, 1e-6, 2.0, 1e-6, 0.25, 7e-5])]
-    for e in entries:
-        cq.push(e)
-    assert sorted(iter(cq)) == sorted(entries)
-    popped = cq.pop()
-    assert sorted(iter(cq)) == sorted(e for e in entries if e != popped)
-    # iteration is inspection-only: pop order is undisturbed
-    rest = [cq.pop() for _ in range(len(cq))]
-    assert [popped] + rest == sorted(entries)
-
-
-def test_auto_queue_migrates_at_threshold_with_identical_order():
-    """queue="auto" flips heap→calendar at run() entry past the threshold,
-    and the trace is bit-identical to a pure heap run."""
-
-    def run(queue, threshold=None):
-        sim = Simulator(queue=queue)
-        if threshold is not None:
-            sim.AUTO_CALENDAR_THRESHOLD = threshold
-        trace = []
-
-        def worker(tag, period):
-            for _ in range(30):
-                yield Timeout(period)
-                trace.append((tag, sim.now))
-
-        for tag, period in enumerate([1e-5, 2.5e-5, 1e-4, 7e-3]):
-            sim.spawn(worker(tag, period))
-        # two run() calls: the heap only populates once the start-ups have
-        # executed, and auto migration happens at run() entry
-        sim.run(until=2e-5, inclusive=False)
-        sim.run()
-        return trace, sim.now, sim.events_processed, sim.queue_active
-
-    heap_trace = run("heap")
-    auto_low = run("auto", threshold=2)
-    auto_high = run("auto", threshold=1_000_000)
-    assert auto_low[3] == "calendar"  # migrated
-    assert auto_high[3] == "heap"  # stayed put
-    assert auto_low[:3] == heap_trace[:3]
-    assert auto_high[:3] == heap_trace[:3]

@@ -1,28 +1,19 @@
-"""Conformance and unit tests for the partitioned (PDES) driver.
+"""The partition-determinism harness: conformance grid and refusals.
 
-The load-bearing claim of :mod:`repro.sim.pdes` is *bit-identity*: a
-partitioned run produces exactly the serial run's observables — output,
-statistics row (and therefore the benchmark fingerprint), simulated time.
-The tests here check that claim on real application cells (inline mode, so
-failures give ordinary tracebacks) plus one fork-mode smoke, the refusal
-surface, and the halo-ring MPI app the scaling benchmark uses.
+The load-bearing claim of :mod:`repro.sim.pdes` is *bit-identity*: running
+the simulated nodes as K partitions on K simulators produces exactly the
+serial run's observables — output, statistics row (and therefore the
+benchmark fingerprint), simulated time — and ``(K - 1) * nprocs`` extra
+events.  The grid checks that on real application cells at 8 ranks; the
+full 18-cell matrix is ``python -m repro.bench.pdes``.
 """
-
-import hashlib
-import json
 
 import pytest
 
 from repro.apps import APPS
-from repro.apps.common import run_app
-from repro.bench.pdes import HaloConfig, _serial_halo, halo_app
+from repro.bench.pdes import check_cell
+from repro.bench.sweep import SweepCell
 from repro.sim.pdes import PdesError, partition_ranks, run_partitioned
-
-
-def _fingerprint(result) -> str:
-    return hashlib.sha256(
-        json.dumps(result.table_row(), sort_keys=True).encode()
-    ).hexdigest()
 
 
 # -- partitioning ----------------------------------------------------------------
@@ -53,61 +44,22 @@ def test_partition_ranks_rejects_zero_workers():
         ("is", "lrc_d", 2),
         ("is", "vc_sd", 3),
         ("nn", "mpi", 4),
+        ("is", "vc_d", 2),
+        ("is", "vc_d", 3),
+        ("is", "vc_sd", 2),
+        ("sor", "vc_d", 3),
+        ("gauss", "vc_sd", 8),  # single-rank partitions
+        ("nn", "vc_sd", 16),  # clamps to 8 single-rank partitions
     ],
 )
 def test_inline_conformance_bit_identical(app, protocol, workers):
-    serial = run_app(APPS[app], protocol, 8)
-    pdes = run_app(
-        APPS[app], protocol, 8, pdes_workers=workers, pdes_mode="inline"
-    )
-    assert pdes.verified
-    assert _fingerprint(pdes) == _fingerprint(serial)
-    assert pdes.time == serial.time
+    row = check_cell(SweepCell(app=app, protocol=protocol, nprocs=8), workers)
+    assert row["verified"]
+    assert row["pdes_fingerprint"] == row["fingerprint"]
+    assert row["time_equal"]  # float ==, no tolerance
     # the only event-count delta is the foreign replicas' dispatcher
     # start-ups: one per non-owned node in each partition
-    assert pdes.events == serial.events + (workers - 1) * 8
-
-
-def test_fork_mode_bit_identical():
-    serial = run_app(APPS["is"], "lrc_d", 8)
-    pdes = run_app(
-        APPS["is"], "lrc_d", 8, pdes_workers=2, pdes_mode="fork"
-    )
-    assert pdes.verified
-    assert _fingerprint(pdes) == _fingerprint(serial)
-    assert pdes.time == serial.time
-
-
-def test_traced_pdes_matches_serial_breakdown():
-    """The merged per-partition trace must attribute time exactly like the
-    serial trace (per-(pid, lane) streams are identical) and export a
-    schema-valid Chrome trace."""
-    from repro.obs import EventTracer, chrome_trace, validate_chrome_trace
-
-    t_serial, t_pdes = EventTracer(), EventTracer()
-    serial = run_app(APPS["is"], "lrc_d", 8, tracer=t_serial)
-    pdes = run_app(
-        APPS["is"], "lrc_d", 8, tracer=t_pdes,
-        pdes_workers=2, pdes_mode="inline",
-    )
-    assert pdes.breakdown == serial.breakdown
-    validate_chrome_trace(chrome_trace(t_pdes))
-
-
-# -- the halo-ring scaling app -----------------------------------------------------
-
-
-def test_halo_ring_partitions_match_serial():
-    config = HaloConfig(steps=3, halo_words=16, compute_seconds=100e-6)
-    output, sim_time, events, _ = _serial_halo(8, config)
-    outcome = run_partitioned(
-        halo_app, protocol="mpi", nprocs=8, config=config,
-        workers=16, mode="inline",  # clamps to 8 single-rank partitions
-    )
-    assert outcome.workers == 8
-    assert outcome.output == output
-    assert outcome.time == sim_time
-    assert outcome.windows > 0
+    assert row["extra_events"] == (min(workers, 8) - 1) * 8
 
 
 # -- refusal surface --------------------------------------------------------------
@@ -118,20 +70,7 @@ def test_refuses_hlrc_d():
         run_partitioned(APPS["is"], protocol="hlrc_d", nprocs=8)
 
 
-def test_refuses_faults_and_mpi_view_trace():
-    # note: contention metrics, the consistency oracle AND the view tracer
-    # are *supported* under PDES (per-partition shards merged in serial
-    # order); see tests/sim/test_pdes_observers.py.  View tracing still
-    # refuses mpi, which has no views to trace.
-    with pytest.raises(PdesError, match="fault"):
-        run_partitioned(APPS["is"], protocol="lrc_d", nprocs=8, faults=object())
-    with pytest.raises(PdesError, match="[Vv]iew"):
-        run_partitioned(
-            APPS["nn"], protocol="mpi", nprocs=8, view_trace=True
-        )
-
-
-def test_refuses_random_drop_and_bad_mode():
+def test_refuses_random_drop_and_no_lookahead():
     from repro.net.config import NetConfig
 
     with pytest.raises(PdesError, match="drop"):
@@ -139,20 +78,24 @@ def test_refuses_random_drop_and_bad_mode():
             APPS["is"], protocol="lrc_d", nprocs=8,
             netcfg=NetConfig(random_drop_prob=0.01),
         )
-    with pytest.raises(PdesError, match="mode"):
-        run_partitioned(APPS["is"], protocol="lrc_d", nprocs=8, mode="threads")
+    with pytest.raises(PdesError, match="switch_latency"):
+        run_partitioned(
+            APPS["is"], protocol="lrc_d", nprocs=8,
+            netcfg=NetConfig(switch_latency=0.0),
+        )
 
 
-# -- sweep-cache integration -------------------------------------------------------
+def test_frame_inside_an_executed_window_is_refused(monkeypatch):
+    """The loop's own safety invariant: a frame collected at a barrier must
+    arrive at or after the end of the window just executed.  Shortening the
+    recorded arrival by more than λ lands it in the past."""
+    from repro.sim.pdes import PartitionSwitch
 
+    take = PartitionSwitch.take_outbox
 
-def test_cell_key_separates_pdes_entries():
-    from repro.bench.sweep import SweepCell, cell_key
+    def early(self):
+        return [(f[0], f[1] - 3 * self.cfg.switch_latency) + f[2:] for f in take(self)]
 
-    cell = SweepCell(app="is", protocol="lrc_d", nprocs=8)
-    base = cell_key(cell, "fp")
-    assert cell_key(cell, "fp", pdes_workers=2) != base
-    assert cell_key(cell, "fp", pdes_workers=4) != cell_key(cell, "fp", pdes_workers=2)
-    # "not partitioned" spellings all recall the same serial entry
-    assert cell_key(cell, "fp", pdes_workers=None) == base
-    assert cell_key(cell, "fp", pdes_workers=1) == base
+    monkeypatch.setattr(PartitionSwitch, "take_outbox", early)
+    with pytest.raises(PdesError, match="already executed"):
+        run_partitioned(APPS["is"], protocol="lrc_d", nprocs=4)
