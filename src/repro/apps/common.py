@@ -101,7 +101,7 @@ class AppResult:
     stats: Any  # RunStats (DSM) or NetStats-like (MPI)
     time: float
     verified: bool = False
-    events: int = 0  # simulator callbacks executed (perf-harness denominator)
+    events: int = 0  # simulator callbacks executed (reported, never gated)
     breakdown: Any = None  # per-process time attribution (traced runs only)
     metrics: Any = None  # repro.obs.Metrics registry (metered runs only)
     consistency: Any = None  # oracle report JSON dict (checked sweep cells only)

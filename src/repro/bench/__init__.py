@@ -19,15 +19,4 @@ __all__ = [
     "format_stats_table",
     "format_speedup_table",
     "paper_data",
-    "run_hotpath_benchmark",
 ]
-
-
-def __getattr__(name):
-    # lazy so `python -m repro.bench.perf` doesn't re-import its own module
-    # through the package (runpy would warn about the double import)
-    if name == "run_hotpath_benchmark":
-        from repro.bench.perf import run_hotpath_benchmark
-
-        return run_hotpath_benchmark
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

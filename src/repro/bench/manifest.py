@@ -1,11 +1,10 @@
 """Common run-manifest block embedded in every BENCH report.
 
-Every benchmark writer (``perf``, ``sweep``, ``degradation``,
-``adversarial``) stamps its JSON document with a ``"manifest"`` object so a
-BENCH file is self-describing: which host/python/git revision produced it,
-a hash of the resolved configuration, and the run's wall/RSS cost.
-``python -m repro report --trend`` reads these blocks to label trend columns
-and to refuse apples-to-oranges comparisons loudly instead of silently.
+Every benchmark writer (``sweep``, ``degradation``, ``adversarial``) stamps
+its JSON document with a ``"manifest"`` object so a BENCH file is
+self-describing: which host/python/git revision produced it, a hash of the
+resolved configuration, and the run's wall/RSS cost.  ``python -m repro
+report`` reads these blocks to label its revision columns.
 
 The manifest never participates in the simulated fingerprints — those hash
 only ``table_row()`` — so adding it to a writer cannot change any committed

@@ -16,26 +16,18 @@ flags and writes no file — the result is the exit code.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 
 from repro.apps import APPS
 from repro.apps.common import AppResult, run_app
-from repro.bench.sweep import SweepCell, default_cells
+from repro.bench.sweep import SweepCell, default_cells, row_fingerprint
 from repro.sim.pdes import run_partitioned
 
 __all__ = ["WORKERS", "check_cell", "main"]
 
 #: partitions per cell
 WORKERS = 2
-
-
-def _row_fingerprint(result: AppResult) -> str:
-    """Same hash :meth:`repro.bench.sweep.CellResult.fingerprint` commits."""
-    return hashlib.sha256(
-        json.dumps(result.table_row(), sort_keys=True).encode()
-    ).hexdigest()[:16]
 
 
 def check_cell(cell: SweepCell, workers: int = WORKERS) -> dict:
@@ -48,8 +40,8 @@ def check_cell(cell: SweepCell, workers: int = WORKERS) -> dict:
                           variant=cell.variant, workers=workers)
     parted = AppResult(cell.protocol, cell.nprocs, out.output, out.stats, out.time)
     row = {
-        "fingerprint": _row_fingerprint(serial),
-        "pdes_fingerprint": _row_fingerprint(parted),
+        "fingerprint": row_fingerprint(serial.table_row()),
+        "pdes_fingerprint": row_fingerprint(parted.table_row()),
         "time_equal": serial.time == out.time,
         "extra_events": out.events - serial.events,
         "expected_extra_events": (out.workers - 1) * cell.nprocs,

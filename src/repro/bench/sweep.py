@@ -46,6 +46,7 @@ __all__ = [
     "SweepReport",
     "ResultCache",
     "code_fingerprint",
+    "row_fingerprint",
     "cell_key",
     "run_sweep",
     "default_cells",
@@ -56,6 +57,13 @@ __all__ = [
 
 DEFAULT_OUTPUT = "BENCH_sweep.json"
 DEFAULT_CACHE_DIR = os.path.join(".cache", "sweep")
+
+
+def row_fingerprint(table_row: dict) -> str:
+    """The 16-hex determinism fingerprint of one simulated statistics row."""
+    return hashlib.sha256(
+        json.dumps(table_row, sort_keys=True).encode()
+    ).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -95,9 +103,7 @@ class CellResult:
 
     def fingerprint(self) -> str:
         """Determinism fingerprint: hash of the simulated statistics row."""
-        return hashlib.sha256(
-            json.dumps(self.result.table_row(), sort_keys=True).encode()
-        ).hexdigest()[:16]
+        return row_fingerprint(self.result.table_row())
 
 
 @dataclass

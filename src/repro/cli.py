@@ -4,50 +4,60 @@ Commands
 --------
 ``run APP``
     Run one application on one protocol and print the paper-style statistics
-    row (``--protocol``, ``--nprocs``, ``--variant``).
+    row (``--protocol``, ``--nprocs``, ``--variant``).  Every observer is a
+    flag of this one command:
+
+    * ``--trace`` records structured events and prints where the time went
+      (per-process breakdown, message mix); ``--trace-out`` /
+      ``--jsonl-out`` export a Chrome trace / JSONL event log and
+      ``--critical-path`` walks the causal critical path (each implies
+      ``--trace``); see docs/observability.md.
+    * ``--metrics`` / ``--metrics-out`` collect contention metrics.
+    * ``--check-consistency`` records the access history and machine-checks
+      it against the protocol family's memory model (the consistency oracle,
+      :mod:`repro.obs.oracle`); exit code 4 when the oracle finds
+      violations, ``--findings-out`` dumps the structured findings as JSON.
+    * ``--host-trace`` records *wall-clock* spans of the real work (build,
+      execute, extract, verify) and prints a host-time breakdown whose
+      categories sum to measured wall time; with ``--trace-out`` the host
+      spans export as a second Perfetto process stream merged with the
+      simulated trace.
+    * ``--faults PLAN.json`` installs a scripted
+      :class:`repro.faults.FaultPlan` and ``--drop-prob P`` seeded uniform
+      random loss; see docs/robustness.md.  ``--faults-out PATH`` dumps the
+      exact active plan before the run, so any failure leaves a one-command
+      repro artifact behind.  A run that cannot complete — retry budget
+      exhausted or a fail-stop crash episode — prints a one-screen
+      structured diagnostic (including the active fault plan and seeds) and
+      exits with code 3 instead of a traceback; with the oracle on, the
+      partial history is still checked (and exit 4 beats exit 3).
 ``check APP``
-    Run one application with access-history recording and machine-check the
-    recorded read/write history against the protocol family's memory model
-    (the consistency oracle, :mod:`repro.obs.oracle`).  Exit code 4 when the
-    oracle finds violations; ``--findings-out`` dumps the structured
-    findings as JSON.  ``run``/``trace`` accept ``--check-consistency`` to
-    piggyback the same check on a normal run, and ``sweep`` accepts it to
-    check every matrix (or degradation-grid) cell.
+    ``run`` preset: ``--check-consistency`` on, 8 processors by default.
+``trace APP``
+    ``run`` preset: ``--trace`` on, 8 processors by default.
 ``table N``
     Regenerate paper table N (1–9) and print it with the paper's published
     values alongside.
 ``sweep APP``
     Print a speedup table for an application across processor counts.
     ``sweep --faults [PLAN.json]`` instead runs the fault-degradation grid
-    (slowdown vs loss rate per protocol) and writes ``BENCH_faults.json``.
-``trace APP``
-    Run one application with event tracing: per-process time breakdown,
-    message mix, optional causal critical path (``--critical-path``),
-    contention metrics (``--metrics``, ``--metrics-out``) and
-    Chrome-trace/JSONL export (``--trace-out``, ``--jsonl-out``); see
-    docs/observability.md.
+    (slowdown vs loss rate per protocol) and writes ``BENCH_faults.json``;
+    ``--check-consistency`` checks every matrix (or grid) cell.
 ``profile APP``
     Run one application under ``cProfile`` and print the hottest functions
     (``--top``, ``--sort``); ``--profile-out`` dumps the raw stats for
-    snakeviz/pstats.  This is the host-CPU view the events/sec work uses —
-    ``trace`` attributes *simulated* time, ``profile`` attributes *wall*
-    time inside the engine and protocol code.
+    snakeviz/pstats.  ``--trace`` attributes *simulated* time, ``profile``
+    attributes *wall* time inside the engine and protocol code.
 ``report SPEC SPEC [SPEC ...]``
-    With two specs: compare two benchmark reports (files or
-    ``git:REV[:path]`` specs) and flag regressions; ``--check`` makes
-    regressions a non-zero exit for CI.  With ``--trend``: track every
-    metric across N reports ordered oldest -> newest (terminal table,
-    ``--html`` sparkline dashboard), gating each consecutive pair with the
-    same exact-simulated / tolerance-gated-wall-time semantics.
-
-``run``/``trace`` accept ``--host-trace`` to record *wall-clock* spans of
-the real work (build, execute, extract, verify) and print a host-time
-breakdown whose categories sum to measured wall time; with ``--trace-out``
-the host spans export as a second Perfetto process stream merged with the
-simulated trace.
+    Track every number of N >= 2 same-kind reports (files or
+    ``git:REV[:path]`` specs, oldest first: ``BENCH_sweep.json``,
+    ``BENCH_faults.json`` or a ``benchmarks/e2e`` results file) and flag
+    regressions over each consecutive pair — simulated statistics exactly,
+    the gated host numbers at ``--throughput-tolerance``; ``--check`` makes
+    regressions a non-zero exit for CI, ``--html`` writes a sparkline
+    dashboard.
 ``list``
     Show the available applications, protocols, variants and tables.
-
 ``adversary APP``
     Seeded, deterministic adversarial search over the fault-plan space
     (:mod:`repro.faults.adversary`): evolve a :class:`repro.faults.FaultPlan`
@@ -57,15 +67,6 @@ simulated trace.
     committed ``BENCH_adversarial.json`` report.  Exit code 4 if the search
     finds a consistency violation (a protocol bug, the jackpot fitness
     class).
-
-``run``, ``check`` and ``trace`` accept ``--faults PLAN.json`` (a scripted
-:class:`repro.faults.FaultPlan`) and ``--drop-prob P`` (seeded uniform
-random loss); see docs/robustness.md.  ``--faults-out PATH`` dumps the
-exact active plan before the run, so any failure leaves a one-command
-repro artifact behind.  A run that cannot complete — retry budget
-exhausted or a fail-stop crash episode — prints a one-screen structured
-diagnostic (including the active fault plan and seeds) and exits with
-code 3 instead of a traceback.
 """
 
 from __future__ import annotations
@@ -87,17 +88,24 @@ VARIANTS = {
 }
 
 
+def _mpi_unsupported(app_name: str, protocols) -> bool:
+    """Say so (and return True) when ``mpi`` is asked of an app without it."""
+    if "mpi" in protocols and not hasattr(APPS[app_name], "run_mpi"):
+        print(f"error: {app_name} has no MPI version (only nn does)", file=sys.stderr)
+        return True
+    return False
+
+
 def _load_faults(args: argparse.Namespace):
     """Resolve --faults PLAN.json into a FaultPlan (or None)."""
-    path = getattr(args, "faults", None)
-    if not path:
+    if not args.faults:
         return None
     from repro.faults import FaultPlan, FaultPlanError
 
     try:
-        return FaultPlan.load(path)
+        return FaultPlan.load(args.faults)
     except (OSError, FaultPlanError) as exc:
-        raise SystemExit(f"error: --faults {path}: {exc}") from exc
+        raise SystemExit(f"error: --faults {args.faults}: {exc}") from exc
 
 
 def _dump_faults_out(args: argparse.Namespace, plan) -> None:
@@ -106,59 +114,43 @@ def _dump_faults_out(args: argparse.Namespace, plan) -> None:
     Written *before* the run so even an aborted (or crashed) run leaves the
     one-command repro artifact behind: ``--faults <dumped file>`` replays it.
     """
-    out = getattr(args, "faults_out", None)
-    if not out:
+    if not args.faults_out:
         return
     from repro.faults import FaultPlan
 
-    (plan if plan is not None else FaultPlan()).dump(out)
-    print(f"wrote active fault plan to {out}")
+    (plan if plan is not None else FaultPlan()).dump(args.faults_out)
+    print(f"wrote active fault plan to {args.faults_out}")
 
 
 def _netcfg_override(args: argparse.Namespace):
     """Build a NetConfig when --drop-prob / --drop-seed are given."""
-    drop_prob = getattr(args, "drop_prob", None)
-    drop_seed = getattr(args, "drop_seed", None)
-    if drop_prob is None and drop_seed is None:
+    if args.drop_prob is None and args.drop_seed is None:
         return None
     from repro.net.config import NetConfig
 
     kw = {}
-    if drop_prob is not None:
-        if not (0.0 <= drop_prob <= 1.0):
-            raise SystemExit(f"error: --drop-prob must be in [0, 1], got {drop_prob}")
-        kw["random_drop_prob"] = drop_prob
-    if drop_seed is not None:
-        kw["drop_seed"] = drop_seed
+    if args.drop_prob is not None:
+        if not (0.0 <= args.drop_prob <= 1.0):
+            raise SystemExit(
+                f"error: --drop-prob must be in [0, 1], got {args.drop_prob}")
+        kw["random_drop_prob"] = args.drop_prob
+    if args.drop_seed is not None:
+        kw["drop_seed"] = args.drop_seed
     return NetConfig(**kw)
 
 
-def _net_snapshot(stats) -> dict | None:
-    """Network counters of a run (RunStats embeds NetStats; MPI has it bare)."""
-    net = getattr(stats, "net", stats)
-    return net.snapshot() if hasattr(net, "snapshot") else None
-
-
 def _print_message_mix(stats) -> None:
-    snap = _net_snapshot(stats)
-    if not snap or not snap["by_kind"]:
+    # RunStats embeds NetStats; MPI has it bare
+    by_kind = getattr(stats, "net", stats).snapshot()["by_kind"]
+    if not by_kind:
         return
     print()
     print("Message mix")
     print("-----------")
-    mix = sorted(snap["by_kind"].items(), key=lambda kv: (-kv[1]["bytes"], kv[0]))
+    mix = sorted(by_kind.items(), key=lambda kv: (-kv[1]["bytes"], kv[0]))
     for kind, rec in mix:
         name = kind.split(".", 1)[-1]
         print(f"  {name:<20} {rec['count']:>8} msgs  {rec['bytes']:>12,} bytes")
-
-
-def _make_oracle(args: argparse.Namespace):
-    """An AccessRecorder when --check-consistency / --findings-out ask for one."""
-    if getattr(args, "check_consistency", False) or getattr(args, "findings_out", None):
-        from repro.obs.oracle import AccessRecorder
-
-        return AccessRecorder()
-    return None
 
 
 def _check_consistency(
@@ -171,17 +163,16 @@ def _check_consistency(
     report = check_history(oracle, nprocs=nprocs, protocol=protocol, aborted=aborted)
     print()
     print(format_oracle_report(report))
-    out = getattr(args, "findings_out", None)
-    if out:
-        report.write_json(out)
-        print(f"wrote consistency findings to {out}")
+    if args.findings_out:
+        report.write_json(args.findings_out)
+        print(f"wrote consistency findings to {args.findings_out}")
     return EXIT_CONSISTENCY if report.verdict == "violations" else 0
 
 
-def _write_trace_outputs(tracer, args: argparse.Namespace, host=None) -> None:
+def _write_trace_outputs(tracer, args: argparse.Namespace, host) -> None:
     from repro.obs import write_chrome_trace, write_jsonl, write_merged_chrome_trace
 
-    if getattr(args, "trace_out", None):
+    if args.trace_out:
         # the writers schema-check in the pass that writes and leave no file
         # behind on failure: an unbalanced trace (a span opened but never
         # closed) silently renders wrong in Perfetto, so fail loudly
@@ -195,61 +186,42 @@ def _write_trace_outputs(tracer, args: argparse.Namespace, host=None) -> None:
                 print(f"wrote Chrome trace to {args.trace_out} (open in https://ui.perfetto.dev)")
         except ValueError as exc:
             raise SystemExit(f"error: trace failed schema validation: {exc}") from exc
-    if getattr(args, "jsonl_out", None) and tracer is not None:
+    if args.jsonl_out:
         write_jsonl(tracer, args.jsonl_out)
         print(f"wrote JSONL events to {args.jsonl_out}")
 
 
-def _make_host(args: argparse.Namespace):
-    """A HostProfiler when --host-trace asks for one."""
-    if getattr(args, "host_trace", False):
-        from repro.obs import HostProfiler
-
-        return HostProfiler("main")
-    return None
-
-
-def _print_host_breakdown(host) -> None:
-    if host is None:
-        return
-    from repro.obs import format_host_breakdown, host_breakdown
-
-    print()
-    print(format_host_breakdown(host_breakdown(host)))
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    app = APPS[args.app]
-    if args.protocol == "mpi" and not hasattr(app, "run_mpi"):
-        print(f"error: {args.app} has no MPI version (only nn does)", file=sys.stderr)
+    """The one run body; ``check`` and ``trace`` are presets of its flags."""
+    if _mpi_unsupported(args.app, (args.protocol,)):
         return 2
-    tracer = view_tracer = metrics = None
-    if args.trace or args.trace_out:
-        from repro.obs import EventTracer
+    if args.trace_views and args.protocol not in ("vc_d", "vc_sd"):
+        print(
+            "error: --trace-views records VOPP view events; "
+            "use --protocol vc_d or vc_sd",
+            file=sys.stderr,
+        )
+        return 2
+    from repro import obs
 
-        tracer = EventTracer()
+    tracer = view_tracer = metrics = oracle = host = None
+    if args.trace or args.trace_out or args.jsonl_out or args.critical_path:
+        tracer = obs.EventTracer()
     if args.metrics or args.metrics_out:
-        from repro.obs import Metrics
-
-        metrics = Metrics()
+        metrics = obs.Metrics()
     if args.trace_views:
-        if args.protocol not in ("vc_d", "vc_sd"):
-            print(
-                "error: --trace-views records VOPP view events; "
-                "use --protocol vc_d or vc_sd",
-                file=sys.stderr,
-            )
-            return 2
         from repro.tools.tracer import ViewTracer
 
         view_tracer = ViewTracer()
-    oracle = _make_oracle(args)
-    host = _make_host(args)
+    if args.check_consistency or args.findings_out:
+        oracle = obs.AccessRecorder()
+    if args.host_trace:
+        host = obs.HostProfiler("main")
     plan = _load_faults(args)
     _dump_faults_out(args, plan)
     try:
         result = run_app(
-            app,
+            APPS[args.app],
             args.protocol,
             args.nprocs,
             variant=args.variant,
@@ -276,138 +248,35 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"{args.app} on {args.protocol}, {args.nprocs} processors ({status})")
     for key, value in result.table_row().items():
         print(f"  {key:<24} {value}")
-    if result.breakdown is not None:
-        from repro.obs import format_breakdown
-
+    if tracer is not None:
         print()
-        print(format_breakdown(result.breakdown))
-    _print_host_breakdown(host)
-    if tracer is not None or host is not None:
-        _write_trace_outputs(tracer, args, host=host)
+        print(obs.flame_summary(tracer))
+        _print_message_mix(result.stats)
+        if args.critical_path:
+            print()
+            print(obs.format_critical_path(obs.compute_critical_path(tracer)))
     if metrics is not None:
-        from repro.obs import format_contention
-
         print()
-        print(format_contention(metrics))
+        print(obs.format_contention(metrics))
         if args.metrics_out:
             metrics.write_json(args.metrics_out)
             print(f"wrote metrics snapshot to {args.metrics_out}")
     if view_tracer is not None:
         print()
         print(view_tracer.report())
-    if oracle is not None:
-        return _check_consistency(oracle, args.protocol, args.nprocs, args)
-    return 0
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    """Record one run's access history and verify the memory-model contract."""
-    app = APPS[args.app]
-    if args.protocol == "mpi" and not hasattr(app, "run_mpi"):
-        print(f"error: {args.app} has no MPI version (only nn does)", file=sys.stderr)
-        return 2
-    from repro.obs.oracle import AccessRecorder
-
-    oracle = AccessRecorder()
-    aborted = False
-    plan = _load_faults(args)
-    _dump_faults_out(args, plan)
-    try:
-        result = run_app(
-            app,
-            args.protocol,
-            args.nprocs,
-            variant=args.variant,
-            verify=not args.no_verify,
-            netcfg=_netcfg_override(args),
-            oracle=oracle,
-            faults=plan,
-        )
-    except RunAborted as exc:
-        # check the partial history anyway: injected faults may abort a run
-        # but must never corrupt the consistency of what did execute
-        aborted = True
-        print(format_failure(exc.failure), file=sys.stderr)
-    else:
-        status = (
-            "verified against sequential reference"
-            if result.verified
-            else "NOT verified"
-        )
-        print(f"{args.app} on {args.protocol}, {args.nprocs} processors ({status})")
-    code = _check_consistency(oracle, args.protocol, args.nprocs, args, aborted=aborted)
-    if code:
-        return code
-    return EXIT_RUN_FAILURE if aborted else 0
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    app = APPS[args.app]
-    if args.protocol == "mpi" and not hasattr(app, "run_mpi"):
-        print(f"error: {args.app} has no MPI version (only nn does)", file=sys.stderr)
-        return 2
-    from repro.obs import EventTracer, Metrics, flame_summary
-
-    tracer = EventTracer()
-    metrics = Metrics() if (args.metrics or args.metrics_out) else None
-    oracle = _make_oracle(args)
-    host = _make_host(args)
-    plan = _load_faults(args)
-    _dump_faults_out(args, plan)
-    try:
-        result = run_app(
-            app,
-            args.protocol,
-            args.nprocs,
-            variant=args.variant,
-            verify=not args.no_verify,
-            netcfg=_netcfg_override(args),
-            tracer=tracer,
-            metrics=metrics,
-            oracle=oracle,
-            faults=plan,
-            host=host,
-        )
-    except RunAborted as exc:
-        if oracle is None:
-            raise
-        print(format_failure(exc.failure), file=sys.stderr)
-        code = _check_consistency(
-            oracle, args.protocol, args.nprocs, args, aborted=True
-        )
-        return code or EXIT_RUN_FAILURE
-    print(
-        f"{args.app} on {args.protocol}, {args.nprocs} processors "
-        f"— {result.time:.6f} simulated seconds, {len(tracer.events)} trace events"
-    )
-    print()
-    print(flame_summary(tracer))
-    _print_message_mix(result.stats)
-    if args.critical_path:
-        from repro.obs import compute_critical_path, format_critical_path
-
+    if host is not None:
         print()
-        print(format_critical_path(compute_critical_path(tracer)))
-    if metrics is not None:
-        from repro.obs import format_contention
-
-        print()
-        print(format_contention(metrics))
-        if args.metrics_out:
-            metrics.write_json(args.metrics_out)
-            print(f"wrote metrics snapshot to {args.metrics_out}")
-    _print_host_breakdown(host)
-    _write_trace_outputs(tracer, args, host=host)
+        print(obs.format_host_breakdown(obs.host_breakdown(host)))
+    if tracer is not None:
+        _write_trace_outputs(tracer, args, host)
     if oracle is not None:
         return _check_consistency(oracle, args.protocol, args.nprocs, args)
     return 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    """Host-CPU profile of one run (the events/sec workhorse)."""
-    app = APPS[args.app]
-    if args.protocol == "mpi" and not hasattr(app, "run_mpi"):
-        print(f"error: {args.app} has no MPI version (only nn does)", file=sys.stderr)
+    """Host-CPU profile of one run."""
+    if _mpi_unsupported(args.app, (args.protocol,)):
         return 2
     import cProfile
     import pstats
@@ -415,7 +284,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     prof = cProfile.Profile()
     prof.enable()
     result = run_app(
-        app, args.protocol, args.nprocs,
+        APPS[args.app], args.protocol, args.nprocs,
         variant=args.variant, verify=not args.no_verify,
     )
     prof.disable()
@@ -439,10 +308,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     from repro.obs import (
         DEFAULT_THROUGHPUT_TOLERANCE,
-        compare_reports,
         compute_trend,
-        format_html,
-        format_report,
         format_trend,
         format_trend_html,
         load_report,
@@ -451,55 +317,20 @@ def _cmd_report(args: argparse.Namespace) -> int:
     tolerance = args.throughput_tolerance
     if tolerance is None:
         tolerance = DEFAULT_THROUGHPUT_TOLERANCE
-    load_errors = (ValueError, OSError, subprocess.CalledProcessError)
-    if args.trend:
-        if len(args.specs) < 2:
-            print("error: --trend needs at least two report specs "
-                  "(oldest first)", file=sys.stderr)
-            return 2
-        try:
-            docs = [load_report(spec) for spec in args.specs]
-            trend = compute_trend(docs, args.specs, tolerance=tolerance)
-        except load_errors as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(format_trend(trend, verbose=args.verbose))
-        if args.html:
-            with open(args.html, "w") as fh:
-                fh.write(format_trend_html(trend))
-            print(f"wrote HTML trend report to {args.html}")
-        if args.check and trend.regressions:
-            print(
-                f"error: {len(trend.regressions)} series regressed beyond "
-                "tolerance",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-    if len(args.specs) != 2:
-        print("error: report compares exactly two reports "
-              "(or use --trend for N)", file=sys.stderr)
-        return 2
-    base_spec, new_spec = args.specs
     try:
-        base = load_report(base_spec)
-        new = load_report(new_spec)
-        cmp = compare_reports(
-            base, new,
-            tolerance=tolerance,
-            base_label=base_spec, new_label=new_spec,
-        )
-    except load_errors as exc:
+        docs = [load_report(spec) for spec in args.specs]
+        trend = compute_trend(docs, args.specs, tolerance=tolerance)
+    except (ValueError, OSError, subprocess.CalledProcessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(format_report(cmp, verbose=args.verbose))
+    print(format_trend(trend, verbose=args.verbose))
     if args.html:
         with open(args.html, "w") as fh:
-            fh.write(format_html(cmp))
+            fh.write(format_trend_html(trend))
         print(f"wrote HTML report to {args.html}")
-    if args.check and cmp.regressions:
+    if args.check and trend.regressions:
         print(
-            f"error: {len(cmp.regressions)} regression(s) beyond tolerance",
+            f"error: {len(trend.regressions)} regression(s) beyond tolerance",
             file=sys.stderr,
         )
         return 1
@@ -513,6 +344,19 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
+def _oracle_exit(reports: list, what: str) -> int:
+    """Exit code of a checked sweep: 4 iff any cell's oracle report is bad."""
+    from repro.obs.oracle import EXIT_CONSISTENCY
+
+    bad = sum(1 for r in reports if (r or {}).get("verdict") == "violations")
+    if bad:
+        print(f"error: consistency oracle found violations in {bad} {what}(s)",
+              file=sys.stderr)
+        return EXIT_CONSISTENCY
+    print(f"consistency oracle: all {len(reports)} {what}s clean")
+    return 0
+
+
 def _cmd_sweep_faults(args: argparse.Namespace) -> int:
     """`sweep --faults [PLAN]`: the per-protocol degradation grid."""
     from repro.bench.degradation import (
@@ -521,14 +365,7 @@ def _cmd_sweep_faults(args: argparse.Namespace) -> int:
         run_degradation_grid,
         write_degradation_report,
     )
-    from repro.faults import FaultPlan, FaultPlanError
 
-    base_plan = None
-    if args.faults:  # a path was given: layer the loss sweep over that plan
-        try:
-            base_plan = FaultPlan.load(args.faults)
-        except (OSError, FaultPlanError) as exc:
-            raise SystemExit(f"error: --faults {args.faults}: {exc}") from exc
     nprocs = args.procs[0] if len(args.procs) == 1 else 8
     report = run_degradation_grid(
         app=args.app or "is",
@@ -536,7 +373,7 @@ def _cmd_sweep_faults(args: argparse.Namespace) -> int:
         protocols=tuple(args.protocols),
         loss_rates=tuple(args.loss_rates),
         seed=args.faults_seed,
-        base_plan=base_plan,
+        base_plan=_load_faults(args),  # a path: layer the loss sweep over that plan
         check=args.check_consistency,
     )
     print(format_degradation_grid(report))
@@ -544,20 +381,8 @@ def _cmd_sweep_faults(args: argparse.Namespace) -> int:
     write_degradation_report(report, out)
     print(f"wrote {out}")
     if args.check_consistency:
-        from repro.obs.oracle import EXIT_CONSISTENCY
-
-        bad = [
-            c for c in report["grid"]
-            if c.get("consistency", {}).get("verdict") == "violations"
-        ]
-        if bad:
-            print(
-                f"error: consistency oracle found violations in {len(bad)} "
-                "grid cell(s)",
-                file=sys.stderr,
-            )
-            return EXIT_CONSISTENCY
-        print(f"consistency oracle: all {len(report['grid'])} grid cells clean")
+        return _oracle_exit(
+            [c.get("consistency") for c in report["grid"]], "grid cell")
     return 0
 
 
@@ -606,32 +431,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"({report.hits} cached, jobs={report.jobs}); wrote {report_path}"
         )
         if args.check_consistency:
-            from repro.obs.oracle import EXIT_CONSISTENCY
-
-            bad = [
-                cell for cell in report.cells
-                if (getattr(cell.result, "consistency", None) or {}).get("verdict")
-                == "violations"
-            ]
-            if bad:
-                print(
-                    f"error: consistency oracle found violations in {len(bad)} "
-                    "cell(s)",
-                    file=sys.stderr,
-                )
-                return EXIT_CONSISTENCY
-            print(f"consistency oracle: all {len(report.cells)} cells clean")
+            return _oracle_exit(
+                [getattr(c.result, "consistency", None) for c in report.cells],
+                "cell")
         return 0
     from repro.bench.runner import Entry, speedup_experiment
     from repro.bench.tables import format_speedup_table
 
-    app = APPS[args.app]
-    if "mpi" in args.protocols and not hasattr(app, "run_mpi"):
-        print(f"error: {args.app} has no MPI version (only nn does)", file=sys.stderr)
+    if _mpi_unsupported(args.app, args.protocols):
         return 2
     entries = tuple(Entry(proto, proto) for proto in args.protocols)
     speedups = speedup_experiment(
-        app, entries, proc_counts=tuple(args.procs), jobs=jobs,
+        APPS[args.app], entries, proc_counts=tuple(args.procs), jobs=jobs,
     )
     print(format_speedup_table(f"Speedup of {args.app}", speedups))
     return 0
@@ -730,6 +541,67 @@ def _cmd_list(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_cell_flags(p: argparse.ArgumentParser, nprocs: int) -> None:
+    """The five flags naming one cell (``run``/``check``/``trace``/``profile``)."""
+    p.add_argument("app", choices=sorted(APPS))
+    p.add_argument("--protocol", default="vc_sd", choices=[*sorted(PROTOCOLS), "mpi"])
+    p.add_argument("--nprocs", type=int, default=nprocs)
+    p.add_argument("--variant", default="default")
+    p.add_argument("--no-verify", action="store_true")
+
+
+def _add_run_command(sub, name: str, help: str, nprocs: int = 16, **preset) -> None:
+    """Add one name of the run body: the full flag set, then its preset.
+
+    Called once per name so each subparser owns its actions — one shared
+    ``parents=[...]`` parser would share them, and ``set_defaults`` rewrites
+    the actions it names, so every name would end up with the last preset.
+    """
+    p = sub.add_parser(name, help=help)
+    _add_cell_flags(p, nprocs)
+    p.add_argument("--trace", action="store_true",
+                   help="record structured events; print where the time went "
+                   "(per-process breakdown, message mix)")
+    p.add_argument("--trace-out", default=None, metavar="PATH",
+                   help="write a Chrome trace-event JSON file, open in "
+                   "https://ui.perfetto.dev (implies --trace)")
+    p.add_argument("--jsonl-out", default=None, metavar="PATH",
+                   help="write the raw events as JSONL (implies --trace)")
+    p.add_argument("--critical-path", action="store_true",
+                   help="walk the causal critical path and print its "
+                   "per-category attribution and wait slack (implies --trace)")
+    p.add_argument("--trace-views", action="store_true",
+                   help="record view accesses; print the paper-§3.6 "
+                   "partitioning advice (VC protocols only)")
+    p.add_argument("--metrics", action="store_true",
+                   help="record contention metrics; print per-view/per-page tables")
+    p.add_argument("--metrics-out", default=None, metavar="PATH",
+                   help="write the metrics snapshot as JSON (implies --metrics)")
+    p.add_argument("--check-consistency", action="store_true",
+                   help="record the access history and machine-check it "
+                   "against the protocol's memory model "
+                   "(exit 4 on violations; docs/observability.md)")
+    p.add_argument("--findings-out", default=None, metavar="PATH",
+                   help="write the oracle report (verdict, counts and structured "
+                   "findings) as JSON (implies --check-consistency)")
+    p.add_argument("--faults", default=None, metavar="PLAN.json",
+                   help="install a scripted fault plan (docs/robustness.md); "
+                   "with the oracle on, an aborted run's partial history is "
+                   "still checked")
+    p.add_argument("--faults-out", default=None, metavar="PATH",
+                   help="dump the exact active fault plan JSON before the "
+                   "run (replayable with --faults PATH)")
+    p.add_argument("--drop-prob", type=float, default=None, metavar="P",
+                   help="seeded uniform random loss probability at the switch")
+    p.add_argument("--drop-seed", type=int, default=None, metavar="SEED",
+                   help="seed for the random-loss / RED drop streams")
+    p.add_argument("--host-trace", action="store_true",
+                   help="profile host wall-clock time (monotonic spans "
+                   "around build/execute/extract/verify); print a host-time "
+                   "breakdown and merge host spans into --trace-out")
+    p.set_defaults(fn=_cmd_run, **preset)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -737,129 +609,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one application")
-    p_run.add_argument("app", choices=sorted(APPS))
-    p_run.add_argument("--protocol", default="vc_sd", choices=[*sorted(PROTOCOLS), "mpi"])
-    p_run.add_argument("--nprocs", type=int, default=16)
-    p_run.add_argument("--variant", default="default")
-    p_run.add_argument("--no-verify", action="store_true")
-    p_run.add_argument("--trace", action="store_true",
-                       help="record structured events; print a time breakdown")
-    p_run.add_argument("--trace-out", default=None, metavar="PATH",
-                       help="write a Chrome trace-event JSON file (implies --trace)")
-    p_run.add_argument("--jsonl-out", default=None, metavar="PATH",
-                       help="write the raw events as JSONL (with --trace)")
-    p_run.add_argument("--trace-views", action="store_true",
-                       help="record view accesses; print the paper-§3.6 "
-                       "partitioning advice (VC protocols only)")
-    p_run.add_argument("--metrics", action="store_true",
-                       help="record contention metrics; print per-view/per-page tables")
-    p_run.add_argument("--metrics-out", default=None, metavar="PATH",
-                       help="write the metrics snapshot as JSON (implies --metrics)")
-    p_run.add_argument("--check-consistency", action="store_true",
-                       help="record the access history and machine-check it "
-                       "against the protocol's memory model "
-                       "(exit 4 on violations; docs/observability.md)")
-    p_run.add_argument("--findings-out", default=None, metavar="PATH",
-                       help="write the oracle report as JSON "
-                       "(implies --check-consistency)")
-    p_run.add_argument("--faults", default=None, metavar="PLAN.json",
-                       help="install a scripted fault plan (docs/robustness.md)")
-    p_run.add_argument("--faults-out", default=None, metavar="PATH",
-                       help="dump the exact active fault plan JSON before the "
-                       "run (replayable with --faults PATH)")
-    p_run.add_argument("--drop-prob", type=float, default=None, metavar="P",
-                       help="seeded uniform random loss probability at the switch")
-    p_run.add_argument("--drop-seed", type=int, default=None, metavar="SEED",
-                       help="seed for the random-loss / RED drop streams")
-    p_run.add_argument("--host-trace", action="store_true",
-                       help="profile host wall-clock time (monotonic spans "
-                       "around build/execute/extract/verify); print a host-time "
-                       "breakdown and merge host spans into --trace-out")
-    p_run.set_defaults(fn=_cmd_run)
-
-    p_check = sub.add_parser(
-        "check",
-        help="run one application with access-history recording and "
-        "machine-check the recorded read/write history against the "
-        "protocol's memory model (exit 4 on violations)",
+    _add_run_command(sub, "run", "run one application")
+    _add_run_command(
+        sub, "check",
+        "run with --check-consistency on: record the access history and "
+        "machine-check it against the protocol's memory model "
+        "(exit 4 on violations)",
+        nprocs=8, check_consistency=True,
     )
-    p_check.add_argument("app", choices=sorted(APPS))
-    p_check.add_argument("--protocol", default="vc_sd",
-                         choices=[*sorted(PROTOCOLS), "mpi"])
-    p_check.add_argument("--nprocs", type=int, default=8)
-    p_check.add_argument("--variant", default="default")
-    p_check.add_argument("--no-verify", action="store_true")
-    p_check.add_argument("--findings-out", default=None, metavar="PATH",
-                         help="write the oracle report (verdict, counts and "
-                         "structured findings) as JSON")
-    p_check.add_argument("--faults", default=None, metavar="PLAN.json",
-                         help="install a scripted fault plan; an aborted run's "
-                         "partial history is still checked")
-    p_check.add_argument("--faults-out", default=None, metavar="PATH",
-                         help="dump the exact active fault plan JSON before "
-                         "the run (replayable with --faults PATH)")
-    p_check.add_argument("--drop-prob", type=float, default=None, metavar="P",
-                         help="seeded uniform random loss probability at the switch")
-    p_check.add_argument("--drop-seed", type=int, default=None, metavar="SEED",
-                         help="seed for the random-loss / RED drop streams")
-    p_check.set_defaults(fn=_cmd_check)
-
-    p_trace = sub.add_parser(
-        "trace",
-        help="run one application with event tracing and print where the "
-        "time went (optionally exporting a Perfetto-loadable trace)",
+    _add_run_command(
+        sub, "trace",
+        "run with --trace on: print where the time went (optionally "
+        "exporting a Perfetto-loadable trace)",
+        nprocs=8, trace=True,
     )
-    p_trace.add_argument("app", choices=sorted(APPS))
-    p_trace.add_argument("--protocol", default="vc_sd", choices=[*sorted(PROTOCOLS), "mpi"])
-    p_trace.add_argument("--nprocs", type=int, default=8)
-    p_trace.add_argument("--variant", default="default")
-    p_trace.add_argument("--no-verify", action="store_true")
-    p_trace.add_argument("--trace-out", default=None, metavar="PATH",
-                         help="write a Chrome trace-event JSON file "
-                         "(open in https://ui.perfetto.dev)")
-    p_trace.add_argument("--jsonl-out", default=None, metavar="PATH",
-                         help="write the raw events as JSONL")
-    p_trace.add_argument("--critical-path", action="store_true",
-                         help="walk the causal critical path and print its "
-                         "per-category attribution and wait slack")
-    p_trace.add_argument("--metrics", action="store_true",
-                         help="record contention metrics; print per-view/per-page tables")
-    p_trace.add_argument("--metrics-out", default=None, metavar="PATH",
-                         help="write the metrics snapshot as JSON (implies --metrics)")
-    p_trace.add_argument("--check-consistency", action="store_true",
-                         help="record the access history and machine-check it "
-                         "against the protocol's memory model "
-                         "(exit 4 on violations)")
-    p_trace.add_argument("--findings-out", default=None, metavar="PATH",
-                         help="write the oracle report as JSON "
-                         "(implies --check-consistency)")
-    p_trace.add_argument("--faults", default=None, metavar="PLAN.json",
-                         help="install a scripted fault plan (docs/robustness.md)")
-    p_trace.add_argument("--faults-out", default=None, metavar="PATH",
-                         help="dump the exact active fault plan JSON before "
-                         "the run (replayable with --faults PATH)")
-    p_trace.add_argument("--drop-prob", type=float, default=None, metavar="P",
-                         help="seeded uniform random loss probability at the switch")
-    p_trace.add_argument("--drop-seed", type=int, default=None, metavar="SEED",
-                         help="seed for the random-loss / RED drop streams")
-    p_trace.add_argument("--host-trace", action="store_true",
-                         help="profile host wall-clock time alongside the "
-                         "simulated trace; print a host-time breakdown and "
-                         "write --trace-out as a merged two-clock trace")
-    p_trace.set_defaults(fn=_cmd_trace)
 
     p_profile = sub.add_parser(
         "profile",
         help="run one application under cProfile and print the hottest "
         "functions by host CPU time",
     )
-    p_profile.add_argument("app", choices=sorted(APPS))
-    p_profile.add_argument("--protocol", default="vc_sd",
-                           choices=[*sorted(PROTOCOLS), "mpi"])
-    p_profile.add_argument("--nprocs", type=int, default=16)
-    p_profile.add_argument("--variant", default="default")
-    p_profile.add_argument("--no-verify", action="store_true")
+    _add_cell_flags(p_profile, nprocs=16)
     p_profile.add_argument("--top", type=int, default=25,
                            help="number of functions to print (default 25)")
     p_profile.add_argument("--sort", default="cumulative",
@@ -871,29 +641,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser(
         "report",
-        help="compare two benchmark reports, or track a trend across N "
-        "(--trend; BENCH files or git:REV[:path] specs) and flag regressions",
+        help="track every gated number across two or more reports of one "
+        "kind (files or git:REV[:path] specs) and flag regressions",
     )
     p_report.add_argument(
         "specs", nargs="+", metavar="SPEC",
-        help="report specs, oldest first: paths or git:REV[:path] "
-        "(two for a comparison; two or more with --trend)",
+        help="two or more report specs, oldest first: paths or "
+        "git:REV[:path] (default path BENCH_sweep.json)",
     )
-    p_report.add_argument("--trend", action="store_true",
-                          help="render per-metric trend tables across all "
-                          "given reports instead of a two-way comparison "
-                          "(gating applies to each consecutive pair)")
     p_report.add_argument("--check", action="store_true",
                           help="exit 1 if any metric regresses beyond tolerance")
     p_report.add_argument("--html", default=None, metavar="PATH",
                           help="also write a standalone HTML dashboard")
     p_report.add_argument(
         "--throughput-tolerance", type=float, default=None, metavar="FRAC",
-        help="relative slowdown allowed on wall_seconds metrics "
+        help="relative slowdown allowed on the gated host-time numbers "
         "(default 0.25; simulated metrics are always compared exactly)",
     )
     p_report.add_argument("--verbose", action="store_true",
-                          help="print every cell, not just changed ones")
+                          help="print every changed metric, not just the first 40")
     p_report.set_defaults(fn=_cmd_report)
 
     p_table = sub.add_parser("table", help="regenerate a paper table")

@@ -25,13 +25,13 @@ protocol implementations and the runtimes:
   access-history recorder (:class:`AccessRecorder`) plus a checker
   (:func:`check_history`) that machine-verifies recorded read/write
   histories against the protocol family's memory model;
-* :mod:`repro.obs.report` compares two bench baselines (files or git
-  revisions), tracks N-revision trends (``repro report --trend``) and gates
-  CI on regressions;
+* :mod:`repro.obs.report` tracks every gated number of N >= 2 committed
+  reports (files or git revisions; ``repro report``) through one schema
+  table and gates CI on regressions;
 * :mod:`repro.obs.host` is the host-time observatory: wall-clock span
-  profiling (:class:`HostProfiler`) of a run's phases, the sweep pool and
-  the perf harness, with a breakdown whose categories sum to measured wall
-  time and a merged host+simulated Perfetto export.
+  profiling (:class:`HostProfiler`) of a run's phases and the sweep pool,
+  with a breakdown whose categories sum to measured wall time and a merged
+  host+simulated Perfetto export.
 
 Tracing is **opt-in and zero-overhead when off**: every emission site guards
 on ``sim.tracer is not None`` (the default), so an untraced run executes the
@@ -96,14 +96,9 @@ from repro.obs.report import (
     GATE_EXACT,
     GATE_INFO,
     GATE_THROUGHPUT,
-    Comparison,
-    MetricDelta,
     Trend,
     TrendSeries,
-    compare_reports,
     compute_trend,
-    format_html,
-    format_report,
     format_trend,
     format_trend_html,
     load_report,
@@ -153,13 +148,8 @@ __all__ = [
     "Histogram",
     "Metrics",
     "format_contention",
-    "Comparison",
     "DEFAULT_THROUGHPUT_TOLERANCE",
-    "MetricDelta",
-    "compare_reports",
     "load_report",
-    "format_report",
-    "format_html",
     "Trend",
     "TrendSeries",
     "compute_trend",

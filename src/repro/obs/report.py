@@ -1,58 +1,60 @@
-"""Cross-run regression reporting over the committed bench baselines.
+"""Cross-run regression reporting over the committed ledgers.
 
-``BENCH_hotpath.json`` and ``BENCH_sweep.json`` record two different kinds
-of number, and the comparison treats them differently:
+One reader for three kinds of report — ``BENCH_sweep.json`` (``sweep``),
+``BENCH_faults.json`` (``degradation``) and the host-time benchmark's
+``benchmarks/e2e/baseline.json`` / ``out/results.json`` (``e2e``, read-only
+here).  :data:`SCHEMA` states, once, where each kind keeps its rows and how
+every tracked field is gated:
 
-* **Simulated statistics are exact.**  ``table_row``s, fingerprints,
-  simulated seconds and the message mix are deterministic functions of
-  (code, seed) — any difference between two runs of the same code is a
-  real behaviour change, so they are compared for equality with *zero*
-  tolerance.  A PR that legitimately changes simulated statistics must
-  regenerate the baseline; that is the point of the gate.
-* **Host-side numbers are noisy.**  ``wall_seconds`` and ``peak_rss_kb``
-  vary run-to-run and host-to-host, so host speed is gated on
-  ``wall_seconds`` (lower is better) with a generous relative tolerance
+* **exact** — simulated statistics.  ``table_row``s, fingerprints, simulated
+  seconds and operation counts are deterministic functions of (code, seed):
+  any difference between two runs is a real behaviour change, so they are
+  compared for equality with *zero* tolerance.  A PR that legitimately
+  changes simulated statistics must regenerate the baseline; that is the
+  point of the gate.
+* **throughput** — the host numbers steady enough to gate (the sweep's
+  summed cell wall time; the e2e benchmark's ``wall_s``/``setup_s``/
+  ``peak_rss_mb``), lower is better, at a generous relative tolerance
   (default 25% — CI runners are shared; the gate exists to catch
-  catastrophic slowdowns, not jitter) and RSS is reported but never fails
-  the check.
-* **Event counts are informational.**  ``events`` is how many callbacks
-  *this implementation* of the engine ran to produce the simulated result —
-  deterministic, but a property of the host code, not of the simulation: a
-  change that deletes zero-work events leaves every simulated statistic
-  alone and makes the run faster while ``events`` and ``events_per_sec``
-  both fall.  They are reported as deltas and never fail the check.
+  catastrophic slowdowns, not jitter).
+* **info** — reported as deltas, never fails the check: per-cell wall time
+  (a 40 ms cell swings 40% on scheduling noise alone), RSS, and the event
+  counts.  ``events`` is how many callbacks *this implementation* of the
+  engine ran — deterministic, but a property of the host code, not of the
+  simulation: a change that deletes zero-work events leaves every simulated
+  statistic alone and makes the run faster while ``events`` and
+  ``events_per_sec`` both fall.
 
-Inputs are file paths or ``git:REV[:path]`` specs (the latter read the file
-out of a git revision, default path ``BENCH_hotpath.json``), so
-``python -m repro report git:HEAD~1 BENCH_hotpath.json`` compares a fresh
-run against the last commit's baseline.  ``--check`` exits non-zero iff a
-regression was found; ``--html`` additionally writes a standalone
-dashboard (inline CSS, no external assets).
+There is one comparison, :func:`compute_trend`, over N >= 2 same-kind reports
+ordered oldest -> newest; every *consecutive* pair is gated.  Inputs are file
+paths or ``git:REV[:path]`` specs (the latter read the file out of a git
+revision, default path ``BENCH_sweep.json``), so
+``python -m repro report git:HEAD~1 BENCH_sweep.json`` compares a fresh sweep
+against the last commit's.  ``--check`` exits non-zero iff a series
+regressed; ``--html`` additionally writes a standalone dashboard (inline
+CSS and SVG sparklines, no external assets).
 """
 
 from __future__ import annotations
 
-import hashlib
 import html as _html
 import json
 import subprocess
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 __all__ = [
-    "MetricDelta",
-    "Comparison",
+    "SCHEMA",
     "TrendSeries",
     "Trend",
     "load_report",
-    "compare_reports",
     "compute_trend",
     "GATE_EXACT",
     "GATE_THROUGHPUT",
     "GATE_INFO",
-    "format_report",
-    "format_html",
+    "DEFAULT_THROUGHPUT_TOLERANCE",
     "format_trend",
     "format_trend_html",
 ]
@@ -64,50 +66,86 @@ OK = "ok"
 CHANGED = "changed"  # differs, but not a gated failure (noise / additions)
 IMPROVED = "improved"
 REGRESSED = "regressed"  # fails --check
+_SEVERITY = {REGRESSED: 0, CHANGED: 1, IMPROVED: 2, OK: 3}
 
+GATE_EXACT = "exact"
+GATE_THROUGHPUT = "throughput"
+GATE_INFO = "info"
 
-@dataclass(frozen=True)
-class MetricDelta:
-    key: str  # protocol label / "app/protocol/variant/nprocs/seed" / "(total)"
-    metric: str
-    old: Any
-    new: Any
-    status: str
-    note: str = ""
-
-
-@dataclass
-class Comparison:
-    kind: str  # "hotpath" or "sweep"
-    base_label: str
-    new_label: str
-    deltas: list[MetricDelta] = field(default_factory=list)
-
-    @property
-    def regressions(self) -> list[MetricDelta]:
-        return [d for d in self.deltas if d.status == REGRESSED]
-
-    @property
-    def identical(self) -> bool:
-        return all(d.status == OK for d in self.deltas)
+#: report kind -> how to recognise it, where its rows are and how each
+#: tracked number is gated.  ``benchmark`` is the document's ``"benchmark"``
+#: value; ``rows`` names the list (or name -> row dict) of rows; ``key``
+#: formats a list row's label from its own fields; ``fields`` gates row
+#: fields — a ``(dict_field, member)`` pair lifts one member out of a dict
+#: field into its own series (and out of the dict's exact comparison);
+#: ``totals`` gates report-level numbers under the ``(total)`` key, where
+#: ``sum:FIELD`` is that row field summed over the rows rather than read
+#: from the top level.
+SCHEMA: dict[str, dict] = {
+    "sweep": {
+        "benchmark": "sweep",
+        "rows": "cells",
+        "key": "{app}/{protocol}/{variant}/{nprocs}/{seed}",
+        "fields": {
+            "fingerprint": GATE_EXACT,
+            "table_row": GATE_EXACT,
+            "sim_time_seconds": GATE_EXACT,
+            "verified": GATE_EXACT,
+            "wall_seconds": GATE_INFO,
+            "events": GATE_INFO,
+            "events_per_sec": GATE_INFO,
+            "peak_rss_kb": GATE_INFO,
+        },
+        "totals": {
+            # independent of --jobs and of cache hits (a recalled cell carries
+            # the wall time of the run that produced it)
+            "cell_wall_sum_s": (GATE_THROUGHPUT, "sum:wall_seconds"),
+            "wall_seconds": (GATE_INFO, "wall_seconds"),
+        },
+    },
+    "degradation": {
+        "benchmark": "faults_degradation",
+        "rows": "grid",
+        "key": "{protocol}/loss={loss_rate}",
+        "fields": {
+            "failed": GATE_EXACT,
+            "time": GATE_EXACT,
+            "rexmit": GATE_EXACT,
+            "drops": GATE_EXACT,
+            "slowdown": GATE_INFO,
+        },
+        "totals": {},
+    },
+    "e2e": {
+        "benchmark": None,  # benchmarks/e2e documents carry no such key
+        "rows": "end_to_end",  # workload name -> row
+        "fields": {
+            "wall_s": GATE_THROUGHPUT,
+            "setup_s": GATE_THROUGHPUT,
+            "peak_rss_mb": GATE_THROUGHPUT,
+            "counts": GATE_EXACT,
+            ("counts", "sim.events"): GATE_INFO,
+        },
+        "totals": {},
+    },
+}
 
 
 # -- loading -----------------------------------------------------------------------
 
 
 def load_report(spec: str) -> dict:
-    """Load a bench JSON from a path or a ``git:REV[:path]`` spec.
+    """Load a report JSON from a path or a ``git:REV[:path]`` spec.
 
-    Files written before the run-manifest block existed (pre-schema-1) are
-    backfilled with ``{"schema": 0}`` and a warning, so historical
-    ``git:REV`` specs keep working in trend mode.
+    BENCH files written before the run-manifest block existed (pre-schema-1)
+    are backfilled with ``{"schema": 0}`` and a warning, so historical
+    ``git:REV`` specs keep working.  (An ``e2e`` document has no
+    ``benchmark`` key and describes its host in a ``host`` block instead.)
     """
     if spec.startswith("git:"):
-        rest = spec[4:]
-        rev, _, path = rest.partition(":")
-        path = path or "BENCH_hotpath.json"
+        rev, _, path = spec[4:].partition(":")
         blob = subprocess.run(
-            ["git", "show", f"{rev}:{path}"],
+            ["git", "show", f"{rev}:{path or 'BENCH_sweep.json'}"],
             capture_output=True,
             check=True,
         ).stdout
@@ -115,7 +153,7 @@ def load_report(spec: str) -> dict:
     else:
         with open(spec) as fh:
             doc = json.load(fh)
-    if isinstance(doc, dict) and "manifest" not in doc:
+    if isinstance(doc, dict) and "benchmark" in doc and "manifest" not in doc:
         warnings.warn(
             f"{spec}: no run manifest (written before schema 1); "
             "assuming schema 0",
@@ -127,180 +165,20 @@ def load_report(spec: str) -> dict:
 
 def _report_kind(doc: dict) -> str:
     bench = doc.get("benchmark")
-    if bench == "sweep":
-        return "sweep"
-    if bench == "faults_degradation":
-        return "degradation"
-    if isinstance(doc.get("protocols"), dict):
-        return "hotpath"
+    for kind, schema in SCHEMA.items():
+        if schema["benchmark"] == bench and schema["rows"] in doc:
+            return kind
     raise ValueError(f"unrecognised bench report (benchmark={bench!r})")
 
 
 # -- comparison --------------------------------------------------------------------
 
 
-def _ratio_delta(
-    key: str,
-    metric: str,
-    old: Optional[float],
-    new: Optional[float],
-    tolerance: Optional[float],
-    higher_is_better: bool = True,
-) -> MetricDelta:
-    """Noisy-metric comparison; ``tolerance=None`` means report-only."""
-    if not old or new is None:
-        return MetricDelta(key, metric, old, new, CHANGED if old != new else OK)
-    rel = (new - old) / old
-    if not higher_is_better:
-        rel = -rel
-    if tolerance is not None and rel < -tolerance:
-        return MetricDelta(
-            key, metric, old, new, REGRESSED, f"{rel * 100:+.1f}% (tol ±{tolerance * 100:.0f}%)"
-        )
-    if abs(rel) < 1e-12:
-        return MetricDelta(key, metric, old, new, OK)
-    status = IMPROVED if rel > 0 else CHANGED
-    return MetricDelta(key, metric, old, new, status, f"{rel * 100:+.1f}%")
-
-
-def _exact_delta(key: str, metric: str, old: Any, new: Any) -> MetricDelta:
-    if old == new:
-        return MetricDelta(key, metric, old, new, OK)
-    note = "simulated statistics changed — regenerate the baseline if intended"
-    if isinstance(old, dict) and isinstance(new, dict):
-        cols = sorted(
-            set(old) | set(new), key=lambda c: (old.get(c) == new.get(c), str(c))
-        )
-        diff = [c for c in cols if old.get(c) != new.get(c)]
-        note = f"differs in: {', '.join(map(str, diff[:6]))}" + (
-            " …" if len(diff) > 6 else ""
-        )
-    return MetricDelta(key, metric, old, new, REGRESSED, note)
-
-
-def _compare_host(key: str, old: dict, new: dict, tolerance: float,
-                  deltas: list) -> None:
-    """The host numbers of one run: wall gated, events and events/sec not."""
-    deltas.append(_ratio_delta(key, "events", old.get("events"), new.get("events"),
-                               None, higher_is_better=False))
-    deltas.append(_ratio_delta(key, "events_per_sec", old.get("events_per_sec"),
-                               new.get("events_per_sec"), None))
-    deltas.append(_ratio_delta(key, "wall_seconds", old.get("wall_seconds"),
-                               new.get("wall_seconds"), tolerance,
-                               higher_is_better=False))
-
-
-def _compare_entry(
-    key: str,
-    old: dict,
-    new: dict,
-    tolerance: float,
-    exact_fields: tuple,
-    deltas: list,
-) -> None:
-    for f in exact_fields:
-        if f in old or f in new:
-            if f == "message_mix" and (f not in old or f not in new):
-                # schema evolution: only gate when both sides recorded it
-                deltas.append(
-                    MetricDelta(key, f, old.get(f) is not None, new.get(f) is not None, CHANGED, "recorded on one side only")
-                )
-                continue
-            deltas.append(_exact_delta(key, f, old.get(f), new.get(f)))
-    _compare_host(key, old, new, tolerance, deltas)
-    if "peak_rss_kb" in old or "peak_rss_kb" in new:
-        deltas.append(
-            _ratio_delta(key, "peak_rss_kb", old.get("peak_rss_kb"), new.get("peak_rss_kb"), None, higher_is_better=False)
-        )
-
-
-def compare_reports(
-    base: dict,
-    new: dict,
-    tolerance: float = DEFAULT_THROUGHPUT_TOLERANCE,
-    base_label: str = "base",
-    new_label: str = "new",
-) -> Comparison:
-    """Compare two bench reports of the same kind.
-
-    Exact (simulated) fields gate at zero tolerance; ``wall_seconds`` gates
-    at ``tolerance``; event counts, events/sec and RSS are report-only.
-    Cells present only in the baseline are regressions (coverage loss);
-    cells only in the new report are additions.
-    """
-    kind = _report_kind(base)
-    if _report_kind(new) != kind:
-        raise ValueError(
-            f"cannot compare a {kind} report against a {_report_kind(new)} report"
-        )
-    if kind == "degradation":
-        raise ValueError(
-            "degradation reports have no two-way comparison rules; "
-            "use `repro report --trend` instead"
-        )
-    cmp = Comparison(kind=kind, base_label=base_label, new_label=new_label)
-    deltas = cmp.deltas
-
-    if kind == "hotpath":
-        exact = ("sim_time_seconds", "verified", "table_row", "message_mix")
-        old_entries = base.get("protocols", {})
-        new_entries = new.get("protocols", {})
-        for key in old_entries:
-            if key not in new_entries:
-                deltas.append(MetricDelta(key, "entry", "present", "missing", REGRESSED))
-                continue
-            _compare_entry(key, old_entries[key], new_entries[key], tolerance, exact, deltas)
-        for key in new_entries:
-            if key not in old_entries:
-                deltas.append(MetricDelta(key, "entry", "missing", "present", CHANGED))
-        _compare_host("(total)", base, new, tolerance, deltas)
-        deltas.append(
-            _ratio_delta(
-                "(total)", "vc_d_events_per_sec",
-                base.get("vc_d_events_per_sec"), new.get("vc_d_events_per_sec"),
-                None,
-            )
-        )
-    else:
-        exact = ("sim_time_seconds", "verified", "fingerprint", "table_row")
-        def cell_key(c: dict) -> str:
-            return "/".join(
-                str(c.get(k)) for k in ("app", "protocol", "variant", "nprocs", "seed")
-            )
-
-        old_cells = {cell_key(c): c for c in base.get("cells", [])}
-        new_cells = {cell_key(c): c for c in new.get("cells", [])}
-        for key, old_cell in old_cells.items():
-            if key not in new_cells:
-                deltas.append(MetricDelta(key, "cell", "present", "missing", REGRESSED))
-                continue
-            _compare_entry(key, old_cell, new_cells[key], tolerance, exact, deltas)
-        for key in new_cells:
-            if key not in old_cells:
-                deltas.append(MetricDelta(key, "cell", "missing", "present", CHANGED))
-    return cmp
-
-
-# -- trend tracking ----------------------------------------------------------------
-#
-# ``repro report --trend`` generalises the two-way comparison to N ordered
-# revisions.  Each report flattens into (key, metric) -> (value, gate) and the
-# gates reuse the two-way semantics over every *consecutive* pair:
-#
-#   exact       simulated statistics — any difference is REGRESSED
-#   throughput  host speed, as wall seconds — gated at the relative tolerance
-#   info        event counts, events/sec, RSS, derived — never fails --check
-
-GATE_EXACT = "exact"
-GATE_THROUGHPUT = "throughput"
-GATE_INFO = "info"
-
-
 @dataclass
 class TrendSeries:
     """One metric tracked across every revision of a trend."""
 
-    key: str
+    key: str  # row label ("app/protocol/variant/nprocs/seed", ...) or "(total)"
     metric: str
     gate: str
     values: list  # one per revision; None where the revision lacks the metric
@@ -309,8 +187,7 @@ class TrendSeries:
 
     @property
     def worst(self) -> str:
-        order = {REGRESSED: 0, CHANGED: 1, IMPROVED: 2, OK: 3}
-        return min(self.statuses, key=lambda s: order.get(s, 4), default=OK)
+        return min(self.statuses, key=_SEVERITY.__getitem__, default=OK)
 
     @property
     def regressed(self) -> bool:
@@ -319,7 +196,7 @@ class TrendSeries:
 
 @dataclass
 class Trend:
-    """N-revision trend over same-kind bench reports (oldest first)."""
+    """N-revision trend over same-kind reports (oldest first)."""
 
     kind: str
     labels: list[str]
@@ -331,54 +208,32 @@ class Trend:
         return [s for s in self.series if s.regressed]
 
 
-def _row_hash(row: Any) -> Optional[str]:
-    if row is None:
-        return None
-    return hashlib.sha256(
-        json.dumps(row, sort_keys=True).encode()
-    ).hexdigest()[:16]
-
-
 def _flatten(doc: dict, kind: str) -> dict:
-    """One report -> ordered ``{(key, metric): (value, gate)}``."""
+    """One report -> ordered ``{(key, metric): (value, gate)}`` per SCHEMA."""
+    schema = SCHEMA[kind]
     out: dict = {}
-
-    def put(key: str, metric: str, value: Any, gate: str) -> None:
-        if value is not None:
-            out[(key, metric)] = (value, gate)
-
-    if kind == "hotpath":
-        for label, entry in (doc.get("protocols") or {}).items():
-            put(label, "sim_time_seconds", entry.get("sim_time_seconds"), GATE_EXACT)
-            put(label, "table_row_hash", _row_hash(entry.get("table_row")), GATE_EXACT)
-            put(label, "wall_seconds", entry.get("wall_seconds"), GATE_THROUGHPUT)
-            put(label, "events", entry.get("events"), GATE_INFO)
-            put(label, "events_per_sec", entry.get("events_per_sec"), GATE_INFO)
-        put("(total)", "wall_seconds", doc.get("wall_seconds"), GATE_THROUGHPUT)
-        put("(total)", "vc_d_events_per_sec", doc.get("vc_d_events_per_sec"),
-            GATE_INFO)
-        put("(total)", "events_per_sec", doc.get("events_per_sec"), GATE_INFO)
-        put("(total)", "peak_rss_kb", doc.get("peak_rss_kb"), GATE_INFO)
-    elif kind == "sweep":
-        for cell in doc.get("cells", []):
-            key = "/".join(str(cell.get(k)) for k in
-                           ("app", "protocol", "variant", "nprocs", "seed"))
-            put(key, "fingerprint", cell.get("fingerprint"), GATE_EXACT)
-            put(key, "sim_time_seconds", cell.get("sim_time_seconds"), GATE_EXACT)
-            put(key, "wall_seconds", cell.get("wall_seconds"), GATE_THROUGHPUT)
-            put(key, "events", cell.get("events"), GATE_INFO)
-        put("(total)", "wall_seconds", doc.get("wall_seconds"), GATE_THROUGHPUT)
-    elif kind == "degradation":
-        for cell in doc.get("grid", []):
-            key = f"{cell.get('protocol')}/loss={cell.get('loss_rate')}"
-            put(key, "failed", cell.get("failed"), GATE_EXACT)
-            put(key, "time", cell.get("time"), GATE_EXACT)
-            put(key, "rexmit", cell.get("rexmit"), GATE_EXACT)
-            put(key, "drops", cell.get("drops"), GATE_EXACT)
-            put(key, "slowdown", cell.get("slowdown"), GATE_INFO)
-    else:  # pragma: no cover - _report_kind rejects unknown docs first
-        raise ValueError(f"no trend rules for kind {kind!r}")
-    return out
+    rows = doc.get(schema["rows"]) or {}
+    if not isinstance(rows, dict):
+        rows = {schema["key"].format_map(row): row for row in rows}
+    for key, row in rows.items():
+        for name, gate in schema["fields"].items():
+            if isinstance(name, tuple):  # one member lifted out of a dict field
+                value = (row.get(name[0]) or {}).get(name[1])
+                name = name[1]
+            else:
+                value = row.get(name)
+                if isinstance(value, dict):
+                    value = {k: v for k, v in value.items()
+                             if (name, k) not in schema["fields"]}
+            out[(key, name)] = (value, gate)
+    for name, (gate, source) in schema["totals"].items():
+        if source.startswith("sum:"):
+            parts = [row.get(source[4:]) for row in rows.values()]
+            value = round(sum(p for p in parts if p is not None), 4) if parts else None
+        else:
+            value = doc.get(source)
+        out[("(total)", name)] = (value, gate)
+    return {km: vg for km, vg in out.items() if vg[0] is not None}
 
 
 def _pair_status(gate: str, metric: str, old: Any, new: Any,
@@ -395,12 +250,23 @@ def _pair_status(gate: str, metric: str, old: Any, new: Any,
     if gate == GATE_EXACT:
         if old == new:
             return OK, ""
+        if isinstance(old, dict) and isinstance(new, dict):
+            diff = sorted(str(c) for c in set(old) | set(new)
+                          if old.get(c) != new.get(c))
+            return REGRESSED, (f"differs in: {', '.join(diff[:6])}"
+                               + (" …" if len(diff) > 6 else ""))
         return REGRESSED, "simulated statistics changed"
+    if not old:
+        return (CHANGED if old != new else OK), ""
     # every noisy metric reads lower-is-better except the events/sec rates
-    d = _ratio_delta("", "", old, new,
-                     tolerance if gate == GATE_THROUGHPUT else None,
-                     higher_is_better=metric.endswith("_per_sec"))
-    return d.status, d.note
+    rel = (new - old) / old
+    if not metric.endswith("_per_sec"):
+        rel = -rel
+    if gate == GATE_THROUGHPUT and rel < -tolerance:
+        return REGRESSED, f"{rel * 100:+.1f}% (tol ±{tolerance * 100:.0f}%)"
+    if abs(rel) < 1e-12:
+        return OK, ""
+    return (IMPROVED if rel > 0 else CHANGED), f"{rel * 100:+.1f}%"
 
 
 def compute_trend(
@@ -410,19 +276,20 @@ def compute_trend(
 ) -> Trend:
     """Build the per-metric trend over ``docs`` (ordered oldest -> newest).
 
-    All documents must be the same report kind.  Every metric is gated over
-    each *consecutive* pair with the two-way semantics (exact simulated /
-    tolerance-gated wall seconds / report-only counts); a series is a
-    regression iff any pair regressed.
+    All documents must be the same report kind.  Every metric :data:`SCHEMA`
+    names is gated over each *consecutive* pair (exact simulated /
+    tolerance-gated host time / report-only); a series is a regression iff
+    any pair regressed.  A row present in one report and missing from the
+    next loses coverage (its exact series regress); a new row is a change.
     """
     if len(docs) < 2:
-        raise ValueError("a trend needs at least two reports")
+        raise ValueError("a report needs at least two documents to compare")
     if len(docs) != len(labels):
         raise ValueError("one label per report, in the same order")
     kinds = [_report_kind(d) for d in docs]
     if len(set(kinds)) != 1:
         raise ValueError(
-            f"cannot trend across report kinds: {', '.join(sorted(set(kinds)))}"
+            f"cannot compare across report kinds: {', '.join(sorted(set(kinds)))}"
         )
     kind = kinds[0]
     flat = [_flatten(d, kind) for d in docs]
@@ -452,36 +319,6 @@ def _short(v: Any, width: int = 28) -> str:
     return s if len(s) <= width else s[: width - 1] + "…"
 
 
-def format_report(cmp: Comparison, verbose: bool = False) -> str:
-    """Terminal rendering: regressions first, then changes, then a verdict."""
-    lines = [
-        f"Regression report ({cmp.kind}): {cmp.base_label} -> {cmp.new_label}",
-        "=" * 64,
-    ]
-    interesting = [d for d in cmp.deltas if d.status != OK]
-    order = {REGRESSED: 0, CHANGED: 1, IMPROVED: 2}
-    interesting.sort(key=lambda d: (order.get(d.status, 3), d.key, d.metric))
-    shown = interesting if verbose else interesting[:40]
-    for d in shown:
-        mark = {REGRESSED: "FAIL", IMPROVED: "  up", CHANGED: "  ~ "}[d.status]
-        lines.append(
-            f"{mark}  {d.key:<28} {d.metric:<20} "
-            f"{_short(d.old):>28} -> {_short(d.new):<28} {d.note}"
-        )
-    if len(interesting) > len(shown):
-        lines.append(f"… {len(interesting) - len(shown)} more (use --verbose)")
-    ok = sum(1 for d in cmp.deltas if d.status == OK)
-    lines.append("-" * 64)
-    lines.append(
-        f"{len(cmp.regressions)} regression(s), "
-        f"{sum(1 for d in cmp.deltas if d.status == CHANGED)} change(s), "
-        f"{sum(1 for d in cmp.deltas if d.status == IMPROVED)} improvement(s), "
-        f"{ok} identical metric(s)"
-    )
-    lines.append("verdict: " + ("REGRESSED" if cmp.regressions else ("identical" if cmp.identical else "ok")))
-    return "\n".join(lines)
-
-
 _HTML_STYLE = """
 body { font: 14px/1.45 system-ui, sans-serif; margin: 2rem auto; max-width: 72rem; color: #1a1a2e; }
 h1 { font-size: 1.3rem; } .verdict { font-weight: 700; padding: .4rem .8rem; border-radius: .4rem; display: inline-block; }
@@ -494,45 +331,21 @@ code { background: #f4f4fb; padding: .05rem .3rem; border-radius: .25rem; }
 """
 
 
-def format_html(cmp: Comparison) -> str:
-    """Standalone single-file HTML dashboard for the comparison."""
-    esc = _html.escape
-    rows = []
-    order = {REGRESSED: 0, CHANGED: 1, IMPROVED: 2, OK: 3}
-    for d in sorted(cmp.deltas, key=lambda d: (order.get(d.status, 4), d.key, d.metric)):
-        rows.append(
-            f"<tr class='{esc(d.status)}'>"
-            f"<td class='status'>{esc(d.status)}</td>"
-            f"<td><code>{esc(d.key)}</code></td><td>{esc(d.metric)}</td>"
-            f"<td>{esc(_short(d.old, 60))}</td><td>{esc(_short(d.new, 60))}</td>"
-            f"<td>{esc(d.note)}</td></tr>"
-        )
-    verdict = "REGRESSED" if cmp.regressions else ("identical" if cmp.identical else "ok")
-    cls = "fail" if cmp.regressions else "pass"
-    return (
-        "<!doctype html><html><head><meta charset='utf-8'>"
-        f"<title>repro regression report</title><style>{_HTML_STYLE}</style></head><body>"
-        f"<h1>Regression report ({esc(cmp.kind)}): "
-        f"<code>{esc(cmp.base_label)}</code> &rarr; <code>{esc(cmp.new_label)}</code></h1>"
-        f"<p><span class='verdict {cls}'>{verdict}</span> — "
-        f"{len(cmp.regressions)} regression(s) over {len(cmp.deltas)} compared metric(s)</p>"
-        "<table><thead><tr><th>status</th><th>key</th><th>metric</th>"
-        f"<th>{esc(cmp.base_label)}</th><th>{esc(cmp.new_label)}</th><th>note</th></tr></thead>"
-        f"<tbody>{''.join(rows)}</tbody></table></body></html>\n"
-    )
-
-
-# -- trend rendering ---------------------------------------------------------------
-
-
 def _trend_note(series: TrendSeries) -> str:
-    for status, note in zip(series.statuses, series.notes):
-        if status == REGRESSED and note:
-            return note
-    for note in series.notes:
-        if note:
-            return note
-    return ""
+    """The note of the first regressed pair, else the first note at all."""
+    flagged = (n for st, n in zip(series.statuses, series.notes)
+               if st == REGRESSED and n)
+    return next(flagged, None) or next((n for n in series.notes if n), "")
+
+
+def _revisions(trend: Trend, unstamped: str = "") -> list[str]:
+    """Each label with its manifest's short git revision, when it has one."""
+    out = []
+    for label, manifest in zip(trend.labels, trend.manifests):
+        rev = manifest.get("git_rev")
+        out.append(f"{label} [{rev[:10]}]" if rev else
+                   label if manifest.get("schema") else label + unstamped)
+    return out
 
 
 def format_trend(trend: Trend, verbose: bool = False) -> str:
@@ -541,14 +354,9 @@ def format_trend(trend: Trend, verbose: bool = False) -> str:
         f"Trend report ({trend.kind}): {' -> '.join(trend.labels)}",
         "=" * 64,
     ]
-    revs = []
-    for label, manifest in zip(trend.labels, trend.manifests):
-        rev = (manifest or {}).get("git_rev")
-        revs.append(f"{label} [{rev[:10]}]" if rev else label)
-    lines.append("revisions: " + " -> ".join(revs))
+    lines.append("revisions: " + " -> ".join(_revisions(trend)))
     interesting = [s for s in trend.series if s.worst != OK]
-    order = {REGRESSED: 0, CHANGED: 1, IMPROVED: 2}
-    interesting.sort(key=lambda s: (order.get(s.worst, 3), s.key, s.metric))
+    interesting.sort(key=lambda s: (_SEVERITY[s.worst], s.key, s.metric))
     shown = interesting if verbose else interesting[:40]
     for s in shown:
         mark = {REGRESSED: "FAIL", IMPROVED: "  up", CHANGED: "  ~ "}[s.worst]
@@ -559,16 +367,14 @@ def format_trend(trend: Trend, verbose: bool = False) -> str:
         )
     if len(interesting) > len(shown):
         lines.append(f"… {len(interesting) - len(shown)} more (use --verbose)")
-    n_reg = len(trend.regressions)
-    steady = sum(1 for s in trend.series if s.worst == OK)
+    tally = Counter(s.worst for s in trend.series)
     lines.append("-" * 64)
     lines.append(
-        f"{n_reg} regressing metric(s), "
-        f"{sum(1 for s in trend.series if s.worst == CHANGED)} changed, "
-        f"{sum(1 for s in trend.series if s.worst == IMPROVED)} improved, "
-        f"{steady} steady over {len(trend.labels)} revision(s)"
+        f"{tally[REGRESSED]} regressing metric(s), {tally[CHANGED]} changed, "
+        f"{tally[IMPROVED]} improved, "
+        f"{tally[OK]} steady over {len(trend.labels)} revision(s)"
     )
-    lines.append("verdict: " + ("REGRESSED" if n_reg else "ok"))
+    lines.append("verdict: " + ("REGRESSED" if tally[REGRESSED] else "ok"))
     return "\n".join(lines)
 
 
@@ -599,9 +405,8 @@ def format_trend_html(trend: Trend) -> str:
     """Standalone single-file HTML trend dashboard with sparklines."""
     esc = _html.escape
     rows = []
-    order = {REGRESSED: 0, CHANGED: 1, IMPROVED: 2, OK: 3}
     for s in sorted(trend.series,
-                    key=lambda s: (order.get(s.worst, 4), s.key, s.metric)):
+                    key=lambda s: (_SEVERITY[s.worst], s.key, s.metric)):
         vals = " &rarr; ".join(
             esc(_short(v, 20)) if v is not None else "·" for v in s.values
         )
@@ -616,13 +421,7 @@ def format_trend_html(trend: Trend) -> str:
     n_reg = len(trend.regressions)
     verdict = "REGRESSED" if n_reg else "ok"
     cls = "fail" if n_reg else "pass"
-    revs = []
-    for label, manifest in zip(trend.labels, trend.manifests):
-        rev = (manifest or {}).get("git_rev")
-        schema = (manifest or {}).get("schema", 0)
-        extra = f" [{esc(rev[:10])}]" if rev else (
-            " [no manifest]" if not schema else "")
-        revs.append(f"<code>{esc(label)}</code>{extra}")
+    revs = [f"<code>{esc(r)}</code>" for r in _revisions(trend, " [no manifest]")]
     return (
         "<!doctype html><html><head><meta charset='utf-8'>"
         f"<title>repro trend report</title><style>{_HTML_STYLE}"

@@ -311,8 +311,8 @@ class Simulator:
         sim.run()
         print(sim.now)
 
-    ``events_processed`` counts every executed callback (the perf harness
-    divides it by wall-clock seconds to get events/sec).
+    ``events_processed`` counts every executed callback (the sweep divides
+    it by a cell's wall-clock seconds to report events/sec).
 
     ``queue="calendar"`` swaps the binary heap for the calendar/bucket queue
     from :mod:`repro.sim.calendar`; execution order is identical

@@ -88,25 +88,12 @@ def test_degradation_report_carries_manifest():
     assert m["wall_seconds"] is not None and m["wall_seconds"] > 0
 
 
-def test_perf_report_carries_manifest():
-    from repro.apps.is_sort import IsConfig
-    from repro.bench.perf import STATS_ENTRIES, run_hotpath_benchmark
-
-    config = IsConfig(n_keys=1024, b_max=64, reps=2)
-    report = run_hotpath_benchmark(
-        nprocs=2, config=config, entries=STATS_ENTRIES[:1], verify=False,
-    )
-    m = report["manifest"]
-    assert m["schema"] == MANIFEST_SCHEMA
-    assert m["config_hash"] == config_hash(config)
-
-
 # -- the committed BENCH files ----------------------------------------------------
 
 
 @pytest.mark.parametrize(
     "name",
-    ["BENCH_hotpath.json", "BENCH_sweep.json", "BENCH_faults.json"],
+    ["BENCH_sweep.json", "BENCH_faults.json"],
 )
 def test_committed_bench_files_have_manifests(name):
     path = os.path.join(REPO_ROOT, name)

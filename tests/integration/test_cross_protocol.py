@@ -24,7 +24,7 @@ def test_runs_are_bit_deterministic():
 
 @pytest.mark.parametrize("protocol", ["vc_d", "vc_sd"])
 def test_runstats_identical_for_same_seed(protocol):
-    """The full RunStats row — the perf-harness fingerprint — is replayable."""
+    """The full RunStats row — the sweep's row fingerprint — is replayable."""
 
     def row():
         r = run_app(is_sort, protocol, 6, IS_SMALL)

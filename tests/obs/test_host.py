@@ -237,6 +237,27 @@ def test_merged_chrome_trace_validates_and_separates_clock_domains():
 # -- sweep purity against the committed matrix ------------------------------------
 
 
+IS16_MESSAGE_MIX = {  # kind -> (messages, bytes), IS on 16 processors, seed 42
+    "lrc_d": {
+        "DIFF_REPLY": (750, 1743281), "DIFF_REQUEST": (750, 15000),
+        "BARRIER_ARRIVE": (645, 152340), "BARRIER_RELEASE": (645, 152220),
+        "PAGE_REPLY": (180, 740160), "PAGE_REQUEST": (180, 2880),
+    },
+    "vc_d": {
+        "DIFF_REPLY": (37526, 22313775), "DIFF_REQUEST": (37526, 751032),
+        "VIEW_ACQUIRE": (2470, 39520), "VIEW_GRANT": (2470, 603536),
+        "VIEW_RELEASE": (2470, 78808),
+        "BARRIER_ARRIVE": (660, 10560), "BARRIER_RELEASE": (660, 10560),
+        "PAGE_REPLY": (270, 1110240), "PAGE_REQUEST": (270, 4320),
+    },
+    "vc_sd": {
+        "VIEW_ACQUIRE": (2470, 39520), "VIEW_GRANT": (2470, 2396612),
+        "VIEW_RELEASE": (2470, 1848345),
+        "BARRIER_ARRIVE": (660, 10560), "BARRIER_RELEASE": (660, 10560),
+    },
+}
+
+
 def test_host_traced_sweep_matches_committed_fingerprints():
     """--host-trace is non-perturbing across the whole 18-cell matrix: a
     profiled, uncached sweep reproduces the committed BENCH_sweep.json
@@ -266,6 +287,14 @@ def test_host_traced_sweep_matches_committed_fingerprints():
         for c in report.cells
     }
     assert got == want
+    # the per-kind (count, bytes) message mix of the three IS/16 cells: the one
+    # exact check no fingerprint covers (the table row only totals messages)
+    for c in report.cells:
+        if (c.cell.app, c.cell.nprocs, c.cell.variant) == ("is", 16, "default"):
+            by_kind = c.result.stats.net.snapshot()["by_kind"]
+            mix = {k.split(".", 1)[-1]: (r["count"], r["bytes"])
+                   for k, r in by_kind.items()}
+            assert mix == IS16_MESSAGE_MIX[c.cell.protocol]
     # and the profiler saw one run span per executed cell
     runs = [s for s in host.spans if s[2] == "run"]
     assert len(runs) == len(report.cells)

@@ -3,10 +3,10 @@
 The null-tracer fast path is ``sim.tracer is None`` checked at each
 instrumentation site; with no tracer installed a run must execute the same
 simulator events, produce bit-identical statistics rows, and allocate no
-trace events.  (Wall-clock overhead is covered by the committed
-``BENCH_hotpath.json`` harness; these tests pin the *behavioural* half of
-the zero-overhead guarantee, which is what the hot path's event count and
-table rows measure.)
+trace events.  (Wall-clock overhead is the ``benchmarks/e2e`` benchmark's
+business — ``obs.calls`` stays 0 on its unobserved workloads; these tests pin
+the *behavioural* half of the zero-overhead guarantee, which is what the
+event count and table rows measure.)
 """
 
 from repro.apps import APPS

@@ -88,6 +88,70 @@ def test_trace_command_jsonl_output(capsys, tmp_path):
     assert lines and all(json.loads(line)["ph"] in "BEiC" for line in lines)
 
 
+def test_run_jsonl_out_implies_trace(capsys, tmp_path):
+    """``run --jsonl-out`` used to exit 0 and write nothing: only ``--trace``
+    and ``--trace-out`` installed a tracer."""
+    import json
+
+    path = tmp_path / "events.jsonl"
+    assert main([
+        "run", "sor", "--protocol", "vc_sd", "--nprocs", "2",
+        "--jsonl-out", str(path),
+    ]) == 0
+    lines = path.read_text().splitlines()
+    assert lines and all(json.loads(line)["ph"] in "BEiC" for line in lines)
+    assert "Critical path" not in capsys.readouterr().out
+    assert main([
+        "run", "sor", "--protocol", "vc_sd", "--nprocs", "2", "--critical-path",
+    ]) == 0
+    assert "Critical path" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cmd, nprocs, trace, check", [
+    ("run", 16, False, False),
+    ("check", 8, False, True),
+    ("trace", 8, True, False),
+    ("profile", 16, None, None),
+])
+def test_run_check_trace_are_presets_of_one_body(cmd, nprocs, trace, check):
+    """argparse cannot check this: flag actions shared between subparsers
+    (one ``parents=[...]`` object) would hand every name the last preset."""
+    import repro.cli as cli
+
+    args = build_parser().parse_args([cmd, "sor"])
+    assert args.nprocs == nprocs
+    assert getattr(args, "trace", None) is trace
+    assert getattr(args, "check_consistency", None) is check
+    if cmd == "profile":
+        assert args.fn is cli._cmd_profile
+        assert not hasattr(args, "faults") and not hasattr(args, "host_trace")
+    else:
+        assert args.fn is cli._cmd_run
+        assert (args.trace_out, args.critical_path, args.findings_out) == (
+            None, False, None)
+
+
+def test_every_run_name_takes_the_union_and_keeps_its_exits(capsys, tmp_path):
+    import json
+
+    from repro.obs import validate_chrome_trace
+
+    trace_out = tmp_path / "t.json"
+    assert main(["check", "sor", "--nprocs", "2", "--trace-out", str(trace_out)]) == 0
+    assert validate_chrome_trace(json.loads(trace_out.read_text()))["spans"] > 0
+    out = capsys.readouterr().out
+    assert "Where the time went" in out and "CLEAN" in out
+    assert main(["trace", "sor", "--nprocs", "2", "--check-consistency"]) == 0
+    out = capsys.readouterr().out
+    assert "Where the time went" in out and "CLEAN" in out
+    # an aborted run: 3 bare, 3 with the partial history checked
+    assert main(["run", "is", "--nprocs", "2", "--drop-prob", "1.0"]) == 3
+    assert "Consistency oracle" not in capsys.readouterr().out
+    assert main(["check", "is", "--protocol", "lrc_d", "--nprocs", "2",
+                 "--drop-prob", "1.0"]) == 3
+    assert "Consistency oracle" in capsys.readouterr().out
+
+
 def test_trace_command_critical_path_and_metrics(capsys, tmp_path):
     import json
 
