@@ -64,10 +64,10 @@ def _run_or_abort(cluster, run: Callable[[], Any]) -> Any:
 
     The cycle collector is paused for the length of the run and put back the
     way it was found on every way out.  A run's heap is acyclic and only
-    grows (reply caches up to the duplicate horizon, diff stores, pending
-    retransmission timers), so generational collections re-walk it again and
-    again and free nothing: on IS/16 under VC_d, 751 collections cost 0.6 s
-    of 3.3 s and reclaimed no object.  What *is* cyclic is a finished
+    grows (reply caches up to the duplicate horizon, diff stores), so
+    generational collections re-walk it again and again and free nothing:
+    on IS/16 under VC_d, 751 collections cost 0.6 s of 3.3 s and
+    reclaimed no object.  What *is* cyclic is a finished
     run's cluster/system/process graph, which only a collection can free —
     so the one collection happens here, before the pause, where it releases
     the previous run before this one allocates (and costs a walk of the live

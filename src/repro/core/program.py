@@ -162,9 +162,9 @@ class BaseSystem:
         pending = self.start_program(body, *args, **kwargs)
         self.dsm.run()
         results = pending.finish()
-        # the run ends when the last application process finishes; the event
-        # heap may keep draining cancelled retransmission timers afterwards,
-        # which must not count towards the measured time
+        # the run ends when the last application process finishes; what the
+        # event heap drains afterwards (fire-and-forget senders' acks) must
+        # not count towards the measured time
         self.dsm.run_time = max(pending.finish_times) - pending.start
         return [results[rank] for rank in range(self.nprocs)]
 

@@ -87,9 +87,7 @@ def _pending_ops(cluster) -> dict:
     """Per-node counts of in-flight reliable sends / outstanding requests."""
     out: dict[int, dict[str, int]] = {}
     for node in getattr(cluster, "nodes", []):
-        transport = node.transport
-        acks = len(transport._ack_events)
-        replies = len(transport._pending_replies)
+        acks, replies = node.transport.pending_counts()
         if acks or replies:
             out[node.id] = {"pending_acks": acks, "pending_replies": replies}
     return out

@@ -53,7 +53,7 @@ class MpiComm:
         self.size = size
         self._queues: dict[tuple[int, int], deque] = {}
         self._waiters: dict[tuple[int, int], deque] = {}
-        node.register_handler(MessageKind.MPI_DATA, self._on_data)
+        node.register_handler(MessageKind.MPI_DATA, self._on_data, cost=0.0)
 
     # -- point to point -----------------------------------------------------------
 
@@ -87,7 +87,7 @@ class MpiComm:
         tracer.end(self.rank, "app", "recv-wait", self.node.sim.now)
         return data
 
-    def _on_data(self, msg: Message) -> Generator:
+    def _on_data(self, msg: Message) -> None:
         key = (msg.payload["src"], msg.payload["tag"])
         waiters = self._waiters.get(key)
         if waiters:
@@ -97,8 +97,6 @@ class MpiComm:
             waiters.popleft().set(msg.payload["data"])
         else:
             self._queues.setdefault(key, deque()).append(msg.payload["data"])
-        return
-        yield  # pragma: no cover
 
     # -- collectives (binomial trees rooted at ``root``) ------------------------------
 
@@ -274,7 +272,6 @@ class MpiSystem:
         pending = self.start_program(body, *args, **kwargs)
         self.cluster.run()
         results = pending.finish()
-        # measure to the last rank's finish, not to event-heap drain (which
-        # includes cancelled retransmission timers)
+        # measure to the last rank's finish, not to event-heap drain
         self.time = max(pending.finish_times) - pending.start
         return [results[rank] for rank in range(self.nprocs)]

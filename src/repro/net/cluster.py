@@ -2,16 +2,21 @@
 
 A :class:`Node` is one simulated PC: a CPU (time charged through
 :meth:`Node.compute`), a NIC, a reliable transport endpoint, and a
-**dispatcher daemon** that processes incoming protocol messages *serially* —
+**dispatcher** that processes incoming protocol messages *serially* —
 exactly like a SIGIO handler in TreadMarks.  Serial handler execution is what
 turns the LRC barrier manager into the bottleneck the paper measures: 2(n-1)
 messages must be handled one after another at node 0.  It has no mailbox: the
-NIC's receive completion resumes it in place, or backlogs while it is busy.
+NIC's receive completion serves the message in place, or backlogs it while a
+handler runs.
 
-Protocol layers register generator handlers per :class:`MessageKind`;
-handlers may charge compute time and send messages but must never block on a
-remote request (one-way sends only), which makes the system deadlock-free by
-construction.
+Protocol layers register one handler per :class:`MessageKind`, in one of two
+forms.  A handler that can only charge a fixed CPU cost and then act (answer
+a diff or page request, queue MPI data) is a *plain function* registered with
+that cost: the node charges it and calls the function from the event, with no
+process involved.  A handler that must wait in the middle — charge compute
+time that depends on what it found, send and await acks — is a *generator*,
+run by the node's dispatcher process.  Neither may block on a remote request
+(one-way sends only), which makes the system deadlock-free by construction.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from repro.net.transport import Transport
 
 __all__ = ["Cluster", "Node"]
 
-Handler = Callable[[Message], Generator]
+Handler = Callable[[Message], Any]  # a generator function, or plain with a cost
+_UNREGISTERED = (None, None)
 
 
 class Node:
@@ -42,42 +48,101 @@ class Node:
         self.stats = stats
         self.nic = Nic(sim, node_id, netcfg, stats, self._on_frame)
         self.transport = Transport(sim, node_id, self.nic, netcfg, stats)
-        self._handlers: dict[MessageKind, Handler] = {}
+        self._handlers: dict[MessageKind, tuple[Handler, Optional[float]]] = {}
         self._backlog: deque[Message] = deque()  # arrived while a handler ran
+        self._busy = False  # a handler of either form is running
         self._proc = sim.spawn(self._dispatcher(), name=f"dispatch-{node_id}")
 
     # -- protocol plumbing -------------------------------------------------------
 
-    def register_handler(self, kind: MessageKind, handler: Handler) -> None:
-        """Install ``handler`` for messages of ``kind`` (one per kind)."""
+    def register_handler(self, kind: MessageKind, handler: Handler,
+                         cost: Optional[float] = None) -> None:
+        """Install ``handler`` for messages of ``kind`` (one per kind).
+
+        Without ``cost`` the handler is a generator function, run to
+        completion by the dispatcher process.  With ``cost`` it is a plain
+        function: the node charges ``cost`` seconds of CPU, then calls it.
+        """
         if kind in self._handlers:
             raise ValueError(f"node {self.id}: handler for {kind} already registered")
-        self._handlers[kind] = handler
+        self._handlers[kind] = (handler, cost)
 
     def _on_frame(self, msg: Message) -> None:
         filtered = self.transport.on_receive(msg)
-        if filtered is not None and not self._proc.unpark(filtered):
+        if filtered is not None:
             self._backlog.append(filtered)
+            if not self._busy:
+                self._busy = True
+                self._drain()
+
+    def _drain(self, handler: Optional[Handler] = None,
+               msg: Optional[Message] = None) -> Optional[Message]:
+        """Serve plain kinds from the backlog, in arrival order, until one
+        has to wait — after finishing plain ``handler(msg)``, if given: its
+        cost was just charged.  The node is marked busy.
+
+        It ends idle, charging a plain handler's cost (this method is that
+        timer's callback), or facing a message for the dispatcher process: a
+        generator kind, or an unregistered one for it to raise from.  The
+        parked dispatcher is resumed with that message — or with an
+        exception, so a failing plain handler or a fail-stop raised by the
+        cost charge fails the run the way a failing generator handler does.
+        Called *by* the dispatcher, which cannot be resumed while it runs,
+        the message is returned and the exception raised to it instead.
+        """
+        backlog = self._backlog
+        tracer = self.sim.tracer
+        try:
+            while True:
+                if handler is not None:
+                    handler(msg)
+                    if tracer is not None:
+                        tracer.end_dispatch(self.id, self.sim.now)
+                if not backlog:
+                    self._busy = False
+                    return None
+                msg = backlog.popleft()
+                handler, cost = self._handlers.get(msg.kind, _UNREGISTERED)
+                if cost is None:
+                    break
+                if tracer is not None:
+                    tracer.begin_dispatch(
+                        self.id, msg.msg_id, msg.kind.name, msg.src, self.sim.now
+                    )
+                if cost > 0:
+                    faults = self.sim.faults
+                    if faults is not None:
+                        # CPU slowdown / pause episodes stretch the charged slice
+                        cost = faults.compute_seconds(self.id, cost)
+                    self.sim.schedule(cost, self._drain, handler, msg)
+                    return None
+        except Exception as exc:
+            if not self._proc.unpark(exc=exc):
+                raise
+            return None
+        return None if self._proc.unpark(msg) else msg
 
     def _dispatcher(self) -> Generator:
+        msg = None
         while True:
-            msg = self._backlog.popleft() if self._backlog else (yield PARK)
-            handler = self._handlers.get(msg.kind)
+            if msg is None:
+                msg = yield PARK
+            handler = self._handlers.get(msg.kind, _UNREGISTERED)[0]
             if handler is None:
                 raise LookupError(
                     f"node {self.id}: no handler for message kind {msg.kind!r}"
                 )
             tracer = self.sim.tracer
-            if tracer is None:
-                yield from handler(msg)
-            else:
+            if tracer is not None:
                 # dispatch-lane span + handler context for causal wake
                 # attribution (see repro.obs.tracer, "Causal edges")
                 tracer.begin_dispatch(
                     self.id, msg.msg_id, msg.kind.name, msg.src, self.sim.now
                 )
-                yield from handler(msg)
+            yield from handler(msg)
+            if tracer is not None:
                 tracer.end_dispatch(self.id, self.sim.now)
+            msg = self._drain()
 
     # -- communication helpers -----------------------------------------------------
 

@@ -13,9 +13,14 @@ UDP:
   replies per request id so duplicated requests never re-run the handler
   (at-most-once execution).
 
-Retransmission waits use :meth:`Event.wait_timeout` — the kernel's
-cancellable wait primitive — so each ack/timeout race costs zero auxiliary
-event or callback allocations and the losing wake-up is deregistered.
+Every in-flight reliable send and request is one *pending record* in one
+table.  The ack or reply pops the record, cancels its retransmission timer
+(:meth:`Simulator.cancel_timer` — an answered timer never becomes an event)
+and wakes the sender with one zero-delay event; the timer's callback is the
+retransmission, and after ``max_retries`` of them it throws
+:class:`RequestError` into the sender.  :meth:`Transport.call_all` issues
+several requests behind one waiter, so a caller fetching from k peers is
+resumed once, not k times through k helper processes.
 
 Retransmission timing follows :meth:`NetConfig.retry_schedule`: a fixed
 1 s timeout by default (the paper's observed behaviour), optionally
@@ -38,9 +43,10 @@ Statistics: original sends are counted in ``NetStats.num_msg``/``data_bytes``
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional, Sequence
 
-from repro.sim import Event, Simulator, TIMED_OUT
+from repro.sim import Simulator
+from repro.sim.engine import Effect, Process
 
 from repro.net.message import Message, MessageKind
 
@@ -95,6 +101,39 @@ def _jitter_unit(key: int, attempt: int) -> float:
     return x / 4294967296.0
 
 
+class _Waiter(Effect):
+    """What a sender yields: suspends it until all ``left`` of its pending
+    records are answered, then resumes it once with ``results`` (one slot
+    per record, in the order they were sent).  ``send``, if given, runs one
+    zero-delay hop after the sender suspends."""
+
+    __slots__ = ("send", "proc", "token", "results", "left")
+
+    def __init__(self, n: int, send: Optional[Callable[[_Waiter], None]] = None):
+        self.send = send
+        self.results: list = [None] * n
+        self.left = n
+
+    def apply(self, sim: Simulator, proc: Process) -> None:
+        self.proc = proc
+        self.token = proc._epoch
+        if self.send is not None:
+            sim.call_soon(self.send, self)
+
+
+class _Pending:
+    """One unanswered reliable send or request; ``msg.attempt`` counts its
+    retransmissions and ``timer`` is the armed ``schedule_timer`` handle."""
+
+    __slots__ = ("msg", "waiter", "slot", "jkey", "timer")
+
+    def __init__(self, msg: Message, waiter: _Waiter, slot: int, jkey: int):
+        self.msg = msg
+        self.waiter = waiter
+        self.slot = slot  # index into waiter.results
+        self.jkey = jkey
+
+
 class Transport:
     """Per-node reliable messaging endpoint.
 
@@ -110,8 +149,9 @@ class Transport:
         self.nic = nic
         self.cfg = cfg
         self.stats = stats
-        self._ack_events: dict[int, Event] = {}
-        self._pending_replies: dict[int, Event] = {}
+        # msg_id -> record of every reliable send awaiting its ack and every
+        # request awaiting its reply (a request's req_id is its msg_id)
+        self._pending: dict[int, _Pending] = {}
         # (src, id) -> simulated time of first receipt; insertion order ==
         # time order.  Keyed by source as well as id: the receiver only
         # relies on ids being unique per sender.
@@ -138,54 +178,43 @@ class Transport:
         """Fire-and-forget, unreliable, uncounted except for acks."""
         self.nic.send(msg)
 
-    def send_reliable(
-        self,
-        dst: int,
-        kind: MessageKind,
-        payload: Any,
-        size: int,
-    ) -> Generator:
+    def send_reliable(self, dst: int, kind: MessageKind, payload: Any, size: int) -> Generator:
         """One-way reliable send; completes when the receiver acked.
 
         Usage: ``yield from transport.send_reliable(...)``.
         """
-        msg = Message(
-            src=self.node_id, dst=dst, kind=kind, payload=payload, size=size, need_ack=True
-        )
-        self.stats.count_send(kind, size)
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.causal_send(msg.msg_id, self.node_id, self.sim.now, kind.name)
-        acked = Event(self.sim)
-        self._ack_events[msg.msg_id] = acked
-        try:
-            yield from self._retry_until(msg, acked)
-        finally:
-            self._ack_events.pop(msg.msg_id, None)
+        waiter = _Waiter(1)
+        self._transmit(waiter, 0, dst, kind, payload, size, need_ack=True)
+        yield waiter
 
-    def request(
-        self,
-        dst: int,
-        kind: MessageKind,
-        payload: Any,
-        size: int,
-    ) -> Generator:
+    def request(self, dst: int, kind: MessageKind, payload: Any, size: int) -> Generator:
         """Request/reply RPC; resumes with the reply :class:`Message`."""
-        msg = Message(
-            src=self.node_id, dst=dst, kind=kind, payload=payload, size=size, need_ack=False
-        )
-        msg.req_id = msg.msg_id
-        self.stats.count_send(kind, size)
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.causal_send(msg.msg_id, self.node_id, self.sim.now, kind.name)
-        replied = Event(self.sim)
-        self._pending_replies[msg.req_id] = replied
-        try:
-            reply = yield from self._retry_until(msg, replied)
-        finally:
-            self._pending_replies.pop(msg.req_id, None)
-        return reply
+        waiter = _Waiter(1)
+        self._transmit(waiter, 0, dst, kind, payload, size, need_ack=False)
+        return (yield waiter)[0]
+
+    def call_all(self, requests: Sequence[tuple[int, MessageKind, Any, int]]) -> Effect:
+        """Effect: issue every ``(dst, kind, payload, size)`` request at once.
+
+        ``replies = yield transport.call_all([...])`` queues one zero-delay
+        hop, sends the requests in list order and resumes the caller once,
+        when the last reply is in, with the reply messages in request order.
+        Each request retransmits on its own timer; the first to exhaust its
+        budget fails the call.
+        """
+        if not requests:
+            raise ValueError("call_all needs at least one request")
+
+        def send(waiter: _Waiter) -> None:
+            for slot, (dst, kind, payload, size) in enumerate(requests):
+                self._transmit(waiter, slot, dst, kind, payload, size, need_ack=False)
+
+        return _Waiter(len(requests), send)
+
+    def pending_counts(self) -> tuple[int, int]:
+        """``(unacked reliable sends, unanswered requests)`` in flight."""
+        acks = sum(1 for rec in self._pending.values() if rec.msg.need_ack)
+        return acks, len(self._pending) - acks
 
     def reply_to(self, req: Message, kind: MessageKind, payload: Any, size: int) -> None:
         """Send (and cache) the reply to a request message."""
@@ -215,65 +244,102 @@ class Transport:
             return base * (1.0 + self._jitter * _jitter_unit(key, attempt))
         return base
 
-    def _retry_until(self, msg: Message, done: Event) -> Generator:
-        """Transmit ``msg``, retransmitting until ``done`` fires.
-
-        Every transmitted copy — including the final retransmission — gets a
-        full schedule slot for its ack/reply to come back before
-        :class:`RequestError` is raised, so ``max_retries + 1`` copies hit
-        the wire in the worst case and each one can complete the send.
-        """
+    def _transmit(self, waiter: _Waiter, slot: int, dst: int, kind: MessageKind,
+                  payload: Any, size: int, need_ack: bool) -> None:
+        """Create a message, count it and put its first copy on the wire."""
+        msg = Message(
+            src=self.node_id, dst=dst, kind=kind, payload=payload, size=size, need_ack=need_ack
+        )
+        if not need_ack:
+            msg.req_id = msg.msg_id
+        self.stats.count_send(kind, size)
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.causal_send(msg.msg_id, self.node_id, self.sim.now, kind.name)
         if self._jitter:
             self._send_seq += 1
             jkey = (self._send_seq << 6) + self.node_id
         else:
             jkey = 0  # unused: _wait_for skips the jitter term entirely
+        rec = self._pending[msg.msg_id] = _Pending(msg, waiter, slot, jkey)
+        self._send_copy(rec)
+
+    def _send_copy(self, rec: _Pending) -> None:
+        """Transmit one copy of ``rec.msg`` and arm its timer.
+
+        Every transmitted copy — including the final retransmission — gets a
+        full schedule slot for its ack/reply to come back before
+        :class:`RequestError` is raised, so ``max_retries + 1`` copies hit
+        the wire in the worst case and each one can complete the send.  The
+        timer names its record by id: holding the record would tie record
+        and timer handle into a cycle only the (paused) collector could free.
+        """
+        msg = rec.msg
         self.nic.send(msg.wire_copy())
-        for attempt in range(1, self.cfg.max_retries + 1):
-            result = yield done.wait_timeout(self._wait_for(jkey, attempt - 1))
-            if result is not TIMED_OUT:
-                return result
+        rec.timer = self.sim.schedule_timer(
+            self._wait_for(rec.jkey, msg.attempt), self._on_timeout, msg.msg_id
+        )
+
+    def _on_timeout(self, msg_id: int) -> None:
+        """A transmitted copy's schedule slot ran out: retransmit or give up."""
+        rec = self._pending.get(msg_id)
+        if rec is None:
+            return  # answered; only a spilled, uncancellable timer gets here
+        msg = rec.msg
+        waiter = rec.waiter
+        if waiter.token != waiter.proc._epoch:
+            # the sender moved on (interrupted, or failed by another request
+            # of the same call): nobody is left to retransmit for
+            del self._pending[msg_id]
+        elif msg.attempt == self.cfg.max_retries:
+            del self._pending[msg_id]
+            waiter.proc._resume(None, RequestError(
+                f"node {self.node_id}: {msg.kind} to {msg.dst} lost after "
+                f"{self.cfg.max_retries} retries",
+                node=self.node_id,
+                dst=msg.dst,
+                kind=msg.kind.name,
+                attempts=self.cfg.max_retries,
+                sim_time=self.sim.now,
+            ), waiter.token)
+        else:
+            msg.attempt += 1
             self.stats.count_rexmit(msg.size, msg.kind)
             tracer = self.sim.tracer
             if tracer is not None:
                 tracer.instant(
                     self.node_id, "transport", "tx",
                     f"rexmit {msg.kind.name}->{msg.dst}", self.sim.now,
-                    {"attempt": attempt, "bytes": msg.size},
+                    {"attempt": msg.attempt, "bytes": msg.size},
                 )
-            retry = msg.wire_copy()
-            retry.attempt = attempt
-            self.nic.send(retry)
-        result = yield done.wait_timeout(
-            self._wait_for(jkey, self.cfg.max_retries)
-        )
-        if result is not TIMED_OUT:
-            return result
-        raise RequestError(
-            f"node {self.node_id}: {msg.kind} to {msg.dst} lost after "
-            f"{self.cfg.max_retries} retries",
-            node=self.node_id,
-            dst=msg.dst,
-            kind=msg.kind.name,
-            attempts=self.cfg.max_retries,
-            sim_time=self.sim.now,
-        )
+            self._send_copy(rec)
+
+    def _answered(self, msg_id: int, cause: int, value: Any) -> None:
+        """The ack or reply for pending record ``msg_id`` arrived (if it is
+        still pending): disarm it and wake its sender once all are in."""
+        rec = self._pending.pop(msg_id, None)
+        if rec is None:
+            return  # stale or duplicate
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.wake(self.node_id, self.sim.now, msg_id=cause)
+        self.sim.cancel_timer(rec.timer)
+        waiter = rec.waiter
+        waiter.results[rec.slot] = value
+        waiter.left -= 1
+        if not waiter.left:
+            self.sim.call_soon(waiter.proc._resume, waiter.results, None, waiter.token)
 
     # -- receive path -------------------------------------------------------------
 
     def on_receive(self, msg: Message) -> Message | None:
         """Filter a received message; return it iff the protocol should see it."""
         if msg.kind is MessageKind.ACK:
-            evt = self._ack_events.get(msg.payload)
-            if evt is not None:
-                tracer = self.sim.tracer
-                if tracer is not None:
-                    # the cause is the *original* message (acks have no send
-                    # edge), whose edge points back at this very node — so
-                    # the critical-path walk charges the whole round trip to
-                    # wire and continues locally at the original send time
-                    tracer.wake(self.node_id, self.sim.now, msg_id=msg.payload)
-                evt.set()
+            # the wake's cause is the *original* message (acks have no send
+            # edge), whose edge points back at this very node — so the
+            # critical-path walk charges the whole round trip to wire and
+            # continues locally at the original send time
+            self._answered(msg.payload, msg.payload, None)
             return None
         if msg.need_ack:
             ack = Message(
@@ -293,13 +359,8 @@ class Transport:
             self._evict_expired(now)
             return msg
         if msg.is_reply:
-            evt = self._pending_replies.get(msg.req_id)
-            if evt is not None:
-                tracer = self.sim.tracer
-                if tracer is not None:
-                    tracer.wake(self.node_id, self.sim.now, msg_id=msg.msg_id)
-                evt.set(msg)
-            return None  # stale/duplicate reply
+            self._answered(msg.req_id, msg.msg_id, msg)
+            return None
         if msg.req_id is not None:
             key = (msg.src, msg.req_id)
             cached = self._reply_cache.get(key)

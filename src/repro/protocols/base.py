@@ -80,8 +80,12 @@ class BaseDsmProtocol:
     # -- wiring ---------------------------------------------------------------
 
     def _register_handlers(self) -> None:
-        self.node.register_handler(MessageKind.DIFF_REQUEST, self._handle_diff_request)
-        self.node.register_handler(MessageKind.PAGE_REQUEST, self._handle_page_request)
+        self.node.register_handler(
+            MessageKind.DIFF_REQUEST, self._handle_diff_request, cost=HANDLER_BASE_COST
+        )
+        self.node.register_handler(
+            MessageKind.PAGE_REQUEST, self._handle_page_request, cost=HANDLER_BASE_COST
+        )
 
     @property
     def nprocs(self) -> int:
@@ -302,40 +306,37 @@ class BaseDsmProtocol:
                     )
                 return
         # fetch from all writers concurrently (TreadMarks issues parallel
-        # diff requests), then apply in Lamport order.  The overwhelmingly
-        # common single-writer case runs inline instead of through a spawned
-        # fetcher process; the two Timeout(0) hops stand in for the spawn
-        # hand-off and the join wake-up so the engine's event order (and with
-        # it every same-instant tie-break) is unchanged.  Unlike the NIC and
-        # dispatcher hand-off hops, which are gone, these two are measurably
-        # order-bearing: deleting them saves 318 events on IS/16 under VC_d
-        # and changes three committed fingerprints (sor/lrc_d/8,
-        # gauss/lrc_d/8, nn/lrc_d/8), so they stay.
-        if len(by_writer) == 1:
-            ((writer, idxs),) = by_writer.items()
+        # diff requests), then apply in Lamport order.  Either way the
+        # requests leave one zero-delay hop after the fault: the hop stands
+        # in for the start of the fetcher process each request once ran in,
+        # and it is measurably order-bearing — without it three committed
+        # fingerprints change (sor/lrc_d/8, gauss/lrc_d/8, nn/lrc_d/8).  The
+        # single-writer case's second hop stands in for that fetcher's exit
+        # waking the faulting process; a gathered call's one wake-up needs
+        # no such stand-in.
+        requests = [
+            (writer, MessageKind.DIFF_REQUEST, (pid, sorted(idxs)),
+             CTRL_MSG_BYTES + 4 * len(idxs))
+            for writer, idxs in sorted(by_writer.items())
+        ]
+        metrics = self.node.sim.metrics
+        for writer, _, _, _ in requests:
+            self.stats.count_diff_request()
+            if metrics is not None:
+                metrics.inc("diff_requests", 1, page=pid, writer=writer)
+        if len(requests) == 1:
             yield _HOP
-            reply = yield from self._request_diffs(writer, pid, sorted(idxs))
+            reply = yield from self.node.request(*requests[0])
             yield _HOP
-            replies = [reply]
-        else:
-            fetchers = []
-            for writer, idxs in sorted(by_writer.items()):
-                fetchers.append(
-                    self.node.sim.spawn(
-                        self._request_diffs(writer, pid, sorted(idxs)),
-                        name=f"difffetch-{self.node.id}-{pid}-{writer}",
-                    )
-                )
-            replies = yield from self.node.sim.all_of(fetchers)
-        if len(by_writer) == 1:
             # one writer's intervals are already in its Lamport order
-            diffs_by_idx = replies[0]
+            diffs_by_idx = reply.payload
             ordered = [d for idx in sorted(diffs_by_idx) for d in diffs_by_idx[idx]]
         else:
+            replies = yield self.node.transport.call_all(requests)
             collected: list[tuple[tuple[int, int], Diff]] = []
-            for (writer, idxs), diffs_by_idx in zip(sorted(by_writer.items()), replies):
+            for (writer, _, _, _), reply in zip(requests, replies):
                 lamport_of = {n.idx: n.lamport for n in notices if n.node == writer}
-                for idx, diffs in diffs_by_idx.items():
+                for idx, diffs in reply.payload.items():
                     for k, diff in enumerate(diffs):
                         collected.append(((lamport_of[idx], writer, k), diff))
             collected.sort(key=lambda item: item[0])
@@ -355,24 +356,9 @@ class BaseDsmProtocol:
                 self.mm.pages[pid].data,
             )
 
-    def _request_diffs(self, writer: int, pid: int, idxs: list[int]) -> Generator:
-        """RPC one writer for its diffs of ``pid`` at intervals ``idxs``."""
-        self.stats.count_diff_request()
-        metrics = self.node.sim.metrics
-        if metrics is not None:
-            metrics.inc("diff_requests", 1, page=pid, writer=writer)
-        reply = yield from self.node.request(
-            writer,
-            MessageKind.DIFF_REQUEST,
-            (pid, idxs),
-            size=CTRL_MSG_BYTES + 4 * len(idxs),
-        )
-        return reply.payload
-
     # -- remote handlers ---------------------------------------------------------------
 
-    def _handle_diff_request(self, msg: Message) -> Generator:
-        yield from self.node.compute(HANDLER_BASE_COST)
+    def _handle_diff_request(self, msg: Message) -> None:
         pid, idxs = msg.payload
         diffs_by_idx: dict[int, list[Diff]] = {}
         size = CTRL_MSG_BYTES
@@ -387,8 +373,7 @@ class BaseDsmProtocol:
             size += sum(d.wire_size for d in diffs)
         self.node.reply_to(msg, MessageKind.DIFF_REPLY, diffs_by_idx, size)
 
-    def _handle_page_request(self, msg: Message) -> Generator:
-        yield from self.node.compute(HANDLER_BASE_COST)
+    def _handle_page_request(self, msg: Message) -> None:
         content = self.mm.snapshot_page(msg.payload)
         self.node.reply_to(
             msg,

@@ -178,8 +178,7 @@ class HlrcProtocol(LrcProtocol):
                 self.node.sim.now, self.node.id, pid, home, self.mm.pages[pid].data
             )
 
-    def _handle_page_request(self, msg: Message) -> Generator:
-        yield from self.node.compute(HANDLER_BASE_COST)
+    def _handle_page_request(self, msg: Message) -> None:
         pid = msg.payload["pid"]
         need = msg.payload.get("need") or []
         applied = self._applied.setdefault(pid, set())
@@ -200,11 +199,16 @@ class HlrcProtocol(LrcProtocol):
             size=CTRL_MSG_BYTES + len(content),
         )
 
+    def _retry_page_request(self, msg: Message) -> Generator:
+        """Re-run a deferred page request, charging the handler cost again."""
+        yield from self.node.compute(HANDLER_BASE_COST)
+        self._handle_page_request(msg)
+
     def _retry_waiting(self, pid: int) -> None:
         waiters = self._waiting.pop(pid, [])
         for msg in waiters:
             self.node.sim.spawn(
-                self._handle_page_request(msg), name=f"hlrc-retry-{self.node.id}-{pid}"
+                self._retry_page_request(msg), name=f"hlrc-retry-{self.node.id}-{pid}"
             )
         tracer = self.node.sim.tracer
         for evt in self._home_events.pop(pid, []):

@@ -18,7 +18,7 @@ ties), so a given program produces bit-identical traces on every run.
 
 from repro.sim.engine import Simulator, Process, Timeout, SimError, Interrupt, PARK
 from repro.sim.channel import Channel, ChannelClosed
-from repro.sim.resources import Mutex, Semaphore, Condition, Event, Barrier, TIMED_OUT
+from repro.sim.resources import Mutex, Semaphore, Condition, Event, Barrier
 
 __all__ = [
     "Simulator",
@@ -34,5 +34,4 @@ __all__ = [
     "Condition",
     "Event",
     "Barrier",
-    "TIMED_OUT",
 ]

@@ -220,8 +220,9 @@ class Process:
         # never be signalled.
         self.sim.call_soon(self._resume, None, None, self._epoch)
 
-    def unpark(self, value: Any = None) -> bool:
-        """Resume a process suspended on :data:`PARK` with ``value``, *now*.
+    def unpark(self, value: Any = None, exc: Optional[BaseException] = None) -> bool:
+        """Resume a process suspended on :data:`PARK` with ``value`` — or by
+        throwing ``exc`` into it — *now*.
 
         Returns ``False``, having done nothing, if the process is not parked
         (not started yet, waiting on something else, or finished).  Unlike
@@ -232,7 +233,7 @@ class Process:
         if not self._parked:
             return False
         self._parked = False
-        self._resume(value, None, self._epoch)
+        self._resume(value, exc, self._epoch)
         return True
 
     # -- engine internals ----------------------------------------------------
@@ -365,6 +366,7 @@ class Simulator:
         # a small heap of lane heads; see schedule_timer
         self._timer_lanes: dict[float, deque] = {}
         self._timer_heads: list[tuple] = []
+        self._cancelled: set[int] = set()  # seqs of cancelled timers still in a lane
         self.timer_spills: int = 0
         self._ready: deque[tuple[Callable, tuple]] = deque()
         self._seq = itertools.count()
@@ -429,60 +431,91 @@ class Simulator:
             raise SimError(f"cannot schedule in the past (t={t!r} < now={self.now!r})")
         self._qpush(self._heap, (t, tsched, cls, next(self._seq), fn, args))
 
-    def schedule_timer(self, delay: float, fn: Callable, *args: Any) -> None:
+    def schedule_timer(self, delay: float, fn: Callable, *args: Any) -> Optional[tuple]:
         """Heap-free lanes for timeout guards that usually never fire.
 
         Timers with the *same* delay have non-decreasing deadlines (``now``
         never decreases), so a plain FIFO per distinct delay value holds
-        them sorted with O(1) insertion — and, crucially, the tens of
-        thousands of *cancelled* timers awaiting their (dropped) wake-up no
-        longer bloat the main queue and tax every push/pop with their
-        log-factor.  A small heap of lane heads merges the lanes; entries
-        draw sequence numbers from the same counter as the main queue and
-        the run loop merges all lanes by the full ``(time, tsched, cls,
-        seq)`` key, so execution order is exactly the single-queue order
-        (property-tested in ``tests/sim/test_engine.py``).
+        them sorted with O(1) insertion, off the main queue.  A small heap
+        of lane heads merges the lanes; entries draw sequence numbers from
+        the same counter as the main queue and the run loop merges all
+        lanes by the full ``(time, tsched, cls, seq)`` key, so execution
+        order is exactly the single-queue order (property-tested in
+        ``tests/sim/test_engine.py``).
 
-        The pre-backoff implementation kept *one* FIFO and pushed any
-        out-of-order deadline to the main heap.  With PR 5's exponential
-        backoff the delays became variable, and a single long backed-off
-        timer at the lane tail silently rerouted every subsequent
-        shorter-delay timer — including the constant-delay fast path —
-        into the heap.  Per-delay lanes keep each delay class O(1); only
-        runs juggling more than :attr:`MAX_TIMER_LANES` distinct live delay
-        values ever spill (counted in :attr:`timer_spills`).
+        Returns a handle for :meth:`cancel_timer`, or ``None`` for a timer
+        that cannot be cancelled: one due at the current instant (it is
+        already on the ready deque) or one *spilled* to the main queue
+        because more than :attr:`MAX_TIMER_LANES` distinct delay values are
+        live (counted in :attr:`timer_spills`).  Lanes are per delay, not
+        one FIFO, because a backoff schedule's long timer at a shared tail
+        would reroute every later short one — the constant-delay fast path
+        included — into the heap.
         """
         if delay < 0:
             raise SimError(f"cannot schedule in the past (delay={delay!r})")
         t = self.now + delay
         if t <= self.now:
             self._ready.append((fn, args))
-            return
+            return None
         lanes = self._timer_lanes
         lane = lanes.get(delay)
-        entry = (t, self.now, 0, next(self._seq), fn, args)
+        entry = (t, self.now, 0, next(self._seq), fn, args, delay)
         if lane is not None:
             # lane head is already registered in _timer_heads
             lane.append(entry)
         elif len(lanes) < self.MAX_TIMER_LANES:
             lanes[delay] = deque((entry,))
-            heapq.heappush(self._timer_heads, entry + (delay,))
+            heapq.heappush(self._timer_heads, entry)
         else:
             self.timer_spills += 1
-            self._qpush(self._heap, entry)
+            self._qpush(self._heap, entry[:6])
+            return None
+        return entry
+
+    def cancel_timer(self, handle: Optional[tuple]) -> None:
+        """Disarm a :meth:`schedule_timer` timer: it never becomes an event.
+
+        Never, not usually — a cancelled timer that fired as a no-op would
+        still count in ``events_processed`` and move ``peek_next_time``, and
+        which timers share a lane differs between the partitions of a
+        partitioned run (:mod:`repro.sim.pdes` pins the event count).  So a
+        timer behind its lane's head is marked and dropped when the lane
+        advances past it, and a lane head is unhooked on the spot.
+        Cancelling a fired, spilled (``None``) or already cancelled timer
+        does nothing.
+        """
+        if handle is None:
+            return
+        lane = self._timer_lanes.get(handle[6])
+        if lane is None or handle[3] < lane[0][3]:
+            return  # fired, or dropped by an earlier cancel
+        if handle is not lane[0]:
+            self._cancelled.add(handle[3])
+            return
+        # in place: run() holds a reference to the list
+        heads = self._timer_heads
+        heads.remove(handle)
+        heapq.heapify(heads)
+        self._advance_lane(handle[6])
+
+    def _advance_lane(self, delay: float) -> None:
+        """Drop a lane's head and every cancelled timer behind it, then
+        register the next live one as the lane's head (or retire the lane)."""
+        lane = self._timer_lanes[delay]
+        lane.popleft()
+        cancelled = self._cancelled
+        while lane and lane[0][3] in cancelled:
+            cancelled.remove(lane.popleft()[3])
+        if lane:
+            heapq.heappush(self._timer_heads, lane[0])
+        else:
+            del self._timer_lanes[delay]
 
     def _pop_timer(self) -> tuple:
         """Pop the earliest timer entry across all lanes."""
-        heads = self._timer_heads
-        entry = heapq.heappop(heads)
-        delay = entry[-1]
-        lanes = self._timer_lanes
-        lane = lanes[delay]
-        lane.popleft()
-        if lane:
-            heapq.heappush(heads, lane[0] + (delay,))
-        else:
-            del lanes[delay]
+        entry = heapq.heappop(self._timer_heads)
+        self._advance_lane(entry[6])
         return entry
 
     def spawn(self, gen: Generator, name: str = "") -> Process:

@@ -20,24 +20,7 @@ from typing import Any, Deque, Generator, Optional, Tuple
 
 from repro.sim.engine import Effect, Process, SimError, Simulator
 
-__all__ = ["Mutex", "Semaphore", "Condition", "Event", "Barrier", "TIMED_OUT"]
-
-
-class _TimedOut:
-    """Singleton sentinel returned by :meth:`Event.wait_timeout` on expiry."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "TIMED_OUT"
-
-
-TIMED_OUT = _TimedOut()
+__all__ = ["Mutex", "Semaphore", "Condition", "Event", "Barrier"]
 
 
 class _Acquire(Effect):
@@ -112,32 +95,6 @@ class _Wait(Effect):
             evt._register(proc)
 
 
-class _WaitTimeout(Effect):
-    """Cancellable wait: event value if it fires first, else ``TIMED_OUT``.
-
-    The race has no auxiliary events or callbacks: the process registers on
-    the event *and* schedules a timeout wake-up, both tagged with the same
-    resumption token.  Whichever fires first resumes the process (bumping
-    its epoch); the loser's wake-up carries a stale token and is dropped by
-    :meth:`Process._resume`, while the loser's event registration is skipped
-    by :meth:`Event.set` and pruned by the next :meth:`Event._register`.
-    """
-
-    __slots__ = ("evt", "delay")
-
-    def __init__(self, evt: "Event", delay: float):
-        self.evt = evt
-        self.delay = delay
-
-    def apply(self, sim: Simulator, proc: Process) -> None:
-        evt = self.evt
-        if evt._set:
-            sim.call_soon(proc._resume, evt._value, None, proc._epoch)
-            return
-        evt._register(proc)
-        sim.schedule_timer(self.delay, proc._resume, TIMED_OUT, None, proc._epoch)
-
-
 class Event:
     """One-shot level-triggered event carrying an optional value."""
 
@@ -159,8 +116,8 @@ class Event:
         return self._value
 
     def _register(self, proc: Process) -> None:
-        # prune stale registrations (timed-out / interrupted waiters) so a
-        # retry loop re-waiting on the same event cannot grow the deque
+        # prune stale registrations (interrupted waiters) so a loop
+        # re-waiting on the same event cannot grow the deque
         w = self._waiters
         while w:
             head, token = w[0]
@@ -181,11 +138,6 @@ class Event:
 
     def wait(self) -> Effect:
         return _Wait(self)
-
-    def wait_timeout(self, delay: float) -> Effect:
-        """Effect: resume with the event's value, or ``TIMED_OUT`` after
-        ``delay`` seconds, whichever comes first (losing wake-up dropped)."""
-        return _WaitTimeout(self, delay)
 
 
 class Condition:

@@ -19,6 +19,7 @@ from repro.apps import APPS, is_sort
 from repro.apps.common import run_app
 from repro.faults import Episode, FaultPlan, RunAborted
 from repro.net.cluster import Node
+from repro.net.message import MessageKind
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 SMALL_IS = is_sort.IsConfig(n_keys=1500, b_max=64, reps=2, bucket_views=4,
@@ -27,16 +28,17 @@ SMALL_IS = is_sort.IsConfig(n_keys=1500, b_max=64, reps=2, bucket_views=4,
 
 @pytest.fixture
 def handler_probe(monkeypatch):
-    """Every protocol handler records ``gc.isenabled()`` when it starts."""
+    """Every protocol handler, generator or plain, records its kind and
+    ``gc.isenabled()`` when it starts."""
     seen = []
     register = Node.register_handler
 
-    def probing(self, kind, handler):
+    def probing(self, kind, handler, cost=None):
         def probed(msg):
-            seen.append(gc.isenabled())
+            seen.append((kind, gc.isenabled()))
             return handler(msg)
 
-        register(self, kind, probed)
+        register(self, kind, probed, cost)
 
     monkeypatch.setattr(Node, "register_handler", probing)
     return seen
@@ -56,7 +58,8 @@ def test_gc_is_paused_inside_handlers_and_restored_after(handler_probe, gc_state
     config = SMALL_IS if protocol != "mpi" else None
     result = run_app(app, protocol, 4, config)
     assert result.verified
-    assert handler_probe and not any(handler_probe)
+    hot = MessageKind.DIFF_REQUEST if protocol != "mpi" else MessageKind.MPI_DATA
+    assert (hot, False) in handler_probe and not any(on for _, on in handler_probe)
     assert gc.isenabled() is gc_state
 
 
@@ -64,7 +67,7 @@ def test_gc_is_restored_when_the_run_aborts(handler_probe, gc_state):
     plan = FaultPlan((Episode(kind="crash", node=1, start=0.005),))
     with pytest.raises(RunAborted):
         run_app(is_sort, "vc_sd", 4, SMALL_IS, faults=plan)
-    assert handler_probe and not any(handler_probe)
+    assert handler_probe and not any(on for _, on in handler_probe)
     assert gc.isenabled() is gc_state
 
 

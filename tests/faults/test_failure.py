@@ -50,6 +50,24 @@ def test_crash_plan_aborts_run_app_with_structured_failure():
     assert json.loads(json.dumps(failure.to_json()))["reason"] == "node-crash"
 
 
+def test_pending_ops_of_a_mid_storm_crash_are_pinned():
+    """The per-node in-flight counts are part of a replayable diagnostic.
+    Recorded before the transport kept one pending table (PR 19): a fault's
+    gathered diff requests count one by one, as their fetcher processes did."""
+    plan = FaultPlan((Episode(kind="crash", node=3, start=0.4),))
+    with pytest.raises(RunAborted) as exc_info:
+        run_app(APPS["is"], "vc_d", 8, faults=plan)
+    failure = exc_info.value.failure
+    assert (failure.reason, failure.sim_time, failure.net["num_msg"]) == ("node-crash", 0.4, 1532)
+    assert failure.pending_ops == {
+        0: {"pending_acks": 1, "pending_replies": 7},
+        1: {"pending_acks": 0, "pending_replies": 4},
+        2: {"pending_acks": 0, "pending_replies": 6},
+        3: {"pending_acks": 0, "pending_replies": 6},
+        4: {"pending_acks": 1, "pending_replies": 0},
+    }
+
+
 def test_retry_exhaustion_aborts_with_context():
     from repro.net.config import NetConfig
 

@@ -1,0 +1,30 @@
+"""Exact-count budgets of the message path (no clock): engine events per
+message and processes per run on the two message-bound cells.  A change that
+puts a process or a stale timer back on the per-message path trips these
+before any host-time benchmark runs."""
+
+from repro.apps import APPS, is_sort
+from repro.apps.common import run_app
+from repro.sim import Simulator
+
+
+def test_is16_vcd_spawns_and_events_per_message(monkeypatch):
+    spawned = []
+    spawn = Simulator.spawn
+
+    def counting(self, gen, name=""):
+        spawned.append(name)
+        return spawn(self, gen, name)
+
+    monkeypatch.setattr(Simulator, "spawn", counting)
+    result = run_app(is_sort, "vc_d", 16)
+    # 37,526 diff requests, not one of them a process of its own
+    assert result.stats.diff_requests == 37526
+    assert len(spawned) <= 3500
+    assert result.events / result.stats.net.num_msg <= 4.4
+
+
+def test_nn32_mpi_events_per_message():
+    result = run_app(APPS["nn"], "mpi", 32)
+    # 3 NIC events for the send, 3 for its ack, sender and receiver wake-ups
+    assert result.events / result.stats.num_msg <= 9.1

@@ -408,3 +408,162 @@ def test_handlers_never_overlap_under_a_burst_and_dispatch_spans_balance():
             assert depth in (0, 1)
     assert depth == 0
     assert sum(1 for ev in tracer.events if ev[3] == "dispatch") == 2 * (n - 1)
+
+
+# -- plain handlers: a fixed cost, then a function call, no process -----------------
+
+
+def test_plain_handler_runs_at_exactly_arrival_plus_cost():
+    c = make_cluster()
+    cost, arrived, served = 37e-6, [], []
+    received = c[1].transport.on_receive
+    c[1].transport.on_receive = lambda msg: (arrived.append(c.sim.now), received(msg))[1]
+
+    def on_request(msg):
+        served.append(c.sim.now)
+        c[1].reply_to(msg, MessageKind.TEST, msg.payload + 1, size=8)
+
+    c[1].register_handler(MessageKind.TEST, on_request, cost=cost)
+    base, out = parked(c), []
+
+    def client():
+        reply = yield from c[0].request(1, MessageKind.TEST, 1, size=8)
+        out.append(reply.payload)
+
+    c.sim.spawn(client())
+    c.run()
+    assert out == [2] and served == [arrived[0] + cost]  # float ==, not approx
+    assert c[1]._proc._parked and not c[1]._busy  # the dispatcher never ran
+    assert c.sim.events_processed - base == 1 + 6 + 1 + 1  # start, NIC, cost, wake-up
+
+
+def test_zero_cost_plain_handler_is_served_inside_the_rx_completion():
+    c = make_cluster()
+    served = []
+    c[1].register_handler(MessageKind.TEST, lambda msg: served.append(c.sim.now), cost=0.0)
+    base = parked(c)
+    c[0].nic.send(Message(src=0, dst=1, kind=MessageKind.TEST, payload=None, size=10))
+    assert c.run() == served[0]
+    assert c.sim.events_processed - base == 3
+
+
+def test_round_trip_between_idle_nodes_is_seven_events():
+    """Six NIC events and the requester's wake-up; the answered
+    retransmission timer is cancelled, not fired a second later."""
+    c = make_cluster()
+
+    def on_request(msg):
+        c[1].reply_to(msg, MessageKind.TEST, None, 8)
+        return
+        yield  # pragma: no cover
+
+    c[1].register_handler(MessageKind.TEST, on_request)
+    trips = 10
+
+    def caller():
+        for _ in range(trips):
+            yield from c[0].request(1, MessageKind.TEST, None, 8)
+
+    base = parked(c)
+    c.sim.spawn(caller())
+    assert c.run() < c.netcfg.rexmit_timeout
+    assert c.sim.events_processed - base == 1 + 7 * trips
+
+
+def test_mixed_plain_and_generator_burst_is_served_fifo_without_overlap():
+    n = 16
+    c = Cluster(n)
+    plain, gen = MessageKind.TEST, MessageKind.MPI_DATA
+    arrived, served, running = [], [], []
+    received = c[0].transport.on_receive
+
+    def on_receive(msg):
+        out = received(msg)
+        if out is not None:
+            arrived.append(out.payload)
+        return out
+
+    c[0].transport.on_receive = on_receive
+
+    def plain_handler(msg):
+        assert not running, f"handler re-entered while {running} was running"
+        served.append(msg.payload)
+
+    def gen_handler(msg):
+        assert not running, f"handler re-entered while {running} was running"
+        running.append(msg.payload)
+        yield from c[0].compute(1e-4)
+        yield from c[0].compute(1e-4)
+        running.pop()
+        served.append(msg.payload)
+
+    c[0].register_handler(plain, plain_handler, cost=1e-4)
+    c[0].register_handler(gen, gen_handler)
+
+    def sender(i):
+        yield from c[i].send_reliable(0, plain if i % 3 else gen, i, size=64)
+
+    for i in range(1, n):
+        c.sim.spawn(sender(i))
+    c.run()
+    assert sorted(served) == list(range(1, n)) and served == arrived
+    assert c[0]._proc._parked and not c[0]._busy and not c[0]._backlog
+
+
+@pytest.mark.parametrize("cost", [None, 1e-4, 0.0], ids=["generator", "plain", "plain-free"])
+def test_raising_handler_fails_the_run_through_the_dispatcher(cost):
+    """Whatever its form, a failing handler kills the node's dispatcher
+    process, so ``run()`` reports it with the cause chained."""
+    from repro.sim import SimError
+
+    c = make_cluster()
+
+    def plain(msg):
+        raise ZeroDivisionError("handler bug")
+
+    def generator(msg):
+        plain(msg)
+        yield  # pragma: no cover
+
+    c[1].register_handler(MessageKind.TEST, generator if cost is None else plain, cost=cost)
+
+    def sender():
+        yield from c[0].send_reliable(1, MessageKind.TEST, None, size=10)
+
+    c.sim.spawn(sender())
+    with pytest.raises(SimError, match="'dispatch-1' died") as excinfo:
+        c.run()
+    assert type(excinfo.value.__cause__) is ZeroDivisionError
+
+
+def test_traced_dispatch_rows_equal_the_generator_formulation(monkeypatch):
+    """Serving DIFF_REQUEST/PAGE_REQUEST as plain functions changes no trace
+    row but the engine's own: same dispatch spans, same timestamps."""
+    from repro.apps import is_sort
+    from repro.apps.common import run_app
+    from repro.net.cluster import Node
+    from repro.obs import EventTracer
+
+    config = is_sort.IsConfig(n_keys=1500, b_max=64, reps=2, bucket_views=4, work_factor=1.0)
+
+    def traced():
+        tracer = EventTracer()
+        result = run_app(is_sort, "vc_d", 4, config, tracer=tracer)
+        rows = [ev for ev in tracer.events if ev[3] != "engine"]
+        assert any(ev[3] == "dispatch" for ev in rows)
+        return rows, result.stats.table_row(), result.events
+
+    plain_rows, plain_row, plain_events = traced()
+    register = Node.register_handler
+
+    def as_generator(self, kind, handler, cost=None):
+        def gen(msg):
+            yield from self.compute(cost)
+            handler(msg)
+
+        register(self, kind, handler if cost is None else gen)
+
+    monkeypatch.setattr(Node, "register_handler", as_generator)
+    gen_rows, gen_row, gen_events = traced()
+    assert plain_rows == gen_rows and plain_row == gen_row
+    assert plain_events == gen_events

@@ -5,6 +5,7 @@ import pytest
 
 from repro.apps import gauss, is_sort, nn, sor
 from repro.apps.common import run_app
+from repro.bench.sweep import row_fingerprint
 from repro.net.config import NetConfig
 from repro.net.message import MessageKind
 from repro.protocols.system import DsmSystem
@@ -104,6 +105,14 @@ def test_repeated_rounds_home_stays_current():
     assert run_workers(system, worker) == expected
 
 
+HLRC8_PINS = {  # app -> (table_row fingerprint, repr(simulated time))
+    "is_sort": ("10a5553e2a0a4f8d", "0.03292022285714285"),
+    "gauss": ("7e7d7dfd071c27a1", "0.08614949142857155"),
+    "sor": ("45dcdcb3db69ed67", "0.01935055999999999"),
+    "nn": ("3a9aed4095bc3f79", "0.06082527999999996"),
+}
+
+
 @pytest.mark.parametrize("app,cfg", [
     (is_sort, IS_SMALL),
     (gauss, gauss.GaussConfig(n=20, work_factor=1.0)),
@@ -113,6 +122,14 @@ def test_repeated_rounds_home_stays_current():
 def test_all_apps_correct_on_hlrc(app, cfg):
     result = run_app(app, "hlrc_d", 4, cfg)
     assert result.verified
+    # hlrc_d is in no fingerprint matrix, so its simulated rows are pinned
+    # here, on 8 processors (recorded at the commit before PR 19, which
+    # turned the page-request handler into a plain function)
+    result = run_app(app, "hlrc_d", 8, cfg)
+    assert result.verified
+    fingerprint, time = HLRC8_PINS[app.__name__.rsplit(".", 1)[-1]]
+    assert row_fingerprint(result.table_row()) == fingerprint
+    assert repr(result.time) == time
 
 
 def test_correct_under_injected_loss():

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim import PARK, Simulator, Timeout, SimError, Interrupt
 
@@ -543,3 +544,97 @@ def test_timer_order_matches_single_heap_reference():
         lanes = _mixed_timer_workload(True, ops)
         reference = _mixed_timer_workload(False, ops)
         assert lanes == reference, f"divergence on trial {trial}: {ops!r}"
+
+
+# -- cancellable timers: a cancelled timer never becomes an event ------------------
+
+NARROW = [0.5, 1.0, 2.0]  # three lanes
+WIDE = [0.3 + 0.1 * i for i in range(Simulator.MAX_TIMER_LANES + 4)]  # forces spills
+
+
+def _run_timer_program(ops, delays, never_arm=None):
+    """Run ``ops`` — ``(gap, op, arg)``: advance the clock by ``gap``, then arm
+    a timer, schedule a plain event, or cancel the ``arg``-th timer of the
+    program.  With ``never_arm`` (a set of op indices) those timers are not
+    armed and cancels do nothing: the reference a cancelling run must equal.
+
+    Returns the simulator, the ``(time, op index)`` firing sequence and the op
+    indices of the timers cancelled while armed and not yet fired."""
+    sim = Simulator()
+    fired, handles, cancelled_live = [], {}, set()
+    timers = [i for i, (_, op, _) in enumerate(ops) if op == "timer"]
+
+    def fire(i):
+        fired.append((sim.now, i))
+
+    def step(i, op, arg):
+        delay = delays[arg % len(delays)]
+        if op == "timer":
+            if never_arm is None or i not in never_arm:
+                handles[i] = sim.schedule_timer(delay, fire, i)
+        elif op == "event":
+            sim.schedule(delay, fire, i)
+        elif never_arm is None and timers:
+            target = timers[arg % len(timers)]
+            if target in handles:  # armed earlier in the program
+                # a spilled timer (no handle) cannot be cancelled and fires
+                if handles[target] is not None and all(i != target for _, i in fired):
+                    cancelled_live.add(target)
+                sim.cancel_timer(handles[target])
+
+    t = 0.0
+    for i, (gap, op, arg) in enumerate(ops):
+        t += gap
+        sim.schedule_at(t, step, i, op, arg)
+    sim.run()
+    return sim, fired, cancelled_live
+
+
+_timer_ops = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.0, 0.1, 0.25, 0.7]),
+        st.sampled_from(["timer", "timer", "event", "cancel", "cancel"]),
+        st.integers(0, 40),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_timer_ops, wide=st.booleans())
+# head, middle and tail of one lane, then the whole lane
+@example(ops=[(0.0, "timer", 1)] * 3 + [(0.1, "cancel", 0), (0.0, "event", 0)], wide=False)
+@example(ops=[(0.0, "timer", 1)] * 3 + [(0.1, "cancel", 1), (0.0, "timer", 1)], wide=False)
+@example(ops=[(0.0, "timer", 1)] * 3 + [(0.1, "cancel", 2), (0.0, "timer", 0)], wide=False)
+@example(ops=[(0.0, "timer", 1)] * 3 + [(0.1, "cancel", k) for k in (1, 0, 2)], wide=False)
+# cancel after the timer fired, and the same timer cancelled twice
+@example(ops=[(0.0, "timer", 0), (0.0, "timer", 0), (0.6, "cancel", 0), (0.0, "cancel", 1),
+              (0.0, "cancel", 1)], wide=False)
+# more live delays than lanes: the spilled timers cannot be cancelled
+@example(ops=[(0.0, "timer", k) for k in range(len(WIDE))]
+         + [(0.1, "cancel", k) for k in range(len(WIDE))], wide=True)
+def test_cancelled_timers_never_become_events(ops, wide):
+    """Property: any interleaving of ``schedule`` / ``schedule_timer`` /
+    ``cancel_timer`` executes exactly what the same program does with the
+    cancelled timers never armed — same ``(time, callback)`` sequence, same
+    ``events_processed`` — and leaves no cancellation mark behind."""
+    delays = WIDE if wide else NARROW
+    sim, fired, cancelled = _run_timer_program(ops, delays)
+    ref, ref_fired, _ = _run_timer_program(ops, delays, never_arm=cancelled)
+    assert fired == ref_fired
+    assert not cancelled & {i for _, i in fired}
+    assert sim.events_processed == ref.events_processed
+    assert not sim._cancelled and not sim._timer_lanes and not sim._timer_heads
+
+
+def test_cancelling_a_lane_head_moves_the_next_wakeup():
+    """The head is unhooked on the spot, so ``peek_next_time`` (which sizes a
+    partitioned run's windows) never reports a cancelled timer."""
+    sim = Simulator()
+    first = sim.schedule_timer(1.0, lambda: None)
+    sim.run(until=0.5)
+    sim.schedule_timer(1.0, lambda: None)
+    assert sim.peek_next_time() == 1.0
+    sim.cancel_timer(first)
+    assert sim.peek_next_time() == 1.5
+    assert sim.run() == 1.5 and sim.events_processed == 1
