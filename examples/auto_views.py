@@ -5,8 +5,8 @@ The paper closes with: "The insertion of view primitives can be automated by
 compiling techniques, which will be investigated in our future research."
 This example shows the dynamic-analysis route:
 
-1. run the *traditional* (lock/barrier) Integer Sort once on LRC_d with an
-   access recorder installed;
+1. run the *traditional* (lock/barrier) Integer Sort once on LRC_d with the
+   oracle's access recorder installed (the ``sim.oracle`` hook);
 2. infer a view plan from the recorded page-access signatures;
 3. compare the inferred plan with the hand-written VOPP IS program — the
    tool rediscovers its structure: per-processor key views read through
@@ -18,7 +18,8 @@ Run:  python examples/auto_views.py
 
 from repro.apps import is_sort
 from repro.core import TraditionalSystem
-from repro.tools import AccessRecorder, infer_views
+from repro.obs import AccessRecorder
+from repro.tools import infer_views
 
 NPROCS = 4
 
@@ -29,10 +30,10 @@ def main() -> None:
     )
     system = TraditionalSystem(NPROCS)
     body = is_sort.build(system, config)
-    recorder = AccessRecorder.install(system)
+    system.sim.oracle = history = AccessRecorder()
     system.run_program(body)
 
-    plan = infer_views(recorder, system.dsm.space, NPROCS)
+    plan = infer_views(history, system.dsm.space, NPROCS)
     print("Recorded the traditional IS run; inferred plan:")
     print()
     print(plan.report())

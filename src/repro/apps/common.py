@@ -21,8 +21,7 @@ from typing import Any, Callable, Generator, Optional
 
 import numpy as np
 
-from repro.core.program import BaseSystem, make_system
-from repro.mpi import MpiSystem
+from repro.core.program import make_system
 from repro.net.config import NetConfig, NodeConfig
 
 __all__ = ["AppConfig", "AppResult", "charge", "chunk_bounds", "run_app"]
@@ -122,7 +121,6 @@ def run_app(
     netcfg: Optional[NetConfig] = None,
     nodecfg: Optional[NodeConfig] = None,
     tracer: Any = None,
-    view_tracer: Any = None,
     metrics: Any = None,
     oracle: Any = None,
     faults: Any = None,
@@ -132,15 +130,15 @@ def run_app(
 
     ``app_module`` must expose ``default_config()``, ``sequential(config)``,
     ``build(system, config, variant)`` returning the program body, and
-    ``extract(system, config)`` returning the comparable output.  MPI apps
-    additionally expose ``build_mpi``/``run`` hooks via ``protocol="mpi"``.
+    ``extract(system, config)`` returning the comparable output.  ``system``
+    is whatever :func:`repro.core.program.make_system` returns for
+    ``protocol`` — for ``"mpi"`` an :class:`repro.mpi.MpiSystem`, which an
+    app with a message-passing version (``build_mpi``) builds against.
 
-    ``tracer`` (a :class:`repro.obs.EventTracer`) records structured events
-    and fills ``AppResult.breakdown``; ``view_tracer`` (a
-    :class:`repro.tools.tracer.ViewTracer`) records view-level sync events
-    (DSM protocols only); ``metrics`` (a :class:`repro.obs.Metrics`) collects
-    per-view/per-page contention metrics and is handed back on
-    ``AppResult.metrics``; ``oracle`` (a
+    The three recorder hooks: ``tracer`` (a :class:`repro.obs.EventTracer`)
+    records structured events and fills ``AppResult.breakdown``; ``metrics``
+    (a :class:`repro.obs.Metrics`) collects per-view/per-page contention
+    metrics and is handed back on ``AppResult.metrics``; ``oracle`` (a
     :class:`repro.obs.oracle.AccessRecorder`) records the access history for
     the consistency oracle; ``faults`` (a :class:`repro.faults.FaultPlan` or
     pre-built :class:`~repro.faults.FaultInjector`) injects scripted network
@@ -163,56 +161,27 @@ def run_app(
     def span(cat: str):
         return host.span("run", cat) if host is not None else unprofiled
 
-    def install(sim) -> None:
-        if tracer is not None:
-            sim.tracer = tracer
-        if metrics is not None:
-            sim.metrics = metrics
-        if oracle is not None:
-            # MPI has no shared pages: the recorder stays empty and the
-            # checker reports "not-applicable", but installing it keeps the
-            # call surface uniform
-            sim.oracle = oracle
-
     with span("total"):
-        if protocol == "mpi":
-            if view_tracer is not None:
-                raise ValueError("--trace-views needs a DSM protocol, not mpi")
-            with span("build"):
-                system = MpiSystem(nprocs, netcfg=netcfg, nodecfg=nodecfg)
-                cluster = system.cluster
-                install(cluster.sim)
-                if faults is not None:
-                    cluster.install_faults(faults)
-            with span("execute"):
-                output = _run_or_abort(
-                    cluster, lambda: app_module.run_mpi(system, config))
-            result = AppResult(
-                protocol, nprocs, output, system.stats, system.time,
-                events=cluster.sim.events_processed,
-            )
-        else:
-            with span("build"):
-                system = make_system(nprocs, protocol, netcfg=netcfg, nodecfg=nodecfg)
-                cluster = system.dsm.cluster
-                install(system.sim)
-                if view_tracer is not None:
-                    system.dsm.tracer = view_tracer
-                if faults is not None:
-                    cluster.install_faults(faults)
-                body = app_module.build(system, config, variant)
-            with span("execute"):
-                _run_or_abort(cluster, lambda: system.run_program(body))
-            with span("extract"):
-                output = app_module.extract(system, config)
-            result = AppResult(
-                protocol, nprocs, output, system.stats, system.stats.time,
-                events=system.sim.events_processed,
-            )
+        with span("build"):
+            system = make_system(nprocs, protocol, netcfg=netcfg, nodecfg=nodecfg)
+            # the three recorder hooks; None (off) is the simulator's default.
+            # MPI has no shared pages: its oracle history stays empty and the
+            # checker reports "not-applicable"
+            sim = system.sim
+            sim.tracer, sim.metrics, sim.oracle = tracer, metrics, oracle
+            if faults is not None:
+                system.cluster.install_faults(faults)
+            body = app_module.build(system, config, variant)
+        with span("execute"):
+            _run_or_abort(system.cluster, lambda: system.run_program(body))
+        with span("extract"):
+            output = app_module.extract(system, config)
+        result = AppResult(
+            protocol, nprocs, output, system.stats, system.time,
+            events=sim.events_processed, metrics=metrics,
+        )
         if tracer is not None:
             result.breakdown = tracer.breakdown()
-        if metrics is not None:
-            result.metrics = metrics
         if verify:
             with span("verify"):
                 expected = app_module.sequential(config)

@@ -41,7 +41,6 @@ __all__ = [
     "extract",
     "outputs_match",
     "build_mpi",
-    "run_mpi",
 ]
 
 CYC_GRAD = 20.0  # cycles per weight per sample (forward + backward)
@@ -315,7 +314,10 @@ def build(system, config: NnConfig, variant: str = "default"):
     """VOPP variants: ``"default"`` (Rviews for the weight reads, §3.4) or
     ``"no_rview"`` (exclusive views everywhere — the ablation)."""
     from repro.core.program import TraditionalSystem
+    from repro.mpi import MpiSystem
 
+    if isinstance(system, MpiSystem):
+        return build_mpi(system, config)
     if isinstance(system, TraditionalSystem):
         return _build_traditional(system, config)
     return _build_vopp(system, config, use_rview=(variant != "no_rview"))
@@ -331,8 +333,7 @@ def extract(system, config: NnConfig):
 def build_mpi(system, config: NnConfig):
     """Program body for the Table 9 MPI baseline: scatter data once,
     allreduce the gradient.  Rank 0 stashes the read-out on
-    ``system.app_output`` (the partition-determinism harness spawns the body
-    per partition and reads the output from the one owning rank 0)."""
+    ``system.app_output``, like the DSM versions."""
     W = n_weights(config)
 
     def body(comm) -> Generator:
@@ -368,9 +369,3 @@ def build_mpi(system, config: NnConfig):
         return None
 
     return body
-
-
-def run_mpi(system, config: NnConfig) -> dict:
-    """Serial entry point for the MPI baseline."""
-    system.run_program(build_mpi(system, config))
-    return system.app_output

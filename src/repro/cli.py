@@ -90,7 +90,7 @@ VARIANTS = {
 
 def _mpi_unsupported(app_name: str, protocols) -> bool:
     """Say so (and return True) when ``mpi`` is asked of an app without it."""
-    if "mpi" in protocols and not hasattr(APPS[app_name], "run_mpi"):
+    if "mpi" in protocols and not hasattr(APPS[app_name], "build_mpi"):
         print(f"error: {app_name} has no MPI version (only nn does)", file=sys.stderr)
         return True
     return False
@@ -204,15 +204,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     from repro import obs
 
-    tracer = view_tracer = metrics = oracle = host = None
+    tracer = metrics = oracle = host = None
     if args.trace or args.trace_out or args.jsonl_out or args.critical_path:
         tracer = obs.EventTracer()
-    if args.metrics or args.metrics_out:
+    show_metrics = args.metrics or args.metrics_out
+    if show_metrics or args.trace_views:  # the view report reads the metrics
         metrics = obs.Metrics()
-    if args.trace_views:
-        from repro.tools.tracer import ViewTracer
-
-        view_tracer = ViewTracer()
     if args.check_consistency or args.findings_out:
         oracle = obs.AccessRecorder()
     if args.host_trace:
@@ -228,7 +225,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             verify=not args.no_verify,
             netcfg=_netcfg_override(args),
             tracer=tracer,
-            view_tracer=view_tracer,
             metrics=metrics,
             oracle=oracle,
             faults=plan,
@@ -255,15 +251,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.critical_path:
             print()
             print(obs.format_critical_path(obs.compute_critical_path(tracer)))
-    if metrics is not None:
+    if show_metrics:
         print()
         print(obs.format_contention(metrics))
         if args.metrics_out:
             metrics.write_json(args.metrics_out)
             print(f"wrote metrics snapshot to {args.metrics_out}")
-    if view_tracer is not None:
+    if args.trace_views:
+        from repro.tools.tracer import ViewTracer
+
         print()
-        print(view_tracer.report())
+        print(ViewTracer(metrics).report())
     if host is not None:
         print()
         print(obs.format_host_breakdown(obs.host_breakdown(host)))
@@ -571,8 +569,9 @@ def _add_run_command(sub, name: str, help: str, nprocs: int = 16, **preset) -> N
                    help="walk the causal critical path and print its "
                    "per-category attribution and wait slack (implies --trace)")
     p.add_argument("--trace-views", action="store_true",
-                   help="record view accesses; print the paper-§3.6 "
-                   "partitioning advice (VC protocols only)")
+                   help="print per-view access profiles read from the run's "
+                   "metrics, with the paper-§3.6 partitioning advice "
+                   "(VC protocols only)")
     p.add_argument("--metrics", action="store_true",
                    help="record contention metrics; print per-view/per-page tables")
     p.add_argument("--metrics-out", default=None, metavar="PATH",

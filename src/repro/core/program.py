@@ -1,16 +1,19 @@
-"""System facades and the parallel program runner.
+"""System facades: what a program is built against and run on.
 
-A *system* bundles a :class:`repro.protocols.system.DsmSystem` with typed
-array allocation and a runner that spawns one application process per node.
-Program bodies are generators taking the per-rank runtime::
+A DSM *system* bundles a :class:`repro.protocols.system.DsmSystem` with typed
+array allocation and hands each rank's process its runtime.  Program bodies
+are generators taking the per-rank runtime::
 
     def body(rt):
         yield from rt.barrier()
         ...
 
-``run_program`` drives the simulation to completion, records the run time in
-the statistics, and surfaces any worker exception (deadlocks show up as
-workers that never finish).
+Running is the cluster's job (:meth:`repro.net.cluster.Cluster.run_program`:
+drive the simulation to completion, record the run time, surface any worker
+exception); a system only says what ``rt`` is.  :func:`make_system` returns
+the right kind for a protocol name — a DSM facade, or the
+:class:`repro.mpi.MpiSystem`, which exposes the same ``cluster`` / ``sim`` /
+``stats`` / ``time`` / ``app_output`` / ``run_program`` surface.
 """
 
 from __future__ import annotations
@@ -21,34 +24,12 @@ import numpy as np
 
 from repro.core.shared_array import SharedArray
 from repro.core.vopp import BaseRuntime, TraditionalRuntime, VoppRuntime
+from repro.mpi import MpiSystem
+from repro.net.cluster import PendingRun
 from repro.net.config import NetConfig, NodeConfig
 from repro.protocols.system import DsmSystem
 
-__all__ = ["BaseSystem", "VoppSystem", "TraditionalSystem", "PendingRun", "make_system"]
-
-
-class PendingRun:
-    """A spawned-but-not-yet-driven program.
-
-    ``start_program`` spawns the per-rank application processes and returns
-    one of these; whoever drives the simulation (the serial ``run_program``
-    or the PDES window loop, which alternates ``sim.run(until=...)`` with
-    barrier exchanges) calls :meth:`finish` once the event queues drain.
-    """
-
-    def __init__(self, start: float, procs: list, finish_times: list):
-        self.start = start
-        self.procs = procs  # [(rank, Process), ...]
-        self.finish_times = finish_times  # appended by the timed() wrappers
-
-    def finish(self) -> dict:
-        """Verify every spawned process completed; return results by rank."""
-        stuck = [p.name for _, p in self.procs if not p.finished]
-        if stuck:
-            raise RuntimeError(
-                f"workers never finished (deadlock or lost wakeup): {stuck}"
-            )
-        return {rank: p.result for rank, p in self.procs}
+__all__ = ["BaseSystem", "VoppSystem", "TraditionalSystem", "make_system"]
 
 
 class BaseSystem:
@@ -85,12 +66,32 @@ class BaseSystem:
         return self.dsm.nprocs
 
     @property
-    def stats(self):
-        return self.dsm.stats
+    def cluster(self):
+        return self.dsm.cluster
 
     @property
     def sim(self):
         return self.dsm.sim
+
+    @property
+    def stats(self):
+        return self.dsm.stats
+
+    @property
+    def time(self) -> float:
+        """Simulated seconds the last ``run_program`` took."""
+        return self.cluster.run_time
+
+    @property
+    def shared_oracles(self) -> tuple:
+        """Cross-node metadata kept outside the message layer; the partition
+        harness replicates these and ships their mutations between replicas."""
+        return (self.dsm.directory, self.dsm.views)
+
+    def adopt_rank(self, rank: int, replica: "BaseSystem") -> None:
+        """Take ``rank``'s statistics shards from the replica that ran it."""
+        self.cluster.node_stats[rank] = replica.cluster.node_stats[rank]
+        self.dsm.rank_stats[rank] = replica.dsm.rank_stats[rank]
 
     # -- allocation -------------------------------------------------------------------
 
@@ -127,46 +128,20 @@ class BaseSystem:
     def start_program(
         self, body: Callable[..., Generator], *args, ranks=None, **kwargs
     ) -> PendingRun:
-        """Spawn ``body(rt, *args, **kwargs)`` for ``ranks`` without running.
-
-        ``ranks`` defaults to every rank; the PDES driver passes each
-        partition's owned subset (the replica holds all nodes, but only the
-        owned ranks' application processes execute there).
-        """
-        start = self.sim.now
-        finish_times: list[float] = []
-
-        def timed(rank: int) -> Generator:
-            rt = self.runtime(rank)
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.begin(rank, "app", "run", f"rank {rank}", self.sim.now)
-            result = yield from body(rt, *args, **kwargs)
-            if tracer is not None:
-                tracer.end(rank, "app", "run", self.sim.now)
-            finish_times.append(self.sim.now)
-            return result
-
-        if ranks is None:
-            ranks = range(self.nprocs)
-        procs = [
-            (rank, self.sim.spawn(timed(rank), name=f"app-{rank}")) for rank in ranks
-        ]
-        return PendingRun(start, procs, finish_times)
+        """Spawn ``body(rt, *args, **kwargs)`` for ``ranks`` (default all)
+        without running; see :meth:`repro.net.cluster.Cluster.start_program`."""
+        return self.cluster.start_program(
+            lambda rank: body(self.runtime(rank), *args, **kwargs), ranks
+        )
 
     def run_program(self, body: Callable[..., Generator], *args, **kwargs) -> list:
         """Run ``body(rt, *args, **kwargs)`` on every node; return results by rank.
 
-        The simulated duration is recorded in ``stats.time``.
+        The simulated duration is recorded in ``time`` (and ``stats.time``).
         """
-        pending = self.start_program(body, *args, **kwargs)
-        self.dsm.run()
-        results = pending.finish()
-        # the run ends when the last application process finishes; what the
-        # event heap drains afterwards (fire-and-forget senders' acks) must
-        # not count towards the measured time
-        self.dsm.run_time = max(pending.finish_times) - pending.start
-        return [results[rank] for rank in range(self.nprocs)]
+        return self.cluster.run_program(
+            lambda rank: body(self.runtime(rank), *args, **kwargs)
+        )
 
 
 class VoppSystem(BaseSystem):
@@ -202,8 +177,10 @@ class TraditionalSystem(BaseSystem):
         super().__init__(nprocs, protocol, **kw)
 
 
-def make_system(nprocs: int, protocol: str, **kw) -> BaseSystem:
-    """Factory choosing the right facade for a protocol name."""
+def make_system(nprocs: int, protocol: str, **kw) -> "BaseSystem | MpiSystem":
+    """Factory choosing the right kind of system for a protocol name."""
+    if protocol == "mpi":
+        return MpiSystem(nprocs, **kw)
     if protocol in ("lrc_d", "hlrc_d"):
         return TraditionalSystem(nprocs, protocol=protocol, **kw)
     return VoppSystem(nprocs, protocol=protocol, **kw)

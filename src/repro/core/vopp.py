@@ -40,18 +40,7 @@ class BaseRuntime:
 
     def compute(self, seconds: float) -> Generator:
         """Charge application CPU time (``yield from``)."""
-        if self.node.sim.tracer is None:
-            return self.node.compute(seconds)
-        return self._traced_compute(seconds)
-
-    def _traced_compute(self, seconds: float) -> Generator:
-        tracer = self.node.sim.tracer
-        tracer.begin(
-            self.node.id, "app", "compute", f"compute {seconds:g}s",
-            self.node.sim.now, {"seconds": seconds},
-        )
-        yield from self.node.compute(seconds)
-        tracer.end(self.node.id, "app", "compute", self.node.sim.now)
+        return self.node.app_compute(seconds)
 
     def barrier(self) -> Generator:
         """Global barrier (consistency semantics depend on the protocol)."""

@@ -45,9 +45,6 @@ class MemoryManager:
         self.pages: dict[int, PageCopy] = {}
         self.write_set: set[int] = set()
         self.fault_handler: Optional[FaultHandler] = None
-        # optional access recorder: called as recorder(node_id, pids, mode)
-        # for every block access ("r"/"w"); used by repro.tools.autoview
-        self.recorder = None
         # (addr, nbytes) -> ((pid, page_off, out_off, take), ...): applications
         # re-read the same spans (rows, buckets) every iteration, so the page
         # translation + bounds validation is done once per distinct span
@@ -90,8 +87,6 @@ class MemoryManager:
         """Read ``nbytes`` at ``addr`` (``yield from``); returns a uint8 array."""
         segs = self._segments(addr, nbytes)
         page = self.page
-        if self.recorder is not None:
-            self.recorder(self.node.id, [s[0] for s in segs], "r")
         faulting = [s[0] for s in segs if not page(s[0]).readable]
         if faulting:
             if self.fault_handler is None:
@@ -112,8 +107,6 @@ class MemoryManager:
         nbytes = data.shape[0]
         segs = self._segments(addr, nbytes)
         page = self.page
-        if self.recorder is not None:
-            self.recorder(self.node.id, [s[0] for s in segs], "w")
         faulting = [s[0] for s in segs if not page(s[0]).writable]
         if faulting:
             if self.fault_handler is None:

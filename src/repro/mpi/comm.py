@@ -18,7 +18,7 @@ from typing import Any, Callable, Generator, Optional
 
 import numpy as np
 
-from repro.net.cluster import Cluster, Node
+from repro.net.cluster import Cluster, Node, PendingRun
 from repro.net.config import NetConfig, NodeConfig
 from repro.net.message import Message, MessageKind
 from repro.sim import Event
@@ -204,18 +204,8 @@ class MpiComm:
         return None
 
     def compute(self, seconds: float) -> Generator:
-        if self.node.sim.tracer is None:
-            return self.node.compute(seconds)
-        return self._traced_compute(seconds)
-
-    def _traced_compute(self, seconds: float) -> Generator:
-        tracer = self.node.sim.tracer
-        tracer.begin(
-            self.rank, "app", "compute", f"compute {seconds:g}s",
-            self.node.sim.now, {"seconds": seconds},
-        )
-        yield from self.node.compute(seconds)
-        tracer.end(self.rank, "app", "compute", self.node.sim.now)
+        """Charge application CPU time (``yield from``)."""
+        return self.node.app_compute(seconds)
 
 
 class MpiSystem:
@@ -237,41 +227,35 @@ class MpiSystem:
         return self.cluster.n
 
     @property
+    def sim(self):
+        return self.cluster.sim
+
+    @property
     def stats(self):
         return self.cluster.stats
 
+    @property
+    def time(self) -> float:
+        """Simulated seconds the last ``run_program`` took."""
+        return self.cluster.run_time
+
+    shared_oracles = ()  # no metadata outside the message layer
+
+    def adopt_rank(self, rank: int, replica: "MpiSystem") -> None:
+        """Take ``rank``'s statistics shard from the replica that ran it."""
+        self.cluster.node_stats[rank] = replica.cluster.node_stats[rank]
+
     def start_program(
         self, body: Callable[..., Generator], *args, ranks=None, **kwargs
-    ):
-        """Spawn ``body(comm, ...)`` for ``ranks`` (default all) without
-        driving the simulation; see :class:`repro.core.program.PendingRun`."""
-        from repro.core.program import PendingRun
-
-        start = self.cluster.sim.now
-        finish_times: list[float] = []
-
-        def timed(comm: MpiComm) -> Generator:
-            tracer = self.cluster.sim.tracer
-            if tracer is not None:
-                tracer.begin(comm.rank, "app", "run", f"rank {comm.rank}", self.cluster.sim.now)
-            result = yield from body(comm, *args, **kwargs)
-            if tracer is not None:
-                tracer.end(comm.rank, "app", "run", self.cluster.sim.now)
-            finish_times.append(self.cluster.sim.now)
-            return result
-
-        if ranks is None:
-            ranks = range(self.nprocs)
-        procs = [
-            (rank, self.cluster.sim.spawn(timed(self.comms[rank]), name=f"mpi-{rank}"))
-            for rank in ranks
-        ]
-        return PendingRun(start, procs, finish_times)
+    ) -> PendingRun:
+        """Spawn ``body(comm, *args, **kwargs)`` for ``ranks`` (default all)
+        without running; see :meth:`repro.net.cluster.Cluster.start_program`."""
+        return self.cluster.start_program(
+            lambda rank: body(self.comms[rank], *args, **kwargs), ranks
+        )
 
     def run_program(self, body: Callable[..., Generator], *args, **kwargs) -> list:
-        pending = self.start_program(body, *args, **kwargs)
-        self.cluster.run()
-        results = pending.finish()
-        # measure to the last rank's finish, not to event-heap drain
-        self.time = max(pending.finish_times) - pending.start
-        return [results[rank] for rank in range(self.nprocs)]
+        """Run ``body(comm, *args, **kwargs)`` on every node; results by rank."""
+        return self.cluster.run_program(
+            lambda rank: body(self.comms[rank], *args, **kwargs)
+        )

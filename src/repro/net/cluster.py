@@ -17,6 +17,11 @@ process involved.  A handler that must wait in the middle — charge compute
 time that depends on what it found, send and await acks — is a *generator*,
 run by the node's dispatcher process.  Neither may block on a remote request
 (one-way sends only), which makes the system deadlock-free by construction.
+
+The :class:`Cluster` is also the program runner: ``start_program`` spawns
+one application process per rank, ``run_program`` drives the simulation and
+measures the run.  The DSM facades and the MPI system only say what a rank's
+process is; there is no second runner.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from repro.net.nic import Nic, Switch
 from repro.net.stats import NetStats
 from repro.net.transport import Transport
 
-__all__ = ["Cluster", "Node"]
+__all__ = ["Cluster", "Node", "PendingRun"]
 
 Handler = Callable[[Message], Any]  # a generator function, or plain with a cost
 _UNREGISTERED = (None, None)
@@ -173,12 +178,53 @@ class Node:
             yield Timeout(seconds)
         return None
 
+    def app_compute(self, seconds: float) -> Generator:
+        """:meth:`compute` on behalf of the application process: a traced run
+        shows it as a ``compute`` span (both runtimes' ``compute`` is this)."""
+        if self.sim.tracer is None:
+            return self.compute(seconds)
+        return self._traced_compute(seconds)
+
+    def _traced_compute(self, seconds: float) -> Generator:
+        tracer = self.sim.tracer
+        tracer.begin(
+            self.id, "app", "compute", f"compute {seconds:g}s",
+            self.sim.now, {"seconds": seconds},
+        )
+        yield from self.compute(seconds)
+        tracer.end(self.id, "app", "compute", self.sim.now)
+
     def compute_cycles(self, cycles: float) -> Generator:
         return self.compute(self.cfg.cycles(cycles))
 
     def copy_cost(self, nbytes: int) -> Generator:
         """Charge the local memcpy cost of moving ``nbytes``."""
         return self.compute(self.cfg.copy_time(nbytes))
+
+
+class PendingRun:
+    """A spawned-but-not-yet-driven program.
+
+    :meth:`Cluster.start_program` spawns the per-rank application processes
+    and returns one of these; whoever drives the simulation (the serial
+    :meth:`Cluster.run_program`, or the partition harness, which alternates
+    ``sim.run(until=...)`` with barrier exchanges) calls :meth:`finish` once
+    the event queues drain.
+    """
+
+    def __init__(self, start: float, procs: list, finish_times: list):
+        self.start = start
+        self.procs = procs  # [(rank, Process), ...]
+        self.finish_times = finish_times  # appended as each rank returns
+
+    def finish(self) -> dict:
+        """Verify every spawned process completed; return results by rank."""
+        stuck = [p.name for _, p in self.procs if not p.finished]
+        if stuck:
+            raise RuntimeError(
+                f"workers never finished (deadlock or lost wakeup): {stuck}"
+            )
+        return {rank: p.result for rank, p in self.procs}
 
 
 class Cluster:
@@ -211,6 +257,7 @@ class Cluster:
         ]
         for node in self.nodes:
             self.switch.register(node.nic)
+        self.run_time = 0.0  # simulated seconds the last run took
 
     @property
     def stats(self) -> NetStats:
@@ -235,4 +282,49 @@ class Cluster:
         return install_faults(self, plan)
 
     def run(self, until: Optional[float] = None) -> float:
-        return self.sim.run(until=until)
+        self.run_time = self.sim.run(until=until)
+        return self.run_time
+
+    # -- the program runner ------------------------------------------------------------
+
+    def start_program(self, program: Callable[[int], Generator], ranks=None) -> PendingRun:
+        """Spawn ``program(rank)`` as each rank's application process, without
+        driving the simulation.
+
+        ``ranks`` defaults to every rank; the partition harness passes each
+        partition's owned subset (the replica holds all nodes, but only the
+        owned ranks' application processes execute there).
+        """
+        sim = self.sim
+        start = sim.now
+        finish_times: list[float] = []
+
+        def timed(rank: int) -> Generator:
+            tracer = sim.tracer
+            if tracer is not None:
+                tracer.begin(rank, "app", "run", f"rank {rank}", sim.now)
+            result = yield from program(rank)
+            if tracer is not None:
+                tracer.end(rank, "app", "run", sim.now)
+            finish_times.append(sim.now)
+            return result
+
+        if ranks is None:
+            ranks = range(self.n)
+        procs = [(rank, sim.spawn(timed(rank), name=f"app-{rank}")) for rank in ranks]
+        return PendingRun(start, procs, finish_times)
+
+    def run_program(self, program: Callable[[int], Generator]) -> list:
+        """Run ``program(rank)`` on every node to completion; results by rank.
+
+        Surfaces any worker exception (a deadlock shows up as workers that
+        never finish) and records the simulated duration in ``run_time``.
+        """
+        pending = self.start_program(program)
+        self.run()
+        results = pending.finish()
+        # the run ends when the last application process finishes; what the
+        # event heap drains afterwards (fire-and-forget senders' acks) must
+        # not count towards the measured time
+        self.run_time = max(pending.finish_times) - pending.start
+        return [results[rank] for rank in range(self.n)]

@@ -34,21 +34,15 @@ class MessageKind(str, Enum):
     # view primitives (VC)
     VIEW_ACQUIRE = "view_acquire"
     VIEW_GRANT = "view_grant"
-    RVIEW_ACQUIRE = "rview_acquire"
-    RVIEW_GRANT = "rview_grant"
     VIEW_RELEASE = "view_release"
-    VIEW_RELEASE_OK = "view_release_ok"
-    MERGE_VIEWS = "merge_views"
-    MERGE_VIEWS_REPLY = "merge_views_reply"
     # diff machinery
     DIFF_REQUEST = "diff_request"
     DIFF_REPLY = "diff_reply"
     PAGE_REQUEST = "page_request"
     PAGE_REPLY = "page_reply"
+    DIFF_PUSH = "diff_push"  # HLRC: eager one-way diff propagation to the home
     # MPI
     MPI_DATA = "mpi_data"
-    MPI_BARRIER_ARRIVE = "mpi_barrier_arrive"
-    MPI_BARRIER_RELEASE = "mpi_barrier_release"
     # tests / generic
     TEST = "test"
 

@@ -70,9 +70,9 @@ App pieces map ``compute``/``run`` → ``compute``, ``barrier-wait`` →
 ``compute``: VC_sd's first-touch base copies and twin bookkeeping are
 memory-management work, not diff traffic, and counting them as ``diff``
 would erase exactly the distinction the paper draws.  Handler segments map
-by message kind: ``DIFF_*``/``PAGE_*`` → ``diff``,
-``BARRIER_*``/``MPI_BARRIER_*`` → ``barrier``, lock/view/merge traffic →
-``acquire``, everything else → ``wire``.  Wire time — NIC serialisation,
+by message kind: ``DIFF_*``/``PAGE_*`` → ``diff`` (HLRC's home-side
+``DIFF_PUSH`` application included), ``BARRIER_*`` → ``barrier``, lock/view
+traffic → ``acquire``, everything else → ``wire``.  Wire time — NIC serialisation,
 switch transfer, retransmission delay, dispatcher queueing — is the
 explicit ``wire`` flight segments.
 
@@ -153,12 +153,8 @@ _HANDLER_ORIGIN_KINDS = frozenset(
         "LOCK_FORWARD",
         "BARRIER_RELEASE",
         "VIEW_GRANT",
-        "RVIEW_GRANT",
-        "VIEW_RELEASE_OK",
-        "MERGE_VIEWS_REPLY",
         "DIFF_REPLY",
         "PAGE_REPLY",
-        "MPI_BARRIER_RELEASE",
     }
 )
 
@@ -167,14 +163,9 @@ def _handler_category(kind: str) -> str:
     """Path category for a dispatch-lane handler segment, by message kind."""
     if kind.startswith("DIFF_") or kind.startswith("PAGE_"):
         return PATH_DIFF
-    if kind.startswith("BARRIER_") or kind.startswith("MPI_BARRIER_"):
+    if kind.startswith("BARRIER_"):
         return PATH_BARRIER
-    if (
-        kind.startswith("LOCK_")
-        or kind.startswith("VIEW_")
-        or kind.startswith("RVIEW_")
-        or kind.startswith("MERGE_VIEWS")
-    ):
+    if kind.startswith("LOCK_") or kind.startswith("VIEW_"):
         return PATH_ACQUIRE
     return PATH_WIRE  # MPI_DATA, ACK, anything future
 

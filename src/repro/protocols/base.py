@@ -1,4 +1,4 @@
-"""Shared protocol machinery: intervals, diff store, fault handling.
+"""Shared protocol machinery: intervals, diff store, fault handling, barrier.
 
 Every protocol instance lives on one node and implements the
 :class:`repro.memory.manager.FaultHandler` interface.  The base class
@@ -13,7 +13,14 @@ LRC_d"):
   (``DIFF_REQUEST``/``DIFF_REPLY``) and applies them in Lamport order;
 * first-touch handling — a fault on a page nobody holds zero-fills locally;
   a fault on a page someone else created fetches a full base copy
-  (``PAGE_REQUEST``/``PAGE_REPLY``) before applying pending diffs.
+  (``PAGE_REQUEST``/``PAGE_REPLY``) before applying pending diffs;
+* the **barrier** — client, manager and both handlers are written once as
+  the VOPP barrier (synchronisation only, paper §3.3); LRC makes it
+  consistency-maintaining through the five ``_barrier_*`` hooks;
+* the **wait plumbing** every blocking primitive uses: :meth:`_park` /
+  :meth:`_wake` for the waiter's event, and :meth:`_wait_begin` /
+  :meth:`_wait_done`, the one place a barrier or acquire is reported to the
+  tracer, the oracle, ``RunStats`` and ``Metrics``.
 
 VC_sd overrides the fault path: its grants piggyback integrated diffs, so it
 never sends diff requests.
@@ -21,14 +28,14 @@ never sends diff requests.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Generator, Iterable, Optional
 
 from repro.memory.diff import Diff
 from repro.memory.manager import MemoryManager
 from repro.memory.page import PageState
 from repro.net.message import Message, MessageKind
 from repro.protocols.timestamps import IntervalNotice
-from repro.sim import Timeout
+from repro.sim import Event, Timeout
 
 # shared zero-delay hop effect (stateless: apply() only reads it)
 _HOP = Timeout(0)
@@ -75,6 +82,13 @@ class BaseDsmProtocol:
         # invalidation bookkeeping
         self.pending: dict[int, list[IntervalNotice]] = {}  # pid -> unapplied notices
         self.seen_keys: set[tuple[int, int]] = set()  # applied (node, idx)
+        # local processes blocked on a grant or a barrier release, by
+        # ("lock" | "view" | "barrier", id)
+        self._parked: dict[tuple[str, int], Event] = {}
+        # barrier client state, and the manager's (node 0 only)
+        self._barrier_gen = 0
+        self._barrier_arrivals: list[tuple] = []  # (node, gen, carried)
+        self._barrier_arrival_t: list[float] = []  # metrics-only skew samples
         self._register_handlers()
 
     # -- wiring ---------------------------------------------------------------
@@ -86,6 +100,8 @@ class BaseDsmProtocol:
         self.node.register_handler(
             MessageKind.PAGE_REQUEST, self._handle_page_request, cost=HANDLER_BASE_COST
         )
+        self.node.register_handler(MessageKind.BARRIER_ARRIVE, self._handle_barrier_arrive)
+        self.node.register_handler(MessageKind.BARRIER_RELEASE, self._handle_barrier_release)
 
     @property
     def nprocs(self) -> int:
@@ -382,12 +398,175 @@ class BaseDsmProtocol:
             size=CTRL_MSG_BYTES + len(content),
         )
 
-    # -- synchronisation API (implemented by subclasses) ------------------------------
+    # -- waiting: one park/wake pair, one recorder fan-out --------------------------
 
-    def barrier(self, bid: int = 0) -> Generator:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def _park(self, key: tuple[str, int]) -> Event:
+        """The event the calling process waits on until ``key`` is woken."""
+        evt = self._parked[key] = Event(self.node.sim)
+        return evt
 
-    def finish(self) -> Generator:
-        """Hook run by the program runner when a worker finishes (no-op)."""
+    def _wake(self, key: tuple[str, int], value: Any = None) -> None:
+        """Resume the local process parked under ``key`` with ``value``.
+
+        The tracer resolves the cause itself: called from a message handler
+        the wake is attributed to that message, a purely local wake (the
+        manager granting to itself) records nothing.
+        """
+        evt = self._parked.pop(key)
+        tracer = self.node.sim.tracer
+        if tracer is not None:
+            tracer.wake(self.node.id, self.node.sim.now)
+        evt.set(value)
+
+    def _wait_begin(self, kind: str, obj: int, mode: Optional[str] = None) -> float:
+        """Open the wait span of a ``"barrier"`` (``obj`` is the caller's
+        barrier id), a ``"lock"`` or a ``"view"`` acquire (``mode`` given);
+        returns the start time for :meth:`_wait_done`."""
+        t0 = self.node.sim.now
+        tracer = self.node.sim.tracer
+        if tracer is not None:
+            if kind == "barrier":
+                cat, name, args = "barrier-wait", f"barrier {obj}", {"bid": obj}
+            elif mode is None:
+                cat, name, args = "acquire-wait", f"lock {obj}", {"lock": obj}
+            else:
+                cat, name = "acquire-wait", f"view {obj} ({mode})"
+                args = {"view": obj, "mode": mode}
+            tracer.begin(self.node.id, "app", cat, name, t0, args)
+        return t0
+
+    def _wait_done(self, kind: str, obj: int, t0: float, mode: Optional[str] = None) -> None:
+        """The wait is over: tell every recorder, here and nowhere else.
+
+        Oracle edge (``obj`` is the episode number for a barrier; a lock is
+        an exclusive acquire), tracer span end, ``RunStats`` timer (always
+        on: the paper's Barrier/Acquire Time rows) and ``Metrics`` histogram.
+        """
+        sim = self.node.sim
+        now = sim.now
+        nid = self.node.id
+        waited = now - t0
+        barrier = kind == "barrier"
+        oracle = sim.oracle
+        if oracle is not None:
+            if barrier:
+                oracle.barrier_exit(now, nid, obj)
+            else:
+                oracle.acquire(now, nid, kind, obj, mode or "w")
+        tracer = sim.tracer
+        if tracer is not None:
+            tracer.end(nid, "app", "barrier-wait" if barrier else "acquire-wait", now)
+        metrics = sim.metrics
+        if barrier:
+            self.stats.add_barrier_time(waited)
+            if metrics is not None:
+                metrics.observe("barrier_wait_seconds", waited, node=nid)
+        else:
+            self.stats.add_acquire_time(waited)
+            if metrics is not None:
+                labels = {"lock": obj} if mode is None else {"view": obj, "mode": mode}
+                metrics.observe("acquire_wait_seconds", waited, **labels)
+
+    # -- barrier ---------------------------------------------------------------------------
+
+    BARRIER_MANAGER = 0
+
+    def barrier(self, bid: int = 0) -> Generator:
+        """Global barrier (``yield from``): arrive at node 0, wait for its release.
+
+        As written here it only synchronises — a ``CTRL_MSG_BYTES``
+        arrive/release exchange, no notices, no consistency processing:
+        "Barriers in VOPP simply synchronize the processors without any
+        consistency maintenance" (paper §3.3), and the VC protocols use it
+        unchanged.  LRC overrides the ``_barrier_*`` hooks below.
+        """
+        t0 = self._wait_begin("barrier", bid)
+        yield from self._barrier_publish()
+        gen = self._barrier_gen
+        self._barrier_gen += 1
+        oracle = self.node.sim.oracle
+        if oracle is not None:
+            oracle.barrier_arrive(self.node.sim.now, self.node.id, gen)
+        evt = self._park(("barrier", gen))
+        local = self.node.id == self.BARRIER_MANAGER
+        carried, size = self._barrier_arrival(local)
+        if local:
+            self._manager_note_arrival((self.node.id, gen, carried))
+        else:
+            yield from self.node.send_reliable(
+                self.BARRIER_MANAGER,
+                MessageKind.BARRIER_ARRIVE,
+                (self.node.id, gen, carried),
+                size=CTRL_MSG_BYTES + size,
+            )
+        released = yield evt.wait()
+        yield from self._barrier_absorb(released)
+        self._wait_done("barrier", gen, t0)
+
+    def _handle_barrier_arrive(self, msg: Message) -> Generator:
+        assert self.node.id == self.BARRIER_MANAGER
+        yield from self._barrier_receive(msg.payload[2])
+        self._manager_note_arrival(msg.payload)
+
+    def _manager_note_arrival(self, arrival: tuple) -> None:
+        """Collect one ``(node, gen, carried)``; the last one releases everybody."""
+        self._barrier_arrivals.append(arrival)
+        metrics = self.node.sim.metrics
+        if metrics is not None:
+            # record-only arrival timestamps for the per-epoch skew metric
+            self._barrier_arrival_t.append(self.node.sim.now)
+        if len(self._barrier_arrivals) < self.nprocs:
+            return
+        arrivals, self._barrier_arrivals = self._barrier_arrivals, []
+        self.stats.count_barrier_episode()
+        if metrics is not None:
+            ts, self._barrier_arrival_t = self._barrier_arrival_t, []
+            metrics.observe("barrier_skew_seconds", max(ts) - min(ts))
+            metrics.inc("barrier_episodes")
+        for (node_id, gen, _), (released, size) in zip(
+            arrivals, self._barrier_releases(arrivals)
+        ):
+            if node_id == self.node.id:
+                self._wake(("barrier", gen), released)
+            else:
+                self.node.sim.spawn(
+                    self.node.send_reliable(
+                        node_id,
+                        MessageKind.BARRIER_RELEASE,
+                        (gen, released),
+                        CTRL_MSG_BYTES + size,
+                    ),
+                    name=f"barrier-release-{node_id}",
+                )
+
+    def _handle_barrier_release(self, msg: Message) -> Generator:
+        yield from self.node.compute(HANDLER_BASE_COST)
+        gen, released = msg.payload
+        self._wake(("barrier", gen), released)
+
+    # the consistency a barrier maintains, in the order a barrier meets it;
+    # the defaults maintain none (wire sizes are on top of CTRL_MSG_BYTES)
+
+    def _barrier_publish(self) -> Generator:
+        """Client, before arriving."""
+        return
+        yield  # pragma: no cover
+
+    def _barrier_arrival(self, local: bool) -> tuple[Any, int]:
+        """Client: what the arrival carries to the manager, and its wire size
+        (``local``: this node is the manager, nothing travels)."""
+        return None, 0
+
+    def _barrier_receive(self, carried: Any) -> Generator:
+        """Manager: the handler's work for one remote arrival."""
+        return self.node.compute(HANDLER_BASE_COST)
+
+    def _barrier_releases(self, arrivals: list[tuple]) -> Iterable[tuple[Any, int]]:
+        """Manager: per arrival, in order, what its release carries and the
+        wire size."""
+        return [(None, 0)] * len(arrivals)
+
+    def _barrier_absorb(self, released: Any) -> Generator:
+        """Client, on release."""
         return
         yield  # pragma: no cover

@@ -30,19 +30,18 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
+from repro.memory.diff import apply_diff
 from repro.memory.page import PageState
 from repro.net.message import Message, MessageKind
 from repro.protocols.base import CTRL_MSG_BYTES, HANDLER_BASE_COST
 from repro.protocols.lrc import LrcProtocol
+from repro.sim import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.protocols.system import DsmSystem
     from repro.net.cluster import Node
 
 __all__ = ["HlrcProtocol"]
-
-DIFF_PUSH = MessageKind.MERGE_VIEWS  # reuse a spare kind for the push channel
-
 
 class HlrcProtocol(LrcProtocol):
     """Per-node home-based LRC instance."""
@@ -62,7 +61,7 @@ class HlrcProtocol(LrcProtocol):
         self._waiting: dict[int, list[Message]] = {}
         # local accesses (we are home) waiting for outstanding diff pushes
         self._home_events: dict[int, list] = {}
-        node.register_handler(DIFF_PUSH, self._handle_diff_push)
+        node.register_handler(MessageKind.DIFF_PUSH, self._handle_diff_push)
 
     # -- home assignment ---------------------------------------------------------
 
@@ -97,7 +96,7 @@ class HlrcProtocol(LrcProtocol):
             )
             yield from self.node.send_reliable(
                 home,
-                DIFF_PUSH,
+                MessageKind.DIFF_PUSH,
                 {"node": self.node.id, "idx": notice.idx, "pages": pages},
                 size=size,
             )
@@ -113,8 +112,6 @@ class HlrcProtocol(LrcProtocol):
             copy = self.mm.page(pid)
             copy.materialise()
             for diff in diffs:
-                from repro.memory.diff import apply_diff
-
                 apply_diff(copy.data, diff)
                 nbytes += diff.changed_bytes
             self._applied.setdefault(pid, set()).add((writer, idx))
@@ -152,8 +149,6 @@ class HlrcProtocol(LrcProtocol):
             copy = self.mm.page(pid)
             copy.materialise()
             applied = self._applied.setdefault(pid, set())
-            from repro.sim import Event
-
             while True:
                 missing = [n for n in notices if (n.node, n.idx) not in applied]
                 if not missing:
@@ -214,7 +209,6 @@ class HlrcProtocol(LrcProtocol):
         for evt in self._home_events.pop(pid, []):
             if tracer is not None:
                 # cause resolves via dispatch context: _retry_waiting runs
-                # from the DIFF_PUSH / MERGE_VIEWS handler that made the
-                # home copy current
+                # from the DIFF_PUSH handler that made the home copy current
                 tracer.wake(self.node.id, self.node.sim.now)
             evt.set()

@@ -31,7 +31,6 @@ from repro.protocols.base import (
     BaseDsmProtocol,
 )
 from repro.protocols.timestamps import IntervalNotice, VectorClock, notices_wire_size
-from repro.sim import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.protocols.system import DsmSystem
@@ -65,17 +64,9 @@ class LrcProtocol(BaseDsmProtocol):
         self._shipped: dict[int, list[int]] = {}
         # manager-side lock table (only used on manager nodes)
         self._locks: dict[int, _LockState] = {}
-        self._grant_events: dict[int, Event] = {}
-        # barrier manager state (node 0 only)
-        self._barrier_arrivals: list[dict] = []
-        self._barrier_arrival_t: list[float] = []  # metrics-only skew samples
-        self._barrier_events: dict[int, Event] = {}
-        self._barrier_gen = 0
         node.register_handler(MessageKind.LOCK_ACQUIRE, self._handle_lock_acquire)
         node.register_handler(MessageKind.LOCK_GRANT, self._handle_lock_grant)
         node.register_handler(MessageKind.LOCK_FORWARD, self._handle_lock_release_msg)
-        node.register_handler(MessageKind.BARRIER_ARRIVE, self._handle_barrier_arrive)
-        node.register_handler(MessageKind.BARRIER_RELEASE, self._handle_barrier_release)
 
     # -- knowledge bookkeeping ------------------------------------------------------
 
@@ -133,13 +124,7 @@ class LrcProtocol(BaseDsmProtocol):
 
     def acquire_lock(self, lock_id: int) -> Generator:
         """Acquire a global lock (``yield from``)."""
-        t0 = self.node.sim.now
-        tracer = self.node.sim.tracer
-        if tracer is not None:
-            tracer.begin(
-                self.node.id, "app", "acquire-wait", f"lock {lock_id}",
-                t0, {"lock": lock_id},
-            )
+        t0 = self._wait_begin("lock", lock_id)
         manager = self.lock_manager(lock_id)
         if manager == self.node.id:
             state = self._lock_state(lock_id)
@@ -148,15 +133,13 @@ class LrcProtocol(BaseDsmProtocol):
                 # manager's own knowledge is local: apply anything unseen
                 self._absorb(self._unseen_for(self.vc.copy()))
             else:
-                evt = Event(self.node.sim)
-                self._grant_events[lock_id] = evt
+                evt = self._park(("lock", lock_id))
                 state.queue.append(self.node.id)
                 payload = yield evt.wait()
                 self._absorb(payload["notices"], payload["vc"])
         else:
             self.stats.count_acquire_msg()
-            evt = Event(self.node.sim)
-            self._grant_events[lock_id] = evt
+            evt = self._park(("lock", lock_id))
             yield from self.node.send_reliable(
                 manager,
                 MessageKind.LOCK_ACQUIRE,
@@ -166,17 +149,7 @@ class LrcProtocol(BaseDsmProtocol):
             payload = yield evt.wait()
             yield from self.node.compute(NOTICE_PROC_COST * len(payload["notices"]))
             self._absorb(payload["notices"], payload["vc"])
-        oracle = self.node.sim.oracle
-        if oracle is not None:
-            oracle.acquire(self.node.sim.now, self.node.id, "lock", lock_id, "w")
-        if tracer is not None:
-            tracer.end(self.node.id, "app", "acquire-wait", self.node.sim.now)
-        self.stats.add_acquire_time(self.node.sim.now - t0)
-        metrics = self.node.sim.metrics
-        if metrics is not None:
-            metrics.observe(
-                "acquire_wait_seconds", self.node.sim.now - t0, lock=lock_id
-            )
+        self._wait_done("lock", lock_id, t0)
 
     def release_lock(self, lock_id: int) -> Generator:
         """Release a global lock (``yield from``)."""
@@ -216,11 +189,10 @@ class LrcProtocol(BaseDsmProtocol):
         if isinstance(waiter, int):
             # local (manager's own) waiter
             state.held_by = waiter
-            evt = self._grant_events.pop(lock_id)
-            tracer = self.node.sim.tracer
-            if tracer is not None:
-                tracer.wake(self.node.id, self.node.sim.now)
-            evt.set({"notices": self._unseen_for(self.vc.copy()), "vc": self.vc.copy()})
+            self._wake(
+                ("lock", lock_id),
+                {"notices": self._unseen_for(self.vc.copy()), "vc": self.vc.copy()},
+            )
             return
         acq_vc = waiter.payload["vc"]
         notices = self._unseen_for(acq_vc)
@@ -259,119 +231,41 @@ class LrcProtocol(BaseDsmProtocol):
         yield from self.node.compute(
             HANDLER_BASE_COST + NOTICE_PROC_COST * len(msg.payload["notices"])
         )
-        evt = self._grant_events.pop(msg.payload["lock"])
-        tracer = self.node.sim.tracer
-        if tracer is not None:
-            tracer.wake(self.node.id, self.node.sim.now)
-        evt.set(msg.payload)
+        self._wake(("lock", msg.payload["lock"]), msg.payload)
 
-    # -- consistency-maintaining barrier --------------------------------------------------
+    # -- consistency-maintaining barrier (hooks of BaseDsmProtocol.barrier) ----------------
 
-    BARRIER_MANAGER = 0
+    def _barrier_publish(self) -> Generator:
+        return self._publish_own_interval()
 
-    def barrier(self, bid: int = 0) -> Generator:
-        """Global barrier with centralised consistency maintenance."""
-        t0 = self.node.sim.now
-        tracer = self.node.sim.tracer
-        if tracer is not None:
-            tracer.begin(
-                self.node.id, "app", "barrier-wait", f"barrier {bid}", t0, {"bid": bid}
-            )
-        yield from self._publish_own_interval()
-        gen = self._barrier_gen
-        self._barrier_gen += 1
-        oracle = self.node.sim.oracle
-        if oracle is not None:
-            oracle.barrier_arrive(self.node.sim.now, self.node.id, gen)
-        evt = Event(self.node.sim)
-        self._barrier_events[gen] = evt
-        if self.node.id == self.BARRIER_MANAGER:
-            self._manager_note_arrival(
-                {"node": self.node.id, "vc": self.vc.copy(), "notices": [], "gen": gen}
-            )
-        else:
-            notices = self._unshipped_for_manager(self.BARRIER_MANAGER)
-            yield from self.node.send_reliable(
-                self.BARRIER_MANAGER,
-                MessageKind.BARRIER_ARRIVE,
-                {"node": self.node.id, "vc": self.vc.copy(), "notices": notices, "gen": gen},
-                size=CTRL_MSG_BYTES + self.vc.wire_size + notices_wire_size(notices),
-            )
-        payload = yield evt.wait()
-        yield from self.node.compute(NOTICE_PROC_COST * len(payload["notices"]))
-        self._absorb(payload["notices"], payload["vc"])
-        if oracle is not None:
-            oracle.barrier_exit(self.node.sim.now, self.node.id, gen)
-        if tracer is not None:
-            tracer.end(self.node.id, "app", "barrier-wait", self.node.sim.now)
-        self.stats.add_barrier_time(self.node.sim.now - t0)
-        metrics = self.node.sim.metrics
-        if metrics is not None:
-            metrics.observe(
-                "barrier_wait_seconds", self.node.sim.now - t0, node=self.node.id
-            )
+    def _barrier_arrival(self, local: bool) -> tuple:
+        # the manager's own knowledge is in its tables already
+        notices = [] if local else self._unshipped_for_manager(self.BARRIER_MANAGER)
+        return (self.vc.copy(), notices), self.vc.wire_size + notices_wire_size(notices)
 
-    def _handle_barrier_arrive(self, msg: Message) -> Generator:
-        assert self.node.id == self.BARRIER_MANAGER
-        notices = msg.payload["notices"]
+    def _barrier_receive(self, carried: tuple) -> Generator:
+        _vc, notices = carried
         # the manager's serial dispatcher pays per-notice processing: this is
         # the centralisation cost the paper measures
         yield from self.node.compute(HANDLER_BASE_COST + NOTICE_PROC_COST * len(notices))
-        self._manager_note_arrival(msg.payload)
-
-    def _manager_note_arrival(self, payload: dict) -> None:
-        for notice in payload["notices"]:
+        for notice in notices:
             self._record_notice(notice)
-        self._barrier_arrivals.append(payload)
-        metrics = self.node.sim.metrics
-        if metrics is not None:
-            # record-only arrival timestamps for the per-epoch skew metric
-            self._barrier_arrival_t.append(self.node.sim.now)
-        if len(self._barrier_arrivals) == self.nprocs:
-            arrivals, self._barrier_arrivals = self._barrier_arrivals, []
-            self.stats.count_barrier_episode()
-            if metrics is not None:
-                ts, self._barrier_arrival_t = self._barrier_arrival_t, []
-                metrics.observe("barrier_skew_seconds", max(ts) - min(ts))
-                metrics.inc("barrier_episodes")
-            merged_vc = self.vc.copy()
-            for arrival in arrivals:
-                for i, x in enumerate(arrival["vc"]):
-                    if x > merged_vc[i]:
-                        merged_vc[i] = x
-            for origin, lst in self.known.items():
-                for notice in lst:
-                    if notice.idx > merged_vc[origin]:
-                        merged_vc[origin] = notice.idx
-            for arrival in arrivals:
-                release = {
-                    "notices": self._unseen_for(arrival["vc"]),
-                    "vc": merged_vc,
-                    "gen": arrival["gen"],
-                }
-                if arrival["node"] == self.node.id:
-                    evt = self._barrier_events.pop(arrival["gen"])
-                    tracer = self.node.sim.tracer
-                    if tracer is not None:
-                        tracer.wake(self.node.id, self.node.sim.now)
-                    evt.set(release)
-                else:
-                    size = (
-                        CTRL_MSG_BYTES
-                        + 4 * len(merged_vc)
-                        + notices_wire_size(release["notices"])
-                    )
-                    self.node.sim.spawn(
-                        self.node.send_reliable(
-                            arrival["node"], MessageKind.BARRIER_RELEASE, release, size
-                        ),
-                        name=f"barrier-release-{arrival['node']}",
-                    )
 
-    def _handle_barrier_release(self, msg: Message) -> Generator:
-        yield from self.node.compute(HANDLER_BASE_COST)
-        evt = self._barrier_events.pop(msg.payload["gen"])
-        tracer = self.node.sim.tracer
-        if tracer is not None:
-            tracer.wake(self.node.id, self.node.sim.now)
-        evt.set(msg.payload)
+    def _barrier_releases(self, arrivals: list[tuple]):
+        merged_vc = self.vc.copy()
+        for _node, _gen, (vc, _notices) in arrivals:
+            for i, x in enumerate(vc):
+                if x > merged_vc[i]:
+                    merged_vc[i] = x
+        for origin, lst in self.known.items():
+            for notice in lst:
+                if notice.idx > merged_vc[origin]:
+                    merged_vc[origin] = notice.idx
+        for _node, _gen, (vc, _notices) in arrivals:
+            notices = self._unseen_for(vc)
+            yield (notices, merged_vc), 4 * len(merged_vc) + notices_wire_size(notices)
+
+    def _barrier_absorb(self, released: tuple) -> Generator:
+        notices, vc = released
+        yield from self.node.compute(NOTICE_PROC_COST * len(notices))
+        self._absorb(notices, vc)

@@ -69,14 +69,11 @@ class DsmSystem:
         # is zero-cost routing metadata, like the page directory)
         self.views = ViewRegistry(lookahead=lam)
         # per-rank statistics shards; merged on demand by the stats property
-        self._rank_stats = [RunStats() for _ in range(nprocs)]
-        self.run_time = 0.0
+        self.rank_stats = [RunStats() for _ in range(nprocs)]
         # manager placement: 0 co-locates view v's manager with node v%n
         # (per-processor views get owner-local managers); the ablation
         # benches shift it to measure the cost of remote managers
         self.manager_offset = manager_offset
-        # optional view tracer (repro.tools.tracer.ViewTracer)
-        self.tracer = None
         self.protocols: list[BaseDsmProtocol] = [
             protocol(self, node) for node in self.cluster.nodes
         ]
@@ -86,13 +83,13 @@ class DsmSystem:
         """Run statistics: the per-rank shards merged in rank order, with the
         merged network counters attached.  A fresh snapshot per access —
         record into ``stats_for(rank)``, not into this."""
-        merged = RunStats.merged(self._rank_stats, net=self.cluster.stats)
-        merged.time = self.run_time
+        merged = RunStats.merged(self.rank_stats, net=self.cluster.stats)
+        merged.time = self.cluster.run_time
         return merged
 
     def stats_for(self, rank: int) -> RunStats:
         """The mutable statistics shard of one rank."""
-        return self._rank_stats[rank]
+        return self.rank_stats[rank]
 
     @property
     def nprocs(self) -> int:
@@ -102,11 +99,6 @@ class DsmSystem:
     def sim(self):
         return self.cluster.sim
 
-    def trace(self, **event) -> None:
-        """Forward a protocol event to the installed tracer, if any."""
-        if self.tracer is not None:
-            self.tracer.record(**event)
-
     def view_manager(self, view_id: int) -> int:
         """Static manager assignment distributes view traffic over nodes."""
         return (view_id + self.manager_offset) % self.nprocs
@@ -115,6 +107,4 @@ class DsmSystem:
         return self.space.alloc(name, size, page_aligned=page_aligned)
 
     def run(self, until: Optional[float] = None) -> float:
-        final = self.cluster.run(until=until)
-        self.run_time = final
-        return final
+        return self.cluster.run(until=until)

@@ -11,7 +11,9 @@ techniques", paper §5).
 Barriers are **synchronisation only**: a tiny arrive/release exchange with
 node 0, no notices, no consistency processing — the second defining
 difference from LRC_d (paper §3.3: "Barriers in VOPP simply synchronize the
-processors without any consistency maintenance").
+processors without any consistency maintenance").  That is the barrier
+:class:`~repro.protocols.base.BaseDsmProtocol` implements, so there is no
+barrier code here.
 
 View discipline is enforced where a simulator can see it: writes require a
 held exclusive view, pages may only ever bind to one view
@@ -33,7 +35,6 @@ from repro.protocols.base import (
     VoppDisciplineError,
 )
 from repro.protocols.timestamps import IntervalNotice, notices_wire_size
-from repro.sim import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.protocols.system import DsmSystem
@@ -71,19 +72,11 @@ class VcProtocol(BaseDsmProtocol):
     def __init__(self, system: "DsmSystem", node: "Node"):
         super().__init__(system, node)
         self._views: dict[int, ViewState] = {}  # manager-side
-        self._grant_events: dict[int, Event] = {}
         self.held_excl: Optional[int] = None
         self.held_r: list[int] = []
-        # barrier client/manager state (sync-only barrier at node 0)
-        self._barrier_arrivals: list[tuple[int, int]] = []  # (node, gen)
-        self._barrier_arrival_t: list[float] = []  # metrics-only skew samples
-        self._barrier_events: dict[int, Event] = {}
-        self._barrier_gen = 0
         node.register_handler(MessageKind.VIEW_ACQUIRE, self._handle_view_acquire)
         node.register_handler(MessageKind.VIEW_GRANT, self._handle_view_grant)
         node.register_handler(MessageKind.VIEW_RELEASE, self._handle_view_release)
-        node.register_handler(MessageKind.BARRIER_ARRIVE, self._handle_barrier_arrive)
-        node.register_handler(MessageKind.BARRIER_RELEASE, self._handle_barrier_release)
 
     # -- access discipline --------------------------------------------------------------
 
@@ -142,16 +135,9 @@ class VcProtocol(BaseDsmProtocol):
         self.held_r.append(view_id)
 
     def _acquire(self, view_id: int, mode: str) -> Generator:
-        t0 = self.node.sim.now
-        tracer = self.node.sim.tracer
-        if tracer is not None:
-            tracer.begin(
-                self.node.id, "app", "acquire-wait", f"view {view_id} ({mode})",
-                t0, {"view": view_id, "mode": mode},
-            )
+        t0 = self._wait_begin("view", view_id, mode)
         manager = self.view_manager(view_id)
-        evt = Event(self.node.sim)
-        self._grant_events[view_id] = evt
+        evt = self._park(("view", view_id))
         if manager == self.node.id:
             self._manager_acquire(view_id, mode, self.node.id, None)
         else:
@@ -164,28 +150,7 @@ class VcProtocol(BaseDsmProtocol):
             )
         payload = yield evt.wait()
         yield from self._apply_grant(view_id, payload)
-        oracle = self.node.sim.oracle
-        if oracle is not None:
-            oracle.acquire(self.node.sim.now, self.node.id, "view", view_id, mode)
-        if tracer is not None:
-            tracer.end(self.node.id, "app", "acquire-wait", self.node.sim.now)
-        self.stats.add_acquire_time(self.node.sim.now - t0)
-        metrics = self.node.sim.metrics
-        if metrics is not None:
-            metrics.observe(
-                "acquire_wait_seconds",
-                self.node.sim.now - t0,
-                view=view_id,
-                mode=mode,
-            )
-        self.system.trace(
-            kind="acquire",
-            node=self.node.id,
-            view=view_id,
-            mode=mode,
-            wait=self.node.sim.now - t0,
-            t=self.node.sim.now,
-        )
+        self._wait_done("view", view_id, t0, mode)
 
     def _apply_grant(self, view_id: int, payload: tuple) -> Generator:
         notices = payload[1]
@@ -283,22 +248,13 @@ class VcProtocol(BaseDsmProtocol):
         notices = state.log[pos:]
         state.delivered[node_id] = len(state.log)
         payload = self._grant_payload(state, node_id, notices, pos)
-        self.system.trace(
-            kind="grant",
-            node=node_id,
-            view=state.view_id,
-            mode=mode,
-            size=self._grant_size(payload),
-            t=self.node.sim.now,
-        )
+        metrics = self.node.sim.metrics
+        if metrics is not None:
+            # what this grant moves (the view tracer's KB/grant column)
+            metrics.observe("grant_bytes", self._grant_size(payload), view=state.view_id)
         if node_id == self.node.id:
-            evt = self._grant_events.pop(state.view_id)
-            tracer = self.node.sim.tracer
-            if tracer is not None:
-                tracer.wake(self.node.id, self.node.sim.now)
-            evt.set(payload)
+            self._wake(("view", state.view_id), payload)
         else:
-            kind = MessageKind.VIEW_GRANT if mode == "w" else MessageKind.RVIEW_GRANT
             size = CTRL_MSG_BYTES + self._grant_size(payload)
             self.node.sim.spawn(
                 self.node.send_reliable(node_id, MessageKind.VIEW_GRANT, payload, size),
@@ -366,96 +322,10 @@ class VcProtocol(BaseDsmProtocol):
 
     def _handle_view_grant(self, msg: Message) -> Generator:
         yield from self.node.compute(HANDLER_BASE_COST)
-        evt = self._grant_events.pop(msg.payload[0])
-        tracer = self.node.sim.tracer
-        if tracer is not None:
-            tracer.wake(self.node.id, self.node.sim.now)
-        evt.set(msg.payload)
+        self._wake(("view", msg.payload[0]), msg.payload)
 
     def _handle_view_release(self, msg: Message) -> Generator:
         yield from self.node.compute(HANDLER_BASE_COST)
         view_id, mode, node_id, notice, extra = msg.payload
         yield from self._manager_apply_release(view_id, mode, notice, extra, local=False)
         self._manager_release(view_id, mode, node_id)
-
-    # -- synchronisation-only barrier ------------------------------------------------------------
-
-    BARRIER_MANAGER = 0
-
-    def barrier(self, bid: int = 0) -> Generator:
-        """Barrier with no consistency action (VOPP semantics)."""
-        t0 = self.node.sim.now
-        tracer = self.node.sim.tracer
-        if tracer is not None:
-            tracer.begin(
-                self.node.id, "app", "barrier-wait", f"barrier {bid}", t0, {"bid": bid}
-            )
-        gen = self._barrier_gen
-        self._barrier_gen += 1
-        oracle = self.node.sim.oracle
-        if oracle is not None:
-            oracle.barrier_arrive(self.node.sim.now, self.node.id, gen)
-        evt = Event(self.node.sim)
-        self._barrier_events[gen] = evt
-        if self.node.id == self.BARRIER_MANAGER:
-            self._manager_note_arrival((self.node.id, gen))
-        else:
-            yield from self.node.send_reliable(
-                self.BARRIER_MANAGER,
-                MessageKind.BARRIER_ARRIVE,
-                (self.node.id, gen),
-                size=CTRL_MSG_BYTES,
-            )
-        yield evt.wait()
-        if oracle is not None:
-            oracle.barrier_exit(self.node.sim.now, self.node.id, gen)
-        if tracer is not None:
-            tracer.end(self.node.id, "app", "barrier-wait", self.node.sim.now)
-        self.stats.add_barrier_time(self.node.sim.now - t0)
-        metrics = self.node.sim.metrics
-        if metrics is not None:
-            metrics.observe(
-                "barrier_wait_seconds", self.node.sim.now - t0, node=self.node.id
-            )
-
-    def _handle_barrier_arrive(self, msg: Message) -> Generator:
-        assert self.node.id == self.BARRIER_MANAGER
-        yield from self.node.compute(HANDLER_BASE_COST)
-        self._manager_note_arrival(msg.payload)
-
-    def _manager_note_arrival(self, payload: tuple) -> None:
-        self._barrier_arrivals.append(payload)
-        metrics = self.node.sim.metrics
-        if metrics is not None:
-            # record-only arrival timestamps for the per-epoch skew metric
-            self._barrier_arrival_t.append(self.node.sim.now)
-        if len(self._barrier_arrivals) == self.nprocs:
-            arrivals, self._barrier_arrivals = self._barrier_arrivals, []
-            self.stats.count_barrier_episode()
-            if metrics is not None:
-                ts, self._barrier_arrival_t = self._barrier_arrival_t, []
-                metrics.observe("barrier_skew_seconds", max(ts) - min(ts))
-                metrics.inc("barrier_episodes")
-            tracer = self.node.sim.tracer
-            for node_id, gen in arrivals:
-                if node_id == self.node.id:
-                    if tracer is not None:
-                        tracer.wake(self.node.id, self.node.sim.now)
-                    self._barrier_events.pop(gen).set(None)
-                else:
-                    self.node.sim.spawn(
-                        self.node.send_reliable(
-                            node_id,
-                            MessageKind.BARRIER_RELEASE,
-                            gen,
-                            size=CTRL_MSG_BYTES,
-                        ),
-                        name=f"vc-barrier-release-{node_id}",
-                    )
-
-    def _handle_barrier_release(self, msg: Message) -> Generator:
-        yield from self.node.compute(HANDLER_BASE_COST)
-        tracer = self.node.sim.tracer
-        if tracer is not None:
-            tracer.wake(self.node.id, self.node.sim.now)
-        self._barrier_events.pop(msg.payload).set(None)

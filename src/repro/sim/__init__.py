@@ -9,7 +9,7 @@ Blocking operations are expressed as ``yield``/``yield from`` of *effects*:
 * :class:`Timeout` — sleep for a simulated duration,
 * :data:`PARK` — suspend until the process's owner calls ``unpark``,
 * :class:`Channel` operations — rendezvous message queues,
-* resource operations from :mod:`repro.sim.resources`.
+* :class:`Event` waits — a one-shot, value-carrying wake-up.
 
 Determinism: events scheduled for the same simulated instant are processed in
 FIFO scheduling order (a monotonically increasing sequence number breaks
@@ -18,7 +18,7 @@ ties), so a given program produces bit-identical traces on every run.
 
 from repro.sim.engine import Simulator, Process, Timeout, SimError, Interrupt, PARK
 from repro.sim.channel import Channel, ChannelClosed
-from repro.sim.resources import Mutex, Semaphore, Condition, Event, Barrier
+from repro.sim.resources import Event
 
 __all__ = [
     "Simulator",
@@ -29,9 +29,5 @@ __all__ = [
     "PARK",
     "Channel",
     "ChannelClosed",
-    "Mutex",
-    "Semaphore",
-    "Condition",
     "Event",
-    "Barrier",
 ]

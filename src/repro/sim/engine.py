@@ -122,20 +122,6 @@ class _Park(Effect):
 PARK = _Park()
 
 
-class _Fork(Effect):
-    """Internal effect: spawn a child process and resume immediately."""
-
-    __slots__ = ("gen", "name")
-
-    def __init__(self, gen: Generator, name: str):
-        self.gen = gen
-        self.name = name
-
-    def apply(self, sim: "Simulator", proc: "Process") -> None:
-        child = sim.spawn(self.gen, name=self.name)
-        sim.call_soon(proc._resume, child, None, proc._epoch)
-
-
 class _WaitProcess(Effect):
     """Internal effect: block until another process terminates."""
 
@@ -158,7 +144,7 @@ class Process:
     :meth:`Simulator.spawn`.  Inside a running process::
 
         result = yield Timeout(1.5)          # sleep
-        child  = yield sim.fork(other())     # spawn concurrently
+        child  = sim.spawn(other())          # start a concurrent process
         rv     = yield child.join()          # wait for termination
     """
 
@@ -527,14 +513,6 @@ class Simulator:
         if tracer is not None:
             tracer.counter(-1, "live_processes", self.now, self._live_processes)
         return proc
-
-    def fork(self, gen: Generator, name: str = "") -> Effect:
-        """Effect form of :meth:`spawn`, usable from inside a process.
-
-        ``child = yield sim.fork(worker())`` spawns ``worker`` and resumes the
-        caller immediately with the child :class:`Process`.
-        """
-        return _Fork(gen, name)
 
     # -- execution -----------------------------------------------------------
 

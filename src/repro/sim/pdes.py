@@ -77,6 +77,8 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
+from repro.core.program import make_system
+from repro.net.config import NetConfig
 from repro.net.nic import Switch
 from repro.sim.engine import SimError, Simulator
 
@@ -168,9 +170,8 @@ class _World:
     """One partition: a full system replica running only its owned ranks."""
 
     sim: Simulator
-    system: Any  # MpiSystem, or the DSM facade from make_system
-    switch: PartitionSwitch  # also holds the per-node NetStats shards
-    oracles: tuple  # shared-metadata replicas whose mutations cross at barriers
+    system: Any  # whatever make_system returns for the protocol
+    switch: PartitionSwitch
     pending: Any  # PendingRun of the owned ranks
 
 
@@ -178,30 +179,19 @@ def _build_world(owned, app_module, protocol, nprocs, config, variant,
                  netcfg, nodecfg) -> _World:
     """Construct one partition's replica by the same code path as serial."""
     sim = Simulator()
-    if protocol == "mpi":
-        from repro.mpi.comm import MpiSystem
-
-        system = MpiSystem(nprocs, netcfg=netcfg, nodecfg=nodecfg, sim=sim)
-        cluster = system.cluster
-        body = app_module.build_mpi(system, config)
-        oracles = ()
-    else:
-        from repro.core.program import make_system
-
-        system = make_system(nprocs, protocol, netcfg=netcfg, nodecfg=nodecfg, sim=sim)
-        cluster = system.dsm.cluster
-        body = app_module.build(system, config, variant)
-        oracles = (system.dsm.directory, system.dsm.views)
+    system = make_system(nprocs, protocol, netcfg=netcfg, nodecfg=nodecfg, sim=sim)
+    body = app_module.build(system, config, variant)
+    cluster = system.cluster
     # swapped in after construction, at t=0 before any traffic, rather than
     # threading a switch parameter through every layer
     switch = PartitionSwitch(sim, cluster.netcfg, cluster.node_stats, owned)
     for node in cluster.nodes:
         switch.register(node.nic)
     cluster.switch = switch
-    for oracle in oracles:
+    for oracle in system.shared_oracles:
         oracle.capture_deltas()
     pending = system.start_program(body, ranks=owned)
-    return _World(sim, system, switch, oracles, pending)
+    return _World(sim, system, switch, pending)
 
 
 @dataclass
@@ -236,9 +226,6 @@ def run_partitioned(
     configurations listed in the module docstring and when a frame is
     collected that should already have been delivered.
     """
-    from repro.net.config import NetConfig
-    from repro.net.stats import NetStats
-
     if protocol == "hlrc_d":
         raise PdesError(
             "hlrc_d needs an instantaneous home-assignment read "
@@ -278,7 +265,7 @@ def run_partitioned(
                 if t_arr < T:
                     T = t_arr
                 inboxes[owner_of[frame[0]]].append(frame)
-            deltas.append([o.drain_deltas() for o in w.oracles])
+            deltas.append([o.drain_deltas() for o in w.system.shared_oracles])
             T = min(T, w.sim.peek_next_time())
         if T == math.inf:
             break
@@ -288,33 +275,25 @@ def run_partitioned(
             w.switch.inject(inboxes[i])
             for j, foreign in enumerate(deltas):
                 if j != i:
-                    for oracle, d in zip(w.oracles, foreign):
+                    for oracle, d in zip(w.system.shared_oracles, foreign):
                         oracle.apply_deltas(d)
             w.sim.run(until=window_end, inclusive=False)
 
     results = {}
     for w in worlds:
         results.update(w.pending.finish())
-    time = max(t for w in worlds for t in w.pending.finish_times)  # start is t=0
-    net = NetStats.merged(
-        worlds[owner_of[i]].switch.node_stats[i] for i in range(nprocs)
-    )
-    if protocol == "mpi":
-        stats: Any = net
-        output = worlds[0].system.app_output
-    else:
-        from repro.protocols.runstats import RunStats
-
-        stats = RunStats.merged(
-            (worlds[owner_of[r]].system.dsm.stats_for(r) for r in range(nprocs)),
-            net=net,
-        )
-        stats.time = time
-        output = app_module.extract(worlds[0].system, config)
+    # read the merged observables off partition 0's replica (it ran rank 0,
+    # so it holds the application output) the way a serial run reads them,
+    # after handing it every other rank's statistics shards
+    home = worlds[0].system
+    for rank in range(nprocs):
+        home.adopt_rank(rank, worlds[owner_of[rank]].system)
+    home.cluster.run_time = max(  # start is t=0
+        t for w in worlds for t in w.pending.finish_times)
     return PdesOutcome(
-        output=output,
-        stats=stats,
-        time=time,
+        output=app_module.extract(home, config),
+        stats=home.stats,
+        time=home.time,
         results=results,
         events=sum(w.sim.events_processed for w in worlds),
         windows=windows,

@@ -1,9 +1,9 @@
-"""Synchronisation resources living in simulated time.
+"""The one-shot :class:`Event` a blocked process waits on.
 
-These are *simulator-local* primitives used to structure the implementation
-(e.g. serialising a NIC).  They are distinct from the *protocol-level* locks,
-barriers and views in :mod:`repro.protocols`, which cost network messages; the
-primitives here are free of charge and only order events.
+A *simulator-local* primitive used to structure the implementation (a
+process parks on an event until a handler sets it).  It is distinct from the
+*protocol-level* locks, barriers and views in :mod:`repro.protocols`, which
+cost network messages; an event is free of charge and only orders events.
 
 All wait registrations carry the waiting process's resumption token
 (:attr:`Process._epoch`).  A registration whose token no longer matches is
@@ -16,69 +16,11 @@ firing into the wrong yield.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Optional, Tuple
+from typing import Any, Deque, Tuple
 
-from repro.sim.engine import Effect, Process, SimError, Simulator
+from repro.sim.engine import Effect, Process, Simulator
 
-__all__ = ["Mutex", "Semaphore", "Condition", "Event", "Barrier"]
-
-
-class _Acquire(Effect):
-    __slots__ = ("res",)
-
-    def __init__(self, res: "Semaphore"):
-        self.res = res
-
-    def apply(self, sim: Simulator, proc: Process) -> None:
-        res = self.res
-        if res._count > 0:
-            res._count -= 1
-            sim.call_soon(proc._resume, None, None, proc._epoch)
-        else:
-            res._waiters.append((proc, proc._epoch))
-
-
-class Semaphore:
-    """Counting semaphore. ``yield sem.acquire()`` / ``sem.release()``."""
-
-    def __init__(self, sim: Simulator, value: int = 1):
-        if value < 0:
-            raise SimError("semaphore initial value must be >= 0")
-        self.sim = sim
-        self._count = value
-        self._waiters: Deque[Tuple[Process, int]] = deque()
-
-    def acquire(self) -> Effect:
-        return _Acquire(self)
-
-    def release(self) -> None:
-        while self._waiters:
-            proc, token = self._waiters.popleft()
-            if token == proc._epoch and not proc.finished:
-                self.sim.call_soon(proc._resume, None, None, token)
-                return
-        self._count += 1
-
-    def locked(self) -> bool:
-        return self._count == 0
-
-
-class Mutex(Semaphore):
-    """Binary semaphore with a context-style helper.
-
-    ``yield from mutex.holding(gen)`` runs ``gen`` with the mutex held.
-    """
-
-    def __init__(self, sim: Simulator):
-        super().__init__(sim, value=1)
-
-    def holding(self, gen: Generator) -> Generator:
-        yield self.acquire()
-        try:
-            result = yield from gen
-        finally:
-            self.release()
-        return result
+__all__ = ["Event"]
 
 
 class _Wait(Effect):
@@ -138,56 +80,3 @@ class Event:
 
     def wait(self) -> Effect:
         return _Wait(self)
-
-
-class Condition:
-    """Condition variable over an explicit :class:`Mutex`.
-
-    ``yield from cond.wait()`` atomically releases the mutex, blocks until
-    notified, then reacquires the mutex before returning.
-    """
-
-    def __init__(self, sim: Simulator, mutex: Optional[Mutex] = None):
-        self.sim = sim
-        self.mutex = mutex or Mutex(sim)
-        self._waiters: Deque[Event] = deque()
-
-    def wait(self) -> Generator:
-        evt = Event(self.sim)
-        self._waiters.append(evt)
-        self.mutex.release()
-        yield evt.wait()
-        yield self.mutex.acquire()
-
-    def notify(self, n: int = 1) -> None:
-        for _ in range(min(n, len(self._waiters))):
-            self._waiters.popleft().set()
-
-    def notify_all(self) -> None:
-        self.notify(len(self._waiters))
-
-
-class Barrier:
-    """Simulator-local barrier for ``parties`` processes (zero message cost)."""
-
-    def __init__(self, sim: Simulator, parties: int):
-        if parties <= 0:
-            raise SimError("barrier needs at least one party")
-        self.sim = sim
-        self.parties = parties
-        self._count = 0
-        self._generation = 0
-        self._event = Event(sim)
-
-    def wait(self) -> Generator:
-        gen = self._generation
-        self._count += 1
-        if self._count == self.parties:
-            self._count = 0
-            self._generation += 1
-            evt, self._event = self._event, Event(self.sim)
-            evt.set(gen)
-            return gen
-        evt = self._event
-        arrived = yield evt.wait()
-        return arrived

@@ -4,13 +4,15 @@ The paper's future work: "The insertion of view primitives can be automated
 by compiling techniques."  This module implements the dynamic-analysis half
 of that idea:
 
-1. run the *traditional* (lock/barrier) program once with an
-   :class:`AccessRecorder` installed — every shared read/write is logged at
-   page granularity, bucketed by barrier epoch;
-2. :func:`infer_views` clusters pages by their access signature (who writes,
-   who reads, whether writers ever overlap within an epoch) and produces a
-   :class:`ViewPlan`: proposed views with the VOPP primitives to use and the
-   §3.1/§3.4/§3.6 optimisation advice that applies.
+1. run the *traditional* (lock/barrier) program once with the ``sim.oracle``
+   hook on (a :class:`repro.obs.AccessRecorder` — the same history the
+   consistency oracle checks): every shared read/write is logged at page
+   granularity, every barrier arrival marks an epoch;
+2. :func:`infer_views` folds that history into per-page uses
+   (:func:`page_uses`), clusters pages by their access signature (who
+   writes, who reads, whether writers ever overlap within an epoch) and
+   produces a :class:`ViewPlan`: proposed views with the VOPP primitives to
+   use and the §3.1/§3.4/§3.6 optimisation advice that applies.
 
 The plan names the original allocations (regions), so its output reads like
 the conversion recipes in the paper's §3.
@@ -22,14 +24,16 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.program import BaseSystem
     from repro.memory.address_space import AddressSpace
+    from repro.obs.oracle import AccessRecorder
 
-__all__ = ["AccessRecorder", "ViewPlan", "ProposedView", "infer_views"]
+__all__ = ["PageUse", "ViewPlan", "ProposedView", "page_uses", "infer_views"]
 
 
 @dataclass
-class _PageUse:
+class PageUse:
+    """Who touched one page over a run."""
+
     readers: set = field(default_factory=set)
     writers: set = field(default_factory=set)
     epoch_writers: dict = field(default_factory=dict)  # epoch -> set of writers
@@ -39,41 +43,25 @@ class _PageUse:
         return any(len(ws) > 1 for ws in self.epoch_writers.values())
 
 
-class AccessRecorder:
-    """Logs every shared-memory access of a run, bucketed by barrier epoch."""
+def page_uses(history: "AccessRecorder") -> dict[int, PageUse]:
+    """Fold an access history's ``r``/``w``/``ba`` records into per-page uses.
 
-    def __init__(self) -> None:
-        self.pages: dict[int, _PageUse] = {}
-        self._epoch: dict[int, int] = {}
-
-    @classmethod
-    def install(cls, system: "BaseSystem") -> "AccessRecorder":
-        """Attach to every node of a system (before ``run_program``)."""
-        recorder = cls()
-        for proto in system.dsm.protocols:
-            proto.mm.recorder = recorder.on_access
-            orig_barrier = proto.barrier
-            node_id = proto.node.id
-
-            def wrapped(bid=0, _orig=orig_barrier, _node=node_id):
-                recorder.on_barrier(_node)
-                return _orig(bid)
-
-            proto.barrier = wrapped
-        return recorder
-
-    def on_access(self, node_id: int, pids, mode: str) -> None:
-        epoch = self._epoch.get(node_id, 0)
-        for pid in pids:
-            use = self.pages.setdefault(pid, _PageUse())
-            if mode == "w":
-                use.writers.add(node_id)
-                use.epoch_writers.setdefault(epoch, set()).add(node_id)
-            else:
-                use.readers.add(node_id)
-
-    def on_barrier(self, node_id: int) -> None:
-        self._epoch[node_id] = self._epoch.get(node_id, 0) + 1
+    A node's epoch is the number of barriers it has arrived at; its records
+    appear in the history in program order, which is all the fold needs.
+    """
+    pages: dict[int, PageUse] = {}
+    epoch: dict[int, int] = {}
+    for ev in history.events:  # (kind, t, node, page | episode, ...)
+        kind, node = ev[0], ev[2]
+        if kind == "ba":
+            epoch[node] = epoch.get(node, 0) + 1
+        elif kind == "r":
+            pages.setdefault(ev[3], PageUse()).readers.add(node)
+        elif kind == "w":
+            use = pages.setdefault(ev[3], PageUse())
+            use.writers.add(node)
+            use.epoch_writers.setdefault(epoch.get(node, 0), set()).add(node)
+    return pages
 
 
 @dataclass
@@ -154,8 +142,9 @@ def _advice(writers: set, readers: set, concurrent: bool, nprocs: int) -> str:
     )
 
 
-def infer_views(recorder: AccessRecorder, space: "AddressSpace", nprocs: int) -> ViewPlan:
-    """Cluster recorded pages into proposed views by access signature."""
+def infer_views(history: "AccessRecorder", space: "AddressSpace", nprocs: int) -> ViewPlan:
+    """Cluster the pages of a recorded run into proposed views by access
+    signature."""
     # packed allocations can share a page: a page may belong to several
     # regions, and the plan reports all of them (that overlap is itself a
     # false-sharing warning sign)
@@ -164,7 +153,7 @@ def infer_views(recorder: AccessRecorder, space: "AddressSpace", nprocs: int) ->
         for pid in region.page_range(space.page_size):
             regions_of_page.setdefault(pid, set()).add(region.name)
     groups: dict[tuple, list[int]] = {}
-    for pid, use in sorted(recorder.pages.items()):
+    for pid, use in sorted(page_uses(history).items()):
         sig = (
             frozenset(use.writers),
             frozenset(use.readers),

@@ -1,22 +1,26 @@
-"""View access tracing and partitioning advice.
+"""View access profiles and partitioning advice, read from the run's metrics.
 
-Install a tracer on a :class:`repro.core.VoppSystem` before running::
+Install on a :class:`repro.core.VoppSystem` before running::
 
     tracer = ViewTracer.install(system)
     system.run_program(body)
     print(tracer.report())
 
-The report lists, per view: exclusive/read acquisitions, mean and worst wait
-time, and the data each grant moved — then applies the paper's §3.6 rule of
-thumb ("the more views are acquired, the more messages there are in the
-system; and the larger a view is, the more data traffic is caused") to flag
-views worth splitting, merging or converting to read-only access.
+There is no recorder of its own: the protocols feed the ``sim.metrics`` hook
+(:class:`repro.obs.Metrics`), and a :class:`ViewTracer` is a *reader* over
+two of its series — ``acquire_wait_seconds{view,mode}`` (acquisitions, mean
+and worst wait) and ``grant_bytes{view}`` (the data each grant moved).  The
+report lists these per view, then applies the paper's §3.6 rule of thumb
+("the more views are acquired, the more messages there are in the system;
+and the larger a view is, the more data traffic is caused") to flag views
+worth splitting, merging or converting to read-only access.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+
+from repro.obs.metrics import Metrics
 
 __all__ = ["ViewTracer", "ViewProfile"]
 
@@ -52,34 +56,42 @@ class ViewProfile:
 
 
 class ViewTracer:
-    """Collects view events from a run and produces a tuning report."""
+    """Reads a run's per-view metrics and produces a tuning report."""
 
-    def __init__(self) -> None:
-        self.profiles: dict[int, ViewProfile] = {}
-        self.events: list[dict[str, Any]] = []
+    def __init__(self, metrics: Metrics) -> None:
+        self.metrics = metrics
 
     @classmethod
     def install(cls, system) -> "ViewTracer":
-        """Attach a fresh tracer to a VOPP system (returns the tracer)."""
-        tracer = cls()
-        system.dsm.tracer = tracer
-        return tracer
+        """A tracer over ``system``'s metrics registry, installing a fresh
+        registry if the run is not metered yet (returns the tracer)."""
+        if system.sim.metrics is None:
+            system.sim.metrics = Metrics()
+        return cls(system.sim.metrics)
 
-    def record(self, **event) -> None:
-        self.events.append(event)
-        profile = self.profiles.setdefault(
-            event["view"], ViewProfile(view=event["view"])
-        )
-        if event["kind"] == "acquire":
-            if event["mode"] == "w":
-                profile.excl_acquires += 1
+    @property
+    def profiles(self) -> dict[int, ViewProfile]:
+        """Per-view statistics, folded from the metrics recorded so far."""
+        out: dict[int, ViewProfile] = {}
+
+        def profile(labels: dict) -> ViewProfile:
+            return out.setdefault(labels["view"], ViewProfile(view=labels["view"]))
+
+        for labels, hist in self.metrics.series("acquire_wait_seconds"):
+            if "view" not in labels:
+                continue  # a lock acquire (LRC): labelled lock=, not view=
+            p = profile(labels)
+            if labels["mode"] == "w":
+                p.excl_acquires += hist.count
             else:
-                profile.r_acquires += 1
-            profile.wait_sum += event["wait"]
-            profile.wait_max = max(profile.wait_max, event["wait"])
-        elif event["kind"] == "grant":
-            profile.grants += 1
-            profile.grant_bytes += event["size"]
+                p.r_acquires += hist.count
+            p.wait_sum += hist.sum
+            p.wait_max = max(p.wait_max, hist.max)
+        for labels, hist in self.metrics.series("grant_bytes"):
+            p = profile(labels)
+            p.grants += hist.count
+            p.grant_bytes += int(hist.sum)
+        return out
 
     # -- analysis ---------------------------------------------------------------
 

@@ -207,6 +207,25 @@ def test_lrc_d_path_shows_barrier_consistency_handlers():
     assert barrier_handlers, "no barrier consistency segments on LRC_d's path"
 
 
+def test_handler_category_covers_every_message_kind():
+    """HLRC's home-side diff application is diff work, not acquire work (it
+    once travelled as a spare view kind), and no table names a kind nothing
+    sends."""
+    from repro.net.message import MessageKind
+    from repro.obs.critical_path import _HANDLER_ORIGIN_KINDS, _handler_category
+
+    assert _handler_category(MessageKind.DIFF_PUSH.name) == "diff"
+    assert {k.name: _handler_category(k.name) for k in MessageKind} == {
+        "ACK": "wire", "MPI_DATA": "wire", "TEST": "wire",
+        "LOCK_ACQUIRE": "acquire", "LOCK_GRANT": "acquire", "LOCK_FORWARD": "acquire",
+        "VIEW_ACQUIRE": "acquire", "VIEW_GRANT": "acquire", "VIEW_RELEASE": "acquire",
+        "BARRIER_ARRIVE": "barrier", "BARRIER_RELEASE": "barrier",
+        "DIFF_REQUEST": "diff", "DIFF_REPLY": "diff", "DIFF_PUSH": "diff",
+        "PAGE_REQUEST": "diff", "PAGE_REPLY": "diff",
+    }
+    assert _HANDLER_ORIGIN_KINDS <= {k.name for k in MessageKind}
+
+
 def test_critical_path_is_deterministic():
     def path():
         tracer = EventTracer()

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.apps import APPS
 from repro.apps.common import run_app
 from repro.obs import EventTracer, chrome_trace
@@ -68,8 +66,3 @@ def test_mpi_run_traces_recv_wait():
     assert "run" in cats
 
 
-def test_mpi_rejects_view_tracer():
-    from repro.tools.tracer import ViewTracer
-
-    with pytest.raises(ValueError):
-        run_app(APPS["nn"], "mpi", 2, view_tracer=ViewTracer())

@@ -61,13 +61,51 @@ def test_untraced_run_records_no_causal_edges():
 
 
 def test_view_tracer_and_event_tracer_compose():
+    from repro.obs import Metrics
     from repro.tools.tracer import ViewTracer
 
-    tracer, views = EventTracer(), ViewTracer()
-    result = run_app(
-        APPS["is"], "vc_d", 2, tracer=tracer, view_tracer=views
-    )
+    tracer, metrics = EventTracer(), Metrics()
+    result = run_app(APPS["is"], "vc_d", 2, tracer=tracer, metrics=metrics)
     base = run_app(APPS["is"], "vc_d", 2)
     assert result.table_row() == base.table_row()
-    assert views.profiles  # view events recorded
+    assert ViewTracer(metrics).profiles  # view accesses readable from the metrics
     assert tracer.events  # structured events recorded
+
+
+def test_unobserved_manager_local_grant_sizes_nothing(monkeypatch):
+    """Zero cost when off: a grant the manager hands to itself puts no
+    message on the wire, so with no metrics installed nothing may walk its
+    payload to size it — not even to build an argument for a recorder that
+    is not there."""
+    from repro.core import VoppSystem
+    from repro.protocols.vc_sd import VcSdProtocol
+
+    sized = []
+    real = VcSdProtocol._grant_size
+    monkeypatch.setattr(
+        VcSdProtocol, "_grant_size",
+        lambda self, payload: sized.append(self.node.id) or real(self, payload),
+    )
+
+    def run(metered):
+        del sized[:]
+        system = VoppSystem(2)  # view v is managed by node v % 2
+        arr = system.alloc_array("own", (2, 512), dtype="int64", page_aligned=True)
+        if metered:
+            from repro.obs import Metrics
+
+            system.sim.metrics = Metrics()
+
+        def body(rt):  # each rank only ever acquires the view it manages
+            for k in range(3):
+                yield from rt.acquire_view(rt.rank)
+                yield from arr.write_row(rt, rt.rank, [k] * 512)
+                yield from rt.release_view(rt.rank)
+            yield from rt.barrier()
+
+        system.run_program(body)
+        assert system.stats.acquires == 0  # all six grants were manager-local
+        return list(sized)
+
+    assert run(metered=False) == []
+    assert len(run(metered=True)) == 6  # the grant_bytes observation sizes them

@@ -55,7 +55,7 @@ def test_faults_fetch_full_pages_not_diffs():
     assert str(MessageKind.DIFF_REQUEST) not in by_kind
     assert system.stats.diff_requests == 0
     # but it pushed diffs to homes and fetched pages
-    assert str(MessageKind.MERGE_VIEWS) in by_kind  # DIFF_PUSH channel
+    assert str(MessageKind.DIFF_PUSH) in by_kind
     assert str(MessageKind.PAGE_REQUEST) in by_kind
 
 

@@ -99,8 +99,8 @@ def test_fork_and_join():
         return n * 10
 
     def parent():
-        c1 = yield sim.fork(child(1))
-        c2 = yield sim.fork(child(2))
+        c1 = sim.spawn(child(1))
+        c2 = sim.spawn(child(2))
         results.append((yield c2.join()))
         results.append((yield c1.join()))
 
@@ -137,9 +137,7 @@ def test_all_of_helper():
         return n
 
     def parent():
-        procs = []
-        for n in (3, 1, 2):
-            procs.append((yield sim.fork(child(n))))
+        procs = [sim.spawn(child(n)) for n in (3, 1, 2)]
         collected.extend((yield from sim.all_of(procs)))
 
     sim.spawn(parent())
@@ -310,7 +308,7 @@ def test_process_return_value_via_stopiteration():
         return {"k": 1}
 
     def parent():
-        p = yield sim.fork(child())
+        p = sim.spawn(child())
         holder.append((yield p.join()))
 
     sim.spawn(parent())

@@ -1,77 +1,6 @@
-"""Unit tests for simulator-local synchronisation resources."""
+"""Unit tests for the simulator-local one-shot event."""
 
-import pytest
-
-from repro.sim import Simulator, Timeout, Mutex, Semaphore, Condition, Event, Barrier
-from repro.sim.engine import SimError
-
-
-def test_mutex_serialises_critical_sections():
-    sim = Simulator()
-    trace = []
-    mutex = Mutex(sim)
-
-    def worker(tag):
-        yield mutex.acquire()
-        trace.append(("enter", tag, sim.now))
-        yield Timeout(1.0)
-        trace.append(("exit", tag, sim.now))
-        mutex.release()
-
-    sim.spawn(worker("a"))
-    sim.spawn(worker("b"))
-    sim.run()
-    assert trace == [
-        ("enter", "a", 0.0),
-        ("exit", "a", 1.0),
-        ("enter", "b", 1.0),
-        ("exit", "b", 2.0),
-    ]
-
-
-def test_mutex_holding_helper_releases_on_error():
-    sim = Simulator()
-    mutex = Mutex(sim)
-
-    def crasher():
-        raise ValueError("inside")
-        yield  # pragma: no cover
-
-    def proc():
-        try:
-            yield from mutex.holding(crasher())
-        except ValueError:
-            pass
-        assert not mutex.locked()
-
-    sim.spawn(proc())
-    sim.run()
-
-
-def test_semaphore_counts():
-    sim = Simulator()
-    sem = Semaphore(sim, value=2)
-    active = []
-    peak = []
-
-    def worker():
-        yield sem.acquire()
-        active.append(1)
-        peak.append(len(active))
-        yield Timeout(1.0)
-        active.pop()
-        sem.release()
-
-    for _ in range(5):
-        sim.spawn(worker())
-    sim.run()
-    assert max(peak) == 2
-
-
-def test_semaphore_negative_value_rejected():
-    sim = Simulator()
-    with pytest.raises(SimError):
-        Semaphore(sim, value=-1)
+from repro.sim import Simulator, Timeout, Event
 
 
 def test_event_wait_before_and_after_set():
@@ -110,71 +39,3 @@ def test_event_set_is_idempotent():
     sim.spawn(proc())
     sim.run()
     assert out == [1]
-
-
-def test_condition_wait_notify():
-    sim = Simulator()
-    cond = Condition(sim)
-    out = []
-
-    def waiter(tag):
-        yield cond.mutex.acquire()
-        yield from cond.wait()
-        out.append((tag, sim.now))
-        cond.mutex.release()
-
-    def notifier():
-        yield Timeout(1.0)
-        yield cond.mutex.acquire()
-        cond.notify()
-        cond.mutex.release()
-        yield Timeout(1.0)
-        yield cond.mutex.acquire()
-        cond.notify_all()
-        cond.mutex.release()
-
-    sim.spawn(waiter("w1"))
-    sim.spawn(waiter("w2"))
-    sim.spawn(waiter("w3"))
-    sim.spawn(notifier())
-    sim.run()
-    assert out == [("w1", 1.0), ("w2", 2.0), ("w3", 2.0)]
-
-
-def test_barrier_releases_all_parties_together():
-    sim = Simulator()
-    bar = Barrier(sim, parties=3)
-    out = []
-
-    def worker(delay, tag):
-        yield Timeout(delay)
-        yield from bar.wait()
-        out.append((tag, sim.now))
-
-    sim.spawn(worker(1.0, "a"))
-    sim.spawn(worker(2.0, "b"))
-    sim.spawn(worker(3.0, "c"))
-    sim.run()
-    assert out == [("c", 3.0), ("a", 3.0), ("b", 3.0)]
-
-
-def test_barrier_is_reusable_across_generations():
-    sim = Simulator()
-    bar = Barrier(sim, parties=2)
-    gens = []
-
-    def worker():
-        g0 = yield from bar.wait()
-        g1 = yield from bar.wait()
-        gens.append((g0, g1))
-
-    sim.spawn(worker())
-    sim.spawn(worker())
-    sim.run()
-    assert gens == [(0, 1), (0, 1)]
-
-
-def test_barrier_needs_positive_parties():
-    sim = Simulator()
-    with pytest.raises(SimError):
-        Barrier(sim, parties=0)

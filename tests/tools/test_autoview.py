@@ -1,19 +1,20 @@
-"""Tests for the access recorder and view inference (paper §6)."""
+"""Tests for view inference over the oracle's access history (paper §6)."""
 
 import numpy as np
-import pytest
 
 from repro.apps import is_sort
 from repro.core import TraditionalSystem
-from repro.tools import AccessRecorder, infer_views
+from repro.obs import AccessRecorder
+from repro.tools import infer_views, page_uses
 
 
 def record_run(body_builder, nprocs=4):
+    """Run with the ``sim.oracle`` hook on; returns (system, history)."""
     system = TraditionalSystem(nprocs)
     body = body_builder(system)
-    recorder = AccessRecorder.install(system)
+    system.sim.oracle = history = AccessRecorder()
     system.run_program(body)
-    return system, recorder
+    return system, history
 
 
 def test_recorder_tracks_readers_and_writers():
@@ -29,14 +30,16 @@ def test_recorder_tracks_readers_and_writers():
 
         return body
 
-    system, recorder = record_run(build)
+    system, history = record_run(build)
+    uses = page_uses(history)
     # every slot page was written by its owner and read by rank 0
     arr = system.arrays["slots"]
     own_pages = set(arr.region.page_range(system.dsm.space.page_size))
-    assert own_pages <= set(recorder.pages)
+    assert own_pages <= set(uses)
+    assert set().union(*(uses[pid].writers for pid in own_pages)) == {0, 1, 2, 3}
     all_readers = set()
     for pid in own_pages:
-        all_readers |= recorder.pages[pid].readers
+        all_readers |= uses[pid].readers
     assert 0 in all_readers
 
 
@@ -56,10 +59,11 @@ def test_epochs_separate_write_phases():
 
         return body
 
-    system, recorder = record_run(build, nprocs=2)
+    system, history = record_run(build, nprocs=2)
     pid = system.arrays["x"].region.page_range(system.dsm.space.page_size)[0]
-    use = recorder.pages[pid]
+    use = page_uses(history)[pid]
     assert use.writers == {0, 1}
+    assert use.epoch_writers == {0: {0}, 1: {1}}
     assert not use.concurrent_writers
 
 
@@ -73,9 +77,9 @@ def test_concurrent_writers_detected():
 
         return body
 
-    system, recorder = record_run(build, nprocs=3)
+    system, history = record_run(build, nprocs=3)
     pid = system.arrays["x"].region.page_range(system.dsm.space.page_size)[0]
-    assert recorder.pages[pid].concurrent_writers
+    assert page_uses(history)[pid].concurrent_writers
 
 
 def test_infer_views_groups_by_signature():
@@ -95,8 +99,8 @@ def test_infer_views_groups_by_signature():
 
         return body
 
-    system, recorder = record_run(build, nprocs=3)
-    plan = infer_views(recorder, system.dsm.space, 3)
+    system, history = record_run(build, nprocs=3)
+    plan = infer_views(history, system.dsm.space, 3)
     report = plan.report()
     assert "Inferred view plan" in report
     # the broadcast pages form a single-writer multi-reader group
@@ -121,8 +125,8 @@ def test_read_only_data_advice():
 
         return body
 
-    system, recorder = record_run(build, nprocs=2)
-    plan = infer_views(recorder, system.dsm.space, 2)
+    system, history = record_run(build, nprocs=2)
+    plan = infer_views(history, system.dsm.space, 2)
     table_views = [v for v in plan.views if "table" in v.regions]
     assert table_views
     assert not table_views[0].writers
@@ -132,11 +136,8 @@ def test_read_only_data_advice():
 def test_plan_on_real_traditional_is():
     """End-to-end: record the traditional IS run, infer a plan."""
     cfg = is_sort.IsConfig(n_keys=1200, b_max=64, reps=2, bucket_views=4, work_factor=1.0)
-    system = TraditionalSystem(4)
-    body = is_sort.build(system, cfg)
-    recorder = AccessRecorder.install(system)
-    system.run_program(body)
-    plan = infer_views(recorder, system.dsm.space, 4)
+    system, history = record_run(lambda system: is_sort.build(system, cfg))
+    plan = infer_views(history, system.dsm.space, 4)
     report = plan.report()
     # the known structure of IS must be visible in the plan:
     regions_mentioned = {r for v in plan.views for r in v.regions}

@@ -1,8 +1,9 @@
-"""Tests for the view tracer / tuning-advice tool."""
+"""Tests for the view tracer / tuning-advice tool (a reader over Metrics)."""
 
 import numpy as np
 
 from repro.core import VoppSystem
+from repro.obs import Metrics
 from repro.tools import ViewTracer
 
 
@@ -106,12 +107,12 @@ def test_advice_wait_flag_threshold():
     from repro.tools.tracer import WAIT_FLAG_SECONDS
 
     def advice_for(wait):
-        tracer = ViewTracer()
+        metrics = Metrics()
         # one read acquire keeps this off the read-mostly-conversion branch
-        tracer.record(kind="acquire", view=0, mode="r", wait=wait, t=0.0)
+        metrics.observe("acquire_wait_seconds", wait, view=0, mode="r")
         for _ in range(3):
-            tracer.record(kind="acquire", view=0, mode="w", wait=wait, t=0.0)
-        return " ".join(tracer.advice())
+            metrics.observe("acquire_wait_seconds", wait, view=0, mode="w")
+        return " ".join(ViewTracer(metrics).advice())
 
     assert "splitting" in advice_for(WAIT_FLAG_SECONDS * 2)
     assert advice_for(WAIT_FLAG_SECONDS / 2) == (
@@ -124,9 +125,9 @@ def test_advice_bytes_flag_threshold():
     from repro.tools.tracer import BYTES_FLAG
 
     def advice_for(size):
-        tracer = ViewTracer()
-        tracer.record(kind="grant", view=7, size=size, t=0.0)
-        return " ".join(tracer.advice())
+        metrics = Metrics()
+        metrics.observe("grant_bytes", size, view=7)
+        return " ".join(ViewTracer(metrics).advice())
 
     assert "partition" in advice_for(BYTES_FLAG * 2)
     assert advice_for(BYTES_FLAG // 2) == "no contended or oversized views detected"
@@ -136,20 +137,19 @@ def test_advice_read_mostly_conversion():
     """Contended exclusive-only views get the acquire_Rview suggestion."""
     from repro.tools.tracer import READ_MOSTLY_RATIO, WAIT_FLAG_SECONDS
 
-    tracer = ViewTracer()
+    metrics = Metrics()
     for _ in range(READ_MOSTLY_RATIO):
-        tracer.record(
-            kind="acquire", view=2, mode="w", wait=WAIT_FLAG_SECONDS * 3, t=0.0
-        )
-    advice = " ".join(tracer.advice())
+        metrics.observe("acquire_wait_seconds", WAIT_FLAG_SECONDS * 3, view=2, mode="w")
+    advice = " ".join(ViewTracer(metrics).advice())
     assert "acquire_Rview" in advice and "§3.4" in advice
 
 
 def test_view_tracer_deterministic_across_runs():
-    """Two identical runs record identical event streams and reports."""
+    """Two identical runs record identical metrics, profiles and reports."""
     _, t1 = make_contended_run()
     _, t2 = make_contended_run()
-    assert t1.events == t2.events
+    assert t1.metrics.snapshot() == t2.metrics.snapshot()
+    assert t1.profiles == t2.profiles
     assert t1.report() == t2.report()
     assert t1.advice() == t2.advice()
 
@@ -172,3 +172,15 @@ def test_no_tracer_means_no_overhead_path():
         return system.stats.table_row()
 
     assert run(False) == run(True)
+
+
+def test_tracer_reads_an_already_metered_run_and_ignores_lock_acquires():
+    """install() reuses the installed registry; lock= series are not views."""
+    system = VoppSystem(2)
+    system.sim.metrics = metrics = Metrics()
+    assert ViewTracer.install(system).metrics is metrics
+    metrics.observe("acquire_wait_seconds", 1e-3, lock=0)  # what LRC records
+    metrics.observe("acquire_wait_seconds", 2e-3, view=5, mode="w")
+    profiles = ViewTracer(metrics).profiles
+    assert list(profiles) == [5]
+    assert profiles[5].excl_acquires == 1 and profiles[5].wait_max == 2e-3
