@@ -17,12 +17,13 @@ Contract (mirroring ``tracer``/``metrics``):
   exhaust the retry budget end a run, and those abort cleanly through
   :mod:`repro.faults.failure`.
 
-Hook sites: ``Switch.transfer`` (loss, duplication, reordering, extra
-latency), ``Nic.on_arrival`` (receive-buffer shrink), ``Nic`` tx/rx wire
-time (bandwidth degradation), ``Node.compute`` (CPU slowdown / pause), and
-an installed timer per ``crash`` episode.  Fault events are surfaced as
-tracer instants (lane ``"faults"``) and ``fault_*`` metrics when those
-observers are installed.
+Hook sites: the switch's departure event (loss, duplication, reordering,
+extra latency — the *transfer-level* episodes; the event exists only when
+the plan has some), ``Nic.on_arrival`` (receive-buffer shrink), ``Nic``
+tx/rx wire time (bandwidth degradation), ``Node.compute`` (CPU slowdown /
+pause), and an installed timer per ``crash`` episode.  Fault events are
+surfaced as tracer instants (lane ``"faults"``) and ``fault_*`` metrics when
+those observers are installed.
 """
 
 from __future__ import annotations
@@ -64,6 +65,13 @@ class FaultInjector:
         self._slow = plan.by_kind("slowdown")
         self._pause = plan.by_kind("pause")
         self._crashes = plan.by_kind("crash")
+        # transfer-level episodes draw this injector's stream per frame, in
+        # global event order, so the switch gives every frame a departure
+        # event to draw it at; node-level episodes (everything else) are pure
+        # functions of (node, instant) and add no event to a run
+        self.transfer_level = bool(
+            self._loss or self._lat or self._dup or self._reorder
+        )
         # counters mirrored into the final report even without metrics
         self.injected = {"drop": 0, "duplicate": 0, "reorder": 0}
 
@@ -94,7 +102,7 @@ class FaultInjector:
             )
         return self
 
-    # -- message-level hooks (Switch.transfer) -------------------------------------
+    # -- transfer-level hook (the switch's departure event) ------------------------
 
     def on_transfer(self, msg: "Message") -> Optional[tuple]:
         """Decide the fate of one switch transfer.
@@ -163,12 +171,13 @@ class FaultInjector:
                 f *= ep.buffer_factor
         return f
 
-    def bandwidth_factor(self, node: int) -> float:
-        """Wire-time multiplier (>= 1) for ``node``'s NIC right now."""
+    def bandwidth_factor(self, node: int, t: float) -> float:
+        """Wire-time multiplier (>= 1) for a transfer ``node``'s NIC starts
+        at ``t`` — not necessarily now: a queued frame's transmission starts
+        when the TX side frees up."""
         f = 1.0
-        now = self.sim.now
         for ep in self._bw:
-            if ep.start <= now < ep.end and (
+            if ep.start <= t < ep.end and (
                 ep.node is None or ep.node == node
             ):
                 f *= ep.bandwidth_factor

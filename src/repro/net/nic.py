@@ -7,17 +7,21 @@ Each node owns one :class:`Nic` modelling one full-duplex port:
 * the **RX side** drains the inbound buffer at link rate (plus receive
   overhead) and delivers messages to the node's dispatcher.
 
-Both sides are *flattened* rate-limited queues: plain callback chains, no
-daemon process, no channel.  A frame costs three events — timed TX
-completion, the switch's arrival pump, timed RX completion — and an idle side
-starts its next frame inside the call that made it runnable, with no
-zero-delay hand-off event.  That moves a completion's tie-breaking sequence
-number relative to *other* nodes' same-instant events only, which nothing
-observes: arrivals at one ``(dst, instant)`` are delivered by one pump in
-``(src, departure seq)`` order (see :class:`Switch`), and cross-node order
-within an instant is unobservable by construction — the partition-determinism
-harness (:mod:`repro.sim.pdes`) runs those events on different simulators,
-bit-identically.
+A frame costs **two** events: its arrival at the destination port and the
+timed RX completion that delivers it.  The TX side needs none — a
+rate-limited FIFO server whose completions nobody observes is one number,
+the instant it is next free: ``send`` computes the frame's transmission
+``start = max(now, free-at)`` and its departure ``done = start + (send
+overhead + wire time)`` on the spot (the float expression a completion event
+would evaluate, so every departure instant is bit-equal to an event-driven
+TX queue's) and hands the frame to the switch at once, stamped with that
+future departure.  The RX side keeps its completion event because that event
+*is* the delivery: where it falls among the destination node's other
+same-instant events decides what that node does next.  The switch queues
+each arrival under a canonical key (see :class:`Switch`); cross-node order
+within an instant is unobservable by construction, and the
+partition-determinism harness (:mod:`repro.sim.pdes`) is the evidence: it
+runs those events on different simulators, bit-identically.
 
 Messages arriving while the inbound buffer is full are **dropped** — this is
 the congestion-loss mechanism: a burst of n-1 simultaneous senders into one
@@ -27,7 +31,7 @@ messages each cost a ~1 s retransmission timeout.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -47,7 +51,7 @@ class Nic:
 
     __slots__ = (
         "sim", "node_id", "cfg", "stats", "_deliver", "_switch",
-        "_tx_busy", "_rx_busy", "_tx_backlog", "_rx_backlog",
+        "_tx_free", "_frame_key", "_rx_busy", "_rx_backlog",
         "rx_bytes", "_rng",
     )
 
@@ -65,10 +69,12 @@ class Nic:
         self.stats = stats
         self._deliver = deliver  # hand a fully-received message to the node
         self._switch: "Switch | None" = None
-        self._tx_busy = False  # a transmission completion event is in flight
+        self._tx_free = 0.0  # when the TX side finishes what it was handed
+        # canonical arrival-order key of the next frame handed to the switch:
+        # (this node, frames handed over so far) packed into one int
+        self._frame_key = node_id << 40
         self._rx_busy = False  # a receive completion event is in flight
-        self._tx_backlog: deque["Message"] = deque()
-        self._rx_backlog: deque[tuple["Message", int]] = deque()
+        self._rx_backlog: deque["Message"] = deque()
         self.rx_bytes = 0  # bytes currently held in the receive buffer
         # per-NIC deterministic stream: node id decorrelates ports, the
         # config seed makes whole runs reproducible.  Created lazily — the
@@ -85,39 +91,32 @@ class Nic:
         """Queue a message for transmission (never blocks the caller).
 
         Serialises at link rate: transmission starts when the TX side is next
-        idle and takes the software send overhead plus the wire time.
+        idle and takes the software send overhead plus the wire time.  The
+        frame goes to the switch now, carrying the instant it will leave.
         """
-        if self._tx_busy:
-            self._tx_backlog.append(msg)
-            return
-        self._tx_busy = True
-        self._tx_start(msg)
-
-    def _tx_start(self, msg: "Message") -> None:
-        tracer = self.sim.tracer
+        switch = self._switch
+        if switch is None:
+            raise RuntimeError(f"NIC {self.node_id} is not attached to a switch")
+        sim = self.sim
+        start = self._tx_free
+        if start < sim.now:
+            start = sim.now
+        wire = self.cfg.tx_time(msg.size)
+        faults = sim.faults
+        if faults is not None:
+            wire *= faults.bandwidth_factor(self.node_id, start)
+        self._tx_free = done = start + (self.cfg.send_overhead + wire)
+        tracer = sim.tracer
         if tracer is not None:
+            # the whole span is known here; rows stay time-ordered per lane
             tracer.begin(
-                self.node_id, "nic-tx", "tx", f"{msg.kind.name}->{msg.dst}",
-                self.sim.now,
+                self.node_id, "nic-tx", "tx", f"{msg.kind.name}->{msg.dst}", start,
                 {"bytes": msg.size, "dst": msg.dst, "msg": tracer.norm(msg.msg_id)},
             )
-        # software send overhead + wire serialisation at link rate
-        wire = self.cfg.tx_time(msg.size)
-        faults = self.sim.faults
-        if faults is not None:
-            wire *= faults.bandwidth_factor(self.node_id)
-        self.sim.schedule(self.cfg.send_overhead + wire, self._tx_done, msg)
-
-    def _tx_done(self, msg: "Message") -> None:
-        assert self._switch is not None, "NIC not attached to a switch"
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.end(self.node_id, "nic-tx", "tx", self.sim.now)
-        self._switch.transfer(msg)
-        if self._tx_backlog:
-            self._tx_start(self._tx_backlog.popleft())
-        else:
-            self._tx_busy = False
+            tracer.end(self.node_id, "nic-tx", "tx", done)
+        key = self._frame_key
+        self._frame_key = key + 1
+        switch.forward(msg, done, key)
 
     # -- inbound ---------------------------------------------------------------
 
@@ -185,7 +184,7 @@ class Nic:
         wire = self.cfg.tx_time(msg.size)
         faults = self.sim.faults
         if faults is not None:
-            wire *= faults.bandwidth_factor(self.node_id)
+            wire *= faults.bandwidth_factor(self.node_id, self.sim.now)
         self.sim.schedule(wire + self.cfg.recv_overhead, self._rx_done, msg)
 
     def _rx_done(self, msg: "Message") -> None:
@@ -207,17 +206,23 @@ class Switch:
     uniform random loss (off by default; buffer overflow at the receiving NIC
     is the primary loss mechanism).
 
-    Frames for the same destination port arriving at the same instant are
-    delivered through a single *arrival pump* event, in ``(source node,
-    per-source departure number)`` order.  That order is canonical: it
-    depends only on each source's own transmit history, never on how the
-    simulator interleaved *other* nodes' events at the departure instant —
+    A frame handed over by its source NIC becomes one queue entry keyed
+    ``(arrival, departure, 1, source * 2**40 + per-source frame number)`` (see
+    :meth:`repro.sim.Simulator.schedule_keyed`).  Class 1 sorts it after
+    every ordinary event scheduled at the departure instant, and the last
+    component is canonical: it depends only on the source's own transmit
+    history, never on how the simulator interleaved *other* nodes' events —
     which is what lets the partition-determinism harness reproduce serial
     delivery order exactly when the sources live in different partitions.
-    The pump event carries ordering class 1 (see
-    :meth:`repro.sim.Simulator.schedule_keyed`), sorting after every
-    ordinary event scheduled at the departure instant in both serial and
-    partitioned runs.
+
+    Only a verdict that draws a *shared* random stream needs a place in
+    global event order: ``random_drop_prob > 0``, or a fault plan with
+    transfer-level episodes (loss, latency, reordering, duplication).  Such
+    runs — and only they — pay a **departure event** per frame, at which the
+    verdict is drawn.  The events are chained per source (frame k's schedules
+    frame k+1's), which gives each the key ``(departure, transmission start,
+    0, sequence number drawn at the start)`` of an event-driven TX queue's
+    completion, so the streams are consumed in that queue's order.
     """
 
     def __init__(self, sim: Simulator, cfg: "NetConfig", node_stats: "list[NetStats]"):
@@ -225,81 +230,66 @@ class Switch:
         self.cfg = cfg
         # per-node stat shards, indexed by node id; the switch attributes its
         # drops to the *sending* node, which is always a local node even in a
-        # partitioned run (transfer is invoked by the source NIC)
+        # partitioned run (frames are handed over by the source NIC)
         self.node_stats = node_stats
         self.ports: dict[int, Nic] = {}
         # lazy for the same reason as Nic._rng: only drawn when
         # random_drop_prob > 0, which the default model never sets
         self._rng: "np.random.RandomState | None" = None
-        # (dst, arrival time) -> [(src, per-src departure seq, msg), ...]
-        self._staged: dict[tuple[int, float], list] = {}
-        self._dep_seq: dict[int, int] = {}
+        # src -> [(departure time, frame key, msg), ...] awaiting their
+        # departure events; stays empty unless verdicts are drawn
+        self._departing: dict[int, deque] = defaultdict(deque)
 
     def register(self, nic: Nic) -> None:
         self.ports[nic.node_id] = nic
         nic.attach(self)
 
-    def transfer(self, msg: "Message") -> None:
-        if self.cfg.random_drop_prob > 0.0:
+    def forward(self, msg: "Message", t_dep: float, key: int) -> None:
+        """Take ``msg`` from its source NIC, which it leaves at ``t_dep``;
+        ``key`` is its canonical place among same-instant arrivals."""
+        faults = self.sim.faults
+        if self.cfg.random_drop_prob > 0.0 or (
+                faults is not None and faults.transfer_level):
+            queue = self._departing[msg.src]
+            queue.append((t_dep, key, msg))
+            if len(queue) == 1:  # the TX side was idle: it starts now
+                self.sim.schedule_at(t_dep, self._depart, queue)
+            return
+        self.sim.schedule_keyed(
+            t_dep + self.cfg.switch_latency, t_dep, 1, key,
+            self.ports[msg.dst].on_arrival, msg,
+        )
+
+    def _depart(self, queue: deque) -> None:
+        """Departure event: draw the frame's verdict, start the next frame."""
+        t_dep, key, msg = queue.popleft()
+        self._transfer(msg, t_dep, key)
+        if queue:
+            self.sim.schedule_at(queue[0][0], self._depart, queue)
+
+    def _transfer(self, msg: "Message", t_dep: float, key: int) -> None:
+        cfg = self.cfg
+        if cfg.random_drop_prob > 0.0:
             rng = self._rng
             if rng is None:
-                rng = self._rng = np.random.RandomState(self.cfg.drop_seed)
-            if rng.random_sample() < self.cfg.random_drop_prob:
+                rng = self._rng = np.random.RandomState(cfg.drop_seed)
+            if rng.random_sample() < cfg.random_drop_prob:
                 self.node_stats[msg.src].count_drop("random")
                 return
-        dst_nic = self.ports[msg.dst]
+        on_arrival = self.ports[msg.dst].on_arrival
         faults = self.sim.faults
         if faults is not None:
             # scripted fault episodes: loss, extra latency / bounded
             # reordering, duplication (see repro.faults.injector).  Only an
-            # actually *perturbed* delivery bypasses the pump (its arrival
-            # time is the point; fault runs are serial-only) — an unperturbed
-            # verdict falls through to normal staging, so an armed-but-idle
-            # injector changes neither event counts nor delivery order.
+            # actually *perturbed* delivery leaves the canonical order (its
+            # arrival time is the point; fault runs are serial-only).
             verdict = faults.on_transfer(msg)
             if verdict is None:
                 return  # dropped; the injector counted and traced it
             extra, dup = verdict
             if dup is not None:
-                self.sim.schedule(
-                    self.cfg.switch_latency + dup, dst_nic.on_arrival, msg.wire_copy()
-                )
+                self.sim.schedule(cfg.switch_latency + dup, on_arrival, msg.wire_copy())
             if extra > 0.0:
-                self.sim.schedule(
-                    self.cfg.switch_latency + extra, dst_nic.on_arrival, msg
-                )
+                self.sim.schedule(cfg.switch_latency + extra, on_arrival, msg)
                 return
-        self._stage(msg, self.sim.now + self.cfg.switch_latency, self.sim.now)
-
-    def next_departure(self, src: int) -> int:
-        dep = self._dep_seq.get(src, 0)
-        self._dep_seq[src] = dep + 1
-        return dep
-
-    def _stage(self, msg: "Message", t_arr: float, t_dep: float) -> None:
-        """Queue ``msg`` for pumped delivery at ``t_arr``.
-
-        All frames for one ``(dst, t_arr)`` slot left their NICs at the same
-        instant ``t_arr - switch_latency`` (the latency is constant), so the
-        slot's membership is complete before its pump fires.
-        """
-        key = (msg.dst, t_arr)
-        slot = self._staged.get(key)
-        entry = (msg.src, self.next_departure(msg.src), msg)
-        if slot is None:
-            self._staged[key] = [entry]
-            self.sim.schedule_keyed(t_arr, t_dep, 1, self._pump, key)
-        else:
-            slot.append(entry)
-
-    def _pump(self, key: tuple[int, float]) -> None:
-        batch = self._staged.pop(key)
-        if len(batch) > 1:
-            batch.sort(key=_dep_order)
-        on_arrival = self.ports[key[0]].on_arrival
-        for _, _, msg in batch:
-            on_arrival(msg)
-
-
-def _dep_order(entry: tuple) -> tuple[int, int]:
-    return (entry[0], entry[1])
+        self.sim.schedule_keyed(t_dep + cfg.switch_latency, t_dep, 1, key, on_arrival, msg)

@@ -11,9 +11,15 @@ Design constraints, in order of importance:
 2. **Observational purity.**  Recording never charges simulated time,
    schedules events, or perturbs any tie-break, so a traced run's simulated
    statistics are bit-identical to an untraced run's.
-3. **Determinism.**  Events are appended in simulator execution order, which
-   is deterministic; two identical runs produce identical event lists (and
+3. **Determinism.**  Events are appended in recording order, which is
+   deterministic; two identical runs produce identical event lists (and
    therefore byte-identical exports).
+4. **Time order per lane, not globally.**  A lane is a sequential context, so
+   its rows are recorded in non-decreasing ``t`` — what every consumer
+   (breakdown, critical path, exporters) relies on.  The list as a whole is
+   *not* sorted: a site that knows a span's end when it begins may write
+   both rows at once, ahead of rows other lanes will stamp with earlier
+   instants (the NIC's TX side does; see :meth:`repro.net.nic.Nic.send`).
 
 Event representation
 --------------------

@@ -5,16 +5,17 @@ deliberately small, allocation-light and fully deterministic:
 
 * the event queue is a binary heap keyed by ``(time, tsched, cls, seq)``:
   ``tsched`` is the simulated instant the event was *scheduled* at, ``cls``
-  is an ordering class (0 for ordinary events, 1 for network arrival pumps,
-  which must sort after every ordinary event scheduled at the same instant),
-  and ``seq`` is a per-simulator monotonically increasing counter.  For
+  is an ordering class (0 for ordinary events, 1 for network arrivals, which
+  must sort after every ordinary event scheduled at the same instant), and
+  ``seq`` is a per-simulator monotonically increasing counter (for class 1,
+  the frame's canonical key instead; see :meth:`Simulator.schedule_keyed`).  For
   ordinary events ``tsched``/``cls`` never reorder anything relative to the
   historical ``(time, seq)`` key — ``seq`` is allocated in scheduling order
   and simulated time never decreases, so ``seq`` order refines ``tsched``
-  order — but they give events injected by the parallel (PDES) driver a
-  *reconstructible* position: a cross-partition arrival can be inserted with
-  the same ``(time, tsched, cls)`` prefix it would have carried in a serial
-  run, making serial and partitioned executions order events identically;
+  order — but they give a network arrival a *reconstructible* position: the
+  partition harness (:mod:`repro.sim.pdes`) inserts a cross-partition frame
+  under the very ``(time, tsched, cls, key)`` it carries in a serial run, so
+  serial and partitioned executions order events identically;
 * zero-delay wake-ups (the majority of all events: channel hand-offs,
   semaphore grants, ``Timeout(0)`` yields) bypass the heap entirely and go
   through a plain FIFO *ready deque*.  Because the sequence counter is
@@ -400,22 +401,26 @@ class Simulator:
         else:
             self._qpush(self._heap, (t, self.now, 0, next(self._seq), fn, args))
 
-    def schedule_keyed(self, t: float, tsched: float, cls: int,
+    def schedule_keyed(self, t: float, tsched: float, cls: int, key: int,
                        fn: Callable, *args: Any) -> None:
-        """Schedule at absolute time ``t`` with an explicit ordering key.
+        """Schedule at absolute time ``t`` under the caller's full ordering
+        key ``(t, tsched, cls, key)``.
 
-        Used by the network switch's arrival pump (and the PDES driver when
-        it re-injects cross-partition arrivals): the caller supplies the
-        ``(tsched, cls)`` prefix the event must sort under so that a
-        partitioned run reconstructs the exact serial position.  Always goes
-        through the main event queue, even for ``t == now`` — ready-deque
-        entries sort *after* all queue entries at the current instant, which
-        is wrong for an event whose logical scheduling instant lies in the
-        past.
+        Used for network arrivals (the switch, and the partition harness when
+        it re-injects cross-partition frames): ``tsched`` is the frame's
+        departure instant, ``cls`` is 1 and ``key`` is its canonical
+        ``(source, departure number)`` position, so the queue's own order is
+        the delivery order and a partitioned run rebuilds the serial position
+        exactly.  ``key`` takes the place of the simulator's sequence
+        counter, so it must be unique within ``(t, tsched, cls)`` — which is
+        why class 1 belongs to arrivals alone.  Always goes through the main
+        event queue, even for ``t == now`` — ready-deque entries sort *after*
+        all queue entries at the current instant, which is wrong for an event
+        whose logical scheduling instant lies in the past.
         """
         if t < self.now:
             raise SimError(f"cannot schedule in the past (t={t!r} < now={self.now!r})")
-        self._qpush(self._heap, (t, tsched, cls, next(self._seq), fn, args))
+        self._qpush(self._heap, (t, tsched, cls, key, fn, args))
 
     def schedule_timer(self, delay: float, fn: Callable, *args: Any) -> Optional[tuple]:
         """Heap-free lanes for timeout guards that usually never fire.

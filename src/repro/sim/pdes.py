@@ -24,10 +24,11 @@ How it works
   spawns application processes only for the ranks it owns; foreign nodes'
   dispatcher daemons stay parked forever.  Replication keeps every sequence
   number, RNG stream and data structure identical to the serial run.
-* The replica's switch is a :class:`PartitionSwitch`: frames for owned
-  destinations take the normal staged arrival pump; a frame for a foreign
+* The replica's switch is a :class:`PartitionSwitch`: a frame for an owned
+  destination becomes its arrival event as usual; a frame for a foreign
   destination is captured at hand-off into an **outbox** with its canonical
-  ordering coordinates ``(dst, t_arrival, t_departure, src, departure#)``.
+  ordering coordinates ``(dst, t_arrival, t_departure, key)``, the key being
+  the source NIC's ``(src, departure#)`` packed into one integer.
 * The loop exploits the switch's fixed forwarding latency λ
   (:meth:`repro.net.config.NetConfig.lookahead`) as lookahead.  At each
   barrier it drains every outbox and every shared-oracle delta (page
@@ -40,16 +41,17 @@ How it works
 Why that is exact:
 
 * **No missed events.**  A frame handed to the switch at ``t`` inside the
-  window arrives at ``t + λ ≥ T + λ`` — outside the window, collected at the
-  next barrier — and an oracle mutation at ``t_m ≥ T`` is λ-visible only at
+  window leaves its NIC at some ``t_dep ≥ t`` and arrives at ``t_dep + λ ≥
+  T + λ`` — outside the window, collected at the next barrier — and an
+  oracle mutation at ``t_m ≥ T`` is λ-visible only at
   ``t_m + λ``, so no reader inside the window may select it.  The loop
   checks the first half itself: a collected frame arriving before the end
   of the window just executed raises :class:`PdesError`.
-* **Identical delivery order.**  Same-instant frames to one port are
-  delivered by one pump in ``(src, departure#)`` order, and the pump event
-  carries the explicit ``(t_departure, class 1)`` key
-  (:meth:`repro.sim.Simulator.schedule_keyed`) — both independent of which
-  partition the frames came from, so injection rebuilds the serial slot.
+* **Identical delivery order.**  An arrival's whole queue key is ``(t_arrival,
+  t_departure, class 1, (src, departure#))``
+  (:meth:`repro.sim.Simulator.schedule_keyed`) — nothing in it depends on
+  which partition the frame came from or when it was pushed, so an injected
+  frame sits exactly where the serial switch put it.
 * **Identical metadata reads.**  The shared oracles are read under the
   λ-visibility rule in serial runs too, and a partition executing
   ``[T, T + λ)`` already holds every foreign mutation the rule can select.
@@ -117,52 +119,34 @@ def partition_ranks(nprocs: int, workers: int) -> list[range]:
 class PartitionSwitch(Switch):
     """A switch delivering to a subset of the ports, with an outbox for the rest.
 
-    The per-source departure counter is inherited from :class:`Switch` and
-    advanced for *every* frame a source hands over — foreign-destination
-    frames included — so the ``(src, departure#)`` coordinates recorded in
-    the outbox equal the serial ones.
+    Every NIC keys its own frames — foreign-destination frames included — so
+    the canonical keys recorded in the outbox equal the serial ones.
     """
 
     def __init__(self, sim, cfg, node_stats, owned):
         super().__init__(sim, cfg, node_stats)
         self.owned = frozenset(owned)
         #: frames awaiting the next barrier:
-        #: ``(dst, t_arrival, t_departure, src, departure#, msg)``
+        #: ``(dst, t_arrival, t_departure, key, msg)``
         self.outbox: list[tuple] = []
 
-    def transfer(self, msg) -> None:
+    def forward(self, msg, t_dep, key) -> None:
         if msg.dst in self.owned:
-            super().transfer(msg)
-            return
-        now = self.sim.now
-        self.outbox.append(
-            (msg.dst, now + self.cfg.switch_latency, now,
-             msg.src, self.next_departure(msg.src), msg)
-        )
+            super().forward(msg, t_dep, key)
+        else:
+            self.outbox.append(
+                (msg.dst, t_dep + self.cfg.switch_latency, t_dep, key, msg))
 
     def take_outbox(self) -> list[tuple]:
         out, self.outbox = self.outbox, []
         return out
 
     def inject(self, frames) -> None:
-        """Stage cross-partition arrivals handed over at a barrier.
-
-        Rebuilds the serial pump slot: a frame joins the ``(dst, t_arr)``
-        slot if a co-resident sender already created it (same arrival
-        instant ⇒ same departure instant, λ being constant), otherwise the
-        pump event is scheduled with the frame's *departure* time as its
-        ordering key — exactly what the serial switch would have used.  The
-        pump sorts each slot by ``(src, departure#)`` before delivering.
-        """
-        for dst, t_arr, t_dep, src, dep, msg in frames:
-            key = (dst, t_arr)
-            slot = self._staged.get(key)
-            entry = (src, dep, msg)
-            if slot is None:
-                self._staged[key] = [entry]
-                self.sim.schedule_keyed(t_arr, t_dep, 1, self._pump, key)
-            else:
-                slot.append(entry)
+        """Queue cross-partition arrivals handed over at a barrier: the same
+        push, under the same key, the serial switch makes at hand-off."""
+        for dst, t_arr, t_dep, key, msg in frames:
+            self.sim.schedule_keyed(
+                t_arr, t_dep, 1, key, self.ports[dst].on_arrival, msg)
 
 
 @dataclass
@@ -259,7 +243,7 @@ def run_partitioned(
                 t_arr = frame[1]
                 if t_arr < window_end:
                     raise PdesError(
-                        f"frame {frame[3]}->{frame[0]} arrives at {t_arr!r}, "
+                        f"frame {frame[-1].src}->{frame[0]} arrives at {t_arr!r}, "
                         f"inside the window already executed (end {window_end!r})"
                     )
                 if t_arr < T:

@@ -38,6 +38,42 @@ def _cluster(n, plan):
     return c, injector
 
 
+# -- which plans cost a departure event ------------------------------------------
+
+
+@pytest.mark.parametrize("episode,per_frame", [
+    (None, 2),
+    (Episode(kind="degrade", bandwidth_factor=2.0), 2),  # node-level, active
+    (Episode(kind="buffer", buffer_factor=0.5), 2),
+    (Episode(kind="slowdown", cpu_factor=2.0), 2),
+    (Episode(kind="loss", drop_prob=0.5, start=1e6), 3),  # transfer-level, idle
+    (Episode(kind="degrade", latency_add=1e-3, start=1e6), 3),
+    (Episode(kind="reorder", reorder_prob=0.5, reorder_delay=1e-3, start=1e6), 3),
+    (Episode(kind="duplicate", dup_prob=0.5, start=1e6), 3),
+], ids=lambda v: getattr(v, "kind", v))
+def test_only_transfer_level_episodes_cost_a_departure_event(episode, per_frame):
+    """A frame is two events; a plan whose verdicts draw the shared stream
+    per frame (whether or not a window is open) adds the event they are
+    drawn at, and no other plan — empty, or node-level however active —
+    adds anything."""
+    c, injector = _cluster(2, FaultPlan(() if episode is None else (episode,)))
+    assert injector.transfer_level is (per_frame == 3)
+    received = []
+    c[1].register_handler(MessageKind.TEST, _sink(received))
+    c.run()  # dispatcher start-ups
+    base = c.sim.events_processed
+
+    def sender():
+        for k in range(3):
+            yield from c[0].send_reliable(1, MessageKind.TEST, k, size=64)
+
+    c.sim.spawn(sender())
+    c.run()
+    assert received == [0, 1, 2]
+    # sender start, then per send: the frame, its ack, the sender's wake-up
+    assert c.sim.events_processed - base == 1 + 3 * (2 * per_frame + 1)
+
+
 # -- loss ------------------------------------------------------------------------
 
 

@@ -6,7 +6,10 @@ Two guarantees, checked against the committed ``BENCH_sweep.json`` reference
 * a run with **no plan** is bit-identical to the committed fingerprints —
   the ``if faults is not None`` hook sites perturb nothing;
 * a run with an **empty plan installed** is bit-identical too — an armed
-  but quiescent injector draws no randomness and changes no event ordering.
+  but quiescent injector draws no randomness and changes no event ordering;
+* so is a run under a plan of **node-level episodes only** whose windows
+  never open: only transfer-level episodes (loss, latency, reorder,
+  duplicate) give frames a departure event.
 
 Identity covers the statistics row (the fingerprint hashes ``table_row``,
 asserted first) *and* the executed-event count — a count of this engine's
@@ -26,7 +29,7 @@ import pytest
 from repro.apps import APPS
 from repro.apps.common import run_app
 from repro.bench.sweep import default_cells
-from repro.faults import FaultPlan
+from repro.faults import Episode, FaultPlan
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 
@@ -74,6 +77,24 @@ def test_empty_plan_matches_committed_sweep(app, protocol, nprocs):
     assert _fingerprint(result) == reference["fingerprint"]
     assert result.events == reference["events"]
     assert result.table_row() == reference["table_row"]
+
+
+NEVER = 1e6  # simulated seconds; no cell runs a minute
+
+NODE_LEVEL_ONLY = FaultPlan((
+    Episode(kind="buffer", start=NEVER, buffer_factor=0.5),
+    Episode(kind="degrade", start=NEVER, bandwidth_factor=2.0),
+    Episode(kind="slowdown", start=NEVER, cpu_factor=2.0),
+    Episode(kind="pause", start=NEVER, end=2 * NEVER, node=0),
+))
+
+
+@pytest.mark.parametrize("app,protocol,nprocs", CHECKED_CELLS[:2])
+def test_idle_node_level_plan_matches_committed_sweep(app, protocol, nprocs):
+    reference = _committed()[(app, protocol, nprocs, "default")]
+    result = run_app(APPS[app], protocol, nprocs, faults=NODE_LEVEL_ONLY)
+    assert _fingerprint(result) == reference["fingerprint"]
+    assert result.events == reference["events"]
 
 
 @pytest.mark.parametrize(

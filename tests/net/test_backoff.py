@@ -14,6 +14,7 @@ import pytest
 from repro.net import Cluster, MessageKind, NetConfig
 from repro.net.transport import _jitter_unit
 from repro.sim import Timeout
+from tests.net.conftest import drop_frames
 
 
 def _sink(received):
@@ -91,16 +92,7 @@ def test_jittered_retries_replay_identically_in_one_process():
         c = Cluster(2, netcfg=cfg)
         received = []
         c[1].register_handler(MessageKind.TEST, _sink(received))
-        dropped = []
-        real = c.switch.transfer
-
-        def lossy(msg):
-            if msg.kind is MessageKind.TEST and len(dropped) < 2:
-                dropped.append(msg.msg_id)
-                return
-            real(msg)
-
-        c.switch.transfer = lossy
+        drop_frames(c, lambda msg: msg.kind is MessageKind.TEST, count=2)
         done = []
 
         def sender():
@@ -187,22 +179,13 @@ def test_late_backed_off_duplicate_still_suppressed():
     c[1].register_handler(MessageKind.TEST, _sink(received))
 
     target = {}
-    dropped = []
-    real = c.switch.transfer
 
-    def drop_victims_acks(msg):
+    def victims_ack(msg):
         if msg.kind is MessageKind.TEST and "id" not in target:
             target["id"] = msg.msg_id
-        if (
-            msg.kind is MessageKind.ACK
-            and msg.payload == target.get("id")
-            and len(dropped) < 3
-        ):
-            dropped.append(msg.msg_id)
-            return
-        real(msg)
+        return msg.kind is MessageKind.ACK and msg.payload == target.get("id")
 
-    c.switch.transfer = drop_victims_acks
+    dropped = drop_frames(c, victims_ack, count=3)
 
     def victim():
         yield from c[0].send_reliable(1, MessageKind.TEST, "victim", size=64)

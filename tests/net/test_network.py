@@ -294,7 +294,7 @@ def test_stats_snapshot_roundtrip():
     assert snap["by_kind"] == {str(MessageKind.TEST): {"count": 1, "bytes": 64}}
 
 
-# -- the three-event frame path and the mailbox-free dispatcher --------------------
+# -- the two-event frame path and the mailbox-free dispatcher ----------------------
 
 
 def parked(c):
@@ -305,9 +305,10 @@ def parked(c):
     return c.sim.events_processed
 
 
-def test_one_frame_costs_three_events_plus_the_handlers_own():
-    """TX completion, arrival pump, RX completion — the handler itself runs
-    inside the RX completion, so a handler that yields nothing adds none."""
+def test_one_frame_costs_two_events_plus_the_handlers_own():
+    """Arrival and RX completion (the TX side is a free-at timestamp) — the
+    handler itself runs inside the RX completion, so a handler that yields
+    nothing adds none."""
     c = make_cluster()
     log = install_sink(c[1])
 
@@ -319,11 +320,23 @@ def test_one_frame_costs_three_events_plus_the_handlers_own():
     c[0].nic.send(Message(src=0, dst=1, kind=MessageKind.TEST, payload="a", size=100))
     c.run()
     assert [p for p, _ in log] == ["a"]
-    assert c.sim.events_processed - base == 3
+    assert c.sim.events_processed - base == 2
     base = c.sim.events_processed
     c[1].nic.send(Message(src=1, dst=0, kind=MessageKind.TEST, payload="b", size=100))
     c.run()
-    assert c.sim.events_processed - base == 3 + 1  # + the handler's Timeout
+    assert c.sim.events_processed - base == 2 + 1  # + the handler's Timeout
+
+
+def test_send_on_an_unattached_nic_fails_at_the_call_site():
+    from repro.net.nic import Nic
+    from repro.net.stats import NetStats
+    from repro.sim import Simulator
+
+    sim = Simulator()
+    nic = Nic(sim, 0, NetConfig(), NetStats(), deliver=lambda msg: None)
+    with pytest.raises(RuntimeError, match="NIC 0 is not attached to a switch"):
+        nic.send(Message(src=0, dst=1, kind=MessageKind.TEST, payload=None, size=10))
+    assert sim.peek_next_time() == float("inf")  # and it queued nothing
 
 
 def test_back_to_back_frames_complete_at_link_rate_and_drain_fifo():
@@ -337,7 +350,6 @@ def test_back_to_back_frames_complete_at_link_rate_and_drain_fifo():
     sizes = [100, 1400, 100, 4096, 8, 1400]
     for i, size in enumerate(sizes):
         c[0].nic.send(Message(src=0, dst=1, kind=MessageKind.TEST, payload=i, size=size))
-    assert len(c[0].nic._tx_backlog) == len(sizes) - 1
     c.run()
     expected, tx_done, rx_done = [], 0.0, 0.0
     for i, size in enumerate(sizes):
@@ -347,8 +359,8 @@ def test_back_to_back_frames_complete_at_link_rate_and_drain_fifo():
         expected.append((i, rx_done))
     assert log == expected
     assert rx_done > arrival + cfg.recv_overhead + cfg.tx_time(sizes[-1])  # it did backlog
-    assert c.sim.events_processed - base == 3 * len(sizes)
-    assert c[1].nic.rx_bytes == 0 and not c[1].nic._rx_busy and not c[0].nic._tx_busy
+    assert c.sim.events_processed - base == 2 * len(sizes)
+    assert c[1].nic.rx_bytes == 0 and not c[1].nic._rx_busy
 
 
 def test_frame_arriving_mid_handler_starts_when_the_handler_ends():
@@ -371,7 +383,7 @@ def test_frame_arriving_mid_handler_starts_when_the_handler_ends():
     assert [p for p, _, _ in spans] == [0, 1, 2]
     assert spans[1][1] == spans[0][2] and spans[2][1] == spans[1][2]
     assert spans[0][2] - spans[0][1] == 0.010
-    assert c.sim.events_processed - base == 3 * 3 + 3  # frames + one Timeout each
+    assert c.sim.events_processed - base == 3 * 2 + 3  # frames + one Timeout each
     assert c[1]._proc._parked and not c[1]._backlog
 
 
@@ -434,7 +446,7 @@ def test_plain_handler_runs_at_exactly_arrival_plus_cost():
     c.run()
     assert out == [2] and served == [arrived[0] + cost]  # float ==, not approx
     assert c[1]._proc._parked and not c[1]._busy  # the dispatcher never ran
-    assert c.sim.events_processed - base == 1 + 6 + 1 + 1  # start, NIC, cost, wake-up
+    assert c.sim.events_processed - base == 1 + 4 + 1 + 1  # start, NIC, cost, wake-up
 
 
 def test_zero_cost_plain_handler_is_served_inside_the_rx_completion():
@@ -444,11 +456,11 @@ def test_zero_cost_plain_handler_is_served_inside_the_rx_completion():
     base = parked(c)
     c[0].nic.send(Message(src=0, dst=1, kind=MessageKind.TEST, payload=None, size=10))
     assert c.run() == served[0]
-    assert c.sim.events_processed - base == 3
+    assert c.sim.events_processed - base == 2
 
 
-def test_round_trip_between_idle_nodes_is_seven_events():
-    """Six NIC events and the requester's wake-up; the answered
+def test_round_trip_between_idle_nodes_is_five_events():
+    """Four NIC events and the requester's wake-up; the answered
     retransmission timer is cancelled, not fired a second later."""
     c = make_cluster()
 
@@ -467,7 +479,7 @@ def test_round_trip_between_idle_nodes_is_seven_events():
     base = parked(c)
     c.sim.spawn(caller())
     assert c.run() < c.netcfg.rexmit_timeout
-    assert c.sim.events_processed - base == 1 + 7 * trips
+    assert c.sim.events_processed - base == 1 + 5 * trips
 
 
 def test_mixed_plain_and_generator_burst_is_served_fifo_without_overlap():

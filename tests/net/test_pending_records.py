@@ -6,6 +6,7 @@ import pytest
 from repro.net import Cluster, MessageKind, NetConfig
 from repro.net.transport import RequestError
 from repro.sim import Interrupt, Timeout
+from tests.net.conftest import DELIVER, DUPLICATE, drop_frames, script_transfers
 
 KIND = MessageKind.TEST
 FAST = dict(rexmit_timeout=0.1, max_retries=3)
@@ -36,20 +37,6 @@ def gather(c, dsts, out):
     return c.sim.spawn(caller())
 
 
-def drop(c, pred, count=None):
-    """Patch the switch to drop (the first ``count``) messages matching ``pred``."""
-    dropped, real = [], c.switch.transfer
-
-    def transfer(msg):
-        if pred(msg) and (count is None or len(dropped) < count):
-            dropped.append(msg)
-        else:
-            real(msg)
-
-    c.switch.transfer = transfer
-    return dropped
-
-
 def test_gather_resumes_once_in_request_order_when_replies_arrive_reversed():
     c = echo_cluster(4, costs={1: 3e-3, 2: 2e-3, 3: 1e-3})
     base, out, arrivals = c.sim.events_processed, [], []
@@ -60,16 +47,16 @@ def test_gather_resumes_once_in_request_order_when_replies_arrive_reversed():
     assert arrivals == [3, 2, 1]
     assert [o[0] for o in out] == ["ok"]
     assert out[0][2] == [(1, "q1"), (2, "q2"), (3, "q3")]
-    # the caller's start, the start hop, 7 per request (6 NIC + the handler's
+    # the caller's start, the start hop, 5 per request (4 NIC + the handler's
     # cost charge), one wake-up — and not one answered timer
-    assert c.sim.events_processed - base == 1 + 1 + 3 * 7 + 1
+    assert c.sim.events_processed - base == 1 + 1 + 3 * 5 + 1
     assert c[0].transport.pending_counts() == (0, 0)
 
 
 def test_lost_reply_retransmits_that_request_alone():
     c = echo_cluster(4, **FAST)
     base, out = c.sim.events_processed, []
-    lost = drop(c, lambda m: m.is_reply and m.src == 2, count=1)
+    lost = drop_frames(c, lambda m: m.is_reply and m.src == 2, count=1)
     gather(c, [1, 2, 3], out)
     c.run()
     assert len(lost) == 1 and out[0][0] == "ok"
@@ -77,6 +64,7 @@ def test_lost_reply_retransmits_that_request_alone():
     assert c.node_stats[0].rexmit == 1  # the requester's only retransmission
     assert c.node_stats[2].rexmit == 1  # answered from the reply cache
     assert out[0][1] > FAST["rexmit_timeout"]
+    # a scripted verdict gives every frame a departure event, so 3 per frame:
     # start + hop + two clean round trips + the lost one (5 events up to the
     # drop) + its timer + request again (3) + cached reply (3) + wake-up:
     # had the two answered timers fired, there would be two more
@@ -85,14 +73,8 @@ def test_lost_reply_retransmits_that_request_alone():
 
 def test_duplicate_reply_is_ignored():
     c = echo_cluster(2)
-    real, out = c.switch.transfer, []
-
-    def twice(msg):
-        real(msg)
-        if msg.is_reply:
-            real(msg.wire_copy())
-
-    c.switch.transfer = twice
+    out = []
+    script_transfers(c, lambda msg: DUPLICATE if msg.is_reply else DELIVER)
     gather(c, [1], out)
     c.run()
     assert out == [("ok", out[0][1], [(1, "q1")])]
@@ -101,7 +83,7 @@ def test_duplicate_reply_is_ignored():
 
 def test_exhausted_request_throws_the_same_error_and_leaves_no_record():
     c = echo_cluster(2, **FAST)
-    drop(c, lambda m: True)
+    drop_frames(c, lambda m: True)
     out = []
 
     def caller():
@@ -127,7 +109,7 @@ def test_gather_fails_once_and_drops_the_sibling_records():
     request order fails the call; the other finds its caller gone and is
     dropped, not thrown into a process that moved on."""
     c = echo_cluster(3, rexmit_timeout=0.1, max_retries=1)
-    drop(c, lambda m: True)
+    drop_frames(c, lambda m: True)
     out = []
 
     def caller():
@@ -147,7 +129,7 @@ def test_gather_fails_once_and_drops_the_sibling_records():
 
 def test_interrupt_during_a_gathered_wait_drops_the_records():
     c = echo_cluster(3, **FAST)
-    drop(c, lambda m: True)
+    drop_frames(c, lambda m: True)
     out = []
 
     def caller():

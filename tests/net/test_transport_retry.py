@@ -13,21 +13,12 @@ import pytest
 from repro.net import Cluster, MessageKind, NetConfig
 from repro.net.transport import RequestError
 from repro.sim import Timeout
+from tests.net.conftest import drop_frames
 
 
 def _drop_first(cluster: Cluster, kind: MessageKind, count: int) -> list:
-    """Patch the switch to drop the first ``count`` messages of ``kind``."""
-    dropped = []
-    real_transfer = cluster.switch.transfer
-
-    def lossy_transfer(msg):
-        if msg.kind is kind and len(dropped) < count:
-            dropped.append(msg.msg_id)
-            return
-        real_transfer(msg)
-
-    cluster.switch.transfer = lossy_transfer
-    return dropped
+    """Drop the first ``count`` frames of ``kind`` at the switch."""
+    return drop_frames(cluster, lambda msg: msg.kind is kind, count)
 
 
 def _sink(received):

@@ -636,3 +636,34 @@ def test_cancelling_a_lane_head_moves_the_next_wakeup():
     sim.cancel_timer(first)
     assert sim.peek_next_time() == 1.5
     assert sim.run() == 1.5 and sim.events_processed == 1
+
+
+# -- caller-keyed events: the queue's order is the caller's key ---------------------
+
+_keyed_entries = st.lists(
+    st.tuples(
+        st.sampled_from([0.5, 1.0, 1.0, 2.5]),  # t
+        st.sampled_from([0.0, 0.25, 0.25, 0.5]),  # tsched
+        st.sampled_from([(0, 7), (3, 0), (3, 1), (12, 5)]),  # (src, departure#)
+    ),
+    max_size=40, unique=True,
+)
+
+
+@pytest.mark.parametrize("queue", ["heap", "calendar"])
+@settings(max_examples=100, deadline=None)
+@given(entries=_keyed_entries, plain=st.lists(st.sampled_from([0.5, 1.0, 2.5]), max_size=10))
+def test_keyed_events_pop_in_callers_key_order(queue, entries, plain):
+    """Property: class-1 events pushed in any order under caller keys run in
+    ``(t, tsched, 1, key)`` order — push order plays no part — and after every
+    ordinary event of the same instant scheduled no later than their
+    ``tsched`` (here: all of them, scheduled at 0)."""
+    sim = Simulator(queue=queue)
+    ran = []
+    for t, tsched, (src, dep) in entries:
+        key = (src << 40) + dep
+        sim.schedule_keyed(t, tsched, 1, key, ran.append, (t, tsched, 1, key))
+    for i, t in enumerate(plain):
+        sim.schedule_at(t, ran.append, (t, 0.0, 0, i))
+    sim.run()
+    assert ran == sorted(ran) and len(ran) == len(entries) + len(plain)

@@ -62,6 +62,25 @@ def test_inline_conformance_bit_identical(app, protocol, workers):
     assert row["extra_events"] == (min(workers, 8) - 1) * 8
 
 
+def test_harness_bites_when_arrivals_are_keyed_by_the_plain_counter(monkeypatch):
+    """The harness is only evidence if it can fail.  Key arrivals by the
+    simulator's sequence counter — push order, which depends on how the
+    nodes are partitioned — instead of the canonical ``(src, departure#)``
+    and a cell of the grid above must stop matching.  (Three partitions: at
+    two, push order happens to coincide on all 18 matrix cells, frames being
+    pushed at send time, well ahead of the instants they tie on.)"""
+    from repro.sim import Simulator
+
+    def counter_keyed(self, t, tsched, cls, key, fn, *args):
+        self._qpush(self._heap, (t, tsched, cls, next(self._seq), fn, args))
+
+    monkeypatch.setattr(Simulator, "schedule_keyed", counter_keyed)
+    row = check_cell(SweepCell(app="is", protocol="vc_sd", nprocs=8), 3)
+    assert row["verified"]  # still a correct run of the application ...
+    assert not row["match"]  # ... but not the serial one
+    assert row["pdes_fingerprint"] != row["fingerprint"] and not row["time_equal"]
+
+
 # -- refusal surface --------------------------------------------------------------
 
 
@@ -87,15 +106,18 @@ def test_refuses_random_drop_and_no_lookahead():
 
 def test_frame_inside_an_executed_window_is_refused(monkeypatch):
     """The loop's own safety invariant: a frame collected at a barrier must
-    arrive at or after the end of the window just executed.  Shortening the
-    recorded arrival by more than λ lands it in the past."""
+    arrive at or after the end of the window just executed.  Recording a
+    foreign frame at hand-off as arriving that very instant lands it inside
+    the window being executed."""
     from repro.sim.pdes import PartitionSwitch
 
-    take = PartitionSwitch.take_outbox
+    forward = PartitionSwitch.forward
 
-    def early(self):
-        return [(f[0], f[1] - 3 * self.cfg.switch_latency) + f[2:] for f in take(self)]
+    def early(self, msg, t_dep, key):
+        if msg.dst not in self.owned:
+            t_dep = self.sim.now - self.cfg.switch_latency
+        forward(self, msg, t_dep, key)
 
-    monkeypatch.setattr(PartitionSwitch, "take_outbox", early)
+    monkeypatch.setattr(PartitionSwitch, "forward", early)
     with pytest.raises(PdesError, match="already executed"):
         run_partitioned(APPS["is"], protocol="lrc_d", nprocs=4)
