@@ -21,7 +21,9 @@ same-instant events decides what that node does next.  The switch queues
 each arrival under a canonical key (see :class:`Switch`); cross-node order
 within an instant is unobservable by construction, and the
 partition-determinism harness (:mod:`repro.sim.pdes`) is the evidence: it
-runs those events on different simulators, bit-identically.
+runs those events on different simulators, bit-identically.  When traced,
+each side's busy period is one complete (``X``) row written as it begins: its
+end is the ``done`` above, or the float the RX completion is scheduled at.
 
 Messages arriving while the inbound buffer is full are **dropped** — this is
 the congestion-loss mechanism: a burst of n-1 simultaneous senders into one
@@ -108,12 +110,11 @@ class Nic:
         self._tx_free = done = start + (self.cfg.send_overhead + wire)
         tracer = sim.tracer
         if tracer is not None:
-            # the whole span is known here; rows stay time-ordered per lane
-            tracer.begin(
-                self.node_id, "nic-tx", "tx", f"{msg.kind.name}->{msg.dst}", start,
+            tracer.span(
+                self.node_id, "nic-tx", "tx", f"{msg.kind.name}->{msg.dst}",
+                start, done,
                 {"bytes": msg.size, "dst": msg.dst, "msg": tracer.norm(msg.msg_id)},
             )
-            tracer.end(self.node_id, "nic-tx", "tx", done)
         key = self._frame_key
         self._frame_key = key + 1
         switch.forward(msg, done, key)
@@ -172,25 +173,25 @@ class Nic:
             )
 
     def _rx_start(self, msg: "Message") -> None:
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.begin(
-                self.node_id, "nic-rx", "rx", f"{msg.kind.name}<-{msg.src}",
-                self.sim.now,
-                {"bytes": msg.size, "src": msg.src, "msg": tracer.norm(msg.msg_id)},
-            )
+        sim = self.sim
         # inbound wire time (the port is shared by all senders) + software
         # receive overhead
         wire = self.cfg.tx_time(msg.size)
-        faults = self.sim.faults
+        faults = sim.faults
         if faults is not None:
-            wire *= faults.bandwidth_factor(self.node_id, self.sim.now)
-        self.sim.schedule(wire + self.cfg.recv_overhead, self._rx_done, msg)
+            wire *= faults.bandwidth_factor(self.node_id, sim.now)
+        busy = wire + self.cfg.recv_overhead
+        tracer = sim.tracer
+        if tracer is not None:
+            # ``schedule`` computes this very float: the row ends on the delivery
+            tracer.span(
+                self.node_id, "nic-rx", "rx", f"{msg.kind.name}<-{msg.src}",
+                sim.now, sim.now + busy,
+                {"bytes": msg.size, "src": msg.src, "msg": tracer.norm(msg.msg_id)},
+            )
+        sim.schedule(busy, self._rx_done, msg)
 
     def _rx_done(self, msg: "Message") -> None:
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.end(self.node_id, "nic-rx", "rx", self.sim.now)
         self.rx_bytes -= msg.size + self.cfg.header_bytes
         self._deliver(msg)
         if self._rx_backlog:

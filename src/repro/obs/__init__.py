@@ -5,10 +5,10 @@ acquire time, diff traffic — so the reproduction carries a first-class
 event-tracing layer threaded through the engine, the NIC/transport, the
 protocol implementations and the runtimes:
 
-* :class:`EventTracer` records span (begin/end), instant and counter events
-  carrying simulated time, node id and a category (``compute``,
-  ``barrier-wait``, ``acquire-wait``, ``diff-wait``, ``page-fault``, ``tx``,
-  ``rx``);
+* :class:`EventTracer` records span (begin/end, or one complete row), instant
+  and counter events carrying simulated time, node id and a category
+  (``compute``, ``barrier-wait``, ``acquire-wait``, ``diff-wait``,
+  ``page-fault``, ``tx``, ``rx``);
 * :mod:`repro.obs.breakdown` decomposes each application process's simulated
   run time into those categories (the "Breakdown" report sections);
 * :mod:`repro.obs.export` renders a trace as Chrome trace-event JSON

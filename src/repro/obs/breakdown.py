@@ -44,7 +44,7 @@ def app_intervals(events: Iterable[tuple]) -> dict:
     """
     # per-pid app-lane span events, preserving simulator order
     per_pid: dict[int, list[tuple[str, float, str]]] = {}
-    for ph, t, pid, lane, cat, _name, _args in events:
+    for ph, t, pid, lane, cat, _name, _args, _end in events:
         if lane == "app" and (ph == "B" or ph == "E"):
             per_pid.setdefault(pid, []).append((ph, t, cat))
 

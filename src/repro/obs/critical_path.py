@@ -231,7 +231,7 @@ def _dispatch_spans(events) -> dict[int, list[tuple[float, float, str, int]]]:
     """
     out: dict[int, list[tuple[float, float, str, int]]] = {}
     open_span: dict[int, tuple[float, str, int]] = {}
-    for ph, t, pid, lane, _cat, name, args in events:
+    for ph, t, pid, lane, _cat, name, args, _end in events:
         if lane != "dispatch":
             continue
         if ph == "B":

@@ -3,9 +3,9 @@
 The Chrome trace-event document (``chrome_trace``/``write_chrome_trace``)
 loads directly into Perfetto (https://ui.perfetto.dev) or
 ``chrome://tracing``: each simulated node becomes a process, each lane a
-thread, spans render as slices, drops/retransmissions as instants and
-``live_processes`` as a counter track.  Timestamps are simulated
-microseconds.
+thread, spans render as slices (``B``/``E`` pairs, or one ``X`` event with
+``dur``), drops/retransmissions as instants and ``live_processes`` as a
+counter track.  Timestamps are simulated microseconds.
 
 Everything here is a pure function of the recorded event list, so for a
 deterministic simulation the exported bytes are identical across runs —
@@ -49,28 +49,38 @@ GLOBAL_PID = -1
 #: (simulated μs vs host μs since profile start)
 HOST_PID_BASE = 1_000_000
 
-_PHASES = frozenset("BEiCM")
+_PHASES = frozenset("BEXiCM")
 
 
 def _events_of(trace: "EventTracer | Iterable") -> Iterable:
-    return trace.events if isinstance(trace, EventTracer) else trace
+    """An :class:`EventTracer`'s own rows, or any iterable's checked 8 wide."""
+    return trace.events if isinstance(trace, EventTracer) else _eight_wide(trace)
+
+
+def _eight_wide(events: Iterable):
+    for i, row in enumerate(events):
+        if len(row) != 8:
+            raise ValueError(f"event {i}: expected 8 fields (ph, t, pid, lane, cat, "
+                             f"name, args, end), got {len(row)}")
+        yield row
 
 
 def _rows(events: Iterable, process_names: "Mapping[int, str] | None" = None):
-    """Yield the document's events in order as ``(ph, ts, pid, tid, cat, name, args)``.
+    """Yield the document's events as ``(ph, ts, pid, tid, cat, name, args, dur)``.
 
     The one place pids get their ``process_name`` row and ``(pid, lane)``
     pairs their tid and ``thread_name`` row: each metadata row (``ph`` ``"M"``,
     ``ts`` 0, the label in the ``args`` slot) comes out just ahead of the
-    first event that needs it.  Recorded events keep their ``B``/``E``/``i``/
-    ``C`` phase; ``ts`` is simulated seconds scaled to microseconds.  The dict
+    first event that needs it.  Recorded events keep their ``B``/``E``/``X``/
+    ``i``/``C`` phase; ``ts`` is simulated seconds scaled to microseconds and
+    ``dur`` (``X`` only, else ``None``) is ``(end - t)`` likewise.  The dict
     form (:func:`chrome_trace`), the text form (:func:`iter_chrome_trace`)
     and the writers' schema check all read this stream, so no consumer
     holds a second copy of the event list.
     """
     tids: dict[tuple[int, str], int] = {}
     next_tid: dict[int, int] = {}
-    for ph, t, pid, lane, cat, name, args in events:
+    for ph, t, pid, lane, cat, name, args, end in events:
         key = (pid, lane)
         tid = tids.get(key)
         if tid is None:
@@ -81,11 +91,12 @@ def _rows(events: Iterable, process_names: "Mapping[int, str] | None" = None):
                     label = process_names[pid]
                 else:
                     label = "simulator" if pid == GLOBAL_PID else f"node-{pid}"
-                yield "M", 0, pid, 0, None, "process_name", label
+                yield "M", 0, pid, 0, None, "process_name", label, None
             next_tid[pid] = tid + 1
             tids[key] = tid
-            yield "M", 0, pid, tid, None, "thread_name", lane
-        yield ph, t * 1e6, pid, tid, cat, name, args
+            yield "M", 0, pid, tid, None, "thread_name", lane, None
+        dur = None if end is None else (end - t) * 1e6
+        yield ph, t * 1e6, pid, tid, cat, name, args, dur
 
 
 def chrome_trace(trace: "EventTracer | Iterable",
@@ -96,9 +107,12 @@ def chrome_trace(trace: "EventTracer | Iterable",
     merged host+simulated export uses it to label host-clock processes.
     """
     out: list[dict] = []
-    for ph, ts, pid, tid, cat, name, args in _rows(_events_of(trace), process_names):
-        if ph == "B":
-            ev = {"ph": "B", "name": name, "cat": cat, "pid": pid, "tid": tid, "ts": ts}
+    for ph, ts, pid, tid, cat, name, args, dur in _rows(
+            _events_of(trace), process_names):
+        if ph == "B" or ph == "X":
+            ev = {"ph": ph, "name": name, "cat": cat, "pid": pid, "tid": tid, "ts": ts}
+            if ph == "X":
+                ev["dur"] = dur
             if args:
                 ev["args"] = args
         elif ph == "E":
@@ -148,26 +162,39 @@ _CHUNK_EVENTS = 2048
 
 
 class _Literals(dict):
-    """JSON literal of each distinct name/cat/lane, encoded on first sight —
-    a run repeats a few hundred of them over its whole event list."""
+    """JSON literal of each distinct name/cat/lane (and span duration), encoded
+    on first sight — a run repeats a few hundred of them over its event list."""
 
     def __missing__(self, value):
         literal = self[value] = _encode(value)
         return literal
 
 
+class _ArgTemplates(dict):
+    """``%d`` template of each flat ``str`` → plain ``int`` ``args`` shape (all
+    NIC and dispatch spans), keyed ``(*keys, *value types)``; ``None`` for any
+    other shape (``bool``, floats, nesting, non-``str`` keys): the encoder's."""
+
+    def __missing__(self, sig):
+        keys = sig[:len(sig) // 2]
+        flat = all(type(k) is str for k in keys) and set(sig[len(keys):]) == {int}
+        template = self[sig] = "{%s}" % ",".join(
+            _encode(k).replace("%", "%%") + ":%d" for k in keys) if flat else None
+        return template
+
+
 def _chunks(rows: Iterable):
     """The text of the document whose events are ``rows``, a few thousand
     events per chunk.  Key order and number forms are those of
     ``json.dumps(chrome_trace(...), separators=(",", ":"))``: a finite float
-    is its ``repr``; ``inf``/``nan``, ``args`` and every string go through
-    the encoder itself."""
-    lit = _Literals()
+    is its ``repr``, flat integer ``args`` fill a memoised template; ``inf``/
+    ``nan``, other ``args`` and every string go through the encoder itself."""
+    lit, durs, templates = _Literals(), _Literals(), _ArgTemplates()
     encode, float_repr, inf = _encode, float.__repr__, float("inf")
     yield '{"traceEvents":['
     sep = ""
     buf: list[str] = []
-    for ph, ts, pid, tid, cat, name, args in rows:
+    for ph, ts, pid, tid, cat, name, args, dur in rows:
         if ph == "M":
             buf.append(
                 f'{{"ph":"M","name":"{name}","pid":{pid},"tid":{tid},"ts":0,'
@@ -175,27 +202,40 @@ def _chunks(rows: Iterable):
             )
         else:
             ts = float_repr(ts) if -inf < ts < inf else encode(ts)
-            if ph == "B":
-                tail = f',"args":{encode(args)}}}' if args else "}"
-                buf.append(
-                    f'{{"ph":"B","name":{lit[name]},"cat":{lit[cat]},'
-                    f'"pid":{pid},"tid":{tid},"ts":{ts}{tail}'
-                )
-            elif ph == "E":
+            if ph == "E":
                 buf.append(
                     f'{{"ph":"E","cat":{lit[cat]},"pid":{pid},"tid":{tid},"ts":{ts}}}'
                 )
-            elif ph == "i":
-                tail = f',"args":{encode(args)}}}' if args else "}"
-                buf.append(
-                    f'{{"ph":"i","name":{lit[name]},"cat":{lit[cat]},'
-                    f'"pid":{pid},"tid":{tid},"ts":{ts},"s":"t"{tail}'
-                )
-            else:  # "C"
+            elif ph == "C":
                 buf.append(
                     f'{{"ph":"C","name":{lit[name]},"pid":{pid},"tid":{tid},'
                     f'"ts":{ts},"args":{{"value":{encode(args)}}}}}'
                 )
+            else:  # "X", "B", "i": optional args close the object
+                tail = "}"
+                if args:
+                    template = None
+                    if type(args) is dict:
+                        values = tuple(args.values())
+                        template = templates[(*args, *map(type, values))]
+                    text = encode(args) if template is None else template % values
+                    tail = f',"args":{text}}}'
+                if ph == "X":
+                    dur = durs[dur] if dur > 0 else encode(dur)  # -0.0 == 0.0
+                    buf.append(
+                        f'{{"ph":"X","name":{lit[name]},"cat":{lit[cat]},"pid":{pid},'
+                        f'"tid":{tid},"ts":{ts},"dur":{dur}{tail}'
+                    )
+                elif ph == "B":
+                    buf.append(
+                        f'{{"ph":"B","name":{lit[name]},"cat":{lit[cat]},'
+                        f'"pid":{pid},"tid":{tid},"ts":{ts}{tail}'
+                    )
+                else:
+                    buf.append(
+                        f'{{"ph":"i","name":{lit[name]},"cat":{lit[cat]},'
+                        f'"pid":{pid},"tid":{tid},"ts":{ts},"s":"t"{tail}'
+                    )
         if len(buf) >= _CHUNK_EVENTS:
             yield sep + ",".join(buf)
             sep = ","
@@ -246,17 +286,13 @@ def host_trace_events(host, base_pid: int = HOST_PID_BASE,
                       t0: "float | None" = None):
     """Convert a :class:`repro.obs.host.HostProfiler` into tracer tuples.
 
-    Returns ``(events, process_names)``: the same ``(ph, t, pid, lane, cat,
-    name, args)`` tuple stream :func:`chrome_trace` consumes, plus the pid →
-    ``host:<proc>`` label map.  Each host process gets a pid at or above
-    ``base_pid`` (first-appearance order); timestamps are rebased to ``t0``
-    (default: the earliest span start) so the host stream starts near zero —
-    it shares the Perfetto timeline with the simulated stream but is a
-    distinct clock domain.
-
-    Spans within one ``(proc, lane)`` are emitted as properly nested
-    ``B``/``E`` pairs; the profiler's instrumentation sites guarantee they
-    nest or are disjoint.
+    Returns ``(events, process_names)``: one complete (``X``) row per span —
+    a host span already is a ``(start, end)`` pair — in the 8-field shape
+    :func:`chrome_trace` consumes, plus the pid → ``host:<proc>`` label map.
+    Each host process gets a pid at or above ``base_pid`` (first-appearance
+    order); timestamps are rebased to ``t0`` (default: the earliest span
+    start) so the host stream starts near zero — it shares the Perfetto
+    timeline with the simulated stream but is a distinct clock domain.
     """
     spans = host.spans
     if not spans:
@@ -264,29 +300,15 @@ def host_trace_events(host, base_pid: int = HOST_PID_BASE,
     if t0 is None:
         t0 = min(s[4] for s in spans)
     pid_of: dict[str, int] = {}
-    process_names: dict[int, str] = {}
-    lanes: dict[tuple, list] = {}
     for s in spans:
-        proc = s[0]
-        pid = pid_of.get(proc)
-        if pid is None:
-            pid = pid_of[proc] = base_pid + len(pid_of)
-            process_names[pid] = f"host:{proc}"
-        lanes.setdefault((pid, s[1]), []).append(s)
-    events: list[tuple] = []
-    for (pid, lane), group in lanes.items():
-        # outermost-first at equal starts, so enclosing spans open first
-        group.sort(key=lambda s: (s[4], -s[5]))
-        open_spans: list[tuple[float, str]] = []  # (end, cat) of each open B
-        for _proc, _lane, cat, name, s0, s1, args in group:
-            while open_spans and open_spans[-1][0] <= s0:
-                end, end_cat = open_spans.pop()
-                events.append(("E", end - t0, pid, lane, end_cat, None, None))
-            events.append(("B", s0 - t0, pid, lane, cat, name, args or None))
-            open_spans.append((s1, cat))
-        for end, end_cat in reversed(open_spans):
-            events.append(("E", end - t0, pid, lane, end_cat, None, None))
-    return events, process_names
+        pid_of.setdefault(s[0], base_pid + len(pid_of))
+    # by start, outermost first at equal starts: viewers nest ties in file order
+    events = [
+        ("X", s0 - t0, pid_of[proc], lane, cat, name, args or None, s1 - t0)
+        for proc, lane, cat, name, s0, s1, args
+        in sorted(spans, key=lambda s: (s[4], -s[5]))
+    ]
+    return events, {pid: f"host:{proc}" for proc, pid in pid_of.items()}
 
 
 def _merged_events(trace: "EventTracer | Iterable | None", host):
@@ -317,7 +339,7 @@ def write_merged_chrome_trace(trace: "EventTracer | Iterable | None", host,
     _write_checked(_rows(*_merged_events(trace, host)), path)
 
 
-def iter_jsonl_lines(trace: "EventTracer | list"):
+def iter_jsonl_lines(trace: "EventTracer | Iterable"):
     """Yield the JSONL export one line at a time (newline included).
 
     A generator so exporting never materialises a second copy of the event
@@ -325,8 +347,7 @@ def iter_jsonl_lines(trace: "EventTracer | list"):
     to the file.
     """
     dumps = json.dumps
-    events = trace.events if isinstance(trace, EventTracer) else trace
-    for ph, t, pid, lane, cat, name, args in events:
+    for ph, t, pid, lane, cat, name, args, end in _events_of(trace):
         yield dumps(
             {
                 "ph": ph,
@@ -336,12 +357,13 @@ def iter_jsonl_lines(trace: "EventTracer | list"):
                 "cat": cat,
                 "name": name,
                 "args": args,
+                "end": end,
             },
             sort_keys=False,
         ) + "\n"
 
 
-def write_jsonl(trace: "EventTracer | list", fh_or_path: "IO[str] | str") -> None:
+def write_jsonl(trace: "EventTracer | Iterable", fh_or_path: "IO[str] | str") -> None:
     """Flat one-object-per-line event log (easy to grep/pandas).
 
     Streams incrementally via :func:`iter_jsonl_lines` — memory stays
@@ -354,7 +376,7 @@ def write_jsonl(trace: "EventTracer | list", fh_or_path: "IO[str] | str") -> Non
         fh_or_path.writelines(iter_jsonl_lines(trace))
 
 
-def flame_summary(trace: "EventTracer | list", width: int = 40) -> str:
+def flame_summary(trace: "EventTracer | Iterable", width: int = 40) -> str:
     """Terminal flame-style view: per-category share of total process time."""
     from repro.obs.breakdown import compute_breakdown, format_breakdown
 
@@ -375,7 +397,7 @@ def flame_summary(trace: "EventTracer | list", width: int = 40) -> str:
     lines.append("")
     lines.append(format_breakdown(breakdown))
     lines.append("")
-    n_spans = sum(1 for ev in events if ev[0] == "B")
+    n_spans = sum(1 for ev in events if ev[0] == "B" or ev[0] == "X")
     lines.append(f"({len(events)} events, {n_spans} spans)")
     return "\n".join(lines)
 
@@ -383,17 +405,17 @@ def flame_summary(trace: "EventTracer | list", width: int = 40) -> str:
 def _checked(rows: Iterable, summary: dict):
     """Pass :func:`_rows`-shaped ``rows`` through, schema-checking each.
 
-    Raises ``ValueError`` at the first row with a bad field or an ``E``
-    that closes nothing and, once ``rows`` is exhausted, if it was empty or a
-    span is still open; otherwise fills ``summary`` with the event/span/
-    process counts.  A generator so a writer checks in the pass that writes.
+    Raises ``ValueError`` at the first row with a bad field (``X``: ``dur`` not
+    >= 0) or an ``E`` that closes nothing and, once ``rows`` is exhausted, if it
+    was empty or a span is still open; otherwise fills ``summary`` with the
+    event/span/process counts.  A generator so a writer checks as it writes.
     """
     stacks: dict[tuple[int, int], int] = {}
     spans = 0
     pids: set[int] = set()
     i = -1
     for i, row in enumerate(rows):
-        ph, ts, pid, tid, _cat, name, _args = row
+        ph, ts, pid, tid, _cat, name, _args, dur = row
         if ph not in _PHASES:
             raise ValueError(f"event {i}: bad phase {ph!r}")
         if not isinstance(pid, int):
@@ -405,7 +427,12 @@ def _checked(rows: Iterable, summary: dict):
         if ph != "E" and not name:
             raise ValueError(f"event {i}: phase {ph!r} requires a name")
         pids.add(pid)
-        if ph == "B":
+        if ph == "X":
+            if not isinstance(dur, (int, float)) or not dur >= 0:
+                raise ValueError(
+                    f"event {i}: 'X' needs a non-negative 'dur', got {dur!r}")
+            spans += 1
+        elif ph == "B":
             key = (pid, tid)
             stacks[key] = stacks.get(key, 0) + 1
             spans += 1
@@ -430,15 +457,16 @@ def _doc_rows(events: list):
         if not isinstance(ev, dict):
             raise ValueError(f"event {i}: not an object")
         get = ev.get
-        yield get("ph"), get("ts"), get("pid"), get("tid"), None, get("name"), None
+        yield (get("ph"), get("ts"), get("pid"), get("tid"), None, get("name"), None,
+               get("dur"))
 
 
 def validate_chrome_trace(doc: Mapping) -> dict:
     """Schema-check a Chrome trace-event document; raise ValueError if bad.
 
-    Verifies the envelope, per-event required fields, and that every
-    ``B``/``E`` pair balances per ``(pid, tid)`` lane.  Returns a small
-    summary dict (event/span/process counts) for smoke-test output.  The
+    Verifies the envelope, per-event required fields (``dur`` >= 0 on ``X``),
+    and that every ``B``/``E`` pair balances per ``(pid, tid)`` lane.  Returns a
+    small summary dict (event/span/process counts) for smoke-test output.  The
     writers run the same per-event checks while they stream, so a file
     :func:`write_chrome_trace` produced has already passed.
     """

@@ -23,8 +23,8 @@ A span is ``(proc, lane, cat, name, t0, t1, args)``: a host-clock interval
 ``[t0, t1)`` on a named process (``"main"``, ``"sweep"``) and lane, with a
 category that feeds the breakdown.  Spans in one ``(proc, lane)`` must nest
 or be disjoint — the Chrome exporter
-(:func:`repro.obs.export.merged_chrome_trace`) emits them as ``B``/``E``
-pairs on one thread track.  ``perf_counter`` is CLOCK_MONOTONIC-based and
+(:func:`repro.obs.export.merged_chrome_trace`) emits each as one complete
+(``X``) event on one thread track.  ``perf_counter`` is CLOCK_MONOTONIC-based and
 system-wide on Linux, so intervals measured in sweep-pool workers are
 directly comparable to the parent's: :meth:`HostProfiler.add_span` records
 them under the worker's process name without any clock translation.

@@ -17,28 +17,34 @@ Design constraints, in order of importance:
 4. **Time order per lane, not globally.**  A lane is a sequential context, so
    its rows are recorded in non-decreasing ``t`` — what every consumer
    (breakdown, critical path, exporters) relies on.  The list as a whole is
-   *not* sorted: a site that knows a span's end when it begins may write
-   both rows at once, ahead of rows other lanes will stamp with earlier
-   instants (the NIC's TX side does; see :meth:`repro.net.nic.Nic.send`).
+   *not* sorted: a site that knows a span's end when it begins writes the
+   whole span at once (:meth:`EventTracer.span`), ahead of rows other lanes
+   will stamp with earlier instants (both NIC sides; :mod:`repro.net.nic`).
 
 Event representation
 --------------------
 
 Events are plain tuples (allocation-light, trivially picklable)::
 
-    (ph, t, pid, lane, cat, name, args)
+    (ph, t, pid, lane, cat, name, args, end)
 
 ``ph`` is the phase, borrowed from the Chrome trace-event format: ``"B"``
-(span begin), ``"E"`` (span end), ``"i"`` (instant), ``"C"`` (counter).
-``t`` is simulated seconds.  ``pid`` is the node id (``-1`` for
-engine-global events).  ``lane`` names the execution context within the node
-— ``"app"`` for the application process, ``"nic-tx"``/``"nic-rx"`` for the
-NIC sides, ``"dispatch"`` for the node's serial message-handler daemon,
-``"fetch-*"`` for concurrent fault fetchers — and maps to a Perfetto thread.
+(span begin), ``"E"`` (span end), ``"X"`` (complete span), ``"i"`` (instant),
+``"C"`` (counter).  ``t`` is simulated seconds; ``end`` is the span's last
+instant on ``X`` and ``None`` otherwise (one shape for consumers to unpack).
+``pid`` is the node id (``-1`` for engine-global events).  ``lane`` names the
+execution context within the node — ``"app"`` for the application process,
+``"nic-tx"``/``"nic-rx"`` for the NIC sides, ``"dispatch"`` for the node's
+serial message-handler daemon, ``"fetch-*"`` for concurrent fault fetchers —
+and maps to a Perfetto thread.
 Spans on one lane are properly nested (each lane is a sequential context),
 which is what makes both the Chrome ``B``/``E`` encoding and the stack-based
 time attribution in :mod:`repro.obs.breakdown` exact.  ``args`` is an
 optional dict of JSON-serialisable details.
+
+``X`` is for a span whose extent is known when it begins, on a lane no
+analysis walks (the NIC lanes; waits and handlers stay ``B``/``E``).  It states
+the *scheduled* extent: a run aborted mid-receive shows the span whole.
 
 Causal edges
 ------------
@@ -136,11 +142,16 @@ class EventTracer:
         args: Optional[dict] = None,
     ) -> None:
         """Open a span on ``(pid, lane)``; must be closed by :meth:`end`."""
-        self.events.append(("B", t, pid, lane, cat, name, args))
+        self.events.append(("B", t, pid, lane, cat, name, args, None))
 
     def end(self, pid: int, lane: str, cat: str, t: float) -> None:
         """Close the innermost open span on ``(pid, lane)``."""
-        self.events.append(("E", t, pid, lane, cat, None, None))
+        self.events.append(("E", t, pid, lane, cat, None, None, None))
+
+    def span(self, pid: int, lane: str, cat: str, name: str, t0: float, t1: float,
+             args: Optional[dict] = None) -> None:
+        """Record a whole span ``[t0, t1]`` on ``(pid, lane)`` as one row."""
+        self.events.append(("X", t0, pid, lane, cat, name, args, t1))
 
     def instant(
         self,
@@ -152,11 +163,11 @@ class EventTracer:
         args: Optional[dict] = None,
     ) -> None:
         """Record a point event (drops, retransmissions, merges)."""
-        self.events.append(("i", t, pid, lane, cat, name, args))
+        self.events.append(("i", t, pid, lane, cat, name, args, None))
 
     def counter(self, pid: int, name: str, t: float, value: Any) -> None:
         """Record a counter sample (rendered as a track in Perfetto)."""
-        self.events.append(("C", t, pid, "counters", None, name, value))
+        self.events.append(("C", t, pid, "counters", None, name, value, None))
 
     # -- causal edges (critical-path analysis) ------------------------------------
 
@@ -194,13 +205,13 @@ class EventTracer:
         mid = self.norm(msg_id)
         self._dispatch[pid] = mid
         self.events.append(
-            ("B", t, pid, "dispatch", "handler", kind, {"msg": mid, "src": src})
+            ("B", t, pid, "dispatch", "handler", kind, {"msg": mid, "src": src}, None)
         )
 
     def end_dispatch(self, pid: int, t: float) -> None:
         """The handler the dispatcher was running finished."""
         self._dispatch.pop(pid, None)
-        self.events.append(("E", t, pid, "dispatch", "handler", None, None))
+        self.events.append(("E", t, pid, "dispatch", "handler", None, None, None))
 
     # -- convenience --------------------------------------------------------------
 

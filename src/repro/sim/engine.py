@@ -16,13 +16,13 @@ deliberately small, allocation-light and fully deterministic:
   partition harness (:mod:`repro.sim.pdes`) inserts a cross-partition frame
   under the very ``(time, tsched, cls, key)`` it carries in a serial run, so
   serial and partitioned executions order events identically;
-* zero-delay wake-ups (the majority of all events: channel hand-offs,
-  semaphore grants, ``Timeout(0)`` yields) bypass the heap entirely and go
-  through a plain FIFO *ready deque*.  Because the sequence counter is
-  allocated in execution order and simulated time never decreases, every
-  entry already in the heap at the current instant precedes every ready
-  entry, so draining ``heap-entries-at-now`` before the deque preserves the
-  exact ``(time, seq)`` total order of the naive implementation;
+* zero-delay wake-ups (the majority of all events: event sets, channel
+  puts, ``Timeout(0)`` yields, the transport's wake hops) bypass the heap
+  entirely and go through a plain FIFO *ready deque*.  Because the sequence
+  counter is allocated in execution order and simulated time never
+  decreases, every entry already in the heap at the current instant precedes
+  every ready entry, so draining ``heap-entries-at-now`` before the deque
+  preserves the exact ``(time, seq)`` total order of the naive implementation;
 * a :class:`Process` wraps a Python generator; the generator *yields effects*
   (subclasses of :class:`Effect`), and the simulator resumes it with the
   effect's result value;
@@ -383,7 +383,8 @@ class Simulator:
         """Zero-delay fast path: exactly ``schedule(0.0, fn, *args)``.
 
         Skips the delay arithmetic and branch for the wake-up paths (event
-        sets, channel puts, semaphore grants) that are always immediate.
+        sets, channel puts, process joins, the transport's wake hops) that
+        are always immediate (``Timeout(0)`` appends to the same deque).
         """
         self._ready.append((fn, args))
 

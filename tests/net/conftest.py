@@ -13,12 +13,15 @@ DUPLICATE = (0.0, 0.0)  # ... and a second copy arriving at the same instant
 
 class ScriptedTransfers:
     """``verdict(msg)`` decides every frame: ``None`` drops it, otherwise
-    ``(extra_delay, duplicate_delay_or_None)`` as ``on_transfer`` returns."""
+    ``(extra_delay, duplicate_delay_or_None)`` as ``on_transfer`` returns.
+    ``bandwidth(node, t)``, if given, scripts the wire-time factor."""
 
     transfer_level = True
 
-    def __init__(self, verdict):
+    def __init__(self, verdict, bandwidth=None):
         self.on_transfer = verdict
+        if bandwidth is not None:
+            self.bandwidth_factor = bandwidth
 
     def buffer_factor(self, node):
         return 1.0
@@ -30,8 +33,8 @@ class ScriptedTransfers:
         return seconds
 
 
-def script_transfers(cluster, verdict) -> None:
-    cluster.sim.faults = ScriptedTransfers(verdict)
+def script_transfers(cluster, verdict, bandwidth=None) -> None:
+    cluster.sim.faults = ScriptedTransfers(verdict, bandwidth)
 
 
 def drop_frames(cluster, pred, count=None) -> list:

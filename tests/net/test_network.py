@@ -363,6 +363,60 @@ def test_back_to_back_frames_complete_at_link_rate_and_drain_fifo():
     assert c[1].nic.rx_bytes == 0 and not c[1].nic._rx_busy
 
 
+def nic_spans(tracer, pid, lane):
+    """``(start, end, msg)`` of each complete row on one NIC lane, in order."""
+    return [(t, end, args["msg"]) for ph, t, p, ln, _cat, _name, args, end
+            in tracer.events if ph == "X" and (p, ln) == (pid, lane)]
+
+
+@pytest.mark.parametrize("slowdown", [False, True])
+def test_nic_rows_end_at_the_hand_off_and_delivery_instants(slowdown):
+    """A NIC span is one row written when it begins, so its end is a
+    prediction: it must be, bit for bit, the departure instant the switch is
+    handed (``nic-tx``) and the instant the handler sees the message
+    (``nic-rx``) — also while a bandwidth episode stretches wire times
+    mid-burst — and a lane's rows never overlap (both sides are FIFO
+    servers)."""
+    from repro.obs import EventTracer
+    from tests.net.conftest import DELIVER, script_transfers
+
+    c = make_cluster()
+    tracer = c.sim.tracer = EventTracer()
+    if slowdown:  # node 1's link runs 3x slow for a while, both directions
+        script_transfers(c, lambda msg: DELIVER,
+                         lambda node, t: 3.0 if node == 1 and 4e-4 <= t < 2e-3 else 1.0)
+    logs = [install_sink(node) for node in c.nodes]
+    handed = []  # (src, msg id, t_dep) at each switch hand-off
+    forward = c.switch.forward
+
+    def spy(msg, t_dep, key):
+        handed.append((msg.src, tracer.norm(msg.msg_id), t_dep))
+        forward(msg, t_dep, key)
+
+    c.switch.forward = spy
+    parked(c)
+    sizes = [100, 1400, 100, 4096, 8, 1400, 4096, 100]
+    for i, size in enumerate(sizes):
+        for src in (0, 1):
+            c[src].nic.send(Message(src=src, dst=1 - src, kind=MessageKind.TEST,
+                                    payload=(src, i), size=size))
+    c.run()
+    for node in (0, 1):
+        tx, rx = nic_spans(tracer, node, "nic-tx"), nic_spans(tracer, node, "nic-rx")
+        assert [(node, msg, end) for _t, end, msg in tx] == \
+            [h for h in handed if h[0] == node]
+        assert [end for _t, end, _msg in rx] == [t for _payload, t in logs[node]]
+        assert [p for p, _t in logs[node]] == [(1 - node, i) for i in range(len(sizes))]
+        for lane in (tx, rx):
+            assert len(lane) == len(sizes)
+            assert all(t < end for t, end, _msg in lane)
+            assert all(a[1] <= b[0] for a, b in zip(lane, lane[1:]))
+    if slowdown:  # the episode did bite: same frames, later last delivery
+        plain = NetConfig()
+        unstretched = sum(plain.send_overhead + plain.tx_time(sz) for sz in sizes)
+        assert nic_spans(tracer, 1, "nic-tx")[-1][1] > unstretched * 1.5
+
+
 def test_frame_arriving_mid_handler_starts_when_the_handler_ends():
     """The dispatcher drains its backlog without yielding: the queued
     message's handler starts at exactly the previous handler's end time and

@@ -16,16 +16,16 @@ from repro.obs import (
 
 def span(pid, cat, t0, t1, lane="app"):
     return [
-        ("B", t0, pid, lane, cat, cat, None),
-        ("E", t1, pid, lane, cat, None, None),
+        ("B", t0, pid, lane, cat, cat, None, None),
+        ("E", t1, pid, lane, cat, None, None, None),
     ]
 
 
 def test_synthetic_partition_is_exact():
     events = [
-        ("B", 0.0, 0, "app", "run", "rank 0", None),
+        ("B", 0.0, 0, "app", "run", "rank 0", None, None),
         *span(0, "barrier-wait", 1.0, 3.0),
-        ("E", 10.0, 0, "app", "run", None, None),
+        ("E", 10.0, 0, "app", "run", None, None, None),
     ]
     out = compute_breakdown(events)
     row = out[0]
@@ -37,12 +37,12 @@ def test_synthetic_partition_is_exact():
 
 def test_innermost_open_span_wins():
     events = [
-        ("B", 0.0, 0, "app", "run", "rank 0", None),
-        ("B", 1.0, 0, "app", "barrier-wait", "b", None),
-        ("B", 2.0, 0, "app", "page-fault", "pf", None),
-        ("E", 4.0, 0, "app", "page-fault", None, None),
-        ("E", 5.0, 0, "app", "barrier-wait", None, None),
-        ("E", 6.0, 0, "app", "run", None, None),
+        ("B", 0.0, 0, "app", "run", "rank 0", None, None),
+        ("B", 1.0, 0, "app", "barrier-wait", "b", None, None),
+        ("B", 2.0, 0, "app", "page-fault", "pf", None, None),
+        ("E", 4.0, 0, "app", "page-fault", None, None, None),
+        ("E", 5.0, 0, "app", "barrier-wait", None, None, None),
+        ("E", 6.0, 0, "app", "run", None, None, None),
     ]
     row = compute_breakdown(events)[0]
     assert row["seconds"]["page-fault"] == pytest.approx(2.0)
@@ -52,10 +52,10 @@ def test_innermost_open_span_wins():
 
 def test_idle_fills_to_global_end():
     events = [
-        ("B", 0.0, 0, "app", "run", "rank 0", None),
-        ("E", 4.0, 0, "app", "run", None, None),
-        ("B", 0.0, 1, "app", "run", "rank 1", None),
-        ("E", 10.0, 1, "app", "run", None, None),
+        ("B", 0.0, 0, "app", "run", "rank 0", None, None),
+        ("E", 4.0, 0, "app", "run", None, None, None),
+        ("B", 0.0, 1, "app", "run", "rank 1", None, None),
+        ("E", 10.0, 1, "app", "run", None, None, None),
     ]
     out = compute_breakdown(events)
     assert out[0]["seconds"][IDLE] == pytest.approx(6.0)
@@ -65,9 +65,9 @@ def test_idle_fills_to_global_end():
 
 def test_non_app_lanes_are_ignored():
     events = [
-        ("B", 0.0, 0, "app", "run", "rank 0", None),
-        *span(0, "rx", 1.0, 9.0, lane="nic-rx"),
-        ("E", 2.0, 0, "app", "run", None, None),
+        ("B", 0.0, 0, "app", "run", "rank 0", None, None),
+        ("X", 1.0, 0, "nic-rx", "rx", "rx", None, 9.0),
+        ("E", 2.0, 0, "app", "run", None, None, None),
     ]
     row = compute_breakdown(events)[0]
     assert row["seconds"][COMPUTE] == pytest.approx(2.0)
@@ -75,7 +75,7 @@ def test_non_app_lanes_are_ignored():
 
 
 def test_unclosed_run_raises():
-    events = [("B", 0.0, 0, "app", "run", "rank 0", None)]
+    events = [("B", 0.0, 0, "app", "run", "rank 0", None, None)]
     with pytest.raises(ValueError):
         compute_breakdown(events)
 
@@ -116,10 +116,10 @@ def test_single_rank_run():
 
 def test_zero_duration_spans_are_kept_but_weightless():
     events = [
-        ("B", 0.0, 0, "app", "run", "rank 0", None),
+        ("B", 0.0, 0, "app", "run", "rank 0", None, None),
         *span(0, "barrier-wait", 2.0, 2.0),  # instantaneous barrier
         *span(0, "acquire-wait", 2.0, 2.0),  # back-to-back at the same instant
-        ("E", 4.0, 0, "app", "run", None, None),
+        ("E", 4.0, 0, "app", "run", None, None, None),
     ]
     row = compute_breakdown(events)[0]
     assert row["seconds"][COMPUTE] == pytest.approx(4.0)
@@ -131,8 +131,8 @@ def test_zero_duration_spans_are_kept_but_weightless():
 
 def test_zero_duration_run():
     events = [
-        ("B", 3.0, 0, "app", "run", "rank 0", None),
-        ("E", 3.0, 0, "app", "run", None, None),
+        ("B", 3.0, 0, "app", "run", "rank 0", None, None),
+        ("E", 3.0, 0, "app", "run", None, None, None),
     ]
     row = compute_breakdown(events)[0]
     assert row["total"] == 0.0
@@ -141,11 +141,11 @@ def test_zero_duration_run():
 
 def test_rank_that_never_blocks_is_pure_compute():
     events = [
-        ("B", 0.0, 0, "app", "run", "rank 0", None),
-        ("E", 10.0, 0, "app", "run", None, None),
-        ("B", 0.0, 1, "app", "run", "rank 1", None),
+        ("B", 0.0, 0, "app", "run", "rank 0", None, None),
+        ("E", 10.0, 0, "app", "run", None, None, None),
+        ("B", 0.0, 1, "app", "run", "rank 1", None, None),
         *span(1, "barrier-wait", 1.0, 9.0),
-        ("E", 10.0, 1, "app", "run", None, None),
+        ("E", 10.0, 1, "app", "run", None, None, None),
     ]
     out = compute_breakdown(events)
     assert out[0]["seconds"] == {COMPUTE: pytest.approx(10.0)}

@@ -34,7 +34,7 @@ def test_tracer_records_engine_counter():
 def test_tracer_spans_balance_per_lane():
     tracer, _ = traced_run()
     depth: dict[tuple, int] = {}
-    for ph, _t, pid, lane, _cat, _name, _args in tracer.events:
+    for ph, _t, pid, lane, _cat, _name, _args, _end in tracer.events:
         key = (pid, lane)
         if ph == "B":
             depth[key] = depth.get(key, 0) + 1
@@ -47,15 +47,34 @@ def test_tracer_spans_balance_per_lane():
 def test_tracer_timestamps_monotone():
     """Per ``(pid, lane)`` — the contract breakdown, critical path and the
     Chrome export rely on.  Globally the list is in *recording* order: a NIC
-    writes a frame's whole TX span when it takes the frame, ahead of rows
-    other lanes record before the span's (future) instants."""
+    writes a frame's whole TX span (one ``X`` row) when it takes the frame,
+    ahead of rows other lanes record before the span's (future) instants."""
     tracer, _ = traced_run(app="sor", protocol="vc_sd", nprocs=2)
     last: dict[tuple, float] = {}
-    for _ph, t, pid, lane, _cat, _name, _args in tracer.events:
+    for _ph, t, pid, lane, _cat, _name, _args, _end in tracer.events:
         assert last.get((pid, lane), 0.0) <= t, f"time went backwards on {(pid, lane)}"
         last[pid, lane] = t
     times = [ev[1] for ev in tracer.events]
     assert any(a > b for a, b in zip(times, times[1:]))  # the weaker claim is false
+
+
+def test_nic_lanes_hold_complete_rows_that_never_overlap():
+    """Both NIC sides are FIFO servers whose busy periods are known when they
+    begin: every span on their lanes is one ``X`` row (drops stay instants),
+    starting no earlier than the previous one ended; every other lane keeps
+    ``B``/``E`` pairs."""
+    for protocol in ("vc_d", "lrc_d"):  # lrc_d: congestion drops at the barrier
+        tracer, _ = traced_run(protocol=protocol, nprocs=8)
+        busy_until: dict[tuple, float] = {}
+        for ph, t, pid, lane, _cat, _name, _args, end in tracer.events:
+            if lane in ("nic-tx", "nic-rx"):
+                assert ph in "Xi"
+                if ph == "X":
+                    assert busy_until.get((pid, lane), 0.0) <= t < end
+                    busy_until[pid, lane] = end
+            else:
+                assert ph != "X" and end is None
+        assert len(busy_until) == 2 * 8
 
 
 def test_two_identical_runs_trace_identically():
@@ -74,19 +93,23 @@ def test_mpi_run_traces_recv_wait():
     assert "run" in cats
 
 
-
-
 def test_consumer_contract_pinned_on_is_vc_d_8(tmp_path):
-    """What the tracer owes its consumers, pinned to values recorded with an
-    event-driven NIC TX queue (commit ab79b3f): rows in time order *per
-    lane*, and with them the critical path, the breakdown and the exported
-    bytes.  Where a lane's rows sit in the global list, and which dense id a
-    message interns to, are not part of the contract — the NIC writes a TX
-    span when it takes the frame — so ``sends``/``wakes`` keys are not
-    pinned."""
+    """What the tracer owes its consumers: rows in time order *per lane*,
+    and with them the critical path and the breakdown — pinned to values
+    recorded with an event-driven NIC TX queue and ``B``/``E`` NIC spans
+    (commit ab79b3f) — and the exported rows and bytes, which fell when the
+    NIC lanes became one ``X`` row per frame (149,034 rows, 13,899,941 bytes
+    before; the span count is the same).  Where a lane's rows sit in the
+    global list, and which dense id a message interns to, are not part of
+    the contract — the NIC writes a TX span when it takes the frame — so
+    ``sends``/``wakes`` keys are not pinned."""
     import hashlib
 
-    from repro.obs import compute_critical_path, write_chrome_trace
+    from repro.obs import (
+        compute_critical_path,
+        validate_chrome_trace,
+        write_chrome_trace,
+    )
 
     def digest(obj):
         return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
@@ -111,10 +134,16 @@ def test_consumer_contract_pinned_on_is_vc_d_8(tmp_path):
     }
     assert digest(result.breakdown) == "7e7a385df9a1ff6a"
     lanes: dict[tuple, list] = {}
-    for ph, t, pid, lane, cat, name, _args in tracer.events:
-        lanes.setdefault((pid, lane), []).append((ph, t, cat, name))
-    assert len(tracer.events) == 149034
+    for ph, t, pid, lane, cat, name, _args, end in tracer.events:
+        rows = lanes.setdefault((pid, lane), [])
+        if ph == "X":  # read as the B/E pair it replaced: the old pin holds
+            rows += [("B", t, cat, name), ("E", end, cat, None)]
+        else:
+            rows.append((ph, t, cat, name))
+    assert len(tracer.events) == 96522
+    assert sum(ev[0] in "BX" for ev in tracer.events) == 72789
     assert digest(sorted(lanes.items())) == "caa90c31e22fc483"
     path = tmp_path / "trace.json"
     write_chrome_trace(tracer, str(path))
-    assert path.stat().st_size == 13899941
+    assert path.stat().st_size == 11931132
+    assert validate_chrome_trace(json.loads(path.read_text()))["spans"] == 72789

@@ -72,9 +72,10 @@ def _canonical(doc) -> str:
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
-# quotes, backslashes, control and non-ASCII characters on purpose
+# quotes, backslashes, control and non-ASCII characters on purpose ('%' for
+# the args templates, which are filled with the ``%`` operator)
 _text = st.text(
-    st.one_of(st.sampled_from('"\\/\n\x00\x1f\x7f\u00e9\u20ac\U0001f600'), st.characters()),
+    st.one_of(st.sampled_from('"\\/%\n\x00\x1f\x7f\u00e9\u20ac\U0001f600'), st.characters()),
     max_size=6,
 )
 _times = st.one_of(
@@ -90,11 +91,22 @@ _json_values = st.recursive(
     | st.dictionaries(_text, inner, max_size=3),
     max_leaves=8,
 )
+# what the encoder accepts as an object key; only ``str`` keys with plain
+# ``int`` values (negative and beyond 64 bits included) take the template path
+_keys = _text | st.integers() | st.booleans() | st.none() | st.floats()
+_args = st.one_of(
+    _json_values,
+    st.dictionaries(_text, st.integers(), max_size=4),
+    st.dictionaries(_text, st.integers() | st.booleans() | st.floats(), max_size=4),
+    st.dictionaries(_keys, st.integers() | _json_values, max_size=3),
+)
 _pids = st.one_of(st.integers(-1, 3), st.integers(export.HOST_PID_BASE,
                                                   export.HOST_PID_BASE + 2))
+# ``end`` is a time on a complete span and ``None`` on every other row
 _events = st.lists(
-    st.tuples(st.sampled_from("BEiC"), _times, _pids, _text,
-              st.none() | _text, st.none() | _text, _json_values),
+    st.tuples(st.sampled_from("BEXiC"), _times, _pids, _text,
+              st.none() | _text, st.none() | _text, _args, _times)
+    .map(lambda row: row if row[0] == "X" else (*row[:7], None)),
     max_size=12,
 )
 
@@ -102,9 +114,11 @@ _events = st.lists(
 @settings(max_examples=100, deadline=None)
 @given(events=_events, process_names=st.none() | st.dictionaries(_pids, _text))
 def test_streamed_bytes_equal_dumped_document(events, process_names):
-    """The text form is ``json.dumps`` of the dict form, byte for byte —
-    unbalanced spans, hostile strings and non-finite times included — and
-    where the chunks break does not change it."""
+    """The text form is ``json.dumps`` of the dict form, byte for byte — all
+    six phases (the five recorded ones plus the ``M`` rows every document
+    opens its processes and lanes with), unbalanced spans, hostile strings,
+    non-finite times and durations, ``args`` of every shape on and off the
+    template path — and where the chunks break does not change it."""
     want = _canonical(chrome_trace(events, process_names))
     assert "".join(iter_chrome_trace(events, process_names)) == want
     with mock.patch.object(export, "_CHUNK_EVENTS", 1):
@@ -127,7 +141,7 @@ def test_iter_chrome_trace_is_lazy():
     def events():
         for i in range(3):
             pulled.append(i)
-            yield ("i", float(i), 0, "app", "compute", f"e{i}", None)
+            yield ("i", float(i), 0, "app", "compute", f"e{i}", None, None)
 
     with mock.patch.object(export, "_CHUNK_EVENTS", 1):
         chunks = iter_chrome_trace(events())
@@ -150,6 +164,36 @@ def _fake_host():
     ])
 
 
+def test_host_only_document_is_one_complete_row_per_span():
+    """Pinned: each host span is one ``X`` row under its own name and
+    category, rebased to the earliest start, in start order per lane."""
+    doc = merged_chrome_trace(None, _fake_host())
+    p0, p1 = export.HOST_PID_BASE, export.HOST_PID_BASE + 1
+
+    def meta(pid, tid, what, label):
+        return {"ph": "M", "name": what, "pid": pid, "tid": tid, "ts": 0,
+                "args": {"name": label}}
+
+    def span(pid, tid, cat, name, ts, dur, **args):
+        row = {"ph": "X", "name": name, "cat": cat, "pid": pid, "tid": tid,
+               "ts": ts, "dur": dur}
+        return {**row, "args": args} if args else row
+
+    assert doc["traceEvents"] == [
+        meta(p0, 0, "process_name", "host:main"), meta(p0, 0, "thread_name", "coord"),
+        span(p0, 0, "setup", "setup", 0.0, 1e6),
+        meta(p0, 1, "thread_name", "pool"),
+        span(p0, 1, "sweep", "sweep", 0.5e6, 3e6),
+        span(p0, 0, "route", "route", 1e6, 1.5e6, frames=3),
+        span(p0, 1, "cell", "cell 0", 1e6, 1e6, app="is"),
+        meta(p1, 0, "process_name", "host:partition-0"),
+        meta(p1, 0, "thread_name", "worker"),
+        span(p1, 0, "execute", "window", 1.5e6, 0.5e6),
+        span(p0, 0, "merge", "merge", 3e6, 1e6),
+    ]
+    assert validate_chrome_trace(doc) == {"events": 11, "spans": 6, "processes": 2}
+
+
 def test_written_files_equal_dumped_documents(tmp_path):
     tracer, host = small_trace(), _fake_host()
     path = tmp_path / "t.json"
@@ -169,13 +213,19 @@ def test_written_files_equal_dumped_documents(tmp_path):
 def test_writer_refuses_a_bad_trace_and_leaves_no_file(tmp_path):
     tracer = small_trace()
     path = tmp_path / "t.json"
-    unclosed = tracer.events + [("B", 9.0, 0, "app", "compute", "never closed", None)]
+    unclosed = tracer.events + [
+        ("B", 9.0, 0, "app", "compute", "never closed", None, None)]
     with pytest.raises(ValueError, match="unclosed spans at end of trace"):
         write_chrome_trace(unclosed, str(path))
     with pytest.raises(ValueError, match="'E' without open 'B'"):
-        write_chrome_trace([("E", 0.0, 0, "app", "compute", None, None)], str(path))
+        write_chrome_trace(
+            [("E", 0.0, 0, "app", "compute", None, None, None)], str(path))
     with pytest.raises(ValueError, match="non-empty"):
         write_merged_chrome_trace(None, None, str(path))
+    for end in (None, 0.5):  # a complete span with no extent, or a negative one
+        backwards = tracer.events + [("X", 1.0, 0, "nic-tx", "tx", "f", None, end)]
+        with pytest.raises(ValueError, match="'X' needs a non-negative 'dur'"):
+            write_chrome_trace(backwards, str(path))
     assert list(tmp_path.iterdir()) == []
     # and a file already there is not clobbered by a failed write
     write_chrome_trace(tracer, str(path))
@@ -191,10 +241,16 @@ def test_writer_check_agrees_with_validator(tmp_path):
     rules: same verdict, same message, on the document of the same events."""
     cases = [
         small_trace().events,
-        [("B", 0.0, 0, "app", "compute", "", None)],  # B needs a name
-        [("i", -1.0, 0, "app", "compute", "x", None)],  # negative ts
-        [("B", 0.0, 0, "app", "c", "x", None), ("E", 1.0, 0, "nic", "c", None, None)],
-        [("B", 0.0, 0, "app", "c", "x", None)],
+        [("B", 0.0, 0, "app", "compute", "", None, None)],  # B needs a name
+        [("i", -1.0, 0, "app", "compute", "x", None, None)],  # negative ts
+        [("B", 0.0, 0, "app", "c", "x", None, None),
+         ("E", 1.0, 0, "nic", "c", None, None, None)],
+        [("B", 0.0, 0, "app", "c", "x", None, None)],
+        [("X", 0.0, 0, "nic-rx", "rx", "x", {"bytes": 8}, 0.0)],  # empty span: fine
+        [("X", 2.0, 0, "nic-rx", "rx", "x", None, 1.0)],  # ends before it begins
+        [("X", 0.0, 0, "nic-rx", "rx", "x", None, math.nan)],
+        [("X", 0.0, 0, "nic-rx", "rx", "x", None, None)],  # no extent at all
+        [("X", 0.0, 0, "nic-rx", "rx", "", None, 1.0)],  # X needs a name
     ]
     for events in cases:
         outcomes = []
@@ -217,7 +273,12 @@ def test_jsonl_roundtrip():
     lines = buf.getvalue().splitlines()
     assert len(lines) == len(tracer.events)
     first = json.loads(lines[0])
-    assert set(first) == {"ph", "t", "pid", "lane", "cat", "name", "args"}
+    assert set(first) == {"ph", "t", "pid", "lane", "cat", "name", "args", "end"}
+    rows = [json.loads(line) for line in lines]
+    assert [tuple(row.values()) for row in rows] == [
+        tuple(ev) for ev in json.loads(json.dumps(tracer.events))]
+    assert all((row["end"] is not None) == (row["ph"] == "X") for row in rows)
+    assert any(row["ph"] == "X" for row in rows)
 
 
 def test_jsonl_streaming_matches_batch(tmp_path):
@@ -243,7 +304,7 @@ def test_iter_jsonl_lines_is_lazy():
     def events():
         for i in range(3):
             pulled.append(i)
-            yield ("i", float(i), 0, "app", "compute", f"e{i}", None)
+            yield ("i", float(i), 0, "app", "compute", f"e{i}", None, None)
 
     lines = iter_jsonl_lines(events())
     assert pulled == []  # nothing consumed before iteration starts
@@ -283,3 +344,33 @@ def test_validator_rejects_bad_documents():
         validate_chrome_trace(
             {"traceEvents": [{"ph": "E", "pid": 0, "tid": 0, "ts": 0.0}]}
         )
+    # a complete span without its extent, or with a negative one
+    complete = {"ph": "X", "name": "x", "pid": 0, "tid": 0, "ts": 1.0}
+    ok = {"traceEvents": [{**complete, "dur": 0}]}
+    assert validate_chrome_trace(ok)["spans"] == 1
+    for bad in (complete, {**complete, "dur": -1e-9}, {**complete, "dur": "1"}):
+        with pytest.raises(ValueError, match="event 0: 'X' needs a non-negative 'dur'"):
+            validate_chrome_trace({"traceEvents": [bad]})
+
+
+def test_row_of_the_wrong_width_is_refused_by_index(tmp_path):
+    """Every exporter reads rows through one contract: 8 fields.  A 7-field
+    row (the shape before ``end``) names its index instead of dying as an
+    anonymous unpack error inside a generator — and no file is left."""
+    from repro.obs import iter_jsonl_lines
+
+    good = ("i", 0.0, 0, "app", "compute", "e", None, None)
+    events = [good, good, good[:7]]
+    path = tmp_path / "t.json"
+    for export_it in (
+        lambda: chrome_trace(events),
+        lambda: "".join(iter_chrome_trace(iter(events))),
+        lambda: write_chrome_trace(events, str(path)),
+        lambda: write_merged_chrome_trace(events, _fake_host(), str(path)),
+        lambda: list(iter_jsonl_lines(events)),
+        lambda: write_jsonl(iter(events), io.StringIO()),
+        lambda: flame_summary(events),
+    ):
+        with pytest.raises(ValueError, match="event 2: expected 8 fields .* got 7"):
+            export_it()
+    assert list(tmp_path.iterdir()) == []

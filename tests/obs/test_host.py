@@ -175,34 +175,41 @@ def test_aborted_run_closes_every_host_span():
 
 
 def test_host_spans_close_under_their_own_category():
-    """Every ``E`` carries the category of the ``B`` it closes — sequential
-    spans, nested spans (inner closes first) and the lane's tail alike."""
+    """Every host span is one complete row carrying its own ``cat``, start
+    and end — sequential spans, nested spans and the lane's tail alike, each
+    lane in start order whatever order the spans completed in.  (While spans
+    were ``B``/``E`` pairs synthesised from a per-lane stack, an ``E`` could
+    close under another span's category; a row that is the span cannot.)"""
     from types import SimpleNamespace
 
-    from repro.obs import host_trace_events
+    from repro.obs import chrome_trace, host_trace_events
 
-    host = SimpleNamespace(spans=[
+    host = SimpleNamespace(spans=[  # completion order: inner spans first
         ("main", "coord", "setup", "setup", 1.0, 2.0, None),
         ("main", "coord", "route", "route", 2.0, 3.0, None),
-        ("main", "coord", "merge", "merge", 3.5, 4.0, None),
-        ("main", "pool", "sweep", "sweep", 1.0, 5.0, None),
         ("main", "pool", "cell", "cell 0", 2.0, 3.0, None),
+        ("main", "coord", "merge", "merge", 3.5, 4.0, None),
         ("main", "pool", "verify", "verify", 3.0, 5.0, None),
+        ("main", "pool", "sweep", "sweep", 1.0, 5.0, None),
     ])
-    events, _names = host_trace_events(host)
+    events, names = host_trace_events(host)
     by_lane = {}
-    for ph, t, _pid, lane, cat, _name, _args in events:
-        by_lane.setdefault(lane, []).append((ph, t, cat))
+    for ph, t, _pid, lane, cat, name, _args, end in events:
+        by_lane.setdefault(lane, []).append((ph, t, end, cat, name))
     assert by_lane["coord"] == [
-        ("B", 0.0, "setup"), ("E", 1.0, "setup"),
-        ("B", 1.0, "route"), ("E", 2.0, "route"),
-        ("B", 2.5, "merge"), ("E", 3.0, "merge"),
+        ("X", 0.0, 1.0, "setup", "setup"),
+        ("X", 1.0, 2.0, "route", "route"),
+        ("X", 2.5, 3.0, "merge", "merge"),
     ]
     assert by_lane["pool"] == [
-        ("B", 0.0, "sweep"),
-        ("B", 1.0, "cell"), ("E", 2.0, "cell"),
-        ("B", 2.0, "verify"), ("E", 4.0, "verify"),
-        ("E", 4.0, "sweep"),
+        ("X", 0.0, 4.0, "sweep", "sweep"),
+        ("X", 1.0, 2.0, "cell", "cell 0"),
+        ("X", 2.0, 4.0, "verify", "verify"),
+    ]
+    rows = [e for e in chrome_trace(events, names)["traceEvents"] if e["ph"] == "X"]
+    assert [(e["cat"], e["ts"], e["dur"]) for e in rows] == [
+        ("sweep", 0.0, 4e6), ("setup", 0.0, 1e6), ("route", 1e6, 1e6),
+        ("cell", 1e6, 1e6), ("verify", 2e6, 2e6), ("merge", 2.5e6, 0.5e6),
     ]
 
 

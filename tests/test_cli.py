@@ -85,7 +85,7 @@ def test_trace_command_jsonl_output(capsys, tmp_path):
         "trace", "sor", "--nprocs", "2", "--jsonl-out", str(path),
     ]) == 0
     lines = path.read_text().splitlines()
-    assert lines and all(json.loads(line)["ph"] in "BEiC" for line in lines)
+    assert lines and all(json.loads(line)["ph"] in "BEXiC" for line in lines)
 
 
 def test_run_jsonl_out_implies_trace(capsys, tmp_path):
@@ -99,7 +99,7 @@ def test_run_jsonl_out_implies_trace(capsys, tmp_path):
         "--jsonl-out", str(path),
     ]) == 0
     lines = path.read_text().splitlines()
-    assert lines and all(json.loads(line)["ph"] in "BEiC" for line in lines)
+    assert lines and all(json.loads(line)["ph"] in "BEXiC" for line in lines)
     assert "Critical path" not in capsys.readouterr().out
     assert main([
         "run", "sor", "--protocol", "vc_sd", "--nprocs", "2", "--critical-path",
