@@ -10,25 +10,19 @@ Paper findings this bench asserts:
 * VC_sd needs no diff requests and the fewest messages of the VC systems.
 """
 
-from repro.apps import is_sort
-from repro.bench import paper_data, stats_experiment, format_stats_table
+from repro.bench.experiments import TABLES
 from benchmarks.conftest import attach, run_once
 
-NPROCS = 16
+SPEC = TABLES[1]
 
 
 def test_table1_is_stats(benchmark):
-    results = run_once(benchmark, lambda: stats_experiment(is_sort, nprocs=NPROCS))
+    results = run_once(benchmark, SPEC.run)
     lrc, vc_d, vc_sd = results["LRC_d"].stats, results["VC_d"].stats, results["VC_sd"].stats
 
-    table = format_stats_table(
-        f"Table 1: Statistics of IS on {NPROCS} processors",
-        results,
-        paper=paper_data.TABLE1_IS_STATS,
-    )
     attach(
         benchmark,
-        table,
+        SPEC.render(results),
         {
             "lrc_time": lrc.time,
             "vc_d_time": vc_d.time,

@@ -7,35 +7,23 @@ stay the same; VC_sd still needs zero diff requests.
 """
 
 from repro.apps import is_sort
-from repro.bench import paper_data, stats_experiment, format_stats_table
+from repro.bench import stats_experiment
+from repro.bench.experiments import TABLES
 from repro.bench.runner import Entry
 from benchmarks.conftest import attach, run_once
 
-NPROCS = 16
-
-ENTRIES = (
-    Entry("VC_d", "vc_d", variant="lb"),
-    Entry("VC_sd", "vc_sd", variant="lb"),
-)
+SPEC = TABLES[2]
 
 
 def test_table2_is_fewer_barriers(benchmark):
     def experiment():
-        lb = stats_experiment(is_sort, nprocs=NPROCS, entries=ENTRIES)
         full = stats_experiment(
-            is_sort,
-            nprocs=NPROCS,
-            entries=(Entry("VC_sd (40 barriers)", "vc_sd"),),
+            is_sort, entries=(Entry("VC_sd (40 barriers)", "vc_sd"),)
         )
-        return lb, full
+        return SPEC.run(), full
 
     lb, full = run_once(benchmark, experiment)
-    table = format_stats_table(
-        f"Table 2: Statistics of IS with fewer barriers on {NPROCS} processors",
-        lb,
-        paper=paper_data.TABLE2_IS_LB_STATS,
-    )
-    attach(benchmark, table, {"vc_sd_lb_time": lb["VC_sd"].stats.time})
+    attach(benchmark, SPEC.render(lb), {"vc_sd_lb_time": lb["VC_sd"].stats.time})
 
     assert all(r.verified for r in lb.values())
     # the barrier count collapsed (paper: 40 -> a handful)

@@ -6,23 +6,16 @@ them further, especially at large processor counts; LRC_d degrades as the
 cluster grows.
 """
 
-from repro.apps import is_sort
-from repro.bench import format_speedup_table, speedup_experiment
-from repro.bench.runner import Entry, PAPER_PROC_COUNTS
+from repro.bench.experiments import TABLES
+from repro.bench.runner import PAPER_PROC_COUNTS
 from benchmarks.conftest import attach, run_once
 
-ENTRIES = (
-    Entry("LRC_d", "lrc_d"),
-    Entry("VC_sd", "vc_sd"),
-    Entry("VC_sd lb", "vc_sd", variant="lb"),
-)
+SPEC = TABLES[3]
 
 
 def test_table3_is_speedup(benchmark):
-    speedups = run_once(
-        benchmark, lambda: speedup_experiment(is_sort, ENTRIES, PAPER_PROC_COUNTS)
-    )
-    table = format_speedup_table("Table 3: Speedup of IS on LRC_d and VC_sd", speedups)
+    speedups = run_once(benchmark, SPEC.run)
+    table = SPEC.render(speedups)
     attach(benchmark, table, {f"{k}@{p}": v for k, row in speedups.items() for p, v in row.items()})
 
     lrc, sd, sd_lb = speedups["LRC_d"], speedups["VC_sd"], speedups["VC_sd lb"]

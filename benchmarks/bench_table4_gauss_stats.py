@@ -5,23 +5,17 @@ sharing of the packed shared matrix, so VC_d needs far fewer diff requests
 than LRC_d, and the data volume / message count collapse accordingly.
 """
 
-from repro.apps import gauss
-from repro.bench import paper_data, stats_experiment, format_stats_table
+from repro.bench.experiments import TABLES
 from benchmarks.conftest import attach, run_once
 
-NPROCS = 16
+SPEC = TABLES[4]
 
 
 def test_table4_gauss_stats(benchmark):
-    results = run_once(benchmark, lambda: stats_experiment(gauss, nprocs=NPROCS))
+    results = run_once(benchmark, SPEC.run)
     lrc, vc_d, vc_sd = results["LRC_d"].stats, results["VC_d"].stats, results["VC_sd"].stats
 
-    table = format_stats_table(
-        f"Table 4: Statistics of Gauss on {NPROCS} processors",
-        results,
-        paper=paper_data.TABLE4_GAUSS_STATS,
-    )
-    attach(benchmark, table, {"lrc_time": lrc.time, "vc_sd_time": vc_sd.time})
+    attach(benchmark, SPEC.render(results), {"lrc_time": lrc.time, "vc_sd_time": vc_sd.time})
 
     assert all(r.verified for r in results.values())
     # false sharing: LRC_d issues many times VC_d's diff requests

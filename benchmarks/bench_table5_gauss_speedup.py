@@ -4,22 +4,16 @@ Paper finding: "The speedups of VC_sd is really impressive compared with
 those of LRC_d" — LRC_d barely scales while VC_sd keeps climbing.
 """
 
-from repro.apps import gauss
-from repro.bench import format_speedup_table, speedup_experiment
-from repro.bench.runner import Entry, PAPER_PROC_COUNTS
+from repro.bench.experiments import TABLES
+from repro.bench.runner import PAPER_PROC_COUNTS
 from benchmarks.conftest import attach, run_once
 
-ENTRIES = (
-    Entry("LRC_d", "lrc_d"),
-    Entry("VC_sd", "vc_sd"),
-)
+SPEC = TABLES[5]
 
 
 def test_table5_gauss_speedup(benchmark):
-    speedups = run_once(
-        benchmark, lambda: speedup_experiment(gauss, ENTRIES, PAPER_PROC_COUNTS)
-    )
-    table = format_speedup_table("Table 5: Speedup of Gauss on LRC_d and VC_sd", speedups)
+    speedups = run_once(benchmark, SPEC.run)
+    table = SPEC.render(speedups)
     attach(benchmark, table, {f"{k}@{p}": v for k, row in speedups.items() for p, v in row.items()})
 
     lrc, sd = speedups["LRC_d"], speedups["VC_sd"]

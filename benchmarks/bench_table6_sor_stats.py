@@ -6,23 +6,17 @@ consistency-maintaining barrier is an order of magnitude slower than VC's
 synchronisation-only barrier (paper: 139,100 µs vs 3,738 µs).
 """
 
-from repro.apps import sor
-from repro.bench import paper_data, stats_experiment, format_stats_table
+from repro.bench.experiments import TABLES
 from benchmarks.conftest import attach, run_once
 
-NPROCS = 16
+SPEC = TABLES[6]
 
 
 def test_table6_sor_stats(benchmark):
-    results = run_once(benchmark, lambda: stats_experiment(sor, nprocs=NPROCS))
+    results = run_once(benchmark, SPEC.run)
     lrc, vc_d, vc_sd = results["LRC_d"].stats, results["VC_d"].stats, results["VC_sd"].stats
 
-    table = format_stats_table(
-        f"Table 6: Statistics of SOR on {NPROCS} processors",
-        results,
-        paper=paper_data.TABLE6_SOR_STATS,
-    )
-    attach(benchmark, table, {"lrc_time": lrc.time, "vc_sd_time": vc_sd.time})
+    attach(benchmark, SPEC.render(results), {"lrc_time": lrc.time, "vc_sd_time": vc_sd.time})
 
     assert all(r.verified for r in results.values())
     # border views cut the transferred data (paper: 14.71 MB -> 2.99 MB)

@@ -4,22 +4,16 @@ Paper finding: "the speedups of the VOPP program running on VC_sd is greatly
 improved compared with the original program running on LRC_d."
 """
 
-from repro.apps import sor
-from repro.bench import format_speedup_table, speedup_experiment
-from repro.bench.runner import Entry, PAPER_PROC_COUNTS
+from repro.bench.experiments import TABLES
+from repro.bench.runner import PAPER_PROC_COUNTS
 from benchmarks.conftest import attach, run_once
 
-ENTRIES = (
-    Entry("LRC_d", "lrc_d"),
-    Entry("VC_sd", "vc_sd"),
-)
+SPEC = TABLES[7]
 
 
 def test_table7_sor_speedup(benchmark):
-    speedups = run_once(
-        benchmark, lambda: speedup_experiment(sor, ENTRIES, PAPER_PROC_COUNTS)
-    )
-    table = format_speedup_table("Table 7: Speedup of SOR on LRC_d and VC_sd", speedups)
+    speedups = run_once(benchmark, SPEC.run)
+    table = SPEC.render(speedups)
     attach(benchmark, table, {f"{k}@{p}": v for k, row in speedups.items() for p, v in row.items()})
 
     lrc, sd = speedups["LRC_d"], speedups["VC_sd"]

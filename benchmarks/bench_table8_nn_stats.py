@@ -8,23 +8,17 @@ is clearly fastest, with zero diff requests and a much smaller acquire time
 than VC_d.
 """
 
-from repro.apps import nn
-from repro.bench import paper_data, stats_experiment, format_stats_table
+from repro.bench.experiments import TABLES
 from benchmarks.conftest import attach, run_once
 
-NPROCS = 16
+SPEC = TABLES[8]
 
 
 def test_table8_nn_stats(benchmark):
-    results = run_once(benchmark, lambda: stats_experiment(nn, nprocs=NPROCS))
+    results = run_once(benchmark, SPEC.run)
     lrc, vc_d, vc_sd = results["LRC_d"].stats, results["VC_d"].stats, results["VC_sd"].stats
 
-    table = format_stats_table(
-        f"Table 8: Statistics of NN on {NPROCS} processors",
-        results,
-        paper=paper_data.TABLE8_NN_STATS,
-    )
-    attach(benchmark, table, {"lrc_time": lrc.time, "vc_d_time": vc_d.time, "vc_sd_time": vc_sd.time})
+    attach(benchmark, SPEC.render(results), {"lrc_time": lrc.time, "vc_d_time": vc_d.time, "vc_sd_time": vc_sd.time})
 
     assert all(r.verified for r in results.values())
     # the paper's honest negative result, by its mechanism: the extra view

@@ -5,25 +5,16 @@ up to 16 processors; beyond that MPI wins but VC_sd's speedup keeps growing;
 LRC_d trails everywhere.
 """
 
-from repro.apps import nn
-from repro.bench import format_speedup_table, speedup_experiment
-from repro.bench.runner import Entry, PAPER_PROC_COUNTS
+from repro.bench.experiments import TABLES
+from repro.bench.runner import PAPER_PROC_COUNTS
 from benchmarks.conftest import attach, run_once
 
-ENTRIES = (
-    Entry("LRC_d", "lrc_d"),
-    Entry("VC_sd", "vc_sd"),
-    Entry("MPI", "mpi"),
-)
+SPEC = TABLES[9]
 
 
 def test_table9_nn_speedup(benchmark):
-    speedups = run_once(
-        benchmark, lambda: speedup_experiment(nn, ENTRIES, PAPER_PROC_COUNTS)
-    )
-    table = format_speedup_table(
-        "Table 9: Speedup of NN on LRC_d, VC_sd and MPI", speedups
-    )
+    speedups = run_once(benchmark, SPEC.run)
+    table = SPEC.render(speedups)
     attach(benchmark, table, {f"{k}@{p}": v for k, row in speedups.items() for p, v in row.items()})
 
     lrc, sd, mpi = speedups["LRC_d"], speedups["VC_sd"], speedups["MPI"]

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.core.program import make_system
 from repro.net.config import NetConfig, NodeConfig
+from repro.protocols.runstats import RunStats
 
 __all__ = ["AppConfig", "AppResult", "charge", "chunk_bounds", "run_app"]
 
@@ -104,11 +105,20 @@ class AppResult:
     breakdown: Any = None  # per-process time attribution (traced runs only)
     metrics: Any = None  # repro.obs.Metrics registry (metered runs only)
     consistency: Any = None  # oracle report JSON dict (checked sweep cells only)
+    failure: Any = None  # RunFailure of an aborted run (faulted sweep cells only)
+    injected: Any = None  # FaultInjector.injected counters (faulted sweep cells only)
+
+    @property
+    def net(self):
+        """The run's ``NetStats``: a DSM run's ``RunStats`` embeds it, an MPI
+        run's stats *are* it, an aborted cell (no stats) has none."""
+        stats = self.stats
+        return stats.net if isinstance(stats, RunStats) else stats
 
     def table_row(self) -> dict:
-        if hasattr(self.stats, "table_row"):
-            return self.stats.table_row()
-        return {"Time (Sec.)": round(self.time, 3)}
+        if self.net is self.stats:  # MPI or aborted: no protocol counters
+            return {"Time (Sec.)": round(self.time, 3)}
+        return self.stats.table_row()
 
 
 def run_app(

@@ -8,10 +8,12 @@ fault plans (``repro.faults``), and the grid records how simulated time and
 Rexmit grow with the loss rate, normalised to the protocol's own zero-loss
 baseline.
 
-Every grid cell still **verifies against the sequential reference**: faults
-change timing and Rexmit, never answers (the loss-invariance property the
-chaos tests pin).  A cell hostile enough to exhaust the retry budget is
-reported as a structured failure row instead of killing the sweep.
+Every grid cell is a :class:`~repro.bench.sweep.SweepCell` carrying its
+fault plan, run by the sweep engine like any other cell, and still
+**verifies against the sequential reference**: faults change timing and
+Rexmit, never answers (the loss-invariance property the chaos tests pin).
+A cell hostile enough to exhaust the retry budget is reported as a
+structured failure row instead of killing the sweep.
 
 CLI: ``python -m repro sweep --faults`` (see docs/robustness.md); the
 report is written to ``BENCH_faults.json``.
@@ -23,9 +25,8 @@ import json
 import math
 from typing import Optional, Sequence
 
-from repro.apps import APPS
-from repro.apps.common import run_app
-from repro.faults import Episode, FaultInjector, FaultPlan, RunAborted
+from repro.bench.sweep import CellResult, SweepCell, run_sweep
+from repro.faults import Episode, FaultPlan
 
 __all__ = [
     "DEFAULT_FAULTS_OUTPUT",
@@ -40,78 +41,40 @@ DEFAULT_LOSS_RATES = (0.0, 0.002, 0.005, 0.01, 0.02)
 DEFAULT_PROTOCOLS = ("lrc_d", "vc_d", "vc_sd")
 
 
-def _grid_cell(
-    app: str,
-    protocol: str,
-    nprocs: int,
-    loss_rate: float,
-    seed: int,
-    base_plan: Optional[FaultPlan],
-    verify: bool,
-    check: bool = False,
-) -> dict:
-    episodes = base_plan.episodes if base_plan is not None else ()
-    if loss_rate > 0.0:
-        episodes = episodes + (Episode(kind="loss", drop_prob=loss_rate),)
-    plan = FaultPlan(episodes, seed=seed)
-    injector = FaultInjector(plan)
-    oracle = None
-    if check:
-        from repro.obs.oracle import AccessRecorder
-
-        oracle = AccessRecorder()
-    cell = {
-        "app": app,
-        "protocol": protocol,
-        "nprocs": nprocs,
+def _grid_row(done: CellResult, loss_rate: float) -> dict:
+    """One ``BENCH_faults.json`` row, read off an executed (or recalled) cell."""
+    cell, result = done.cell, done.result
+    row = {
+        "app": cell.app,
+        "protocol": cell.protocol,
+        "nprocs": cell.nprocs,
         "loss_rate": loss_rate,
-        "seed": seed,
+        "seed": cell.faults.seed,
     }
-
-    def _checked(aborted: bool) -> None:
-        if oracle is None:
-            return
-        from repro.obs.oracle import check_history
-
-        # on an aborted run the recorder holds the partial history up to the
-        # failure — still checkable: a fault must never corrupt consistency
-        report = check_history(oracle, nprocs=nprocs, protocol=protocol,
-                               aborted=aborted)
-        cell["consistency"] = {
-            "verdict": report.verdict,
-            "findings": len(report.findings),
-        }
-
-    try:
-        result = run_app(
-            APPS[app], protocol, nprocs, verify=verify, faults=injector,
-            oracle=oracle,
-        )
-    except RunAborted as exc:
+    if result.failure is not None:
         # hostile enough to exhaust the retry budget: report, don't crash
-        cell.update(
+        row.update({"failed": True, "failure": result.failure.to_json()})
+    else:
+        net = result.net
+        row.update(
             {
-                "failed": True,
-                "failure": exc.failure.to_json(),
+                "failed": False,
+                "time": round(result.time, 6),
+                "rexmit": net.rexmit,
+                "drops": net.drops,
+                "drops_by_cause": dict(sorted(net.drops_by_cause.items())),
+                "num_msg": net.num_msg,
+                "injected": result.injected,
+                "verified": result.verified,
             }
         )
-        _checked(aborted=True)
-        return cell
-    _checked(aborted=False)
-    net = result.stats.net if hasattr(result.stats, "net") else result.stats
-    cell.update(
-        {
-            "failed": False,
-            "time": round(result.time, 6),
-            "rexmit": net.rexmit,
-            "drops": net.drops,
-            "drops_by_cause": dict(sorted(net.drops_by_cause.items())),
-            "num_msg": net.num_msg,
-            "injected": dict(injector.injected),
-            "verified": result.verified,
+    if result.consistency is not None:
+        # on an aborted cell this is the verdict on the partial history
+        row["consistency"] = {
+            "verdict": result.consistency["verdict"],
+            "findings": len(result.consistency["findings"]),
         }
-    )
-    return cell
+    return row
 
 
 def run_degradation_grid(
@@ -123,6 +86,8 @@ def run_degradation_grid(
     base_plan: Optional[FaultPlan] = None,
     verify: bool = True,
     check: bool = False,
+    jobs: int = 1,
+    cache_dir: Optional[str] = None,
 ) -> dict:
     """Run the grid and return the report dict (``BENCH_faults.json`` shape).
 
@@ -131,7 +96,10 @@ def run_degradation_grid(
     is layered on top.  Slowdown is relative to each protocol's rate-0 cell
     (with the same base plan), so the curves isolate the *loss* response.
     ``check`` runs every cell — including aborted ones, on their partial
-    history — under the consistency oracle and attaches the verdict.
+    history — under the consistency oracle and attaches the verdict.  The
+    protocol x loss-rate cells go through :func:`~repro.bench.sweep.run_sweep`
+    (``jobs`` workers, ``cache_dir`` result cache), so the rows are
+    bit-identical serial, pooled or recalled.
     """
     import time
 
@@ -139,22 +107,37 @@ def run_degradation_grid(
     loss_rates = tuple(sorted(set(float(r) for r in loss_rates)))
     if not loss_rates:
         raise ValueError("need at least one loss rate")
+    base = base_plan.episodes if base_plan is not None else ()
+    plans = [
+        FaultPlan(
+            base + ((Episode(kind="loss", drop_prob=rate),) if rate > 0.0 else ()),
+            seed=seed,
+        )
+        for rate in loss_rates
+    ]
+    cells = [
+        SweepCell(app=app, protocol=protocol, nprocs=nprocs, faults=plan)
+        for protocol in protocols
+        for plan in plans
+    ]
+    done = iter(
+        run_sweep(cells, jobs=jobs, cache_dir=cache_dir, verify=verify,
+                  check=check).cells
+    )
     grid: list[dict] = []
     for protocol in protocols:
         baseline_time: Optional[float] = None
         for rate in loss_rates:
-            cell = _grid_cell(
-                app, protocol, nprocs, rate, seed, base_plan, verify, check
-            )
-            if not cell["failed"]:
+            row = _grid_row(next(done), rate)
+            if not row["failed"]:
                 if baseline_time is None and rate == loss_rates[0]:
-                    baseline_time = cell["time"]
-                cell["slowdown"] = (
-                    round(cell["time"] / baseline_time, 4)
+                    baseline_time = row["time"]
+                row["slowdown"] = (
+                    round(row["time"] / baseline_time, 4)
                     if baseline_time
                     else math.nan
                 )
-            grid.append(cell)
+            grid.append(row)
     from repro.bench.manifest import run_manifest
 
     return {

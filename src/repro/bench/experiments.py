@@ -1,119 +1,79 @@
-"""Named experiments: one callable per paper table.
+"""The paper's nine tables, as data: one spec row each.
 
 Used by the CLI (``python -m repro table N``); the pytest benchmarks in
-``benchmarks/`` run the same drivers and add the shape assertions.
+``benchmarks/`` run and render the same specs and add the shape assertions.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from dataclasses import dataclass, field
 
-from repro.apps import gauss, is_sort, nn, sor
+from repro.apps import APPS
 from repro.bench import paper_data
-from repro.bench.runner import Entry, PAPER_PROC_COUNTS, speedup_experiment, stats_experiment
+from repro.bench.runner import STATS_ENTRIES, Entry, speedup_experiment, stats_experiment
 from repro.bench.tables import format_speedup_table, format_stats_table
 
-__all__ = ["TABLES", "run_table"]
+__all__ = ["TABLES", "TableSpec", "run_table"]
 
 
-def table1(nprocs: int = 16) -> str:
-    results = stats_experiment(is_sort, nprocs=nprocs)
-    return format_stats_table(
-        f"Table 1: Statistics of IS on {nprocs} processors",
-        results,
-        paper=paper_data.TABLE1_IS_STATS,
-    )
+@dataclass(frozen=True)
+class TableSpec:
+    """One paper table: what to run and how to title it."""
+
+    title: str  # a stats table's names its processor count: "{nprocs}"
+    app: str  # name in :data:`repro.apps.APPS`
+    entries: tuple[Entry, ...] = STATS_ENTRIES
+    # the paper's published values (empty where none are legible)
+    paper: dict = field(default_factory=dict)
+    speedup: bool = False  # speedups over processor counts, not statistics on one
+
+    def run(self, **overrides):
+        """Run the experiment; ``overrides`` go to the driver (``nprocs`` for
+        a stats table, ``proc_counts`` for a speedup table, ``jobs``, ...)."""
+        if self.speedup:
+            return speedup_experiment(APPS[self.app], self.entries, **overrides)
+        return stats_experiment(APPS[self.app], entries=self.entries, **overrides)
+
+    def render(self, results) -> str:
+        """Format what :meth:`run` returned the way the paper prints it."""
+        if self.speedup:
+            return format_speedup_table(self.title, results, paper=self.paper)
+        nprocs = next(iter(results.values())).nprocs
+        return format_stats_table(
+            self.title.format(nprocs=nprocs), results, paper=self.paper
+        )
 
 
-def table2(nprocs: int = 16) -> str:
-    results = stats_experiment(
-        is_sort,
-        nprocs=nprocs,
-        entries=(Entry("VC_d", "vc_d", "lb"), Entry("VC_sd", "vc_sd", "lb")),
-    )
-    return format_stats_table(
-        f"Table 2: Statistics of IS with fewer barriers on {nprocs} processors",
-        results,
-        paper=paper_data.TABLE2_IS_LB_STATS,
-    )
+_LRC_VS_SD = (Entry("LRC_d", "lrc_d"), Entry("VC_sd", "vc_sd"))
 
-
-def table3(proc_counts=PAPER_PROC_COUNTS) -> str:
-    speedups = speedup_experiment(
-        is_sort,
-        (Entry("LRC_d", "lrc_d"), Entry("VC_sd", "vc_sd"), Entry("VC_sd lb", "vc_sd", "lb")),
-        proc_counts,
-    )
-    return format_speedup_table("Table 3: Speedup of IS on LRC_d and VC_sd", speedups)
-
-
-def table4(nprocs: int = 16) -> str:
-    results = stats_experiment(gauss, nprocs=nprocs)
-    return format_stats_table(
-        f"Table 4: Statistics of Gauss on {nprocs} processors",
-        results,
-        paper=paper_data.TABLE4_GAUSS_STATS,
-    )
-
-
-def table5(proc_counts=PAPER_PROC_COUNTS) -> str:
-    speedups = speedup_experiment(
-        gauss, (Entry("LRC_d", "lrc_d"), Entry("VC_sd", "vc_sd")), proc_counts
-    )
-    return format_speedup_table("Table 5: Speedup of Gauss on LRC_d and VC_sd", speedups)
-
-
-def table6(nprocs: int = 16) -> str:
-    results = stats_experiment(sor, nprocs=nprocs)
-    return format_stats_table(
-        f"Table 6: Statistics of SOR on {nprocs} processors",
-        results,
-        paper=paper_data.TABLE6_SOR_STATS,
-    )
-
-
-def table7(proc_counts=PAPER_PROC_COUNTS) -> str:
-    speedups = speedup_experiment(
-        sor, (Entry("LRC_d", "lrc_d"), Entry("VC_sd", "vc_sd")), proc_counts
-    )
-    return format_speedup_table("Table 7: Speedup of SOR on LRC_d and VC_sd", speedups)
-
-
-def table8(nprocs: int = 16) -> str:
-    results = stats_experiment(nn, nprocs=nprocs)
-    return format_stats_table(
-        f"Table 8: Statistics of NN on {nprocs} processors",
-        results,
-        paper=paper_data.TABLE8_NN_STATS,
-    )
-
-
-def table9(proc_counts=PAPER_PROC_COUNTS) -> str:
-    speedups = speedup_experiment(
-        nn,
-        (Entry("LRC_d", "lrc_d"), Entry("VC_sd", "vc_sd"), Entry("MPI", "mpi")),
-        proc_counts,
-    )
-    return format_speedup_table("Table 9: Speedup of NN on LRC_d, VC_sd and MPI", speedups)
-
-
-TABLES: dict[int, Callable[[], str]] = {
-    1: table1,
-    2: table2,
-    3: table3,
-    4: table4,
-    5: table5,
-    6: table6,
-    7: table7,
-    8: table8,
-    9: table9,
+TABLES: dict[int, TableSpec] = {
+    1: TableSpec("Table 1: Statistics of IS on {nprocs} processors", "is",
+                 paper=paper_data.TABLE1_IS_STATS),
+    2: TableSpec("Table 2: Statistics of IS with fewer barriers on {nprocs} processors",
+                 "is", (Entry("VC_d", "vc_d", "lb"), Entry("VC_sd", "vc_sd", "lb")),
+                 paper_data.TABLE2_IS_LB_STATS),
+    3: TableSpec("Table 3: Speedup of IS on LRC_d and VC_sd", "is",
+                 (*_LRC_VS_SD, Entry("VC_sd lb", "vc_sd", "lb")),
+                 paper_data.TABLE3_IS_SPEEDUP, speedup=True),
+    4: TableSpec("Table 4: Statistics of Gauss on {nprocs} processors", "gauss",
+                 paper=paper_data.TABLE4_GAUSS_STATS),
+    5: TableSpec("Table 5: Speedup of Gauss on LRC_d and VC_sd", "gauss", _LRC_VS_SD,
+                 speedup=True),
+    6: TableSpec("Table 6: Statistics of SOR on {nprocs} processors", "sor",
+                 paper=paper_data.TABLE6_SOR_STATS),
+    7: TableSpec("Table 7: Speedup of SOR on LRC_d and VC_sd", "sor", _LRC_VS_SD,
+                 speedup=True),
+    8: TableSpec("Table 8: Statistics of NN on {nprocs} processors", "nn",
+                 paper=paper_data.TABLE8_NN_STATS),
+    9: TableSpec("Table 9: Speedup of NN on LRC_d, VC_sd and MPI", "nn",
+                 (*_LRC_VS_SD, Entry("MPI", "mpi")), speedup=True),
 }
 
 
-def run_table(number: int) -> str:
+def run_table(number: int, **overrides) -> str:
     """Run one paper table's experiment and return the formatted table."""
     try:
-        fn = TABLES[number]
+        spec = TABLES[number]
     except KeyError:
         raise ValueError(f"no table {number}; the paper has tables 1-9") from None
-    return fn()
+    return spec.render(spec.run(**overrides))

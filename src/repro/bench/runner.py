@@ -1,10 +1,10 @@
 """Experiment drivers for the table benchmarks.
 
-Both drivers route their runs through :mod:`repro.bench.sweep`: runs with
-the app's default config are resolved against the content-addressed result
-cache (and can fan out over worker processes with ``jobs > 1``); runs with
-an explicit custom config bypass the cache, since the cache key covers only
-the default config plus a seed override.
+Both drivers turn their entries into :class:`~repro.bench.sweep.SweepCell`
+s and submit them to :func:`~repro.bench.sweep.run_sweep`: every run —
+default config or a caller's own, which rides in the cell — is resolved
+against the content-addressed result cache (``cache_dir``; ``None`` turns
+it off) and can fan out over worker processes with ``jobs > 1``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.apps.common import AppResult, run_app
+from repro.apps.common import AppResult
+from repro.bench.sweep import DEFAULT_CACHE_DIR, SweepCell, _app_name, run_sweep
 
 __all__ = [
     "Entry",
@@ -41,17 +42,16 @@ STATS_ENTRIES = (
 )
 
 
-def _sweep_cells(app_module, specs, jobs: int, verify: bool) -> list[AppResult]:
-    """Run ``(protocol, variant, nprocs)`` specs through the sweep engine."""
-    from repro.bench.sweep import SweepCell, _app_name, run_sweep
-
+def _sweep_cells(app_module, specs, config, **sweep) -> list[AppResult]:
+    """Run ``(entry, nprocs)`` specs through the sweep engine (``sweep``:
+    :func:`~repro.bench.sweep.run_sweep`'s ``jobs``/``cache_dir``/``verify``)."""
     app = _app_name(app_module)
     cells = [
-        SweepCell(app=app, protocol=protocol, nprocs=nprocs, variant=variant)
-        for protocol, variant, nprocs in specs
+        SweepCell(app=app, protocol=entry.protocol, nprocs=nprocs,
+                  variant=entry.variant, app_config=config)
+        for entry, nprocs in specs
     ]
-    report = run_sweep(cells, jobs=jobs, verify=verify)
-    return [c.result for c in report.cells]
+    return [c.result for c in run_sweep(cells, **sweep).cells]
 
 
 def stats_experiment(
@@ -61,18 +61,12 @@ def stats_experiment(
     entries: Sequence[Entry] = STATS_ENTRIES,
     verify: bool = True,
     jobs: int = 1,
+    cache_dir: Optional[str] = DEFAULT_CACHE_DIR,
 ) -> dict[str, AppResult]:
     """Run one application on ``nprocs`` under each entry (a paper stats table)."""
-    if config is not None:
-        return {
-            entry.label: run_app(
-                app_module, entry.protocol, nprocs,
-                config=config, variant=entry.variant, verify=verify,
-            )
-            for entry in entries
-        }
-    specs = [(entry.protocol, entry.variant, nprocs) for entry in entries]
-    results = _sweep_cells(app_module, specs, jobs, verify)
+    specs = [(entry, nprocs) for entry in entries]
+    results = _sweep_cells(app_module, specs, config,
+                           jobs=jobs, cache_dir=cache_dir, verify=verify)
     return {entry.label: result for entry, result in zip(entries, results)}
 
 
@@ -83,6 +77,7 @@ def speedup_experiment(
     config=None,
     verify: bool = True,
     jobs: int = 1,
+    cache_dir: Optional[str] = DEFAULT_CACHE_DIR,
 ) -> dict[str, dict[int, float]]:
     """Speedups T(1)/T(p) for each entry across ``proc_counts``.
 
@@ -90,31 +85,12 @@ def speedup_experiment(
     on one node every protocol degenerates to local execution, so this is
     effectively the sequential time (plus negligible local overhead).
     """
-    if config is not None:
-        def _run(protocol, variant, p):
-            return run_app(
-                app_module, protocol, p, config=config, variant=variant,
-                verify=verify,
-            )
-        results = {
-            entry.label: {p: _run(entry.protocol, entry.variant, p)
-                          for p in (1, *proc_counts)}
-            for entry in entries
-        }
-    else:
-        specs = [
-            (entry.protocol, entry.variant, p)
-            for entry in entries
-            for p in (1, *proc_counts)
-        ]
-        flat = _sweep_cells(app_module, specs, jobs, verify)
-        results = {}
-        it = iter(flat)
-        for entry in entries:
-            results[entry.label] = {p: next(it) for p in (1, *proc_counts)}
+    specs = [(entry, p) for entry in entries for p in (1, *proc_counts)]
+    results = iter(_sweep_cells(app_module, specs, config,
+                                jobs=jobs, cache_dir=cache_dir, verify=verify))
     speedups: dict[str, dict[int, float]] = {}
     for entry in entries:
-        per_p = results[entry.label]
+        per_p = {p: next(results) for p in (1, *proc_counts)}
         base = per_p[1]
         speedups[entry.label] = {
             p: base.time / per_p[p].time if per_p[p].time > 0 else float("inf")

@@ -1,8 +1,12 @@
 """Parallel sweep engine with a content-addressed on-disk result cache.
 
-A *sweep* fans a set of :class:`SweepCell` s — one per (app, protocol,
-variant, nprocs, seed) combination — over a ``ProcessPoolExecutor`` and
-collects one :class:`CellResult` each.  Every simulation is self-contained
+A :class:`SweepCell` is the whole name of a run — (app, protocol, variant,
+nprocs, seed) plus the two things that can make two such runs differ, a
+fault plan and an app-config override — and :func:`_execute_cell` is the
+one function that runs and checks it.  Everything that runs cells in bulk
+(the matrix, the table drivers, the degradation grid, the adversary)
+submits cells to :func:`run_sweep`, which fans them over a
+``ProcessPoolExecutor`` and collects one :class:`CellResult` each.  Every simulation is self-contained
 and deterministic, so parallel execution is **bit-identical** to serial:
 the table rows of a cell do not depend on which worker ran it or in what
 order (``tests/bench/test_sweep.py`` asserts this).
@@ -10,8 +14,9 @@ order (``tests/bench/test_sweep.py`` asserts this).
 Results are cached on disk, keyed by a SHA-256 over the *content* that
 determines the outcome:
 
-* the cell itself (app, protocol, variant, nprocs, seed),
-* the app's full config (``dataclasses.asdict``), and
+* the cell itself (app, protocol, variant, nprocs, seed, fault plan),
+* the app's full resolved config (``dataclasses.asdict`` — the default, or
+  the cell's override), and
 * a fingerprint of every ``src/repro`` source file.
 
 Any change to the simulator, protocols or app code changes the code
@@ -34,11 +39,13 @@ import pickle
 import resource
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.apps import APPS
-from repro.apps.common import AppResult, run_app
+from repro.apps.common import AppConfig, AppResult, run_app
+from repro.faults import FaultInjector, FaultPlan, RunAborted
+from repro.obs import AccessRecorder, EventTracer, check_history
 
 __all__ = [
     "SweepCell",
@@ -68,18 +75,21 @@ def row_fingerprint(table_row: dict) -> str:
 
 @dataclass(frozen=True)
 class SweepCell:
-    """One point of a sweep.  ``app`` is a name from :data:`repro.apps.APPS`
-    (module objects don't pickle; names do)."""
+    """The whole name of one run.  ``app`` is a name from
+    :data:`repro.apps.APPS` (module objects don't pickle; names do)."""
 
     app: str
     protocol: str
     nprocs: int
     variant: str = "default"
-    seed: Optional[int] = None  # None = the app's default seed
+    seed: Optional[int] = None  # None = the config's own seed
+    faults: Optional[FaultPlan] = None  # installed on the cluster; None = none
+    # replaces the app's default config (app configs are mutable, so unhashed)
+    app_config: Optional[AppConfig] = field(default=None, hash=False)
 
     def config(self):
         """The resolved app config this cell runs with."""
-        config = APPS[self.app].default_config()
+        config = self.app_config or APPS[self.app].default_config()
         if self.seed is not None:
             config = dataclasses.replace(config, seed=self.seed)
         return config
@@ -201,7 +211,6 @@ def cell_key(
     code_fp: Optional[str] = None,
     trace: bool = False,
     check: bool = False,
-    faults: Optional[dict] = None,
 ) -> str:
     """Content-addressed cache key for one cell.
 
@@ -209,11 +218,10 @@ def cell_key(
     time breakdown the untraced one lacks), so enabling ``--trace`` never
     recalls an untraced cached entry or pollutes the untraced cache.
     Consistency-checked runs (``check``) key separately too: their results
-    carry the oracle verdict.  ``faults`` (a ``FaultPlan.to_json()`` dict)
-    hashes the candidate fault plan into the key — the adversarial search
-    (:mod:`repro.faults.adversary`) funnels every candidate evaluation
-    through this cache, so search restarts and population duplicates recall
-    instead of re-running.
+    carry the oracle verdict.  The cell's fault plan is hashed in by its
+    JSON form, so equal plans built separately share an entry — restarts of
+    the adversarial search and duplicates in its population recall instead
+    of re-running.
     """
     material = {
         "app": cell.app,
@@ -228,8 +236,8 @@ def cell_key(
         material["trace"] = True
     if check:
         material["check"] = True
-    if faults is not None:
-        material["faults"] = faults
+    if cell.faults is not None:
+        material["faults"] = cell.faults.to_json()
     return hashlib.sha256(
         json.dumps(material, sort_keys=True, default=repr).encode()
     ).hexdigest()
@@ -270,39 +278,46 @@ def _execute_cell(
     trace: bool = False,
     check: bool = False,
 ) -> tuple[AppResult, float, int]:
-    """Run one cell; returns (result, wall seconds, peak RSS KiB).
+    """Run and check one cell; returns (result, wall seconds, peak RSS KiB).
 
-    Module-level so a ``ProcessPoolExecutor`` worker can pickle it.  With
-    ``trace`` the run records structured events and the result carries a
-    time breakdown (the event list itself is not kept — it can be huge).
-    With ``check`` the run records its access history, the consistency
-    oracle verifies it, and the result carries the report on
-    ``result.consistency`` (the history itself is not kept).
+    The one checked run body outside the interactive CLI — a new recorder,
+    checker or fault kind is wired into every bulk run here.  Module-level
+    so a ``ProcessPoolExecutor`` worker can pickle it.  With ``trace`` the
+    run records structured events and the result carries a time breakdown
+    (the event list itself is not kept — it can be huge).  With ``check``
+    the run records its access history, the consistency oracle verifies it,
+    and the result carries the report on ``result.consistency`` (the history
+    itself is not kept).  The cell's fault plan is installed and its
+    ``injected`` counters come back on the result.  A run hostile enough to
+    abort is a value, not a crashed sweep: the result carries the
+    :class:`~repro.faults.RunFailure` (``failure``, time of the abort, no
+    output or stats), and its partial history is still checked — a fault may
+    cost time, never consistency.
     """
     t0 = time.perf_counter()
-    tracer = oracle = None
-    if trace:
-        from repro.obs import EventTracer
-
-        tracer = EventTracer()
-    if check:
-        from repro.obs.oracle import AccessRecorder
-
-        oracle = AccessRecorder()
-    result = run_app(
-        APPS[cell.app],
-        cell.protocol,
-        cell.nprocs,
-        config=cell.config(),
-        variant=cell.variant,
-        verify=verify,
-        tracer=tracer,
-        oracle=oracle,
-    )
+    tracer = EventTracer() if trace else None
+    oracle = AccessRecorder() if check else None
+    injector = FaultInjector(cell.faults) if cell.faults is not None else None
+    try:
+        result = run_app(
+            APPS[cell.app],
+            cell.protocol,
+            cell.nprocs,
+            config=cell.config(),
+            variant=cell.variant,
+            verify=verify,
+            tracer=tracer,
+            oracle=oracle,
+            faults=injector,
+        )
+    except RunAborted as exc:
+        result = AppResult(cell.protocol, cell.nprocs, None, None,
+                           exc.failure.sim_time, failure=exc.failure)
+    if injector is not None:
+        result.injected = dict(injector.injected)
     if oracle is not None:
-        from repro.obs.oracle import check_history
-
-        report = check_history(oracle, nprocs=cell.nprocs, protocol=cell.protocol)
+        report = check_history(oracle, nprocs=cell.nprocs, protocol=cell.protocol,
+                               aborted=result.failure is not None)
         result.consistency = report.to_json()
     wall = time.perf_counter() - t0
     rss_kb = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
@@ -409,22 +424,6 @@ def run_sweep(
         code_fingerprint=code_fp,
         manifest=manifest,
     )
-
-
-def cached_run_app(
-    app_module,
-    protocol: str,
-    nprocs: int,
-    variant: str = "default",
-    verify: bool = True,
-    cache_dir: Optional[str] = DEFAULT_CACHE_DIR,
-) -> AppResult:
-    """Drop-in for :func:`repro.apps.common.run_app` (default config only)
-    that consults the sweep cache.  Used by the table/figure drivers."""
-    cell = SweepCell(app=_app_name(app_module), protocol=protocol,
-                     nprocs=nprocs, variant=variant)
-    report = run_sweep([cell], jobs=1, cache_dir=cache_dir, verify=verify)
-    return report.cells[0].result
 
 
 def _app_name(app_module) -> str:

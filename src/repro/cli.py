@@ -139,9 +139,8 @@ def _netcfg_override(args: argparse.Namespace):
     return NetConfig(**kw)
 
 
-def _print_message_mix(stats) -> None:
-    # RunStats embeds NetStats; MPI has it bare
-    by_kind = getattr(stats, "net", stats).snapshot()["by_kind"]
+def _print_message_mix(net) -> None:
+    by_kind = net.snapshot()["by_kind"]
     if not by_kind:
         return
     print()
@@ -247,7 +246,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if tracer is not None:
         print()
         print(obs.flame_summary(tracer))
-        _print_message_mix(result.stats)
+        _print_message_mix(result.net)
         if args.critical_path:
             print()
             print(obs.format_critical_path(obs.compute_critical_path(tracer)))
@@ -355,7 +354,7 @@ def _oracle_exit(reports: list, what: str) -> int:
     return 0
 
 
-def _cmd_sweep_faults(args: argparse.Namespace) -> int:
+def _cmd_sweep_faults(args: argparse.Namespace, jobs: int, cache_dir) -> int:
     """`sweep --faults [PLAN]`: the per-protocol degradation grid."""
     from repro.bench.degradation import (
         DEFAULT_FAULTS_OUTPUT,
@@ -373,6 +372,8 @@ def _cmd_sweep_faults(args: argparse.Namespace) -> int:
         seed=args.faults_seed,
         base_plan=_load_faults(args),  # a path: layer the loss sweep over that plan
         check=args.check_consistency,
+        jobs=jobs,
+        cache_dir=cache_dir,
     )
     print(format_degradation_grid(report))
     out = args.faults_out or DEFAULT_FAULTS_OUTPUT
@@ -387,11 +388,10 @@ def _cmd_sweep_faults(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.bench import sweep as sweep_mod
 
-    if args.faults is not None:
-        return _cmd_sweep_faults(args)
-
     cache_dir = None if args.no_cache else (args.cache_dir or sweep_mod.DEFAULT_CACHE_DIR)
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
+    if args.faults is not None:
+        return _cmd_sweep_faults(args, jobs, cache_dir)
     if args.app is None:
         # full benchmark matrix -> consolidated BENCH_sweep.json
         report = sweep_mod.run_sweep(
@@ -441,6 +441,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     entries = tuple(Entry(proto, proto) for proto in args.protocols)
     speedups = speedup_experiment(
         APPS[args.app], entries, proc_counts=tuple(args.procs), jobs=jobs,
+        cache_dir=cache_dir,
     )
     print(format_speedup_table(f"Speedup of {args.app}", speedups))
     return 0

@@ -26,9 +26,10 @@ fail-stop trivially maxes the abort class and would collapse the search onto
 a boring denial-of-service.  The interesting adversary degrades the protocol
 through traffic it is supposed to absorb.
 
-Every candidate evaluates through the content-addressed sweep cache
-(:func:`repro.bench.sweep.cell_key` with the plan JSON hashed into the key),
-so restarts, shrink passes and population duplicates are free.  All
+Every candidate is a :class:`~repro.bench.sweep.SweepCell` carrying its plan
+and evaluates through :func:`~repro.bench.sweep.run_sweep` and its
+content-addressed cache (the plan JSON is hashed into the cell's key), so
+restarts, shrink passes and population duplicates are free.  All
 randomness draws from one ``random.Random(seed)`` consumed in a fixed order:
 a search with the same seed + budget is bit-reproducible, cache on or off
 (``tests/faults/test_adversary.py`` pins this).
@@ -40,17 +41,18 @@ See docs/robustness.md ("Adversarial search").
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.faults.failure import RunAborted
+from repro.apps.common import AppResult
+from repro.bench.sweep import SweepCell, run_sweep
 from repro.faults.plan import Episode, FaultPlan
 
 __all__ = [
     "AdversaryLimits",
-    "EvalOutcome",
     "Evaluator",
     "Fitness",
     "MUTATIONS",
@@ -313,46 +315,35 @@ class Fitness:
         return ("slowdown", "abort", "consistency")[self.rank]
 
 
-@dataclass(frozen=True)
-class EvalOutcome:
-    """What one candidate plan did to the cell (cache payload)."""
-
-    completed: bool
-    sim_time: float
-    rexmit: int = 0
-    drops: int = 0
-    num_msg: int = 0
-    findings: int = 0
-    verdict: str = "clean"  # clean | violations | not-applicable | wrong-answer
-    failure: Optional[dict] = None
-    verified: Optional[bool] = None
+def fitness_of(result: AppResult, baseline_time: float) -> Fitness:
+    """Fitness of one checked cell result (``result.consistency`` is set)."""
+    findings = len(result.consistency["findings"])
+    if findings or result.consistency["verdict"] == "wrong-answer":
+        return Fitness(2, float(max(findings, 1)))
+    if result.failure is not None:
+        return Fitness(1, round(baseline_time / max(result.time, 1e-9), 4))
+    return Fitness(0, round(result.time / baseline_time, 4))
 
 
-def fitness_of(outcome: EvalOutcome, baseline_time: float) -> Fitness:
-    if outcome.findings > 0 or outcome.verdict in ("violations", "wrong-answer"):
-        return Fitness(2, float(max(outcome.findings, 1)))
-    if not outcome.completed:
-        return Fitness(1, round(baseline_time / max(outcome.sim_time, 1e-9), 4))
-    return Fitness(0, round(outcome.sim_time / baseline_time, 4))
-
-
-def _outcome_summary(plan: FaultPlan, outcome: EvalOutcome,
+def _outcome_summary(plan: FaultPlan, result: AppResult,
                      baseline_time: float) -> dict:
-    f = fitness_of(outcome, baseline_time)
+    f = fitness_of(result, baseline_time)
+    net = result.net  # None when the run aborted
     return {
         "plan": plan.to_json(),
         "episodes": len(plan.episodes),
         "class": f.cls,
         "magnitude": f.magnitude,
-        "sim_time": round(outcome.sim_time, 6),
+        "sim_time": round(result.time, 6),
         "slowdown": (
-            round(outcome.sim_time / baseline_time, 4) if outcome.completed else None
+            round(result.time / baseline_time, 4) if result.failure is None else None
         ),
-        "rexmit": outcome.rexmit,
-        "drops": outcome.drops,
-        "findings": outcome.findings,
-        "verdict": outcome.verdict,
-        **({"failure": outcome.failure} if outcome.failure is not None else {}),
+        "rexmit": net.rexmit if net is not None else 0,
+        "drops": net.drops if net is not None else 0,
+        "findings": len(result.consistency["findings"]),
+        "verdict": result.consistency["verdict"],
+        **({"failure": result.failure.to_json()}
+           if result.failure is not None else {}),
     }
 
 
@@ -362,104 +353,44 @@ def _outcome_summary(plan: FaultPlan, outcome: EvalOutcome,
 class Evaluator:
     """Runs candidate plans against one (app, protocol, nprocs) cell.
 
-    Every evaluation records the access history and replays it under the
-    consistency oracle — the jackpot signal — and verifies the answer
-    against the sequential reference.  Results memoise in-process (by the
-    plan's canonical JSON) and, when ``cache_dir`` is set, persist in the
-    content-addressed sweep cache keyed by the plan itself, so a restarted
-    or re-seeded search re-runs nothing it has already tried.
+    A candidate is that cell with the plan in it, submitted to
+    :func:`repro.bench.sweep.run_sweep` with the oracle on: the run records
+    its access history and replays it under the consistency oracle — the
+    jackpot signal — and verifies the answer against the sequential
+    reference.  This class is the in-process memo (by the plan's canonical
+    JSON) in front of that; with ``cache_dir`` set the sweep's
+    content-addressed cache persists every result keyed by the plan itself,
+    so a restarted or re-seeded search re-runs nothing it has already tried.
     """
 
     def __init__(self, app: str, protocol: str, nprocs: int,
                  cache_dir: Optional[str] = None, variant: str = "default"):
-        self.app = app
-        self.protocol = protocol
-        self.nprocs = nprocs
-        self.variant = variant
+        self.cell = SweepCell(app=app, protocol=protocol, nprocs=nprocs,
+                              variant=variant)
         self.cache_dir = cache_dir
         self.evals = 0  # cold evaluations actually simulated
-        self._memo: dict[Optional[str], EvalOutcome] = {}
-        if cache_dir is not None:
-            from repro.bench.sweep import ResultCache, code_fingerprint
+        self._memo: dict[Optional[str], AppResult] = {}
 
-            self._cache = ResultCache(cache_dir)
-            self._code_fp = code_fingerprint()
-        else:
-            self._cache = None
-            self._code_fp = None
-
-    def _key(self, plan: Optional[FaultPlan]) -> str:
-        from repro.bench.sweep import SweepCell, cell_key
-
-        cell = SweepCell(app=self.app, protocol=self.protocol,
-                         nprocs=self.nprocs, variant=self.variant)
-        return cell_key(cell, self._code_fp, check=True,
-                        faults=plan.to_json() if plan is not None else None)
-
-    def evaluate(self, plan: Optional[FaultPlan]) -> EvalOutcome:
+    def evaluate(self, plan: Optional[FaultPlan]) -> AppResult:
         memo_key = plan.canonical() if plan is not None else None
         hit = self._memo.get(memo_key)
         if hit is not None:
             return hit
-        if self._cache is not None:
-            cached = self._cache.get(self._key(plan))
-            if cached is not None:
-                outcome = cached[0]
-                self._memo[memo_key] = outcome
-                return outcome
-        import time
-
-        t0 = time.perf_counter()
-        outcome = self._run(plan)
-        if self._cache is not None:
-            self._cache.put(self._key(plan), outcome,
-                            time.perf_counter() - t0, 0)
-        self._memo[memo_key] = outcome
-        self.evals += 1
-        return outcome
-
-    def _run(self, plan: Optional[FaultPlan]) -> EvalOutcome:
-        from repro.apps import APPS
-        from repro.apps.common import run_app
-        from repro.faults.injector import FaultInjector
-        from repro.obs.oracle import AccessRecorder, check_history
-
-        oracle = AccessRecorder()
-        injector = FaultInjector(plan) if plan is not None else None
-        aborted_failure: Optional[dict] = None
-        sim_time = 0.0
-        rexmit = drops = num_msg = 0
-        verified: Optional[bool] = None
-        verdict = "clean"
+        cell = dataclasses.replace(self.cell, faults=plan)
+        cold = True
         try:
-            result = run_app(
-                APPS[self.app], self.protocol, self.nprocs,
-                variant=self.variant, verify=True,
-                oracle=oracle, faults=injector,
-            )
-            net = getattr(result.stats, "net", result.stats)
-            sim_time, verified = result.time, result.verified
-            rexmit, drops, num_msg = net.rexmit, net.drops, net.num_msg
-        except RunAborted as exc:
-            aborted_failure = exc.failure.to_json()
-            sim_time = exc.failure.sim_time
+            (done,) = run_sweep([cell], cache_dir=self.cache_dir, check=True).cells
+            result, cold = done.result, not done.cache_hit
         except AssertionError:
             # the run finished but the answer is wrong: a protocol bug the
             # verifier caught before the oracle did — jackpot class
-            return EvalOutcome(completed=True, sim_time=0.0, verified=False,
-                               verdict="wrong-answer", findings=1)
-        report = check_history(oracle, nprocs=self.nprocs,
-                               protocol=self.protocol,
-                               aborted=aborted_failure is not None)
-        if report.verdict == "violations":
-            verdict = "violations"
-        return EvalOutcome(
-            completed=aborted_failure is None,
-            sim_time=sim_time,
-            rexmit=rexmit, drops=drops, num_msg=num_msg,
-            findings=len(report.findings), verdict=verdict,
-            failure=aborted_failure, verified=verified,
-        )
+            result = AppResult(
+                cell.protocol, cell.nprocs, None, None, 0.0,
+                consistency={"verdict": "wrong-answer", "findings": []},
+            )
+        self._memo[memo_key] = result
+        self.evals += cold
+        return result
 
 
 # -- seed plans -------------------------------------------------------------------
@@ -584,22 +515,22 @@ def search(
     evaluator = Evaluator(app, protocol, nprocs, cache_dir=cache_dir,
                           variant=variant)
     baseline = evaluator.evaluate(None)
-    if not baseline.completed or baseline.findings:
+    if baseline.failure is not None or baseline.consistency["findings"]:
         raise RuntimeError(
             f"clean baseline run of {app}/{protocol}/{nprocs}p is not clean: "
-            f"{baseline!r}"
+            f"{baseline.failure or baseline.consistency['findings']!r}"
         )
-    base_t = baseline.sim_time
+    base_t = baseline.time
     limits = limits or AdversaryLimits(horizon=base_t, nprocs=nprocs)
     say(f"baseline {app}/{protocol}/{nprocs}p: {base_t:.3f} simulated s")
 
-    scored: list[tuple[Fitness, FaultPlan, EvalOutcome]] = []
+    scored: list[tuple[Fitness, FaultPlan, AppResult]] = []
     seen: set[str] = set()
     trajectory: list[dict] = []
     operator_counts: dict[str, int] = {}
     counted = 0
-    best: Optional[tuple[Fitness, FaultPlan, EvalOutcome]] = None
-    best_completed: Optional[tuple[Fitness, FaultPlan, EvalOutcome]] = None
+    best: Optional[tuple[Fitness, FaultPlan, AppResult]] = None
+    best_completed: Optional[tuple[Fitness, FaultPlan, AppResult]] = None
 
     def consider(plan: FaultPlan) -> bool:
         """Evaluate one candidate if novel; returns True if budget consumed."""
@@ -620,9 +551,8 @@ def search(
                 {"eval": counted, "class": f.cls, "magnitude": f.magnitude}
             )
             say(f"  eval {counted}: new best {f.cls} {f.magnitude}")
-        if outcome.completed and not outcome.findings:
-            if best_completed is None or f > best_completed[0]:
-                best_completed = (f, plan, outcome)
+        if f.rank == 0 and (best_completed is None or f > best_completed[0]):
+            best_completed = (f, plan, outcome)
         return True
 
     for plan in seed_plans(rng, limits, population):

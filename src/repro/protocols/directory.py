@@ -43,11 +43,6 @@ class PageDirectory:
             return
         self._origins.record(pid, t, node)
 
-    def origin(self, pid: int, asker: int, t: float) -> Optional[int]:
-        """First visible creator of ``pid``, or None."""
-        entry = self._origins.earliest(pid, asker, t)
-        return entry[1] if entry is not None else None
-
     def origin_any(self, pid: int) -> Optional[int]:
         """First creator of ``pid`` with **instantaneous** visibility.
 
@@ -73,9 +68,6 @@ class PageDirectory:
         if entry is not None and entry[1] != asker:
             return entry[1]
         return None
-
-    def has_any_copy(self, pid: int, asker: int, t: float) -> bool:
-        return bool(self._origins.visible(pid, asker, t))
 
     # -- PDES delta shipping ----------------------------------------------------
 

@@ -48,15 +48,6 @@ class Event:
         self._value: Any = None
         self._waiters: Deque[Tuple[Process, int]] = deque()
 
-    @property
-    def is_set(self) -> bool:
-        return self._set
-
-    @property
-    def value(self) -> Any:
-        """The value passed to :meth:`set` (None while unset)."""
-        return self._value
-
     def _register(self, proc: Process) -> None:
         # prune stale registrations (interrupted waiters) so a loop
         # re-waiting on the same event cannot grow the deque

@@ -87,3 +87,41 @@ def test_report_roundtrip(tmp_path):
 def test_rejects_empty_rate_list():
     with pytest.raises(ValueError, match="loss rate"):
         run_degradation_grid(app="is", nprocs=2, loss_rates=())
+
+
+def test_checked_grid_verdicts_cover_the_aborted_cell():
+    """The shared cell runner's failure path: an aborted cell is a value —
+    a structured failure row — and its partial history is still checked."""
+    report = run_degradation_grid(
+        app="is", nprocs=2, protocols=("vc_sd",), loss_rates=(0.0, 1.0),
+        seed=11, check=True,
+    )
+    ok, failed = report["grid"]
+    assert not ok["failed"] and ok["verified"] is True
+    assert ok["consistency"] == {"verdict": "clean", "findings": 0}
+    assert failed["failed"]
+    assert failed["failure"]["reason"] == "retry-exhausted"
+    # computed from what executed before the abort, not skipped
+    assert failed["consistency"]["verdict"] == "clean"
+    assert failed["consistency"]["findings"] == 0
+    assert "time" not in failed and "injected" not in failed
+
+
+def test_grid_rides_the_sweep_pool_and_cache(tmp_path, monkeypatch):
+    """The grid's cells are sweep cells: pooled rows equal serial rows, and
+    a warm cache recalls them (aborted cell included) without a re-run."""
+    kw = dict(app="is", nprocs=2, protocols=("lrc_d", "vc_sd"),
+              loss_rates=(0.0, 1.0), seed=11)
+    serial = run_degradation_grid(**kw)
+    cache = str(tmp_path / "cache")
+    pooled = run_degradation_grid(jobs=2, cache_dir=cache, **kw)
+    assert pooled["grid"] == serial["grid"]
+
+    from repro.bench import sweep as sweep_mod
+
+    def boom(*a, **kw):
+        raise AssertionError("grid cell re-executed despite warm cache")
+
+    monkeypatch.setattr(sweep_mod, "_execute_cell", boom)
+    warm = run_degradation_grid(cache_dir=cache, **kw)
+    assert warm["grid"] == serial["grid"]

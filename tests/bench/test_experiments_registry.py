@@ -1,15 +1,20 @@
-"""Tests for the named-experiment registry (fast paths only — the full
-16-processor table runs live in benchmarks/)."""
+"""Tests for the table registry (fast paths only — the full 16-processor
+table runs live in benchmarks/)."""
 
 import pytest
 
+from repro.apps import APPS
 from repro.bench import experiments
 
 
 def test_registry_covers_all_nine_tables():
     assert set(experiments.TABLES) == set(range(1, 10))
-    for fn in experiments.TABLES.values():
-        assert callable(fn)
+    for number, spec in experiments.TABLES.items():
+        assert spec.title.startswith(f"Table {number}: ")
+        assert spec.app in APPS
+        assert spec.entries
+        assert spec.speedup == (number in (3, 5, 7, 9))
+        assert ("{nprocs}" in spec.title) == (not spec.speedup)
 
 
 def test_run_table_rejects_unknown():
@@ -21,12 +26,12 @@ def test_run_table_rejects_unknown():
 
 def test_stats_table_runs_at_small_scale():
     """The table drivers accept processor-count overrides (smoke test)."""
-    text = experiments.table1(nprocs=2)
-    assert "Table 1" in text
+    text = experiments.run_table(1, nprocs=2)
+    assert "Table 1: Statistics of IS on 2 processors" in text
     assert "LRC_d" in text and "VC_sd" in text
 
 
 def test_speedup_table_runs_at_small_scale():
-    text = experiments.table5(proc_counts=(2,))
+    text = experiments.run_table(5, proc_counts=(2,))
     assert "Table 5" in text
     assert "2-p" in text

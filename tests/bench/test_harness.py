@@ -1,5 +1,7 @@
 """Tests for the benchmark harness (runners, tables, paper data)."""
 
+import dataclasses
+
 import pytest
 
 from repro.apps import is_sort
@@ -19,6 +21,29 @@ def test_stats_experiment_runs_all_protocols():
     results = stats_experiment(is_sort, nprocs=3, config=SMALL)
     assert set(results) == {"LRC_d", "VC_d", "VC_sd"}
     assert all(r.verified for r in results.values())
+
+
+def test_custom_config_runs_get_the_cache(tmp_path, monkeypatch):
+    """A caller's config rides in the cells, so it is no longer a reason to
+    bypass the sweep cache: the second run re-simulates nothing."""
+    from repro.bench import sweep as sweep_mod
+
+    cache = str(tmp_path / "cache")
+    cold = stats_experiment(is_sort, nprocs=2, config=SMALL, cache_dir=cache)
+
+    def boom(*a, **kw):
+        raise AssertionError("cell re-executed despite warm cache")
+
+    monkeypatch.setattr(sweep_mod, "_execute_cell", boom)
+    warm = stats_experiment(is_sort, nprocs=2, config=SMALL, cache_dir=cache)
+    assert {k: r.table_row() for k, r in warm.items()} == \
+        {k: r.table_row() for k, r in cold.items()}
+    # a different config (or the default one) is a different set of entries
+    other = dataclasses.replace(SMALL, reps=SMALL.reps + 1)
+    with pytest.raises(AssertionError, match="re-executed"):
+        stats_experiment(is_sort, nprocs=2, config=other, cache_dir=cache)
+    with pytest.raises(AssertionError, match="re-executed"):
+        stats_experiment(is_sort, nprocs=2, cache_dir=cache)
 
 
 def test_stats_table_renders_with_paper_refs():

@@ -17,6 +17,7 @@ from repro.bench.sweep import (
     run_sweep,
     write_report,
 )
+from repro.faults import Episode, FaultPlan
 
 # small cells: seconds for the whole module, not minutes
 CELLS = [
@@ -29,6 +30,10 @@ CELLS = [
 
 def rows(report):
     return [c.result.table_row() for c in report.cells]
+
+
+def boom(*a, **kw):  # a second execution would be a cache miss -> fail loudly
+    raise AssertionError("cell re-executed despite warm cache")
 
 
 # -- cache keying ----------------------------------------------------------------
@@ -71,6 +76,37 @@ def test_key_changes_with_code_fingerprint():
     assert code_fingerprint() == code_fingerprint()
 
 
+def test_key_covers_the_fault_plan_by_content():
+    base = SweepCell(app="is", protocol="vc_sd", nprocs=2)
+    loss = FaultPlan((Episode(kind="loss", drop_prob=0.01),), seed=7)
+    faulted = dataclasses.replace(base, faults=loss)
+    assert cell_key(faulted) != cell_key(base)
+    # an empty plan is still a plan: the cell reports injector counters
+    assert cell_key(dataclasses.replace(base, faults=FaultPlan())) != cell_key(base)
+    # equal plans built separately share an entry; a different seed does not
+    twin = FaultPlan.from_json(loss.to_json())
+    assert twin is not loss
+    assert cell_key(dataclasses.replace(base, faults=twin)) == cell_key(faulted)
+    assert cell_key(dataclasses.replace(base, faults=loss.reseeded(8))) != \
+        cell_key(faulted)
+    # checked and unchecked faulted runs key apart, like unfaulted ones
+    assert cell_key(faulted, check=True) != cell_key(faulted)
+
+
+def test_key_covers_the_config_override():
+    base = SweepCell(app="sor", protocol="vc_sd", nprocs=2)
+    default = sweep_mod.APPS["sor"].default_config()
+    # naming the default config explicitly is the same run, hence the same key
+    assert cell_key(dataclasses.replace(base, app_config=default)) == cell_key(base)
+    small = dataclasses.replace(default, rows=default.rows // 2)
+    overridden = dataclasses.replace(base, app_config=small)
+    assert cell_key(overridden) != cell_key(base)
+    assert overridden.config() == small
+    # the seed still applies on top of an override
+    assert dataclasses.replace(overridden, seed=5).config().seed == 5
+    assert hash(overridden) == hash(dataclasses.replace(base, app_config=small))
+
+
 # -- cache behaviour -------------------------------------------------------------
 
 
@@ -81,9 +117,6 @@ def test_cache_hit_skips_execution_and_returns_identical_result(tmp_path, monkey
     cold = run_sweep([cell], jobs=1, cache_dir=cache_dir)
     assert [c.cache_hit for c in cold.cells] == [False]
 
-    def boom(*a, **kw):  # a second execution would be a cache miss -> fail loudly
-        raise AssertionError("cell re-executed despite warm cache")
-
     monkeypatch.setattr(sweep_mod, "_execute_cell", boom)
     warm = run_sweep([cell], jobs=1, cache_dir=cache_dir)
     assert [c.cache_hit for c in warm.cells] == [True]
@@ -92,6 +125,39 @@ def test_cache_hit_skips_execution_and_returns_identical_result(tmp_path, monkey
     np.testing.assert_array_equal(
         np.asarray(warm.cells[0].result.output), np.asarray(cold.cells[0].result.output)
     )
+
+
+@pytest.mark.parametrize("drop_prob", [0.01, 1.0], ids=["completes", "aborts"])
+def test_warm_faulted_cell_is_a_hit_with_an_equal_result(tmp_path, monkeypatch, drop_prob):
+    """The checked runner's results cache like any other — the structured
+    failure and partial-history verdict of an aborted cell included."""
+    cache_dir = str(tmp_path / "cache")
+    plan = FaultPlan((Episode(kind="loss", drop_prob=drop_prob),), seed=11)
+    cell = SweepCell(app="is", protocol="vc_sd", nprocs=2, faults=plan)
+
+    (cold,) = run_sweep([cell], cache_dir=cache_dir, check=True).cells
+    assert not cold.cache_hit
+    assert (cold.result.failure is not None) == (drop_prob == 1.0)
+    assert cold.result.consistency["verdict"] == "clean"
+    assert cold.result.consistency["aborted"] == (drop_prob == 1.0)
+    assert cold.result.injected["drop"] > 0
+    if drop_prob == 1.0:
+        assert cold.result.failure.reason == "retry-exhausted"
+        assert cold.result.time == cold.result.failure.sim_time
+        assert cold.result.net is None and not cold.result.verified
+    else:
+        assert cold.result.verified and cold.result.net.drops_by_cause["fault"] > 0
+
+    monkeypatch.setattr(sweep_mod, "_execute_cell", boom)
+    twin = dataclasses.replace(cell, faults=FaultPlan.from_json(plan.to_json()))
+    (warm,) = run_sweep([twin], cache_dir=cache_dir, check=True).cells
+    assert warm.cache_hit
+    assert warm.fingerprint() == cold.fingerprint()
+    for name in ("time", "events", "verified", "failure", "injected", "consistency"):
+        assert getattr(warm.result, name) == getattr(cold.result, name), name
+    # the unchecked run of the same cell is a different entry
+    with pytest.raises(AssertionError, match="re-executed"):
+        run_sweep([cell], cache_dir=cache_dir)
 
 
 def test_seed_change_invalidates(tmp_path):

@@ -12,14 +12,14 @@ import random
 
 import pytest
 
-from repro.faults import FaultPlan
+from repro.apps.common import AppResult
+from repro.faults import FaultPlan, RunFailure
 from repro.faults.adversary import (
     GENERATED_KINDS,
     MUTATIONS,
     AdversaryLimits,
     Evaluator,
     Fitness,
-    EvalOutcome,
     crossover,
     fitness_of,
     random_episode,
@@ -28,6 +28,17 @@ from repro.faults.adversary import (
 )
 
 LIMITS = AdversaryLimits(horizon=4.0, nprocs=8)
+
+
+def outcome(sim_time, completed=True, findings=0, verdict="clean"):
+    """A checked cell result as the sweep's runner hands it to the adversary:
+    an abort is a ``failure`` on the result, the oracle's report its
+    ``consistency``."""
+    failure = None if completed else RunFailure("retry-exhausted", "gave up", sim_time)
+    return AppResult(
+        "lrc_d", 4, None, None, sim_time, failure=failure,
+        consistency={"verdict": verdict, "findings": [{}] * findings},
+    )
 
 
 # -- operator properties ----------------------------------------------------------
@@ -100,17 +111,17 @@ def test_fitness_lexicographic_order():
 
 def test_fitness_of_classes():
     base = 2.0
-    assert fitness_of(EvalOutcome(completed=True, sim_time=8.0), base) == \
-        Fitness(0, 4.0)
-    assert fitness_of(EvalOutcome(completed=False, sim_time=1.0), base) == \
-        Fitness(1, 2.0)
+    assert fitness_of(outcome(8.0), base) == Fitness(0, 4.0)
+    assert fitness_of(outcome(1.0, completed=False), base) == Fitness(1, 2.0)
     assert fitness_of(
-        EvalOutcome(completed=True, sim_time=8.0, findings=3,
-                    verdict="violations"), base) == Fitness(2, 3.0)
+        outcome(8.0, findings=3, verdict="violations"), base) == Fitness(2, 3.0)
+    # findings on an aborted run's partial history outrank the abort
+    assert fitness_of(
+        outcome(1.0, completed=False, findings=1, verdict="violations"),
+        base) == Fitness(2, 1.0)
     # a wrong answer is a jackpot even with zero oracle findings
     assert fitness_of(
-        EvalOutcome(completed=True, sim_time=0.0, verdict="wrong-answer",
-                    findings=1), base).rank == 2
+        outcome(0.0, verdict="wrong-answer"), base) == Fitness(2, 1.0)
 
 
 # -- the search itself (small real cell) ------------------------------------------
@@ -161,10 +172,31 @@ def test_shrunk_plan_replays_to_same_fitness_class(small_search):
 
 
 def test_search_rejects_unclean_baseline(monkeypatch):
-    bad = EvalOutcome(completed=False, sim_time=1.0)
+    bad = outcome(1.0, completed=False)
     monkeypatch.setattr(Evaluator, "evaluate", lambda self, plan: bad)
     with pytest.raises(RuntimeError, match="not clean"):
         search(**CELL)
+    dirty = outcome(1.0, findings=2, verdict="violations")
+    monkeypatch.setattr(Evaluator, "evaluate", lambda self, plan: dirty)
+    with pytest.raises(RuntimeError, match="not clean"):
+        search(**CELL)
+
+
+def test_wrong_answer_under_faults_is_the_jackpot_class(monkeypatch):
+    """``run_app`` raises ``AssertionError`` on a wrong answer; the evaluator
+    turns it into the rank-2 outcome instead of dying (and memoises it)."""
+    from repro.faults import adversary
+
+    def wrong(cells, **kw):
+        raise AssertionError("is_sort on lrc_d/4p produced wrong output")
+
+    monkeypatch.setattr(adversary, "run_sweep", wrong)
+    ev = Evaluator("is", "lrc_d", 4)
+    plan = seed_plans(random.Random(1), LIMITS, 1)[0]
+    result = ev.evaluate(plan)
+    assert result.consistency["verdict"] == "wrong-answer"
+    assert fitness_of(result, 2.0) == Fitness(2, 1.0)
+    assert ev.evaluate(plan) is result and ev.evals == 1
 
 
 def test_evaluator_memoises_by_canonical_plan():
@@ -176,3 +208,24 @@ def test_evaluator_memoises_by_canonical_plan():
     clone = FaultPlan.from_json(plan.to_json())
     assert ev.evaluate(clone) is first
     assert ev.evals == 1
+
+
+def test_evaluator_counts_cold_simulations_only(tmp_path):
+    """A fresh evaluator over a warm disk cache re-runs nothing: ``evals``
+    stays 0 and the recalled outcome equals the simulated one (an aborted
+    candidate included)."""
+    from repro.faults import Episode
+
+    cache = str(tmp_path / "cache")
+    slow = seed_plans(random.Random(1), LIMITS, 1)[0]
+    blackout = FaultPlan((Episode(kind="loss", drop_prob=1.0),), seed=3)
+    cold = Evaluator("is", "lrc_d", 2, cache_dir=cache)
+    first = [cold.evaluate(p) for p in (None, slow, blackout)]
+    assert cold.evals == 3
+    assert first[2].failure.reason == "retry-exhausted"
+    warm = Evaluator("is", "lrc_d", 2, cache_dir=cache)
+    again = [warm.evaluate(p) for p in (None, slow, blackout)]
+    assert warm.evals == 0
+    base = first[0].time
+    assert [fitness_of(r, base) for r in again] == [fitness_of(r, base) for r in first]
+    assert again[2].failure == first[2].failure

@@ -37,6 +37,29 @@ def test_sweep_command(capsys):
     assert "vc_sd" in out
 
 
+def test_sweep_app_honours_the_cache_flags(capsys, tmp_path, monkeypatch):
+    """`sweep APP` used to compute cache_dir and then drop it: --no-cache
+    still filled .cache/sweep and --cache-dir was ignored."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["sweep", "sor", "--procs", "2", "--protocols", "vc_sd", "--jobs", "1"]
+    assert main([*argv, "--no-cache"]) == 0
+    assert not (tmp_path / ".cache").exists()
+    assert main([*argv, "--cache-dir", "X"]) == 0
+    assert not (tmp_path / ".cache").exists()
+    entries = sorted((tmp_path / "X").rglob("*.pkl"))
+    assert len(entries) == 2  # the 1-processor baseline and the 2-processor run
+    first = capsys.readouterr().out
+    assert main([*argv, "--cache-dir", "X"]) == 0  # warm: same table, no new entry
+    assert capsys.readouterr().out in first
+    assert sorted((tmp_path / "X").rglob("*.pkl")) == entries
+    # the degradation grid takes the same flags
+    grid = [*argv, "--loss-rates", "0", "--faults-out", "grid.json", "--faults"]
+    assert main([*grid, "--no-cache"]) == 0
+    assert not (tmp_path / ".cache").exists()
+    assert main([*grid, "--cache-dir", "X"]) == 0
+    assert len(sorted((tmp_path / "X").rglob("*.pkl"))) == 3
+
+
 def test_sweep_mpi_on_non_nn_rejected(capsys):
     assert main(["sweep", "gauss", "--protocols", "mpi", "--procs", "2"]) == 2
 
