@@ -186,8 +186,5 @@ def format_failure(failure: RunFailure) -> str:
             "                     (dump with --faults-out PLAN.json, replay "
             "with --faults PLAN.json)"
         )
-    lines.append(
-        "  hint: raise max_retries / rexmit_timeout, enable backoff "
-        "(backoff_factor > 1), or soften the fault plan"
-    )
+    lines.append("  hint: raise max_retries / rexmit_timeout, or soften the fault plan")
     return "\n".join(lines)

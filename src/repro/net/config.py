@@ -43,21 +43,10 @@ class NetConfig:
         zero: loss in the default model comes from buffer congestion only,
         controlled by the same seed.
     rexmit_timeout:
-        Base retransmission timeout, seconds.  The paper observes ~1 s of
-        waiting per retransmission.
+        Retransmission timeout, seconds (> 0), the same after every copy.
+        The paper observes ~1 s of waiting per retransmission.
     max_retries:
-        Retransmission attempts before the transport gives up.
-    backoff_factor:
-        Multiplier applied to the timeout after every retransmission
-        (exponential backoff).  The default 1.0 keeps the paper's fixed
-        schedule — every matrix cell stays bit-identical.
-    backoff_max:
-        Cap on any single backed-off timeout, seconds; 0 means uncapped.
-    backoff_jitter:
-        Maximum *fraction* of deterministic jitter added to each timeout
-        (0.1 → each wait is stretched by up to 10%, derived from a run-local
-        send sequence number and the attempt so runs stay reproducible).
-        Desynchronises retransmission storms under congestion.
+        Retransmission attempts (>= 0) before the transport gives up.
     ack_bytes:
         Size of a transport-level acknowledgement.
     """
@@ -73,35 +62,17 @@ class NetConfig:
     drop_seed: int = 12345
     rexmit_timeout: float = 1.0
     max_retries: int = 20
-    backoff_factor: float = 1.0
-    backoff_max: float = 0.0
-    backoff_jitter: float = 0.0
     ack_bytes: int = 42
+
+    def __post_init__(self) -> None:
+        if not self.rexmit_timeout > 0:
+            raise ValueError(f"rexmit_timeout must be > 0, got {self.rexmit_timeout!r}")
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries!r}")
 
     def tx_time(self, payload_bytes: int) -> float:
         """Wire occupancy of a message of ``payload_bytes`` at link rate."""
         return (payload_bytes + self.header_bytes) * 8.0 / self.bandwidth_bps
-
-    def retry_schedule(self) -> tuple:
-        """Base ack/reply-wait timeout after each transmission attempt.
-
-        ``max_retries + 1`` entries (the original send plus every
-        retransmission each get a full timeout).  With the default
-        ``backoff_factor`` of 1.0 every entry equals ``rexmit_timeout`` —
-        the paper's fixed schedule.
-        """
-        if self.backoff_factor < 1.0:
-            raise ValueError(f"backoff_factor must be >= 1, got {self.backoff_factor!r}")
-        if not (0.0 <= self.backoff_jitter < 1.0):
-            raise ValueError(
-                f"backoff_jitter must be in [0, 1), got {self.backoff_jitter!r}"
-            )
-        out = []
-        t = self.rexmit_timeout
-        for _ in range(self.max_retries + 1):
-            out.append(t if self.backoff_max <= 0.0 else min(t, self.backoff_max))
-            t *= self.backoff_factor
-        return tuple(out)
 
     def lookahead(self) -> float:
         """Conservative-PDES lookahead bound: the switch forwarding latency.
@@ -119,12 +90,6 @@ class NetConfig:
                 f"got {self.switch_latency!r}"
             )
         return self.switch_latency
-
-    def worst_case_retry_window(self) -> float:
-        """Longest interval after first receipt during which the sender can
-        still retransmit: every timeout at full jitter stretch.  The
-        transport derives its duplicate horizon from this."""
-        return sum(self.retry_schedule()) * (1.0 + self.backoff_jitter)
 
 
 @dataclass

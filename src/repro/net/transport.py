@@ -22,20 +22,15 @@ retransmission, and after ``max_retries`` of them it throws
 several requests behind one waiter, so a caller fetching from k peers is
 resumed once, not k times through k helper processes.
 
-Retransmission timing follows :meth:`NetConfig.retry_schedule`: a fixed
-1 s timeout by default (the paper's observed behaviour), optionally
-exponential backoff (``backoff_factor``/``backoff_max``) with deterministic
-per-message jitter (``backoff_jitter``) derived from a run-local send
-sequence number and the attempt — no RNG state, so runs stay
-bit-reproducible even when replayed inside one process.
+Every copy waits the same ``NetConfig.rexmit_timeout`` (1 s by default, the
+paper's observed behaviour), so all retransmission timers share one delay
+and sit in the simulator's timer FIFO in deadline order.
 
 Duplicate-suppression state (``_seen_reliable``, ``_reply_cache``) is
 bounded: entries are evicted once they are older than the *duplicate
-horizon* — derived from the configured worst-case retry window
-(:meth:`NetConfig.worst_case_retry_window`, every timeout at full jitter
-stretch) plus one base timeout of slack for delivery delays — which keeps
-the at-most-once guarantee under any backoff schedule while holding table
-sizes proportional to in-flight traffic rather than run length.
+horizon*, ``(max_retries + 2) * rexmit_timeout``, which keeps the
+at-most-once guarantee while holding table sizes proportional to in-flight
+traffic rather than run length.
 
 Statistics: original sends are counted in ``NetStats.num_msg``/``data_bytes``
 (replies too, acks not); every retransmission increments ``rexmit``.
@@ -85,22 +80,6 @@ class RequestError(RuntimeError):
         self.sim_time = sim_time
 
 
-def _jitter_unit(key: int, attempt: int) -> float:
-    """Deterministic pseudo-random fraction in [0, 1) for retry jitter.
-
-    A cheap integer hash of (send key, attempt): no RNG object, no global
-    state, so jittered schedules replay identically and perturb nothing
-    else.  The key is a *run-local* per-endpoint sequence number (not the
-    process-global message id, which would differ between two runs executed
-    in the same process and break in-process replay).
-    """
-    x = (key * 2654435761 + attempt * 40503) & 0xFFFFFFFF
-    x ^= x >> 16
-    x = (x * 2246822519) & 0xFFFFFFFF
-    x ^= x >> 13
-    return x / 4294967296.0
-
-
 class _Waiter(Effect):
     """What a sender yields: suspends it until all ``left`` of its pending
     records are answered, then resumes it once with ``results`` (one slot
@@ -125,13 +104,12 @@ class _Pending:
     """One unanswered reliable send or request; ``msg.attempt`` counts its
     retransmissions and ``timer`` is the armed ``schedule_timer`` handle."""
 
-    __slots__ = ("msg", "waiter", "slot", "jkey", "timer")
+    __slots__ = ("msg", "waiter", "slot", "timer")
 
-    def __init__(self, msg: Message, waiter: _Waiter, slot: int, jkey: int):
+    def __init__(self, msg: Message, waiter: _Waiter, slot: int):
         self.msg = msg
         self.waiter = waiter
         self.slot = slot  # index into waiter.results
-        self.jkey = jkey
 
 
 class Transport:
@@ -159,18 +137,10 @@ class Transport:
         # (src, req_id) -> (time cached, reply); insertion order == time order
         self._reply_cache: dict[tuple[int, int], tuple[float, Message]] = {}
         self._requests_in_progress: set[tuple[int, int]] = set()
-        # per-attempt ack/reply timeouts (fixed by default, backed-off when
-        # configured); cached once — the config never changes mid-run
-        self._schedule = cfg.retry_schedule()
-        self._jitter = cfg.backoff_jitter
-        self._send_seq = 0  # jitter key source; run-local, replay-stable
         # a duplicate of a message first received at t can arrive no later
-        # than t + the worst-case retry window (every timeout at full jitter
-        # stretch) plus delivery delays; one base timeout of slack absorbs
-        # those delays.  Derived, not hard-coded: a backoff schedule widens
-        # the window and the horizon must widen with it or at-most-once
-        # silently breaks.
-        self._dup_horizon = cfg.worst_case_retry_window() + cfg.rexmit_timeout
+        # than t + the retry window (max_retries + 1 timeouts) plus delivery
+        # delays; one more timeout of slack absorbs those delays
+        self._dup_horizon = (cfg.max_retries + 2) * cfg.rexmit_timeout
 
     # -- send paths -------------------------------------------------------------
 
@@ -236,14 +206,6 @@ class Transport:
         self._requests_in_progress.discard(key)
         self.nic.send(reply)
 
-    def _wait_for(self, key: int, attempt: int) -> float:
-        """The (possibly backed-off, possibly jittered) timeout after
-        transmission ``attempt`` (0 = the original send)."""
-        base = self._schedule[attempt]
-        if self._jitter:
-            return base * (1.0 + self._jitter * _jitter_unit(key, attempt))
-        return base
-
     def _transmit(self, waiter: _Waiter, slot: int, dst: int, kind: MessageKind,
                   payload: Any, size: int, need_ack: bool) -> None:
         """Create a message, count it and put its first copy on the wire."""
@@ -256,19 +218,14 @@ class Transport:
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.causal_send(msg.msg_id, self.node_id, self.sim.now, kind.name)
-        if self._jitter:
-            self._send_seq += 1
-            jkey = (self._send_seq << 6) + self.node_id
-        else:
-            jkey = 0  # unused: _wait_for skips the jitter term entirely
-        rec = self._pending[msg.msg_id] = _Pending(msg, waiter, slot, jkey)
+        rec = self._pending[msg.msg_id] = _Pending(msg, waiter, slot)
         self._send_copy(rec)
 
     def _send_copy(self, rec: _Pending) -> None:
         """Transmit one copy of ``rec.msg`` and arm its timer.
 
         Every transmitted copy — including the final retransmission — gets a
-        full schedule slot for its ack/reply to come back before
+        full timeout for its ack/reply to come back before
         :class:`RequestError` is raised, so ``max_retries + 1`` copies hit
         the wire in the worst case and each one can complete the send.  The
         timer names its record by id: holding the record would tie record
@@ -277,14 +234,13 @@ class Transport:
         msg = rec.msg
         self.nic.send(msg.wire_copy())
         rec.timer = self.sim.schedule_timer(
-            self._wait_for(rec.jkey, msg.attempt), self._on_timeout, msg.msg_id
+            self.cfg.rexmit_timeout, self._on_timeout, msg.msg_id
         )
 
     def _on_timeout(self, msg_id: int) -> None:
-        """A transmitted copy's schedule slot ran out: retransmit or give up."""
-        rec = self._pending.get(msg_id)
-        if rec is None:
-            return  # answered; only a spilled, uncancellable timer gets here
+        """A transmitted copy's timeout ran out: retransmit or give up.  An
+        answered record's timer was cancelled, so the record is pending."""
+        rec = self._pending[msg_id]
         msg = rec.msg
         waiter = rec.waiter
         if waiter.token != waiter.proc._epoch:

@@ -313,10 +313,6 @@ class Simulator:
     drops that kernel.
     """
 
-    #: maximum number of distinct-delay timer FIFO lanes before
-    #: :meth:`schedule_timer` falls back to the main event queue
-    MAX_TIMER_LANES = 12
-
     def __init__(self, queue: str = "heap") -> None:
         self.now: float = 0.0
         self.events_processed: int = 0
@@ -348,13 +344,10 @@ class Simulator:
             self._qpop = CalendarQueue.pop
         else:
             raise SimError(f"unknown event queue kind {queue!r}")
-        # timer lanes: one FIFO deque per distinct delay value (deadlines
-        # within a lane are non-decreasing because `now` is), merged through
-        # a small heap of lane heads; see schedule_timer
-        self._timer_lanes: dict[float, deque] = {}
-        self._timer_heads: list[tuple] = []
-        self._cancelled: set[int] = set()  # seqs of cancelled timers still in a lane
-        self.timer_spills: int = 0
+        # timer FIFO: entries (t, tsched, 0, seq, fn, args) with
+        # non-decreasing deadlines; see schedule_timer
+        self._timers: deque[tuple] = deque()
+        self._cancelled: set[int] = set()  # seqs of cancelled timers behind the head
         self._ready: deque[tuple[Callable, tuple]] = deque()
         self._seq = itertools.count()
         self._pids = itertools.count()
@@ -423,91 +416,61 @@ class Simulator:
             raise SimError(f"cannot schedule in the past (t={t!r} < now={self.now!r})")
         self._qpush(self._heap, (t, tsched, cls, key, fn, args))
 
-    def schedule_timer(self, delay: float, fn: Callable, *args: Any) -> Optional[tuple]:
-        """Heap-free lanes for timeout guards that usually never fire.
+    def schedule_timer(self, delay: float, fn: Callable, *args: Any) -> tuple:
+        """Heap-free FIFO for timeout guards that usually never fire.
 
-        Timers with the *same* delay have non-decreasing deadlines (``now``
-        never decreases), so a plain FIFO per distinct delay value holds
-        them sorted with O(1) insertion, off the main queue.  A small heap
-        of lane heads merges the lanes; entries draw sequence numbers from
-        the same counter as the main queue and the run loop merges all
-        lanes by the full ``(time, tsched, cls, seq)`` key, so execution
-        order is exactly the single-queue order (property-tested in
-        ``tests/sim/test_engine.py``).
+        Precondition: deadlines are non-decreasing.  The transport's
+        retransmission timers all share one delay and ``now`` never
+        decreases, so a plain FIFO holds them sorted with O(1) insertion,
+        off the main queue.  Entries draw sequence numbers from the same
+        counter as the main queue and the run loop merges the FIFO's head
+        with the heap's by the full ``(time, tsched, cls, seq)`` key, so
+        execution order is exactly the single-queue order (property-tested
+        in ``tests/sim/test_engine.py``).
 
-        Returns a handle for :meth:`cancel_timer`, or ``None`` for a timer
-        that cannot be cancelled: one due at the current instant (it is
-        already on the ready deque) or one *spilled* to the main queue
-        because more than :attr:`MAX_TIMER_LANES` distinct delay values are
-        live (counted in :attr:`timer_spills`).  Lanes are per delay, not
-        one FIFO, because a backoff schedule's long timer at a shared tail
-        would reroute every later short one — the constant-delay fast path
-        included — into the heap.
+        Returns the handle for :meth:`cancel_timer`.  Raises
+        :class:`SimError` for a deadline not after ``now`` (it would belong
+        on the ready deque) or before the FIFO's tail (it would break the
+        order).
         """
-        if delay < 0:
-            raise SimError(f"cannot schedule in the past (delay={delay!r})")
         t = self.now + delay
+        timers = self._timers
         if t <= self.now:
-            self._ready.append((fn, args))
-            return None
-        lanes = self._timer_lanes
-        lane = lanes.get(delay)
-        entry = (t, self.now, 0, next(self._seq), fn, args, delay)
-        if lane is not None:
-            # lane head is already registered in _timer_heads
-            lane.append(entry)
-        elif len(lanes) < self.MAX_TIMER_LANES:
-            lanes[delay] = deque((entry,))
-            heapq.heappush(self._timer_heads, entry)
-        else:
-            self.timer_spills += 1
-            self._qpush(self._heap, entry[:6])
-            return None
+            raise SimError(f"timer delay must be positive (delay={delay!r})")
+        if timers and t < timers[-1][0]:
+            raise SimError(
+                f"timer deadline {t!r} precedes the FIFO's tail {timers[-1][0]!r}"
+            )
+        entry = (t, self.now, 0, next(self._seq), fn, args)
+        timers.append(entry)
         return entry
 
-    def cancel_timer(self, handle: Optional[tuple]) -> None:
+    def cancel_timer(self, handle: tuple) -> None:
         """Disarm a :meth:`schedule_timer` timer: it never becomes an event.
 
         Never, not usually — a cancelled timer that fired as a no-op would
         still count in ``events_processed`` and move ``peek_next_time``, and
-        which timers share a lane differs between the partitions of a
+        which timers share the FIFO differs between the partitions of a
         partitioned run (:mod:`repro.sim.pdes` pins the event count).  So a
-        timer behind its lane's head is marked and dropped when the lane
-        advances past it, and a lane head is unhooked on the spot.
-        Cancelling a fired, spilled (``None``) or already cancelled timer
-        does nothing.
+        timer behind the head is marked and dropped when the head advances
+        past it, and the head is unhooked on the spot.  Cancelling a fired
+        or already cancelled timer does nothing.
         """
-        if handle is None:
-            return
-        lane = self._timer_lanes.get(handle[6])
-        if lane is None or handle[3] < lane[0][3]:
+        timers = self._timers
+        if not timers or handle[3] < timers[0][3]:
             return  # fired, or dropped by an earlier cancel
-        if handle is not lane[0]:
-            self._cancelled.add(handle[3])
-            return
-        # in place: run() holds a reference to the list
-        heads = self._timer_heads
-        heads.remove(handle)
-        heapq.heapify(heads)
-        self._advance_lane(handle[6])
-
-    def _advance_lane(self, delay: float) -> None:
-        """Drop a lane's head and every cancelled timer behind it, then
-        register the next live one as the lane's head (or retire the lane)."""
-        lane = self._timer_lanes[delay]
-        lane.popleft()
-        cancelled = self._cancelled
-        while lane and lane[0][3] in cancelled:
-            cancelled.remove(lane.popleft()[3])
-        if lane:
-            heapq.heappush(self._timer_heads, lane[0])
+        if handle is timers[0]:
+            self._pop_timer()
         else:
-            del self._timer_lanes[delay]
+            self._cancelled.add(handle[3])
 
     def _pop_timer(self) -> tuple:
-        """Pop the earliest timer entry across all lanes."""
-        entry = heapq.heappop(self._timer_heads)
-        self._advance_lane(entry[6])
+        """Pop the FIFO's head and drop every cancelled timer behind it."""
+        timers = self._timers
+        entry = timers.popleft()
+        cancelled = self._cancelled
+        while timers and timers[0][3] in cancelled:
+            cancelled.remove(timers.popleft()[3])
         return entry
 
     def spawn(self, gen: Generator, name: str = "") -> Process:
@@ -552,7 +515,7 @@ class Simulator:
             )
         self._running = True
         heap = self._heap
-        theads = self._timer_heads
+        timers = self._timers
         ready = self._ready
         pop = self._qpop
         popleft = ready.popleft
@@ -561,37 +524,29 @@ class Simulator:
         now = self.now
         count = self.events_processed
         try:
-            while heap or ready or theads:
+            while heap or ready or timers:
                 # queue/timer entries at the current instant predate (smaller
                 # seq) everything on the ready deque — run them first, merged
-                # by (time, tsched, cls, seq) so all lanes behave as one queue
+                # by (time, tsched, cls, seq) so heap and FIFO act as one queue
                 if heap and heap[0][0] <= now:
-                    h0 = heap[0]
-                    if theads and theads[0] < h0:
-                        _, _, _, _, fn, args, _ = pop_timer()
+                    if timers and timers[0] < heap[0]:
+                        _, _, _, _, fn, args = pop_timer()
                     else:
                         _, _, _, _, fn, args = pop(heap)
-                elif theads and theads[0][0] <= now:
-                    _, _, _, _, fn, args, _ = pop_timer()
+                elif timers and timers[0][0] <= now:
+                    _, _, _, _, fn, args = pop_timer()
                 elif ready:
                     fn, args = popleft()
                 else:
-                    if not heap:
-                        from_timer = True
-                        t = theads[0][0]
-                    elif theads and theads[0] < heap[0]:
-                        from_timer = True
-                        t = theads[0][0]
-                    else:
-                        from_timer = False
-                        t = heap[0][0]
+                    from_timer = not heap or (timers and timers[0] < heap[0])
+                    t = timers[0][0] if from_timer else heap[0][0]
                     if until is not None and (t > until or (
                             not inclusive and t >= until)):
                         if until > now:
                             self.now = until
                         break
                     if from_timer:
-                        _, _, _, _, fn, args, _ = pop_timer()
+                        _, _, _, _, fn, args = pop_timer()
                     else:
                         _, _, _, _, fn, args = pop(heap)
                     self.now = now = t
@@ -612,7 +567,7 @@ class Simulator:
         return self.now
 
     def peek_next_time(self) -> float:
-        """Earliest pending event time across all lanes (``inf`` if idle).
+        """Earliest pending event time across heap and timers (``inf`` if idle).
 
         Ready-deque entries run at the current instant, so a non-empty
         ready deque reports ``now``.  The PDES driver uses this to compute
@@ -623,8 +578,8 @@ class Simulator:
         t = float("inf")
         if self._heap:
             t = self._heap[0][0]
-        if self._timer_heads and self._timer_heads[0][0] < t:
-            t = self._timer_heads[0][0]
+        if self._timers and self._timers[0][0] < t:
+            t = self._timers[0][0]
         return t
 
     def _record_failure(self, proc: Process, error: BaseException) -> None:

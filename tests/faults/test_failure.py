@@ -93,6 +93,7 @@ def test_format_failure_is_one_screen_and_informative():
     assert "run failed: node-crash" in text
     assert "failing node       0" in text
     assert "hint:" in text
+    assert "backoff" not in text  # the hint names only real NetConfig fields
     assert len(text.splitlines()) <= 25, "diagnostic must fit one screen"
 
 

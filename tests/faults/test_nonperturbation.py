@@ -110,14 +110,13 @@ def test_committed_sweep_fingerprint_equals_the_benchmark_pin(cell):
     assert committed["fingerprint"] == pin["fingerprint"]
 
 
-def test_backoff_defaults_leave_dup_horizon_unchanged():
-    """The derived duplicate horizon equals the old hard-coded one at the
-    paper's fixed schedule — a silent widening would change eviction timing
-    (and with it, nothing observable, but the invariant is cheap to pin)."""
+def test_dup_horizon_is_one_timeout_past_the_retry_window():
+    """The duplicate horizon is the ``max_retries + 1`` timeouts a sender can
+    still retransmit in, plus one timeout of slack — a silent change would
+    move eviction timing (and with it, nothing observable, but the
+    invariant is cheap to pin)."""
     from repro.net import Cluster, NetConfig
 
     cfg = NetConfig()
     c = Cluster(2, netcfg=cfg)
-    assert c[0].transport._dup_horizon == pytest.approx(
-        (cfg.max_retries + 2) * cfg.rexmit_timeout
-    )
+    assert c[0].transport._dup_horizon == (cfg.max_retries + 2) * cfg.rexmit_timeout

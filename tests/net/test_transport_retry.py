@@ -30,6 +30,17 @@ def _sink(received):
     return handler
 
 
+@pytest.mark.parametrize(
+    "field, value", [("rexmit_timeout", 0.0), ("rexmit_timeout", -0.1), ("max_retries", -1)]
+)
+def test_netconfig_rejects_an_unusable_retry_budget(field, value):
+    """A zero timeout would exhaust every budget at t = 0 and a negative one
+    would retransmit forever under total loss: both are refused when the
+    config is built, naming the field."""
+    with pytest.raises(ValueError, match=field):
+        NetConfig(**{field: value})
+
+
 def test_send_survives_exactly_max_retries_losses():
     """Dropping ``max_retries`` copies leaves one — it must complete the send."""
     c = Cluster(2, netcfg=NetConfig(rexmit_timeout=0.1, max_retries=3))
@@ -82,6 +93,8 @@ def test_request_survives_exactly_max_retries_losses():
     c.sim.spawn(requester())
     c.run()
     assert out == [42]
+    # the answered timer was cancelled: no timer entry or mark is left over
+    assert not c.sim._timers and not c.sim._cancelled
 
 
 def test_seen_reliable_stays_bounded():

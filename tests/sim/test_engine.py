@@ -471,38 +471,27 @@ def test_run_until_windows_compose_into_a_full_run():
     assert ticks(windowed=True) == ticks(windowed=False)
 
 
-# -- schedule_timer lanes under mixed (backoff) delays ---------------------------
+# -- schedule_timer: one FIFO of equal-delay timers --------------------------------
+
+TIMER_DELAY = 1.0  # every timer's delay, as for the transport's retransmissions
 
 
-def test_timer_lanes_absorb_mixed_backoff_delays():
-    """Structural regression for the backoff-era lane bug: one long
-    backed-off timer used to reroute every subsequent shorter-delay timer
-    into the main heap (the single FIFO assumed non-decreasing deadlines).
-    With per-delay lanes, a handful of distinct delays never touches the
-    main queue."""
+def test_schedule_timer_rejects_deadlines_that_break_the_fifo():
+    """A timer must fall after ``now`` and no earlier than the FIFO's tail;
+    the engine refuses anything else instead of rerouting it to the heap."""
     sim = Simulator()
-    backoff = [0.05 * (2.0 ** k) for k in range(5)]
-    for step in range(30):
-        sim.schedule_timer(0.05, lambda: None)
-        sim.schedule_timer(backoff[step % 5], lambda: None)
-        assert not sim._heap, "a timer spilled into the main event queue"
-        sim.run(until=sim.now + 0.01)
-    assert sim.timer_spills == 0
+    sim.run(until=1.0)
+    for delay in (0.0, -0.5, 1e-20):  # 1e-20 vanishes in now + delay
+        with pytest.raises(SimError, match="positive"):
+            sim.schedule_timer(delay, lambda: None)
+    sim.schedule_timer(1.0, lambda: None)
+    with pytest.raises(SimError, match="tail"):
+        sim.schedule_timer(0.5, lambda: None)
+    sim.schedule_timer(1.0, lambda: None)  # an equal deadline is in order
+    assert len(sim._timers) == 2 and not sim._heap and not sim._ready
 
 
-def test_timer_spill_when_lane_budget_exhausted_stays_ordered():
-    sim = Simulator()
-    fired = []
-    ndelays = Simulator.MAX_TIMER_LANES + 4
-    for i in range(ndelays):
-        delay = 1.0 + i * 0.1
-        sim.schedule_timer(delay, fired.append, delay)
-    assert sim.timer_spills == 4
-    sim.run()
-    assert fired == sorted(fired)
-
-
-def _mixed_timer_workload(use_timer_lanes, ops):
+def _mixed_timer_workload(use_timer_fifo, ops):
     """Drive one simulator through ``ops``; return the exact firing order."""
     sim = Simulator()
     fired = []
@@ -511,7 +500,7 @@ def _mixed_timer_workload(use_timer_lanes, ops):
         for i, (kind, delay) in enumerate(ops):
             if kind == "advance":
                 yield Timeout(delay)
-            elif kind == "timer" and use_timer_lanes:
+            elif kind == "timer" and use_timer_fifo:
                 sim.schedule_timer(delay, fired.append, (i, "t"))
             else:
                 sim.schedule(delay, fired.append, (i, kind[0]))
@@ -522,35 +511,33 @@ def _mixed_timer_workload(use_timer_lanes, ops):
 
 
 def test_timer_order_matches_single_heap_reference():
-    """Property: under arbitrary interleavings of fixed and backed-off
-    delays, the lane merge fires timers in exactly the order a single
-    (time, seq) heap would.  Both runs allocate sequence numbers from the
-    same counter in the same order, so the firing orders must be equal
-    element for element."""
+    """Property: timers of one delay interleaved with arbitrary plain events
+    fire in exactly the order a single (time, seq) heap would.  Both runs
+    allocate sequence numbers from the same counter in the same order, so
+    the firing orders must be equal element for element."""
     rng = random.Random(0xBACC0FF)
-    delays = [0.05, 0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 0.05 * 1.37, 0.05 * 2.93]
+    delays = [0.05, 0.1, 0.2, 0.4, TIMER_DELAY, TIMER_DELAY, 1.6, 0.05 * 1.37]
     for trial in range(25):
         ops = []
         for _ in range(rng.randint(5, 60)):
             r = rng.random()
             if r < 0.5:
-                ops.append(("timer", rng.choice(delays)))
+                ops.append(("timer", TIMER_DELAY))
             elif r < 0.7:
                 ops.append(("plain", rng.choice(delays)))
             else:
                 ops.append(("advance", rng.choice([0.0, 0.01, 0.06, 0.31])))
-        lanes = _mixed_timer_workload(True, ops)
+        fifo = _mixed_timer_workload(True, ops)
         reference = _mixed_timer_workload(False, ops)
-        assert lanes == reference, f"divergence on trial {trial}: {ops!r}"
+        assert fifo == reference, f"divergence on trial {trial}: {ops!r}"
 
 
 # -- cancellable timers: a cancelled timer never becomes an event ------------------
 
-NARROW = [0.5, 1.0, 2.0]  # three lanes
-WIDE = [0.3 + 0.1 * i for i in range(Simulator.MAX_TIMER_LANES + 4)]  # forces spills
+EVENT_DELAYS = [0.5, TIMER_DELAY, 2.0]
 
 
-def _run_timer_program(ops, delays, never_arm=None):
+def _run_timer_program(ops, never_arm=None):
     """Run ``ops`` — ``(gap, op, arg)``: advance the clock by ``gap``, then arm
     a timer, schedule a plain event, or cancel the ``arg``-th timer of the
     program.  With ``never_arm`` (a set of op indices) those timers are not
@@ -566,17 +553,15 @@ def _run_timer_program(ops, delays, never_arm=None):
         fired.append((sim.now, i))
 
     def step(i, op, arg):
-        delay = delays[arg % len(delays)]
         if op == "timer":
             if never_arm is None or i not in never_arm:
-                handles[i] = sim.schedule_timer(delay, fire, i)
+                handles[i] = sim.schedule_timer(TIMER_DELAY, fire, i)
         elif op == "event":
-            sim.schedule(delay, fire, i)
+            sim.schedule(EVENT_DELAYS[arg % len(EVENT_DELAYS)], fire, i)
         elif never_arm is None and timers:
             target = timers[arg % len(timers)]
             if target in handles:  # armed earlier in the program
-                # a spilled timer (no handle) cannot be cancelled and fires
-                if handles[target] is not None and all(i != target for _, i in fired):
+                if all(i != target for _, i in fired):
                     cancelled_live.add(target)
                 sim.cancel_timer(handles[target])
 
@@ -599,30 +584,26 @@ _timer_ops = st.lists(
 
 
 @settings(max_examples=200, deadline=None)
-@given(ops=_timer_ops, wide=st.booleans())
-# head, middle and tail of one lane, then the whole lane
-@example(ops=[(0.0, "timer", 1)] * 3 + [(0.1, "cancel", 0), (0.0, "event", 0)], wide=False)
-@example(ops=[(0.0, "timer", 1)] * 3 + [(0.1, "cancel", 1), (0.0, "timer", 1)], wide=False)
-@example(ops=[(0.0, "timer", 1)] * 3 + [(0.1, "cancel", 2), (0.0, "timer", 0)], wide=False)
-@example(ops=[(0.0, "timer", 1)] * 3 + [(0.1, "cancel", k) for k in (1, 0, 2)], wide=False)
+@given(ops=_timer_ops)
+# head, middle and tail of the FIFO, then the whole FIFO
+@example(ops=[(0.0, "timer", 0)] * 3 + [(0.1, "cancel", 0), (0.0, "event", 0)])
+@example(ops=[(0.0, "timer", 0)] * 3 + [(0.1, "cancel", 1), (0.0, "timer", 0)])
+@example(ops=[(0.0, "timer", 0)] * 3 + [(0.1, "cancel", 2), (0.0, "timer", 0)])
+@example(ops=[(0.0, "timer", 0)] * 3 + [(0.1, "cancel", k) for k in (1, 0, 2)])
 # cancel after the timer fired, and the same timer cancelled twice
-@example(ops=[(0.0, "timer", 0), (0.0, "timer", 0), (0.6, "cancel", 0), (0.0, "cancel", 1),
-              (0.0, "cancel", 1)], wide=False)
-# more live delays than lanes: the spilled timers cannot be cancelled
-@example(ops=[(0.0, "timer", k) for k in range(len(WIDE))]
-         + [(0.1, "cancel", k) for k in range(len(WIDE))], wide=True)
-def test_cancelled_timers_never_become_events(ops, wide):
+@example(ops=[(0.0, "timer", 0), (0.0, "timer", 0), (1.1, "cancel", 0), (0.0, "cancel", 1),
+              (0.0, "cancel", 1)])
+def test_cancelled_timers_never_become_events(ops):
     """Property: any interleaving of ``schedule`` / ``schedule_timer`` /
     ``cancel_timer`` executes exactly what the same program does with the
     cancelled timers never armed — same ``(time, callback)`` sequence, same
-    ``events_processed`` — and leaves no cancellation mark behind."""
-    delays = WIDE if wide else NARROW
-    sim, fired, cancelled = _run_timer_program(ops, delays)
-    ref, ref_fired, _ = _run_timer_program(ops, delays, never_arm=cancelled)
+    ``events_processed`` — and leaves no timer or cancellation mark behind."""
+    sim, fired, cancelled = _run_timer_program(ops)
+    ref, ref_fired, _ = _run_timer_program(ops, never_arm=cancelled)
     assert fired == ref_fired
     assert not cancelled & {i for _, i in fired}
     assert sim.events_processed == ref.events_processed
-    assert not sim._cancelled and not sim._timer_lanes and not sim._timer_heads
+    assert not sim._cancelled and not sim._timers
 
 
 def test_cancelling_a_lane_head_moves_the_next_wakeup():
