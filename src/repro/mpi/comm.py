@@ -21,7 +21,7 @@ import numpy as np
 from repro.net.cluster import Cluster, Node, PendingRun
 from repro.net.config import NetConfig, NodeConfig
 from repro.net.message import Message, MessageKind
-from repro.sim import Event
+from repro.net.transport import Waiter
 
 __all__ = ["MpiComm", "MpiSystem"]
 
@@ -58,45 +58,53 @@ class MpiComm:
     # -- point to point -----------------------------------------------------------
 
     def send(self, data: Any, dest: int, tag: int = 0, size: Optional[int] = None) -> Generator:
-        """Blocking-ish send (completes when the transport acks)."""
+        """Blocking-ish send (``yield from``; completes when the transport acks)."""
         if dest == self.rank:
             raise ValueError("MPI self-sends are not supported in the simulator")
         nbytes = _payload_size(data, size)
-        yield from self.node.send_reliable(
+        return self.node.transport.send_reliable(
             dest, MessageKind.MPI_DATA, {"tag": tag, "data": data, "src": self.rank}, nbytes
         )
-        return None
 
     def recv(self, source: int, tag: int = 0) -> Generator:
         """Blocking receive matched on ``(source, tag)``."""
+        if source == self.rank or not 0 <= source < self.size:
+            raise ValueError(
+                f"rank {self.rank} cannot receive from {source}: "
+                f"not another rank of {self.size}"
+            )
         key = (source, tag)
         queue = self._queues.get(key)
         if queue:
             return queue.popleft()
-        evt = Event(self.node.sim)
-        self._waiters.setdefault(key, deque()).append(evt)
+        waiter = Waiter(1)
+        self._waiters.setdefault(key, deque()).append(waiter)
         tracer = self.node.sim.tracer
         if tracer is None:
-            data = yield evt.wait()
-            return data
+            return (yield waiter)
         tracer.begin(
             self.rank, "app", "recv-wait", f"recv {source}:{tag}",
             self.node.sim.now, {"src": source, "tag": tag},
         )
-        data = yield evt.wait()
+        data = yield waiter
         tracer.end(self.rank, "app", "recv-wait", self.node.sim.now)
         return data
 
     def _on_data(self, msg: Message) -> None:
+        """Resume the oldest live ``recv`` of the message's ``(source, tag)``
+        in place, or queue the data if none is left (an interrupted recv's
+        registration is skipped, never handed the message)."""
         key = (msg.payload["src"], msg.payload["tag"])
         waiters = self._waiters.get(key)
-        if waiters:
-            tracer = self.node.sim.tracer
-            if tracer is not None:
-                tracer.wake(self.rank, self.node.sim.now)
-            waiters.popleft().set(msg.payload["data"])
-        else:
-            self._queues.setdefault(key, deque()).append(msg.payload["data"])
+        while waiters:
+            waiter = waiters.popleft()
+            if waiter.live():
+                tracer = self.node.sim.tracer
+                if tracer is not None:
+                    tracer.wake(self.rank, self.node.sim.now)
+                waiter.proc._resume(msg.payload["data"], None, waiter.token)
+                return
+        self._queues.setdefault(key, deque()).append(msg.payload["data"])
 
     # -- collectives (binomial trees rooted at ``root``) ------------------------------
 

@@ -9,7 +9,6 @@ system would put on the wire (diff bytes, write-notice records, etc.).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
@@ -50,32 +49,47 @@ class MessageKind(str, Enum):
 _msg_ids = itertools.count(1)
 
 
-@dataclass(slots=True)
 class Message:
     """A single protocol message.
 
     ``size`` is the payload size in bytes as it would appear on the wire
     (headers are added by the network model).  ``msg_id`` is globally unique
     and used for ack matching and duplicate suppression; ``req_id`` links a
-    reply to its request.
+    reply to its request.  A plain slots class rather than a dataclass: one
+    is built per data message and per ack, and the generated ``__init__``
+    costs two more Python calls (the id factory and ``__post_init__``).
     """
 
-    src: int
-    dst: int
-    kind: MessageKind
-    payload: Any
-    size: int
-    need_ack: bool = False
-    req_id: int | None = None
-    is_reply: bool = False
-    msg_id: int = field(default_factory=lambda: next(_msg_ids))
-    attempt: int = 0
+    __slots__ = (
+        "src", "dst", "kind", "payload", "size",
+        "need_ack", "req_id", "is_reply", "msg_id", "attempt",
+    )
 
-    def __post_init__(self) -> None:
-        if self.size < 0:
-            raise ValueError(f"negative message size: {self.size}")
-        if self.src == self.dst:
+    def __init__(
+        self,
+        src: int,
+        dst: int,
+        kind: MessageKind,
+        payload: Any,
+        size: int,
+        need_ack: bool = False,
+        req_id: int | None = None,
+        is_reply: bool = False,
+    ) -> None:
+        if size < 0:
+            raise ValueError(f"negative message size: {size}")
+        if src == dst:
             raise ValueError("loopback messages must not reach the network")
+        self.src = src
+        self.dst = dst
+        self.kind = kind
+        self.payload = payload
+        self.size = size
+        self.need_ack = need_ack
+        self.req_id = req_id
+        self.is_reply = is_reply
+        self.msg_id = next(_msg_ids)
+        self.attempt = 0
 
     def wire_copy(self) -> "Message":
         """Shallow copy representing one transmission attempt on the wire."""
@@ -91,3 +105,9 @@ class Message:
         clone.msg_id = self.msg_id
         clone.attempt = self.attempt
         return clone
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"Message({self.kind.name} {self.src}->{self.dst} id={self.msg_id} "
+            f"size={self.size} attempt={self.attempt})"
+        )

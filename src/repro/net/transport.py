@@ -16,11 +16,16 @@ UDP:
 Every in-flight reliable send and request is one *pending record* in one
 table.  The ack or reply pops the record, cancels its retransmission timer
 (:meth:`Simulator.cancel_timer` — an answered timer never becomes an event)
-and wakes the sender with one zero-delay event; the timer's callback is the
-retransmission, and after ``max_retries`` of them it throws
+and resumes the sender in place, inside the RX completion that delivered
+the answer, so an answer costs no event beyond its frame's two; the timer's
+callback is the retransmission, and after ``max_retries`` of them it throws
 :class:`RequestError` into the sender.  :meth:`Transport.call_all` issues
 several requests behind one waiter, so a caller fetching from k peers is
 resumed once, not k times through k helper processes.
+
+The first transmission puts the record's own message on the wire; a
+retransmission replaces the record's message with a copy before bumping its
+``attempt``, so a copy already in flight is never mutated.
 
 Every copy waits the same ``NetConfig.rexmit_timeout`` (1 s by default, the
 paper's observed behaviour), so all retransmission timers share one delay
@@ -50,7 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.nic import Nic
     from repro.net.stats import NetStats
 
-__all__ = ["Transport", "RequestError"]
+__all__ = ["Transport", "RequestError", "Waiter"]
 
 
 class RequestError(RuntimeError):
@@ -80,15 +85,22 @@ class RequestError(RuntimeError):
         self.sim_time = sim_time
 
 
-class _Waiter(Effect):
-    """What a sender yields: suspends it until all ``left`` of its pending
-    records are answered, then resumes it once with ``results`` (one slot
-    per record, in the order they were sent).  ``send``, if given, runs one
-    zero-delay hop after the sender suspends."""
+class Waiter(Effect):
+    """What a waiting process yields: suspends it until all ``left`` of its
+    answers are in, then resumes it once with ``results`` (one slot per
+    answer, in the order they were asked for).  ``send``, if given, runs one
+    zero-delay hop after the process suspends.
+
+    The registration is ``(proc, token)``: :meth:`live` tells whether the
+    process still waits on this yield, and whoever delivers the last answer
+    resumes it in place (``proc._resume(..., token)``) from an event
+    callback, never from a process.  ``MpiComm.recv`` parks on a
+    ``Waiter(1)`` and is resumed with the data itself, not ``results``.
+    """
 
     __slots__ = ("send", "proc", "token", "results", "left")
 
-    def __init__(self, n: int, send: Optional[Callable[[_Waiter], None]] = None):
+    def __init__(self, n: int, send: Optional[Callable[[Waiter], None]] = None):
         self.send = send
         self.results: list = [None] * n
         self.left = n
@@ -99,6 +111,14 @@ class _Waiter(Effect):
         if self.send is not None:
             sim.call_soon(self.send, self)
 
+    def live(self) -> bool:
+        """The process still waits on this yield: not finished, not resumed
+        since, and no interrupt pending (resuming it would throw that
+        interrupt and lose the answer)."""
+        proc = self.proc
+        return (self.token == proc._epoch and not proc.finished
+                and proc._interrupt_pending is None)
+
 
 class _Pending:
     """One unanswered reliable send or request; ``msg.attempt`` counts its
@@ -106,7 +126,7 @@ class _Pending:
 
     __slots__ = ("msg", "waiter", "slot", "timer")
 
-    def __init__(self, msg: Message, waiter: _Waiter, slot: int):
+    def __init__(self, msg: Message, waiter: Waiter, slot: int):
         self.msg = msg
         self.waiter = waiter
         self.slot = slot  # index into waiter.results
@@ -153,13 +173,13 @@ class Transport:
 
         Usage: ``yield from transport.send_reliable(...)``.
         """
-        waiter = _Waiter(1)
+        waiter = Waiter(1)
         self._transmit(waiter, 0, dst, kind, payload, size, need_ack=True)
         yield waiter
 
     def request(self, dst: int, kind: MessageKind, payload: Any, size: int) -> Generator:
         """Request/reply RPC; resumes with the reply :class:`Message`."""
-        waiter = _Waiter(1)
+        waiter = Waiter(1)
         self._transmit(waiter, 0, dst, kind, payload, size, need_ack=False)
         return (yield waiter)[0]
 
@@ -175,11 +195,11 @@ class Transport:
         if not requests:
             raise ValueError("call_all needs at least one request")
 
-        def send(waiter: _Waiter) -> None:
+        def send(waiter: Waiter) -> None:
             for slot, (dst, kind, payload, size) in enumerate(requests):
                 self._transmit(waiter, slot, dst, kind, payload, size, need_ack=False)
 
-        return _Waiter(len(requests), send)
+        return Waiter(len(requests), send)
 
     def pending_counts(self) -> tuple[int, int]:
         """``(unacked reliable sends, unanswered requests)`` in flight."""
@@ -206,12 +226,11 @@ class Transport:
         self._requests_in_progress.discard(key)
         self.nic.send(reply)
 
-    def _transmit(self, waiter: _Waiter, slot: int, dst: int, kind: MessageKind,
+    def _transmit(self, waiter: Waiter, slot: int, dst: int, kind: MessageKind,
                   payload: Any, size: int, need_ack: bool) -> None:
         """Create a message, count it and put its first copy on the wire."""
-        msg = Message(
-            src=self.node_id, dst=dst, kind=kind, payload=payload, size=size, need_ack=need_ack
-        )
+        # positional: keyword calls into ``Message.__init__`` cost twice as much
+        msg = Message(self.node_id, dst, kind, payload, size, need_ack)
         if not need_ack:
             msg.req_id = msg.msg_id
         self.stats.count_send(kind, size)
@@ -222,7 +241,7 @@ class Transport:
         self._send_copy(rec)
 
     def _send_copy(self, rec: _Pending) -> None:
-        """Transmit one copy of ``rec.msg`` and arm its timer.
+        """Transmit ``rec.msg`` and arm its timer.
 
         Every transmitted copy — including the final retransmission — gets a
         full timeout for its ack/reply to come back before
@@ -232,7 +251,7 @@ class Transport:
         and timer handle into a cycle only the (paused) collector could free.
         """
         msg = rec.msg
-        self.nic.send(msg.wire_copy())
+        self.nic.send(msg)
         rec.timer = self.sim.schedule_timer(
             self.cfg.rexmit_timeout, self._on_timeout, msg.msg_id
         )
@@ -243,7 +262,7 @@ class Transport:
         rec = self._pending[msg_id]
         msg = rec.msg
         waiter = rec.waiter
-        if waiter.token != waiter.proc._epoch:
+        if not waiter.live():
             # the sender moved on (interrupted, or failed by another request
             # of the same call): nobody is left to retransmit for
             del self._pending[msg_id]
@@ -259,6 +278,8 @@ class Transport:
                 sim_time=self.sim.now,
             ), waiter.token)
         else:
+            # the copy on the wire stays as sent; the retransmission is a new one
+            rec.msg = msg = msg.wire_copy()
             msg.attempt += 1
             self.stats.count_rexmit(msg.size, msg.kind)
             tracer = self.sim.tracer
@@ -272,7 +293,8 @@ class Transport:
 
     def _answered(self, msg_id: int, cause: int, value: Any) -> None:
         """The ack or reply for pending record ``msg_id`` arrived (if it is
-        still pending): disarm it and wake its sender once all are in."""
+        still pending): disarm it and, once all are in, resume its sender in
+        place — this runs inside the RX completion event that delivered it."""
         rec = self._pending.pop(msg_id, None)
         if rec is None:
             return  # stale or duplicate
@@ -284,7 +306,7 @@ class Transport:
         waiter.results[rec.slot] = value
         waiter.left -= 1
         if not waiter.left:
-            self.sim.call_soon(waiter.proc._resume, waiter.results, None, waiter.token)
+            waiter.proc._resume(waiter.results, None, waiter.token)
 
     # -- receive path -------------------------------------------------------------
 
@@ -298,13 +320,8 @@ class Transport:
             self._answered(msg.payload, msg.payload, None)
             return None
         if msg.need_ack:
-            ack = Message(
-                src=self.node_id,
-                dst=msg.src,
-                kind=MessageKind.ACK,
-                payload=msg.msg_id,
-                size=self.cfg.ack_bytes,
-            )
+            ack = Message(self.node_id, msg.src, MessageKind.ACK, msg.msg_id,
+                          self.cfg.ack_bytes)
             self.stats.count_ack()
             self.post(ack)
             seen = self._seen_reliable

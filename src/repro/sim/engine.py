@@ -16,13 +16,18 @@ deliberately small, allocation-light and fully deterministic:
   partition harness (:mod:`repro.sim.pdes`) inserts a cross-partition frame
   under the very ``(time, tsched, cls, key)`` it carries in a serial run, so
   serial and partitioned executions order events identically;
-* zero-delay wake-ups (the majority of all events: event sets, channel
-  puts, ``Timeout(0)`` yields, the transport's wake hops) bypass the heap
-  entirely and go through a plain FIFO *ready deque*.  Because the sequence
-  counter is allocated in execution order and simulated time never
-  decreases, every entry already in the heap at the current instant precedes
-  every ready entry, so draining ``heap-entries-at-now`` before the deque
-  preserves the exact ``(time, seq)`` total order of the naive implementation;
+* zero-delay wake-ups (event sets, channel puts, process joins,
+  ``Timeout(0)`` yields) bypass the heap entirely and go through a plain
+  FIFO *ready deque*.  Because the sequence counter is allocated in
+  execution order and simulated time never decreases, every entry already
+  in the heap at the current instant precedes every ready entry, so
+  draining ``heap-entries-at-now`` before the deque preserves the exact
+  ``(time, seq)`` total order of the naive implementation.  A wake-up
+  decided inside an event callback — a parked dispatcher's next message, a
+  transport ack or reply, MPI data for a waiting ``recv`` — needs no event
+  at all: the callback resumes the process in place
+  (:meth:`Process.unpark`, or :meth:`Process._resume` with the
+  registration's token);
 * a :class:`Process` wraps a Python generator; the generator *yields effects*
   (subclasses of :class:`Effect`), and the simulator resumes it with the
   effect's result value;
@@ -212,10 +217,11 @@ class Process:
         throwing ``exc`` into it — *now*.
 
         Returns ``False``, having done nothing, if the process is not parked
-        (not started yet, waiting on something else, or finished).  Unlike
-        every other wake-up this one is synchronous — the generator runs
-        inside the caller's event instead of costing a ready-deque event of
-        its own — so call it from an event callback, not from a process.
+        (not started yet, waiting on something else, or finished).  The
+        wake-up is synchronous — the generator runs inside the caller's event
+        instead of costing a ready-deque event of its own, as the transport's
+        answer and MPI-data wake-ups do — so call it from an event callback,
+        not from a process.
         """
         if not self._parked:
             return False
@@ -376,8 +382,9 @@ class Simulator:
         """Zero-delay fast path: exactly ``schedule(0.0, fn, *args)``.
 
         Skips the delay arithmetic and branch for the wake-up paths (event
-        sets, channel puts, process joins, the transport's wake hops) that
-        are always immediate (``Timeout(0)`` appends to the same deque).
+        sets, channel puts, process joins, interrupts, ``call_all``'s start
+        hop) that are always immediate (``Timeout(0)`` appends to the same
+        deque).
         """
         self._ready.append((fn, args))
 

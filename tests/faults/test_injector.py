@@ -70,8 +70,9 @@ def test_only_transfer_level_episodes_cost_a_departure_event(episode, per_frame)
     c.sim.spawn(sender())
     c.run()
     assert received == [0, 1, 2]
-    # sender start, then per send: the frame, its ack, the sender's wake-up
-    assert c.sim.events_processed - base == 1 + 3 * (2 * per_frame + 1)
+    # sender start, then per send: the frame and its ack, whose RX completion
+    # resumes the sender in place
+    assert c.sim.events_processed - base == 1 + 3 * 2 * per_frame
 
 
 # -- loss ------------------------------------------------------------------------

@@ -500,7 +500,8 @@ def test_plain_handler_runs_at_exactly_arrival_plus_cost():
     c.run()
     assert out == [2] and served == [arrived[0] + cost]  # float ==, not approx
     assert c[1]._proc._parked and not c[1]._busy  # the dispatcher never ran
-    assert c.sim.events_processed - base == 1 + 4 + 1 + 1  # start, NIC, cost, wake-up
+    # start, NIC, cost; the reply's RX completion resumes the client in place
+    assert c.sim.events_processed - base == 1 + 4 + 1
 
 
 def test_zero_cost_plain_handler_is_served_inside_the_rx_completion():
@@ -513,9 +514,10 @@ def test_zero_cost_plain_handler_is_served_inside_the_rx_completion():
     assert c.sim.events_processed - base == 2
 
 
-def test_round_trip_between_idle_nodes_is_five_events():
-    """Four NIC events and the requester's wake-up; the answered
-    retransmission timer is cancelled, not fired a second later."""
+def test_round_trip_between_idle_nodes_is_four_events():
+    """Four NIC events and nothing else: the reply's RX completion resumes
+    the requester in place, and the answered retransmission timer is
+    cancelled, not fired a second later."""
     c = make_cluster()
 
     def on_request(msg):
@@ -533,7 +535,7 @@ def test_round_trip_between_idle_nodes_is_five_events():
     base = parked(c)
     c.sim.spawn(caller())
     assert c.run() < c.netcfg.rexmit_timeout
-    assert c.sim.events_processed - base == 1 + 5 * trips
+    assert c.sim.events_processed - base == 1 + 4 * trips
 
 
 def test_mixed_plain_and_generator_burst_is_served_fifo_without_overlap():

@@ -48,8 +48,9 @@ def test_gather_resumes_once_in_request_order_when_replies_arrive_reversed():
     assert [o[0] for o in out] == ["ok"]
     assert out[0][2] == [(1, "q1"), (2, "q2"), (3, "q3")]
     # the caller's start, the start hop, 5 per request (4 NIC + the handler's
-    # cost charge), one wake-up — and not one answered timer
-    assert c.sim.events_processed - base == 1 + 1 + 3 * 5 + 1
+    # cost charge) — the last reply resumes the caller in place, and not one
+    # answered timer fires
+    assert c.sim.events_processed - base == 1 + 1 + 3 * 5
     assert c[0].transport.pending_counts() == (0, 0)
 
 
@@ -66,9 +67,10 @@ def test_lost_reply_retransmits_that_request_alone():
     assert out[0][1] > FAST["rexmit_timeout"]
     # a scripted verdict gives every frame a departure event, so 3 per frame:
     # start + hop + two clean round trips + the lost one (5 events up to the
-    # drop) + its timer + request again (3) + cached reply (3) + wake-up:
-    # had the two answered timers fired, there would be two more
-    assert c.sim.events_processed - base == 1 + 1 + 2 * 7 + 5 + 1 + 3 + 3 + 1
+    # drop) + its timer + request again (3) + cached reply (3), which resumes
+    # the caller in place: had the two answered timers fired, there would be
+    # two more
+    assert c.sim.events_processed - base == 1 + 1 + 2 * 7 + 5 + 1 + 3 + 3
 
 
 def test_duplicate_reply_is_ignored():

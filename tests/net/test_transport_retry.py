@@ -13,7 +13,7 @@ import pytest
 from repro.net import Cluster, MessageKind, NetConfig
 from repro.net.transport import RequestError
 from repro.sim import Timeout
-from tests.net.conftest import drop_frames
+from tests.net.conftest import DELIVER, drop_frames, script_transfers
 
 
 def _drop_first(cluster: Cluster, kind: MessageKind, count: int) -> list:
@@ -165,3 +165,42 @@ def test_duplicate_within_horizon_still_suppressed():
     c.run()
     assert dropped, "expected the first ack to be dropped"
     assert received == ["once"]
+
+
+def test_retransmission_is_a_new_copy_and_leaves_the_one_in_flight_alone():
+    """The first transmission is the record's own message and a
+    retransmission copies it before counting the attempt: the first copy,
+    held in flight past the timeout, still arrives reading attempt 0, the
+    retransmission reads 1, and the plan's duplicate of the first copy is
+    suppressed like any other."""
+    c = Cluster(2, netcfg=NetConfig(rexmit_timeout=0.1, max_retries=3))
+    received, arrivals = [], []
+    c[1].register_handler(MessageKind.TEST, _sink(received))
+    on_receive = c[1].transport.on_receive
+
+    def recording(msg):
+        arrivals.append((msg, msg.attempt))
+        return on_receive(msg)
+
+    c[1].transport.on_receive = recording
+
+    def verdict(msg):
+        if msg.kind is MessageKind.TEST and msg.attempt == 0:
+            return (0.15, 0.2)  # late past the timeout, then duplicated
+        return DELIVER
+
+    script_transfers(c, verdict)
+
+    def sender():
+        yield from c[0].send_reliable(1, MessageKind.TEST, "once", size=64)
+
+    c.sim.spawn(sender())
+    c.run()
+    frames = [(m, attempt) for m, attempt in arrivals if m.kind is MessageKind.TEST]
+    assert [attempt for _, attempt in frames] == [1, 0, 0]
+    retransmitted, first, duplicate = (m for m, _ in frames)
+    assert first.msg_id == retransmitted.msg_id == duplicate.msg_id
+    assert first is not retransmitted and (first.attempt, retransmitted.attempt) == (0, 1)
+    assert received == ["once"]
+    assert c.stats.rexmit == 1
+    assert c[0].transport.pending_counts() == (0, 0)
