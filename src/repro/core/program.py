@@ -25,7 +25,6 @@ import numpy as np
 from repro.core.shared_array import SharedArray
 from repro.core.vopp import BaseRuntime, TraditionalRuntime, VoppRuntime
 from repro.mpi import MpiSystem
-from repro.net.cluster import PendingRun
 from repro.net.config import NetConfig, NodeConfig
 from repro.protocols.system import DsmSystem
 
@@ -82,17 +81,6 @@ class BaseSystem:
         """Simulated seconds the last ``run_program`` took."""
         return self.cluster.run_time
 
-    @property
-    def shared_oracles(self) -> tuple:
-        """Cross-node metadata kept outside the message layer; the partition
-        harness replicates these and ships their mutations between replicas."""
-        return (self.dsm.directory, self.dsm.views)
-
-    def adopt_rank(self, rank: int, replica: "BaseSystem") -> None:
-        """Take ``rank``'s statistics shards from the replica that ran it."""
-        self.cluster.node_stats[rank] = replica.cluster.node_stats[rank]
-        self.dsm.rank_stats[rank] = replica.dsm.rank_stats[rank]
-
     # -- allocation -------------------------------------------------------------------
 
     def alloc_array(
@@ -124,15 +112,6 @@ class BaseSystem:
 
     def runtime(self, rank: int) -> BaseRuntime:
         return self.runtime_cls(self, rank)
-
-    def start_program(
-        self, body: Callable[..., Generator], *args, ranks=None, **kwargs
-    ) -> PendingRun:
-        """Spawn ``body(rt, *args, **kwargs)`` for ``ranks`` (default all)
-        without running; see :meth:`repro.net.cluster.Cluster.start_program`."""
-        return self.cluster.start_program(
-            lambda rank: body(self.runtime(rank), *args, **kwargs), ranks
-        )
 
     def run_program(self, body: Callable[..., Generator], *args, **kwargs) -> list:
         """Run ``body(rt, *args, **kwargs)`` on every node; return results by rank.

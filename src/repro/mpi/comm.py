@@ -18,7 +18,7 @@ from typing import Any, Callable, Generator, Optional
 
 import numpy as np
 
-from repro.net.cluster import Cluster, Node, PendingRun
+from repro.net.cluster import Cluster, Node
 from repro.net.config import NetConfig, NodeConfig
 from repro.net.message import Message, MessageKind
 from repro.net.transport import Waiter
@@ -246,21 +246,6 @@ class MpiSystem:
     def time(self) -> float:
         """Simulated seconds the last ``run_program`` took."""
         return self.cluster.run_time
-
-    shared_oracles = ()  # no metadata outside the message layer
-
-    def adopt_rank(self, rank: int, replica: "MpiSystem") -> None:
-        """Take ``rank``'s statistics shard from the replica that ran it."""
-        self.cluster.node_stats[rank] = replica.cluster.node_stats[rank]
-
-    def start_program(
-        self, body: Callable[..., Generator], *args, ranks=None, **kwargs
-    ) -> PendingRun:
-        """Spawn ``body(comm, *args, **kwargs)`` for ``ranks`` (default all)
-        without running; see :meth:`repro.net.cluster.Cluster.start_program`."""
-        return self.cluster.start_program(
-            lambda rank: body(self.comms[rank], *args, **kwargs), ranks
-        )
 
     def run_program(self, body: Callable[..., Generator], *args, **kwargs) -> list:
         """Run ``body(comm, *args, **kwargs)`` on every node; results by rank."""

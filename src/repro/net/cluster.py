@@ -18,10 +18,10 @@ time that depends on what it found, send and await acks — is a *generator*,
 run by the node's dispatcher process.  Neither may block on a remote request
 (one-way sends only), which makes the system deadlock-free by construction.
 
-The :class:`Cluster` is also the program runner: ``start_program`` spawns
-one application process per rank, ``run_program`` drives the simulation and
-measures the run.  The DSM facades and the MPI system only say what a rank's
-process is; there is no second runner.
+The :class:`Cluster` is also the program runner: ``run_program`` spawns one
+application process per rank, drives the simulation and measures the run.
+The DSM facades and the MPI system only say what a rank's process is; there
+is no second runner.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.net.nic import Nic, Switch
 from repro.net.stats import NetStats
 from repro.net.transport import Transport
 
-__all__ = ["Cluster", "Node", "PendingRun"]
+__all__ = ["Cluster", "Node"]
 
 Handler = Callable[[Message], Any]  # a generator function, or plain with a cost
 _UNREGISTERED = (None, None)
@@ -202,31 +202,6 @@ class Node:
         return self.compute(self.cfg.copy_time(nbytes))
 
 
-class PendingRun:
-    """A spawned-but-not-yet-driven program.
-
-    :meth:`Cluster.start_program` spawns the per-rank application processes
-    and returns one of these; whoever drives the simulation (the serial
-    :meth:`Cluster.run_program`, or the partition harness, which alternates
-    ``sim.run(until=...)`` with barrier exchanges) calls :meth:`finish` once
-    the event queues drain.
-    """
-
-    def __init__(self, start: float, procs: list, finish_times: list):
-        self.start = start
-        self.procs = procs  # [(rank, Process), ...]
-        self.finish_times = finish_times  # appended as each rank returns
-
-    def finish(self) -> dict:
-        """Verify every spawned process completed; return results by rank."""
-        stuck = [p.name for _, p in self.procs if not p.finished]
-        if stuck:
-            raise RuntimeError(
-                f"workers never finished (deadlock or lost wakeup): {stuck}"
-            )
-        return {rank: p.result for rank, p in self.procs}
-
-
 class Cluster:
     """A simulated cluster of ``n`` nodes behind one switch.
 
@@ -246,9 +221,9 @@ class Cluster:
         self.sim = sim or Simulator()
         self.netcfg = netcfg or NetConfig()
         self.nodecfg = nodecfg or NodeConfig()
-        # one NetStats shard per node: every counter update is node-local,
-        # which is what lets a partitioned (PDES) run reproduce serial
-        # statistics exactly (see repro.net.stats)
+        # one NetStats shard per node, merged in node order: that is the
+        # float-summation order every committed fingerprint was taken with,
+        # so collapsing the shards into one counter set could move them
         self.node_stats = [NetStats() for _ in range(n)]
         self.switch = Switch(self.sim, self.netcfg, self.node_stats)
         self.nodes = [
@@ -287,13 +262,11 @@ class Cluster:
 
     # -- the program runner ------------------------------------------------------------
 
-    def start_program(self, program: Callable[[int], Generator], ranks=None) -> PendingRun:
-        """Spawn ``program(rank)`` as each rank's application process, without
-        driving the simulation.
+    def run_program(self, program: Callable[[int], Generator]) -> list:
+        """Run ``program(rank)`` on every node to completion; results by rank.
 
-        ``ranks`` defaults to every rank; the partition harness passes each
-        partition's owned subset (the replica holds all nodes, but only the
-        owned ranks' application processes execute there).
+        Surfaces any worker exception (a deadlock shows up as workers that
+        never finish) and records the simulated duration in ``run_time``.
         """
         sim = self.sim
         start = sim.now
@@ -309,22 +282,15 @@ class Cluster:
             finish_times.append(sim.now)
             return result
 
-        if ranks is None:
-            ranks = range(self.n)
-        procs = [(rank, sim.spawn(timed(rank), name=f"app-{rank}")) for rank in ranks]
-        return PendingRun(start, procs, finish_times)
-
-    def run_program(self, program: Callable[[int], Generator]) -> list:
-        """Run ``program(rank)`` on every node to completion; results by rank.
-
-        Surfaces any worker exception (a deadlock shows up as workers that
-        never finish) and records the simulated duration in ``run_time``.
-        """
-        pending = self.start_program(program)
+        procs = [sim.spawn(timed(rank), name=f"app-{rank}") for rank in range(self.n)]
         self.run()
-        results = pending.finish()
+        stuck = [p.name for p in procs if not p.finished]
+        if stuck:
+            raise RuntimeError(
+                f"workers never finished (deadlock or lost wakeup): {stuck}"
+            )
         # the run ends when the last application process finishes; what the
         # event heap drains afterwards (fire-and-forget senders' acks) must
         # not count towards the measured time
-        self.run_time = max(pending.finish_times) - pending.start
-        return [results[rank] for rank in range(self.n)]
+        self.run_time = max(finish_times) - start
+        return [p.result for p in procs]

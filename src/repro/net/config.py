@@ -18,9 +18,9 @@ class NetConfig:
     Attributes
     ----------
     bandwidth_bps:
-        Link rate of every NIC port, bits per second (100 Mbps Ethernet).
+        Link rate of every NIC port, bits per second (> 0; 100 Mbps Ethernet).
     switch_latency:
-        Store-and-forward latency through the switch, seconds.
+        Store-and-forward latency through the switch, seconds (>= 0).
     send_overhead / recv_overhead:
         Fixed per-message software cost (UDP/IP stack traversal, interrupt
         handling) on a 350 MHz CPU.  ~60 µs each way is typical for the era.
@@ -65,6 +65,10 @@ class NetConfig:
     ack_bytes: int = 42
 
     def __post_init__(self) -> None:
+        if not self.switch_latency >= 0:
+            raise ValueError(f"switch_latency must be >= 0, got {self.switch_latency!r}")
+        if not self.bandwidth_bps > 0:
+            raise ValueError(f"bandwidth_bps must be > 0, got {self.bandwidth_bps!r}")
         if not self.rexmit_timeout > 0:
             raise ValueError(f"rexmit_timeout must be > 0, got {self.rexmit_timeout!r}")
         if self.max_retries < 0:
@@ -73,23 +77,6 @@ class NetConfig:
     def tx_time(self, payload_bytes: int) -> float:
         """Wire occupancy of a message of ``payload_bytes`` at link rate."""
         return (payload_bytes + self.header_bytes) * 8.0 / self.bandwidth_bps
-
-    def lookahead(self) -> float:
-        """Conservative-PDES lookahead bound: the switch forwarding latency.
-
-        Every cross-node interaction goes through the switch, so a message
-        departing a NIC at time t cannot affect any other node before
-        ``t + switch_latency``.  The partitioned driver uses this as the
-        synchronization window width: a window ``[T, T + lookahead())`` can
-        be executed by every partition independently, because no event
-        inside it can generate a cross-partition arrival inside it.
-        """
-        if self.switch_latency <= 0.0:
-            raise ValueError(
-                "PDES needs a positive switch_latency for lookahead; "
-                f"got {self.switch_latency!r}"
-            )
-        return self.switch_latency
 
 
 @dataclass

@@ -19,9 +19,9 @@ future departure.  The RX side keeps its completion event because that event
 *is* the delivery: where it falls among the destination node's other
 same-instant events decides what that node does next.  The switch queues
 each arrival under a canonical key (see :class:`Switch`); cross-node order
-within an instant is unobservable by construction, and the
-partition-determinism harness (:mod:`repro.sim.pdes`) is the evidence: it
-runs those events on different simulators, bit-identically.  When traced,
+within an instant is unobservable by construction, and the tie-permutation
+witness (``tests/sim/ties.py``) is the evidence: it reorders those events
+per seed and every run stays bit-identical.  When traced,
 each side's busy period is one complete (``X``) row written as it begins: its
 end is the ``done`` above, or the float the RX completion is scheduled at.
 
@@ -212,9 +212,10 @@ class Switch:
     :meth:`repro.sim.Simulator.schedule_keyed`).  Class 1 sorts it after
     every ordinary event scheduled at the departure instant, and the last
     component is canonical: it depends only on the source's own transmit
-    history, never on how the simulator interleaved *other* nodes' events —
-    which is what lets the partition-determinism harness reproduce serial
-    delivery order exactly when the sources live in different partitions.
+    history, never on how the simulator interleaved *other* nodes' events.
+    Keyed by push order instead, same-instant arrivals at one port would
+    follow the order their sources ran in, which the tie-permutation witness
+    catches on most cells of the benchmark matrix.
 
     Only a verdict that draws a *shared* random stream needs a place in
     global event order: ``random_drop_prob > 0``, or a fault plan with
@@ -230,8 +231,7 @@ class Switch:
         self.sim = sim
         self.cfg = cfg
         # per-node stat shards, indexed by node id; the switch attributes its
-        # drops to the *sending* node, which is always a local node even in a
-        # partitioned run (frames are handed over by the source NIC)
+        # drops to the *sending* node (frames are handed over by the source NIC)
         self.node_stats = node_stats
         self.ports: dict[int, Nic] = {}
         # lazy for the same reason as Nic._rng: only drawn when
@@ -283,7 +283,7 @@ class Switch:
             # scripted fault episodes: loss, extra latency / bounded
             # reordering, duplication (see repro.faults.injector).  Only an
             # actually *perturbed* delivery leaves the canonical order (its
-            # arrival time is the point; fault runs are serial-only).
+            # arrival time is the point).
             verdict = faults.on_transfer(msg)
             if verdict is None:
                 return  # dropped; the injector counted and traced it

@@ -1,11 +1,11 @@
 """Statistics counters matching the paper's table rows.
 
 Each cluster node accumulates into its **own** :class:`NetStats` shard;
-``Cluster.stats`` merges the shards in node order on demand.  Sharding keeps
-every counter update strictly node-local, so a partitioned (PDES) run — where
-each OS process drives a subset of nodes — produces byte-identical statistics
-to a serial run: the merge order (node 0, 1, 2, ...) fixes the floating-point
-summation order independently of how events interleaved across nodes.
+``Cluster.stats`` merges the shards in node order on demand.  The merge
+order (node 0, 1, 2, ...) fixes the floating-point summation order
+independently of how events interleaved across nodes, and it is the order
+every committed fingerprint was summed in: collapsing the shards into one
+counter set would sum in event order instead and could move them.
 Protocol layers add their own counters (diff requests, barrier time, acquire
 time) through :class:`repro.protocols.runstats.RunStats`, which embeds the
 merged object.

@@ -1,7 +1,7 @@
 """Trace-based consistency oracle: recorder + memory-model checker.
 
 The repo's other gates prove runs are *bit-identical to a baseline*
-(``repro report``, the partition-determinism harness); this module proves a
+(``repro report``, the tie-permutation witness); this module proves a
 run is *correct by the memory model*.  It has two halves:
 
 :class:`AccessRecorder`

@@ -10,10 +10,9 @@ accounted network messages.
 The directory is *versioned*: every claim and write note carries the acting
 node and time, and every read filters through the visibility rule of
 :mod:`repro.protocols.versioned` — a node sees another node's mutation only
-once it is at least one network lookahead old.  That makes reads a pure
-function of ``(reader, time)`` and the mutation log, which is what lets the
-partitioned (PDES) driver replicate the directory per partition (shipping
-mutations at window boundaries) and still produce bit-identical runs.
+once it is at least one switch latency old.  That makes reads a pure
+function of ``(reader, time)`` and the mutation log, whatever order the engine
+gives other nodes' same-instant events.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ class PageDirectory:
     def claim_origin(self, pid: int, node: int, t: float) -> None:
         """Record that ``node`` materialised ``pid`` at ``t`` (idempotent).
 
-        Within one lookahead window two nodes can both zero-fill the same
+        Within one switch latency two nodes can both zero-fill the same
         page without seeing each other; both claims are kept and readers
         deterministically pick the earliest visible one.
         """
@@ -48,10 +47,10 @@ class PageDirectory:
 
         HLRC's home assignment needs every node to agree on a page's home the
         moment it exists: a writer that wrongly believes itself home skips
-        the eager diff push and the true home deadlocks waiting for it.  The
-        price of agreement is that this read is only meaningful serially —
-        the PDES driver refuses ``hlrc_d`` (a partitioned replica lacks other
-        partitions' in-window claims).
+        the eager diff push and the true home deadlocks waiting for it.  An
+        instantaneous read could see another node's same-instant claim or
+        not; the ``hlrc_d`` cells of the tie-permutation witness find no run
+        where that order shows.
         """
         entries = self._origins.all_entries(pid)
         return min(entries, key=lambda e: (e[0], e[1]))[1] if entries else None
@@ -68,17 +67,3 @@ class PageDirectory:
         if entry is not None and entry[1] != asker:
             return entry[1]
         return None
-
-    # -- PDES delta shipping ----------------------------------------------------
-
-    def capture_deltas(self) -> None:
-        self._origins.capture_deltas()
-        self._writers.capture_deltas()
-
-    def drain_deltas(self) -> tuple:
-        return (self._origins.drain_deltas(), self._writers.drain_deltas())
-
-    def apply_deltas(self, deltas: tuple) -> None:
-        origins, writers = deltas
-        self._origins.apply_deltas(origins)
-        self._writers.apply_deltas(writers)

@@ -70,8 +70,7 @@ class HlrcProtocol(LrcProtocol):
         if self.home_policy == "round_robin":
             return pid % self.nprocs
         # instantaneous read: all nodes must agree on a page's home from the
-        # moment it exists, or eager pushes go astray (serial-only; the PDES
-        # driver refuses hlrc_d)
+        # moment it exists, or eager pushes go astray
         return self.directory.origin_any(pid)
 
     # -- writer side: eager diff propagation -----------------------------------------

@@ -4,8 +4,9 @@ Each rank records into its **own** :class:`RunStats` shard (``net=None``);
 ``DsmSystem.stats`` merges the shards in rank order, attaching the merged
 network counters.  Rank-order merging fixes the floating-point summation
 order of the time accumulators independently of cross-node event
-interleaving, so a partitioned (PDES) run reproduces serial statistics
-exactly.  The rows reproduced (Tables 1, 2, 4, 6, 8):
+interleaving; it is the order the committed fingerprints were summed in, so
+collapsing the shards could move them.  The rows reproduced (Tables 1, 2,
+4, 6, 8):
 
 ======================  =============================================
 Row                     Source

@@ -60,8 +60,7 @@ class DsmSystem:
             page_size = self.cluster.nodecfg.page_size
         self.space = AddressSpace(page_size=page_size)
         # shared oracles (directory + view metadata) read through the
-        # lookahead-visibility rule, so serial and partitioned runs see
-        # identical metadata (see repro.protocols.versioned)
+        # switch-latency visibility rule (see repro.protocols.versioned)
         lam = self.cluster.netcfg.switch_latency
         self.directory = PageDirectory(lookahead=lam)
         # view metadata shared across nodes (discovered dynamically; a real

@@ -1,40 +1,31 @@
-"""Versioned shared oracles with visibility delayed by the network lookahead.
+"""Versioned shared oracles with visibility delayed by the switch latency.
 
 The simulator keeps two pieces of cross-node metadata outside the message
 layer: the page directory (who created / last wrote each page) and the view
 registry (which pages belong to which view).  They stand in for metadata a
 real DSM distributes through its managers, at zero simulated cost.
 
-A purely serial simulator could consult them instantaneously, but the
-partitioned (PDES) driver replicates them per partition and ships mutations
-only at window boundaries.  To keep serial and partitioned runs
-bit-identical, **both** read through the same visibility rule:
+Every read goes through one visibility rule:
 
     a mutation made by node ``m`` at time ``t_m`` is visible to a reader
-    ``r`` at time ``t_r`` iff ``r == m`` or ``t_m + lookahead <= t_r``.
+    ``r`` at time ``t_r`` iff ``r == m`` or ``t_m + lookahead <= t_r``,
 
-The rule is physically faithful: real metadata travels in messages that take
-at least the switch forwarding latency (the PDES lookahead), so no node can
-act on another node's mutation sooner than that.  And it makes every read a
-pure function of ``(reader, t_r)`` and the mutation log — independent of how
-the engine interleaved other nodes' events, and of which partition the
-reader runs in.
-
-Replica sufficiency under the window protocol: a partition executing window
-``[T, T + lookahead)`` holds every foreign mutation with ``t_m < T`` (shipped
-at the previous window barrier), and the visibility rule never selects a
-foreign mutation with ``t_m >= T`` — that would need ``t_r >= T + lookahead``,
-past the window's end.
+``lookahead`` being the switch forwarding latency λ.  The rule is physically
+faithful: real metadata travels in messages that take at least the switch
+forwarding latency, so no node can act on another node's mutation sooner
+than that.  And it makes every read a pure function of ``(reader, t_r)`` and
+the mutation log — independent of how the engine ordered other nodes'
+same-instant events, which the tie-permutation witness
+(``tests/sim/ties.py``) checks.  Whether the rule is also *observed* — does
+any committed fingerprint move when λ is 0 here — is measured separately
+(docs/simulator.md, "Tie-permutation witness").
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 __all__ = ["VersionedOracle", "ViewRegistry"]
-
-# a delta record, as captured/applied for PDES shipping: (key, t, node, value)
-Record = tuple
 
 
 class VersionedOracle:
@@ -43,14 +34,11 @@ class VersionedOracle:
     def __init__(self, lookahead: float = 0.0):
         self.lookahead = lookahead
         self._log: dict[Any, list[tuple]] = {}
-        self._pending: Optional[list[Record]] = None  # delta capture (PDES)
 
     # -- mutation ---------------------------------------------------------------
 
     def record(self, key: Any, t: float, node: int, value: Any = None) -> None:
         self._log.setdefault(key, []).append((t, node, value))
-        if self._pending is not None:
-            self._pending.append((key, t, node, value))
 
     def has_record(self, key: Any, node: int) -> bool:
         """Whether ``node`` itself ever recorded under ``key`` (no visibility:
@@ -58,12 +46,8 @@ class VersionedOracle:
         return any(e[1] == node for e in self._log.get(key, ()))
 
     def all_entries(self, key: Any) -> list[tuple]:
-        """Every entry regardless of visibility (instantaneous read).
-
-        Only valid in a serial run — a partitioned replica does not hold
-        other partitions' in-window mutations, so consumers of this method
-        (HLRC's home lookup) cannot run under the PDES driver.
-        """
+        """Every entry regardless of visibility (instantaneous read; HLRC's
+        home lookup is its one consumer)."""
         return self._log.get(key, [])
 
     # -- reads ------------------------------------------------------------------
@@ -86,27 +70,6 @@ class VersionedOracle:
         vis = self.visible(key, reader, t)
         return max(vis, key=_order) if vis else None
 
-    # -- PDES delta shipping ----------------------------------------------------
-
-    def capture_deltas(self) -> None:
-        """Start buffering local mutations for window-boundary shipping."""
-        if self._pending is None:
-            self._pending = []
-
-    def drain_deltas(self) -> list[Record]:
-        out, self._pending = self._pending or [], []
-        return out
-
-    def apply_deltas(self, records: Iterable[Record]) -> None:
-        """Replay another partition's mutations into this replica."""
-        pending = self._pending
-        self._pending = None  # foreign mutations must not be re-shipped
-        try:
-            for key, t, node, value in records:
-                self.record(key, t, node, value)
-        finally:
-            self._pending = pending
-
 
 def _order(entry: tuple) -> tuple:
     return (entry[0], entry[1])
@@ -117,7 +80,7 @@ class ViewRegistry:
 
     Replaces the plain ``page_view`` / ``view_pages`` dicts: bindings carry
     the binding node and time, and every read filters through the oracle
-    visibility rule so partitioned runs agree with serial runs exactly.
+    visibility rule.
     """
 
     def __init__(self, lookahead: float = 0.0):
@@ -168,17 +131,3 @@ class ViewRegistry:
             if any(e[1] == reader or e[0] + lam <= t for e in entries):
                 out.append(view_id)
         return sorted(out)
-
-    # -- PDES delta shipping ----------------------------------------------------
-
-    def capture_deltas(self) -> None:
-        self._binds.capture_deltas()
-        self._members.capture_deltas()
-
-    def drain_deltas(self) -> tuple[list[Record], list[Record]]:
-        return (self._binds.drain_deltas(), self._members.drain_deltas())
-
-    def apply_deltas(self, deltas: tuple) -> None:
-        binds, members = deltas
-        self._binds.apply_deltas(binds)
-        self._members.apply_deltas(members)

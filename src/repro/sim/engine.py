@@ -12,10 +12,12 @@ deliberately small, allocation-light and fully deterministic:
   ordinary events ``tsched``/``cls`` never reorder anything relative to the
   historical ``(time, seq)`` key — ``seq`` is allocated in scheduling order
   and simulated time never decreases, so ``seq`` order refines ``tsched``
-  order — but they give a network arrival a *reconstructible* position: the
-  partition harness (:mod:`repro.sim.pdes`) inserts a cross-partition frame
-  under the very ``(time, tsched, cls, key)`` it carries in a serial run, so
-  serial and partitioned executions order events identically;
+  order — but they give a network arrival a position that does not depend
+  on the order other nodes' same-instant events ran in.  Only ties between
+  nodes are left to the engine, and the layers above are written so that
+  their order is unobservable; the tie-permutation witness
+  (``tests/sim/ties.py``) reorders them per seed and demands bit-identical
+  runs;
 * zero-delay wake-ups (event sets, channel puts, process joins,
   ``Timeout(0)`` yields) bypass the heap entirely and go through a plain
   FIFO *ready deque*.  Because the sequence counter is allocated in
@@ -407,14 +409,13 @@ class Simulator:
         """Schedule at absolute time ``t`` under the caller's full ordering
         key ``(t, tsched, cls, key)``.
 
-        Used for network arrivals (the switch, and the partition harness when
-        it re-injects cross-partition frames): ``tsched`` is the frame's
+        Used for network arrivals by the switch: ``tsched`` is the frame's
         departure instant, ``cls`` is 1 and ``key`` is its canonical
         ``(source, departure number)`` position, so the queue's own order is
-        the delivery order and a partitioned run rebuilds the serial position
-        exactly.  ``key`` takes the place of the simulator's sequence
-        counter, so it must be unique within ``(t, tsched, cls)`` — which is
-        why class 1 belongs to arrivals alone.  Always goes through the main
+        the delivery order, whatever order the sources' events ran in.
+        ``key`` takes the place of the simulator's sequence counter, so it
+        must be unique within ``(t, tsched, cls)`` — which is why class 1
+        belongs to arrivals alone.  Always goes through the main
         event queue, even for ``t == now`` — ready-deque entries sort *after*
         all queue entries at the current instant, which is wrong for an event
         whose logical scheduling instant lies in the past.
@@ -456,12 +457,13 @@ class Simulator:
         """Disarm a :meth:`schedule_timer` timer: it never becomes an event.
 
         Never, not usually — a cancelled timer that fired as a no-op would
-        still count in ``events_processed`` and move ``peek_next_time``, and
-        which timers share the FIFO differs between the partitions of a
-        partitioned run (:mod:`repro.sim.pdes` pins the event count).  So a
-        timer behind the head is marked and dropped when the head advances
-        past it, and the head is unhooked on the spot.  Cancelling a fired
-        or already cancelled timer does nothing.
+        still count in ``events_processed`` and move ``peek_next_time``
+        (``tests/sim/test_engine.py`` pins both:
+        ``test_cancelled_timers_never_become_events`` and
+        ``test_cancelling_a_lane_head_moves_the_next_wakeup``).  So a timer
+        behind the head is marked and dropped when the head advances past
+        it, and the head is unhooked on the spot.  Cancelling a fired or
+        already cancelled timer does nothing.
         """
         timers = self._timers
         if not timers or handle[3] < timers[0][3]:
@@ -492,21 +494,19 @@ class Simulator:
 
     # -- execution -----------------------------------------------------------
 
-    def run(self, until: Optional[float] = None, inclusive: bool = True) -> float:
+    def run(self, until: Optional[float] = None) -> float:
         """Process events until the queues drain (or ``until`` is reached).
 
         Returns the final simulated time.  If any process died with an
         exception the first such exception is re-raised (with the remaining
         failures attached as ``__notes__``-style context in its args).
 
-        ``until`` boundary contract (the PDES outer loop calls this
-        repeatedly, so the semantics are load-bearing):
+        ``until`` boundary contract, so that repeated calls compose into one
+        run:
 
         * ``until`` in the past (``until < self.now``) raises
           :class:`SimError` — the clock never moves backwards;
-        * with ``inclusive=True`` (default) events scheduled *exactly at*
-          ``until`` execute before the break; with ``inclusive=False`` they
-          stay queued (the PDES window ``[T, W)`` is half-open);
+        * events scheduled *exactly at* ``until`` execute before the break;
         * ready-deque entries (zero-delay work at the current instant) are
           always drained before the clock can advance, so none are pending
           at the break;
@@ -547,8 +547,7 @@ class Simulator:
                 else:
                     from_timer = not heap or (timers and timers[0] < heap[0])
                     t = timers[0][0] if from_timer else heap[0][0]
-                    if until is not None and (t > until or (
-                            not inclusive and t >= until)):
+                    if until is not None and t > until:
                         if until > now:
                             self.now = until
                         break
@@ -577,8 +576,7 @@ class Simulator:
         """Earliest pending event time across heap and timers (``inf`` if idle).
 
         Ready-deque entries run at the current instant, so a non-empty
-        ready deque reports ``now``.  The PDES driver uses this to compute
-        the global lower bound T for the next synchronization window.
+        ready deque reports ``now``.
         """
         if self._ready:
             return self.now

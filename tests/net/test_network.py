@@ -279,6 +279,21 @@ def test_cluster_requires_positive_size():
         Cluster(0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("switch_latency", -1e-6), ("switch_latency", -1.0),
+     ("bandwidth_bps", 0.0), ("bandwidth_bps", -100e6)],
+)
+def test_netconfig_rejects_an_unusable_network(field, value):
+    """A small negative latency would deliver a frame before it departs, a
+    larger one fail mid-run with "cannot schedule in the past", and a zero
+    bandwidth divide by zero at the first send: all three are refused when
+    the config is built, naming the field.  A zero latency stays legal."""
+    with pytest.raises(ValueError, match=field):
+        NetConfig(**{field: value})
+    assert NetConfig(switch_latency=0.0).switch_latency == 0.0
+
+
 def test_stats_snapshot_roundtrip():
     c = make_cluster()
     install_sink(c[1])

@@ -149,7 +149,7 @@ def test_simulator_calendar_windows_match_heap_windows():
         w = 0.0
         while sim.peek_next_time() != float("inf"):
             w = max(w + 2e-5, sim.now)
-            sim.run(until=w, inclusive=False)
+            sim.run(until=w)
         return trace, sim.events_processed
 
     assert run("calendar") == run("heap")

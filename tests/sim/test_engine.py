@@ -400,8 +400,8 @@ def test_run_until_in_past_raises_and_clock_never_rewinds():
 
 def test_run_until_advances_clock_when_drained():
     """If the queues drain before ``until`` the clock still runs out the
-    window — pre-fix it stopped at the last event time, so the PDES outer
-    loop saw a non-monotone `now` across idle windows."""
+    window — pre-fix it stopped at the last event time, so repeated windowed
+    runs saw a non-monotone `now` across idle windows."""
     sim = Simulator()
 
     def worker():
@@ -428,25 +428,10 @@ def test_run_until_executes_events_exactly_at_until():
     assert sim.now == 3.5
 
 
-def test_run_until_exclusive_leaves_boundary_events_queued():
-    sim = Simulator()
-    fired = []
-
-    def worker():
-        yield Timeout(2.0)
-        fired.append(sim.now)
-
-    sim.spawn(worker())
-    sim.run(until=2.0, inclusive=False)
-    assert fired == []  # the window [0, 2) is half-open
-    assert sim.now == 2.0
-    sim.run()
-    assert fired == [2.0]
-
-
 def test_run_until_windows_compose_into_a_full_run():
-    """Driving the clock through half-open windows (the PDES outer loop)
-    must execute exactly the events a single run() would, in order."""
+    """Driving the clock through ``until`` windows must execute exactly the
+    events a single run() would, in order — including the ticks that fall
+    on a window's end."""
 
     def ticks(windowed):
         sim = Simulator()
@@ -461,8 +446,8 @@ def test_run_until_windows_compose_into_a_full_run():
         if windowed:
             w = 0.0
             while sim.peek_next_time() != float("inf"):
-                w = max(w + 0.7, sim.now)
-                sim.run(until=w, inclusive=False)
+                w = max(w + 0.5, sim.now)  # every tick lands on a window end
+                sim.run(until=w)
                 assert sim.now == w  # monotone, even through idle windows
         else:
             sim.run()
@@ -607,8 +592,8 @@ def test_cancelled_timers_never_become_events(ops):
 
 
 def test_cancelling_a_lane_head_moves_the_next_wakeup():
-    """The head is unhooked on the spot, so ``peek_next_time`` (which sizes a
-    partitioned run's windows) never reports a cancelled timer."""
+    """The head is unhooked on the spot, so ``peek_next_time`` never reports
+    a cancelled timer."""
     sim = Simulator()
     first = sim.schedule_timer(1.0, lambda: None)
     sim.run(until=0.5)
