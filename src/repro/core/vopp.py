@@ -81,9 +81,9 @@ class VoppRuntime(BaseRuntime):
         """
         page_size = self.system.dsm.space.page_size
         views = self.system.dsm.views
-        for view_id in views.known_views(self.node.id, self.now):
+        for view_id in views.known_views():
             yield from self.acquire_Rview(view_id)
-            for pid in views.pages_of(view_id, self.node.id, self.now):
+            for pid in views.pages_of(view_id):
                 yield from self.proto.mm.read_bytes(pid * page_size, 1)
             yield from self.release_Rview(view_id)
         return None

@@ -221,9 +221,9 @@ class Cluster:
         self.sim = sim or Simulator()
         self.netcfg = netcfg or NetConfig()
         self.nodecfg = nodecfg or NodeConfig()
-        # one NetStats shard per node, merged in node order: that is the
-        # float-summation order every committed fingerprint was taken with,
-        # so collapsing the shards into one counter set could move them
+        # one NetStats shard per node, merged in node order: the counters
+        # stay attributable per node, and the merged by_kind key order does
+        # not depend on how events of different nodes interleaved
         self.node_stats = [NetStats() for _ in range(n)]
         self.switch = Switch(self.sim, self.netcfg, self.node_stats)
         self.nodes = [

@@ -1,14 +1,14 @@
 """Statistics counters matching the paper's table rows.
 
 Each cluster node accumulates into its **own** :class:`NetStats` shard;
-``Cluster.stats`` merges the shards in node order on demand.  The merge
-order (node 0, 1, 2, ...) fixes the floating-point summation order
-independently of how events interleaved across nodes, and it is the order
-every committed fingerprint was summed in: collapsing the shards into one
-counter set would sum in event order instead and could move them.
-Protocol layers add their own counters (diff requests, barrier time, acquire
-time) through :class:`repro.protocols.runstats.RunStats`, which embeds the
-merged object.
+``Cluster.stats`` merges the shards in node order on demand.  Every counter
+is an integer, so the merge order changes no sum.  The shards buy two other
+things: per-node attribution (``Cluster.node_stats[i]``, which the
+transport tests read), and a ``by_kind`` key order (it reaches JSON
+reports) that depends only on each node's own history, never on how events
+of different nodes interleaved.  Protocol layers add their own counters
+(diff requests, barrier time, acquire time) through
+:class:`repro.protocols.runstats.RunStats`, which embeds the merged object.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """DSM consistency protocols.
 
-Three protocol implementations, matching the paper's three systems:
+Four protocol implementations: the paper's three systems and one extension:
 
 * :class:`repro.protocols.lrc.LrcProtocol` — **LRC_d**: diff-based Lazy
   Release Consistency as in TreadMarks (invalidate protocol, write notices,
@@ -13,9 +13,12 @@ Three protocol implementations, matching the paper's three systems:
 * :class:`repro.protocols.vc_sd.VcSdProtocol` — **VC_sd**: the optimal VC
   implementation with *diff integration* (one merged diff per page) and
   *diff piggybacking* on the view-grant message (zero diff requests).
+* :class:`repro.protocols.hlrc.HlrcProtocol` — **HLRC_d**: home-based LRC,
+  beyond the paper (writers push diffs eagerly to each page's home; a fault
+  fetches the whole page from the home in one round trip).
 
-All three share the interval/timestamp machinery (:mod:`.timestamps`), the
-fault-handling base (:mod:`.base`) and the global page directory hints
+All four share the interval/timestamp machinery (:mod:`.timestamps`), the
+fault-handling base (:mod:`.base`) and the shared page and view metadata
 (:mod:`.directory`).
 """
 

@@ -258,7 +258,7 @@ class BaseDsmProtocol:
     def _fetch_base_copy(self, pid: int) -> Generator:
         """First touch: zero-fill if nobody has the page, else fetch it."""
         now = self.node.sim.now
-        src = self.directory.fetch_source(pid, self.node.id, now)
+        src = self.directory.fetch_source(pid, self.node.id)
         if src is None:
             self.mm.zero_fill(pid)
             self.directory.claim_origin(pid, self.node.id, now)

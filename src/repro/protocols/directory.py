@@ -1,69 +1,89 @@
-"""Global page-location hints.
+"""Shared DSM metadata: page-location hints and view membership.
 
-Real DSM systems assign every page a *static manager* at initialisation time
-(TreadMarks: pages are distributed round-robin; the manager always knows a
-node holding a valid base copy).  We model that metadata as a zero-cost global
-directory: it carries **routing hints only** (who first materialised a page,
-who wrote it last) and never any page content — content always moves through
-accounted network messages.
+Real DSM systems keep this metadata in static managers: TreadMarks gives
+every page a manager at initialisation that always knows a node holding a
+valid base copy, and a VOPP view manager knows its view's pages.  Here it is
+zero-cost state shared by all nodes.  It carries **routing hints only** (who
+first materialised a page, who wrote it last, which view a page belongs to)
+and never any page content: content always moves through accounted network
+messages.
 
-The directory is *versioned*: every claim and write note carries the acting
-node and time, and every read filters through the visibility rule of
-:mod:`repro.protocols.versioned` — a node sees another node's mutation only
-once it is at least one switch latency old.  That makes reads a pure
-function of ``(reader, time)`` and the mutation log, whatever order the engine
-gives other nodes' same-instant events.
+Every read sees every mutation made so far, by any node.  The page directory
+keeps one ``(t, node)`` origin and one ``(t, node)`` last writer per page, so
+same-instant claims or write notes of different nodes resolve by node id,
+whatever order the engine ran them in.  A page bound to a second view raises
+:class:`ViewOverlapError` at that bind.  The tie-permutation witness
+(``tests/sim/ties.py``) runs every protocol with the order of same-instant
+events of different nodes permuted and gets the serial run bit for bit.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.protocols.versioned import VersionedOracle
+from repro.protocols.base import ViewOverlapError
 
-__all__ = ["PageDirectory"]
+__all__ = ["PageDirectory", "ViewRegistry"]
 
 
 class PageDirectory:
-    """Shared page metadata, read under the lookahead-visibility rule."""
+    """Per page: the origin (smallest ``(t, node)`` claim) and the last
+    writer (largest ``(t, node)`` write note)."""
 
-    def __init__(self, lookahead: float = 0.0) -> None:
-        self._origins = VersionedOracle(lookahead)  # pid -> creation claims
-        self._writers = VersionedOracle(lookahead)  # pid -> write notes
+    def __init__(self) -> None:
+        self._origins: dict[int, tuple[float, int]] = {}
+        self._writers: dict[int, tuple[float, int]] = {}
 
     def claim_origin(self, pid: int, node: int, t: float) -> None:
-        """Record that ``node`` materialised ``pid`` at ``t`` (idempotent).
-
-        Within one switch latency two nodes can both zero-fill the same
-        page without seeing each other; both claims are kept and readers
-        deterministically pick the earliest visible one.
-        """
-        if self._origins.has_record(pid, node):
-            return
-        self._origins.record(pid, t, node)
-
-    def origin_any(self, pid: int) -> Optional[int]:
-        """First creator of ``pid`` with **instantaneous** visibility.
-
-        HLRC's home assignment needs every node to agree on a page's home the
-        moment it exists: a writer that wrongly believes itself home skips
-        the eager diff push and the true home deadlocks waiting for it.  An
-        instantaneous read could see another node's same-instant claim or
-        not; the ``hlrc_d`` cells of the tie-permutation witness find no run
-        where that order shows.
-        """
-        entries = self._origins.all_entries(pid)
-        return min(entries, key=lambda e: (e[0], e[1]))[1] if entries else None
+        """Record that ``node`` materialised ``pid`` at ``t``; the first
+        claim wins, and at one instant the lower node."""
+        claim = (t, node)
+        self._origins[pid] = min(self._origins.get(pid, claim), claim)
 
     def note_writer(self, pid: int, node: int, t: float) -> None:
-        self._writers.record(pid, t, node)
+        """Record that ``node`` wrote ``pid`` at ``t``; the last note wins,
+        and at one instant the higher node."""
+        note = (t, node)
+        self._writers[pid] = max(self._writers.get(pid, note), note)
 
-    def fetch_source(self, pid: int, asker: int, t: float) -> Optional[int]:
-        """Best node to fetch a full base copy of ``pid`` from (not ``asker``)."""
-        entry = self._writers.latest(pid, asker, t)
-        if entry is not None and entry[1] != asker:
-            return entry[1]
-        entry = self._origins.earliest(pid, asker, t)
-        if entry is not None and entry[1] != asker:
-            return entry[1]
+    def origin(self, pid: int) -> Optional[int]:
+        """The node that first materialised ``pid``, or ``None``."""
+        claim = self._origins.get(pid)
+        return None if claim is None else claim[1]
+
+    def fetch_source(self, pid: int, asker: int) -> Optional[int]:
+        """Best node to fetch a full base copy of ``pid`` from (not ``asker``):
+        the last writer, else the origin."""
+        for entry in (self._writers.get(pid), self._origins.get(pid)):
+            if entry is not None and entry[1] != asker:
+                return entry[1]
         return None
+
+
+class ViewRegistry:
+    """VOPP view membership: ``page -> view`` and ``view -> pages``."""
+
+    def __init__(self) -> None:
+        self._view_of: dict[int, int] = {}
+        self._pages: dict[int, set[int]] = {}
+
+    def bind(self, pid: int, view_id: int) -> None:
+        """Bind ``pid`` to ``view_id`` (idempotent); a page already bound to
+        another view raises :class:`ViewOverlapError` here."""
+        bound = self._view_of.setdefault(pid, view_id)
+        if bound != view_id:
+            raise ViewOverlapError(
+                f"page {pid} already belongs to view {bound}, cannot bind "
+                f"to view {view_id}"
+            )
+        self._pages.setdefault(view_id, set()).add(pid)
+
+    def view_of(self, pid: int) -> Optional[int]:
+        return self._view_of.get(pid)
+
+    def pages_of(self, view_id: int) -> list[int]:
+        return sorted(self._pages.get(view_id, ()))
+
+    def known_views(self) -> list[int]:
+        """Sorted ids of every view with at least one bound page."""
+        return sorted(self._pages)

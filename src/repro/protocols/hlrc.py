@@ -69,9 +69,7 @@ class HlrcProtocol(LrcProtocol):
         """The page's home node, or None if the page does not exist yet."""
         if self.home_policy == "round_robin":
             return pid % self.nprocs
-        # instantaneous read: all nodes must agree on a page's home from the
-        # moment it exists, or eager pushes go astray
-        return self.directory.origin_any(pid)
+        return self.directory.origin(pid)
 
     # -- writer side: eager diff propagation -----------------------------------------
 

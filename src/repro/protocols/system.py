@@ -14,9 +14,8 @@ from repro.memory.address_space import AddressSpace
 from repro.net.cluster import Cluster
 from repro.net.config import NetConfig, NodeConfig
 from repro.protocols.base import BaseDsmProtocol
-from repro.protocols.directory import PageDirectory
+from repro.protocols.directory import PageDirectory, ViewRegistry
 from repro.protocols.runstats import RunStats
-from repro.protocols.versioned import ViewRegistry
 
 __all__ = ["DsmSystem"]
 
@@ -30,8 +29,9 @@ class DsmSystem:
         Number of nodes (= application processes; one process per node, as in
         the paper's experiments).
     protocol:
-        Protocol class (``LrcProtocol``, ``VcProtocol``, ``VcSdProtocol``) or
-        one of the names ``"lrc_d"``, ``"vc_d"``, ``"vc_sd"``.
+        Protocol class (``LrcProtocol``, ``HlrcProtocol``, ``VcProtocol``,
+        ``VcSdProtocol``) or one of the names ``"lrc_d"``, ``"hlrc_d"``,
+        ``"vc_d"``, ``"vc_sd"``.
     """
 
     def __init__(
@@ -59,14 +59,10 @@ class DsmSystem:
         if page_size is None:
             page_size = self.cluster.nodecfg.page_size
         self.space = AddressSpace(page_size=page_size)
-        # shared oracles (directory + view metadata) read through the
-        # switch-latency visibility rule (see repro.protocols.versioned)
-        lam = self.cluster.netcfg.switch_latency
-        self.directory = PageDirectory(lookahead=lam)
-        # view metadata shared across nodes (discovered dynamically; a real
-        # implementation distributes this through the view managers — here it
-        # is zero-cost routing metadata, like the page directory)
-        self.views = ViewRegistry(lookahead=lam)
+        # zero-cost shared metadata a real system keeps in its page and view
+        # managers; views are discovered dynamically, at exclusive release
+        self.directory = PageDirectory()
+        self.views = ViewRegistry()
         # per-rank statistics shards; merged on demand by the stats property
         self.rank_stats = [RunStats() for _ in range(nprocs)]
         # manager placement: 0 co-locates view v's manager with node v%n

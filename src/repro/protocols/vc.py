@@ -87,9 +87,8 @@ class VcProtocol(BaseDsmProtocol):
                 "exclusive view (VOPP requires acquire_view before writes)"
             )
         views = self.system.views
-        now = self.node.sim.now
         for pid in pids:
-            bound = views.view_of(pid, self.node.id, now)
+            bound = views.view_of(pid)
             if bound is not None and bound != self.held_excl:
                 raise ViewOverlapError(
                     f"node {self.node.id}: page {pid} belongs to view {bound} but "
@@ -105,9 +104,8 @@ class VcProtocol(BaseDsmProtocol):
                 f"node {self.node.id}: read of shared memory without holding any view"
             )
         views = self.system.views
-        now = self.node.sim.now
         for pid in pids:
-            bound = views.view_of(pid, self.node.id, now)
+            bound = views.view_of(pid)
             if bound is not None and bound not in held:
                 raise VoppDisciplineError(
                     f"node {self.node.id}: page {pid} belongs to view {bound}, which "
@@ -212,9 +210,8 @@ class VcProtocol(BaseDsmProtocol):
 
     def _bind_pages(self, view_id: int, pages: tuple[int, ...]) -> None:
         views = self.system.views
-        now = self.node.sim.now
         for pid in pages:
-            views.bind(pid, view_id, self.node.id, now)
+            views.bind(pid, view_id)
 
     # -- manager side ---------------------------------------------------------------------
 

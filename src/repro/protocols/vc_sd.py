@@ -137,10 +137,7 @@ class VcSdProtocol(VcProtocol):
         full_pages: dict[int, bytes] = {}
         diffs: dict[int, list[Diff]] = {}
         page_size = self.system.space.page_size
-        bound = self.system.views.pages_of(
-            state.view_id, self.node.id, self.node.sim.now
-        )
-        for pid in bound:
+        for pid in self.system.views.pages_of(state.view_id):
             master = store.master.get(pid)
             if master is None:
                 continue  # bound page with no content yet (cannot happen in practice)

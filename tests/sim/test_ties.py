@@ -68,8 +68,7 @@ def test_witness_permutes_cross_node_ties_and_keeps_each_node_serial():
 
 # -- application cells: bit-identical to serial ------------------------------------------
 
-# (app, protocol, seed) at 8 ranks: every DSM protocol family, MPI, and the
-# hlrc_d home lookup that reads the page directory instantaneously
+# (app, protocol, seed) at 8 ranks: every DSM protocol family and MPI
 GRID = [
     ("is", "lrc_d", 2),
     ("is", "vc_d", 2),
