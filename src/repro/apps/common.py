@@ -15,8 +15,9 @@ The EXPERIMENTS.md notes record this calibration per experiment.
 from __future__ import annotations
 
 import gc
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Any, Callable, Generator, Optional
 
 import numpy as np
@@ -154,50 +155,66 @@ def run_app(
     pre-built :class:`~repro.faults.FaultInjector`) injects scripted network
     and node faults.
 
-    ``host`` (a :class:`repro.obs.host.HostProfiler`) records *wall-clock*
-    spans around the real work — build/execute/extract/verify inside one
-    ``total`` span, each closed on every way out — without ever touching the
-    simulation (simulated observables stay bit-identical).
+    ``host`` (a second :class:`repro.obs.EventTracer`) records the
+    *wall-clock* phases of the real work — build/execute/extract/verify, one
+    ``X`` row each on pid :data:`repro.obs.host.HOST_PID`, closed on every way
+    out — without ever touching the simulation (simulated observables stay
+    bit-identical).
 
     An exhausted retransmission budget or a fail-stop crash episode raises
     :class:`repro.faults.RunAborted` carrying a structured
     :class:`~repro.faults.RunFailure`; any other exception propagates
     unchanged (it is a bug, not a fault outcome).
     """
+    unprofiled = nullcontext()
+    span = _host_phases(host) if host is not None else (lambda cat: unprofiled)
     config = config or app_module.default_config()
 
-    unprofiled = nullcontext()
-
-    def span(cat: str):
-        return host.span("run", cat) if host is not None else unprofiled
-
-    with span("total"):
-        with span("build"):
-            system = make_system(nprocs, protocol, netcfg=netcfg, nodecfg=nodecfg)
-            # the three recorder hooks; None (off) is the simulator's default.
-            # MPI has no shared pages: its oracle history stays empty and the
-            # checker reports "not-applicable"
-            sim = system.sim
-            sim.tracer, sim.metrics, sim.oracle = tracer, metrics, oracle
-            if faults is not None:
-                system.cluster.install_faults(faults)
-            body = app_module.build(system, config, variant)
-        with span("execute"):
-            _run_or_abort(system.cluster, lambda: system.run_program(body))
-        with span("extract"):
-            output = app_module.extract(system, config)
-        result = AppResult(
-            protocol, nprocs, output, system.stats, system.time,
-            events=sim.events_processed, metrics=metrics,
-        )
-        if tracer is not None:
-            result.breakdown = tracer.breakdown()
-        if verify:
-            with span("verify"):
-                expected = app_module.sequential(config)
-                result.verified = app_module.outputs_match(output, expected)
-            if not result.verified:
-                raise AssertionError(
-                    f"{app_module.__name__} on {protocol}/{nprocs}p produced wrong output"
-                )
+    with span("build"):
+        system = make_system(nprocs, protocol, netcfg=netcfg, nodecfg=nodecfg)
+        # the three recorder hooks; None (off) is the simulator's default.
+        # MPI has no shared pages: its oracle history stays empty and the
+        # checker reports "not-applicable"
+        sim = system.sim
+        sim.tracer, sim.metrics, sim.oracle = tracer, metrics, oracle
+        if faults is not None:
+            system.cluster.install_faults(faults)
+        body = app_module.build(system, config, variant)
+    with span("execute"):
+        _run_or_abort(system.cluster, lambda: system.run_program(body))
+    with span("extract"):
+        output = app_module.extract(system, config)
+    result = AppResult(
+        protocol, nprocs, output, system.stats, system.time,
+        events=sim.events_processed, metrics=metrics,
+    )
+    if tracer is not None:
+        result.breakdown = tracer.breakdown()
+    if verify:
+        with span("verify"):
+            expected = app_module.sequential(config)
+            result.verified = app_module.outputs_match(output, expected)
+        if not result.verified:
+            raise AssertionError(
+                f"{app_module.__name__} on {protocol}/{nprocs}p produced wrong output"
+            )
     return result
+
+
+def _host_phases(host):
+    """``span(cat)`` for :func:`run_app`: a context that appends one ``X`` row
+    ``(HOST_PID, "run", cat, cat, t0, t1)`` to the ``host`` tracer when it
+    closes, on every way out, in ``perf_counter`` seconds since this call."""
+    from repro.obs.host import HOST_PID
+
+    origin = perf_counter()
+
+    @contextmanager
+    def span(cat: str):
+        t0 = perf_counter() - origin
+        try:
+            yield
+        finally:
+            host.span(HOST_PID, "run", cat, cat, t0, perf_counter() - origin)
+
+    return span

@@ -326,19 +326,13 @@ def _execute_cell(
 
 def _worker(
     args: tuple[SweepCell, bool, Optional[str], str, bool, bool]
-) -> tuple[tuple[AppResult, float, int], float, float]:
-    """Pool worker: run + cache one cell; returns ``(out, t_start, t_end)``.
-
-    The start/end stamps are ``perf_counter`` readings — CLOCK_MONOTONIC is
-    system-wide on Linux, so the parent can synthesise queue-wait (submit →
-    start) and run spans on its own host profiler without clock translation.
-    """
+) -> tuple[AppResult, float, int]:
+    """Pool worker: run + cache one cell; returns what :func:`_execute_cell` does."""
     cell, verify, cache_root, code_fp, trace, check = args
-    t_start = time.perf_counter()
     out = _execute_cell(cell, verify, trace, check)
     if cache_root is not None:
         ResultCache(cache_root).put(cell_key(cell, code_fp, trace, check), *out)
-    return out, t_start, time.perf_counter()
+    return out
 
 
 def run_sweep(
@@ -348,7 +342,6 @@ def run_sweep(
     verify: bool = True,
     trace: bool = False,
     check: bool = False,
-    host=None,
 ) -> SweepReport:
     """Run every cell, using the cache and up to ``jobs`` worker processes.
 
@@ -357,31 +350,18 @@ def run_sweep(
     process — the results are identical either way.
     ``check`` runs every cell under the consistency oracle and attaches the
     verdict to each result (see :mod:`repro.obs.oracle`).
-
-    ``host`` (a :class:`repro.obs.host.HostProfiler`) records one lane per
-    cell under the ``sweep`` process: ``cache-hit`` for recalled cells, and
-    ``queue-wait`` (dispatch → worker pickup) + ``run`` spans for executed
-    ones — purely observational, results are bit-identical either way.
     """
     t_start = time.perf_counter()
     code_fp = code_fingerprint()
     cache = ResultCache(cache_dir) if cache_dir is not None else None
     keys = [cell_key(cell, code_fp, trace, check) for cell in cells]
-
-    def _lane(cell: SweepCell) -> str:
-        return f"{cell.app}/{cell.protocol}/{cell.nprocs}/{cell.variant}"
-
     slots: list[Optional[CellResult]] = [None] * len(cells)
     misses: list[int] = []
     for i, (cell, key) in enumerate(zip(cells, keys)):
-        t_hit = time.perf_counter()
         hit = cache.get(key) if cache is not None else None
         if hit is not None:
             result, wall, rss_kb = hit
             slots[i] = CellResult(cell, result, wall, rss_kb, cache_hit=True)
-            if host is not None:
-                host.add_span(_lane(cell), "cache-hit", "cache-hit",
-                              t_hit, time.perf_counter(), proc="sweep")
         else:
             misses.append(i)
 
@@ -391,25 +371,14 @@ def run_sweep(
             for i in misses
         ]
         with ProcessPoolExecutor(max_workers=min(jobs, len(misses))) as pool:
-            t_submit = time.perf_counter()
-            for i, (out, t0, t1) in zip(misses, pool.map(_worker, work)):
-                result, wall, rss_kb = out
+            for i, (result, wall, rss_kb) in zip(misses, pool.map(_worker, work)):
                 slots[i] = CellResult(cells[i], result, wall, rss_kb, cache_hit=False)
-                if host is not None:
-                    lane = _lane(cells[i])
-                    host.add_span(lane, "queue-wait", "queue-wait",
-                                  min(t_submit, t0), t0, proc="sweep")
-                    host.add_span(lane, "run", "run", t0, t1, proc="sweep")
     else:
         for i in misses:
-            t0 = time.perf_counter()
             result, wall, rss_kb = _execute_cell(cells[i], verify, trace, check)
             if cache is not None:
                 cache.put(keys[i], result, wall, rss_kb)
             slots[i] = CellResult(cells[i], result, wall, rss_kb, cache_hit=False)
-            if host is not None:
-                host.add_span(_lane(cells[i]), "run", "run",
-                              t0, time.perf_counter(), proc="sweep")
 
     wall_total = time.perf_counter() - t_start
     from repro.bench.manifest import run_manifest

@@ -18,10 +18,10 @@ Commands
       :mod:`repro.obs.oracle`); exit code 4 when the oracle finds
       violations, ``--findings-out`` dumps the structured findings as JSON.
     * ``--host-trace`` records *wall-clock* spans of the real work (build,
-      execute, extract, verify) and prints a host-time breakdown whose
-      categories sum to measured wall time; with ``--trace-out`` the host
-      spans export as a second Perfetto process stream merged with the
-      simulated trace.
+      execute, extract, verify) on a second tracer and prints a host-time
+      breakdown whose categories sum to measured wall time; ``--trace-out``
+      and ``--jsonl-out`` export its rows after the simulated ones, as the
+      ``host`` process.
     * ``--faults PLAN.json`` installs a scripted
       :class:`repro.faults.FaultPlan` and ``--drop-prob P`` seeded uniform
       random loss; see docs/robustness.md.  ``--faults-out PATH`` dumps the
@@ -74,6 +74,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import chain
 
 from repro.apps import APPS
 from repro.apps.common import run_app
@@ -169,24 +170,23 @@ def _check_consistency(
 
 
 def _write_trace_outputs(tracer, args: argparse.Namespace, host) -> None:
-    from repro.obs import write_chrome_trace, write_jsonl, write_merged_chrome_trace
+    from repro.obs import write_chrome_trace, write_jsonl
+
+    def rows():
+        """The run's rows, the host tracer's (if any) after the simulated ones."""
+        return tracer if host is None else chain(tracer.events, host.events)
 
     if args.trace_out:
         # the writers schema-check in the pass that writes and leave no file
         # behind on failure: an unbalanced trace (a span opened but never
         # closed) silently renders wrong in Perfetto, so fail loudly
         try:
-            if host is not None:
-                write_merged_chrome_trace(tracer, host, args.trace_out)
-                print(f"wrote merged simulated+host Chrome trace to {args.trace_out} "
-                      "(open in https://ui.perfetto.dev)")
-            else:
-                write_chrome_trace(tracer, args.trace_out)
-                print(f"wrote Chrome trace to {args.trace_out} (open in https://ui.perfetto.dev)")
+            write_chrome_trace(rows(), args.trace_out)
         except ValueError as exc:
             raise SystemExit(f"error: trace failed schema validation: {exc}") from exc
+        print(f"wrote Chrome trace to {args.trace_out} (open in https://ui.perfetto.dev)")
     if args.jsonl_out:
-        write_jsonl(tracer, args.jsonl_out)
+        write_jsonl(rows(), args.jsonl_out)
         print(f"wrote JSONL events to {args.jsonl_out}")
 
 
@@ -212,7 +212,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.check_consistency or args.findings_out:
         oracle = obs.AccessRecorder()
     if args.host_trace:
-        host = obs.HostProfiler("main")
+        host = obs.EventTracer()
     plan = _load_faults(args)
     _dump_faults_out(args, plan)
     try:
@@ -598,7 +598,7 @@ def _add_run_command(sub, name: str, help: str, nprocs: int = 16, **preset) -> N
     p.add_argument("--host-trace", action="store_true",
                    help="profile host wall-clock time (monotonic spans "
                    "around build/execute/extract/verify); print a host-time "
-                   "breakdown and merge host spans into --trace-out")
+                   "breakdown and add host spans to --trace-out/--jsonl-out")
     p.set_defaults(fn=_cmd_run, **preset)
 
 

@@ -28,10 +28,11 @@ protocol implementations and the runtimes:
 * :mod:`repro.obs.report` tracks every gated number of N >= 2 committed
   reports (files or git revisions; ``repro report``) through one schema
   table and gates CI on regressions;
-* :mod:`repro.obs.host` is the host-time observatory: wall-clock span
-  profiling (:class:`HostProfiler`) of a run's phases and the sweep pool,
-  with a breakdown whose categories sum to measured wall time and a merged
-  host+simulated Perfetto export.
+* :mod:`repro.obs.host` is the host-time observatory: a run's wall-clock
+  phases recorded as rows on a second :class:`EventTracer` (pid
+  :data:`HOST_PID`, one tracer per clock domain), with a breakdown whose
+  categories sum to measured wall time; chained with the simulated rows,
+  the same exporters write both clock domains into one Perfetto document.
 
 Tracing is **opt-in and zero-overhead when off**: every emission site guards
 on ``sim.tracer is not None`` (the default), so an untraced run executes the
@@ -67,17 +68,14 @@ from repro.obs.critical_path import (
 from repro.obs.export import (
     chrome_trace,
     flame_summary,
-    host_trace_events,
     iter_chrome_trace,
     iter_jsonl_lines,
-    merged_chrome_trace,
     validate_chrome_trace,
     write_chrome_trace,
     write_jsonl,
-    write_merged_chrome_trace,
 )
 from repro.obs.host import (
-    HostProfiler,
+    HOST_PID,
     format_host_breakdown,
     host_breakdown,
 )
@@ -123,14 +121,11 @@ __all__ = [
     "chrome_trace",
     "iter_chrome_trace",
     "write_chrome_trace",
-    "merged_chrome_trace",
-    "write_merged_chrome_trace",
-    "host_trace_events",
     "iter_jsonl_lines",
     "write_jsonl",
     "flame_summary",
     "validate_chrome_trace",
-    "HostProfiler",
+    "HOST_PID",
     "host_breakdown",
     "format_host_breakdown",
     "AccessRecorder",

@@ -22,18 +22,15 @@ from __future__ import annotations
 
 import json
 import os
-from itertools import chain
 from typing import IO, Iterable, Mapping
 
+from repro.obs.host import HOST_PID
 from repro.obs.tracer import EventTracer
 
 __all__ = [
     "chrome_trace",
     "iter_chrome_trace",
     "write_chrome_trace",
-    "merged_chrome_trace",
-    "write_merged_chrome_trace",
-    "host_trace_events",
     "iter_jsonl_lines",
     "write_jsonl",
     "flame_summary",
@@ -42,12 +39,6 @@ __all__ = [
 
 # engine-global events (pid -1) get their own Perfetto "process"
 GLOBAL_PID = -1
-
-#: host-clock processes (the run itself, the sweep pool) occupy
-#: pids at and above this base, far away from simulated node ids — the two
-#: streams share one Perfetto timeline but are distinct clock domains
-#: (simulated μs vs host μs since profile start)
-HOST_PID_BASE = 1_000_000
 
 _PHASES = frozenset("BEXiCM")
 
@@ -65,12 +56,13 @@ def _eight_wide(events: Iterable):
         yield row
 
 
-def _rows(events: Iterable, process_names: "Mapping[int, str] | None" = None):
+def _rows(events: Iterable):
     """Yield the document's events as ``(ph, ts, pid, tid, cat, name, args, dur)``.
 
-    The one place pids get their ``process_name`` row and ``(pid, lane)``
-    pairs their tid and ``thread_name`` row: each metadata row (``ph`` ``"M"``,
-    ``ts`` 0, the label in the ``args`` slot) comes out just ahead of the
+    The one place pids get their ``process_name`` row (``"simulator"``,
+    ``"host"`` or ``node-{pid}``) and ``(pid, lane)`` pairs their tid and
+    ``thread_name`` row: each metadata row (``ph`` ``"M"``, ``ts`` 0, the label
+    in the ``args`` slot) comes out just ahead of the
     first event that needs it.  Recorded events keep their ``B``/``E``/``X``/
     ``i``/``C`` phase; ``ts`` is simulated seconds scaled to microseconds and
     ``dur`` (``X`` only, else ``None``) is ``(end - t)`` likewise.  The dict
@@ -87,10 +79,8 @@ def _rows(events: Iterable, process_names: "Mapping[int, str] | None" = None):
             tid = next_tid.get(pid)
             if tid is None:
                 tid = 0
-                if process_names is not None and pid in process_names:
-                    label = process_names[pid]
-                else:
-                    label = "simulator" if pid == GLOBAL_PID else f"node-{pid}"
+                label = ("simulator" if pid == GLOBAL_PID
+                         else "host" if pid == HOST_PID else f"node-{pid}")
                 yield "M", 0, pid, 0, None, "process_name", label, None
             next_tid[pid] = tid + 1
             tids[key] = tid
@@ -99,16 +89,10 @@ def _rows(events: Iterable, process_names: "Mapping[int, str] | None" = None):
         yield ph, t * 1e6, pid, tid, cat, name, args, dur
 
 
-def chrome_trace(trace: "EventTracer | Iterable",
-                 process_names: "Mapping[int, str] | None" = None) -> dict:
-    """Convert a recorded trace to a Chrome trace-event JSON document.
-
-    ``process_names`` overrides the default ``node-{pid}`` labels — the
-    merged host+simulated export uses it to label host-clock processes.
-    """
+def chrome_trace(trace: "EventTracer | Iterable") -> dict:
+    """Convert a recorded trace to a Chrome trace-event JSON document."""
     out: list[dict] = []
-    for ph, ts, pid, tid, cat, name, args, dur in _rows(
-            _events_of(trace), process_names):
+    for ph, ts, pid, tid, cat, name, args, dur in _rows(_events_of(trace)):
         if ph == "B" or ph == "X":
             ev = {"ph": ph, "name": name, "cat": cat, "pid": pid, "tid": tid, "ts": ts}
             if ph == "X":
@@ -245,17 +229,16 @@ def _chunks(rows: Iterable):
     yield '],"displayTimeUnit":"ms"}\n'
 
 
-def iter_chrome_trace(trace: "EventTracer | Iterable",
-                      process_names: "Mapping[int, str] | None" = None):
+def iter_chrome_trace(trace: "EventTracer | Iterable"):
     """Yield the Chrome trace document as text chunks.
 
     Joined, the chunks are byte for byte
-    ``json.dumps(chrome_trace(trace, process_names), separators=(",", ":")) + "\\n"``
+    ``json.dumps(chrome_trace(trace), separators=(",", ":")) + "\\n"``
     — what the writers put on disk — but neither the document dict nor its
     full text ever exists: events stream from the tracer's storage to the
     consumer, as :func:`iter_jsonl_lines` does for the JSONL form.
     """
-    return _chunks(_rows(_events_of(trace), process_names))
+    return _chunks(_rows(_events_of(trace)))
 
 
 def _write_checked(rows: Iterable, path: str) -> None:
@@ -277,66 +260,6 @@ def write_chrome_trace(trace: "EventTracer | Iterable", path: str) -> None:
     """Stream the trace to ``path``; ``ValueError`` (and no file) if the
     document would fail :func:`validate_chrome_trace`."""
     _write_checked(_rows(_events_of(trace)), path)
-
-
-# -- host-clock stream (second Perfetto process group) -----------------------------
-
-
-def host_trace_events(host, base_pid: int = HOST_PID_BASE,
-                      t0: "float | None" = None):
-    """Convert a :class:`repro.obs.host.HostProfiler` into tracer tuples.
-
-    Returns ``(events, process_names)``: one complete (``X``) row per span —
-    a host span already is a ``(start, end)`` pair — in the 8-field shape
-    :func:`chrome_trace` consumes, plus the pid → ``host:<proc>`` label map.
-    Each host process gets a pid at or above ``base_pid`` (first-appearance
-    order); timestamps are rebased to ``t0`` (default: the earliest span
-    start) so the host stream starts near zero — it shares the Perfetto
-    timeline with the simulated stream but is a distinct clock domain.
-    """
-    spans = host.spans
-    if not spans:
-        return [], {}
-    if t0 is None:
-        t0 = min(s[4] for s in spans)
-    pid_of: dict[str, int] = {}
-    for s in spans:
-        pid_of.setdefault(s[0], base_pid + len(pid_of))
-    # by start, outermost first at equal starts: viewers nest ties in file order
-    events = [
-        ("X", s0 - t0, pid_of[proc], lane, cat, name, args or None, s1 - t0)
-        for proc, lane, cat, name, s0, s1, args
-        in sorted(spans, key=lambda s: (s[4], -s[5]))
-    ]
-    return events, {pid: f"host:{proc}" for proc, pid in pid_of.items()}
-
-
-def _merged_events(trace: "EventTracer | Iterable | None", host):
-    """``(events, process_names)`` of the merged document: the simulated
-    stream followed by the host-clock stream, chained rather than copied."""
-    sim_events = _events_of(trace) if trace is not None else ()
-    host_events, process_names = host_trace_events(host) if host is not None \
-        else ([], {})
-    return chain(sim_events, host_events), process_names
-
-
-def merged_chrome_trace(trace: "EventTracer | Iterable | None", host) -> dict:
-    """One Chrome trace document: simulated stream + host-clock stream.
-
-    The simulated events keep their node pids; the host profiler's spans
-    appear as additional ``host:*`` processes (pids from
-    :data:`HOST_PID_BASE`).  The two streams are distinct clock domains —
-    simulated microseconds vs host microseconds since profile start — which
-    Perfetto renders side by side on one timeline.  Either side may be
-    absent (``trace=None`` exports host-only).
-    """
-    return chrome_trace(*_merged_events(trace, host))
-
-
-def write_merged_chrome_trace(trace: "EventTracer | Iterable | None", host,
-                              path: str) -> None:
-    """:func:`write_chrome_trace` for the merged document."""
-    _write_checked(_rows(*_merged_events(trace, host)), path)
 
 
 def iter_jsonl_lines(trace: "EventTracer | Iterable"):

@@ -291,3 +291,57 @@ def test_default_cells_cover_all_apps_and_protocols():
     assert {c.app for c in cells} == {"is", "gauss", "sor", "nn"}
     assert {"lrc_d", "vc_d", "vc_sd", "mpi"} <= {c.protocol for c in cells}
     assert len(cells) == len(set(cells)), "duplicate cells in default matrix"
+
+
+# -- the whole committed matrix ---------------------------------------------------
+
+
+IS16_MESSAGE_MIX = {  # kind -> (messages, bytes), IS on 16 processors, seed 42
+    "lrc_d": {
+        "DIFF_REPLY": (750, 1743281), "DIFF_REQUEST": (750, 15000),
+        "BARRIER_ARRIVE": (645, 152340), "BARRIER_RELEASE": (645, 152220),
+        "PAGE_REPLY": (180, 740160), "PAGE_REQUEST": (180, 2880),
+    },
+    "vc_d": {
+        "DIFF_REPLY": (37526, 22313775), "DIFF_REQUEST": (37526, 751032),
+        "VIEW_ACQUIRE": (2470, 39520), "VIEW_GRANT": (2470, 603536),
+        "VIEW_RELEASE": (2470, 78808),
+        "BARRIER_ARRIVE": (660, 10560), "BARRIER_RELEASE": (660, 10560),
+        "PAGE_REPLY": (270, 1110240), "PAGE_REQUEST": (270, 4320),
+    },
+    "vc_sd": {
+        "VIEW_ACQUIRE": (2470, 39520), "VIEW_GRANT": (2470, 2396612),
+        "VIEW_RELEASE": (2470, 1848345),
+        "BARRIER_ARRIVE": (660, 10560), "BARRIER_RELEASE": (660, 10560),
+    },
+}
+
+
+def test_uncached_sweep_matches_committed_fingerprints():
+    """An uncached sweep of the default matrix reproduces every committed
+    BENCH_sweep.json fingerprint bit for bit."""
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parents[2] / DEFAULT_OUTPUT
+    if not path.exists():
+        pytest.skip("no committed BENCH_sweep.json in this checkout")
+    want = {
+        (c["app"], c["protocol"], c["nprocs"], c["variant"]): c["fingerprint"]
+        for c in json.loads(path.read_text())["cells"]
+    }
+
+    report = run_sweep(default_cells(), jobs=1, cache_dir=None, verify=False)
+    got = {
+        (c.cell.app, c.cell.protocol, c.cell.nprocs, c.cell.variant):
+            c.fingerprint()
+        for c in report.cells
+    }
+    assert got == want
+    # the per-kind (count, bytes) message mix of the three IS/16 cells: the one
+    # exact check no fingerprint covers (the table row only totals messages)
+    for c in report.cells:
+        if (c.cell.app, c.cell.nprocs, c.cell.variant) == ("is", 16, "default"):
+            by_kind = c.result.stats.net.snapshot()["by_kind"]
+            mix = {k.split(".", 1)[-1]: (r["count"], r["bytes"])
+                   for k, r in by_kind.items()}
+            assert mix == IS16_MESSAGE_MIX[c.cell.protocol]

@@ -3,7 +3,7 @@
 import io
 import json
 import math
-from types import SimpleNamespace
+from itertools import chain
 from unittest import mock
 
 import pytest
@@ -12,16 +12,15 @@ from hypothesis import given, settings, strategies as st
 from repro.apps import APPS
 from repro.apps.common import run_app
 from repro.obs import (
+    HOST_PID,
     EventTracer,
     chrome_trace,
     export,
     flame_summary,
     iter_chrome_trace,
-    merged_chrome_trace,
     validate_chrome_trace,
     write_chrome_trace,
     write_jsonl,
-    write_merged_chrome_trace,
 )
 
 
@@ -100,8 +99,7 @@ _args = st.one_of(
     st.dictionaries(_text, st.integers() | st.booleans() | st.floats(), max_size=4),
     st.dictionaries(_keys, st.integers() | _json_values, max_size=3),
 )
-_pids = st.one_of(st.integers(-1, 3), st.integers(export.HOST_PID_BASE,
-                                                  export.HOST_PID_BASE + 2))
+_pids = st.one_of(st.integers(-1, 3), st.integers(HOST_PID, HOST_PID + 2))
 # ``end`` is a time on a complete span and ``None`` on every other row
 _events = st.lists(
     st.tuples(st.sampled_from("BEXiC"), _times, _pids, _text,
@@ -112,17 +110,18 @@ _events = st.lists(
 
 
 @settings(max_examples=100, deadline=None)
-@given(events=_events, process_names=st.none() | st.dictionaries(_pids, _text))
-def test_streamed_bytes_equal_dumped_document(events, process_names):
+@given(events=_events)
+def test_streamed_bytes_equal_dumped_document(events):
     """The text form is ``json.dumps`` of the dict form, byte for byte — all
     six phases (the five recorded ones plus the ``M`` rows every document
     opens its processes and lanes with), unbalanced spans, hostile strings,
     non-finite times and durations, ``args`` of every shape on and off the
-    template path — and where the chunks break does not change it."""
-    want = _canonical(chrome_trace(events, process_names))
-    assert "".join(iter_chrome_trace(events, process_names)) == want
+    template path, simulated, engine and host pids — and where the chunks
+    break does not change it."""
+    want = _canonical(chrome_trace(events))
+    assert "".join(iter_chrome_trace(events)) == want
     with mock.patch.object(export, "_CHUNK_EVENTS", 1):
-        chunks = list(iter_chrome_trace(events, process_names))
+        chunks = list(iter_chrome_trace(events))
     assert "".join(chunks) == want
     n_rows = len(chrome_trace(events)["traceEvents"])
     assert len(chunks) == n_rows + 2  # opening, one chunk per event, closing
@@ -152,46 +151,41 @@ def test_iter_chrome_trace_is_lazy():
 
 
 def _fake_host():
-    """Fixed host spans (the real clock differs run to run): three in
-    sequence on one lane, two nested on another, a second process."""
-    return SimpleNamespace(spans=[
-        ("main", "coord", "setup", "setup", 10.0, 11.0, None),
-        ("main", "coord", "route", "route", 11.0, 12.5, {"frames": 3}),
-        ("main", "coord", "merge", "merge", 13.0, 14.0, None),
-        ("main", "pool", "sweep", "sweep", 10.5, 13.5, None),
-        ("main", "pool", "cell", "cell 0", 11.0, 12.0, {"app": "is"}),
-        ("partition-0", "worker", "execute", "window", 11.5, 12.0, None),
-    ])
+    """A host tracer with fixed phase rows (the real clock differs run to
+    run), recorded as ``run_app(host=)`` records them."""
+    host = EventTracer()
+    for cat, t0, t1 in (("build", 0.0, 0.5), ("execute", 0.5, 2.0),
+                        ("extract", 2.0, 2.25), ("verify", 2.5, 3.0)):
+        host.span(HOST_PID, "run", cat, cat, t0, t1)
+    return host
 
 
 def test_host_only_document_is_one_complete_row_per_span():
-    """Pinned: each host span is one ``X`` row under its own name and
-    category, rebased to the earliest start, in start order per lane."""
-    doc = merged_chrome_trace(None, _fake_host())
-    p0, p1 = export.HOST_PID_BASE, export.HOST_PID_BASE + 1
+    """Pinned: chained after the simulated rows, each host row is one ``X``
+    row under its own name and category on the ``host`` process, at the
+    seconds it was recorded with; the host-only document is that tail."""
+    sim = [("B", 0.0, 0, "app", "run", "rank 0", None, None),
+           ("E", 1.0, 0, "app", "run", None, None, None)]
+    doc = chrome_trace(chain(sim, _fake_host().events))
 
-    def meta(pid, tid, what, label):
-        return {"ph": "M", "name": what, "pid": pid, "tid": tid, "ts": 0,
+    def meta(pid, what, label):
+        return {"ph": "M", "name": what, "pid": pid, "tid": 0, "ts": 0,
                 "args": {"name": label}}
 
-    def span(pid, tid, cat, name, ts, dur, **args):
-        row = {"ph": "X", "name": name, "cat": cat, "pid": pid, "tid": tid,
-               "ts": ts, "dur": dur}
-        return {**row, "args": args} if args else row
+    def span(cat, ts, dur):
+        return {"ph": "X", "name": cat, "cat": cat, "pid": HOST_PID, "tid": 0,
+                "ts": ts, "dur": dur}
 
     assert doc["traceEvents"] == [
-        meta(p0, 0, "process_name", "host:main"), meta(p0, 0, "thread_name", "coord"),
-        span(p0, 0, "setup", "setup", 0.0, 1e6),
-        meta(p0, 1, "thread_name", "pool"),
-        span(p0, 1, "sweep", "sweep", 0.5e6, 3e6),
-        span(p0, 0, "route", "route", 1e6, 1.5e6, frames=3),
-        span(p0, 1, "cell", "cell 0", 1e6, 1e6, app="is"),
-        meta(p1, 0, "process_name", "host:partition-0"),
-        meta(p1, 0, "thread_name", "worker"),
-        span(p1, 0, "execute", "window", 1.5e6, 0.5e6),
-        span(p0, 0, "merge", "merge", 3e6, 1e6),
+        meta(0, "process_name", "node-0"), meta(0, "thread_name", "app"),
+        {"ph": "B", "name": "rank 0", "cat": "run", "pid": 0, "tid": 0, "ts": 0.0},
+        {"ph": "E", "cat": "run", "pid": 0, "tid": 0, "ts": 1e6},
+        meta(HOST_PID, "process_name", "host"), meta(HOST_PID, "thread_name", "run"),
+        span("build", 0.0, 0.5e6), span("execute", 0.5e6, 1.5e6),
+        span("extract", 2e6, 0.25e6), span("verify", 2.5e6, 0.5e6),
     ]
-    assert validate_chrome_trace(doc) == {"events": 11, "spans": 6, "processes": 2}
+    assert validate_chrome_trace(doc) == {"events": 10, "spans": 5, "processes": 2}
+    assert chrome_trace(_fake_host())["traceEvents"] == doc["traceEvents"][4:]
 
 
 def test_written_files_equal_dumped_documents(tmp_path):
@@ -199,14 +193,14 @@ def test_written_files_equal_dumped_documents(tmp_path):
     path = tmp_path / "t.json"
     write_chrome_trace(tracer, str(path))
     assert path.read_text() == _canonical(chrome_trace(tracer))
-    write_merged_chrome_trace(tracer, host, str(path))
-    merged = merged_chrome_trace(tracer, host)
-    assert path.read_text() == _canonical(merged)
-    host_names = {e["args"]["name"] for e in merged["traceEvents"]
-                  if e.get("name") == "process_name" and e["pid"] >= export.HOST_PID_BASE}
-    assert host_names == {"host:main", "host:partition-0"}
-    write_merged_chrome_trace(None, host, str(path))  # host-only
-    assert path.read_text() == _canonical(merged_chrome_trace(None, host))
+    write_chrome_trace(chain(tracer.events, host.events), str(path))
+    both = chrome_trace(chain(tracer.events, host.events))
+    assert path.read_text() == _canonical(both)
+    host_names = {e["args"]["name"] for e in both["traceEvents"]
+                  if e.get("name") == "process_name" and e["pid"] >= HOST_PID}
+    assert host_names == {"host"}
+    write_chrome_trace(host, str(path))  # host-only
+    assert path.read_text() == _canonical(chrome_trace(host))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.json"]
 
 
@@ -221,7 +215,7 @@ def test_writer_refuses_a_bad_trace_and_leaves_no_file(tmp_path):
         write_chrome_trace(
             [("E", 0.0, 0, "app", "compute", None, None, None)], str(path))
     with pytest.raises(ValueError, match="non-empty"):
-        write_merged_chrome_trace(None, None, str(path))
+        write_chrome_trace([], str(path))
     for end in (None, 0.5):  # a complete span with no extent, or a negative one
         backwards = tracer.events + [("X", 1.0, 0, "nic-tx", "tx", "f", None, end)]
         with pytest.raises(ValueError, match="'X' needs a non-negative 'dur'"):
@@ -366,7 +360,7 @@ def test_row_of_the_wrong_width_is_refused_by_index(tmp_path):
         lambda: chrome_trace(events),
         lambda: "".join(iter_chrome_trace(iter(events))),
         lambda: write_chrome_trace(events, str(path)),
-        lambda: write_merged_chrome_trace(events, _fake_host(), str(path)),
+        lambda: write_chrome_trace(chain(events, _fake_host().events), str(path)),
         lambda: list(iter_jsonl_lines(events)),
         lambda: write_jsonl(iter(events), io.StringIO()),
         lambda: flame_summary(events),

@@ -111,6 +111,28 @@ def test_trace_command_jsonl_output(capsys, tmp_path):
     assert lines and all(json.loads(line)["ph"] in "BEXiC" for line in lines)
 
 
+def test_host_trace_rows_reach_both_exports(capsys, tmp_path):
+    """``--jsonl-out`` used to drop the host rows ``--trace-out`` carried, so
+    two exports of one run disagreed: both now write the same rows."""
+    import json
+
+    from repro.obs import HOST_PID
+
+    trace_out, jsonl_out = tmp_path / "t.json", tmp_path / "e.jsonl"
+    assert main([
+        "run", "sor", "--protocol", "vc_sd", "--nprocs", "2", "--host-trace",
+        "--trace-out", str(trace_out), "--jsonl-out", str(jsonl_out),
+    ]) == 0
+    assert "Host-time breakdown" in capsys.readouterr().out
+    phases = ["build", "execute", "extract", "verify"]
+    rows = [json.loads(line) for line in jsonl_out.read_text().splitlines()]
+    assert [r["cat"] for r in rows if r["pid"] == HOST_PID] == phases
+    events = [e for e in json.loads(trace_out.read_text())["traceEvents"]
+              if e["ph"] != "M"]
+    assert [e["cat"] for e in events if e["pid"] == HOST_PID] == phases
+    assert len(events) == len(rows)
+
+
 def test_run_jsonl_out_implies_trace(capsys, tmp_path):
     """``run --jsonl-out`` used to exit 0 and write nothing: only ``--trace``
     and ``--trace-out`` installed a tracer."""
