@@ -172,13 +172,13 @@ class Episode:
                 raise FaultPlanError(
                     f"{self.kind}: {prob} must be in [0, 1], got {v!r}", field=prob
                 )
-        if self.latency_add < 0:
+        if not (self.latency_add >= 0.0):
             raise FaultPlanError(f"{self.kind}: delays must be >= 0", field="latency_add")
-        if self.reorder_delay < 0:
+        if not (self.reorder_delay >= 0.0):
             raise FaultPlanError(
                 f"{self.kind}: delays must be >= 0", field="reorder_delay"
             )
-        if self.bandwidth_factor < 1.0:
+        if not (self.bandwidth_factor >= 1.0):
             raise FaultPlanError(
                 f"degrade: bandwidth_factor must be >= 1 (slower), "
                 f"got {self.bandwidth_factor!r}",
@@ -189,7 +189,7 @@ class Episode:
                 f"buffer: buffer_factor must be in (0, 1], got {self.buffer_factor!r}",
                 field="buffer_factor",
             )
-        if self.cpu_factor < 1.0:
+        if not (self.cpu_factor >= 1.0):
             raise FaultPlanError(
                 f"slowdown: cpu_factor must be >= 1, got {self.cpu_factor!r}",
                 field="cpu_factor",

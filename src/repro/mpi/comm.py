@@ -91,20 +91,17 @@ class MpiComm:
         return data
 
     def _on_data(self, msg: Message) -> None:
-        """Resume the oldest live ``recv`` of the message's ``(source, tag)``
-        in place, or queue the data if none is left (an interrupted recv's
-        registration is skipped, never handed the message)."""
+        """Resume the oldest ``recv`` of the message's ``(source, tag)`` in
+        place, or queue the data if none waits."""
         key = (msg.payload["src"], msg.payload["tag"])
         waiters = self._waiters.get(key)
-        while waiters:
-            waiter = waiters.popleft()
-            if waiter.live():
-                tracer = self.node.sim.tracer
-                if tracer is not None:
-                    tracer.wake(self.rank, self.node.sim.now)
-                waiter.proc._resume(msg.payload["data"], None, waiter.token)
-                return
-        self._queues.setdefault(key, deque()).append(msg.payload["data"])
+        if waiters:
+            tracer = self.node.sim.tracer
+            if tracer is not None:
+                tracer.wake(self.rank, self.node.sim.now)
+            waiters.popleft().proc._resume(msg.payload["data"])
+        else:
+            self._queues.setdefault(key, deque()).append(msg.payload["data"])
 
     # -- collectives (binomial trees rooted at ``root``) ------------------------------
 

@@ -91,14 +91,13 @@ class Waiter(Effect):
     answer, in the order they were asked for).  ``send``, if given, runs one
     zero-delay hop after the process suspends.
 
-    The registration is ``(proc, token)``: :meth:`live` tells whether the
-    process still waits on this yield, and whoever delivers the last answer
-    resumes it in place (``proc._resume(..., token)``) from an event
-    callback, never from a process.  ``MpiComm.recv`` parks on a
-    ``Waiter(1)`` and is resumed with the data itself, not ``results``.
+    Whoever delivers the last answer, or throws a failure into the process,
+    resumes it in place (``proc._resume``) from an event callback, never
+    from a process; :meth:`live` is true until then.  ``MpiComm.recv`` parks
+    on a ``Waiter(1)`` and is resumed with the data itself, not ``results``.
     """
 
-    __slots__ = ("send", "proc", "token", "results", "left")
+    __slots__ = ("send", "proc", "results", "left")
 
     def __init__(self, n: int, send: Optional[Callable[[Waiter], None]] = None):
         self.send = send
@@ -107,17 +106,13 @@ class Waiter(Effect):
 
     def apply(self, sim: Simulator, proc: Process) -> None:
         self.proc = proc
-        self.token = proc._epoch
         if self.send is not None:
             sim.call_soon(self.send, self)
 
     def live(self) -> bool:
-        """The process still waits on this yield: not finished, not resumed
-        since, and no interrupt pending (resuming it would throw that
-        interrupt and lose the answer)."""
-        proc = self.proc
-        return (self.token == proc._epoch and not proc.finished
-                and proc._interrupt_pending is None)
+        """The process still waits on this yield: answers are missing and
+        no failure was thrown into it (a failure zeroes ``left``)."""
+        return self.left > 0
 
 
 class _Pending:
@@ -263,11 +258,12 @@ class Transport:
         msg = rec.msg
         waiter = rec.waiter
         if not waiter.live():
-            # the sender moved on (interrupted, or failed by another request
-            # of the same call): nobody is left to retransmit for
+            # another request of the same call failed it: nobody is left
+            # to retransmit for
             del self._pending[msg_id]
         elif msg.attempt == self.cfg.max_retries:
             del self._pending[msg_id]
+            waiter.left = 0
             waiter.proc._resume(None, RequestError(
                 f"node {self.node_id}: {msg.kind} to {msg.dst} lost after "
                 f"{self.cfg.max_retries} retries",
@@ -276,7 +272,7 @@ class Transport:
                 kind=msg.kind.name,
                 attempts=self.cfg.max_retries,
                 sim_time=self.sim.now,
-            ), waiter.token)
+            ))
         else:
             # the copy on the wire stays as sent; the retransmission is a new one
             rec.msg = msg = msg.wire_copy()
@@ -303,10 +299,12 @@ class Transport:
             tracer.wake(self.node_id, self.sim.now, msg_id=cause)
         self.sim.cancel_timer(rec.timer)
         waiter = rec.waiter
+        if not waiter.live():
+            return  # a sibling request already failed the call
         waiter.results[rec.slot] = value
         waiter.left -= 1
         if not waiter.left:
-            waiter.proc._resume(waiter.results, None, waiter.token)
+            waiter.proc._resume(waiter.results)
 
     # -- receive path -------------------------------------------------------------
 

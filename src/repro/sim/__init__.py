@@ -11,13 +11,19 @@ Blocking operations are expressed as ``yield``/``yield from`` of *effects*:
 * :class:`Channel` operations — rendezvous message queues,
 * :class:`Event` waits — a one-shot, value-carrying wake-up.
 
-Determinism: events scheduled for the same simulated instant are processed in
-FIFO scheduling order (a monotonically increasing sequence number breaks
-ties), so a given program produces bit-identical traces on every run.
+Each wait registers one wake-up, which resumes the process exactly once.
+
+Determinism: a network arrival is keyed by its frame's (source, departure
+number), so its place among same-instant events does not depend on the
+order other nodes' events ran in; every other tie breaks by scheduling
+order.  The only randomness comes from seeded streams (RED drops, random
+loss, the fault plan), so a given program produces bit-identical traces on
+every run.  The tie-permutation witness (``tests/sim/ties.py``) permutes
+same-instant events of different nodes and demands the same bits.
 """
 
-from repro.sim.engine import Simulator, Process, Timeout, SimError, Interrupt, PARK
-from repro.sim.channel import Channel, ChannelClosed
+from repro.sim.engine import Simulator, Process, Timeout, SimError, PARK
+from repro.sim.channel import Channel
 from repro.sim.resources import Event
 
 __all__ = [
@@ -25,9 +31,7 @@ __all__ = [
     "Process",
     "Timeout",
     "SimError",
-    "Interrupt",
     "PARK",
     "Channel",
-    "ChannelClosed",
     "Event",
 ]

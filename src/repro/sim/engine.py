@@ -28,15 +28,10 @@ deliberately small, allocation-light and fully deterministic:
   decided inside an event callback — a parked dispatcher's next message, a
   transport ack or reply, MPI data for a waiting ``recv`` — needs no event
   at all: the callback resumes the process in place
-  (:meth:`Process.unpark`, or :meth:`Process._resume` with the
-  registration's token);
+  (:meth:`Process.unpark` or :meth:`Process._resume`);
 * a :class:`Process` wraps a Python generator; the generator *yields effects*
   (subclasses of :class:`Effect`), and the simulator resumes it with the
   effect's result value;
-* every wake-up carries the *resumption token* (the process's suspension
-  epoch) captured when the wait was registered; a token that no longer
-  matches means the process has since been resumed by something else (e.g.
-  an :meth:`Process.interrupt`) and the stale wake-up is dropped;
 * helper generators compose with plain ``yield from``.
 
 Only simulated time exists here; nothing reads the wall clock.
@@ -55,7 +50,6 @@ __all__ = [
     "Effect",
     "Timeout",
     "SimError",
-    "Interrupt",
     "PARK",
 ]
 
@@ -64,26 +58,14 @@ class SimError(RuntimeError):
     """Raised for misuse of the simulation kernel (e.g. deadlock detection)."""
 
 
-class Interrupt(Exception):
-    """Thrown *into* a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Effect:
     """Base class for everything a process may ``yield`` to the simulator.
 
     Subclasses implement :meth:`apply`, which either schedules a wake-up or
     registers the process on some wait queue.  The value the process receives
     back from ``yield`` is whatever the effect's continuation passes to
-    :meth:`Process._resume`.  Registrations must capture ``proc._epoch`` and
-    pass it back as the wake-up's token so stale wake-ups are dropped.
+    :meth:`Process._resume`, which it calls exactly once: a second resume
+    raises :class:`SimError`.
     """
 
     def apply(self, sim: "Simulator", proc: "Process") -> None:
@@ -100,16 +82,16 @@ class Timeout(Effect):
     __slots__ = ("delay", "value")
 
     def __init__(self, delay: float, value: Any = None):
-        if delay < 0:
+        if not delay >= 0:  # NaN too
             raise SimError(f"negative timeout: {delay!r}")
         self.delay = float(delay)
         self.value = value
 
     def apply(self, sim: "Simulator", proc: "Process") -> None:
         if self.delay == 0.0:
-            sim._ready.append((proc._resume, (self.value, None, proc._epoch)))
+            sim._ready.append((proc._resume, (self.value,)))
         else:
-            sim.schedule(self.delay, proc._resume, self.value, None, proc._epoch)
+            sim.schedule(self.delay, proc._resume, self.value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Timeout({self.delay!r})"
@@ -140,9 +122,9 @@ class _WaitProcess(Effect):
 
     def apply(self, sim: "Simulator", proc: "Process") -> None:
         if self.target.finished:
-            sim.call_soon(proc._resume, self.target.result, None, proc._epoch)
+            sim.call_soon(proc._resume, self.target.result)
         else:
-            self.target._joiners.append((proc, proc._epoch))
+            self.target._joiners.append(proc)
 
 
 class Process:
@@ -165,9 +147,7 @@ class Process:
         "result",
         "error",
         "_joiners",
-        "_interrupt_pending",
         "_suspended",
-        "_epoch",
         "_parked",
         "_send",
         "_throw",
@@ -184,10 +164,8 @@ class Process:
         self.finished = False
         self.result: Any = None
         self.error: Optional[BaseException] = None
-        self._joiners: list[tuple[Process, int]] = []
-        self._interrupt_pending: Optional[Interrupt] = None
-        self._suspended = True  # not yet resumed for the first time
-        self._epoch = 0  # suspension counter; wake-up tokens must match it
+        self._joiners: list[Process] = []
+        self._suspended = True  # waiting for its one wake-up (first: the spawn)
         self._parked = False  # suspended on PARK, see unpark()
         self._send = gen.send
         self._throw = gen.throw
@@ -197,22 +175,6 @@ class Process:
     def join(self) -> Effect:
         """Effect that blocks the yielding process until this one finishes."""
         return _WaitProcess(self)
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into this process at its next resumption.
-
-        The wake-up that delivers the interrupt carries the current
-        resumption token, so whichever of {interrupt wake-up, awaited
-        wake-up} fires first wins and the loser is dropped — the interrupted
-        process never sees a stale value meant for a previous yield.
-        """
-        if self.finished:
-            return
-        self._interrupt_pending = Interrupt(cause)
-        self._parked = False  # the interrupt, not unpark(), ends a PARK
-        # Ensure the process wakes even if it was waiting on a queue that may
-        # never be signalled.
-        self.sim.call_soon(self._resume, None, None, self._epoch)
 
     def unpark(self, value: Any = None, exc: Optional[BaseException] = None) -> bool:
         """Resume a process suspended on :data:`PARK` with ``value`` — or by
@@ -228,21 +190,15 @@ class Process:
         if not self._parked:
             return False
         self._parked = False
-        self._resume(value, exc, self._epoch)
+        self._resume(value, exc)
         return True
 
     # -- engine internals ----------------------------------------------------
 
-    def _resume(self, value: Any = None, exc: Optional[BaseException] = None,
-                token: Optional[int] = None) -> None:
-        if self.finished:
-            return
-        if token is not None and token != self._epoch:
-            return  # stale wake-up from an earlier suspension
-        self._epoch += 1
-        if self._interrupt_pending is not None and exc is None:
-            exc = self._interrupt_pending
-            self._interrupt_pending = None
+    def _resume(self, value: Any = None, exc: Optional[BaseException] = None) -> None:
+        if not self._suspended:
+            state = "finished" if self.finished else "running"
+            raise SimError(f"process {self.name!r} resumed while {state}")
         self._suspended = False
         try:
             if exc is not None:
@@ -261,12 +217,13 @@ class Process:
             delay = effect.delay
             sim = self.sim
             if delay == 0.0:
-                sim._ready.append((self._resume, (effect.value, None, self._epoch)))
+                sim._ready.append((self._resume, (effect.value,)))
             else:
-                sim.schedule(delay, self._resume, effect.value, None, self._epoch)
+                sim.schedule(delay, self._resume, effect.value)
         elif isinstance(effect, Effect):
             effect.apply(self.sim, self)
         else:
+            self._suspended = False  # finished: no wake-up may resume it
             self._finish(
                 error=SimError(
                     f"process {self.name!r} yielded {effect!r}, expected an Effect"
@@ -283,11 +240,11 @@ class Process:
             tracer.counter(-1, "live_processes", self.sim.now, self.sim._live_processes)
             if error is not None:
                 tracer.instant(-1, "engine", "process", f"died: {self.name}", self.sim.now)
-        for joiner, token in self._joiners:
+        for joiner in self._joiners:
             if error is not None:
-                self.sim.call_soon(joiner._resume, None, error, token)
+                self.sim.call_soon(joiner._resume, None, error)
             else:
-                self.sim.call_soon(joiner._resume, result, None, token)
+                self.sim.call_soon(joiner._resume, result)
         self._joiners.clear()
         if error is not None:
             self.sim._record_failure(self, error)
@@ -372,7 +329,7 @@ class Simulator:
         addition) go on the ready deque instead of the heap; see the module
         docstring for why this preserves the ``(time, seq)`` order exactly.
         """
-        if delay < 0:
+        if not delay >= 0:  # NaN too
             raise SimError(f"cannot schedule in the past (delay={delay!r})")
         t = self.now + delay
         if t <= self.now:
@@ -384,7 +341,7 @@ class Simulator:
         """Zero-delay fast path: exactly ``schedule(0.0, fn, *args)``.
 
         Skips the delay arithmetic and branch for the wake-up paths (event
-        sets, channel puts, process joins, interrupts, ``call_all``'s start
+        sets, channel puts, process joins, ``call_all``'s start
         hop) that are always immediate (``Timeout(0)`` appends to the same
         deque).
         """
@@ -397,7 +354,7 @@ class Simulator:
         as absolute times (rate-limited queues): converting to a delay and
         back through float addition would perturb the instant.
         """
-        if t < self.now:
+        if not t >= self.now:
             raise SimError(f"cannot schedule in the past (t={t!r} < now={self.now!r})")
         if t <= self.now:
             self._ready.append((fn, args))
@@ -420,7 +377,7 @@ class Simulator:
         all queue entries at the current instant, which is wrong for an event
         whose logical scheduling instant lies in the past.
         """
-        if t < self.now:
+        if not t >= self.now:
             raise SimError(f"cannot schedule in the past (t={t!r} < now={self.now!r})")
         self._qpush(self._heap, (t, tsched, cls, key, fn, args))
 
@@ -443,7 +400,7 @@ class Simulator:
         """
         t = self.now + delay
         timers = self._timers
-        if t <= self.now:
+        if not t > self.now:
             raise SimError(f"timer delay must be positive (delay={delay!r})")
         if timers and t < timers[-1][0]:
             raise SimError(
@@ -486,7 +443,7 @@ class Simulator:
         """Create a process from a generator and make it runnable now."""
         proc = Process(self, gen, name=name)
         self._live_processes += 1
-        self._ready.append((proc._resume, (None, None, 0)))
+        self._ready.append((proc._resume, ()))
         tracer = self.tracer
         if tracer is not None:
             tracer.counter(-1, "live_processes", self.now, self._live_processes)
@@ -504,7 +461,7 @@ class Simulator:
         ``until`` boundary contract, so that repeated calls compose into one
         run:
 
-        * ``until`` in the past (``until < self.now``) raises
+        * ``until`` in the past (``until < self.now``) or NaN raises
           :class:`SimError` — the clock never moves backwards;
         * events scheduled *exactly at* ``until`` execute before the break;
         * ready-deque entries (zero-delay work at the current instant) are
@@ -516,7 +473,7 @@ class Simulator:
         """
         if self._running:
             raise SimError("Simulator.run() is not reentrant")
-        if until is not None and until < self.now:
+        if until is not None and not until >= self.now:
             raise SimError(
                 f"run(until={until!r}) is in the past (now={self.now!r})"
             )

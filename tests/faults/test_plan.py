@@ -49,6 +49,10 @@ def test_empty_or_negative_window_rejected():
         (dict(kind="buffer", node=0, buffer_factor=1.5), "buffer_factor"),
         (dict(kind="slowdown", node=0, cpu_factor=0.9), "cpu_factor"),
         (dict(kind="reorder", reorder_prob=0.5, reorder_delay=-1.0), "delays"),
+        (dict(kind="degrade", latency_add=float("nan")), "delays"),
+        (dict(kind="reorder", reorder_prob=0.5, reorder_delay=float("nan")), "delays"),
+        (dict(kind="degrade", bandwidth_factor=float("nan")), "bandwidth_factor"),
+        (dict(kind="slowdown", node=0, cpu_factor=float("nan")), "cpu_factor"),
     ],
 )
 def test_out_of_range_knobs_rejected(kwargs, match):

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from repro.mpi import MpiSystem
-from repro.net.message import Message, MessageKind
-from repro.sim import Interrupt
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 8])
@@ -174,72 +172,6 @@ def test_recv_from_self_or_outside_the_communicator_rejected(source):
         yield from comm.barrier()
 
     system.run_program(body)
-
-
-@pytest.mark.parametrize("retry_after", [0.0, 2.0])
-def test_interrupted_recv_does_not_swallow_the_next_message(retry_after):
-    """An interrupted recv leaves a stale registration at the head of its
-    ``(source, tag)``; the message sent later reaches the next live recv
-    (``retry_after`` 0, it parks before the send) or waits in the queue
-    (``retry_after`` 2, it arrives first)."""
-    system = MpiSystem(2)
-
-    def body(comm):
-        sim = comm.node.sim
-        if comm.rank == 0:
-            yield from comm.compute(1.0)
-            yield from comm.send(np.array([7]), 1, tag=5)
-            return None
-
-        def abandoned():
-            try:
-                yield from comm.recv(0, tag=5)
-            except Interrupt:
-                return "interrupted"
-            return "received"
-
-        proc = sim.spawn(abandoned())
-        sim.schedule(0.5, proc.interrupt)
-        outcome = yield proc.join()
-        yield from comm.compute(retry_after)
-        got = yield from comm.recv(0, tag=5)
-        return outcome, int(got[0])
-
-    assert system.run_program(body)[1] == ("interrupted", 7)
-
-
-def test_data_arriving_while_an_interrupt_is_pending_is_queued():
-    """Between ``interrupt()`` and the interrupt's own wake-up the recv's
-    token still matches; resuming it in place would throw the interrupt and
-    lose the data, so the data queues for the next recv instead."""
-    system = MpiSystem(2)
-
-    def body(comm):
-        sim = comm.node.sim
-        if comm.rank == 0:
-            yield from comm.compute(1.0)
-            return None
-
-        def abandoned():
-            try:
-                yield from comm.recv(0, tag=5)
-            except Interrupt:
-                return "interrupted"
-            return "received"
-
-        proc = sim.spawn(abandoned())
-
-        def interrupt_then_deliver():
-            proc.interrupt()
-            payload = {"src": 0, "tag": 5, "data": 7}
-            comm._on_data(Message(0, 1, MessageKind.MPI_DATA, payload, 8))
-
-        sim.schedule(0.5, interrupt_then_deliver)
-        outcome = yield proc.join()
-        got = yield from comm.recv(0, tag=5)
-        return outcome, got
-
-    assert system.run_program(body)[1] == ("interrupted", 7)
 
 
 def test_unsizeable_payload_rejected():

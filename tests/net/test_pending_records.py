@@ -5,7 +5,7 @@ import pytest
 
 from repro.net import Cluster, MessageKind, NetConfig
 from repro.net.transport import RequestError
-from repro.sim import Interrupt, Timeout
+from repro.sim import Timeout
 from tests.net.conftest import DELIVER, DUPLICATE, drop_frames, script_transfers
 
 KIND = MessageKind.TEST
@@ -127,27 +127,6 @@ def test_gather_fails_once_and_drops_the_sibling_records():
     assert out == [(2, pytest.approx(0.2), (0, 1)), "moved on"]
     assert not proc.error and c[0].transport.pending_counts() == (0, 0)
     assert c.node_stats[0].rexmit == 2  # one per request, before the failure
-
-
-def test_interrupt_during_a_gathered_wait_drops_the_records():
-    c = echo_cluster(3, **FAST)
-    drop_frames(c, lambda m: True)
-    out = []
-
-    def caller():
-        try:
-            yield c[0].transport.call_all([(1, KIND, "a", 16), (2, KIND, "b", 16)])
-        except Interrupt as intr:
-            out.append(("interrupted", intr.cause, c[0].transport.pending_counts()))
-        yield Timeout(5.0)
-        out.append("moved on")
-
-    proc = c.sim.spawn(caller())
-    c.sim.schedule(0.05, proc.interrupt, "stop")
-    c.run()
-    assert out == [("interrupted", "stop", (0, 2)), "moved on"]
-    assert c.stats.rexmit == 0 and c[0].transport.pending_counts() == (0, 0)
-    assert not proc.error
 
 
 def test_call_all_needs_a_request():

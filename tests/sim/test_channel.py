@@ -1,8 +1,6 @@
 """Unit tests for simulator channels."""
 
-import pytest
-
-from repro.sim import Simulator, Timeout, Channel, ChannelClosed, SimError
+from repro.sim import Simulator, Timeout, Channel
 
 
 def test_put_then_get():
@@ -72,89 +70,3 @@ def test_fifo_ordering_of_getters():
     sim.spawn(producer())
     sim.run()
     assert out == [("a", 1), ("b", 2)]
-
-
-def test_capacity_drop():
-    sim = Simulator()
-    chan = Channel(sim, capacity=2)
-    assert chan.put(1)
-    assert chan.put(2)
-    assert not chan.put(3)  # dropped
-    assert len(chan) == 2
-
-
-def test_capacity_with_waiting_getter_bypasses_queue():
-    sim = Simulator()
-    chan = Channel(sim, capacity=0)
-    out = []
-
-    def consumer():
-        out.append((yield chan.get()))
-
-    sim.spawn(consumer())
-
-    def producer():
-        yield Timeout(1.0)
-        assert chan.put("direct")  # delivered straight to the getter
-
-    sim.spawn(producer())
-    sim.run()
-    assert out == ["direct"]
-
-
-def test_try_get():
-    sim = Simulator()
-    chan = Channel(sim)
-    assert chan.try_get() == (False, None)
-    chan.put(7)
-    assert chan.try_get() == (True, 7)
-    assert chan.try_get() == (False, None)
-
-
-def test_close_wakes_blocked_getters():
-    sim = Simulator()
-    chan = Channel(sim)
-    out = []
-
-    def consumer():
-        try:
-            yield chan.get()
-        except ChannelClosed:
-            out.append("closed")
-
-    sim.spawn(consumer())
-
-    def closer():
-        yield Timeout(1.0)
-        chan.close()
-
-    sim.spawn(closer())
-    sim.run()
-    assert out == ["closed"]
-
-
-def test_get_after_close_drains_then_raises():
-    sim = Simulator()
-    chan = Channel(sim)
-    chan.put("leftover")
-    chan.close()
-    out = []
-
-    def consumer():
-        out.append((yield chan.get()))
-        try:
-            yield chan.get()
-        except ChannelClosed:
-            out.append("closed")
-
-    sim.spawn(consumer())
-    sim.run()
-    assert out == ["leftover", "closed"]
-
-
-def test_put_on_closed_channel_raises():
-    sim = Simulator()
-    chan = Channel(sim)
-    chan.close()
-    with pytest.raises(SimError):
-        chan.put(1)

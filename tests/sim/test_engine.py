@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.sim import PARK, Simulator, Timeout, SimError, Interrupt
+from repro.sim import PARK, Simulator, Timeout, SimError
+from repro.sim.engine import Effect
 
 
 def test_empty_run_finishes_at_zero():
@@ -41,8 +42,9 @@ def test_timeout_returns_value():
 
 
 def test_negative_timeout_rejected():
-    with pytest.raises(SimError):
-        Timeout(-1.0)
+    for delay in (-1.0, float("nan")):
+        with pytest.raises(SimError):
+            Timeout(delay)
 
 
 def test_fifo_order_for_simultaneous_events():
@@ -184,40 +186,6 @@ def test_run_until_stops_clock():
     assert sim.now == 3.5
 
 
-def test_interrupt_wakes_blocked_process():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield Timeout(100.0)
-            log.append("slept")
-        except Interrupt as exc:
-            log.append(("interrupted", exc.cause, sim.now))
-
-    def killer(target):
-        yield Timeout(2.0)
-        target.interrupt("stop")
-
-    p = sim.spawn(sleeper())
-    sim.spawn(killer(p))
-    sim.run()
-    assert log == [("interrupted", "stop", 2.0)]
-
-
-def test_interrupt_finished_process_is_noop():
-    sim = Simulator()
-
-    def quick():
-        yield Timeout(0)
-
-    p = sim.spawn(quick())
-    sim.run()
-    p.interrupt("late")
-    sim.run()  # must not blow up
-    assert p.finished
-
-
 def test_park_is_resumed_synchronously_and_only_while_parked():
     sim = Simulator()
     got = []
@@ -239,23 +207,23 @@ def test_park_is_resumed_synchronously_and_only_while_parked():
     assert got == ["a"] and proc.unpark("c") is True and got == ["a", "c"]
 
 
-def test_interrupt_ends_a_park():
+def test_a_second_wake_up_raises_instead_of_being_dropped():
+    """One registration, one resume: a wake-up delivered to a process that
+    already finished is a kernel error naming the process, not a no-op."""
     sim = Simulator()
-    seen = []
 
-    def daemon():
-        try:
-            yield PARK
-        except Interrupt as intr:
-            seen.append(intr.cause)
-        yield Timeout(1.0)
+    class WakeTwice(Effect):
+        def apply(self, sim, proc):
+            sim.call_soon(proc._resume)
+            sim.schedule(1.0, proc._resume)
 
-    proc = sim.spawn(daemon())
-    sim.run()
-    proc.interrupt("stop")
-    assert proc.unpark("late") is False
-    sim.run()
-    assert seen == ["stop"] and proc.finished
+    def once():
+        yield WakeTwice()
+
+    sim.spawn(once(), name="woken-twice")
+    with pytest.raises(SimError, match="woken-twice"):
+        sim.run()
+    assert sim.now == 1.0
 
 
 def test_live_process_count():
@@ -273,8 +241,16 @@ def test_live_process_count():
 
 def test_schedule_in_past_rejected():
     sim = Simulator()
-    with pytest.raises(SimError):
-        sim.schedule(-0.1, lambda: None)
+    nan = float("nan")
+    for schedule in (
+        lambda: sim.schedule(-0.1, lambda: None),
+        lambda: sim.schedule(nan, lambda: None),  # pre-fix: ran at now == nan
+        lambda: sim.schedule_at(nan, lambda: None),
+        lambda: sim.schedule_keyed(nan, 0.0, 1, 0, lambda: None),
+        lambda: sim.schedule_timer(nan, lambda: None),
+    ):
+        with pytest.raises(SimError):
+            schedule()
 
 
 def test_nested_yield_from_composition():
@@ -314,37 +290,6 @@ def test_process_return_value_via_stopiteration():
     sim.spawn(parent())
     sim.run()
     assert holder == [{"k": 1}]
-
-
-def test_interrupt_cancels_pending_timeout():
-    """A timeout pending at interrupt time must not fire as a stale wake-up.
-
-    The sleeper is interrupted out of its first sleep at t=1 and immediately
-    starts a second one.  The first timeout's scheduled resumption (t=10) is
-    stale: if it were delivered, the second sleep would end early with the
-    first sleep's value.
-    """
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            got = yield Timeout(10.0, value="first")
-            log.append((got, sim.now))
-        except Interrupt:
-            pass
-        got = yield Timeout(20.0, value="second")
-        log.append((got, sim.now))
-
-    def killer(target):
-        yield Timeout(1.0)
-        target.interrupt("wake")
-
-    p = sim.spawn(sleeper())
-    sim.spawn(killer(p))
-    sim.run()
-    assert log == [("second", 21.0)]
-    assert sim.now == 21.0
 
 
 def test_events_processed_counter():
@@ -393,9 +338,10 @@ def test_run_until_in_past_raises_and_clock_never_rewinds():
     sim.spawn(worker())
     sim.run(until=5.0)
     assert sim.now == 5.0
-    with pytest.raises(SimError):
-        sim.run(until=3.0)  # pre-fix: silently rewound the clock to 3.0
-    assert sim.now == 5.0
+    for until in (3.0, float("nan")):
+        with pytest.raises(SimError):
+            sim.run(until=until)  # pre-fix: silently rewound the clock to 3.0
+        assert sim.now == 5.0
 
 
 def test_run_until_advances_clock_when_drained():
