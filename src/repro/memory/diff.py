@@ -147,7 +147,7 @@ def _diff_from_mask(page_id: int, data: np.ndarray, changed: np.ndarray) -> Diff
     """
     padded = np.zeros(changed.shape[0] + 2, dtype=bool)
     padded[1:-1] = changed
-    edges = np.flatnonzero(padded[1:] != padded[:-1]).astype(np.uint16)
+    edges = (padded[1:] != padded[:-1]).nonzero()[0].astype(np.uint16)
     return _fill(object.__new__(Diff), page_id, edges[0::2], edges[1::2], data[changed])
 
 

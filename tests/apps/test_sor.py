@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps import sor
 from repro.apps.common import run_app
@@ -75,3 +76,66 @@ def test_relax_color_counts_updates():
     g = np.ones((6, 8))
     n = sor._relax_color(g, 1, 5, 0)
     assert n == 4 * 3  # 4 interior rows, 3 cells of each colour per row
+
+
+def _relax_color_by_rows(g, lo, hi, color, row_offset=0):
+    """The row-by-row half-sweep the per-parity kernel replaced."""
+    rows, cols = g.shape
+    count = 0
+    for i in range(max(lo, 1), min(hi, rows - 1)):
+        start = 1 + ((i + row_offset + color) % 2)
+        sl = slice(start, cols - 1, 2)
+        g[i, sl] = 0.25 * (
+            g[i - 1, sl] + g[i + 1, sl] + g[i, sl.start - 1 : cols - 2 : 2]
+            + g[i, sl.start + 1 : cols : 2]
+        )
+        count += len(range(start, cols - 1, 2))
+    return count
+
+
+@st.composite
+def _half_sweeps(draw):
+    rows = draw(st.integers(1, 40))
+    cols = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    lo = draw(st.integers(0, rows + 2))
+    hi = draw(st.integers(0, rows + 2))
+    color = draw(st.integers(0, 1))
+    row_offset = draw(st.integers(-1, 4))
+    grid = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(rows, cols))
+    return grid, lo, hi, color, row_offset
+
+
+@settings(max_examples=300, deadline=None)
+@given(_half_sweeps())
+def test_relax_color_is_bitwise_the_row_by_row_sweep(case):
+    grid, lo, hi, color, row_offset = case
+    want, got = grid.copy(), grid.copy()
+    expected = _relax_color_by_rows(want, lo, hi, color, row_offset)
+    assert sor._relax_color(got, lo, hi, color, row_offset) == expected
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("protocol", ["lrc_d", "vc_d"])
+def test_every_version_relaxes_through_the_one_kernel(protocol, monkeypatch):
+    """The sequential reference, the traditional body and the VOPP body all
+    call ``_relax_color``, and every call equals the row-by-row sweep."""
+    calls, mismatches = [], []
+    kernel = sor._relax_color
+
+    def checked(g, lo, hi, color, row_offset=0):
+        want = g.copy()
+        expected = _relax_color_by_rows(want, lo, hi, color, row_offset)
+        count = kernel(g, lo, hi, color, row_offset)
+        if count != expected or g.tobytes() != want.tobytes():
+            mismatches.append((g.shape, lo, hi, color, row_offset))
+        calls.append(g.shape)
+        return count
+
+    monkeypatch.setattr(sor, "_relax_color", checked)
+    nprocs, sweeps = 2, SMALL.iterations * 2
+    result = run_app(sor, protocol, nprocs, SMALL)
+    assert result.verified
+    assert not mismatches
+    assert calls.count((SMALL.rows, SMALL.cols)) == sweeps  # the reference
+    assert len(calls) == nprocs * sweeps + sweeps

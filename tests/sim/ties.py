@@ -9,8 +9,9 @@ that changes at every instant, while each node keeps its own serial order.
 A run on it must equal the serial run bit for bit (:func:`check_cell`).
 
 ``python -m tests.sim.ties`` (from the repository root, ``PYTHONPATH=src``)
-checks the whole benchmark matrix plus ``hlrc_d`` at seeds 1, 2 and 3, one
-line per run; it exits non-zero on any mismatch and writes no file.
+checks the whole benchmark matrix plus ``hlrc_d`` and two 32-rank cells at
+seeds 1, 2 and 3, one line per run; it exits non-zero on any mismatch and
+writes no file.
 """
 
 from __future__ import annotations
@@ -157,11 +158,12 @@ def check_cell(cell: SweepCell, seed: int, serial: AppResult | None = None) -> d
 
 
 def witness_cells() -> list[SweepCell]:
-    """The benchmark matrix plus every app under ``hlrc_d`` at 8 ranks."""
+    """The benchmark matrix, every app under ``hlrc_d`` at 8 ranks, and two
+    32-rank cells (NN's retransmission-heavy LRC_d run, IS under VC_sd)."""
     return default_cells() + [
         SweepCell(app=app, protocol="hlrc_d", nprocs=8)
         for app in ("is", "gauss", "sor", "nn")
-    ]
+    ] + [SweepCell("nn", "lrc_d", 32), SweepCell("is", "vc_sd", 32)]
 
 
 def main() -> int:
