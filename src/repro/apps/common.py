@@ -23,6 +23,7 @@ from typing import Any, Callable, Generator, Optional
 import numpy as np
 
 from repro.core.program import make_system
+from repro.obs.tracer import EventTracer
 from repro.net.config import NetConfig, NodeConfig
 from repro.protocols.runstats import RunStats
 
@@ -104,7 +105,7 @@ class AppResult:
     verified: bool = False
     events: int = 0  # simulator callbacks executed (reported, never gated)
     breakdown: Any = None  # per-process time attribution (traced runs only)
-    metrics: Any = None  # repro.obs.Metrics registry (metered runs only)
+    metrics: Any = None  # repro.obs.Metrics folded from the trace (metered runs only)
     consistency: Any = None  # oracle report JSON dict (checked sweep cells only)
     failure: Any = None  # RunFailure of an aborted run (faulted sweep cells only)
     injected: Any = None  # FaultInjector.injected counters (faulted sweep cells only)
@@ -146,14 +147,15 @@ def run_app(
     ``protocol`` — for ``"mpi"`` an :class:`repro.mpi.MpiSystem`, which an
     app with a message-passing version (``build_mpi``) builds against.
 
-    The three recorder hooks: ``tracer`` (a :class:`repro.obs.EventTracer`)
-    records structured events and fills ``AppResult.breakdown``; ``metrics``
-    (a :class:`repro.obs.Metrics`) collects per-view/per-page contention
-    metrics and is handed back on ``AppResult.metrics``; ``oracle`` (a
-    :class:`repro.obs.oracle.AccessRecorder`) records the access history for
-    the consistency oracle; ``faults`` (a :class:`repro.faults.FaultPlan` or
-    pre-built :class:`~repro.faults.FaultInjector`) injects scripted network
-    and node faults.
+    The two recorder hooks: ``tracer`` (a :class:`repro.obs.EventTracer`)
+    records structured events and fills ``AppResult.breakdown``; ``oracle``
+    (a :class:`repro.obs.oracle.AccessRecorder`) records the access history
+    for the consistency oracle.  ``metrics`` (a :class:`repro.obs.Metrics`)
+    gets the contention metrics folded from the run's (or a private) trace
+    and comes back on ``AppResult.metrics``; ``faults`` (a
+    :class:`repro.faults.FaultPlan` or pre-built
+    :class:`~repro.faults.FaultInjector`) injects scripted network and node
+    faults.
 
     ``host`` (a second :class:`repro.obs.EventTracer`) records the
     *wall-clock* phases of the real work — build/execute/extract/verify, one
@@ -161,22 +163,30 @@ def run_app(
     out — without ever touching the simulation (simulated observables stay
     bit-identical).
 
-    An exhausted retransmission budget or a fail-stop crash episode raises
-    :class:`repro.faults.RunAborted` carrying a structured
+    ``"mpi"`` for an app without ``build_mpi`` raises ``ValueError`` up
+    front.  An exhausted retransmission budget or a fail-stop crash episode
+    raises :class:`repro.faults.RunAborted` carrying a structured
     :class:`~repro.faults.RunFailure`; any other exception propagates
     unchanged (it is a bug, not a fault outcome).
     """
+    if protocol == "mpi" and not hasattr(app_module, "build_mpi"):
+        from repro.apps import APPS
+
+        name = next((k for k, m in APPS.items() if m is app_module), app_module.__name__)
+        raise ValueError(f"{name} has no MPI version (only nn does)")
     unprofiled = nullcontext()
     span = _host_phases(host) if host is not None else (lambda cat: unprofiled)
     config = config or app_module.default_config()
 
     with span("build"):
         system = make_system(nprocs, protocol, netcfg=netcfg, nodecfg=nodecfg)
-        # the three recorder hooks; None (off) is the simulator's default.
+        # the two recorder hooks; None (off) is the simulator's default, and
+        # a metered run is traced (its metrics are folded from the rows).
         # MPI has no shared pages: its oracle history stays empty and the
         # checker reports "not-applicable"
         sim = system.sim
-        sim.tracer, sim.metrics, sim.oracle = tracer, metrics, oracle
+        sim.tracer = tracer if tracer is not None or metrics is None else EventTracer()
+        sim.oracle = oracle
         if faults is not None:
             system.cluster.install_faults(faults)
         body = app_module.build(system, config, variant)
@@ -184,6 +194,7 @@ def run_app(
         _run_or_abort(system.cluster, lambda: system.run_program(body))
     with span("extract"):
         output = app_module.extract(system, config)
+        metrics = None if metrics is None else metrics.fold(sim.tracer.events)
     result = AppResult(
         protocol, nprocs, output, system.stats, system.time,
         events=sim.events_processed, metrics=metrics,

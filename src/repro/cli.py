@@ -12,7 +12,7 @@ Commands
       ``--jsonl-out`` export a Chrome trace / JSONL event log and
       ``--critical-path`` walks the causal critical path (each implies
       ``--trace``); see docs/observability.md.
-    * ``--metrics`` / ``--metrics-out`` collect contention metrics.
+    * ``--metrics`` / ``--metrics-out`` fold contention metrics from the trace.
     * ``--check-consistency`` records the access history and machine-checks
       it against the protocol family's memory model (the consistency oracle,
       :mod:`repro.obs.oracle`); exit code 4 when the oracle finds
@@ -570,11 +570,11 @@ def _add_run_command(sub, name: str, help: str, nprocs: int = 16, **preset) -> N
                    help="walk the causal critical path and print its "
                    "per-category attribution and wait slack (implies --trace)")
     p.add_argument("--trace-views", action="store_true",
-                   help="print per-view access profiles read from the run's "
-                   "metrics, with the paper-§3.6 partitioning advice "
-                   "(VC protocols only)")
+                   help="print per-view access profiles read from the metrics "
+                   "folded from the run's trace, with the paper-§3.6 "
+                   "partitioning advice (VC protocols only)")
     p.add_argument("--metrics", action="store_true",
-                   help="record contention metrics; print per-view/per-page tables")
+                   help="print per-view/per-page contention tables folded from the trace")
     p.add_argument("--metrics-out", default=None, metavar="PATH",
                    help="write the metrics snapshot as JSON (implies --metrics)")
     p.add_argument("--check-consistency", action="store_true",

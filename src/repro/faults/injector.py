@@ -1,7 +1,7 @@
 """The fault injector: installs a :class:`~repro.faults.plan.FaultPlan` on a
 cluster and answers the network/CPU layers' hook queries.
 
-Contract (mirroring ``tracer``/``metrics``):
+Contract (mirroring ``tracer``/``oracle``):
 
 * **Zero overhead when absent.**  ``Simulator.faults`` is ``None`` by
   default; every hook site guards with ``if faults is not None`` before
@@ -22,8 +22,8 @@ extra latency — the *transfer-level* episodes; the event exists only when
 the plan has some), ``Nic.on_arrival`` (receive-buffer shrink), ``Nic``
 tx/rx wire time (bandwidth degradation), ``Node.compute`` (CPU slowdown /
 pause), and an installed timer per ``crash`` episode.  Fault events are
-surfaced as tracer instants (lane ``"faults"``) and ``fault_*`` metrics when
-those observers are installed.
+surfaced as tracer instants (lane ``"faults"``) when a tracer is installed;
+:class:`repro.obs.Metrics` folds the ``fault_*`` metrics from them.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class FaultInjector:
         self.transfer_level = bool(
             self._loss or self._lat or self._dup or self._reorder
         )
-        # counters mirrored into the final report even without metrics
+        # counters mirrored into the final report even without a tracer
         self.injected = {"drop": 0, "duplicate": 0, "reorder": 0}
 
     # -- installation -------------------------------------------------------------
@@ -119,7 +119,6 @@ class FaultInjector:
                 and ep.matches(src, dst)
                 and self._rng.random_sample() < ep.drop_prob
             ):
-                self.injected["drop"] += 1
                 self.stats[src].count_drop("fault")
                 self._observe("drop", msg, now)
                 return None
@@ -134,7 +133,6 @@ class FaultInjector:
                 and self._rng.random_sample() < ep.reorder_prob
             ):
                 extra += self._rng.random_sample() * ep.reorder_delay
-                self.injected["reorder"] += 1
                 self._observe("reorder", msg, now)
         dup: Optional[float] = None
         for ep in self._dup:
@@ -144,21 +142,18 @@ class FaultInjector:
                 and self._rng.random_sample() < ep.dup_prob
             ):
                 dup = extra
-                self.injected["duplicate"] += 1
                 self._observe("duplicate", msg, now)
                 break
         return extra, dup
 
     def _observe(self, what: str, msg: "Message", now: float) -> None:
+        self.injected[what] += 1
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.instant(
                 msg.dst, "faults", "fault", f"{what} {msg.kind.name}",
                 now, {"src": msg.src, "bytes": msg.size},
             )
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.inc(f"fault_{what}s", kind=msg.kind.name)
 
     # -- node-level hooks ----------------------------------------------------------
 
@@ -193,19 +188,11 @@ class FaultInjector:
         for ep in self._pause:
             if ep.start <= now < ep.end and (ep.node is None or ep.node == node):
                 stall = ep.end - now
-                self._observe_pause(node, now, stall)
+                tracer = self.sim.tracer
+                if tracer is not None:
+                    tracer.instant(node, "faults", "fault", "pause", now, {"stall": stall})
                 seconds += stall
         return seconds
-
-    def _observe_pause(self, node: int, now: float, stall: float) -> None:
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.instant(
-                node, "faults", "fault", "pause", now, {"stall": stall}
-            )
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.observe("fault_pause_seconds", stall, node=node)
 
     # -- crash --------------------------------------------------------------------
 

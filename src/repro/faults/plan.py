@@ -5,7 +5,7 @@ hostile* the network and nodes do to a run beyond the baseline model (the
 NIC's RED buffer overflow and ``NetConfig.random_drop_prob``).  Plans are
 plain data — JSON-serialisable, hashable into cache keys, and installed on a
 cluster through :class:`repro.faults.injector.FaultInjector` with the same
-None-default, zero-overhead contract as the tracer and metrics registries.
+None-default, zero-overhead contract as the tracer and the access recorder.
 
 Episode kinds
 -------------

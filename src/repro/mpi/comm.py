@@ -197,15 +197,9 @@ class MpiComm:
                 self.rank, "app", "barrier-wait", "mpi barrier",
                 self.node.sim.now, {"tag": tag},
             )
-        t0 = self.node.sim.now
         yield from self.allreduce(token, op=np.add, tag=tag)
         if tracer is not None:
             tracer.end(self.rank, "app", "barrier-wait", self.node.sim.now)
-        metrics = self.node.sim.metrics
-        if metrics is not None:
-            metrics.observe(
-                "barrier_wait_seconds", self.node.sim.now - t0, node=self.rank
-            )
         return None
 
     def compute(self, seconds: float) -> Generator:

@@ -18,9 +18,9 @@ protocol implementations and the runtimes:
   from the last rank's finish to the simulated critical path — the chain of
   segments that actually determined the run's length — with per-category
   attribution and per-wait slack;
-* :mod:`repro.obs.metrics` is the contention-metrics registry (counters,
-  gauges, histograms keyed by view/page/lock labels) the protocol layers
-  feed, rendered as per-view contention tables;
+* :mod:`repro.obs.metrics` folds a trace's rows into contention metrics
+  (counters and histograms keyed by view/page/lock labels), rendered as
+  per-view contention tables;
 * :mod:`repro.obs.oracle` is the trace-based consistency oracle: an opt-in
   access-history recorder (:class:`AccessRecorder`) plus a checker
   (:func:`check_history`) that machine-verifies recorded read/write

@@ -1,4 +1,4 @@
-"""Lightweight contention-metrics registry.
+"""Contention metrics, folded from a run's tracer rows.
 
 The tracer answers *when* things happened; this registry answers *how much,
 broken down by which resource* — acquire-wait seconds per view, diff bytes
@@ -7,39 +7,27 @@ paper's per-primitive arguments (Tables 1-9 reason about *counts of diff
 requests* and *barrier-time consistency work*, both naturally per-view /
 per-page quantities).
 
-Design rules (mirroring the tracer's):
-
-* **Zero overhead when disabled.**  The simulator's ``metrics`` attribute is
-  ``None`` by default and every feed site guards with
-  ``if metrics is not None``.
-* **Observational purity.**  Recording never charges simulated time or
-  perturbs scheduling; a metered run's simulated statistics are
-  bit-identical to an unmetered run's.
-* **Determinism.**  Feed sites run in simulator order, so two identical runs
-  produce identical snapshots.
-
-Instruments
------------
-
-* ``inc(name, value, **labels)`` — monotonic counter;
-* ``gauge(name, value, **labels)`` — last-write-wins sample;
-* ``observe(name, value, **labels)`` — histogram observation (count / sum /
-  min / max plus fixed log-spaced buckets).
-
-Every instrument is keyed by ``(name, sorted(labels))`` so one registry can
-hold e.g. ``acquire_wait_seconds{view=3}`` next to
-``acquire_wait_seconds{view=7}``.  ``snapshot()`` renders everything into
-plain JSON-serialisable dicts for dumping alongside traces, and
-:func:`format_contention` renders the per-view / per-page contention tables
-the CLI prints.
+There is no recording hook of its own: :meth:`Metrics.fold` reads the rows an
+:class:`~repro.obs.tracer.EventTracer` recorded, in recording order (which is
+simulator order, so two identical runs produce identical snapshots), into
+counters (``inc``) and histograms (``observe``: count / sum / min / max plus
+fixed log-spaced buckets).  Every instrument is keyed by ``(name,
+sorted(labels))`` so one registry can hold e.g.
+``acquire_wait_seconds{view=3}`` next to ``acquire_wait_seconds{view=7}``.
+``snapshot()`` renders everything into plain JSON-serialisable dicts for
+dumping alongside traces, and :func:`format_contention` renders the per-view
+/ per-page contention tables the CLI prints.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 __all__ = ["Histogram", "Metrics", "format_contention"]
+
+# the app-lane wait spans whose extents are the wait histograms
+_WAIT_SPANS = ("barrier-wait", "acquire-wait")
 
 # log-spaced bucket upper bounds for time-like observations (seconds); the
 # final +inf bucket is implicit
@@ -103,31 +91,30 @@ def _key(name: str, labels: dict) -> tuple:
 
 
 class Metrics:
-    """A registry of counters, gauges and histograms keyed by labels.
+    """A registry of counters and histograms keyed by labels.
 
-    Install like a tracer::
+    Fill it from a traced run::
 
-        metrics = Metrics()
-        system.sim.metrics = metrics
+        tracer = EventTracer()
+        system.sim.tracer = tracer
         system.run_program(body)
-        print(metrics.format_contention())
+        print(format_contention(Metrics().fold(tracer.events)))
+
+    (or pass ``metrics=`` to :func:`repro.apps.common.run_app`, which traces
+    the run and folds its rows into the registry).
     """
 
-    __slots__ = ("counters", "gauges", "histograms")
+    __slots__ = ("counters", "histograms")
 
     def __init__(self) -> None:
         self.counters: dict[tuple, float] = {}
-        self.gauges: dict[tuple, float] = {}
         self.histograms: dict[tuple, Histogram] = {}
 
-    # -- recording (called from guarded feed sites) --------------------------------
+    # -- recording -----------------------------------------------------------------
 
     def inc(self, name: str, value: float = 1.0, **labels: Any) -> None:
         k = _key(name, labels)
         self.counters[k] = self.counters.get(k, 0.0) + value
-
-    def gauge(self, name: str, value: float, **labels: Any) -> None:
-        self.gauges[_key(name, labels)] = value
 
     def observe(self, name: str, value: float, **labels: Any) -> None:
         k = _key(name, labels)
@@ -135,6 +122,47 @@ class Metrics:
         if h is None:
             h = self.histograms[k] = Histogram()
         h.observe(value)
+
+    def fold(self, rows: Iterable[tuple]) -> "Metrics":
+        """Fold a run's tracer rows into this registry (returns it): the
+        ``app``-lane wait spans (an acquire span's ``B`` args are its labels)
+        and the ``diff``/``grant``/``piggyback``/``barrier``/``fault``
+        instants (docs/observability.md, *Contention metrics*)."""
+        waits: dict[tuple, tuple] = {}  # (pid, cat) -> the open span's (t, args)
+        arrivals: dict[int, list[float]] = {}  # barrier gen -> arrival times
+        for ph, t, pid, lane, cat, name, args, _end in rows:
+            if ph == "i":
+                if cat == "diff":
+                    for writer in args["writers"]:
+                        self.inc("diff_requests", 1, page=args["page"], writer=writer)
+                    self.inc("diff_bytes", args["bytes"], page=args["page"])
+                elif cat == "grant":
+                    self.observe("grant_bytes", args["bytes"], view=args["view"])
+                elif cat == "piggyback":
+                    self.inc("piggyback_bytes", args["bytes"], view=args["view"])
+                elif cat == "barrier":
+                    ts = arrivals.setdefault(args["gen"], [])
+                    ts.append(t)
+                    if not args["left"]:
+                        del arrivals[args["gen"]]
+                        self.observe("barrier_skew_seconds", max(ts) - min(ts))
+                        self.inc("barrier_episodes")
+                elif cat == "fault":
+                    what, _, kind = name.partition(" ")
+                    if what == "pause":
+                        self.observe("fault_pause_seconds", args["stall"], node=pid)
+                    elif what != "crash":
+                        self.inc(f"fault_{what}s", kind=kind)
+            elif lane == "app" and cat in _WAIT_SPANS:
+                if ph == "B":
+                    waits[pid, cat] = (t, args)
+                    continue
+                t0, labels = waits.pop((pid, cat))
+                if cat == "barrier-wait":
+                    self.observe("barrier_wait_seconds", t - t0, node=pid)
+                else:
+                    self.observe("acquire_wait_seconds", t - t0, **labels)
+        return self
 
     # -- querying ------------------------------------------------------------------
 
@@ -146,17 +174,8 @@ class Metrics:
 
     def series(self, name: str) -> list[tuple[dict, Any]]:
         """All (labels, value-or-histogram) pairs recorded under ``name``."""
-        out: list[tuple[dict, Any]] = []
-        for (n, lab), v in self.counters.items():
-            if n == name:
-                out.append((dict(lab), v))
-        for (n, lab), v in self.gauges.items():
-            if n == name:
-                out.append((dict(lab), v))
-        for (n, lab), h in self.histograms.items():
-            if n == name:
-                out.append((dict(lab), h))
-        return out
+        return [(dict(lab), v) for table in (self.counters, self.histograms)
+                for (n, lab), v in table.items() if n == name]
 
     # -- export --------------------------------------------------------------------
 
@@ -177,7 +196,6 @@ class Metrics:
 
         return {
             "counters": render(self.counters, lambda v: v),
-            "gauges": render(self.gauges, lambda v: v),
             "histograms": render(self.histograms, lambda h: h.snapshot()),
         }
 
@@ -185,9 +203,6 @@ class Metrics:
         with open(path, "w") as fh:
             json.dump(self.snapshot(), fh, indent=1, sort_keys=True)
             fh.write("\n")
-
-    def format_contention(self) -> str:
-        return format_contention(self)
 
 
 # -- CLI rendering -----------------------------------------------------------------
@@ -203,16 +218,10 @@ def format_contention(metrics: Metrics, title: str = "Contention metrics") -> st
     """Per-resource contention tables: one block per metric name.
 
     Histograms render count / mean / max per label set (the per-view
-    acquire-wait table the paper's contention arguments need); counters and
-    gauges render a single value column.
+    acquire-wait table the paper's contention arguments need); counters
+    render a single value column.
     """
-    names: dict[str, list] = {}
-    for (name, lab) in metrics.counters:
-        names.setdefault(name, [])
-    for (name, lab) in metrics.gauges:
-        names.setdefault(name, [])
-    for (name, lab) in metrics.histograms:
-        names.setdefault(name, [])
+    names = {name for name, _ in (*metrics.counters, *metrics.histograms)}
     if not names:
         return f"{title}: none recorded"
 

@@ -88,7 +88,6 @@ class BaseDsmProtocol:
         # barrier client state, and the manager's (node 0 only)
         self._barrier_gen = 0
         self._barrier_arrivals: list[tuple] = []  # (node, gen, carried)
-        self._barrier_arrival_t: list[float] = []  # metrics-only skew samples
         self._register_handlers()
 
     # -- wiring ---------------------------------------------------------------
@@ -291,18 +290,18 @@ class BaseDsmProtocol:
             return
         tracer = self.node.sim.tracer
         if tracer is None:
-            yield from self._pull_diffs(pid, notices)
+            yield from self._pull_diffs(pid, notices, lane)
             return
         tracer.begin(
             self.node.id, lane, "diff-wait", f"page {pid}",
             self.node.sim.now, {"page": pid, "notices": len(notices)},
         )
         try:
-            yield from self._pull_diffs(pid, notices)
+            yield from self._pull_diffs(pid, notices, lane)
         finally:
             tracer.end(self.node.id, lane, "diff-wait", self.node.sim.now)
 
-    def _pull_diffs(self, pid: int, notices: list[IntervalNotice]) -> Generator:
+    def _pull_diffs(self, pid: int, notices: list[IntervalNotice], lane: str) -> Generator:
         by_writer: dict[int, list[int]] = {}
         for notice in notices:
             by_writer.setdefault(notice.node, []).append(notice.idx)
@@ -335,11 +334,8 @@ class BaseDsmProtocol:
              CTRL_MSG_BYTES + 4 * len(idxs))
             for writer, idxs in sorted(by_writer.items())
         ]
-        metrics = self.node.sim.metrics
-        for writer, _, _, _ in requests:
+        for _ in requests:
             self.stats.count_diff_request()
-            if metrics is not None:
-                metrics.inc("diff_requests", 1, page=pid, writer=writer)
         if len(requests) == 1:
             yield _HOP
             reply = yield from self.node.request(*requests[0])
@@ -358,9 +354,11 @@ class BaseDsmProtocol:
             collected.sort(key=lambda item: item[0])
             ordered = [diff for _, diff in collected]
         nbytes = sum(d.changed_bytes for d in ordered)
-        metrics = self.node.sim.metrics
-        if metrics is not None:
-            metrics.inc("diff_bytes", nbytes, page=pid)
+        tracer = self.node.sim.tracer
+        if tracer is not None:
+            writers = [w for w, *_ in requests]
+            tracer.instant(self.node.id, lane, "diff", "diff pull", self.node.sim.now,
+                           {"page": pid, "bytes": nbytes, "writers": writers})
         if nbytes:
             yield from self.node.copy_cost(nbytes)
         self.mm.apply_diffs(pid, ordered)
@@ -439,13 +437,13 @@ class BaseDsmProtocol:
         """The wait is over: tell every recorder, here and nowhere else.
 
         Oracle edge (``obj`` is the episode number for a barrier; a lock is
-        an exclusive acquire), tracer span end, ``RunStats`` timer (always
-        on: the paper's Barrier/Acquire Time rows) and ``Metrics`` histogram.
+        an exclusive acquire), tracer span end (``Metrics`` folds its wait
+        histograms from it) and ``RunStats`` timer (always on: the paper's
+        Barrier/Acquire Time rows).
         """
         sim = self.node.sim
         now = sim.now
         nid = self.node.id
-        waited = now - t0
         barrier = kind == "barrier"
         oracle = sim.oracle
         if oracle is not None:
@@ -456,16 +454,10 @@ class BaseDsmProtocol:
         tracer = sim.tracer
         if tracer is not None:
             tracer.end(nid, "app", "barrier-wait" if barrier else "acquire-wait", now)
-        metrics = sim.metrics
         if barrier:
-            self.stats.add_barrier_time(waited)
-            if metrics is not None:
-                metrics.observe("barrier_wait_seconds", waited, node=nid)
+            self.stats.add_barrier_time(now - t0)
         else:
-            self.stats.add_acquire_time(waited)
-            if metrics is not None:
-                labels = {"lock": obj} if mode is None else {"view": obj, "mode": mode}
-                metrics.observe("acquire_wait_seconds", waited, **labels)
+            self.stats.add_acquire_time(now - t0)
 
     # -- barrier ---------------------------------------------------------------------------
 
@@ -511,18 +503,15 @@ class BaseDsmProtocol:
     def _manager_note_arrival(self, arrival: tuple) -> None:
         """Collect one ``(node, gen, carried)``; the last one releases everybody."""
         self._barrier_arrivals.append(arrival)
-        metrics = self.node.sim.metrics
-        if metrics is not None:
-            # record-only arrival timestamps for the per-epoch skew metric
-            self._barrier_arrival_t.append(self.node.sim.now)
-        if len(self._barrier_arrivals) < self.nprocs:
+        left = self.nprocs - len(self._barrier_arrivals)
+        tracer = self.node.sim.tracer
+        if tracer is not None:
+            tracer.instant(self.node.id, "manager", "barrier", "arrival",
+                           self.node.sim.now, {"gen": arrival[1], "left": left})
+        if left:
             return
         arrivals, self._barrier_arrivals = self._barrier_arrivals, []
         self.stats.count_barrier_episode()
-        if metrics is not None:
-            ts, self._barrier_arrival_t = self._barrier_arrival_t, []
-            metrics.observe("barrier_skew_seconds", max(ts) - min(ts))
-            metrics.inc("barrier_episodes")
         for (node_id, gen, _), (released, size) in zip(
             arrivals, self._barrier_releases(arrivals)
         ):

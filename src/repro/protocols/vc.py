@@ -245,10 +245,11 @@ class VcProtocol(BaseDsmProtocol):
         notices = state.log[pos:]
         state.delivered[node_id] = len(state.log)
         payload = self._grant_payload(state, node_id, notices, pos)
-        metrics = self.node.sim.metrics
-        if metrics is not None:
+        tracer = self.node.sim.tracer
+        if tracer is not None:
             # what this grant moves (the view tracer's KB/grant column)
-            metrics.observe("grant_bytes", self._grant_size(payload), view=state.view_id)
+            tracer.instant(self.node.id, "manager", "grant", "grant", self.node.sim.now,
+                           {"view": state.view_id, "bytes": self._grant_size(payload)})
         if node_id == self.node.id:
             self._wake(("view", state.view_id), payload)
         else:

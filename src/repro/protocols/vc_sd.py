@@ -196,9 +196,10 @@ class VcSdProtocol(VcProtocol):
                 ((pid, pages[pid].data) for pid in sorted(full_pages)),
                 ((pid, pages[pid].data) for pid in sorted(grant_diffs)),
             )
-        metrics = self.node.sim.metrics
-        if metrics is not None and nbytes:
-            metrics.inc("piggyback_bytes", nbytes, view=view_id)
+        tracer = self.node.sim.tracer
+        if tracer is not None and nbytes:
+            tracer.instant(self.node.id, "app", "piggyback", "piggyback",
+                           self.node.sim.now, {"view": view_id, "bytes": nbytes})
         if nbytes:
             yield from self.node.copy_cost(nbytes)
         return None

@@ -285,9 +285,6 @@ class Simulator:
         # zero-overhead fast path — the run loop itself is never instrumented
         # and every other site guards on this attribute before doing any work
         self.tracer = None
-        # optional repro.obs.Metrics registry, same contract as the tracer:
-        # None means zero overhead, installed means record-only
-        self.metrics = None
         # optional repro.faults.FaultInjector, same None-default contract:
         # every hook site (switch, NIC, Node.compute) guards on this before
         # doing any work, so no plan installed means no behaviour change

@@ -6,10 +6,11 @@ Install on a :class:`repro.core.VoppSystem` before running::
     system.run_program(body)
     print(tracer.report())
 
-There is no recorder of its own: the protocols feed the ``sim.metrics`` hook
-(:class:`repro.obs.Metrics`), and a :class:`ViewTracer` is a *reader* over
-two of its series — ``acquire_wait_seconds{view,mode}`` (acquisitions, mean
-and worst wait) and ``grant_bytes{view}`` (the data each grant moved).  The
+There is no recorder of its own: :meth:`ViewTracer.install` installs (or
+reuses) the run's :class:`repro.obs.EventTracer`, and a :class:`ViewTracer`
+is a *reader* over two series of the :class:`repro.obs.Metrics` folded from
+its rows — ``acquire_wait_seconds{view,mode}`` (acquisitions, mean and worst
+wait) and ``grant_bytes{view}`` (the data each grant moved).  The
 report lists these per view, then applies the paper's §3.6 rule of thumb
 ("the more views are acquired, the more messages there are in the system;
 and the larger a view is, the more data traffic is caused") to flag views
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.obs.metrics import Metrics
+from repro.obs.tracer import EventTracer
 
 __all__ = ["ViewTracer", "ViewProfile"]
 
@@ -56,18 +58,25 @@ class ViewProfile:
 
 
 class ViewTracer:
-    """Reads a run's per-view metrics and produces a tuning report."""
+    """Reads a run's per-view metrics — a :class:`Metrics`, or an
+    :class:`EventTracer`'s rows folded afresh on every read — and produces a
+    tuning report."""
 
-    def __init__(self, metrics: Metrics) -> None:
-        self.metrics = metrics
+    def __init__(self, source: "Metrics | EventTracer") -> None:
+        self.source = source
 
     @classmethod
     def install(cls, system) -> "ViewTracer":
-        """A tracer over ``system``'s metrics registry, installing a fresh
-        registry if the run is not metered yet (returns the tracer)."""
-        if system.sim.metrics is None:
-            system.sim.metrics = Metrics()
-        return cls(system.sim.metrics)
+        """A view tracer over ``system``'s event tracer (installed if none is)."""
+        if system.sim.tracer is None:
+            system.sim.tracer = EventTracer()
+        return cls(system.sim.tracer)
+
+    @property
+    def metrics(self) -> Metrics:
+        """The registry read: ``source`` itself, or one folded from its rows."""
+        source = self.source
+        return source if isinstance(source, Metrics) else Metrics().fold(source.events)
 
     @property
     def profiles(self) -> dict[int, ViewProfile]:
@@ -77,7 +86,8 @@ class ViewTracer:
         def profile(labels: dict) -> ViewProfile:
             return out.setdefault(labels["view"], ViewProfile(view=labels["view"]))
 
-        for labels, hist in self.metrics.series("acquire_wait_seconds"):
+        metrics = self.metrics
+        for labels, hist in metrics.series("acquire_wait_seconds"):
             if "view" not in labels:
                 continue  # a lock acquire (LRC): labelled lock=, not view=
             p = profile(labels)
@@ -87,7 +97,7 @@ class ViewTracer:
                 p.r_acquires += hist.count
             p.wait_sum += hist.sum
             p.wait_max = max(p.wait_max, hist.max)
-        for labels, hist in self.metrics.series("grant_bytes"):
+        for labels, hist in metrics.series("grant_bytes"):
             p = profile(labels)
             p.grants += hist.count
             p.grant_bytes += int(hist.sum)

@@ -1,10 +1,17 @@
 """Tests for the structured event tracer: coverage and determinism."""
 
 import json
+from collections import Counter
 
 from repro.apps import APPS
 from repro.apps.common import run_app
 from repro.obs import EventTracer, chrome_trace
+
+# categories of the instant rows repro.obs.Metrics folds (besides the wait
+# spans and the fault instants)
+METRIC_INSTANTS = ("diff", "grant", "piggyback", "barrier")
+FOLDED_DIGEST = "59a4e39841ca4bd6"
+TRACE_BYTES = 12335842  # 11,931,132 before the folded instants
 
 
 def traced_run(app="is", protocol="vc_d", nprocs=4):
@@ -133,17 +140,25 @@ def test_consumer_contract_pinned_on_is_vc_d_8(tmp_path):
         "diff-wait": 0.22135069249999295,
     }
     assert digest(result.breakdown) == "7e7a385df9a1ff6a"
+    # the instants the contention metrics are folded from (one per diff
+    # pull, grant and barrier arrival) came later: the other rows keep
+    # their pins, and these are pinned on their own
+    folded = [ev for ev in tracer.events if ev[0] == "i" and ev[4] in METRIC_INSTANTS]
+    assert Counter(ev[4] for ev in folded) == {"diff": 1405, "grant": 1330, "barrier": 352}
+    assert digest(folded) == FOLDED_DIGEST
     lanes: dict[tuple, list] = {}
     for ph, t, pid, lane, cat, name, _args, end in tracer.events:
+        if ph == "i" and cat in METRIC_INSTANTS:
+            continue
         rows = lanes.setdefault((pid, lane), [])
         if ph == "X":  # read as the B/E pair it replaced: the old pin holds
             rows += [("B", t, cat, name), ("E", end, cat, None)]
         else:
             rows.append((ph, t, cat, name))
-    assert len(tracer.events) == 96522
+    assert len(tracer.events) == 96522 + len(folded)
     assert sum(ev[0] in "BX" for ev in tracer.events) == 72789
     assert digest(sorted(lanes.items())) == "caa90c31e22fc483"
     path = tmp_path / "trace.json"
     write_chrome_trace(tracer, str(path))
-    assert path.stat().st_size == 11931132
+    assert path.stat().st_size == TRACE_BYTES
     assert validate_chrome_trace(json.loads(path.read_text()))["spans"] == 72789

@@ -7,11 +7,6 @@ import pytest
 from repro.apps import APPS
 from repro.apps.common import run_app
 from repro.obs import Histogram, Metrics, format_contention
-from repro.sim import Simulator
-
-
-def test_simulator_has_no_metrics_by_default():
-    assert Simulator().metrics is None
 
 
 def test_counters_and_gauges_are_label_keyed():
@@ -19,13 +14,9 @@ def test_counters_and_gauges_are_label_keyed():
     m.inc("diff_bytes", 100, page=3)
     m.inc("diff_bytes", 50, page=3)
     m.inc("diff_bytes", 7, page=4)
-    m.gauge("queue_depth", 5, node=0)
-    m.gauge("queue_depth", 2, node=0)  # gauges overwrite
     assert m.counter_value("diff_bytes", page=3) == 150
     assert m.counter_value("diff_bytes", page=4) == 7
     assert m.counter_value("diff_bytes", page=99) == 0
-    snap = m.snapshot()
-    assert snap["gauges"][0]["value"] == 2
 
 
 def test_histogram_observations():
@@ -57,7 +48,6 @@ def test_snapshot_is_deterministic_and_json_clean(tmp_path):
         m.inc("diff_bytes", 10, page=2)
         m.inc("diff_bytes", 1, page=1)
         m.observe("barrier_wait_seconds", 0.25, node=1)
-        m.gauge("g", 3)
         return m
 
     a, b = build().snapshot(), build().snapshot()

@@ -74,7 +74,7 @@ def test_view_tracer_and_event_tracer_compose():
 
 def test_unobserved_manager_local_grant_sizes_nothing(monkeypatch):
     """Zero cost when off: a grant the manager hands to itself puts no
-    message on the wire, so with no metrics installed nothing may walk its
+    message on the wire, so with no tracer installed nothing may walk its
     payload to size it — not even to build an argument for a recorder that
     is not there."""
     from repro.core import VoppSystem
@@ -87,14 +87,12 @@ def test_unobserved_manager_local_grant_sizes_nothing(monkeypatch):
         lambda self, payload: sized.append(self.node.id) or real(self, payload),
     )
 
-    def run(metered):
+    def run(traced):
         del sized[:]
         system = VoppSystem(2)  # view v is managed by node v % 2
         arr = system.alloc_array("own", (2, 512), dtype="int64", page_aligned=True)
-        if metered:
-            from repro.obs import Metrics
-
-            system.sim.metrics = Metrics()
+        if traced:
+            system.sim.tracer = EventTracer()
 
         def body(rt):  # each rank only ever acquires the view it manages
             for k in range(3):
@@ -107,5 +105,5 @@ def test_unobserved_manager_local_grant_sizes_nothing(monkeypatch):
         assert system.stats.acquires == 0  # all six grants were manager-local
         return list(sized)
 
-    assert run(metered=False) == []
-    assert len(run(metered=True)) == 6  # the grant_bytes observation sizes them
+    assert run(traced=False) == []
+    assert len(run(traced=True)) == 6  # the grant row (grant_bytes) sizes them

@@ -1,10 +1,10 @@
 """The one recorder fan-out, pinned once for every protocol.
 
-A barrier and an acquire each report to four recorders — tracer span, oracle
-edge, ``RunStats`` timer, ``Metrics`` histogram — from one place
-(``BaseDsmProtocol._wait_begin`` / ``_wait_done``), so what they emit is the
-same sequence under every protocol, differing only in the sync object's name
-(lock vs view).  Two ranks each take exclusive access to object 1 (managed by
+A barrier and an acquire each report to three recorders — tracer span, oracle
+edge, ``RunStats`` timer — from one place (``BaseDsmProtocol._wait_begin`` /
+``_wait_done``), and the ``Metrics`` histograms are folded from those spans,
+so what they emit is the same sequence under every protocol, differing only
+in the sync object's name (lock vs view).  Two ranks each take exclusive access to object 1 (managed by
 rank 1: a remote acquire for rank 0, a manager-local one for rank 1), write,
 release, and meet at one barrier.
 """
@@ -21,7 +21,7 @@ def observed_run(protocol):
     system = make_system(2, protocol)
     arr = system.alloc_array("x", 8, dtype="int64", page_aligned=True)
     sim = system.sim
-    sim.tracer, sim.metrics, sim.oracle = EventTracer(), Metrics(), AccessRecorder()
+    sim.tracer, sim.oracle = EventTracer(), AccessRecorder()
     lock_style = isinstance(system, TraditionalSystem)
 
     def body(rt):
@@ -42,6 +42,7 @@ def observed_run(protocol):
 def test_barrier_and_acquire_emit_one_record_sequence(protocol):
     system, lock_style = observed_run(protocol)
     sim = system.sim
+    metrics = Metrics().fold(sim.tracer.events)
     kind = "lock" if lock_style else "view"
     if lock_style:
         acquire_span = (f"lock {OBJ}", {"lock": OBJ})
@@ -89,20 +90,20 @@ def test_barrier_and_acquire_emit_one_record_sequence(protocol):
         assert (shard.barrier_time_n, shard.barrier_time_sum) == (1, barrier_wait)
 
         # Metrics: the barrier histogram is per node
-        hist = sim.metrics.histogram("barrier_wait_seconds", node=rank)
+        hist = metrics.histogram("barrier_wait_seconds", node=rank)
         assert (hist.count, hist.sum) == (1, barrier_wait)
 
     # rank 0 asked a remote manager and waited; rank 1 is the manager
     assert acquire_waits[0] > 0
-    hist = sim.metrics.histogram("acquire_wait_seconds", **acquire_labels)
+    hist = metrics.histogram("acquire_wait_seconds", **acquire_labels)
     assert (hist.count, hist.min, hist.max) == (2, min(acquire_waits), max(acquire_waits))
-    assert [lab for lab, _ in sim.metrics.series("acquire_wait_seconds")] == [acquire_labels]
+    assert [lab for lab, _ in metrics.series("acquire_wait_seconds")] == [acquire_labels]
 
     # one episode, counted once, by the manager
     assert system.stats.barriers == 1
-    assert sim.metrics.counter_value("barrier_episodes") == 1
-    assert sim.metrics.histogram("barrier_skew_seconds").count == 1
+    assert metrics.counter_value("barrier_episodes") == 1
+    assert metrics.histogram("barrier_skew_seconds").count == 1
     assert system.stats.acquires == 1  # rank 0's acquire message
 
-    grants = sim.metrics.histogram("grant_bytes", view=OBJ)
+    grants = metrics.histogram("grant_bytes", view=OBJ)
     assert grants is None if lock_style else grants.count == 2

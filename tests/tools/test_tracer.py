@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.core import VoppSystem
-from repro.obs import Metrics
+from repro.obs import EventTracer, Metrics
 from repro.tools import ViewTracer
 
 
@@ -175,10 +175,11 @@ def test_no_tracer_means_no_overhead_path():
 
 
 def test_tracer_reads_an_already_metered_run_and_ignores_lock_acquires():
-    """install() reuses the installed registry; lock= series are not views."""
+    """install() reuses the installed tracer; lock= series are not views."""
     system = VoppSystem(2)
-    system.sim.metrics = metrics = Metrics()
-    assert ViewTracer.install(system).metrics is metrics
+    system.sim.tracer = tracer = EventTracer()
+    assert ViewTracer.install(system).source is tracer
+    metrics = Metrics()
     metrics.observe("acquire_wait_seconds", 1e-3, lock=0)  # what LRC records
     metrics.observe("acquire_wait_seconds", 2e-3, view=5, mode="w")
     profiles = ViewTracer(metrics).profiles
