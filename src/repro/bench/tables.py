@@ -26,12 +26,20 @@ STATS_ROWS = (
 )
 
 
-def _fmt(value) -> str:
+# one format per row: seconds and megabytes to 3 decimals, the µs averages
+# to the 0.1 µs ``table_row`` rounds them to, counts as integers
+_ROW_FORMATS = {
+    "Time (Sec.)": ",.3f",
+    "Data (MByte)": ",.3f",
+    "Barrier Time (usec.)": ",.1f",
+    "Acquire Time (usec.)": ",.1f",
+}
+
+
+def _fmt(row: str, value) -> str:
     if value is None:
         return "-"
-    if isinstance(value, float):
-        return f"{value:,.3f}" if value < 1000 else f"{value:,.1f}"
-    return f"{value:,}"
+    return format(value, _ROW_FORMATS.get(row, ",.0f"))
 
 
 def format_stats_table(
@@ -51,10 +59,10 @@ def format_stats_table(
     for row in rows:
         cells = []
         for label in labels:
-            val = _fmt(measured[label].get(row))
+            val = _fmt(row, measured[label].get(row))
             ref = paper.get(label, {}).get(row)
             if ref is not None:
-                val = f"{val} ({_fmt(ref)})"
+                val = f"{val} ({_fmt(row, ref)})"
             cells.append(f"{val:>{width}}")
         lines.append(f"{row:<24}" + "".join(cells))
     lines.append("")

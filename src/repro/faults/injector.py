@@ -151,7 +151,7 @@ class FaultInjector:
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.instant(
-                msg.dst, "faults", "fault", f"{what} {msg.kind.name}",
+                msg.dst, "faults", "fault", f"{what} {msg.kind._name_}",
                 now, {"src": msg.src, "bytes": msg.size},
             )
 

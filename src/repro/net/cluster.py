@@ -26,8 +26,9 @@ is no second runner.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator, Iterator, Optional
 
 from repro.sim import PARK, Simulator, Timeout
 from repro.net.config import NetConfig, NodeConfig
@@ -45,14 +46,15 @@ _UNREGISTERED = (None, None)
 class Node:
     """One simulated cluster node."""
 
-    def __init__(self, sim: Simulator, node_id: int, netcfg: NetConfig, nodecfg: NodeConfig, stats: NetStats):
+    def __init__(self, sim: Simulator, node_id: int, netcfg: NetConfig, nodecfg: NodeConfig,
+                 stats: NetStats, ids: Iterator[int]):
         self.sim = sim
         self.id = node_id
         self.netcfg = netcfg
         self.cfg = nodecfg
         self.stats = stats
         self.nic = Nic(sim, node_id, netcfg, stats, self._on_frame)
-        self.transport = Transport(sim, node_id, self.nic, netcfg, stats)
+        self.transport = Transport(sim, node_id, self.nic, netcfg, stats, ids)
         self._handlers: dict[MessageKind, tuple[Handler, Optional[float]]] = {}
         self._backlog: deque[Message] = deque()  # arrived while a handler ran
         self._busy = False  # a handler of either form is running
@@ -112,7 +114,7 @@ class Node:
                     break
                 if tracer is not None:
                     tracer.begin_dispatch(
-                        self.id, msg.msg_id, msg.kind.name, msg.src, self.sim.now
+                        self.id, msg.msg_id, msg.kind._name_, msg.src, self.sim.now
                     )
                 if cost > 0:
                     faults = self.sim.faults
@@ -142,7 +144,7 @@ class Node:
                 # dispatch-lane span + handler context for causal wake
                 # attribution (see repro.obs.tracer, "Causal edges")
                 tracer.begin_dispatch(
-                    self.id, msg.msg_id, msg.kind.name, msg.src, self.sim.now
+                    self.id, msg.msg_id, msg.kind._name_, msg.src, self.sim.now
                 )
             yield from handler(msg)
             if tracer is not None:
@@ -226,8 +228,9 @@ class Cluster:
         # not depend on how events of different nodes interleaved
         self.node_stats = [NetStats() for _ in range(n)]
         self.switch = Switch(self.sim, self.netcfg, self.node_stats)
+        ids = itertools.count()  # message ids belong to the run: 0, 1, ...
         self.nodes = [
-            Node(self.sim, i, self.netcfg, self.nodecfg, self.node_stats[i])
+            Node(self.sim, i, self.netcfg, self.nodecfg, self.node_stats[i], ids)
             for i in range(n)
         ]
         for node in self.nodes:

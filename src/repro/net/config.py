@@ -6,9 +6,20 @@ switched Ethernet, Linux 2.4 UDP stack, 4 KB virtual-memory pages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from typing import Callable
 
 __all__ = ["NetConfig", "NodeConfig"]
+
+
+def _require(cfg: object, rule: str, ok: Callable[[float], bool], *names: str) -> None:
+    """Raise ``ValueError`` naming the first of ``names`` whose value is not
+    ``ok`` (every test is written so that NaN fails it)."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not ok(value):
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass
@@ -23,9 +34,11 @@ class NetConfig:
         Store-and-forward latency through the switch, seconds (>= 0).
     send_overhead / recv_overhead:
         Fixed per-message software cost (UDP/IP stack traversal, interrupt
-        handling) on a 350 MHz CPU.  ~60 µs each way is typical for the era.
+        handling) on a 350 MHz CPU, seconds (finite, >= 0).  ~60 µs each way
+        is typical for the era.
     header_bytes:
-        Per-message framing added on the wire (Ethernet + IP + UDP headers).
+        Per-message framing added on the wire (Ethernet + IP + UDP headers);
+        this and the other byte sizes are >= 0.
     recv_buffer_bytes:
         Receiver socket buffer capacity in bytes (Linux 2.4 default UDP
         rcvbuf: 64 KB); arrivals beyond this are dropped — the congestion
@@ -39,9 +52,9 @@ class NetConfig:
         messages fill the buffer; the tiny VC barrier messages never do —
         the paper's "Rexmit" asymmetry between LRC_d and VC_d.
     drop_seed / random_drop_prob:
-        Optional uniform random loss (seeded, deterministic).  Defaults to
-        zero: loss in the default model comes from buffer congestion only,
-        controlled by the same seed.
+        Optional uniform random loss (seeded, deterministic; the probability
+        is in [0, 1], the seed >= 0).  Defaults to zero: loss in the default
+        model comes from buffer congestion only, controlled by the same seed.
     rexmit_timeout:
         Retransmission timeout, seconds (> 0), the same after every copy.
         The paper observes ~1 s of waiting per retransmission.
@@ -65,14 +78,13 @@ class NetConfig:
     ack_bytes: int = 42
 
     def __post_init__(self) -> None:
-        if not self.switch_latency >= 0:
-            raise ValueError(f"switch_latency must be >= 0, got {self.switch_latency!r}")
-        if not self.bandwidth_bps > 0:
-            raise ValueError(f"bandwidth_bps must be > 0, got {self.bandwidth_bps!r}")
-        if not self.rexmit_timeout > 0:
-            raise ValueError(f"rexmit_timeout must be > 0, got {self.rexmit_timeout!r}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries!r}")
+        _require(self, "> 0", lambda v: v > 0, "bandwidth_bps", "rexmit_timeout")
+        _require(self, ">= 0", lambda v: v >= 0,
+                 "switch_latency", "header_bytes", "recv_buffer_bytes",
+                 "red_threshold_bytes", "drop_seed", "max_retries", "ack_bytes")
+        _require(self, "finite and >= 0", lambda v: 0 <= v < math.inf,
+                 "send_overhead", "recv_overhead")
+        _require(self, "in [0, 1]", lambda v: 0 <= v <= 1, "random_drop_prob")
 
     def tx_time(self, payload_bytes: int) -> float:
         """Wire occupancy of a message of ``payload_bytes`` at link rate."""
@@ -86,16 +98,22 @@ class NodeConfig:
     Attributes
     ----------
     cpu_hz:
-        Processor clock (paper: 350 MHz Pentium-class).
+        Processor clock, Hz (finite, > 0; paper: 350 MHz Pentium-class).
     mem_copy_bps:
-        Memory bandwidth for page/diff copies (twin creation, diff apply).
+        Memory bandwidth for page/diff copies (twin creation, diff apply),
+        bytes per second (finite, > 0).
     page_size:
-        Virtual-memory page size in bytes (paper: 4 KB).
+        Virtual-memory page size in bytes (> 0; paper: 4 KB).
     """
 
     cpu_hz: float = 350e6
     mem_copy_bps: float = 80e6  # ~80 MB/s copy bandwidth on a 350 MHz PC
     page_size: int = 4096
+
+    def __post_init__(self) -> None:
+        _require(self, "finite and > 0", lambda v: 0 < v < math.inf,
+                 "cpu_hz", "mem_copy_bps")
+        _require(self, "> 0", lambda v: v > 0, "page_size")
 
     def cycles(self, n: float) -> float:
         """Seconds taken by ``n`` cycles on this node."""

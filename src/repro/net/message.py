@@ -8,7 +8,6 @@ system would put on the wire (diff bytes, write-notice records, etc.).
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 from typing import Any
 
@@ -46,18 +45,15 @@ class MessageKind(str, Enum):
     TEST = "test"
 
 
-_msg_ids = itertools.count(1)
-
-
 class Message:
     """A single protocol message.
 
     ``size`` is the payload size in bytes as it would appear on the wire
-    (headers are added by the network model).  ``msg_id`` is globally unique
-    and used for ack matching and duplicate suppression; ``req_id`` links a
-    reply to its request.  A plain slots class rather than a dataclass: one
-    is built per data message and per ack, and the generated ``__init__``
-    costs two more Python calls (the id factory and ``__post_init__``).
+    (headers are added by the network model).  ``msg_id``, the message's
+    number in its run's creation order (from 0; one counter per cluster), is
+    used for ack matching and duplicate suppression; ``req_id`` links a
+    reply to its request.  A plain slots class rather than a dataclass: the
+    generated ``__init__`` would cost a ``__post_init__`` call per message.
     """
 
     __slots__ = (
@@ -72,6 +68,7 @@ class Message:
         kind: MessageKind,
         payload: Any,
         size: int,
+        msg_id: int,
         need_ack: bool = False,
         req_id: int | None = None,
         is_reply: bool = False,
@@ -88,7 +85,7 @@ class Message:
         self.need_ack = need_ack
         self.req_id = req_id
         self.is_reply = is_reply
-        self.msg_id = next(_msg_ids)
+        self.msg_id = msg_id
         self.attempt = 0
 
     def wire_copy(self) -> "Message":

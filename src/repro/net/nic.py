@@ -24,6 +24,7 @@ witness (``tests/sim/ties.py``) is the evidence: it reorders those events
 per seed and every run stays bit-identical.  When traced,
 each side's busy period is one complete (``X``) row written as it begins: its
 end is the ``done`` above, or the float the RX completion is scheduled at.
+Its name (``KIND->dst``, ``KIND<-src``) is built once per kind and peer.
 
 Messages arriving while the inbound buffer is full are **dropped** — this is
 the congestion-loss mechanism: a burst of n-1 simultaneous senders into one
@@ -42,7 +43,7 @@ from repro.sim import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.config import NetConfig
-    from repro.net.message import Message
+    from repro.net.message import Message, MessageKind
     from repro.net.stats import NetStats
 
 __all__ = ["Nic", "Switch"]
@@ -54,7 +55,7 @@ class Nic:
     __slots__ = (
         "sim", "node_id", "cfg", "stats", "_deliver", "_switch",
         "_tx_free", "_frame_key", "_rx_busy", "_rx_backlog",
-        "rx_bytes", "_rng",
+        "rx_bytes", "_rng", "_tx_names", "_rx_names",
     )
 
     def __init__(
@@ -83,6 +84,9 @@ class Nic:
         # stream is only drawn from on RED drops, and eagerly building 256+
         # RandomStates dominated cluster construction time.
         self._rng: "np.random.RandomState | None" = None
+        # traced row names, kind -> peer -> "KIND->dst" / "KIND<-src"
+        self._tx_names: defaultdict[MessageKind, dict[int, str]] = defaultdict(dict)
+        self._rx_names: defaultdict[MessageKind, dict[int, str]] = defaultdict(dict)
 
     def attach(self, switch: "Switch") -> None:
         self._switch = switch
@@ -110,10 +114,13 @@ class Nic:
         self._tx_free = done = start + (self.cfg.send_overhead + wire)
         tracer = sim.tracer
         if tracer is not None:
+            names = self._tx_names[msg.kind]
+            name = names.get(msg.dst)
+            if name is None:
+                name = names[msg.dst] = f"{msg.kind._name_}->{msg.dst}"
             tracer.span(
-                self.node_id, "nic-tx", "tx", f"{msg.kind.name}->{msg.dst}",
-                start, done,
-                {"bytes": msg.size, "dst": msg.dst, "msg": tracer.norm(msg.msg_id)},
+                self.node_id, "nic-tx", "tx", name, start, done,
+                {"bytes": msg.size, "dst": msg.dst, "msg": msg.msg_id},
             )
         key = self._frame_key
         self._frame_key = key + 1
@@ -168,7 +175,7 @@ class Nic:
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.instant(
-                self.node_id, "nic-rx", "rx", f"drop {msg.kind.name} ({why})",
+                self.node_id, "nic-rx", "rx", f"drop {msg.kind._name_} ({why})",
                 self.sim.now, {"bytes": msg.size, "src": msg.src},
             )
 
@@ -183,11 +190,14 @@ class Nic:
         busy = wire + self.cfg.recv_overhead
         tracer = sim.tracer
         if tracer is not None:
+            names = self._rx_names[msg.kind]
+            name = names.get(msg.src)
+            if name is None:
+                name = names[msg.src] = f"{msg.kind._name_}<-{msg.src}"
             # ``schedule`` computes this very float: the row ends on the delivery
             tracer.span(
-                self.node_id, "nic-rx", "rx", f"{msg.kind.name}<-{msg.src}",
-                sim.now, sim.now + busy,
-                {"bytes": msg.size, "src": msg.src, "msg": tracer.norm(msg.msg_id)},
+                self.node_id, "nic-rx", "rx", name, sim.now, sim.now + busy,
+                {"bytes": msg.size, "src": msg.src, "msg": msg.msg_id},
             )
         sim.schedule(busy, self._rx_done, msg)
 

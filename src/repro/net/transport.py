@@ -43,7 +43,7 @@ Statistics: original sends are counted in ``NetStats.num_msg``/``data_bytes``
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterator, Optional, Sequence
 
 from repro.sim import Simulator
 from repro.sim.engine import Effect, Process
@@ -133,15 +133,18 @@ class Transport:
     The dispatcher (in :mod:`repro.net.cluster`) feeds every received message
     through :meth:`on_receive`; messages consumed by the transport (acks,
     duplicate suppressions, reply matching) return ``None``, everything else
-    is returned for protocol-level dispatch.
+    is returned for protocol-level dispatch.  ``ids`` numbers the messages
+    it creates; every transport of a cluster draws from the same one.
     """
 
-    def __init__(self, sim: Simulator, node_id: int, nic: "Nic", cfg: "NetConfig", stats: "NetStats"):
+    def __init__(self, sim: Simulator, node_id: int, nic: "Nic", cfg: "NetConfig",
+                 stats: "NetStats", ids: Iterator[int]):
         self.sim = sim
         self.node_id = node_id
         self.nic = nic
         self.cfg = cfg
         self.stats = stats
+        self._ids = ids
         # msg_id -> record of every reliable send awaiting its ack and every
         # request awaiting its reply (a request's req_id is its msg_id)
         self._pending: dict[int, _Pending] = {}
@@ -209,13 +212,14 @@ class Transport:
             kind=kind,
             payload=payload,
             size=size,
+            msg_id=next(self._ids),
             req_id=req.req_id,
             is_reply=True,
         )
         self.stats.count_send(kind, size)
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.causal_send(reply.msg_id, self.node_id, self.sim.now, kind.name)
+            tracer.causal_send(reply.msg_id, self.node_id, self.sim.now, kind._name_)
         key = (req.src, req.req_id)
         self._reply_cache[key] = (self.sim.now, reply)
         self._requests_in_progress.discard(key)
@@ -225,13 +229,13 @@ class Transport:
                   payload: Any, size: int, need_ack: bool) -> None:
         """Create a message, count it and put its first copy on the wire."""
         # positional: keyword calls into ``Message.__init__`` cost twice as much
-        msg = Message(self.node_id, dst, kind, payload, size, need_ack)
+        msg = Message(self.node_id, dst, kind, payload, size, next(self._ids), need_ack)
         if not need_ack:
             msg.req_id = msg.msg_id
         self.stats.count_send(kind, size)
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.causal_send(msg.msg_id, self.node_id, self.sim.now, kind.name)
+            tracer.causal_send(msg.msg_id, self.node_id, self.sim.now, kind._name_)
         rec = self._pending[msg.msg_id] = _Pending(msg, waiter, slot)
         self._send_copy(rec)
 
@@ -282,7 +286,7 @@ class Transport:
             if tracer is not None:
                 tracer.instant(
                     self.node_id, "transport", "tx",
-                    f"rexmit {msg.kind.name}->{msg.dst}", self.sim.now,
+                    f"rexmit {msg.kind._name_}->{msg.dst}", self.sim.now,
                     {"attempt": msg.attempt, "bytes": msg.size},
                 )
             self._send_copy(rec)
@@ -319,7 +323,7 @@ class Transport:
             return None
         if msg.need_ack:
             ack = Message(self.node_id, msg.src, MessageKind.ACK, msg.msg_id,
-                          self.cfg.ack_bytes)
+                          self.cfg.ack_bytes, next(self._ids))
             self.stats.count_ack()
             self.post(ack)
             seen = self._seen_reliable

@@ -19,8 +19,8 @@ records:
 * the per-rank app-lane interval timeline (``app_intervals``, shared with
   the breakdown so the two attributions always agree on what every instant
   of a rank's timeline was);
-* dispatch-lane handler spans (``B``/``E`` on lane ``"dispatch"``, one per
-  delivered message, serial per node);
+* dispatch-lane handler spans (one ``X`` row on lane ``"dispatch"`` per
+  handled message, serial per node);
 * the causal edges: ``sends[msg_id] = (src, t, kind)`` and
   ``wakes = [(pid, t, cause_msg_id)]``.
 
@@ -226,19 +226,13 @@ class CriticalPath:
 def _dispatch_spans(events) -> dict[int, list[tuple[float, float, str, int]]]:
     """Per-pid chronological handler spans ``(h0, h1, kind, msg_id)``.
 
-    The dispatcher is serial per node, so B/E pairs close in order;
-    unclosed trailing spans (crashed run) are dropped.
+    The dispatcher is serial per node, so a pid's ``X`` rows are already in
+    order; a handler that never ended (crashed run) wrote no row.
     """
     out: dict[int, list[tuple[float, float, str, int]]] = {}
-    open_span: dict[int, tuple[float, str, int]] = {}
-    for ph, t, pid, lane, _cat, name, args, _end in events:
-        if lane != "dispatch":
-            continue
-        if ph == "B":
-            open_span[pid] = (t, name, args["msg"])
-        elif ph == "E" and pid in open_span:
-            h0, kind, msg_id = open_span.pop(pid)
-            out.setdefault(pid, []).append((h0, t, kind, msg_id))
+    for _ph, t, pid, lane, _cat, name, args, end in events:
+        if lane == "dispatch":
+            out.setdefault(pid, []).append((t, end, name, args["msg"]))
     return out
 
 

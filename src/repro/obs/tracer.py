@@ -19,7 +19,9 @@ Design constraints, in order of importance:
    (breakdown, critical path, exporters) relies on.  The list as a whole is
    *not* sorted: a site that knows a span's end when it begins writes the
    whole span at once (:meth:`EventTracer.span`), ahead of rows other lanes
-   will stamp with earlier instants (both NIC sides; :mod:`repro.net.nic`).
+   will stamp with earlier instants (both NIC sides; :mod:`repro.net.nic`),
+   and a handler's row is written when it ends, after rows other lanes
+   stamped while it ran (:meth:`EventTracer.end_dispatch`).
 
 Event representation
 --------------------
@@ -42,9 +44,10 @@ which is what makes both the Chrome ``B``/``E`` encoding and the stack-based
 time attribution in :mod:`repro.obs.breakdown` exact.  ``args`` is an
 optional dict of JSON-serialisable details.
 
-``X`` is for a span whose extent is known when it begins, on a lane no
-analysis walks (the NIC lanes; waits and handlers stay ``B``/``E``).  It states
-the *scheduled* extent: a run aborted mid-receive shows the span whole.
+``X`` is one row per span on a lane whose spans never nest: the NIC lanes,
+which state a frame's *scheduled* extent (a run aborted mid-receive shows it
+whole), and the serial dispatcher, one row per handler that ended.  The app
+and fetch lanes stay ``B``/``E``: their waits nest (the breakdown's stack).
 
 Causal edges
 ------------
@@ -57,6 +60,9 @@ critical-path analysis (:mod:`repro.obs.critical_path`) walks:
   original edge, so wire segments naturally absorb retransmission delay);
 * ``wakes = [(pid, t, cause_msg_id), ...]`` — a blocked process on ``pid``
   was resumed at ``t`` because message ``cause_msg_id`` was delivered.
+
+Message ids are the run's own (a cluster numbers its messages from 0), so
+they are recorded as they are and identical runs record identical edges.
 
 Wake sites inside protocol message handlers call :meth:`wake` without an
 explicit cause: the dispatcher brackets every handler with
@@ -120,15 +126,15 @@ class EventTracer:
     this and attaches the computed breakdown to the result).
     """
 
-    __slots__ = ("events", "sends", "wakes", "_dispatch", "_mid")
+    __slots__ = ("events", "sends", "wakes", "_dispatch")
 
     def __init__(self) -> None:
         self.events: list[tuple] = []
         # causal edges (see module docstring)
         self.sends: dict[int, tuple[int, float, str]] = {}
         self.wakes: list[tuple[int, float, int]] = []
-        self._dispatch: dict[int, int] = {}  # pid -> msg_id being handled
-        self._mid: dict[int, int] = {}  # raw msg_id -> per-run dense id
+        # pid -> (msg_id, t0, kind, args) of the handler being run
+        self._dispatch: dict[int, tuple[int, float, str, dict]] = {}
 
     # -- recording (called from instrumentation sites) ----------------------------
 
@@ -171,23 +177,9 @@ class EventTracer:
 
     # -- causal edges (critical-path analysis) ------------------------------------
 
-    def norm(self, msg_id: int) -> int:
-        """Intern a raw message id into this run's dense id namespace.
-
-        The global :class:`~repro.net.message.Message` counter never resets,
-        so raw ids differ between two identical runs in one process; interned
-        ids are assigned in first-sight order (deterministic), which keeps
-        traces and causal edges run-invariant.  ``wire_copy`` preserves the
-        raw id, so every copy of a logical message interns identically.
-        """
-        m = self._mid.get(msg_id)
-        if m is None:
-            m = self._mid[msg_id] = len(self._mid)
-        return m
-
     def causal_send(self, msg_id: int, src: int, t: float, kind: str) -> None:
         """Record the logical send of message ``msg_id`` (once per message)."""
-        self.sends[self.norm(msg_id)] = (src, t, kind)
+        self.sends[msg_id] = (src, t, kind)
 
     def wake(self, pid: int, t: float, msg_id: Optional[int] = None) -> None:
         """A blocked process on ``pid`` is being resumed at ``t``.
@@ -196,22 +188,18 @@ class EventTracer:
         matching); without it, the message the node's dispatcher is currently
         handling is the cause.  Purely local wake-ups record nothing.
         """
-        cause = self.norm(msg_id) if msg_id is not None else self._dispatch.get(pid)
+        cause = msg_id if msg_id is not None else self._dispatch.get(pid, (None,))[0]
         if cause is not None:
             self.wakes.append((pid, t, cause))
 
     def begin_dispatch(self, pid: int, msg_id: int, kind: str, src: int, t: float) -> None:
         """The node's dispatcher starts running the handler for ``msg_id``."""
-        mid = self.norm(msg_id)
-        self._dispatch[pid] = mid
-        self.events.append(
-            ("B", t, pid, "dispatch", "handler", kind, {"msg": mid, "src": src}, None)
-        )
+        self._dispatch[pid] = (msg_id, t, kind, {"msg": msg_id, "src": src})
 
     def end_dispatch(self, pid: int, t: float) -> None:
-        """The handler the dispatcher was running finished."""
-        self._dispatch.pop(pid, None)
-        self.events.append(("E", t, pid, "dispatch", "handler", None, None, None))
+        """The handler the dispatcher was running finished: its ``X`` row."""
+        _msg_id, t0, kind, args = self._dispatch.pop(pid)
+        self.events.append(("X", t0, pid, "dispatch", "handler", kind, args, t))
 
     # -- convenience --------------------------------------------------------------
 

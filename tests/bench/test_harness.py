@@ -57,6 +57,29 @@ def test_stats_table_renders_with_paper_refs():
     assert "Diff Requests" in text
 
 
+def test_stats_table_prints_one_precision_per_row():
+    """The acquire-time row once read ``0.000   1,199.6   555.400``: each row
+    now has one format, and a paper value in parentheses uses the row's."""
+
+    class Row:
+        def __init__(self, **values):
+            self.values = values
+
+        def table_row(self):
+            return {"Time (Sec.)": 1234.5, "Num. Msg": 123_456, **self.values}
+
+    results = {"A": Row(**{"Acquire Time (usec.)": 0.0}),
+               "B": Row(**{"Acquire Time (usec.)": 1199.6}),
+               "C": Row(**{"Acquire Time (usec.)": 555.4})}
+    text = format_stats_table("T", results, paper={"C": {"Acquire Time (usec.)": 555,
+                                                         "Num. Msg": 120_000}})
+    rows = {line[:24].strip(): line[24:].split() for line in text.splitlines()[3:12]}
+    assert rows["Acquire Time (usec.)"] == ["0.0", "1,199.6", "555.4", "(555.0)"]
+    assert rows["Time (Sec.)"] == ["1,234.500"] * 3
+    assert rows["Num. Msg"] == ["123,456"] * 3 + ["(120,000)"]
+    assert rows["Barriers"] == ["-"] * 3
+
+
 def test_speedup_experiment_shape():
     entries = (Entry("VC_sd", "vc_sd"),)
     speedups = speedup_experiment(is_sort, entries, proc_counts=(2, 3), config=SMALL)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import Cluster, Message, MessageKind, NetConfig
+from repro.net import Cluster, Message, MessageKind, NetConfig, NodeConfig
 from repro.sim import Timeout
 
 
@@ -88,9 +88,9 @@ def test_self_send_rejected():
 
 def test_message_validation():
     with pytest.raises(ValueError):
-        Message(src=0, dst=1, kind=MessageKind.TEST, payload=None, size=-5)
+        Message(src=0, dst=1, kind=MessageKind.TEST, payload=None, size=-5, msg_id=0)
     with pytest.raises(ValueError):
-        Message(src=3, dst=3, kind=MessageKind.TEST, payload=None, size=5)
+        Message(src=3, dst=3, kind=MessageKind.TEST, payload=None, size=5, msg_id=0)
 
 
 def test_unknown_kind_raises_via_run():
@@ -282,16 +282,38 @@ def test_cluster_requires_positive_size():
 @pytest.mark.parametrize(
     "field, value",
     [("switch_latency", -1e-6), ("switch_latency", -1.0),
-     ("bandwidth_bps", 0.0), ("bandwidth_bps", -100e6)],
+     ("bandwidth_bps", 0.0), ("bandwidth_bps", -100e6),
+     ("send_overhead", float("nan")), ("send_overhead", float("inf")),
+     ("recv_overhead", -1e-3), ("header_bytes", -100), ("ack_bytes", -1),
+     ("recv_buffer_bytes", -1), ("red_threshold_bytes", float("nan")),
+     ("random_drop_prob", 1.5), ("random_drop_prob", -0.1),
+     ("random_drop_prob", float("nan")), ("drop_seed", -1),
+     ("max_retries", float("nan"))],
 )
 def test_netconfig_rejects_an_unusable_network(field, value):
     """A small negative latency would deliver a frame before it departs, a
-    larger one fail mid-run with "cannot schedule in the past", and a zero
-    bandwidth divide by zero at the first send: all three are refused when
-    the config is built, naming the field.  A zero latency stays legal."""
+    larger one (or a negative receive overhead) fail mid-run with "cannot
+    schedule in the past", a zero bandwidth divide by zero at the first send,
+    a NaN overhead kill the first sender, a negative header size shorten
+    every frame and a drop probability above 1 lose every frame: all are
+    refused when the config is built, naming the field.  A zero latency
+    stays legal."""
     with pytest.raises(ValueError, match=field):
         NetConfig(**{field: value})
     assert NetConfig(switch_latency=0.0).switch_latency == 0.0
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("cpu_hz", 0), ("cpu_hz", float("nan")), ("mem_copy_bps", -1.0),
+     ("mem_copy_bps", float("inf")), ("page_size", 0)],
+)
+def test_nodeconfig_rejects_an_unusable_node(field, value):
+    """A zero clock kills the first process that computes, and a negative
+    copy bandwidth makes ``Node.compute`` skip every copy charge: refused
+    when the config is built, naming the field."""
+    with pytest.raises(ValueError, match=field):
+        NodeConfig(**{field: value})
 
 
 def test_stats_snapshot_roundtrip():
@@ -332,12 +354,14 @@ def test_one_frame_costs_two_events_plus_the_handlers_own():
 
     c[0].register_handler(MessageKind.TEST, one_compute)
     base = parked(c)
-    c[0].nic.send(Message(src=0, dst=1, kind=MessageKind.TEST, payload="a", size=100))
+    c[0].nic.send(Message(src=0, dst=1, kind=MessageKind.TEST, payload="a", size=100,
+                          msg_id=0))
     c.run()
     assert [p for p, _ in log] == ["a"]
     assert c.sim.events_processed - base == 2
     base = c.sim.events_processed
-    c[1].nic.send(Message(src=1, dst=0, kind=MessageKind.TEST, payload="b", size=100))
+    c[1].nic.send(Message(src=1, dst=0, kind=MessageKind.TEST, payload="b", size=100,
+                          msg_id=1))
     c.run()
     assert c.sim.events_processed - base == 2 + 1  # + the handler's Timeout
 
@@ -350,7 +374,8 @@ def test_send_on_an_unattached_nic_fails_at_the_call_site():
     sim = Simulator()
     nic = Nic(sim, 0, NetConfig(), NetStats(), deliver=lambda msg: None)
     with pytest.raises(RuntimeError, match="NIC 0 is not attached to a switch"):
-        nic.send(Message(src=0, dst=1, kind=MessageKind.TEST, payload=None, size=10))
+        nic.send(Message(src=0, dst=1, kind=MessageKind.TEST, payload=None, size=10,
+                         msg_id=0))
     assert sim.peek_next_time() == float("inf")  # and it queued nothing
 
 
@@ -364,7 +389,8 @@ def test_back_to_back_frames_complete_at_link_rate_and_drain_fifo():
     base = parked(c)
     sizes = [100, 1400, 100, 4096, 8, 1400]
     for i, size in enumerate(sizes):
-        c[0].nic.send(Message(src=0, dst=1, kind=MessageKind.TEST, payload=i, size=size))
+        c[0].nic.send(Message(src=0, dst=1, kind=MessageKind.TEST, payload=i, size=size,
+                              msg_id=i))
     c.run()
     expected, tx_done, rx_done = [], 0.0, 0.0
     for i, size in enumerate(sizes):
@@ -405,7 +431,7 @@ def test_nic_rows_end_at_the_hand_off_and_delivery_instants(slowdown):
     forward = c.switch.forward
 
     def spy(msg, t_dep, key):
-        handed.append((msg.src, tracer.norm(msg.msg_id), t_dep))
+        handed.append((msg.src, msg.msg_id, t_dep))
         forward(msg, t_dep, key)
 
     c.switch.forward = spy
@@ -414,7 +440,7 @@ def test_nic_rows_end_at_the_hand_off_and_delivery_instants(slowdown):
     for i, size in enumerate(sizes):
         for src in (0, 1):
             c[src].nic.send(Message(src=src, dst=1 - src, kind=MessageKind.TEST,
-                                    payload=(src, i), size=size))
+                                    payload=(src, i), size=size, msg_id=2 * i + src))
     c.run()
     for node in (0, 1):
         tx, rx = nic_spans(tracer, node, "nic-tx"), nic_spans(tracer, node, "nic-rx")
@@ -447,7 +473,8 @@ def test_frame_arriving_mid_handler_starts_when_the_handler_ends():
     c[1].register_handler(MessageKind.TEST, handler)
     base = parked(c)
     for i in range(3):
-        c[0].nic.send(Message(src=0, dst=1, kind=MessageKind.TEST, payload=i, size=10))
+        c[0].nic.send(Message(src=0, dst=1, kind=MessageKind.TEST, payload=i, size=10,
+                              msg_id=i))
     c.run()
     assert [p for p, _, _ in spans] == [0, 1, 2]
     assert spans[1][1] == spans[0][2] and spans[2][1] == spans[1][2]
@@ -482,13 +509,13 @@ def test_handlers_never_overlap_under_a_burst_and_dispatch_spans_balance():
         c.sim.spawn(sender(i))
     c.run()
     assert sorted(handled) == list(range(1, n))
-    depth = 0
-    for ev in tracer.events:
-        if ev[2] == 0 and ev[3] == "dispatch":
-            depth += 1 if ev[0] == "B" else -1
-            assert depth in (0, 1)
-    assert depth == 0
-    assert sum(1 for ev in tracer.events if ev[3] == "dispatch") == 2 * (n - 1)
+    # one X row per handler, each starting no earlier than the previous ended
+    rows = [ev for ev in tracer.events if ev[3] == "dispatch"]
+    assert [ev[0] for ev in rows] == ["X"] * (n - 1)
+    spans = [(ev[1], ev[7]) for ev in rows if ev[2] == 0]
+    assert len(spans) == n - 1
+    assert all(t0 < t1 for t0, t1 in spans)
+    assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
 
 
 # -- plain handlers: a fixed cost, then a function call, no process -----------------
@@ -524,7 +551,8 @@ def test_zero_cost_plain_handler_is_served_inside_the_rx_completion():
     served = []
     c[1].register_handler(MessageKind.TEST, lambda msg: served.append(c.sim.now), cost=0.0)
     base = parked(c)
-    c[0].nic.send(Message(src=0, dst=1, kind=MessageKind.TEST, payload=None, size=10))
+    c[0].nic.send(Message(src=0, dst=1, kind=MessageKind.TEST, payload=None, size=10,
+                          msg_id=0))
     assert c.run() == served[0]
     assert c.sim.events_processed - base == 2
 

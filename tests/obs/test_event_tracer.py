@@ -11,7 +11,8 @@ from repro.obs import EventTracer, chrome_trace
 # spans and the fault instants)
 METRIC_INSTANTS = ("diff", "grant", "piggyback", "barrier")
 FOLDED_DIGEST = "59a4e39841ca4bd6"
-TRACE_BYTES = 12335842  # 11,931,132 before the folded instants
+TRACE_BYTES = 11778946  # 12,335,842 before handlers were one X row each
+HANDLER_SPANS = 13128  # dispatch-lane spans: two rows each before, one now
 
 
 def traced_run(app="is", protocol="vc_d", nprocs=4):
@@ -67,9 +68,9 @@ def test_tracer_timestamps_monotone():
 
 def test_nic_lanes_hold_complete_rows_that_never_overlap():
     """Both NIC sides are FIFO servers whose busy periods are known when they
-    begin: every span on their lanes is one ``X`` row (drops stay instants),
-    starting no earlier than the previous one ended; every other lane keeps
-    ``B``/``E`` pairs."""
+    begin, and the dispatcher runs one handler at a time: every span on their
+    lanes is one ``X`` row (drops stay instants), starting no earlier than the
+    previous one ended; every other lane keeps ``B``/``E`` pairs."""
     for protocol in ("vc_d", "lrc_d"):  # lrc_d: congestion drops at the barrier
         tracer, _ = traced_run(protocol=protocol, nprocs=8)
         busy_until: dict[tuple, float] = {}
@@ -79,9 +80,13 @@ def test_nic_lanes_hold_complete_rows_that_never_overlap():
                 if ph == "X":
                     assert busy_until.get((pid, lane), 0.0) <= t < end
                     busy_until[pid, lane] = end
+            elif lane == "dispatch":
+                assert ph == "X"
+                assert busy_until.get((pid, lane), 0.0) <= t <= end
+                busy_until[pid, lane] = end
             else:
                 assert ph != "X" and end is None
-        assert len(busy_until) == 2 * 8
+        assert len(busy_until) == 3 * 8
 
 
 def test_two_identical_runs_trace_identically():
@@ -91,6 +96,31 @@ def test_two_identical_runs_trace_identically():
     doc1 = json.dumps(chrome_trace(t1), sort_keys=True)
     doc2 = json.dumps(chrome_trace(t2), sort_keys=True)
     assert doc1 == doc2
+
+
+def test_message_ids_belong_to_the_run(monkeypatch):
+    """Traced, untraced, traced in one process: each run numbers its messages
+    0, 1, ... (every message goes on the wire, so the ids sent are exactly
+    that range), and the two traces record the same rows and edges."""
+    from repro.net.nic import Nic
+
+    sent: list[int] = []
+    send = Nic.send
+    monkeypatch.setattr(Nic, "send", lambda self, msg: (sent.append(msg.msg_id),
+                                                        send(self, msg))[1])
+    tracers = []
+    for traced in (True, False, True):
+        sent.clear()
+        tracer = EventTracer() if traced else None
+        run_app(APPS["is"], "vc_d", 4, tracer=tracer)
+        assert sent[0] == 0 and sorted(set(sent)) == list(range(len(set(sent))))
+        if traced:
+            assert min(tracer.sends) == 0
+            tracers.append(tracer)
+    first, last = tracers
+    assert first.events == last.events
+    assert first.sends == last.sends
+    assert first.wakes == last.wakes
 
 
 def test_mpi_run_traces_recv_wait():
@@ -106,10 +136,10 @@ def test_consumer_contract_pinned_on_is_vc_d_8(tmp_path):
     recorded with an event-driven NIC TX queue and ``B``/``E`` NIC spans
     (commit ab79b3f) — and the exported rows and bytes, which fell when the
     NIC lanes became one ``X`` row per frame (149,034 rows, 13,899,941 bytes
-    before; the span count is the same).  Where a lane's rows sit in the
-    global list, and which dense id a message interns to, are not part of
-    the contract — the NIC writes a TX span when it takes the frame — so
-    ``sends``/``wakes`` keys are not pinned."""
+    before) and again when each handler did (the span count is the same).
+    Where a lane's rows sit in the global list is not part of the contract —
+    the NIC writes a TX span when it takes the frame, the dispatcher a
+    handler's row when it ends — so ``sends``/``wakes`` are not pinned."""
     import hashlib
 
     from repro.obs import (
@@ -155,7 +185,7 @@ def test_consumer_contract_pinned_on_is_vc_d_8(tmp_path):
             rows += [("B", t, cat, name), ("E", end, cat, None)]
         else:
             rows.append((ph, t, cat, name))
-    assert len(tracer.events) == 96522 + len(folded)
+    assert len(tracer.events) == 96522 - HANDLER_SPANS + len(folded)
     assert sum(ev[0] in "BX" for ev in tracer.events) == 72789
     assert digest(sorted(lanes.items())) == "caa90c31e22fc483"
     path = tmp_path / "trace.json"

@@ -89,11 +89,14 @@ def test_trace_out_failing_validation_leaves_no_file(monkeypatch, tmp_path, extr
     no partial file, no temp file — is left at ``--trace-out``."""
     from repro.obs import EventTracer
 
-    # handler spans that never close
-    monkeypatch.setattr(EventTracer, "end_dispatch", lambda self, pid, t: None)
+    # fault-fetcher spans that never close (an unclosed app-lane span would
+    # fail the breakdown before the export is written)
+    end = EventTracer.end
+    monkeypatch.setattr(EventTracer, "end", lambda self, pid, lane, cat, t:
+                        end(self, pid, lane, cat, t) if lane == "app" else None)
     out_path = tmp_path / "t.json"
     with pytest.raises(SystemExit) as exc:
-        main(["run", "sor", "--protocol", "vc_sd", "--nprocs", "2",
+        main(["run", "sor", "--protocol", "lrc_d", "--nprocs", "2",
               "--trace-out", str(out_path), *extra])
     assert str(exc.value).startswith(
         "error: trace failed schema validation: unclosed spans at end of trace")
