@@ -15,6 +15,7 @@ The EXPERIMENTS.md notes record this calibration per experiment.
 from __future__ import annotations
 
 import gc
+import math
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -35,6 +36,11 @@ class AppConfig:
     """Base class for per-application configs."""
 
     work_factor: float = 1.0
+
+    def __post_init__(self) -> None:
+        # NaN fails the test too: a NaN or negative factor would charge no compute
+        if not 0 <= self.work_factor < math.inf:
+            raise ValueError(f"work_factor must be finite and >= 0, got {self.work_factor!r}")
 
     def charge_seconds(self, ops: float, cycles_per_op: float, cpu_hz: float) -> float:
         return self.work_factor * ops * cycles_per_op / cpu_hz

@@ -195,19 +195,6 @@ class MemoryManager:
 
     # -- protocol data movement helpers ---------------------------------------------
 
-    def invalidate(self, pids: Iterable[int]) -> None:
-        """Mark pages stale; only pages with a copy transition (NO_COPY stays)."""
-        for pid in pids:
-            copy = self.pages.get(pid)
-            if copy is None or copy.state is PageState.NO_COPY:
-                continue
-            if copy.state is PageState.RW:
-                raise RuntimeError(
-                    f"node {self.node.id}: invalidating page {pid} while writing it "
-                    "(view overlap or missing release?)"
-                )
-            copy.state = PageState.INVALID
-
     def install_full_page(self, pid: int, content: bytes | np.ndarray, state: PageState = PageState.RO) -> None:
         copy = self.page(pid)
         copy.materialise()

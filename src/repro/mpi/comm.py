@@ -59,8 +59,11 @@ class MpiComm:
 
     def send(self, data: Any, dest: int, tag: int = 0, size: Optional[int] = None) -> Generator:
         """Blocking-ish send (``yield from``; completes when the transport acks)."""
-        if dest == self.rank:
-            raise ValueError("MPI self-sends are not supported in the simulator")
+        if dest == self.rank or not 0 <= dest < self.size:
+            raise ValueError(
+                f"rank {self.rank} cannot send to {dest}: "
+                f"not another rank of {self.size}"
+            )
         nbytes = _payload_size(data, size)
         return self.node.transport.send_reliable(
             dest, MessageKind.MPI_DATA, {"tag": tag, "data": data, "src": self.rank}, nbytes

@@ -172,7 +172,9 @@ class Node:
 
     def compute(self, seconds: float) -> Generator:
         """Charge ``seconds`` of CPU time to simulated time (``yield from``)."""
-        if seconds > 0:
+        if not seconds >= 0:
+            raise ValueError(f"node {self.id}: cannot charge {seconds!r} s of compute")
+        if seconds:
             faults = self.sim.faults
             if faults is not None:
                 # CPU slowdown / pause episodes stretch the charged slice

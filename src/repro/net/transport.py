@@ -35,7 +35,10 @@ Duplicate-suppression state (``_seen_reliable``, ``_reply_cache``) is
 bounded: entries are evicted once they are older than the *duplicate
 horizon*, ``(max_retries + 2) * rexmit_timeout``, which keeps the
 at-most-once guarantee while holding table sizes proportional to in-flight
-traffic rather than run length.
+traffic rather than run length.  The transport keeps the oldest stamp of
+either table and runs the eviction only on a receipt at which that stamp has
+expired — exactly the receipts at which a scan of both table fronts would
+delete something.
 
 Statistics: original sends are counted in ``NetStats.num_msg``/``data_bytes``
 (replies too, acks not); every retransmission increments ``rexmit``.
@@ -43,6 +46,7 @@ Statistics: original sends are counted in ``NetStats.num_msg``/``data_bytes``
 
 from __future__ import annotations
 
+from math import inf
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterator, Optional, Sequence
 
 from repro.sim import Simulator
@@ -155,6 +159,8 @@ class Transport:
         # (src, req_id) -> (time cached, reply); insertion order == time order
         self._reply_cache: dict[tuple[int, int], tuple[float, Message]] = {}
         self._requests_in_progress: set[tuple[int, int]] = set()
+        # the oldest stamp in either table (``inf`` while both are empty)
+        self._oldest = inf
         # a duplicate of a message first received at t can arrive no later
         # than t + the retry window (max_retries + 1 timeouts) plus delivery
         # delays; one more timeout of slack absorbs those delays
@@ -206,22 +212,17 @@ class Transport:
 
     def reply_to(self, req: Message, kind: MessageKind, payload: Any, size: int) -> None:
         """Send (and cache) the reply to a request message."""
-        reply = Message(
-            src=self.node_id,
-            dst=req.src,
-            kind=kind,
-            payload=payload,
-            size=size,
-            msg_id=next(self._ids),
-            req_id=req.req_id,
-            is_reply=True,
-        )
+        reply = Message(self.node_id, req.src, kind, payload, size, next(self._ids),
+                        False, req.req_id, True)
         self.stats.count_send(kind, size)
+        now = self.sim.now
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.causal_send(reply.msg_id, self.node_id, self.sim.now, kind._name_)
+            tracer.causal_send(reply.msg_id, self.node_id, now, kind._name_)
         key = (req.src, req.req_id)
-        self._reply_cache[key] = (self.sim.now, reply)
+        self._reply_cache[key] = (now, reply)
+        if now < self._oldest:
+            self._oldest = now
         self._requests_in_progress.discard(key)
         self.nic.send(reply)
 
@@ -331,7 +332,10 @@ class Transport:
                 return None  # duplicate of an already-delivered reliable send
             now = self.sim.now
             seen[(msg.src, msg.msg_id)] = now
-            self._evict_expired(now)
+            if now < self._oldest:
+                self._oldest = now
+            elif self._oldest < now - self._dup_horizon:
+                self._evict_expired(now)
             return msg
         if msg.is_reply:
             self._answered(msg.req_id, msg.msg_id, msg)
@@ -347,7 +351,9 @@ class Transport:
             if key in self._requests_in_progress:
                 return None  # duplicate while the handler is still running
             self._requests_in_progress.add(key)
-            self._evict_expired(self.sim.now)
+            now = self.sim.now
+            if self._oldest < now - self._dup_horizon:
+                self._evict_expired(now)
             return msg
         return msg
 
@@ -355,19 +361,27 @@ class Transport:
         """Drop duplicate-suppression entries older than the horizon.
 
         Both tables are insertion-ordered dicts stamped with monotone
-        simulated time, so expired entries sit at the front and eviction is
-        O(evicted) amortised per receive.
+        simulated time, so expired entries sit at the front and the oldest
+        stamp is a front's.  A receipt calls this only when that stamp is
+        older than ``now - _dup_horizon`` — when there is something to drop —
+        so a receipt that evicts nothing costs one comparison.
         """
         cutoff = now - self._dup_horizon
+        oldest = inf
         seen = self._seen_reliable
         while seen:
-            msg_id = next(iter(seen))
-            if seen[msg_id] >= cutoff:
+            key = next(iter(seen))
+            stamp = seen[key]
+            if stamp >= cutoff:
+                oldest = stamp
                 break
-            del seen[msg_id]
+            del seen[key]
         cache = self._reply_cache
         while cache:
             key = next(iter(cache))
-            if cache[key][0] >= cutoff:
+            stamp = cache[key][0]
+            if stamp >= cutoff:
+                oldest = min(oldest, stamp)
                 break
             del cache[key]
+        self._oldest = oldest

@@ -78,6 +78,9 @@ class BaseDsmProtocol:
         self.interval_seq = 0  # index of the last *completed* own interval
         self.lamport = 0  # scalar clock, max over everything seen
         self.diff_store: dict[tuple[int, int], list[Diff]] = {}  # (pid, idx) -> diffs
+        # (pid, idx) -> wire bytes of that interval's stored diffs, summed on
+        # its first DIFF_REQUEST (most stored intervals are never asked for)
+        self.reply_bytes: dict[tuple[int, int], int] = {}
         self._early_flush: dict[int, list[Diff]] = {}  # current interval's flushes
         # invalidation bookkeeping
         self.pending: dict[int, list[IntervalNotice]] = {}  # pid -> unapplied notices
@@ -156,31 +159,40 @@ class BaseDsmProtocol:
             self.lamport = stamp
 
     def apply_notices(self, notices: Iterable[IntervalNotice]) -> None:
-        """Invalidate pages named by unseen notices and queue them as pending."""
-        for notice in notices:
-            self.observe_lamport(notice.lamport)
-            if notice.node == self.node.id:
-                continue
-            key = notice.key()
-            if key in self.seen_keys:
-                continue
-            self.seen_keys.add(key)
-            for pid in notice.pages:
-                self.pending.setdefault(pid, []).append(notice)
-                self._invalidate_page(pid)
+        """Invalidate pages named by unseen notices and queue them as pending.
 
-    def _invalidate_page(self, pid: int) -> None:
-        copy = self.mm.pages.get(pid)
-        if copy is None or copy.state is PageState.NO_COPY:
-            return
-        if copy.state is PageState.RW:
-            # our own modifications must survive the invalidation: flush them
-            # as an early diff of the current interval (TreadMarks does the
-            # same when a write notice hits a twinned page)
-            diff = self.mm.flush_page(pid)
-            if diff is not None:
-                self._early_flush.setdefault(pid, []).append(diff)
-        self.mm.invalidate([pid])
+        Only a page this node holds a copy of changes state.  One being
+        written is first flushed as an early diff of the current interval, so
+        our own modifications survive the invalidation (TreadMarks does the
+        same when a write notice hits a twinned page).
+        """
+        me = self.node.id
+        seen = self.seen_keys
+        pending = self.pending
+        held = self.mm.pages
+        for notice in notices:
+            if notice.lamport > self.lamport:
+                self.lamport = notice.lamport
+            if notice.node == me:
+                continue
+            key = (notice.node, notice.idx)
+            if key in seen:
+                continue
+            seen.add(key)
+            for pid in notice.pages:
+                queued = pending.get(pid)
+                if queued is None:
+                    pending[pid] = [notice]
+                else:
+                    queued.append(notice)
+                copy = held.get(pid)
+                if copy is None or copy.state is PageState.NO_COPY:
+                    continue
+                if copy.state is PageState.RW:
+                    diff = self.mm.flush_page(pid)
+                    if diff is not None:
+                        self._early_flush.setdefault(pid, []).append(diff)
+                copy.state = PageState.INVALID
 
     # -- fault handling (invalidate protocol: LRC_d and VC_d) ------------------------
 
@@ -334,8 +346,7 @@ class BaseDsmProtocol:
              CTRL_MSG_BYTES + 4 * len(idxs))
             for writer, idxs in sorted(by_writer.items())
         ]
-        for _ in requests:
-            self.stats.count_diff_request()
+        self.stats.diff_requests += len(requests)
         if len(requests) == 1:
             yield _HOP
             reply = yield from self.node.request(*requests[0])
@@ -345,12 +356,13 @@ class BaseDsmProtocol:
             ordered = [d for idx in sorted(diffs_by_idx) for d in diffs_by_idx[idx]]
         else:
             replies = yield self.node.transport.call_all(requests)
-            collected: list[tuple[tuple[int, int], Diff]] = []
+            lamport_of = {(n.node, n.idx): n.lamport for n in notices}
+            collected: list[tuple[tuple[int, int, int], Diff]] = []
             for (writer, _, _, _), reply in zip(requests, replies):
-                lamport_of = {n.idx: n.lamport for n in notices if n.node == writer}
                 for idx, diffs in reply.payload.items():
+                    lamport = lamport_of[(writer, idx)]
                     for k, diff in enumerate(diffs):
-                        collected.append(((lamport_of[idx], writer, k), diff))
+                        collected.append(((lamport, writer, k), diff))
             collected.sort(key=lambda item: item[0])
             ordered = [diff for _, diff in collected]
         nbytes = sum(d.changed_bytes for d in ordered)
@@ -374,17 +386,23 @@ class BaseDsmProtocol:
 
     def _handle_diff_request(self, msg: Message) -> None:
         pid, idxs = msg.payload
+        store = self.diff_store
+        sized = self.reply_bytes
         diffs_by_idx: dict[int, list[Diff]] = {}
         size = CTRL_MSG_BYTES
         for idx in idxs:
-            diffs = self.diff_store.get((pid, idx))
+            key = (pid, idx)
+            diffs = store.get(key)
             if diffs is None:
                 raise RuntimeError(
                     f"node {self.node.id}: no stored diff for page {pid} "
                     f"interval {idx} (requested by node {msg.src})"
                 )
             diffs_by_idx[idx] = diffs
-            size += sum(d.wire_size for d in diffs)
+            nbytes = sized.get(key)
+            if nbytes is None:
+                nbytes = sized[key] = sum(d.wire_size for d in diffs)
+            size += nbytes
         self.node.reply_to(msg, MessageKind.DIFF_REPLY, diffs_by_idx, size)
 
     def _handle_page_request(self, msg: Message) -> None:

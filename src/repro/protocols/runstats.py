@@ -55,9 +55,6 @@ class RunStats:
     def count_acquire_msg(self) -> None:
         self.acquires += 1
 
-    def count_diff_request(self) -> None:
-        self.diff_requests += 1
-
     def add_barrier_time(self, seconds: float) -> None:
         self.barrier_time_sum += seconds
         self.barrier_time_n += 1

@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps import APPS
 from repro.apps.common import run_app
+from repro.apps.sor import SorConfig
 from repro.bench.sweep import SweepCell, run_sweep
 
 
@@ -16,3 +17,13 @@ def test_mpi_is_refused_for_an_app_without_an_mpi_version(app):
 def test_sweep_cell_without_an_mpi_version_is_refused():
     with pytest.raises(ValueError, match="is has no MPI version"):
         run_sweep([SweepCell("is", "mpi", 4)], cache_dir=None)
+
+
+@pytest.mark.parametrize("factor", [float("nan"), -5.0, float("inf")])
+def test_config_rejects_a_work_factor_that_charges_no_compute(factor):
+    """A NaN or negative factor would make every charge a no-op (the run
+    would take the time of ``work_factor=0``), an infinite one a NaN
+    charge: refused when the config is built.  Zero stays legal."""
+    with pytest.raises(ValueError, match="work_factor"):
+        SorConfig(work_factor=factor)
+    assert SorConfig(work_factor=0.0).work_factor == 0.0

@@ -103,17 +103,6 @@ def test_end_interval_skips_clean_twins(setup):
     assert diffs == {}
 
 
-def test_invalidate_rules(setup):
-    cluster, mm, proto = setup
-    drive(cluster, mm.read_bytes(0, 4))
-    mm.invalidate([0, 1])  # page 1 has NO_COPY: stays that way
-    assert mm.page(0).state is PageState.INVALID
-    assert mm.page(1).state is PageState.NO_COPY
-    drive(cluster, mm.write_bytes(64, np.ones(4, np.uint8)))
-    with pytest.raises(RuntimeError):
-        mm.invalidate([1])  # invalidating a page being written is a bug
-
-
 def test_install_and_apply_diffs(setup):
     cluster, mm, proto = setup
     content = np.arange(64, dtype=np.uint8)

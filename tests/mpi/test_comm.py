@@ -174,6 +174,23 @@ def test_recv_from_self_or_outside_the_communicator_rejected(source):
     system.run_program(body)
 
 
+@pytest.mark.parametrize("dest", [0, -1, 2, 5])
+def test_send_to_self_or_outside_the_communicator_rejected(dest):
+    """Such a send has no receiver (the switch has no port for it): it fails
+    up front, before the message is counted."""
+    system = MpiSystem(2)
+
+    def body(comm):
+        if comm.rank == 0:
+            counted = system.stats.num_msg
+            with pytest.raises(ValueError, match=f"cannot send to {dest}: not another rank of 2"):
+                yield from comm.send(1, dest, size=8)
+            assert system.stats.num_msg == counted
+        yield from comm.barrier()
+
+    system.run_program(body)
+
+
 def test_unsizeable_payload_rejected():
     system = MpiSystem(2)
 

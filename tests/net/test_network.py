@@ -274,6 +274,22 @@ def test_compute_charges_simulated_time():
     assert out == [0.5, 1.5, 2.5]
 
 
+@pytest.mark.parametrize("seconds", [float("nan"), -1e-9, -5.0])
+def test_compute_refuses_a_charge_that_is_not_a_duration(seconds):
+    """A NaN or negative charge is a caller's bug: refused, not charged as
+    zero.  A zero charge stays legal and takes no time."""
+    c = make_cluster()
+
+    def proc():
+        with pytest.raises(ValueError, match="cannot charge"):
+            yield from c[0].compute(seconds)
+        yield from c[0].compute(0.0)
+
+    p = c.sim.spawn(proc())
+    c.run()
+    assert p.finished and c.sim.now == 0.0
+
+
 def test_cluster_requires_positive_size():
     with pytest.raises(ValueError):
         Cluster(0)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.memory.page import PageState
 from repro.protocols.system import DsmSystem
+from repro.protocols.timestamps import IntervalNotice
 from tests.protocols.conftest import as_u8, from_u8, run_workers
 
 
@@ -195,3 +197,26 @@ def test_lamport_stamps_strictly_order_view_chain():
     ordered = [s for _, s in sorted(stamps)]
     assert ordered == sorted(ordered)
     assert len(set(ordered)) == len(ordered)  # strictly increasing
+
+
+def test_notice_invalidation_rules():
+    """A notice changes only the pages held here: a page with no copy stays
+    so, a read-only copy turns INVALID, and a page being written is first
+    flushed as an early diff of the current interval.  Every named page is
+    queued as pending, the clock takes the notice's stamp, and the same
+    notice applied twice changes nothing."""
+    system = DsmSystem(2, protocol="lrc_d", page_size=256)
+    system.alloc("x", 3 * 256, page_aligned=True)
+    p = system.protocols[0]
+    p.mm.zero_fill(0)
+    p.mm.zero_fill(2)
+    p.mm.start_writing(2)
+    p.mm.page(2).data[3] = 1
+    notice = IntervalNotice(node=1, idx=1, lamport=5, pages=(0, 1, 2))
+    for _ in range(2):
+        p.apply_notices([notice])
+        assert [p.mm.state(pid) for pid in range(3)] == [
+            PageState.INVALID, PageState.NO_COPY, PageState.INVALID]
+        assert p.pending == {0: [notice], 1: [notice], 2: [notice]}
+        assert [d.runs for d in p._early_flush[2]] == [((3, b"\x01"),)]
+        assert p.mm.write_set == set() and p.lamport == 5
