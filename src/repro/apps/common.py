@@ -24,6 +24,7 @@ from typing import Any, Callable, Generator, Optional
 import numpy as np
 
 from repro.core.program import make_system
+from repro.obs.gcpause import gc_paused
 from repro.obs.tracer import EventTracer
 from repro.net.config import NetConfig, NodeConfig
 from repro.protocols.runstats import RunStats
@@ -70,23 +71,14 @@ def _run_or_abort(cluster, run: Callable[[], Any]) -> Any:
     exception's cause chain becomes a structured
     :class:`repro.faults.RunFailure`; everything else re-raises untouched.
 
-    The cycle collector is paused for the length of the run and put back the
-    way it was found on every way out.  A run's heap is acyclic and only
-    grows (reply caches up to the duplicate horizon, diff stores), so
-    generational collections re-walk it again and again and free nothing:
-    on IS/16 under VC_d, 751 collections cost 0.6 s of 3.3 s and
-    reclaimed no object.  What *is* cyclic is a finished
-    run's cluster/system/process graph, which only a collection can free —
-    so the one collection happens here, before the pause, where it releases
-    the previous run before this one allocates (and costs a walk of the live
-    heap, a few milliseconds, when there is nothing to release).
+    Called inside :func:`run_app`'s collector pause, it first collects once:
+    that releases the previous run's cyclic cluster/system graph before this
+    run allocates, inside the ``execute`` host phase.
     """
     from repro.faults.failure import NodeCrashed, RunAborted, describe_failure
     from repro.sim import SimError
 
-    was_enabled = gc.isenabled()
     gc.collect()
-    gc.disable()
     try:
         return run()
     except (SimError, NodeCrashed) as exc:
@@ -94,9 +86,6 @@ def _run_or_abort(cluster, run: Callable[[], Any]) -> Any:
         if failure is None:
             raise
         raise RunAborted(failure) from exc
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 @dataclass
@@ -129,6 +118,7 @@ class AppResult:
         return self.stats.table_row()
 
 
+@gc_paused()
 def run_app(
     app_module,
     protocol: str,
@@ -174,6 +164,9 @@ def run_app(
     raises :class:`repro.faults.RunAborted` carrying a structured
     :class:`~repro.faults.RunFailure`; any other exception propagates
     unchanged (it is a bug, not a fault outcome).
+
+    The cycle collector is paused over the whole call and put back as it was
+    found on every way out (:func:`repro.obs.gcpause.gc_paused` says why).
     """
     if protocol == "mpi" and not hasattr(app_module, "build_mpi"):
         from repro.apps import APPS

@@ -27,6 +27,7 @@ is no second runner.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from typing import Any, Callable, Generator, Iterator, Optional
 
@@ -172,7 +173,7 @@ class Node:
 
     def compute(self, seconds: float) -> Generator:
         """Charge ``seconds`` of CPU time to simulated time (``yield from``)."""
-        if not seconds >= 0:
+        if not 0 <= seconds < math.inf:
             raise ValueError(f"node {self.id}: cannot charge {seconds!r} s of compute")
         if seconds:
             faults = self.sim.faults

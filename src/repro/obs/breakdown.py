@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
+from repro.obs.gcpause import gc_paused
 from repro.obs.tracer import COMPUTE, IDLE, RUN
 
 __all__ = ["app_intervals", "compute_breakdown", "format_breakdown"]
@@ -81,6 +82,7 @@ def app_intervals(events: Iterable[tuple]) -> dict:
     return out
 
 
+@gc_paused()
 def compute_breakdown(events: Iterable[tuple]) -> dict:
     """Attribute each process's run window to categories.
 

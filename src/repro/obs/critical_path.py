@@ -108,6 +108,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from repro.obs.breakdown import app_intervals
+from repro.obs.gcpause import gc_paused
 from repro.obs.tracer import (
     ACQUIRE_WAIT,
     BARRIER_WAIT,
@@ -248,6 +249,7 @@ def _containing(handlers, handler_starts, pid, t):
     return None
 
 
+@gc_paused()
 def compute_critical_path(tracer) -> CriticalPath:
     """Walk the causal chain backwards from the last rank's finish.
 

@@ -11,19 +11,30 @@ Everything here is a pure function of the recorded event list, so for a
 deterministic simulation the exported bytes are identical across runs —
 ``validate_chrome_trace`` is the schema check the CI trace-smoke step runs.
 
-The document exists in two forms built from one row generator (``_rows``):
-the dict ``chrome_trace`` returns, and the text ``iter_chrome_trace``
-streams and the writers put on disk, which is byte for byte
-``json.dumps`` of that dict with ``(",", ":")`` separators plus a newline
-without the dict, or the whole string, ever being built.
+The document exists in two forms that number pids and lanes through one
+``_Lanes``: the dict ``chrome_trace`` returns, and the text
+``iter_chrome_trace`` streams and ``write_chrome_trace`` puts on disk, which
+is byte for byte ``json.dumps`` of that dict with ``(",", ":")`` separators
+plus a newline, without the dict, or the whole string, ever being built.
+
+The text form is one pass over the rows (``_text``), with one memo entry per
+row *head* ``(ph, pid, lane, cat, name)``: the text before ``"ts":``, the
+tid, the metadata rows that introduce a lane and the phase/pid/name rules
+are built and checked on a head's first row only (an IS/8 ``vc_d`` trace
+repeats 1,534 heads over 86,481 rows).  Per row only ``ts``, ``dur``,
+``args`` and the ``B``/``E`` depth are formatted and checked.  The writer
+and ``validate_chrome_trace`` keep one rule set (``_check_head``,
+``_is_time``, ``_check_ends``).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import IO, Iterable, Mapping
 
+from repro.obs.gcpause import gc_paused
 from repro.obs.host import HOST_PID
 from repro.obs.tracer import EventTracer
 
@@ -56,47 +67,55 @@ def _eight_wide(events: Iterable):
         yield row
 
 
-def _rows(events: Iterable):
-    """Yield the document's events as ``(ph, ts, pid, tid, cat, name, args, dur)``.
+class _Lanes(dict):
+    """The tid of each ``(pid, lane)``, numbered per pid from 0 in first-sight
+    order — the one place a document's pids and lanes get their numbers and
+    their metadata (``M``) rows, for the dict form and the text form alike."""
 
-    The one place pids get their ``process_name`` row (``"simulator"``,
-    ``"host"`` or ``node-{pid}``) and ``(pid, lane)`` pairs their tid and
-    ``thread_name`` row: each metadata row (``ph`` ``"M"``, ``ts`` 0, the label
-    in the ``args`` slot) comes out just ahead of the
-    first event that needs it.  Recorded events keep their ``B``/``E``/``X``/
-    ``i``/``C`` phase; ``ts`` is simulated seconds scaled to microseconds and
-    ``dur`` (``X`` only, else ``None``) is ``(end - t)`` likewise.  The dict
-    form (:func:`chrome_trace`), the text form (:func:`iter_chrome_trace`)
-    and the writers' schema check all read this stream, so no consumer
-    holds a second copy of the event list.
-    """
-    tids: dict[tuple[int, str], int] = {}
-    next_tid: dict[int, int] = {}
-    for ph, t, pid, lane, cat, name, args, end in events:
-        key = (pid, lane)
-        tid = tids.get(key)
+    def __init__(self) -> None:
+        super().__init__()
+        self._next: dict = {}  # pid -> its next tid
+
+    def open(self, pid, lane) -> tuple[int, list[tuple]]:
+        """Number a lane not seen before; return its tid and the metadata rows,
+        ``(name, pid, tid, label)``, that go just ahead of its first event: a
+        new pid's ``process_name`` (``"simulator"``, ``"host"`` or
+        ``node-{pid}``), then the lane's ``thread_name``."""
+        tid = self._next.get(pid)
+        meta = []
         if tid is None:
-            tid = next_tid.get(pid)
-            if tid is None:
-                tid = 0
-                label = ("simulator" if pid == GLOBAL_PID
-                         else "host" if pid == HOST_PID else f"node-{pid}")
-                yield "M", 0, pid, 0, None, "process_name", label, None
-            next_tid[pid] = tid + 1
-            tids[key] = tid
-            yield "M", 0, pid, tid, None, "thread_name", lane, None
-        dur = None if end is None else (end - t) * 1e6
-        yield ph, t * 1e6, pid, tid, cat, name, args, dur
+            tid = 0
+            label = ("simulator" if pid == GLOBAL_PID
+                     else "host" if pid == HOST_PID else f"node-{pid}")
+            meta.append(("process_name", pid, 0, label))
+        self._next[pid] = tid + 1
+        self[pid, lane] = tid
+        meta.append(("thread_name", pid, tid, lane))
+        return tid, meta
 
 
 def chrome_trace(trace: "EventTracer | Iterable") -> dict:
-    """Convert a recorded trace to a Chrome trace-event JSON document."""
+    """Convert a recorded trace to a Chrome trace-event JSON document.
+
+    Recorded events keep their ``B``/``E``/``X``/``i``/``C`` phase; ``ts`` is
+    simulated seconds scaled to microseconds and ``dur`` (``X`` only) is
+    ``(end - t)`` likewise.  Each metadata row (``ph`` ``"M"``, ``ts`` 0)
+    comes out just ahead of the first event that needs it.
+    """
     out: list[dict] = []
-    for ph, ts, pid, tid, cat, name, args, dur in _rows(_events_of(trace)):
+    lanes = _Lanes()
+    for ph, t, pid, lane, cat, name, args, end in _events_of(trace):
+        tid = lanes.get((pid, lane))
+        if tid is None:
+            tid, meta = lanes.open(pid, lane)
+            for what, mpid, mtid, label in meta:
+                out.append({"ph": "M", "name": what, "pid": mpid, "tid": mtid,
+                            "ts": 0, "args": {"name": label}})
+        ts = t * 1e6
         if ph == "B" or ph == "X":
             ev = {"ph": ph, "name": name, "cat": cat, "pid": pid, "tid": tid, "ts": ts}
             if ph == "X":
-                ev["dur"] = dur
+                ev["dur"] = None if end is None else (end - t) * 1e6
             if args:
                 ev["args"] = args
         elif ph == "E":
@@ -124,7 +143,7 @@ def chrome_trace(trace: "EventTracer | Iterable") -> dict:
             }
         else:  # "C"
             ev = {
-                "ph": "C",
+                "ph": ph,
                 "name": name,
                 "pid": pid,
                 "tid": tid,
@@ -133,6 +152,54 @@ def chrome_trace(trace: "EventTracer | Iterable") -> dict:
             }
         out.append(ev)
     return {"traceEvents": out, "displayTimeUnit": "ms"}
+
+
+# -- the rules ------------------------------------------------------------------------
+#
+# One set, kept by the writer as it writes and by ``validate_chrome_trace`` on a
+# loaded document, in this order: an event's head (phase, pid, tid, name), its
+# ``ts``, an ``X`` row's ``dur``, then ``B``/``E`` balance per ``(pid, tid)``;
+# once the events are exhausted, a document must have had one and may leave no
+# span open.  ``ts`` and ``dur`` are numbers, finite and >= 0 (``_is_time``);
+# the writer's are floats by construction, so it tests the range alone.
+
+
+def _check_head(i: int, ph, pid, tid, name) -> None:
+    """Refuse an event whose head breaks a rule (the writer checks a head once)."""
+    if ph not in _PHASES:
+        raise ValueError(f"event {i}: bad phase {ph!r}")
+    if not isinstance(pid, int):
+        raise ValueError(f"event {i}: missing/non-int 'pid'")
+    if not isinstance(tid, int):
+        raise ValueError(f"event {i}: missing/non-int 'tid'")
+    if ph != "E" and not name:
+        raise ValueError(f"event {i}: phase {ph!r} requires a name")
+
+
+def _is_time(value) -> bool:
+    # NaN fails the range test too; JSON (RFC 8259) has no NaN or Infinity
+    return isinstance(value, (int, float)) and 0 <= value < math.inf
+
+
+def _refuse_ts(i: int, ts):
+    raise ValueError(f"event {i}: bad ts {ts!r}")
+
+
+def _refuse_dur(i: int, dur):
+    raise ValueError(f"event {i}: 'X' needs a non-negative 'dur', got {dur!r}")
+
+
+def _refuse_unopened(i: int, key: tuple) -> None:
+    raise ValueError(f"event {i}: 'E' without open 'B' on {key}")
+
+
+def _check_ends(n_events: int, depths: dict) -> None:
+    """The rules on a whole document: it has events and closes every span."""
+    if not n_events:
+        raise ValueError("'traceEvents' must be a non-empty list")
+    open_lanes = {key: cell[0] for key, cell in depths.items() if cell[0]}
+    if open_lanes:
+        raise ValueError(f"unclosed spans at end of trace: {open_lanes}")
 
 
 # -- text form ------------------------------------------------------------------------
@@ -145,9 +212,9 @@ _encode = json.JSONEncoder(separators=(",", ":")).encode
 _CHUNK_EVENTS = 2048
 
 
-class _Literals(dict):
-    """JSON literal of each distinct name/cat/lane (and span duration), encoded
-    on first sight — a run repeats a few hundred of them over its event list."""
+class _Durations(dict):
+    """JSON literal of each distinct positive span duration, encoded on first
+    sight — the NIC's frames of one size all take one time."""
 
     def __missing__(self, value):
         literal = self[value] = _encode(value)
@@ -167,63 +234,114 @@ class _ArgTemplates(dict):
         return template
 
 
-def _chunks(rows: Iterable):
-    """The text of the document whose events are ``rows``, a few thousand
-    events per chunk.  Key order and number forms are those of
-    ``json.dumps(chrome_trace(...), separators=(",", ":"))``: a finite float
-    is its ``repr``, flat integer ``args`` fill a memoised template; ``inf``/
-    ``nan``, other ``args`` and every string go through the encoder itself."""
-    lit, durs, templates = _Literals(), _Literals(), _ArgTemplates()
-    encode, float_repr, inf = _encode, float.__repr__, float("inf")
-    yield '{"traceEvents":['
-    sep = ""
+def _head_text(ph, pid, tid, cat, name) -> str:
+    """The text of an event of this head up to its ``ts`` value."""
+    encode = _encode
+    if ph == "E":
+        return f'{{"ph":"E","cat":{encode(cat)},"pid":{encode(pid)},"tid":{tid},"ts":'
+    if ph == "X" or ph == "B" or ph == "i":
+        return (f'{{"ph":"{ph}","name":{encode(name)},"cat":{encode(cat)},'
+                f'"pid":{encode(pid)},"tid":{tid},"ts":')
+    # "C", a recorded "M", and (unchecked) any other phase: the counter's shape
+    return f'{{"ph":{encode(ph)},"name":{encode(name)},"pid":{encode(pid)},"tid":{tid},"ts":'
+
+
+def _text(events: Iterable, checked: bool):
+    """The document of ``events`` as text, a few thousand events per chunk, in
+    one pass; ``checked`` keeps the rules as it goes (the writer's mode).
+
+    A row's head, ``(ph, pid, lane, cat, name)``, fixes everything but its
+    ``ts``, ``dur``, ``args`` and ``B``/``E`` depth: the text before
+    ``"ts":``, the tid, the metadata rows that introduce a new lane and the
+    head rules.  So each head is built (and checked) on its first row and
+    looked up for every later one; per row, only the four are formatted and
+    checked.  Key order and number forms are those of ``json.dumps(
+    chrome_trace(...), separators=(",", ":"))``: a finite float is its
+    ``repr``, flat integer ``args`` fill a memoised template, other ``args``
+    and every string go through the encoder.  Unchecked, a time the rules
+    refuse (negative, ``inf``, ``nan``) is spelled by the encoder as well.
+    """
+    encode, float_repr, inf = _encode, float.__repr__, math.inf
+    if checked:
+        bad_ts, bad_dur, unopened = _refuse_ts, _refuse_dur, _refuse_unopened
+    else:
+        def bad_ts(_i, value):
+            return encode(value)
+
+        bad_dur = bad_ts
+
+        def unopened(_i, _key):
+            return None
+
+    durs, templates, lanes = _Durations(), _ArgTemplates(), _Lanes()
+    heads: dict[tuple, tuple] = {}  # head -> (text before ts, depth cell, tid)
+    depths: dict[tuple, list] = {}  # (pid, tid) -> [open B count], in lane order
+    chunk = _CHUNK_EVENTS
+    n = 0  # index of the next document event
     buf: list[str] = []
-    for ph, ts, pid, tid, cat, name, args, dur in rows:
-        if ph == "M":
-            buf.append(
-                f'{{"ph":"M","name":"{name}","pid":{pid},"tid":{tid},"ts":0,'
-                f'"args":{{"name":{lit[args]}}}}}'
-            )
-        else:
-            ts = float_repr(ts) if -inf < ts < inf else encode(ts)
-            if ph == "E":
-                buf.append(
-                    f'{{"ph":"E","cat":{lit[cat]},"pid":{pid},"tid":{tid},"ts":{ts}}}'
-                )
-            elif ph == "C":
-                buf.append(
-                    f'{{"ph":"C","name":{lit[name]},"pid":{pid},"tid":{tid},'
-                    f'"ts":{ts},"args":{{"value":{encode(args)}}}}}'
-                )
-            else:  # "X", "B", "i": optional args close the object
-                tail = "}"
-                if args:
-                    template = None
-                    if type(args) is dict:
-                        values = tuple(args.values())
-                        template = templates[(*args, *map(type, values))]
-                    text = encode(args) if template is None else template % values
-                    tail = f',"args":{text}}}'
-                if ph == "X":
-                    dur = durs[dur] if dur > 0 else encode(dur)  # -0.0 == 0.0
-                    buf.append(
-                        f'{{"ph":"X","name":{lit[name]},"cat":{lit[cat]},"pid":{pid},'
-                        f'"tid":{tid},"ts":{ts},"dur":{dur}{tail}'
-                    )
-                elif ph == "B":
-                    buf.append(
-                        f'{{"ph":"B","name":{lit[name]},"cat":{lit[cat]},'
-                        f'"pid":{pid},"tid":{tid},"ts":{ts}{tail}'
-                    )
+    append = buf.append
+    sep = ""
+    yield '{"traceEvents":['
+    for ph, t, pid, lane, cat, name, args, end in events:
+        head = heads.get((ph, pid, lane, cat, name))
+        if head is None:
+            tid = lanes.get((pid, lane))
+            if tid is None:
+                tid, meta = lanes.open(pid, lane)
+                for what, mpid, mtid, label in meta:
+                    if checked:
+                        _check_head(n, "M", mpid, mtid, what)
+                    depths.setdefault((mpid, mtid), [0])
+                    append(f'{{"ph":"M","name":"{what}","pid":{encode(mpid)},'
+                           f'"tid":{mtid},"ts":0,"args":{{"name":{encode(label)}}}}}')
+                    n += 1
+            if checked:
+                _check_head(n, ph, pid, tid, name)
+            head = heads[ph, pid, lane, cat, name] = (
+                _head_text(ph, pid, tid, cat, name), depths[pid, tid], tid)
+        text, depth, tid = head
+        ts = t * 1e6
+        ts = float_repr(ts) if 0.0 <= ts < inf else bad_ts(n, ts)
+        if ph == "X" or ph == "B" or ph == "i":
+            tail = "}"
+            if args:
+                template = None
+                if type(args) is dict:
+                    values = tuple(args.values())
+                    template = templates[(*args, *map(type, values))]
+                tail = f',"args":{encode(args) if template is None else template % values}}}'
+            if ph == "X":
+                if end is None:
+                    dur = bad_dur(n, None)
                 else:
-                    buf.append(
-                        f'{{"ph":"i","name":{lit[name]},"cat":{lit[cat]},'
-                        f'"pid":{pid},"tid":{tid},"ts":{ts},"s":"t"{tail}'
-                    )
-        if len(buf) >= _CHUNK_EVENTS:
-            yield sep + ",".join(buf)
+                    dur = (end - t) * 1e6
+                    if 0.0 < dur < inf:
+                        dur = durs[dur]
+                    elif dur == 0.0:  # -0.0 == 0.0 as a key: spelled per row
+                        dur = float_repr(dur)
+                    else:
+                        dur = bad_dur(n, dur)
+                append(f'{text}{ts},"dur":{dur}{tail}')
+            elif ph == "B":
+                depth[0] += 1
+                append(f"{text}{ts}{tail}")
+            else:
+                append(f'{text}{ts},"s":"t"{tail}')
+        elif ph == "E":
+            if depth[0] <= 0:
+                unopened(n, (pid, tid))
+            depth[0] -= 1
+            append(f"{text}{ts}}}")
+        else:
+            key = "name" if ph == "M" else "value"
+            append(f'{text}{ts},"args":{{"{key}":{encode(args)}}}}}')
+        n += 1
+        while len(buf) >= chunk:  # a new lane's metadata rows can overfill it
+            yield sep + ",".join(buf[:chunk])
             sep = ","
-            buf = []
+            del buf[:chunk]
+    if checked:
+        _check_ends(n, depths)
     if buf:
         yield sep + ",".join(buf)
     yield '],"displayTimeUnit":"ms"}\n'
@@ -236,30 +354,26 @@ def iter_chrome_trace(trace: "EventTracer | Iterable"):
     ``json.dumps(chrome_trace(trace), separators=(",", ":")) + "\\n"``
     — what the writers put on disk — but neither the document dict nor its
     full text ever exists: events stream from the tracer's storage to the
-    consumer, as :func:`iter_jsonl_lines` does for the JSONL form.
+    consumer, as :func:`iter_jsonl_lines` does for the JSONL form.  Nothing is
+    checked here (:func:`write_chrome_trace` checks as it writes).
     """
-    return _chunks(_rows(_events_of(trace)))
+    return _text(_events_of(trace), checked=False)
 
 
-def _write_checked(rows: Iterable, path: str) -> None:
-    """Write the document of ``rows`` to ``path``, schema-checking it in the
-    same pass.  A document that fails raises ``ValueError`` and leaves
-    nothing at ``path``: the text goes to a sibling temp file that replaces
-    ``path`` only once complete."""
+@gc_paused()
+def write_chrome_trace(trace: "EventTracer | Iterable", path: str) -> None:
+    """Stream the trace to ``path``, keeping :func:`validate_chrome_trace`'s
+    rules in the same pass.  A document that breaks one raises ``ValueError``
+    and leaves nothing at ``path``: the text goes to a sibling temp file that
+    replaces ``path`` only once complete."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w") as fh:
-            fh.writelines(_chunks(_checked(rows, {})))
+            fh.writelines(_text(_events_of(trace), checked=True))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-
-
-def write_chrome_trace(trace: "EventTracer | Iterable", path: str) -> None:
-    """Stream the trace to ``path``; ``ValueError`` (and no file) if the
-    document would fail :func:`validate_chrome_trace`."""
-    _write_checked(_rows(_events_of(trace)), path)
 
 
 def iter_jsonl_lines(trace: "EventTracer | Iterable"):
@@ -286,6 +400,7 @@ def iter_jsonl_lines(trace: "EventTracer | Iterable"):
         ) + "\n"
 
 
+@gc_paused()
 def write_jsonl(trace: "EventTracer | Iterable", fh_or_path: "IO[str] | str") -> None:
     """Flat one-object-per-line event log (easy to grep/pandas).
 
@@ -325,80 +440,45 @@ def flame_summary(trace: "EventTracer | Iterable", width: int = 40) -> str:
     return "\n".join(lines)
 
 
-def _checked(rows: Iterable, summary: dict):
-    """Pass :func:`_rows`-shaped ``rows`` through, schema-checking each.
-
-    Raises ``ValueError`` at the first row with a bad field (``X``: ``dur`` not
-    >= 0) or an ``E`` that closes nothing and, once ``rows`` is exhausted, if it
-    was empty or a span is still open; otherwise fills ``summary`` with the
-    event/span/process counts.  A generator so a writer checks as it writes.
-    """
-    stacks: dict[tuple[int, int], int] = {}
-    spans = 0
-    pids: set[int] = set()
-    i = -1
-    for i, row in enumerate(rows):
-        ph, ts, pid, tid, _cat, name, _args, dur = row
-        if ph not in _PHASES:
-            raise ValueError(f"event {i}: bad phase {ph!r}")
-        if not isinstance(pid, int):
-            raise ValueError(f"event {i}: missing/non-int 'pid'")
-        if not isinstance(tid, int):
-            raise ValueError(f"event {i}: missing/non-int 'tid'")
-        if not isinstance(ts, (int, float)) or ts < 0:
-            raise ValueError(f"event {i}: bad ts {ts!r}")
-        if ph != "E" and not name:
-            raise ValueError(f"event {i}: phase {ph!r} requires a name")
-        pids.add(pid)
-        if ph == "X":
-            if not isinstance(dur, (int, float)) or not dur >= 0:
-                raise ValueError(
-                    f"event {i}: 'X' needs a non-negative 'dur', got {dur!r}")
-            spans += 1
-        elif ph == "B":
-            key = (pid, tid)
-            stacks[key] = stacks.get(key, 0) + 1
-            spans += 1
-        elif ph == "E":
-            key = (pid, tid)
-            depth = stacks.get(key, 0)
-            if depth <= 0:
-                raise ValueError(f"event {i}: 'E' without open 'B' on {key}")
-            stacks[key] = depth - 1
-        yield row
-    if i < 0:
-        raise ValueError("'traceEvents' must be a non-empty list")
-    open_lanes = {k: d for k, d in stacks.items() if d}
-    if open_lanes:
-        raise ValueError(f"unclosed spans at end of trace: {open_lanes}")
-    summary.update(events=i + 1, spans=spans, processes=len(pids))
-
-
-def _doc_rows(events: list):
-    """A loaded document's event objects in the shape :func:`_rows` yields."""
-    for i, ev in enumerate(events):
-        if not isinstance(ev, dict):
-            raise ValueError(f"event {i}: not an object")
-        get = ev.get
-        yield (get("ph"), get("ts"), get("pid"), get("tid"), None, get("name"), None,
-               get("dur"))
-
-
 def validate_chrome_trace(doc: Mapping) -> dict:
     """Schema-check a Chrome trace-event document; raise ValueError if bad.
 
-    Verifies the envelope, per-event required fields (``dur`` >= 0 on ``X``),
-    and that every ``B``/``E`` pair balances per ``(pid, tid)`` lane.  Returns a
-    small summary dict (event/span/process counts) for smoke-test output.  The
-    writers run the same per-event checks while they stream, so a file
-    :func:`write_chrome_trace` produced has already passed.
+    Verifies the envelope, per-event required fields (``ts`` and an ``X``
+    row's ``dur`` finite and >= 0), and that every ``B``/``E`` pair balances
+    per ``(pid, tid)`` lane.  Returns a small summary dict (event/span/process
+    counts) for smoke-test output.  The writer keeps the same rules while it
+    streams, so a file :func:`write_chrome_trace` produced has already passed.
     """
     if not isinstance(doc, Mapping) or "traceEvents" not in doc:
         raise ValueError("not a Chrome trace: missing 'traceEvents'")
     events = doc["traceEvents"]
     if not isinstance(events, list):
         raise ValueError("'traceEvents' must be a non-empty list")
-    summary: dict = {}
-    for _ in _checked(_doc_rows(events), summary):
-        pass
-    return summary
+    depths: dict[tuple, list] = {}  # (pid, tid) -> [open B count], first sight
+    spans = 0
+    pids: set = set()
+    for i, ev in enumerate(events):
+        if not isinstance(ev, dict):
+            raise ValueError(f"event {i}: not an object")
+        get = ev.get
+        ph, pid, tid = get("ph"), get("pid"), get("tid")
+        _check_head(i, ph, pid, tid, get("name"))
+        ts = get("ts")
+        if not _is_time(ts):
+            _refuse_ts(i, ts)
+        depth = depths.setdefault((pid, tid), [0])
+        if ph == "X":
+            dur = get("dur")
+            if not _is_time(dur):
+                _refuse_dur(i, dur)
+            spans += 1
+        elif ph == "B":
+            depth[0] += 1
+            spans += 1
+        elif ph == "E":
+            if depth[0] <= 0:
+                _refuse_unopened(i, (pid, tid))
+            depth[0] -= 1
+        pids.add(pid)
+    _check_ends(len(events), depths)
+    return {"events": len(events), "spans": spans, "processes": len(pids)}

@@ -24,6 +24,8 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable, Optional
 
+from repro.obs.gcpause import gc_paused
+
 __all__ = ["Histogram", "Metrics", "format_contention"]
 
 # the app-lane wait spans whose extents are the wait histograms
@@ -123,6 +125,7 @@ class Metrics:
             h = self.histograms[k] = Histogram()
         h.observe(value)
 
+    @gc_paused()
     def fold(self, rows: Iterable[tuple]) -> "Metrics":
         """Fold a run's tracer rows into this registry (returns it): the
         ``app``-lane wait spans (an acquire span's ``B`` args are its labels)

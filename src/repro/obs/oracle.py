@@ -72,6 +72,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
+from repro.obs.gcpause import gc_paused
+
 __all__ = [
     "AccessRecorder",
     "Finding",
@@ -282,6 +284,7 @@ def format_oracle_report(report: OracleReport) -> str:
 # -- the checker ------------------------------------------------------------------
 
 
+@gc_paused()
 def check_history(
     history: "AccessRecorder | Iterable[tuple]",
     nprocs: int,

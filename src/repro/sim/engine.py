@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -52,6 +53,10 @@ __all__ = [
     "SimError",
     "PARK",
 ]
+
+# a delay or deadline must be below this: an event at infinity never runs, and a
+# run that drained one would end at ``now == inf``
+_INF = math.inf
 
 
 class SimError(RuntimeError):
@@ -82,7 +87,7 @@ class Timeout(Effect):
     __slots__ = ("delay", "value")
 
     def __init__(self, delay: float, value: Any = None):
-        if not delay >= 0:  # NaN too
+        if not 0 <= delay < _INF:  # NaN and inf too: a wait that never ends
             raise SimError(f"negative timeout: {delay!r}")
         self.delay = float(delay)
         self.value = value
@@ -326,7 +331,7 @@ class Simulator:
         addition) go on the ready deque instead of the heap; see the module
         docstring for why this preserves the ``(time, seq)`` order exactly.
         """
-        if not delay >= 0:  # NaN too
+        if not 0 <= delay < _INF:  # NaN and inf too: an event that never runs
             raise SimError(f"cannot schedule in the past (delay={delay!r})")
         t = self.now + delay
         if t <= self.now:
@@ -351,7 +356,7 @@ class Simulator:
         as absolute times (rate-limited queues): converting to a delay and
         back through float addition would perturb the instant.
         """
-        if not t >= self.now:
+        if not self.now <= t < _INF:
             raise SimError(f"cannot schedule in the past (t={t!r} < now={self.now!r})")
         if t <= self.now:
             self._ready.append((fn, args))
@@ -374,7 +379,7 @@ class Simulator:
         all queue entries at the current instant, which is wrong for an event
         whose logical scheduling instant lies in the past.
         """
-        if not t >= self.now:
+        if not self.now <= t < _INF:
             raise SimError(f"cannot schedule in the past (t={t!r} < now={self.now!r})")
         self._qpush(self._heap, (t, tsched, cls, key, fn, args))
 
@@ -397,7 +402,7 @@ class Simulator:
         """
         t = self.now + delay
         timers = self._timers
-        if not t > self.now:
+        if not self.now < t < _INF:
             raise SimError(f"timer delay must be positive (delay={delay!r})")
         if timers and t < timers[-1][0]:
             raise SimError(

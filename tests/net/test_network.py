@@ -274,10 +274,11 @@ def test_compute_charges_simulated_time():
     assert out == [0.5, 1.5, 2.5]
 
 
-@pytest.mark.parametrize("seconds", [float("nan"), -1e-9, -5.0])
+@pytest.mark.parametrize("seconds", [float("nan"), -1e-9, -5.0, float("inf")])
 def test_compute_refuses_a_charge_that_is_not_a_duration(seconds):
-    """A NaN or negative charge is a caller's bug: refused, not charged as
-    zero.  A zero charge stays legal and takes no time."""
+    """A NaN, negative or infinite charge is a caller's bug: refused, not
+    charged as zero or as a wait that never ends.  A zero charge stays legal
+    and takes no time."""
     c = make_cluster()
 
     def proc():

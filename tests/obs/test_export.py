@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.apps import APPS
 from repro.apps.common import run_app
+from repro.faults import Episode, FaultPlan
 from repro.obs import (
     HOST_PID,
     EventTracer,
@@ -247,17 +248,64 @@ def test_writer_check_agrees_with_validator(tmp_path):
         [("X", 0.0, 0, "nic-rx", "rx", "", None, 1.0)],  # X needs a name
     ]
     for events in cases:
-        outcomes = []
-        for check in (
-            lambda: validate_chrome_trace(chrome_trace(events)),
-            lambda: write_chrome_trace(events, str(tmp_path / "t.json")),
-        ):
-            try:
-                check()
-                outcomes.append(None)
-            except ValueError as exc:
-                outcomes.append(str(exc))
+        outcomes = _verdicts(events, tmp_path / "t.json")
         assert outcomes[0] == outcomes[1], events
+    # JSON has no NaN or Infinity: a time that is not finite is refused by both
+    # (the metadata rows of pid 0 and lane "app" are events 0 and 1)
+    refused = [
+        ([("i", math.nan, 0, "app", "compute", "x", None, None)], "event 2: bad ts nan"),
+        ([("i", math.inf, 0, "app", "compute", "x", None, None)], "event 2: bad ts inf"),
+        ([("X", 0.0, 0, "app", "rx", "x", None, math.inf)],
+         "event 2: 'X' needs a non-negative 'dur', got inf"),
+    ]
+    out = tmp_path / "refused"
+    out.mkdir()
+    for events, message in refused:
+        assert _verdicts(events, out / "t.json") == [message, message], events
+    assert list(out.iterdir()) == []
+
+
+def _verdicts(events, path) -> list:
+    """``[validator's, writer's]`` verdict on ``events``: ``None`` for a
+    document that passes, else the ``ValueError`` message."""
+    outcomes = []
+    for check in (
+        lambda: validate_chrome_trace(chrome_trace(events)),
+        lambda: write_chrome_trace(events, str(path)),
+    ):
+        try:
+            check()
+            outcomes.append(None)
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+# the byte-identity property's rows, plus a recorded "M" row and an unknown phase
+_any_phase_events = st.lists(
+    st.tuples(st.sampled_from("BEXiCMZ"), _times, _pids, _text,
+              st.none() | _text, st.none() | _text, _args, _times)
+    .map(lambda row: row if row[0] == "X" else (*row[:7], None)),
+    max_size=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(events=_any_phase_events)
+def test_writer_and_validator_agree_on_any_trace(events, tmp_path_factory):
+    """The writer keeps the validator's rules in one pass with one memo entry
+    per row head, yet gives the same verdict and message on every document —
+    the hostile ones of the byte-identity property included — and a file it
+    writes is the canonical text of the document."""
+    path = tmp_path_factory.mktemp("agree") / "t.json"
+    validator, writer = _verdicts(events, path)
+    assert writer == validator
+    want = _canonical(chrome_trace(events))
+    assert "".join(iter_chrome_trace(events)) == want
+    if writer is None:
+        assert path.read_text() == want
+    else:
+        assert not path.exists()
 
 
 def test_jsonl_roundtrip():
@@ -345,6 +393,14 @@ def test_validator_rejects_bad_documents():
     for bad in (complete, {**complete, "dur": -1e-9}, {**complete, "dur": "1"}):
         with pytest.raises(ValueError, match="event 0: 'X' needs a non-negative 'dur'"):
             validate_chrome_trace({"traceEvents": [bad]})
+    # JSON (RFC 8259) has no NaN or Infinity, and Perfetto refuses them
+    instant = {"ph": "i", "name": "x", "pid": 0, "tid": 0, "ts": 0.0}
+    assert validate_chrome_trace({"traceEvents": [instant]})["events"] == 1
+    for ts in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"event 0: bad ts {ts!r}"):
+            validate_chrome_trace({"traceEvents": [{**instant, "ts": ts}]})
+    with pytest.raises(ValueError, match="event 0: 'X' needs a non-negative 'dur', got inf"):
+        validate_chrome_trace({"traceEvents": [{**complete, "dur": math.inf}]})
 
 
 def test_row_of_the_wrong_width_is_refused_by_index(tmp_path):
@@ -368,3 +424,75 @@ def test_row_of_the_wrong_width_is_refused_by_index(tmp_path):
         with pytest.raises(ValueError, match="event 2: expected 8 fields .* got 7"):
             export_it()
     assert list(tmp_path.iterdir()) == []
+
+
+# -- the one-pass writer on real traces -----------------------------------------------
+
+CHAOS = FaultPlan((
+    Episode(kind="loss", drop_prob=0.02),
+    Episode(kind="duplicate", dup_prob=0.05),
+    Episode(kind="reorder", reorder_prob=0.1, reorder_delay=1e-3),
+    Episode(kind="pause", node=1, start=0.0, end=0.02),
+), seed=7)
+
+# cell -> (app, protocol, nprocs, plan, (ph, lane prefix, cat) shapes it must hold)
+REAL_TRACES = {
+    "is_vc_sd_4_chaos": ("is", "vc_sd", 4, CHAOS, {
+        ("i", "transport", "tx"), ("i", "faults", "fault"), ("C", "counters", None),
+        ("B", "app", "run"), ("B", "app", "page-fault"), ("X", "nic-tx", "tx"),
+        ("X", "nic-rx", "rx"), ("X", "dispatch", "handler"), ("i", "app", "piggyback"),
+    }),
+    "is_vc_d_4_chaos": ("is", "vc_d", 4, CHAOS, {
+        ("B", "fetch-", "diff-wait"), ("i", "fetch-", "diff"), ("i", "faults", "fault"),
+    }),
+    "nn_mpi_4": ("nn", "mpi", 4, None, {("B", "app", "recv-wait")}),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(REAL_TRACES))
+def real_trace(request):
+    app, protocol, nprocs, plan, shapes = REAL_TRACES[request.param]
+    tracer = EventTracer()
+    run_app(APPS[app], protocol, nprocs, tracer=tracer, faults=plan)
+    return tracer, shapes
+
+
+def _refusal(events, path) -> str:
+    with pytest.raises(ValueError) as excinfo:
+        write_chrome_trace(events, str(path))
+    assert not path.exists()
+    return str(excinfo.value)
+
+
+def test_one_pass_writer_on_real_traces(real_trace, tmp_path):
+    """Every row shape a run records (rexmit, drop and fault instants,
+    counters, nested app and fetch B/E spans, NIC and dispatch X spans,
+    recv-wait): the file is the canonical text of the document, and a bad
+    row on a head the writer has already memoised is refused with the
+    validator's message at the validator's event index."""
+    tracer, shapes = real_trace
+    rows = tracer.events
+    seen = {(ph, lane, cat) for ph, _t, _pid, lane, cat, *_ in rows}
+    for ph, lane, cat in shapes:
+        assert any(s[0] == ph and s[1].startswith(lane) and s[2] == cat for s in seen)
+    path = tmp_path / "t.json"
+    write_chrome_trace(tracer, str(path))
+    assert path.read_text() == _canonical(chrome_trace(tracer))
+    n_doc = len(chrome_trace(tracer)["traceEvents"])  # the bad row's index
+
+    # a second X on a known NIC head that ends before it starts
+    nic = next(row for row in rows if row[0] == "X" and row[3] == "nic-rx")
+    backwards = (*nic[:7], nic[1] - 1e-6)
+    dur = (backwards[7] - backwards[1]) * 1e6
+    message = _refusal(rows + [backwards], tmp_path / "b.json")
+    assert message == f"event {n_doc}: 'X' needs a non-negative 'dur', got {dur!r}"
+    assert message == _verdicts(rows + [backwards], tmp_path / "b.json")[0]
+
+    # an E on a lane back at depth 0 after its earlier, balanced pairs
+    close = next(row for row in reversed(rows) if row[0] == "E" and row[3] == "app")
+    extra = (*close[:1], close[1] + 1.0, *close[2:])
+    doc = chrome_trace(rows + [extra])["traceEvents"]
+    key = (doc[-1]["pid"], doc[-1]["tid"])
+    message = _refusal(rows + [extra], tmp_path / "e.json")
+    assert message == f"event {n_doc}: 'E' without open 'B' on {key}"
+    assert message == _verdicts(rows + [extra], tmp_path / "e.json")[0]

@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event kernel."""
 
+import math
 import random
 
 import pytest
@@ -45,6 +46,24 @@ def test_negative_timeout_rejected():
     for delay in (-1.0, float("nan")):
         with pytest.raises(SimError):
             Timeout(delay)
+
+
+def test_infinite_timeout_rejected():
+    """A wait that never ends is refused where it is made, not drained into
+    a run that reports ``inf`` as its finishing time."""
+    with pytest.raises(SimError, match="negative timeout: inf"):
+        Timeout(math.inf)
+    sim = Simulator()
+
+    def proc():
+        yield Timeout(1.0)
+        yield Timeout(math.inf)
+
+    sim.spawn(proc())
+    with pytest.raises(SimError, match="died at t=1.0") as excinfo:
+        sim.run()
+    assert str(excinfo.value.__cause__) == "negative timeout: inf"
+    assert sim.now == 1.0
 
 
 def test_fifo_order_for_simultaneous_events():
@@ -251,6 +270,23 @@ def test_schedule_in_past_rejected():
     ):
         with pytest.raises(SimError):
             schedule()
+
+
+def test_schedule_at_infinity_rejected():
+    """An event at infinity never runs; a run that drained one would end at
+    ``now == inf``.  Every way in refuses it, with the past-schedule message."""
+    sim = Simulator()
+    inf = math.inf
+    for schedule, message in (
+        (lambda: sim.schedule(inf, lambda: None), "cannot schedule in the past"),
+        (lambda: sim.schedule_at(inf, lambda: None), "cannot schedule in the past"),
+        (lambda: sim.schedule_keyed(inf, 0.0, 1, 0, lambda: None),
+         "cannot schedule in the past"),
+        (lambda: sim.schedule_timer(inf, lambda: None), "timer delay must be positive"),
+    ):
+        with pytest.raises(SimError, match=message):
+            schedule()
+    assert sim.run() == 0.0 and sim.events_processed == 0
 
 
 def test_nested_yield_from_composition():
