@@ -1,14 +1,16 @@
 #!/usr/bin/env python
-"""Tuning a VOPP program with the view tracer (paper §1/§3.6).
+"""Tuning a VOPP program with its per-view metrics (paper §1/§3.6).
 
 VOPP's selling point is that the view structure gives the programmer a
 channel for performance tuning.  This example shows the workflow:
 
 1. write the obvious program — a shared histogram behind ONE view;
-2. run it under :class:`repro.tools.ViewTracer`, read the report:
-   the view is contended and every grant moves the whole histogram;
-3. apply the advice — split the histogram into sub-views acquired in a
-   staggered order — and measure the improvement.
+2. trace it and read the contention tables folded from the trace (what
+   ``repro run --metrics`` prints): the view's ``acquire_wait_seconds``
+   series shows every acquire waiting, its ``grant_bytes`` series every
+   grant moving the whole histogram;
+3. apply the §3.6 rule of thumb — split the histogram into sub-views
+   acquired in a staggered order — and measure the improvement.
 
 Run:  python examples/view_tuning.py
 """
@@ -16,7 +18,7 @@ Run:  python examples/view_tuning.py
 import numpy as np
 
 from repro.core import VoppSystem
-from repro.tools import ViewTracer
+from repro.obs import EventTracer, Metrics, format_contention
 
 NPROCS = 8
 BINS = 4096
@@ -32,7 +34,7 @@ def make_samples(rank: int) -> np.ndarray:
 def run_single_view():
     system = VoppSystem(NPROCS)
     hist = system.alloc_array("hist", BINS, dtype="int64", page_aligned=True)
-    tracer = ViewTracer.install(system)
+    system.sim.tracer = tracer = EventTracer()
 
     def body(rt):
         counts = np.bincount(make_samples(rt.rank), minlength=BINS)
@@ -76,7 +78,7 @@ def main() -> None:
     system1, tracer = run_single_view()
     print("Step 1+2: the naive single-view histogram, traced")
     print()
-    print(tracer.report())
+    print(format_contention(Metrics().fold(tracer.events)))
     print()
     system2 = run_split_views()
     t1, t2 = system1.stats.time, system2.stats.time

@@ -12,7 +12,8 @@ Layers, bottom-up:
 * :mod:`repro.mpi` — message-passing baseline
 * :mod:`repro.apps` — IS, Gauss, SOR, NN in both programming styles
 * :mod:`repro.bench` — the paper-table benchmark harness
-* :mod:`repro.tools` — view tracer and automatic view inference
+* :mod:`repro.obs` — observers over a run: event tracer, contention metrics
+  (``repro run --metrics`` is the per-view report), consistency oracle
 
 Quick start::
 

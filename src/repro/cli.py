@@ -12,7 +12,9 @@ Commands
       ``--jsonl-out`` export a Chrome trace / JSONL event log and
       ``--critical-path`` walks the causal critical path (each implies
       ``--trace``); see docs/observability.md.
-    * ``--metrics`` / ``--metrics-out`` fold contention metrics from the trace.
+    * ``--metrics`` / ``--metrics-out`` fold contention metrics from the
+      trace; this is the per-view report (acquire waits by view and mode,
+      bytes per grant by view) beside the per-page diff tables.
     * ``--check-consistency`` records the access history and machine-checks
       it against the protocol family's memory model (the consistency oracle,
       :mod:`repro.obs.oracle`); exit code 4 when the oracle finds
@@ -194,20 +196,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     """The one run body; ``check`` and ``trace`` are presets of its flags."""
     if _mpi_unsupported(args.app, (args.protocol,)):
         return 2
-    if args.trace_views and args.protocol not in ("vc_d", "vc_sd"):
-        print(
-            "error: --trace-views records VOPP view events; "
-            "use --protocol vc_d or vc_sd",
-            file=sys.stderr,
-        )
-        return 2
     from repro import obs
 
     tracer = metrics = oracle = host = None
     if args.trace or args.trace_out or args.jsonl_out or args.critical_path:
         tracer = obs.EventTracer()
     show_metrics = args.metrics or args.metrics_out
-    if show_metrics or args.trace_views:  # the view report reads the metrics
+    if show_metrics:
         metrics = obs.Metrics()
     if args.check_consistency or args.findings_out:
         oracle = obs.AccessRecorder()
@@ -256,11 +251,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.metrics_out:
             metrics.write_json(args.metrics_out)
             print(f"wrote metrics snapshot to {args.metrics_out}")
-    if args.trace_views:
-        from repro.tools.tracer import ViewTracer
-
-        print()
-        print(ViewTracer(metrics).report())
     if host is not None:
         print()
         print(obs.format_host_breakdown(obs.host_breakdown(host)))
@@ -540,11 +530,23 @@ def _cmd_list(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """``type=`` of every count flag (ranks, workers, plans): an int >= 1, so
+    argparse refuses anything else with a usage message and exit code 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_cell_flags(p: argparse.ArgumentParser, nprocs: int) -> None:
     """The five flags naming one cell (``run``/``check``/``trace``/``profile``)."""
     p.add_argument("app", choices=sorted(APPS))
     p.add_argument("--protocol", default="vc_sd", choices=[*sorted(PROTOCOLS), "mpi"])
-    p.add_argument("--nprocs", type=int, default=nprocs)
+    p.add_argument("--nprocs", type=_count, default=nprocs)
     p.add_argument("--variant", default="default")
     p.add_argument("--no-verify", action="store_true")
 
@@ -569,12 +571,10 @@ def _add_run_command(sub, name: str, help: str, nprocs: int = 16, **preset) -> N
     p.add_argument("--critical-path", action="store_true",
                    help="walk the causal critical path and print its "
                    "per-category attribution and wait slack (implies --trace)")
-    p.add_argument("--trace-views", action="store_true",
-                   help="print per-view access profiles read from the metrics "
-                   "folded from the run's trace, with the paper-§3.6 "
-                   "partitioning advice (VC protocols only)")
     p.add_argument("--metrics", action="store_true",
-                   help="print per-view/per-page contention tables folded from the trace")
+                   help="print the per-view report (acquire_wait_seconds by "
+                   "view and mode, grant_bytes by view) and the per-page "
+                   "contention tables, folded from the trace")
     p.add_argument("--metrics-out", default=None, metavar="PATH",
                    help="write the metrics snapshot as JSON (implies --metrics)")
     p.add_argument("--check-consistency", action="store_true",
@@ -676,9 +676,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--protocols", nargs="+", default=["lrc_d", "vc_sd"],
         choices=[*sorted(PROTOCOLS), "mpi"],
     )
-    p_sweep.add_argument("--procs", nargs="+", type=int, default=[2, 4, 8, 16])
+    p_sweep.add_argument("--procs", nargs="+", type=_count, default=[2, 4, 8, 16])
     p_sweep.add_argument(
-        "--jobs", type=int, default=None,
+        "--jobs", type=_count, default=None,
         help="worker processes (default: CPU count)",
     )
     p_sweep.add_argument("--no-cache", action="store_true",
@@ -716,14 +716,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_adv.add_argument("app", nargs="?", default="is", choices=sorted(APPS))
     p_adv.add_argument("--protocol", default="vc_d", choices=sorted(PROTOCOLS),
                        help="protocol under attack (single-cell mode)")
-    p_adv.add_argument("--nprocs", type=int, default=8)
-    p_adv.add_argument("--budget", type=int, default=24, metavar="N",
+    p_adv.add_argument("--nprocs", type=_count, default=8)
+    p_adv.add_argument("--budget", type=_count, default=24, metavar="N",
                        help="distinct fault plans to evaluate in the search "
                        "(shrinking runs extra evaluations afterwards)")
     p_adv.add_argument("--seed", type=int, default=11,
                        help="search seed; fixed seed + budget reproduces the "
                        "result bit-identically")
-    p_adv.add_argument("--population", type=int, default=6,
+    p_adv.add_argument("--population", type=_count, default=6,
                        help="evolutionary population size")
     p_adv.add_argument("--no-shrink", action="store_true",
                        help="skip the delta-debugging shrink of the winner")

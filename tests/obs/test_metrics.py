@@ -6,7 +6,31 @@ import pytest
 
 from repro.apps import APPS
 from repro.apps.common import run_app
-from repro.obs import Histogram, Metrics, format_contention
+from repro.core import VoppSystem
+from repro.obs import EventTracer, Histogram, Metrics, format_contention
+
+
+def fold_vopp_run(nprocs, body_of):
+    """Run a VOPP program over one page-aligned array, traced; return the
+    metrics folded from its rows."""
+    system = VoppSystem(nprocs)
+    arr = system.alloc_array("shared", 64, dtype="int64", page_aligned=True)
+    system.sim.tracer = tracer = EventTracer()
+    system.run_program(body_of(arr))
+    return Metrics().fold(tracer.events)
+
+
+def contended(arr, rounds=6):
+    """Every rank takes view 0 exclusively ``rounds`` times, holding it."""
+    def body(rt):
+        for _ in range(rounds):
+            yield from rt.acquire_view(0)
+            cur = yield from arr.read(rt, 0, 1)
+            yield from arr.write(rt, 0, [cur[0] + 1])
+            yield from rt.compute(0.002)
+            yield from rt.release_view(0)
+        yield from rt.barrier()
+    return body
 
 
 def test_counters_and_gauges_are_label_keyed():
@@ -102,3 +126,38 @@ def test_unmetered_run_records_nothing():
     sentinel = Metrics()
     run_app(APPS["sor"], "vc_sd", 2)
     assert not sentinel.counters and not sentinel.histograms
+
+
+def test_fold_keeps_exclusive_and_read_acquires_apart():
+    """One ``mode=w`` and one ``mode=r`` series per view, each counting its
+    own acquires."""
+    def body_of(arr):
+        def body(rt):
+            if rt.rank == 0:
+                yield from rt.acquire_view(0)
+                yield from arr.write(rt, 0, list(range(8)))
+                yield from rt.release_view(0)
+            yield from rt.barrier()
+            yield from rt.acquire_Rview(0)
+            yield from arr.read(rt)
+            yield from rt.release_Rview(0)
+            yield from rt.barrier()
+        return body
+
+    m = fold_vopp_run(3, body_of)
+    assert m.histogram("acquire_wait_seconds", view=0, mode="w").count == 1
+    assert m.histogram("acquire_wait_seconds", view=0, mode="r").count == 3
+
+
+def test_fold_records_grant_bytes_per_grant():
+    m = fold_vopp_run(4, contended)
+    waits = m.histogram("acquire_wait_seconds", view=0, mode="w")
+    assert waits.count == 4 * 6 and waits.sum > 0 and waits.max >= waits.mean
+    assert m.histogram("acquire_wait_seconds", view=0, mode="r") is None
+    assert m.histogram("grant_bytes", view=0).count == 4 * 6
+
+
+def test_fold_is_deterministic_across_runs():
+    a, b = fold_vopp_run(4, contended), fold_vopp_run(4, contended)
+    assert a.snapshot() == b.snapshot()
+    assert format_contention(a) == format_contention(b)

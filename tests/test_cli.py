@@ -234,22 +234,6 @@ def test_run_with_trace_flag(capsys):
     assert "Breakdown" in out
 
 
-def test_run_with_trace_views(capsys):
-    assert main([
-        "run", "is", "--protocol", "vc_d", "--nprocs", "2", "--trace-views",
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "View access report" in out
-    assert "§3.6" in out
-
-
-def test_run_trace_views_needs_vc(capsys):
-    assert main([
-        "run", "is", "--protocol", "lrc_d", "--nprocs", "2", "--trace-views",
-    ]) == 2
-    assert "vc_d or vc_sd" in capsys.readouterr().err
-
-
 def test_sweep_faults_runs_degradation_grid(capsys, tmp_path):
     import json
 
@@ -343,6 +327,28 @@ def test_invalid_app_rejected():
 def test_invalid_table_rejected():
     with pytest.raises(SystemExit):
         main(["table", "10"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "is", "--nprocs", "0"],
+    ["run", "is", "--nprocs", "-2"],
+    ["check", "is", "--nprocs", "0"],
+    ["trace", "is", "--nprocs", "0"],
+    ["profile", "is", "--nprocs", "0"],
+    ["sweep", "is", "--procs", "2", "0"],
+    ["sweep", "is", "--jobs", "0"],
+    ["adversary", "is", "--nprocs", "0"],
+    ["adversary", "is", "--budget", "0"],
+    ["adversary", "is", "--population", "0"],
+], ids="_".join)
+def test_count_below_one_is_a_usage_error(argv, capsys):
+    """Every count flag takes an int >= 1: a zero or negative count is
+    refused before anything runs, with a usage message and exit code 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "must be at least 1" in err
 
 
 def test_parser_has_all_commands():

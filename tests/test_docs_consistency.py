@@ -45,7 +45,6 @@ def test_examples_referenced_in_readme_exist():
             "stencil_border_views.py",
             "vopp_vs_mpi.py",
             "view_tuning.py",
-            "auto_views.py",
         ):
             assert candidate.is_file() or not name.startswith("example"), name
     for example in (REPO / "examples").glob("*.py"):
@@ -65,12 +64,11 @@ def test_every_public_module_has_a_docstring():
 
     for module in (
         "repro", "repro.sim", "repro.net", "repro.memory", "repro.protocols",
-        "repro.core", "repro.mpi", "repro.apps", "repro.bench", "repro.tools",
+        "repro.core", "repro.mpi", "repro.apps", "repro.bench",
         "repro.cli", "repro.obs",
         "repro.sim.engine", "repro.net.transport", "repro.memory.diff",
         "repro.protocols.lrc", "repro.protocols.hlrc", "repro.protocols.vc",
         "repro.protocols.vc_sd", "repro.core.vopp", "repro.core.shared_array",
-        "repro.tools.tracer", "repro.tools.autoview",
         "repro.obs.tracer", "repro.obs.breakdown", "repro.obs.export",
         "repro.faults", "repro.faults.plan", "repro.faults.injector",
         "repro.faults.failure", "repro.bench.degradation",

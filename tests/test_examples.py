@@ -1,8 +1,8 @@
 """Every script under ``examples/`` runs to completion.
 
 They are the README's worked uses of the public API (systems, runtimes, the
-view tracer, view inference, ``run_app``); a refactor that breaks one breaks
-a documented call.  Each asserts its own results where it has any.
+per-view metrics folded from a trace, ``run_app``); a refactor that breaks
+one breaks a documented call.  Each asserts its own results where it has any.
 """
 
 import pathlib
@@ -14,7 +14,7 @@ EXAMPLES = sorted((pathlib.Path(__file__).parent.parent / "examples").glob("*.py
 
 
 def test_examples_are_discovered():
-    assert len(EXAMPLES) == 6
+    assert len(EXAMPLES) == 5
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
