@@ -48,14 +48,14 @@ class Node:
     """One simulated cluster node."""
 
     def __init__(self, sim: Simulator, node_id: int, netcfg: NetConfig, nodecfg: NodeConfig,
-                 stats: NetStats, ids: Iterator[int]):
+                 stats: NetStats, ids: Iterator[int], transports: list[Transport]):
         self.sim = sim
         self.id = node_id
         self.netcfg = netcfg
         self.cfg = nodecfg
         self.stats = stats
         self.nic = Nic(sim, node_id, netcfg, stats, self._on_frame)
-        self.transport = Transport(sim, node_id, self.nic, netcfg, stats, ids)
+        self.transport = Transport(sim, node_id, self.nic, netcfg, stats, ids, transports)
         self._handlers: dict[MessageKind, tuple[Handler, Optional[float]]] = {}
         self._backlog: deque[Message] = deque()  # arrived while a handler ran
         self._busy = False  # a handler of either form is running
@@ -232,12 +232,14 @@ class Cluster:
         self.node_stats = [NetStats() for _ in range(n)]
         self.switch = Switch(self.sim, self.netcfg, self.node_stats)
         ids = itertools.count()  # message ids belong to the run: 0, 1, ...
+        transports: list[Transport] = []  # the run's, by node id
         self.nodes = [
-            Node(self.sim, i, self.netcfg, self.nodecfg, self.node_stats[i], ids)
+            Node(self.sim, i, self.netcfg, self.nodecfg, self.node_stats[i], ids, transports)
             for i in range(n)
         ]
         for node in self.nodes:
             self.switch.register(node.nic)
+            transports.append(node.transport)
         self.run_time = 0.0  # simulated seconds the last run took
 
     @property

@@ -35,10 +35,19 @@ Duplicate-suppression state (``_seen_reliable``, ``_reply_cache``) is
 bounded: entries are evicted once they are older than the *duplicate
 horizon*, ``(max_retries + 2) * rexmit_timeout``, which keeps the
 at-most-once guarantee while holding table sizes proportional to in-flight
-traffic rather than run length.  The transport keeps the oldest stamp of
-either table and runs the eviction only on a receipt at which that stamp has
-expired — exactly the receipts at which a scan of both table fronts would
-delete something.
+traffic rather than run length.  The transport keeps a lower bound on the
+oldest stamp of either table and runs the eviction only on a receipt at
+which that bound has expired, so a receipt that finds nothing to evict
+costs one comparison.
+
+A cached reply is usually dropped long before the horizon.  When a reply
+answers a request that went on the wire once (``attempt == 0``) and no
+installed fault plan can duplicate frames, the server answered the only
+copy, so no copy can arrive again: the requester's transport pops the
+entry from the server's ``_reply_cache`` through the run's transport list.
+This is host-memory bookkeeping with no simulated counterpart (a real
+server would need an ack to learn it) and moves no event; a fault-free run
+ends with every reply cache empty.
 
 Statistics: original sends are counted in ``NetStats.num_msg``/``data_bytes``
 (replies too, acks not); every retransmission increments ``rexmit``.
@@ -139,16 +148,20 @@ class Transport:
     duplicate suppressions, reply matching) return ``None``, everything else
     is returned for protocol-level dispatch.  ``ids`` numbers the messages
     it creates; every transport of a cluster draws from the same one.
+    ``transports`` is the run's transport list, indexed by node id (filled
+    by the cluster once every node exists), through which an answered
+    request's cached reply is dropped at its server.
     """
 
     def __init__(self, sim: Simulator, node_id: int, nic: "Nic", cfg: "NetConfig",
-                 stats: "NetStats", ids: Iterator[int]):
+                 stats: "NetStats", ids: Iterator[int], transports: "Sequence[Transport]"):
         self.sim = sim
         self.node_id = node_id
         self.nic = nic
         self.cfg = cfg
         self.stats = stats
         self._ids = ids
+        self._transports = transports
         # msg_id -> record of every reliable send awaiting its ack and every
         # request awaiting its reply (a request's req_id is its msg_id)
         self._pending: dict[int, _Pending] = {}
@@ -159,7 +172,9 @@ class Transport:
         # (src, req_id) -> (time cached, reply); insertion order == time order
         self._reply_cache: dict[tuple[int, int], tuple[float, Message]] = {}
         self._requests_in_progress: set[tuple[int, int]] = set()
-        # the oldest stamp in either table (``inf`` while both are empty)
+        # a lower bound on the oldest stamp in either table (``inf`` when
+        # the last scan left both empty and nothing came since): a reply
+        # popped early leaves its stamp here until the next scan
         self._oldest = inf
         # a duplicate of a message first received at t can arrive no later
         # than t + the retry window (max_retries + 1 timeouts) plus delivery
@@ -303,6 +318,15 @@ class Transport:
         if tracer is not None:
             tracer.wake(self.node_id, self.sim.now, msg_id=cause)
         self.sim.cancel_timer(rec.timer)
+        msg = rec.msg
+        if not msg.need_ack and not msg.attempt:
+            faults = self.sim.faults
+            if faults is None or not faults.transfer_level:
+                # the server answered the only copy of this request, and no
+                # timer is left to send another: its cached reply is dead.
+                # It is still cached: the reply came back within one
+                # timeout of the request, well inside the horizon.
+                self._transports[msg.dst]._reply_cache.pop((self.node_id, msg_id))
         waiter = rec.waiter
         if not waiter.live():
             return  # a sibling request already failed the call
@@ -363,8 +387,9 @@ class Transport:
         Both tables are insertion-ordered dicts stamped with monotone
         simulated time, so expired entries sit at the front and the oldest
         stamp is a front's.  A receipt calls this only when that stamp is
-        older than ``now - _dup_horizon`` — when there is something to drop —
-        so a receipt that evicts nothing costs one comparison.
+        older than ``now - _dup_horizon``.  That stamp is a lower bound (an
+        early pop in :meth:`_answered` can remove the entry it came from),
+        so a call may delete nothing; it then only tightens the bound.
         """
         cutoff = now - self._dup_horizon
         oldest = inf

@@ -25,7 +25,7 @@ def gc_paused():
     Nested pauses are free: an inner one finds the collector off and leaves
     it off.
 
-    Why: a run's heap is acyclic and only grows (reply caches up to the
+    Why: a run's heap is acyclic and only grows (seen-sets up to the
     duplicate horizon, diff stores, trace rows), so generational collections
     re-walk it again and again and free nothing.  On IS/16 under VC_d, 751
     collections cost 0.6 s of 3.3 s of a run and reclaimed no object.  The
