@@ -25,8 +25,8 @@ Commands
       and ``--jsonl-out`` export its rows after the simulated ones, as the
       ``host`` process.
     * ``--faults PLAN.json`` installs a scripted
-      :class:`repro.faults.FaultPlan` and ``--drop-prob P`` seeded uniform
-      random loss; see docs/robustness.md.  ``--faults-out PATH`` dumps the
+      :class:`repro.faults.FaultPlan`, the one way to inject loss (a ``loss``
+      episode); see docs/robustness.md.  ``--faults-out PATH`` dumps the
       exact active plan before the run, so any failure leaves a one-command
       repro artifact behind.  A run that cannot complete — retry budget
       exhausted or a fail-stop crash episode — prints a one-screen
@@ -126,20 +126,12 @@ def _dump_faults_out(args: argparse.Namespace, plan) -> None:
 
 
 def _netcfg_override(args: argparse.Namespace):
-    """Build a NetConfig when --drop-prob / --drop-seed are given."""
-    if args.drop_prob is None and args.drop_seed is None:
+    """Build a NetConfig when --drop-seed is given."""
+    if args.drop_seed is None:
         return None
     from repro.net.config import NetConfig
 
-    kw = {}
-    if args.drop_prob is not None:
-        if not (0.0 <= args.drop_prob <= 1.0):
-            raise SystemExit(
-                f"error: --drop-prob must be in [0, 1], got {args.drop_prob}")
-        kw["random_drop_prob"] = args.drop_prob
-    if args.drop_seed is not None:
-        kw["drop_seed"] = args.drop_seed
-    return NetConfig(**kw)
+    return NetConfig(drop_seed=args.drop_seed)
 
 
 def _print_message_mix(net) -> None:
@@ -591,10 +583,8 @@ def _add_run_command(sub, name: str, help: str, nprocs: int = 16, **preset) -> N
     p.add_argument("--faults-out", default=None, metavar="PATH",
                    help="dump the exact active fault plan JSON before the "
                    "run (replayable with --faults PATH)")
-    p.add_argument("--drop-prob", type=float, default=None, metavar="P",
-                   help="seeded uniform random loss probability at the switch")
     p.add_argument("--drop-seed", type=int, default=None, metavar="SEED",
-                   help="seed for the random-loss / RED drop streams")
+                   help="seed for the RED drop stream")
     p.add_argument("--host-trace", action="store_true",
                    help="profile host wall-clock time (monotonic spans "
                    "around build/execute/extract/verify); print a host-time "

@@ -72,6 +72,9 @@ class FaultInjector:
         self.transfer_level = bool(
             self._loss or self._lat or self._dup or self._reorder
         )
+        # only a duplicate episode puts a second copy of a frame on the wire;
+        # the transport keeps answered replies cached while it may
+        self.duplicating = bool(self._dup)
         # counters mirrored into the final report even without a tracer
         self.injected = {"drop": 0, "duplicate": 0, "reorder": 0}
 

@@ -1,11 +1,12 @@
 """Declarative, seeded fault plans: a schedule of fault episodes over time.
 
 A :class:`FaultPlan` is the single scripted input describing *everything
-hostile* the network and nodes do to a run beyond the baseline model (the
-NIC's RED buffer overflow and ``NetConfig.random_drop_prob``).  Plans are
-plain data — JSON-serialisable, hashable into cache keys, and installed on a
-cluster through :class:`repro.faults.injector.FaultInjector` with the same
-None-default, zero-overhead contract as the tracer and the access recorder.
+hostile* the network and nodes do to a run beyond the baseline model's
+congestion loss (the NIC's buffer overflow and RED drops); uniform loss is
+a ``loss`` episode.  Plans are plain data — JSON-serialisable, hashable
+into cache keys, and installed on a cluster through
+:class:`repro.faults.injector.FaultInjector` with the same None-default,
+zero-overhead contract as the tracer and the access recorder.
 
 Episode kinds
 -------------

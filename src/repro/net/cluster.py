@@ -230,7 +230,7 @@ class Cluster:
         # stay attributable per node, and the merged by_kind key order does
         # not depend on how events of different nodes interleaved
         self.node_stats = [NetStats() for _ in range(n)]
-        self.switch = Switch(self.sim, self.netcfg, self.node_stats)
+        self.switch = Switch(self.sim, self.netcfg)
         ids = itertools.count()  # message ids belong to the run: 0, 1, ...
         transports: list[Transport] = []  # the run's, by node id
         self.nodes = [

@@ -51,10 +51,10 @@ class NetConfig:
         threshold to 1 at the hard limit (RED-style).  Bursts of *large*
         messages fill the buffer; the tiny VC barrier messages never do —
         the paper's "Rexmit" asymmetry between LRC_d and VC_d.
-    drop_seed / random_drop_prob:
-        Optional uniform random loss (seeded, deterministic; the probability
-        is in [0, 1], the seed >= 0).  Defaults to zero: loss in the default
-        model comes from buffer congestion only, controlled by the same seed.
+    drop_seed:
+        Seed (>= 0) of the RED drop stream, so congestion loss is
+        reproducible.  Loss in this model comes from buffer congestion only;
+        uniform loss is a ``loss`` episode of a :class:`repro.faults.FaultPlan`.
     rexmit_timeout:
         Retransmission timeout, seconds (> 0), the same after every copy.
         The paper observes ~1 s of waiting per retransmission.
@@ -71,7 +71,6 @@ class NetConfig:
     header_bytes: int = 42
     recv_buffer_bytes: int = 128 * 1024
     red_threshold_bytes: int = 80 * 1024
-    random_drop_prob: float = 0.0
     drop_seed: int = 12345
     rexmit_timeout: float = 1.0
     max_retries: int = 20
@@ -84,7 +83,6 @@ class NetConfig:
                  "red_threshold_bytes", "drop_seed", "max_retries", "ack_bytes")
         _require(self, "finite and >= 0", lambda v: 0 <= v < math.inf,
                  "send_overhead", "recv_overhead")
-        _require(self, "in [0, 1]", lambda v: 0 <= v <= 1, "random_drop_prob")
 
     def tx_time(self, payload_bytes: int) -> float:
         """Wire occupancy of a message of ``payload_bytes`` at link rate."""

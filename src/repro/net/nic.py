@@ -213,9 +213,9 @@ class Nic:
 class Switch:
     """Store-and-forward switch connecting all NICs.
 
-    The switch adds a fixed forwarding latency and optionally applies seeded
-    uniform random loss (off by default; buffer overflow at the receiving NIC
-    is the primary loss mechanism).
+    The switch adds a fixed forwarding latency and drops nothing itself:
+    loss comes from the receiving NIC's buffer (overflow and RED) or from an
+    installed fault plan.
 
     A frame handed over by its source NIC becomes one queue entry keyed
     ``(arrival, departure, 1, source * 2**40 + per-source frame number)`` (see
@@ -228,25 +228,19 @@ class Switch:
     catches on most cells of the benchmark matrix.
 
     Only a verdict that draws a *shared* random stream needs a place in
-    global event order: ``random_drop_prob > 0``, or a fault plan with
-    transfer-level episodes (loss, latency, reordering, duplication).  Such
-    runs — and only they — pay a **departure event** per frame, at which the
-    verdict is drawn.  The events are chained per source (frame k's schedules
-    frame k+1's), which gives each the key ``(departure, transmission start,
-    0, sequence number drawn at the start)`` of an event-driven TX queue's
-    completion, so the streams are consumed in that queue's order.
+    global event order: that of a fault plan with transfer-level episodes
+    (loss, latency, reordering, duplication).  Such runs — and only they —
+    pay a **departure event** per frame, at which the verdict is drawn.  The
+    events are chained per source (frame k's schedules frame k+1's), which
+    gives each the key ``(departure, transmission start, 0, sequence number
+    drawn at the start)`` of an event-driven TX queue's completion, so the
+    stream is consumed in that queue's order.
     """
 
-    def __init__(self, sim: Simulator, cfg: "NetConfig", node_stats: "list[NetStats]"):
+    def __init__(self, sim: Simulator, cfg: "NetConfig"):
         self.sim = sim
         self.cfg = cfg
-        # per-node stat shards, indexed by node id; the switch attributes its
-        # drops to the *sending* node (frames are handed over by the source NIC)
-        self.node_stats = node_stats
         self.ports: dict[int, Nic] = {}
-        # lazy for the same reason as Nic._rng: only drawn when
-        # random_drop_prob > 0, which the default model never sets
-        self._rng: "np.random.RandomState | None" = None
         # src -> [(departure time, frame key, msg), ...] awaiting their
         # departure events; stays empty unless verdicts are drawn
         self._departing: dict[int, deque] = defaultdict(deque)
@@ -259,8 +253,7 @@ class Switch:
         """Take ``msg`` from its source NIC, which it leaves at ``t_dep``;
         ``key`` is its canonical place among same-instant arrivals."""
         faults = self.sim.faults
-        if self.cfg.random_drop_prob > 0.0 or (
-                faults is not None and faults.transfer_level):
+        if faults is not None and faults.transfer_level:
             queue = self._departing[msg.src]
             queue.append((t_dep, key, msg))
             if len(queue) == 1:  # the TX side was idle: it starts now
@@ -279,28 +272,19 @@ class Switch:
             self.sim.schedule_at(queue[0][0], self._depart, queue)
 
     def _transfer(self, msg: "Message", t_dep: float, key: int) -> None:
-        cfg = self.cfg
-        if cfg.random_drop_prob > 0.0:
-            rng = self._rng
-            if rng is None:
-                rng = self._rng = np.random.RandomState(cfg.drop_seed)
-            if rng.random_sample() < cfg.random_drop_prob:
-                self.node_stats[msg.src].count_drop("random")
-                return
+        # scripted fault episodes: loss, extra latency / bounded reordering,
+        # duplication (see repro.faults.injector); departure events exist
+        # only under such a plan.  Only an actually *perturbed* delivery
+        # leaves the canonical order (its arrival time is the point).
+        verdict = self.sim.faults.on_transfer(msg)
+        if verdict is None:
+            return  # dropped; the injector counted and traced it
+        latency = self.cfg.switch_latency
         on_arrival = self.ports[msg.dst].on_arrival
-        faults = self.sim.faults
-        if faults is not None:
-            # scripted fault episodes: loss, extra latency / bounded
-            # reordering, duplication (see repro.faults.injector).  Only an
-            # actually *perturbed* delivery leaves the canonical order (its
-            # arrival time is the point).
-            verdict = faults.on_transfer(msg)
-            if verdict is None:
-                return  # dropped; the injector counted and traced it
-            extra, dup = verdict
-            if dup is not None:
-                self.sim.schedule(cfg.switch_latency + dup, on_arrival, msg.wire_copy())
-            if extra > 0.0:
-                self.sim.schedule(cfg.switch_latency + extra, on_arrival, msg)
-                return
-        self.sim.schedule_keyed(t_dep + cfg.switch_latency, t_dep, 1, key, on_arrival, msg)
+        extra, dup = verdict
+        if dup is not None:
+            self.sim.schedule(latency + dup, on_arrival, msg.wire_copy())
+        if extra > 0.0:
+            self.sim.schedule(latency + extra, on_arrival, msg)
+            return
+        self.sim.schedule_keyed(t_dep + latency, t_dep, 1, key, on_arrival, msg)

@@ -37,7 +37,7 @@ class NetStats:
     drops: int = 0
     # kind -> [count, bytes] (mutated in place on the send hot path)
     by_kind: dict = field(default_factory=dict)
-    # cause ("overflow" | "red" | "random" | "fault") -> count
+    # cause ("overflow" | "red" at the receiving NIC, "fault" from a plan) -> count
     drops_by_cause: dict = field(default_factory=dict)
     # kind -> count of retransmissions of that kind
     rexmit_by_kind: dict = field(default_factory=dict)

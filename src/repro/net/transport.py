@@ -42,12 +42,13 @@ costs one comparison.
 
 A cached reply is usually dropped long before the horizon.  When a reply
 answers a request that went on the wire once (``attempt == 0``) and no
-installed fault plan can duplicate frames, the server answered the only
-copy, so no copy can arrive again: the requester's transport pops the
-entry from the server's ``_reply_cache`` through the run's transport list.
-This is host-memory bookkeeping with no simulated counterpart (a real
-server would need an ack to learn it) and moves no event; a fault-free run
-ends with every reply cache empty.
+installed fault plan can duplicate frames (``FaultInjector.duplicating``;
+loss, latency and reordering never put a second copy on the wire), the
+server answered the only copy, so no copy can arrive again: the requester's
+transport pops the entry from the server's ``_reply_cache`` through the
+run's transport list.  This is host-memory bookkeeping with no simulated
+counterpart (a real server would need an ack to learn it) and moves no
+event; a fault-free run ends with every reply cache empty.
 
 Statistics: original sends are counted in ``NetStats.num_msg``/``data_bytes``
 (replies too, acks not); every retransmission increments ``rexmit``.
@@ -321,7 +322,7 @@ class Transport:
         msg = rec.msg
         if not msg.need_ack and not msg.attempt:
             faults = self.sim.faults
-            if faults is None or not faults.transfer_level:
+            if faults is None or not faults.duplicating:
                 # the server answered the only copy of this request, and no
                 # timer is left to send another: its cached reply is dead.
                 # It is still cached: the reply came back within one

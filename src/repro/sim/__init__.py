@@ -16,9 +16,9 @@ Each wait registers one wake-up, which resumes the process exactly once.
 Determinism: a network arrival is keyed by its frame's (source, departure
 number), so its place among same-instant events does not depend on the
 order other nodes' events ran in; every other tie breaks by scheduling
-order.  The only randomness comes from seeded streams (RED drops, random
-loss, the fault plan), so a given program produces bit-identical traces on
-every run.  The tie-permutation witness (``tests/sim/ties.py``) permutes
+order.  The only randomness comes from two seeded streams (RED drops and
+the fault plan), so a given program produces bit-identical traces on every
+run.  The tie-permutation witness (``tests/sim/ties.py``) permutes
 same-instant events of different nodes and demands the same bits.
 """
 

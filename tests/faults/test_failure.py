@@ -22,6 +22,13 @@ from repro.faults import (
 )
 
 
+def _blackout(tmp_path) -> str:
+    """A one-episode plan file dropping every switch transfer."""
+    path = tmp_path / "blackout.json"
+    FaultPlan((Episode(kind="loss", drop_prob=1.0),)).dump(str(path))
+    return str(path)
+
+
 def test_exit_code_is_pinned():
     # 0 = success, 2 = argparse/user error, 3 = structured run failure
     assert EXIT_RUN_FAILURE == 3
@@ -100,8 +107,8 @@ def test_format_failure_is_one_screen_and_informative():
 # -- CLI surface -----------------------------------------------------------------
 
 
-def test_cli_hostile_network_exits_3(capsys):
-    assert main(["run", "is", "--nprocs", "2", "--drop-prob", "1.0"]) == 3
+def test_cli_hostile_network_exits_3(capsys, tmp_path):
+    assert main(["run", "is", "--nprocs", "2", "--faults", _blackout(tmp_path)]) == 3
     captured = capsys.readouterr()
     assert "run failed: retry-exhausted" in captured.err
     assert "Traceback" not in captured.err
@@ -127,10 +134,36 @@ def test_cli_rejects_bad_plan_file(tmp_path, capsys):
     assert "unknown episode kind" in str(exc_info.value)
 
 
-def test_cli_rejects_out_of_range_drop_prob():
+def test_cli_rejects_out_of_range_drop_prob(tmp_path):
+    path = tmp_path / "over.json"
+    path.write_text('{"episodes": [{"kind": "loss", "drop_prob": 1.5}]}')
     with pytest.raises(SystemExit) as exc_info:
-        main(["run", "is", "--nprocs", "2", "--drop-prob", "1.5"])
-    assert "--drop-prob" in str(exc_info.value)
+        main(["run", "is", "--nprocs", "2", "--faults", str(path)])
+    assert "episodes[0].drop_prob" in str(exc_info.value)
+
+
+def test_cli_loss_abort_replays_from_its_dumped_plan(tmp_path, monkeypatch):
+    """Loss comes from a plan only, so the plan ``--faults-out`` writes
+    replays an abort exactly: same exit code, same failure record."""
+    import repro.cli
+
+    failures = []
+
+    def recording(failure):
+        failures.append(failure.to_json())
+        return format_failure(failure)
+
+    monkeypatch.setattr(repro.cli, "format_failure", recording)
+    out = str(tmp_path / "out.json")
+    assert main(["run", "is", "--nprocs", "2", "--faults", _blackout(tmp_path),
+                 "--faults-out", out]) == 3
+    assert main(["run", "is", "--nprocs", "2", "--faults", out]) == 3
+    first, replay = failures
+    assert first["reason"] == "retry-exhausted"
+    assert first["faults"]["episodes"] == [{"kind": "loss", "drop_prob": 1.0}]
+    assert first["net"]["drops_by_cause"]["fault"] > 0
+    for key in ("reason", "faults", "seeds", "net"):
+        assert replay[key] == first[key], key
 
 
 def test_cli_benign_plan_still_succeeds(capsys, tmp_path):
@@ -169,10 +202,12 @@ def test_failure_embeds_active_plan_and_seeds():
 def test_failure_without_plan_omits_fault_block():
     from repro.net.config import NetConfig
 
-    netcfg = NetConfig(random_drop_prob=1.0, rexmit_timeout=0.05, max_retries=2)
+    # no receive buffer and no retry: the first overflow drop aborts the run
+    netcfg = NetConfig(recv_buffer_bytes=0, rexmit_timeout=0.05, max_retries=0)
     with pytest.raises(RunAborted) as exc_info:
         run_app(APPS["is"], "vc_sd", 2, netcfg=netcfg)
     failure = exc_info.value.failure
+    assert failure.net["drops_by_cause"] == {"overflow": 1}
     assert failure.faults is None
     text = format_failure(failure)
     assert "--faults-out" not in text and "faults_seed" not in text

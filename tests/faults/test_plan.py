@@ -53,6 +53,8 @@ def test_empty_or_negative_window_rejected():
         (dict(kind="reorder", reorder_prob=0.5, reorder_delay=float("nan")), "delays"),
         (dict(kind="degrade", bandwidth_factor=float("nan")), "bandwidth_factor"),
         (dict(kind="slowdown", node=0, cpu_factor=float("nan")), "cpu_factor"),
+        (dict(kind="loss", drop_prob=-0.1), "drop_prob"),
+        (dict(kind="loss", drop_prob=float("nan")), "drop_prob"),
     ],
 )
 def test_out_of_range_knobs_rejected(kwargs, match):

@@ -6,10 +6,16 @@ import pytest
 
 from repro.apps import gauss, is_sort, nn, sor
 from repro.apps.common import run_app
+from repro.faults import Episode, FaultPlan
 from repro.net.config import NetConfig
 
 IS_SMALL = is_sort.IsConfig(n_keys=1500, b_max=64, reps=3, bucket_views=4, work_factor=1.0)
 SOR_SMALL = sor.SorConfig(rows=24, cols=16, iterations=2, work_factor=1.0)
+
+
+def _loss(drop_prob, seed):
+    """A plan dropping every switch transfer with ``drop_prob``."""
+    return FaultPlan((Episode(kind="loss", drop_prob=drop_prob),), seed=seed)
 
 
 def test_runs_are_bit_deterministic():
@@ -47,24 +53,24 @@ def test_determinism_across_protocols_output_only():
 def test_correct_under_injected_random_loss(protocol):
     """With seeded 2% uniform loss, reliable transport hides every drop and
     the application result stays bit-correct."""
-    netcfg = NetConfig(random_drop_prob=0.02, drop_seed=99, rexmit_timeout=0.1)
-    result = run_app(is_sort, protocol, 4, IS_SMALL, netcfg=netcfg)
+    result = run_app(is_sort, protocol, 4, IS_SMALL, netcfg=NetConfig(rexmit_timeout=0.1),
+                     faults=_loss(0.02, seed=99))
     assert result.verified
     assert result.stats.net.drops > 0  # the loss actually happened
     assert result.stats.net.rexmit > 0
 
 
 def test_correct_under_heavy_loss():
-    netcfg = NetConfig(random_drop_prob=0.15, drop_seed=5, rexmit_timeout=0.05)
-    result = run_app(sor, "vc_sd", 3, SOR_SMALL, netcfg=netcfg)
+    result = run_app(sor, "vc_sd", 3, SOR_SMALL, netcfg=NetConfig(rexmit_timeout=0.05),
+                     faults=_loss(0.15, seed=5))
     assert result.verified
 
 
 def test_loss_seed_changes_timing_but_not_output():
     base = None
     for seed in (1, 2):
-        netcfg = NetConfig(random_drop_prob=0.05, drop_seed=seed, rexmit_timeout=0.1)
-        r = run_app(is_sort, "vc_sd", 4, IS_SMALL, netcfg=netcfg)
+        r = run_app(is_sort, "vc_sd", 4, IS_SMALL, netcfg=NetConfig(rexmit_timeout=0.1),
+                    faults=_loss(0.05, seed=seed))
         assert r.verified
         if base is None:
             base = r.output

@@ -2,7 +2,8 @@
 
 ``script_transfers`` installs, as ``sim.faults``, an object speaking the hook
 protocol :class:`repro.faults.FaultInjector` speaks to the network and CPU
-layers — ``transfer_level``/``on_transfer`` plus the three factor hooks — so
+layers — ``transfer_level``/``duplicating``/``on_transfer`` plus the three
+factor hooks — so
 a test that drops or duplicates chosen frames drives the same departure path
 a real fault plan does (see :class:`repro.net.nic.Switch`).
 """
@@ -17,6 +18,7 @@ class ScriptedTransfers:
     ``bandwidth(node, t)``, if given, scripts the wire-time factor."""
 
     transfer_level = True
+    duplicating = True  # a verdict may duplicate any frame
 
     def __init__(self, verdict, bandwidth=None):
         self.on_transfer = verdict

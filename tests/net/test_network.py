@@ -2,12 +2,20 @@
 
 import pytest
 
+from repro.faults import Episode, FaultPlan
 from repro.net import Cluster, Message, MessageKind, NetConfig, NodeConfig
 from repro.sim import Timeout
 
 
 def make_cluster(n=2, **cfg):
     return Cluster(n, netcfg=NetConfig(**cfg))
+
+
+def lossy_cluster(n, drop_prob, seed=0, **cfg):
+    """A cluster whose switch drops every frame with ``drop_prob``."""
+    c = make_cluster(n, **cfg)
+    c.install_faults(FaultPlan((Episode(kind="loss", drop_prob=drop_prob),), seed=seed))
+    return c
 
 
 def install_sink(node, kind=MessageKind.TEST):
@@ -176,7 +184,7 @@ def test_no_duplicate_delivery_under_loss():
 
 def test_random_drop_is_seeded_and_deterministic():
     def run_once():
-        c = Cluster(4, netcfg=NetConfig(random_drop_prob=0.2, drop_seed=7, rexmit_timeout=0.2))
+        c = lossy_cluster(4, 0.2, seed=7, rexmit_timeout=0.2)
         install_sink(c[0])
 
         def sender(i):
@@ -193,7 +201,7 @@ def test_random_drop_is_seeded_and_deterministic():
 
 def test_request_retry_when_reply_lost():
     """With random loss, requests eventually complete and handlers run once."""
-    c = Cluster(2, netcfg=NetConfig(random_drop_prob=0.3, drop_seed=3, rexmit_timeout=0.2))
+    c = lossy_cluster(2, 0.3, seed=3, rexmit_timeout=0.2)
     calls = []
 
     def handler(msg):
@@ -220,7 +228,7 @@ def test_request_retry_when_reply_lost():
 def test_rexmit_budget_exhaustion_raises():
     from repro.net.transport import RequestError
 
-    c = Cluster(2, netcfg=NetConfig(random_drop_prob=1.0, rexmit_timeout=0.01, max_retries=3))
+    c = lossy_cluster(2, 1.0, rexmit_timeout=0.01, max_retries=3)
     install_sink(c[1])
     errors = []
 
@@ -303,17 +311,16 @@ def test_cluster_requires_positive_size():
      ("send_overhead", float("nan")), ("send_overhead", float("inf")),
      ("recv_overhead", -1e-3), ("header_bytes", -100), ("ack_bytes", -1),
      ("recv_buffer_bytes", -1), ("red_threshold_bytes", float("nan")),
-     ("random_drop_prob", 1.5), ("random_drop_prob", -0.1),
-     ("random_drop_prob", float("nan")), ("drop_seed", -1),
+     ("drop_seed", -1),
      ("max_retries", float("nan"))],
 )
 def test_netconfig_rejects_an_unusable_network(field, value):
     """A small negative latency would deliver a frame before it departs, a
     larger one (or a negative receive overhead) fail mid-run with "cannot
     schedule in the past", a zero bandwidth divide by zero at the first send,
-    a NaN overhead kill the first sender, a negative header size shorten
-    every frame and a drop probability above 1 lose every frame: all are
-    refused when the config is built, naming the field.  A zero latency
+    a NaN overhead kill the first sender and a negative header size shorten
+    every frame: all are refused when the config is built, naming the
+    field.  A zero latency
     stays legal."""
     with pytest.raises(ValueError, match=field):
         NetConfig(**{field: value})

@@ -1,12 +1,13 @@
 """Seeded uniform loss: determinism and the loss-invariance property.
 
-``NetConfig.random_drop_prob``/``drop_seed`` drive the switch's uniform-loss
-stream.  Three properties, parametrised across the app × protocol matrix:
+Uniform loss is a fault plan's ``loss`` episode: the plan's seed drives the
+injector's stream, drawn at each frame's departure.  Three properties,
+parametrised across the app × protocol matrix:
 
 * **replay**: the same seed reproduces the identical drop sequence — same
   statistics row, same executed-event count, bit for bit;
 * **seed sensitivity**: a different seed produces a different loss pattern
-  (observably: a different Rexmit count);
+  (observably: different network counters — drops, acks, retransmissions);
 * **loss invariance**: either way the application's *answers* are identical
   to the loss-free run — the reliable transport absorbs loss into timing and
   Rexmit, never into results.
@@ -19,7 +20,7 @@ import pytest
 
 from repro.apps import APPS
 from repro.apps.common import run_app
-from repro.net.config import NetConfig
+from repro.faults import Episode, FaultPlan
 
 MATRIX = [
     ("is", "lrc_d"),
@@ -44,7 +45,7 @@ def _lossy(app, protocol, seed):
         APPS[app],
         protocol,
         NPROCS,
-        netcfg=NetConfig(random_drop_prob=DROP_PROB, drop_seed=seed),
+        faults=FaultPlan((Episode(kind="loss", drop_prob=DROP_PROB),), seed=seed),
     )
 
 
@@ -64,18 +65,18 @@ def test_seeded_loss_replays_and_answers_are_loss_invariant(app, protocol):
     net_first = getattr(first.stats, "net", first.stats)
     net_other = getattr(other.stats, "net", other.stats)
     assert net_first.rexmit > 0, "0.02 loss must actually bite"
-    assert net_first.rexmit != net_other.rexmit
+    assert net_first.snapshot() != net_other.snapshot()
 
     # loss invariance: answers identical to the loss-free run, under any seed
     module = APPS[app]
     for lossy in (first, other):
         assert lossy.verified
         assert module.outputs_match(lossy.output, base.output)
-    assert net_first.drops_by_cause.get("random", 0) > 0
+    assert net_first.drops_by_cause.get("fault", 0) > 0
 
 
 def test_loss_free_default_is_untouched():
-    """random_drop_prob defaults to 0: no drops, no rexmit, no RNG draws."""
+    """Without a plan nothing is dropped by a fault stream."""
     result = run_app(APPS["is"], "vc_sd", 2)
     net = getattr(result.stats, "net", result.stats)
-    assert net.drops_by_cause.get("random", 0) == 0
+    assert net.drops_by_cause.get("fault", 0) == 0

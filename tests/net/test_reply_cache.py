@@ -47,13 +47,13 @@ def test_an_answered_request_leaves_no_cached_reply():
 
 
 def test_a_retransmitted_request_keeps_its_reply_until_the_horizon():
-    """Seed 13 at 30 % loss drops exactly the second frame on the switch —
-    the first reply — and delivers the next eight.  The retransmitted
-    request is answered from the cache, the entry outlives that answer and
-    serves a late duplicate copy too, and only a receipt past the horizon
-    evicts it."""
-    cfg = NetConfig(rexmit_timeout=0.1, max_retries=3, random_drop_prob=0.3, drop_seed=13)
-    c = Cluster(2, netcfg=cfg)
+    """A loss episode on node 1's link to node 0, closed before the first
+    retransmission, drops the first reply and nothing else.  The
+    retransmitted request is answered from the cache, the entry outlives
+    that answer and serves a late duplicate copy too, and only a receipt
+    past the horizon evicts it."""
+    c = Cluster(2, netcfg=NetConfig(rexmit_timeout=0.1, max_retries=3))
+    c.install_faults(FaultPlan((Episode(kind="loss", drop_prob=1.0, src=1, dst=0, end=0.05),)))
     server = c[1].transport
     horizon = server._dup_horizon
     calls, arrived, seen = [], [], {}
@@ -92,6 +92,7 @@ def test_a_retransmitted_request_keeps_its_reply_until_the_horizon():
 @pytest.mark.parametrize("episode, kept", [
     (Episode(kind="duplicate", dst=1, dup_prob=1.0), True),
     (Episode(kind="slowdown", node=1, cpu_factor=2.0), False),
+    (Episode(kind="reorder", reorder_prob=1.0, reorder_delay=0.01), False),
 ])
 def test_only_a_plan_that_can_duplicate_frames_keeps_answered_replies(episode, kept):
     """Under a duplicating plan every request arrives twice and every reply
@@ -113,6 +114,37 @@ def test_only_a_plan_that_can_duplicate_frames_keeps_answered_replies(episode, k
     assert calls == list(range(10))
     assert injector.injected["duplicate"] == (10 if kept else 0)
     assert sizes == (list(range(1, 11)) if kept else [0] * 10)
+
+
+def test_a_loss_plan_pops_every_reply_answered_once():
+    """Loss never puts a second copy of a request on the wire, so under a
+    loss plan exactly the retransmitted requests' replies stay cached."""
+    # a horizon (10.2 s) longer than the run: no entry expires
+    c = Cluster(2, netcfg=NetConfig(rexmit_timeout=0.1, max_retries=100))
+    c.install_faults(FaultPlan((Episode(kind="loss", drop_prob=0.3),), seed=4))
+    server = c[1].transport
+    calls, arrived = [], []
+    _doubler(c, calls)
+    on_receive = server.on_receive
+
+    def recording(msg):
+        arrived.append(msg)
+        return on_receive(msg)
+
+    server.on_receive = recording
+
+    def requester():
+        for k in range(20):
+            reply = yield from c[0].request(1, MessageKind.TEST, k, size=64)
+            assert reply.payload == 2 * k
+
+    c.sim.spawn(requester())
+    c.run()
+    assert calls == list(range(20))
+    retransmitted = {m.req_id for m in arrived if m.attempt}
+    assert 0 < len(retransmitted) < 20  # the loss bit, and some ran clean
+    assert {req_id for _, req_id in server._reply_cache} == retransmitted
+    assert c.sim.now < server._dup_horizon
 
 
 def test_a_fault_free_is_run_ends_with_every_reply_cache_empty():

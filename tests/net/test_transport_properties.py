@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.faults import Episode, FaultPlan
 from repro.net import Cluster, MessageKind, NetConfig
 from repro.net.message import Message
 from repro.sim import Timeout
@@ -16,15 +17,8 @@ from repro.sim import Timeout
 def test_prop_reliable_send_exactly_once(drop_prob, seed, n_messages):
     """Every reliable send is delivered exactly once, in per-sender order,
     for any loss rate the retry budget can absorb."""
-    c = Cluster(
-        3,
-        netcfg=NetConfig(
-            random_drop_prob=drop_prob,
-            drop_seed=seed,
-            rexmit_timeout=0.05,
-            max_retries=200,
-        ),
-    )
+    c = Cluster(3, netcfg=NetConfig(rexmit_timeout=0.05, max_retries=200))
+    c.install_faults(FaultPlan((Episode(kind="loss", drop_prob=drop_prob),), seed=seed))
     received = []
 
     def handler(msg):
@@ -58,15 +52,8 @@ def test_prop_reliable_send_exactly_once(drop_prob, seed, n_messages):
 def test_prop_request_reply_at_most_once(drop_prob, seed):
     """Request handlers execute at most once per request, replies always
     arrive, for any seeded loss pattern."""
-    c = Cluster(
-        2,
-        netcfg=NetConfig(
-            random_drop_prob=drop_prob,
-            drop_seed=seed,
-            rexmit_timeout=0.05,
-            max_retries=200,
-        ),
-    )
+    c = Cluster(2, netcfg=NetConfig(rexmit_timeout=0.05, max_retries=200))
+    c.install_faults(FaultPlan((Episode(kind="loss", drop_prob=drop_prob),), seed=seed))
     executions = []
 
     def handler(msg):

@@ -97,13 +97,12 @@ def test_profiled_run_is_bit_identical():
 
 def test_aborted_run_closes_every_host_span():
     """An aborted run leaves exactly the phases it entered, each one row."""
-    from repro.faults import RunAborted
-    from repro.net.config import NetConfig
+    from repro.faults import Episode, FaultPlan, RunAborted
 
     host = EventTracer()
     with pytest.raises(RunAborted):
         run_app(APPS["is"], "lrc_d", 2,
-                netcfg=NetConfig(random_drop_prob=1.0), host=host)
+                faults=FaultPlan((Episode(kind="loss", drop_prob=1.0),)), host=host)
     assert [row[4] for row in host.events] == ["build", "execute"]
 
 

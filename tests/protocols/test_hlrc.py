@@ -6,6 +6,7 @@ import pytest
 from repro.apps import gauss, is_sort, nn, sor
 from repro.apps.common import run_app
 from repro.bench.sweep import row_fingerprint
+from repro.faults import Episode, FaultPlan
 from repro.net.config import NetConfig
 from repro.net.message import MessageKind
 from repro.protocols.system import DsmSystem
@@ -134,8 +135,9 @@ def test_all_apps_correct_on_hlrc(app, cfg):
 
 def test_correct_under_injected_loss():
     """Push/notice races under loss: ordering guard must hold."""
-    netcfg = NetConfig(random_drop_prob=0.05, drop_seed=17, rexmit_timeout=0.1)
-    result = run_app(is_sort, "hlrc_d", 4, IS_SMALL, netcfg=netcfg)
+    plan = FaultPlan((Episode(kind="loss", drop_prob=0.05),), seed=17)
+    result = run_app(is_sort, "hlrc_d", 4, IS_SMALL, netcfg=NetConfig(rexmit_timeout=0.1),
+                     faults=plan)
     assert result.verified
     assert result.stats.net.rexmit > 0
 

@@ -193,10 +193,12 @@ def test_every_run_name_takes_the_union_and_keeps_its_exits(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "Where the time went" in out and "CLEAN" in out
     # an aborted run: 3 bare, 3 with the partial history checked
-    assert main(["run", "is", "--nprocs", "2", "--drop-prob", "1.0"]) == 3
+    blackout = tmp_path / "blackout.json"
+    blackout.write_text('{"episodes": [{"kind": "loss", "drop_prob": 1.0}]}')
+    assert main(["run", "is", "--nprocs", "2", "--faults", str(blackout)]) == 3
     assert "Consistency oracle" not in capsys.readouterr().out
     assert main(["check", "is", "--protocol", "lrc_d", "--nprocs", "2",
-                 "--drop-prob", "1.0"]) == 3
+                 "--faults", str(blackout)]) == 3
     assert "Consistency oracle" in capsys.readouterr().out
 
 
