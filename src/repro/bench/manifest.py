@@ -1,6 +1,6 @@
 """Common run-manifest block embedded in every BENCH report.
 
-Every benchmark writer (``sweep``, ``degradation``, ``adversarial``) stamps
+Every benchmark writer (``sweep``, ``degradation``) stamps
 its JSON document with a ``"manifest"`` object so a BENCH file is
 self-describing: which host/python/git revision produced it, a hash of the
 resolved configuration, and the run's wall/RSS cost.  ``python -m repro

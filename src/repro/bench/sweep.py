@@ -219,9 +219,8 @@ def cell_key(
     recalls an untraced cached entry or pollutes the untraced cache.
     Consistency-checked runs (``check``) key separately too: their results
     carry the oracle verdict.  The cell's fault plan is hashed in by its
-    JSON form, so equal plans built separately share an entry — restarts of
-    the adversarial search and duplicates in its population recall instead
-    of re-running.
+    JSON form, so equal plans built separately share an entry — a restarted
+    adversary run and its shrink passes recall instead of re-running.
     """
     material = {
         "app": cell.app,

@@ -61,14 +61,11 @@ Commands
 ``list``
     Show the available applications, protocols, variants and tables.
 ``adversary APP``
-    Seeded, deterministic adversarial search over the fault-plan space
-    (:mod:`repro.faults.adversary`): evolve a :class:`repro.faults.FaultPlan`
-    that maximises damage to one protocol (``--protocol``, ``--budget``,
-    ``--seed``), delta-debug the winner to a 1-minimal plan, and print both.
-    ``--grid`` searches every protocol in ``--protocols`` and writes the
-    committed ``BENCH_adversarial.json`` report.  Exit code 4 if the search
-    finds a consistency violation (a protocol bug, the jackpot fitness
-    class).
+    Seeded adversarial fault sampling (:mod:`repro.faults.adversary`):
+    evaluate ``--budget`` random fault plans against one protocol
+    (``--protocol``, ``--seed``), delta-debug the worst to a 1-minimal plan,
+    and print both.  Exit code 4 if the worst plan produces a
+    consistency violation (a protocol bug, the jackpot fitness class).
 """
 
 from __future__ import annotations
@@ -430,7 +427,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_adversary(args: argparse.Namespace) -> int:
-    """Adversarial fault search: one cell, or the whole --grid bench."""
+    """Adversarial fault sampling against one cell."""
     import json
 
     from repro.obs.oracle import EXIT_CONSISTENCY
@@ -440,48 +437,19 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
         from repro.bench.sweep import DEFAULT_CACHE_DIR
 
         cache_dir = args.cache_dir or DEFAULT_CACHE_DIR
-    if args.grid:
-        from repro.bench.adversarial import (
-            DEFAULT_ADVERSARIAL_OUTPUT,
-            format_adversarial_grid,
-            run_adversarial_grid,
-            write_adversarial_report,
-        )
-
-        report = run_adversarial_grid(
-            app=args.app, nprocs=args.nprocs,
-            protocols=tuple(args.protocols), budget=args.budget,
-            seed=args.seed, population=args.population,
-            cache_dir=cache_dir, shrink=not args.no_shrink,
-            log=print if args.verbose else None,
-        )
-        print(format_adversarial_grid(report))
-        out = args.bench_out or DEFAULT_ADVERSARIAL_OUTPUT
-        write_adversarial_report(report, out)
-        print(f"wrote {out}")
-        jackpots = [c for c in report["grid"] if c["best"]["class"] == "consistency"]
-        if jackpots:
-            print(
-                f"error: adversary found consistency violations in "
-                f"{len(jackpots)} cell(s) — a protocol bug, not a slow cell",
-                file=sys.stderr,
-            )
-            return EXIT_CONSISTENCY
-        return 0
     from repro.faults import FaultPlan
     from repro.faults.adversary import search
 
     result = search(
         app=args.app, protocol=args.protocol, nprocs=args.nprocs,
-        budget=args.budget, seed=args.seed, population=args.population,
+        budget=args.budget, seed=args.seed,
         cache_dir=cache_dir, shrink=not args.no_shrink, log=print,
     )
     best = result.best
     print()
     print(
         f"adversary — {args.app} on {args.protocol}, {args.nprocs} processors: "
-        f"{result.evals} plans evaluated (budget {result.budget}, "
-        f"seed {result.seed})"
+        f"{result.budget} random plans evaluated (seed {result.seed})"
     )
     print(
         f"  baseline  {result.baseline_time:.6f} simulated s; winner class "
@@ -700,21 +668,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_adv = sub.add_parser(
         "adversary",
-        help="seeded adversarial search over the fault-plan space: find the "
-        "plan that hurts a protocol most (docs/robustness.md)",
+        help="seeded random fault plans against one protocol: keep and shrink "
+        "the one that hurts it most (docs/robustness.md)",
     )
     p_adv.add_argument("app", nargs="?", default="is", choices=sorted(APPS))
     p_adv.add_argument("--protocol", default="vc_d", choices=sorted(PROTOCOLS),
-                       help="protocol under attack (single-cell mode)")
+                       help="protocol under attack")
     p_adv.add_argument("--nprocs", type=_count, default=8)
     p_adv.add_argument("--budget", type=_count, default=24, metavar="N",
-                       help="distinct fault plans to evaluate in the search "
-                       "(shrinking runs extra evaluations afterwards)")
+                       help="random fault plans to evaluate (shrinking runs "
+                       "extra evaluations afterwards)")
     p_adv.add_argument("--seed", type=int, default=11,
-                       help="search seed; fixed seed + budget reproduces the "
+                       help="sampler seed; fixed seed + budget reproduces the "
                        "result bit-identically")
-    p_adv.add_argument("--population", type=_count, default=6,
-                       help="evolutionary population size")
     p_adv.add_argument("--no-shrink", action="store_true",
                        help="skip the delta-debugging shrink of the winner")
     p_adv.add_argument("--plan-out", default=None, metavar="PATH",
@@ -726,17 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ignore and don't write the result cache")
     p_adv.add_argument("--cache-dir", default=None,
                        help="result cache directory (default: .cache/sweep)")
-    p_adv.add_argument("--grid", action="store_true",
-                       help="search every protocol in --protocols and write "
-                       "the committed adversarial benchmark report")
-    p_adv.add_argument("--protocols", nargs="+",
-                       default=["lrc_d", "vc_d", "vc_sd"],
-                       choices=sorted(PROTOCOLS),
-                       help="protocols searched in --grid mode")
-    p_adv.add_argument("--bench-out", default=None, metavar="PATH",
-                       help="--grid report path (default BENCH_adversarial.json)")
-    p_adv.add_argument("--verbose", action="store_true",
-                       help="log per-evaluation progress in --grid mode")
     p_adv.set_defaults(fn=_cmd_adversary)
 
     p_list = sub.add_parser("list", help="show apps, protocols and tables")

@@ -1,12 +1,11 @@
-"""Adversarial fault search: find the worst-case ``FaultPlan`` per protocol.
+"""Adversarial fault sampling: the worst of N random fault plans per cell.
 
-PR 5's random-loss grid (``BENCH_faults.json``) samples the fault space
-uniformly; this module *searches* it.  A seeded, deterministic engine —
-greedy hill-climb folded into a small (mu+lambda) evolutionary population —
-walks the :class:`~repro.faults.plan.Episode` schedule space through typed
-mutation/crossover operators (shift/widen windows, retarget links, escalate
-knobs, splice episodes across kinds) looking for the plan that degrades a
-given (app, protocol, nprocs) cell the most.
+The random-loss grid (``BENCH_faults.json``) sweeps one knob, the uniform
+loss rate.  :func:`search` samples the whole episode space instead: ``budget``
+seeded plans of one to three random episodes each (any kind but ``crash``,
+random windows, targets and knobs), evaluates each against one
+(app, protocol, nprocs) cell, keeps the worst, and delta-debugs it down to a
+1-minimal plan (:mod:`repro.faults.shrink`).
 
 Fitness is **dual**, compared lexicographically as ``(rank, magnitude)``:
 
@@ -21,22 +20,22 @@ Fitness is **dual**, compared lexicographically as ``(rank, magnitude)``:
 ``slowdown`` (rank 0)
     The run completed; magnitude is simulated time over the clean baseline.
 
-``crash`` episodes are deliberately **excluded** from the operator space: a
-fail-stop trivially maxes the abort class and would collapse the search onto
-a boring denial-of-service.  The interesting adversary degrades the protocol
-through traffic it is supposed to absorb.
+``crash`` episodes are deliberately **excluded**: a fail-stop trivially maxes
+the abort class.  The interesting plan degrades the protocol through traffic
+it is supposed to absorb.
 
 Every candidate is a :class:`~repro.bench.sweep.SweepCell` carrying its plan
 and evaluates through :func:`~repro.bench.sweep.run_sweep` and its
 content-addressed cache (the plan JSON is hashed into the cell's key), so
-restarts, shrink passes and population duplicates are free.  All
-randomness draws from one ``random.Random(seed)`` consumed in a fixed order:
-a search with the same seed + budget is bit-reproducible, cache on or off
+restarts and shrink passes recall instead of re-running.  All randomness
+draws from one ``random.Random(seed)`` in a fixed order: the same seed and
+budget give the same plans, cache on or off
 (``tests/faults/test_adversary.py`` pins this).
 
-Surfaced as ``python -m repro adversary`` and, grid-wise, as
-:mod:`repro.bench.adversarial` (the committed ``BENCH_adversarial.json``).
-See docs/robustness.md ("Adversarial search").
+An evolutionary search over the plan space stood here until, on a catalogue
+of one-line bugs, it killed none that this sampler missed at equal budget;
+see docs/robustness.md ("Mutant kill matrix").  Surfaced as
+``python -m repro adversary``.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.apps.common import AppResult
@@ -55,16 +54,14 @@ __all__ = [
     "AdversaryLimits",
     "Evaluator",
     "Fitness",
-    "MUTATIONS",
     "SearchResult",
-    "crossover",
     "fitness_of",
     "random_episode",
+    "random_plan",
     "search",
-    "seed_plans",
 ]
 
-# kinds the generator/mutators may emit: everything except fail-stop
+# kinds the sampler may emit: everything except fail-stop
 GENERATED_KINDS = (
     "loss",
     "degrade",
@@ -78,15 +75,14 @@ GENERATED_KINDS = (
 
 @dataclass(frozen=True)
 class AdversaryLimits:
-    """Caps on the operator space: how hostile a candidate plan may get.
+    """Caps on the sampled space: how hostile a candidate plan may get.
 
     ``horizon`` is the clean baseline's simulated time; episode windows are
     sampled inside ``[0, horizon)`` (an episode that outlives the clean run
     still bites a degraded one — infinite ends are allowed too).  The knob
-    caps keep the search away from plans that trivially exhaust the
+    caps keep the sampler away from plans that trivially exhaust the
     transport's retry budget everywhere; with the default ``max_retries=20``
-    a ``drop_prob`` at ``max_drop`` still completes essentially always, so
-    the adversary must *schedule* hostility to win, not just crank it.
+    a ``drop_prob`` at ``max_drop`` still completes essentially always.
     """
 
     horizon: float
@@ -114,7 +110,7 @@ class AdversaryLimits:
         }[knob]
 
 
-# knobs each generated kind exposes to escalate/soften
+# knobs each generated kind draws
 _KIND_KNOBS = {
     "loss": ("drop_prob",),
     "degrade": ("latency_add", "bandwidth_factor"),
@@ -124,10 +120,6 @@ _KIND_KNOBS = {
     "slowdown": ("cpu_factor",),
     "pause": (),
 }
-
-
-def _clamp(v: float, lo: float, hi: float) -> float:
-    return max(lo, min(hi, v))
 
 
 def _window(rng: random.Random, limits: AdversaryLimits,
@@ -166,138 +158,6 @@ def random_episode(rng: random.Random, limits: AdversaryLimits) -> Episode:
         knobs[knob] = round(benign + (hostile - benign) * rng.uniform(0.2, 0.8), 6)
     return Episode(kind=kind, start=start, end=end,
                    **_target(rng, kind, limits), **knobs)
-
-
-# -- mutation operators -----------------------------------------------------------
-#
-# Every operator maps (rng, plan, limits) -> a new plan that passes
-# ``validate()`` (property-tested).  Operators on an empty plan fall back to
-# adding an episode so the search can always move.
-
-
-def _pick(rng: random.Random, plan: FaultPlan) -> int:
-    return rng.randrange(len(plan.episodes))
-
-
-def mutate_shift_window(rng: random.Random, plan: FaultPlan,
-                        limits: AdversaryLimits) -> FaultPlan:
-    """Slide one episode's window in time (duration preserved)."""
-    if not plan.episodes:
-        return mutate_add_episode(rng, plan, limits)
-    i = _pick(rng, plan)
-    ep = plan.episodes[i]
-    delta = rng.uniform(-limits.horizon / 4.0, limits.horizon / 4.0)
-    start = round(max(0.0, ep.start + delta), 6)
-    end = ep.end if math.isinf(ep.end) else round(start + (ep.end - ep.start), 6)
-    return plan.replaced(i, ep.replace(start=start, end=end))
-
-
-def mutate_widen_window(rng: random.Random, plan: FaultPlan,
-                        limits: AdversaryLimits) -> FaultPlan:
-    """Stretch or shrink one episode's window about its start."""
-    if not plan.episodes:
-        return mutate_add_episode(rng, plan, limits)
-    i = _pick(rng, plan)
-    ep = plan.episodes[i]
-    if math.isinf(ep.end):
-        # give an open-ended episode a finite window (or leave it alone)
-        duration = rng.uniform(limits.horizon / 10.0, limits.horizon)
-        return plan.replaced(i, ep.replace(end=round(ep.start + duration, 6)))
-    duration = (ep.end - ep.start) * rng.uniform(0.5, 2.0)
-    return plan.replaced(
-        i, ep.replace(end=round(ep.start + max(duration, 1e-6), 6))
-    )
-
-
-def mutate_retarget(rng: random.Random, plan: FaultPlan,
-                    limits: AdversaryLimits) -> FaultPlan:
-    """Point one episode at a different link / node / the whole cluster."""
-    if not plan.episodes:
-        return mutate_add_episode(rng, plan, limits)
-    i = _pick(rng, plan)
-    ep = plan.episodes[i]
-    cleared = ep.replace(node=None, src=None, dst=None)
-    return plan.replaced(
-        i, cleared.replace(**_target(rng, ep.kind, limits))
-    )
-
-
-def _scale_knob(rng: random.Random, ep: Episode, limits: AdversaryLimits,
-                toward_hostile: bool) -> Episode:
-    knobs = _KIND_KNOBS[ep.kind]
-    if not knobs:
-        return ep
-    knob = rng.choice(knobs)
-    benign, hostile = limits.knob_range(knob)
-    value = getattr(ep, knob)
-    # walk a fraction of the remaining distance toward the chosen end
-    target = hostile if toward_hostile else benign
-    step = rng.uniform(0.3, 0.9)
-    new = value + (target - value) * step
-    lo, hi = (benign, hostile) if benign <= hostile else (hostile, benign)
-    return ep.replace(**{knob: round(_clamp(new, lo, hi), 6)})
-
-
-def mutate_escalate(rng: random.Random, plan: FaultPlan,
-                    limits: AdversaryLimits) -> FaultPlan:
-    """Push one episode's knob toward its hostile cap."""
-    if not plan.episodes:
-        return mutate_add_episode(rng, plan, limits)
-    i = _pick(rng, plan)
-    return plan.replaced(i, _scale_knob(rng, plan.episodes[i], limits, True))
-
-
-def mutate_soften(rng: random.Random, plan: FaultPlan,
-                  limits: AdversaryLimits) -> FaultPlan:
-    """Relax one episode's knob toward benign (escape over-hostile plateaus:
-    a plan can be *too* hostile — aborting early caps its slowdown)."""
-    if not plan.episodes:
-        return mutate_add_episode(rng, plan, limits)
-    i = _pick(rng, plan)
-    return plan.replaced(i, _scale_knob(rng, plan.episodes[i], limits, False))
-
-
-def mutate_add_episode(rng: random.Random, plan: FaultPlan,
-                       limits: AdversaryLimits) -> FaultPlan:
-    return plan.extended(random_episode(rng, limits))
-
-
-def mutate_drop_episode(rng: random.Random, plan: FaultPlan,
-                        limits: AdversaryLimits) -> FaultPlan:
-    if not plan.episodes:
-        return mutate_add_episode(rng, plan, limits)
-    return plan.without(_pick(rng, plan))
-
-
-def mutate_reseed(rng: random.Random, plan: FaultPlan,
-                  limits: AdversaryLimits) -> FaultPlan:
-    """Same schedule, different fault-RNG stream."""
-    return plan.reseeded(rng.randrange(2**31))
-
-
-# (operator, selection weight): escalation and structural growth dominate
-MUTATIONS: tuple[tuple[Callable, int], ...] = (
-    (mutate_escalate, 3),
-    (mutate_add_episode, 2),
-    (mutate_shift_window, 2),
-    (mutate_widen_window, 2),
-    (mutate_retarget, 2),
-    (mutate_soften, 1),
-    (mutate_drop_episode, 1),
-    (mutate_reseed, 1),
-)
-
-
-def crossover(rng: random.Random, a: FaultPlan, b: FaultPlan) -> FaultPlan:
-    """Splice two plans: each parent contributes a random episode subset
-    (at least one episode survives when either parent has any)."""
-    keep_a = [ep for ep in a.episodes if rng.random() < 0.5]
-    keep_b = [ep for ep in b.episodes if rng.random() < 0.5]
-    episodes = tuple(keep_a + keep_b)
-    if not episodes and (a.episodes or b.episodes):
-        pool = a.episodes + b.episodes
-        episodes = (pool[rng.randrange(len(pool))],)
-    return FaultPlan(episodes, seed=a.seed)
 
 
 # -- fitness ----------------------------------------------------------------------
@@ -393,63 +253,19 @@ class Evaluator:
         return result
 
 
-# -- seed plans -------------------------------------------------------------------
+# -- the sampler ------------------------------------------------------------------
 
 
-def seed_plans(rng: random.Random, limits: AdversaryLimits,
-               population: int) -> list[FaultPlan]:
-    """Deterministic starting population: hand-rolled archetypes first
-    (uniform loss at the random-grid's worst rate, heavy windowed loss, a
-    degraded link, duplicate+reorder chaos, compute skew), then random
-    plans to fill ``population``."""
-    mk_seed = lambda: rng.randrange(2**31)  # noqa: E731
-    plans = [
-        # the random-loss grid's worst cell, as a floor to improve on
-        FaultPlan((Episode(kind="loss", drop_prob=0.02),), seed=mk_seed()),
-        FaultPlan((Episode(kind="loss", drop_prob=limits.max_drop / 2.0),),
-                  seed=mk_seed()),
-        FaultPlan(
-            (Episode(kind="loss", drop_prob=limits.max_drop,
-                     start=0.0, end=round(limits.horizon / 3.0, 6)),),
-            seed=mk_seed(),
-        ),
-        FaultPlan(
-            (
-                Episode(kind="degrade", latency_add=limits.max_latency / 2.0),
-                Episode(kind="degrade", node=0,
-                        bandwidth_factor=limits.max_bandwidth / 2.0),
-            ),
-            seed=mk_seed(),
-        ),
-        FaultPlan(
-            (
-                Episode(kind="duplicate", dup_prob=limits.max_dup / 2.0),
-                Episode(kind="reorder", reorder_prob=limits.max_reorder / 2.0,
-                        reorder_delay=limits.max_reorder_delay / 2.0),
-            ),
-            seed=mk_seed(),
-        ),
-        FaultPlan(
-            (
-                Episode(kind="slowdown", node=0, cpu_factor=limits.max_cpu / 2.0),
-                Episode(kind="buffer", node=1 % limits.nprocs,
-                        buffer_factor=max(limits.min_buffer, 0.5)),
-            ),
-            seed=mk_seed(),
-        ),
-    ]
-    while len(plans) < population:
-        plans.append(FaultPlan((random_episode(rng, limits),), seed=mk_seed()))
-    return plans[:max(population, 1)]
-
-
-# -- the search -------------------------------------------------------------------
+def random_plan(rng: random.Random, limits: AdversaryLimits) -> FaultPlan:
+    """One to three random episodes under a fresh fault-RNG seed."""
+    episodes = tuple(random_episode(rng, limits) for _ in range(rng.randint(1, 3)))
+    return FaultPlan(episodes, seed=rng.randrange(2**31))
 
 
 @dataclass
 class SearchResult:
-    """Everything one adversarial search produced (JSON-stable: no host
-    clocks, so a fixed seed+budget reproduces this bit-for-bit)."""
+    """Everything one sampling run produced (JSON-stable: no host clocks, so
+    a fixed seed+budget reproduces this bit-for-bit)."""
 
     app: str
     protocol: str
@@ -457,13 +273,9 @@ class SearchResult:
     seed: int
     budget: int
     baseline_time: float
-    evals: int  # distinct candidate plans evaluated during search
     shrink_evals: int
     best: dict
-    best_completed: Optional[dict]
     shrunk: Optional[dict]
-    trajectory: list = field(default_factory=list)
-    operator_counts: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -473,13 +285,9 @@ class SearchResult:
             "seed": self.seed,
             "budget": self.budget,
             "baseline_time": round(self.baseline_time, 6),
-            "evals": self.evals,
             "shrink_evals": self.shrink_evals,
             "best": self.best,
-            "best_completed": self.best_completed,
             "shrunk": self.shrunk,
-            "trajectory": self.trajectory,
-            "operator_counts": dict(sorted(self.operator_counts.items())),
         }
 
 
@@ -489,7 +297,6 @@ def search(
     nprocs: int = 8,
     budget: int = 24,
     seed: int = 11,
-    population: int = 6,
     cache_dir: Optional[str] = None,
     limits: Optional[AdversaryLimits] = None,
     shrink: bool = True,
@@ -497,89 +304,35 @@ def search(
     variant: str = "default",
     log: Optional[Callable[[str], None]] = None,
 ) -> SearchResult:
-    """Run the adversarial search for one (app, protocol, nprocs) cell.
-
-    ``budget`` counts *distinct* candidate plans evaluated (the clean
-    baseline and the shrink phase are extra); duplicates produced by
-    mutation are free.  The result's ``best`` is the winner under the dual
-    fitness; ``best_completed`` separately tracks the highest-slowdown
-    candidate that finished — the figure compared against the random-loss
-    grid.  With ``shrink`` the winner passes through the delta-debugging
-    shrinker (:mod:`repro.faults.shrink`): the smallest episode subset
-    still in the winner's fitness class at ``shrink_keep_frac`` of its
-    magnitude.
+    """Evaluate ``budget`` random plans against one (app, protocol, nprocs)
+    cell and keep the worst under the dual fitness (the clean baseline and
+    the shrink phase are extra runs).  With ``shrink`` the winner passes
+    through the delta-debugging shrinker (:mod:`repro.faults.shrink`): the
+    smallest episode subset still in the winner's fitness class at
+    ``shrink_keep_frac`` of its magnitude.
     """
     say = log or (lambda _msg: None)
-    budget = max(1, budget)
     rng = random.Random(seed)
     evaluator = Evaluator(app, protocol, nprocs, cache_dir=cache_dir,
                           variant=variant)
     baseline = evaluator.evaluate(None)
-    if baseline.failure is not None or baseline.consistency["findings"]:
+    if fitness_of(baseline, 1.0).rank:  # aborted, inconsistent or wrong
         raise RuntimeError(
             f"clean baseline run of {app}/{protocol}/{nprocs}p is not clean: "
-            f"{baseline.failure or baseline.consistency['findings']!r}"
+            f"{baseline.failure or baseline.consistency!r}"
         )
     base_t = baseline.time
     limits = limits or AdversaryLimits(horizon=base_t, nprocs=nprocs)
     say(f"baseline {app}/{protocol}/{nprocs}p: {base_t:.3f} simulated s")
 
-    scored: list[tuple[Fitness, FaultPlan, AppResult]] = []
-    seen: set[str] = set()
-    trajectory: list[dict] = []
-    operator_counts: dict[str, int] = {}
-    counted = 0
     best: Optional[tuple[Fitness, FaultPlan, AppResult]] = None
-    best_completed: Optional[tuple[Fitness, FaultPlan, AppResult]] = None
-
-    def consider(plan: FaultPlan) -> bool:
-        """Evaluate one candidate if novel; returns True if budget consumed."""
-        nonlocal counted, best, best_completed
-        key = plan.canonical()
-        if key in seen:
-            return False
-        seen.add(key)
+    for i in range(1, max(1, budget) + 1):
+        plan = random_plan(rng, limits)
         outcome = evaluator.evaluate(plan)
-        counted += 1
         f = fitness_of(outcome, base_t)
-        scored.append((f, plan, outcome))
-        scored.sort(key=lambda it: it[0], reverse=True)
-        del scored[population:]
         if best is None or f > best[0]:
             best = (f, plan, outcome)
-            trajectory.append(
-                {"eval": counted, "class": f.cls, "magnitude": f.magnitude}
-            )
-            say(f"  eval {counted}: new best {f.cls} {f.magnitude}")
-        if f.rank == 0 and (best_completed is None or f > best_completed[0]):
-            best_completed = (f, plan, outcome)
-        return True
-
-    for plan in seed_plans(rng, limits, population):
-        if counted >= budget:
-            break
-        consider(plan)
-
-    ops = [op for op, _w in MUTATIONS]
-    weights = [w for _op, w in MUTATIONS]
-    attempts = 0
-    while counted < budget and attempts < budget * 20:
-        attempts += 1
-        # rank-biased parent choice: quadratic pull toward the front
-        parent = scored[int(rng.random() ** 2 * len(scored))][1]
-        if len(scored) >= 2 and rng.random() < 0.25:
-            other = scored[int(rng.random() ** 2 * len(scored))][1]
-            child = crossover(rng, parent, other)
-            name = "crossover"
-        else:
-            op = rng.choices(ops, weights=weights, k=1)[0]
-            child = op(rng, parent, limits)
-            name = op.__name__
-        child.validate()  # operators must emit clean plans — fail loudly
-        if consider(child):
-            operator_counts[name] = operator_counts.get(name, 0) + 1
-
-    assert best is not None
+            say(f"  plan {i}: new worst {f.cls} {f.magnitude}")
     winner_f, winner_plan, winner_out = best
 
     shrunk_summary: Optional[dict] = None
@@ -590,8 +343,7 @@ def search(
         before = len(evaluator._memo)
 
         def keep(candidate: FaultPlan) -> bool:
-            out = evaluator.evaluate(candidate)
-            f = fitness_of(out, base_t)
+            f = fitness_of(evaluator.evaluate(candidate), base_t)
             return (f.rank == winner_f.rank
                     and f.magnitude >= shrink_keep_frac * winner_f.magnitude)
 
@@ -606,14 +358,7 @@ def search(
 
     return SearchResult(
         app=app, protocol=protocol, nprocs=nprocs, seed=seed, budget=budget,
-        baseline_time=base_t,
-        evals=counted, shrink_evals=shrink_evals,
+        baseline_time=base_t, shrink_evals=shrink_evals,
         best=_outcome_summary(winner_plan, winner_out, base_t),
-        best_completed=(
-            _outcome_summary(best_completed[1], best_completed[2], base_t)
-            if best_completed is not None else None
-        ),
         shrunk=shrunk_summary,
-        trajectory=trajectory,
-        operator_counts=operator_counts,
     )

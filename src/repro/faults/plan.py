@@ -89,8 +89,8 @@ class FaultPlanError(ValueError):
 
     ``field`` names the offending episode field when one is identifiable;
     plan-level validation prefixes it with the episode index to a full path
-    like ``episodes[3].drop_prob`` (the adversary's operator tests lean on
-    these paths to pinpoint which mutation produced an invalid plan).
+    like ``episodes[3].drop_prob``, so a refused plan file names the field
+    to fix.
     """
 
     def __init__(self, message: str, field: Optional[str] = None):
@@ -215,10 +215,6 @@ class Episode:
                 out[field.name] = value
         return out
 
-    def replace(self, **changes: Any) -> "Episode":
-        """A copy with ``changes`` applied (mutation-operator workhorse)."""
-        return dataclasses.replace(self, **changes)
-
     @classmethod
     def from_json(cls, data: dict) -> "Episode":
         if not isinstance(data, dict) or "kind" not in data:
@@ -263,28 +259,8 @@ class FaultPlan:
     def by_kind(self, *kinds: str) -> tuple:
         return tuple(ep for ep in self.episodes if ep.kind in kinds)
 
-    def extended(self, *episodes: Episode) -> "FaultPlan":
-        """A new plan with ``episodes`` appended (same seed)."""
-        return FaultPlan(self.episodes + tuple(episodes), seed=self.seed)
-
-    def replaced(self, index: int, episode: Episode) -> "FaultPlan":
-        """A new plan with ``episodes[index]`` swapped for ``episode``."""
-        episodes = list(self.episodes)
-        episodes[index] = episode
-        return FaultPlan(tuple(episodes), seed=self.seed)
-
-    def without(self, index: int) -> "FaultPlan":
-        """A new plan with ``episodes[index]`` removed."""
-        episodes = list(self.episodes)
-        del episodes[index]
-        return FaultPlan(tuple(episodes), seed=self.seed)
-
-    def reseeded(self, seed: int) -> "FaultPlan":
-        """The same schedule driven by a different fault-RNG seed."""
-        return FaultPlan(self.episodes, seed=seed)
-
     def canonical(self) -> str:
-        """Deterministic JSON string — dedup/memo key for search engines."""
+        """Deterministic JSON string — the adversary's memo key."""
         return json.dumps(self.to_json(), sort_keys=True)
 
     def to_json(self) -> dict:

@@ -1,11 +1,11 @@
 """Delta-debugging shrinker for fault plans (ddmin over episodes).
 
-A winning adversarial plan usually carries freeloaders — episodes spliced in
-by crossover or left over from mutation that contribute nothing to the
-degradation.  :func:`shrink_plan` minimises the episode set with Zeller's
-ddmin: repeatedly try subsets and complements at doubling granularity,
-keeping any candidate the caller's ``keep`` predicate accepts, until the
-plan is **1-minimal** — removing any single remaining episode breaks the
+A worst-case random plan usually carries freeloaders — episodes drawn
+beside the one that hurts, contributing nothing to the degradation.
+:func:`shrink_plan` minimises the episode set with Zeller's ddmin:
+repeatedly try subsets and complements at doubling granularity, keeping
+any candidate the caller's ``keep`` predicate accepts, until the plan is
+**1-minimal** — removing any single remaining episode breaks the
 predicate.
 
 ``keep`` is the fitness-class oracle: the adversary passes a closure that

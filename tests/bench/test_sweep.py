@@ -87,7 +87,7 @@ def test_key_covers_the_fault_plan_by_content():
     twin = FaultPlan.from_json(loss.to_json())
     assert twin is not loss
     assert cell_key(dataclasses.replace(base, faults=twin)) == cell_key(faulted)
-    assert cell_key(dataclasses.replace(base, faults=loss.reseeded(8))) != \
+    assert cell_key(dataclasses.replace(base, faults=FaultPlan(loss.episodes, seed=8))) != \
         cell_key(faulted)
     # checked and unchecked faulted runs key apart, like unfaulted ones
     assert cell_key(faulted, check=True) != cell_key(faulted)

@@ -155,16 +155,13 @@ def test_infinite_window_survives_roundtrip():
 # -- plan helpers ----------------------------------------------------------------
 
 
-def test_by_kind_and_extended():
+def test_by_kind():
     loss = Episode(kind="loss", drop_prob=0.1)
     dup = Episode(kind="duplicate", dup_prob=0.1)
-    plan = FaultPlan((loss,), seed=9)
+    plan = FaultPlan((loss, dup), seed=9)
     assert plan.by_kind("loss") == (loss,)
-    assert plan.by_kind("duplicate") == ()
-    grown = plan.extended(dup)
-    assert grown.episodes == (loss, dup)
-    assert grown.seed == 9
-    assert plan.episodes == (loss,)  # original untouched
+    assert plan.by_kind("duplicate", "loss") == (loss, dup)
+    assert plan.by_kind("reorder") == ()
 
 
 def test_empty_plan_is_legal():

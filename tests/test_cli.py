@@ -341,7 +341,6 @@ def test_invalid_table_rejected():
     ["sweep", "is", "--jobs", "0"],
     ["adversary", "is", "--nprocs", "0"],
     ["adversary", "is", "--budget", "0"],
-    ["adversary", "is", "--population", "0"],
 ], ids="_".join)
 def test_count_below_one_is_a_usage_error(argv, capsys):
     """Every count flag takes an int >= 1: a zero or negative count is
@@ -485,7 +484,7 @@ def test_adversary_single_cell(capsys, tmp_path):
     shrunk_out = tmp_path / "shrunk.json"
     assert main([
         "adversary", "is", "--protocol", "lrc_d", "--nprocs", "4",
-        "--budget", "4", "--seed", "3", "--population", "4", "--no-cache",
+        "--budget", "4", "--seed", "3", "--no-cache",
         "--plan-out", str(plan_out), "--shrunk-out", str(shrunk_out),
     ]) == 0
     out = capsys.readouterr().out
@@ -502,20 +501,31 @@ def test_adversary_single_cell(capsys, tmp_path):
     FaultPlan.from_json(shrunk).validate()
 
 
-def test_adversary_grid_writes_report(capsys, tmp_path):
-    import json
+def test_adversary_exits_4_when_the_worst_plan_is_inconsistent(monkeypatch, capsys):
+    """A consistency-class winner is a protocol bug: exit 4, whatever the
+    magnitude of the slow or aborted plans beside it."""
+    from repro.apps.common import AppResult
+    from repro.faults.adversary import Evaluator
 
-    out = tmp_path / "BENCH_adversarial.json"
-    assert main([
-        "adversary", "is", "--nprocs", "4", "--grid", "--protocols", "lrc_d",
-        "--budget", "3", "--seed", "3", "--population", "3", "--no-shrink",
-        "--no-cache", "--bench-out", str(out),
-    ]) == 0
-    printed = capsys.readouterr().out
-    assert "Adversarial grid" in printed
-    report = json.loads(out.read_text())
-    assert report["benchmark"] == "faults_adversarial"
-    assert report["grid"][0]["protocol"] == "lrc_d"
+    def evaluate(self, plan):
+        verdict = "clean" if plan is None else "violations"
+        return AppResult("vc_d", 4, None, None, 1.0, consistency={
+            "verdict": verdict, "findings": [] if plan is None else [{}]})
+
+    monkeypatch.setattr(Evaluator, "evaluate", evaluate)
+    assert main(["adversary", "is", "--nprocs", "4", "--budget", "2",
+                 "--no-cache"]) == 4
+    assert "consistency violations" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [
+    ["--grid"], ["--protocols", "vc_d"], ["--bench-out", "x.json"],
+    ["--population", "6"], ["--verbose"],
+], ids=lambda f: f[0])
+def test_adversary_has_no_grid_or_population_flags(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["adversary", "is", *flag])
+    assert exc.value.code == 2
 
 
 def test_adversary_in_parser_help():
