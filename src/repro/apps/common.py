@@ -99,7 +99,6 @@ class AppResult:
     time: float
     verified: bool = False
     events: int = 0  # simulator callbacks executed (reported, never gated)
-    breakdown: Any = None  # per-process time attribution (traced runs only)
     metrics: Any = None  # repro.obs.Metrics folded from the trace (metered runs only)
     consistency: Any = None  # oracle report JSON dict (checked sweep cells only)
     failure: Any = None  # RunFailure of an aborted run (faulted sweep cells only)
@@ -144,7 +143,8 @@ def run_app(
     app with a message-passing version (``build_mpi``) builds against.
 
     The two recorder hooks: ``tracer`` (a :class:`repro.obs.EventTracer`)
-    records structured events and fills ``AppResult.breakdown``; ``oracle``
+    records structured events for the caller to analyse
+    (:func:`repro.obs.compute_breakdown` over ``tracer.events``); ``oracle``
     (a :class:`repro.obs.oracle.AccessRecorder`) records the access history
     for the consistency oracle.  ``metrics`` (a :class:`repro.obs.Metrics`)
     gets the contention metrics folded from the run's (or a private) trace
@@ -198,8 +198,6 @@ def run_app(
         protocol, nprocs, output, system.stats, system.time,
         events=sim.events_processed, metrics=metrics,
     )
-    if tracer is not None:
-        result.breakdown = tracer.breakdown()
     if verify:
         with span("verify"):
             expected = app_module.sequential(config)

@@ -99,11 +99,15 @@ def run_degradation_grid(
     history — under the consistency oracle and attaches the verdict.  The
     protocol x loss-rate cells go through :func:`~repro.bench.sweep.run_sweep`
     (``jobs`` workers, ``cache_dir`` result cache), so the rows are
-    bit-identical serial, pooled or recalled.
+    bit-identical serial, pooled or recalled.  A loss rate outside [0, 1]
+    raises ``ValueError`` before any cell runs.
     """
     import time
 
     t_start = time.perf_counter()
+    for rate in loss_rates:
+        if not 0 <= rate <= 1:  # NaN fails too
+            raise ValueError(f"loss rate must be a probability in [0, 1], got {rate!r}")
     loss_rates = tuple(sorted(set(float(r) for r in loss_rates)))
     if not loss_rates:
         raise ValueError("need at least one loss rate")

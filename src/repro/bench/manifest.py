@@ -36,7 +36,7 @@ import platform
 import subprocess
 from typing import Any, Optional
 
-__all__ = ["MANIFEST_SCHEMA", "run_manifest", "config_hash"]
+__all__ = ["MANIFEST_SCHEMA", "run_manifest", "config_hash", "git"]
 
 #: current manifest schema version; bump on incompatible layout changes
 MANIFEST_SCHEMA = 1
@@ -53,13 +53,18 @@ def config_hash(config: Any) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def git(*args: str, **run_kwargs) -> subprocess.CompletedProcess:
+    """Run ``git ARGS`` in the checkout that holds this ``repro`` package,
+    whatever the caller's cwd, and capture its output."""
+    return subprocess.run(
+        ["git", *args], capture_output=True,
+        cwd=os.path.dirname(os.path.abspath(__file__)), **run_kwargs,
+    )
+
+
 def _git_rev() -> Optional[str]:
     try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        )
+        proc = git("rev-parse", "HEAD", text=True, timeout=10)
     except (OSError, subprocess.TimeoutExpired):  # pragma: no cover - no git
         return None
     rev = proc.stdout.strip()

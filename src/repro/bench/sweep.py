@@ -45,7 +45,7 @@ from typing import Optional, Sequence
 from repro.apps import APPS
 from repro.apps.common import AppConfig, AppResult, run_app
 from repro.faults import FaultInjector, FaultPlan, RunAborted
-from repro.obs import AccessRecorder, EventTracer, check_history
+from repro.obs import AccessRecorder, check_history
 
 __all__ = [
     "SweepCell",
@@ -159,11 +159,6 @@ class SweepReport:
                     "fingerprint": c.fingerprint(),
                     "table_row": c.result.table_row(),
                     **(
-                        {"breakdown": c.result.breakdown}
-                        if getattr(c.result, "breakdown", None) is not None
-                        else {}
-                    ),
-                    **(
                         {"consistency": c.result.consistency}
                         if getattr(c.result, "consistency", None) is not None
                         else {}
@@ -209,18 +204,15 @@ def code_fingerprint(refresh: bool = False) -> str:
 def cell_key(
     cell: SweepCell,
     code_fp: Optional[str] = None,
-    trace: bool = False,
     check: bool = False,
 ) -> str:
     """Content-addressed cache key for one cell.
 
-    Traced and untraced runs use distinct keys (a traced result carries a
-    time breakdown the untraced one lacks), so enabling ``--trace`` never
-    recalls an untraced cached entry or pollutes the untraced cache.
-    Consistency-checked runs (``check``) key separately too: their results
-    carry the oracle verdict.  The cell's fault plan is hashed in by its
-    JSON form, so equal plans built separately share an entry — a restarted
-    adversary run and its shrink passes recall instead of re-running.
+    Consistency-checked runs (``check``) key separately: their results carry
+    the oracle verdict the unchecked ones lack.  The cell's fault plan is
+    hashed in by its JSON form, so equal plans built separately share an
+    entry — a restarted adversary run and its shrink passes recall instead
+    of re-running.
     """
     material = {
         "app": cell.app,
@@ -231,8 +223,6 @@ def cell_key(
         "config": dataclasses.asdict(cell.config()),
         "code": code_fp if code_fp is not None else code_fingerprint(),
     }
-    if trace:
-        material["trace"] = True
     if check:
         material["check"] = True
     if cell.faults is not None:
@@ -274,16 +264,13 @@ class ResultCache:
 def _execute_cell(
     cell: SweepCell,
     verify: bool,
-    trace: bool = False,
     check: bool = False,
 ) -> tuple[AppResult, float, int]:
     """Run and check one cell; returns (result, wall seconds, peak RSS KiB).
 
     The one checked run body outside the interactive CLI — a new recorder,
     checker or fault kind is wired into every bulk run here.  Module-level
-    so a ``ProcessPoolExecutor`` worker can pickle it.  With ``trace`` the
-    run records structured events and the result carries a time breakdown
-    (the event list itself is not kept — it can be huge).  With ``check``
+    so a ``ProcessPoolExecutor`` worker can pickle it.  With ``check``
     the run records its access history, the consistency oracle verifies it,
     and the result carries the report on ``result.consistency`` (the history
     itself is not kept).  The cell's fault plan is installed and its
@@ -294,7 +281,6 @@ def _execute_cell(
     cost time, never consistency.
     """
     t0 = time.perf_counter()
-    tracer = EventTracer() if trace else None
     oracle = AccessRecorder() if check else None
     injector = FaultInjector(cell.faults) if cell.faults is not None else None
     try:
@@ -305,7 +291,6 @@ def _execute_cell(
             config=cell.config(),
             variant=cell.variant,
             verify=verify,
-            tracer=tracer,
             oracle=oracle,
             faults=injector,
         )
@@ -324,13 +309,13 @@ def _execute_cell(
 
 
 def _worker(
-    args: tuple[SweepCell, bool, Optional[str], str, bool, bool]
+    args: tuple[SweepCell, bool, Optional[str], str, bool]
 ) -> tuple[AppResult, float, int]:
     """Pool worker: run + cache one cell; returns what :func:`_execute_cell` does."""
-    cell, verify, cache_root, code_fp, trace, check = args
-    out = _execute_cell(cell, verify, trace, check)
+    cell, verify, cache_root, code_fp, check = args
+    out = _execute_cell(cell, verify, check)
     if cache_root is not None:
-        ResultCache(cache_root).put(cell_key(cell, code_fp, trace, check), *out)
+        ResultCache(cache_root).put(cell_key(cell, code_fp, check), *out)
     return out
 
 
@@ -339,7 +324,6 @@ def run_sweep(
     jobs: int = 1,
     cache_dir: Optional[str] = DEFAULT_CACHE_DIR,
     verify: bool = True,
-    trace: bool = False,
     check: bool = False,
 ) -> SweepReport:
     """Run every cell, using the cache and up to ``jobs`` worker processes.
@@ -353,7 +337,7 @@ def run_sweep(
     t_start = time.perf_counter()
     code_fp = code_fingerprint()
     cache = ResultCache(cache_dir) if cache_dir is not None else None
-    keys = [cell_key(cell, code_fp, trace, check) for cell in cells]
+    keys = [cell_key(cell, code_fp, check) for cell in cells]
     slots: list[Optional[CellResult]] = [None] * len(cells)
     misses: list[int] = []
     for i, (cell, key) in enumerate(zip(cells, keys)):
@@ -366,7 +350,7 @@ def run_sweep(
 
     if misses and jobs > 1:
         work = [
-            (cells[i], verify, cache_dir, code_fp, trace, check)
+            (cells[i], verify, cache_dir, code_fp, check)
             for i in misses
         ]
         with ProcessPoolExecutor(max_workers=min(jobs, len(misses))) as pool:
@@ -374,7 +358,7 @@ def run_sweep(
                 slots[i] = CellResult(cells[i], result, wall, rss_kb, cache_hit=False)
     else:
         for i in misses:
-            result, wall, rss_kb = _execute_cell(cells[i], verify, trace, check)
+            result, wall, rss_kb = _execute_cell(cells[i], verify, check)
             if cache is not None:
                 cache.put(keys[i], result, wall, rss_kb)
             slots[i] = CellResult(cells[i], result, wall, rss_kb, cache_hit=False)

@@ -8,10 +8,9 @@ Commands
     flag of this one command:
 
     * ``--trace`` records structured events and prints where the time went
-      (per-process breakdown, message mix); ``--trace-out`` /
-      ``--jsonl-out`` export a Chrome trace / JSONL event log and
-      ``--critical-path`` walks the causal critical path (each implies
-      ``--trace``); see docs/observability.md.
+      (per-process breakdown, message mix); ``--trace-out`` exports a Chrome
+      trace and ``--critical-path`` walks the causal critical path (each
+      implies ``--trace``); see docs/observability.md.
     * ``--metrics`` / ``--metrics-out`` fold contention metrics from the
       trace; this is the per-view report (acquire waits by view and mode,
       bytes per grant by view) beside the per-page diff tables.
@@ -22,8 +21,7 @@ Commands
     * ``--host-trace`` records *wall-clock* spans of the real work (build,
       execute, extract, verify) on a second tracer and prints a host-time
       breakdown whose categories sum to measured wall time; ``--trace-out``
-      and ``--jsonl-out`` export its rows after the simulated ones, as the
-      ``host`` process.
+      exports its rows after the simulated ones, as the ``host`` process.
     * ``--faults PLAN.json`` installs a scripted
       :class:`repro.faults.FaultPlan`, the one way to inject loss (a ``loss``
       episode); see docs/robustness.md.  ``--faults-out PATH`` dumps the
@@ -56,8 +54,7 @@ Commands
     ``BENCH_faults.json`` or a ``benchmarks/e2e`` results file) and flag
     regressions over each consecutive pair — simulated statistics exactly,
     the gated host numbers at ``--throughput-tolerance``; ``--check`` makes
-    regressions a non-zero exit for CI, ``--html`` writes a sparkline
-    dashboard.
+    regressions a non-zero exit for CI.
 ``list``
     Show the available applications, protocols, variants and tables.
 ``adversary APP``
@@ -71,6 +68,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from itertools import chain
@@ -160,25 +158,20 @@ def _check_consistency(
     return EXIT_CONSISTENCY if report.verdict == "violations" else 0
 
 
-def _write_trace_outputs(tracer, args: argparse.Namespace, host) -> None:
-    from repro.obs import write_chrome_trace, write_jsonl
+def _write_trace_out(tracer, args: argparse.Namespace, host) -> None:
+    """Honour --trace-out: the run's rows, the host tracer's (if any) after
+    the simulated ones, as one Chrome trace."""
+    from repro.obs import write_chrome_trace
 
-    def rows():
-        """The run's rows, the host tracer's (if any) after the simulated ones."""
-        return tracer if host is None else chain(tracer.events, host.events)
-
-    if args.trace_out:
-        # the writers schema-check in the pass that writes and leave no file
-        # behind on failure: an unbalanced trace (a span opened but never
-        # closed) silently renders wrong in Perfetto, so fail loudly
-        try:
-            write_chrome_trace(rows(), args.trace_out)
-        except ValueError as exc:
-            raise SystemExit(f"error: trace failed schema validation: {exc}") from exc
-        print(f"wrote Chrome trace to {args.trace_out} (open in https://ui.perfetto.dev)")
-    if args.jsonl_out:
-        write_jsonl(rows(), args.jsonl_out)
-        print(f"wrote JSONL events to {args.jsonl_out}")
+    rows = tracer if host is None else chain(tracer.events, host.events)
+    # the writer schema-checks in the pass that writes and leaves no file
+    # behind on failure: an unbalanced trace (a span opened but never
+    # closed) silently renders wrong in Perfetto, so fail loudly
+    try:
+        write_chrome_trace(rows, args.trace_out)
+    except ValueError as exc:
+        raise SystemExit(f"error: trace failed schema validation: {exc}") from exc
+    print(f"wrote Chrome trace to {args.trace_out} (open in https://ui.perfetto.dev)")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -188,7 +181,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro import obs
 
     tracer = metrics = oracle = host = None
-    if args.trace or args.trace_out or args.jsonl_out or args.critical_path:
+    if args.trace or args.trace_out or args.critical_path:
         tracer = obs.EventTracer()
     show_metrics = args.metrics or args.metrics_out
     if show_metrics:
@@ -243,8 +236,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if host is not None:
         print()
         print(obs.format_host_breakdown(obs.host_breakdown(host)))
-    if tracer is not None:
-        _write_trace_outputs(tracer, args, host)
+    if args.trace_out:
+        _write_trace_out(tracer, args, host)
     if oracle is not None:
         return _check_consistency(oracle, args.protocol, args.nprocs, args)
     return 0
@@ -286,7 +279,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         DEFAULT_THROUGHPUT_TOLERANCE,
         compute_trend,
         format_trend,
-        format_trend_html,
         load_report,
     )
 
@@ -300,10 +292,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(format_trend(trend, verbose=args.verbose))
-    if args.html:
-        with open(args.html, "w") as fh:
-            fh.write(format_trend_html(trend))
-        print(f"wrote HTML report to {args.html}")
     if args.check and trend.regressions:
         print(
             f"error: {len(trend.regressions)} regression(s) beyond tolerance",
@@ -375,7 +363,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # full benchmark matrix -> consolidated BENCH_sweep.json
         report = sweep_mod.run_sweep(
             sweep_mod.default_cells(), jobs=jobs, cache_dir=cache_dir,
-            trace=args.trace, check=args.check_consistency,
+            check=args.check_consistency,
         )
         report_path = args.report or sweep_mod.DEFAULT_OUTPUT
         sweep_mod.write_report(report, report_path)
@@ -389,20 +377,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 f"  [{tag}]  {cell.events_per_sec:>7} ev/s  fp={cell.fingerprint()}"
                 f"{oracle_tag}"
             )
-        if args.trace:
-            from repro.obs import format_breakdown
-
-            for cell in report.cells:
-                breakdown = getattr(cell.result, "breakdown", None)
-                if breakdown:
-                    c = cell.cell
-                    print()
-                    print(
-                        format_breakdown(
-                            breakdown,
-                            title=f"Breakdown — {c.app}/{c.protocol}/{c.variant}/{c.nprocs}p",
-                        )
-                    )
         print(
             f"{len(report.cells)} cells in {report.wall_seconds:.2f}s "
             f"({report.hits} cached, jobs={report.jobs}); wrote {report_path}"
@@ -502,6 +476,30 @@ def _count(text: str) -> int:
     return value
 
 
+def _float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
+def _tolerance(text: str) -> float:
+    """``type=`` of ``--throughput-tolerance``: a finite fraction >= 0 (a NaN
+    one would pass every slowdown, a negative one flag identical reports)."""
+    value = _float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
+def _probability(text: str) -> float:
+    """``type=`` of ``--loss-rates``: a probability in [0, 1], NaN refused."""
+    value = _float(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"must be a probability in [0, 1], got {text}")
+    return value
+
+
 def _add_cell_flags(p: argparse.ArgumentParser, nprocs: int) -> None:
     """The five flags naming one cell (``run``/``check``/``trace``/``profile``)."""
     p.add_argument("app", choices=sorted(APPS))
@@ -526,8 +524,6 @@ def _add_run_command(sub, name: str, help: str, nprocs: int = 16, **preset) -> N
     p.add_argument("--trace-out", default=None, metavar="PATH",
                    help="write a Chrome trace-event JSON file, open in "
                    "https://ui.perfetto.dev (implies --trace)")
-    p.add_argument("--jsonl-out", default=None, metavar="PATH",
-                   help="write the raw events as JSONL (implies --trace)")
     p.add_argument("--critical-path", action="store_true",
                    help="walk the causal critical path and print its "
                    "per-category attribution and wait slack (implies --trace)")
@@ -556,7 +552,7 @@ def _add_run_command(sub, name: str, help: str, nprocs: int = 16, **preset) -> N
     p.add_argument("--host-trace", action="store_true",
                    help="profile host wall-clock time (monotonic spans "
                    "around build/execute/extract/verify); print a host-time "
-                   "breakdown and add host spans to --trace-out/--jsonl-out")
+                   "breakdown and add host spans to --trace-out")
     p.set_defaults(fn=_cmd_run, **preset)
 
 
@@ -609,10 +605,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_report.add_argument("--check", action="store_true",
                           help="exit 1 if any metric regresses beyond tolerance")
-    p_report.add_argument("--html", default=None, metavar="PATH",
-                          help="also write a standalone HTML dashboard")
     p_report.add_argument(
-        "--throughput-tolerance", type=float, default=None, metavar="FRAC",
+        "--throughput-tolerance", type=_tolerance, default=None, metavar="FRAC",
         help="relative slowdown allowed on the gated host-time numbers "
         "(default 0.25; simulated metrics are always compared exactly)",
     )
@@ -645,15 +639,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="result cache directory (default: .cache/sweep)")
     p_sweep.add_argument("--report", default=None,
                          help="report path for the full matrix (default: BENCH_sweep.json)")
-    p_sweep.add_argument("--trace", action="store_true",
-                         help="trace full-matrix cells and add per-process time "
-                         "breakdowns to the report (separate cache entries)")
     p_sweep.add_argument("--faults", nargs="?", const="", default=None,
                          metavar="PLAN.json",
                          help="run the fault-degradation grid (slowdown vs loss "
                          "rate per protocol) instead of the matrix; an optional "
                          "plan file is layered under every cell")
-    p_sweep.add_argument("--loss-rates", nargs="+", type=float,
+    p_sweep.add_argument("--loss-rates", nargs="+", type=_probability,
                          default=[0.0, 0.002, 0.005, 0.01, 0.02], metavar="P",
                          help="loss rates swept by the degradation grid")
     p_sweep.add_argument("--faults-seed", type=int, default=7,

@@ -12,8 +12,8 @@ protocol implementations and the runtimes:
 * :mod:`repro.obs.breakdown` decomposes each application process's simulated
   run time into those categories (the "Breakdown" report sections);
 * :mod:`repro.obs.export` renders a trace as Chrome trace-event JSON
-  (loadable in Perfetto / ``chrome://tracing``), a flat JSONL event log, or a
-  terminal flame-style summary;
+  (loadable in Perfetto / ``chrome://tracing``) or a terminal flame-style
+  summary;
 * :mod:`repro.obs.critical_path` walks the causal send/wake edges backwards
   from the last rank's finish to the simulated critical path — the chain of
   segments that actually determined the run's length — with per-category
@@ -32,7 +32,7 @@ protocol implementations and the runtimes:
   phases recorded as rows on a second :class:`EventTracer` (pid
   :data:`HOST_PID`, one tracer per clock domain), with a breakdown whose
   categories sum to measured wall time; chained with the simulated rows,
-  the same exporters write both clock domains into one Perfetto document.
+  the same writer puts both clock domains into one Perfetto document.
 
 Tracing is **opt-in and zero-overhead when off**: every emission site guards
 on ``sim.tracer is not None`` (the default), so an untraced run executes the
@@ -68,11 +68,8 @@ from repro.obs.critical_path import (
 from repro.obs.export import (
     chrome_trace,
     flame_summary,
-    iter_chrome_trace,
-    iter_jsonl_lines,
     validate_chrome_trace,
     write_chrome_trace,
-    write_jsonl,
 )
 from repro.obs.host import (
     HOST_PID,
@@ -98,7 +95,6 @@ from repro.obs.report import (
     TrendSeries,
     compute_trend,
     format_trend,
-    format_trend_html,
     load_report,
 )
 
@@ -119,10 +115,7 @@ __all__ = [
     "compute_breakdown",
     "format_breakdown",
     "chrome_trace",
-    "iter_chrome_trace",
     "write_chrome_trace",
-    "iter_jsonl_lines",
-    "write_jsonl",
     "flame_summary",
     "validate_chrome_trace",
     "HOST_PID",
@@ -149,7 +142,6 @@ __all__ = [
     "TrendSeries",
     "compute_trend",
     "format_trend",
-    "format_trend_html",
     "GATE_EXACT",
     "GATE_THROUGHPUT",
     "GATE_INFO",

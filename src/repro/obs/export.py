@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome trace-event JSON, JSONL, terminal flame summary.
+"""Trace exporters: Chrome trace-event JSON and the terminal flame summary.
 
 The Chrome trace-event document (``chrome_trace``/``write_chrome_trace``)
 loads directly into Perfetto (https://ui.perfetto.dev) or
@@ -13,9 +13,9 @@ deterministic simulation the exported bytes are identical across runs —
 
 The document exists in two forms that number pids and lanes through one
 ``_Lanes``: the dict ``chrome_trace`` returns, and the text
-``iter_chrome_trace`` streams and ``write_chrome_trace`` puts on disk, which
-is byte for byte ``json.dumps`` of that dict with ``(",", ":")`` separators
-plus a newline, without the dict, or the whole string, ever being built.
+``write_chrome_trace`` puts on disk, which is byte for byte ``json.dumps`` of
+that dict with ``(",", ":")`` separators plus a newline, without the dict, or
+the whole string, ever being built.
 
 The text form is one pass over the rows (``_text``), with one memo entry per
 row *head* ``(ph, pid, lane, cat, name)``: the text before ``"ts":``, the
@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import IO, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from repro.obs.gcpause import gc_paused
 from repro.obs.host import HOST_PID
@@ -40,10 +40,7 @@ from repro.obs.tracer import EventTracer
 
 __all__ = [
     "chrome_trace",
-    "iter_chrome_trace",
     "write_chrome_trace",
-    "iter_jsonl_lines",
-    "write_jsonl",
     "flame_summary",
     "validate_chrome_trace",
 ]
@@ -242,13 +239,13 @@ def _head_text(ph, pid, tid, cat, name) -> str:
     if ph == "X" or ph == "B" or ph == "i":
         return (f'{{"ph":"{ph}","name":{encode(name)},"cat":{encode(cat)},'
                 f'"pid":{encode(pid)},"tid":{tid},"ts":')
-    # "C", a recorded "M", and (unchecked) any other phase: the counter's shape
+    # "C" and a recorded "M": the counter's shape
     return f'{{"ph":{encode(ph)},"name":{encode(name)},"pid":{encode(pid)},"tid":{tid},"ts":'
 
 
-def _text(events: Iterable, checked: bool):
+def _text(events: Iterable):
     """The document of ``events`` as text, a few thousand events per chunk, in
-    one pass; ``checked`` keeps the rules as it goes (the writer's mode).
+    one pass that keeps the rules as it goes.
 
     A row's head, ``(ph, pid, lane, cat, name)``, fixes everything but its
     ``ts``, ``dur``, ``args`` and ``B``/``E`` depth: the text before
@@ -258,21 +255,9 @@ def _text(events: Iterable, checked: bool):
     checked.  Key order and number forms are those of ``json.dumps(
     chrome_trace(...), separators=(",", ":"))``: a finite float is its
     ``repr``, flat integer ``args`` fill a memoised template, other ``args``
-    and every string go through the encoder.  Unchecked, a time the rules
-    refuse (negative, ``inf``, ``nan``) is spelled by the encoder as well.
+    and every string go through the encoder.
     """
     encode, float_repr, inf = _encode, float.__repr__, math.inf
-    if checked:
-        bad_ts, bad_dur, unopened = _refuse_ts, _refuse_dur, _refuse_unopened
-    else:
-        def bad_ts(_i, value):
-            return encode(value)
-
-        bad_dur = bad_ts
-
-        def unopened(_i, _key):
-            return None
-
     durs, templates, lanes = _Durations(), _ArgTemplates(), _Lanes()
     heads: dict[tuple, tuple] = {}  # head -> (text before ts, depth cell, tid)
     depths: dict[tuple, list] = {}  # (pid, tid) -> [open B count], in lane order
@@ -289,19 +274,17 @@ def _text(events: Iterable, checked: bool):
             if tid is None:
                 tid, meta = lanes.open(pid, lane)
                 for what, mpid, mtid, label in meta:
-                    if checked:
-                        _check_head(n, "M", mpid, mtid, what)
+                    _check_head(n, "M", mpid, mtid, what)
                     depths.setdefault((mpid, mtid), [0])
                     append(f'{{"ph":"M","name":"{what}","pid":{encode(mpid)},'
                            f'"tid":{mtid},"ts":0,"args":{{"name":{encode(label)}}}}}')
                     n += 1
-            if checked:
-                _check_head(n, ph, pid, tid, name)
+            _check_head(n, ph, pid, tid, name)
             head = heads[ph, pid, lane, cat, name] = (
                 _head_text(ph, pid, tid, cat, name), depths[pid, tid], tid)
         text, depth, tid = head
         ts = t * 1e6
-        ts = float_repr(ts) if 0.0 <= ts < inf else bad_ts(n, ts)
+        ts = float_repr(ts) if 0.0 <= ts < inf else _refuse_ts(n, ts)
         if ph == "X" or ph == "B" or ph == "i":
             tail = "}"
             if args:
@@ -312,15 +295,14 @@ def _text(events: Iterable, checked: bool):
                 tail = f',"args":{encode(args) if template is None else template % values}}}'
             if ph == "X":
                 if end is None:
-                    dur = bad_dur(n, None)
+                    _refuse_dur(n, None)
+                dur = (end - t) * 1e6
+                if 0.0 < dur < inf:
+                    dur = durs[dur]
+                elif dur == 0.0:  # -0.0 == 0.0 as a key: spelled per row
+                    dur = float_repr(dur)
                 else:
-                    dur = (end - t) * 1e6
-                    if 0.0 < dur < inf:
-                        dur = durs[dur]
-                    elif dur == 0.0:  # -0.0 == 0.0 as a key: spelled per row
-                        dur = float_repr(dur)
-                    else:
-                        dur = bad_dur(n, dur)
+                    _refuse_dur(n, dur)
                 append(f'{text}{ts},"dur":{dur}{tail}')
             elif ph == "B":
                 depth[0] += 1
@@ -329,7 +311,7 @@ def _text(events: Iterable, checked: bool):
                 append(f'{text}{ts},"s":"t"{tail}')
         elif ph == "E":
             if depth[0] <= 0:
-                unopened(n, (pid, tid))
+                _refuse_unopened(n, (pid, tid))
             depth[0] -= 1
             append(f"{text}{ts}}}")
         else:
@@ -340,24 +322,10 @@ def _text(events: Iterable, checked: bool):
             yield sep + ",".join(buf[:chunk])
             sep = ","
             del buf[:chunk]
-    if checked:
-        _check_ends(n, depths)
+    _check_ends(n, depths)
     if buf:
         yield sep + ",".join(buf)
     yield '],"displayTimeUnit":"ms"}\n'
-
-
-def iter_chrome_trace(trace: "EventTracer | Iterable"):
-    """Yield the Chrome trace document as text chunks.
-
-    Joined, the chunks are byte for byte
-    ``json.dumps(chrome_trace(trace), separators=(",", ":")) + "\\n"``
-    — what the writers put on disk — but neither the document dict nor its
-    full text ever exists: events stream from the tracer's storage to the
-    consumer, as :func:`iter_jsonl_lines` does for the JSONL form.  Nothing is
-    checked here (:func:`write_chrome_trace` checks as it writes).
-    """
-    return _text(_events_of(trace), checked=False)
 
 
 @gc_paused()
@@ -369,49 +337,11 @@ def write_chrome_trace(trace: "EventTracer | Iterable", path: str) -> None:
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w") as fh:
-            fh.writelines(_text(_events_of(trace), checked=True))
+            fh.writelines(_text(_events_of(trace)))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-
-
-def iter_jsonl_lines(trace: "EventTracer | Iterable"):
-    """Yield the JSONL export one line at a time (newline included).
-
-    A generator so exporting never materialises a second copy of the event
-    list: large traces stream straight from the tracer's storage
-    to the file.
-    """
-    dumps = json.dumps
-    for ph, t, pid, lane, cat, name, args, end in _events_of(trace):
-        yield dumps(
-            {
-                "ph": ph,
-                "t": t,
-                "pid": pid,
-                "lane": lane,
-                "cat": cat,
-                "name": name,
-                "args": args,
-                "end": end,
-            },
-            sort_keys=False,
-        ) + "\n"
-
-
-@gc_paused()
-def write_jsonl(trace: "EventTracer | Iterable", fh_or_path: "IO[str] | str") -> None:
-    """Flat one-object-per-line event log (easy to grep/pandas).
-
-    Streams incrementally via :func:`iter_jsonl_lines` — memory stays
-    bounded by one line regardless of trace size.
-    """
-    if isinstance(fh_or_path, str):
-        with open(fh_or_path, "w") as fh:
-            fh.writelines(iter_jsonl_lines(trace))
-    else:
-        fh_or_path.writelines(iter_jsonl_lines(trace))
 
 
 def flame_summary(trace: "EventTracer | Iterable", width: int = 40) -> str:

@@ -4,8 +4,7 @@
 collector.  ``run_app`` holds it over its whole body, and so does every pass
 that walks a finished trace to completion (``Metrics.fold``,
 ``compute_breakdown``, ``check_history``, ``compute_critical_path``,
-``write_chrome_trace``, ``write_jsonl``).  A generator never holds it
-(``iter_chrome_trace``, ``iter_jsonl_lines``): a pause taken inside a
+``write_chrome_trace``).  A generator never holds it: a pause taken inside a
 generator would stay in force in its consumer between yields.
 """
 

@@ -31,15 +31,13 @@ paths or ``git:REV[:path]`` specs (the latter read the file out of a git
 revision, default path ``BENCH_sweep.json``), so
 ``python -m repro report git:HEAD~1 BENCH_sweep.json`` compares a fresh sweep
 against the last commit's.  ``--check`` exits non-zero iff a series
-regressed; ``--html`` additionally writes a standalone dashboard (inline
-CSS and SVG sparklines, no external assets).
+regressed.
 """
 
 from __future__ import annotations
 
-import html as _html
 import json
-import subprocess
+import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -56,7 +54,6 @@ __all__ = [
     "GATE_INFO",
     "DEFAULT_THROUGHPUT_TOLERANCE",
     "format_trend",
-    "format_trend_html",
 ]
 
 DEFAULT_THROUGHPUT_TOLERANCE = 0.25  # relative; see module docstring
@@ -137,19 +134,21 @@ SCHEMA: dict[str, dict] = {
 def load_report(spec: str) -> dict:
     """Load a report JSON from a path or a ``git:REV[:path]`` spec.
 
+    A ``git:`` spec reads ``path`` (repository-relative) out of revision
+    ``REV`` of the checkout that holds the running ``repro`` package, from
+    any working directory.
+
     BENCH files written before the run-manifest block existed (pre-schema-1)
     are backfilled with ``{"schema": 0}`` and a warning, so historical
     ``git:REV`` specs keep working.  (An ``e2e`` document has no
     ``benchmark`` key and describes its host in a ``host`` block instead.)
     """
     if spec.startswith("git:"):
+        from repro.bench.manifest import git
+
         rev, _, path = spec[4:].partition(":")
-        blob = subprocess.run(
-            ["git", "show", f"{rev}:{path or 'BENCH_sweep.json'}"],
-            capture_output=True,
-            check=True,
-        ).stdout
-        doc = json.loads(blob)
+        doc = json.loads(git("show", f"{rev}:{path or 'BENCH_sweep.json'}",
+                             check=True).stdout)
     else:
         with open(spec) as fh:
             doc = json.load(fh)
@@ -281,7 +280,10 @@ def compute_trend(
     tolerance-gated host time / report-only); a series is a regression iff
     any pair regressed.  A row present in one report and missing from the
     next loses coverage (its exact series regress); a new row is a change.
+    ``tolerance`` must be finite and >= 0.
     """
+    if not 0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     if len(docs) < 2:
         raise ValueError("a report needs at least two documents to compare")
     if len(docs) != len(labels):
@@ -319,18 +321,6 @@ def _short(v: Any, width: int = 28) -> str:
     return s if len(s) <= width else s[: width - 1] + "…"
 
 
-_HTML_STYLE = """
-body { font: 14px/1.45 system-ui, sans-serif; margin: 2rem auto; max-width: 72rem; color: #1a1a2e; }
-h1 { font-size: 1.3rem; } .verdict { font-weight: 700; padding: .4rem .8rem; border-radius: .4rem; display: inline-block; }
-.verdict.fail { background: #fde8e8; color: #9b1c1c; } .verdict.pass { background: #e6f6ec; color: #14632e; }
-table { border-collapse: collapse; width: 100%; margin-top: 1rem; }
-th, td { text-align: left; padding: .35rem .6rem; border-bottom: 1px solid #e3e3ef; font-variant-numeric: tabular-nums; }
-tr.regressed td { background: #fdf0f0; } tr.improved td { background: #f0faf3; }
-td.status { font-weight: 600; } tr.regressed td.status { color: #9b1c1c; } tr.improved td.status { color: #14632e; }
-code { background: #f4f4fb; padding: .05rem .3rem; border-radius: .25rem; }
-"""
-
-
 def _trend_note(series: TrendSeries) -> str:
     """The note of the first regressed pair, else the first note at all."""
     flagged = (n for st, n in zip(series.statuses, series.notes)
@@ -338,13 +328,12 @@ def _trend_note(series: TrendSeries) -> str:
     return next(flagged, None) or next((n for n in series.notes if n), "")
 
 
-def _revisions(trend: Trend, unstamped: str = "") -> list[str]:
+def _revisions(trend: Trend) -> list[str]:
     """Each label with its manifest's short git revision, when it has one."""
     out = []
     for label, manifest in zip(trend.labels, trend.manifests):
         rev = manifest.get("git_rev")
-        out.append(f"{label} [{rev[:10]}]" if rev else
-                   label if manifest.get("schema") else label + unstamped)
+        out.append(f"{label} [{rev[:10]}]" if rev else label)
     return out
 
 
@@ -376,63 +365,3 @@ def format_trend(trend: Trend, verbose: bool = False) -> str:
     )
     lines.append("verdict: " + ("REGRESSED" if tally[REGRESSED] else "ok"))
     return "\n".join(lines)
-
-
-def _sparkline(values: list, width: int = 120, height: int = 28) -> str:
-    """Inline SVG polyline over the numeric values of one series."""
-    nums = [(i, v) for i, v in enumerate(values)
-            if isinstance(v, (int, float)) and not isinstance(v, bool)]
-    if len(nums) < 2:
-        return ""
-    lo = min(v for _i, v in nums)
-    hi = max(v for _i, v in nums)
-    span = (hi - lo) or 1.0
-    n = len(values) - 1
-    pts = " ".join(
-        f"{round(i / n * (width - 4) + 2, 1)},"
-        f"{round((1 - (v - lo) / span) * (height - 6) + 3, 1)}"
-        for i, v in nums
-    )
-    return (
-        f"<svg class='spark' width='{width}' height='{height}' "
-        f"viewBox='0 0 {width} {height}'>"
-        f"<polyline points='{pts}' fill='none' stroke='currentColor' "
-        "stroke-width='1.5'/></svg>"
-    )
-
-
-def format_trend_html(trend: Trend) -> str:
-    """Standalone single-file HTML trend dashboard with sparklines."""
-    esc = _html.escape
-    rows = []
-    for s in sorted(trend.series,
-                    key=lambda s: (_SEVERITY[s.worst], s.key, s.metric)):
-        vals = " &rarr; ".join(
-            esc(_short(v, 20)) if v is not None else "·" for v in s.values
-        )
-        rows.append(
-            f"<tr class='{esc(s.worst)}'>"
-            f"<td class='status'>{esc(s.worst)}</td>"
-            f"<td>{esc(s.gate)}</td>"
-            f"<td><code>{esc(s.key)}</code></td><td>{esc(s.metric)}</td>"
-            f"<td>{vals}</td><td>{_sparkline(s.values)}</td>"
-            f"<td>{esc(_trend_note(s))}</td></tr>"
-        )
-    n_reg = len(trend.regressions)
-    verdict = "REGRESSED" if n_reg else "ok"
-    cls = "fail" if n_reg else "pass"
-    revs = [f"<code>{esc(r)}</code>" for r in _revisions(trend, " [no manifest]")]
-    return (
-        "<!doctype html><html><head><meta charset='utf-8'>"
-        f"<title>repro trend report</title><style>{_HTML_STYLE}"
-        ".spark { color: #4c51bf; vertical-align: middle; }"
-        "</style></head><body>"
-        f"<h1>Trend report ({esc(trend.kind)})</h1>"
-        f"<p>{' &rarr; '.join(revs)}</p>"
-        f"<p><span class='verdict {cls}'>{verdict}</span> — "
-        f"{n_reg} regressing metric(s) over {len(trend.series)} tracked "
-        f"across {len(trend.labels)} revision(s)</p>"
-        "<table><thead><tr><th>status</th><th>gate</th><th>key</th>"
-        "<th>metric</th><th>values</th><th>trend</th><th>note</th></tr></thead>"
-        f"<tbody>{''.join(rows)}</tbody></table></body></html>\n"
-    )

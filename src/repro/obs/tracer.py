@@ -120,10 +120,11 @@ class EventTracer:
         tracer = EventTracer()
         system.sim.tracer = tracer
         system.run_program(body)
-        print(tracer.summary())
+        print(flame_summary(tracer))
 
     (or pass ``tracer=`` to :func:`repro.apps.common.run_app`, which does
-    this and attaches the computed breakdown to the result).
+    this).  The analyses read ``events``: :func:`repro.obs.compute_breakdown`,
+    :func:`repro.obs.flame_summary`, :func:`repro.obs.compute_critical_path`.
     """
 
     __slots__ = ("events", "sends", "wakes", "_dispatch")
@@ -205,15 +206,3 @@ class EventTracer:
 
     def __len__(self) -> int:
         return len(self.events)
-
-    def breakdown(self) -> dict:
-        """Per-process time attribution (see :mod:`repro.obs.breakdown`)."""
-        from repro.obs.breakdown import compute_breakdown
-
-        return compute_breakdown(self.events)
-
-    def summary(self) -> str:
-        """Terminal flame-style summary (see :mod:`repro.obs.export`)."""
-        from repro.obs.export import flame_summary
-
-        return flame_summary(self)

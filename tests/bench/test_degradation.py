@@ -1,6 +1,7 @@
 """Tests for the fault-degradation grid (``python -m repro sweep --faults``)."""
 
 import json
+import math
 
 import pytest
 
@@ -105,6 +106,21 @@ def test_checked_grid_verdicts_cover_the_aborted_cell():
     assert failed["consistency"]["verdict"] == "clean"
     assert failed["consistency"]["findings"] == 0
     assert "time" not in failed and "injected" not in failed
+
+
+@pytest.mark.parametrize("rate", [math.nan, 1.5, -0.01])
+def test_loss_rate_outside_0_1_is_refused_before_any_cell(rate, monkeypatch):
+    """NaN used to run as no loss at all (and write NaN into the report), 1.5
+    to escape a pool worker as a fault-plan error."""
+    from repro.bench import degradation
+
+    def boom(*a, **kw):
+        raise AssertionError("a grid cell ran")
+
+    monkeypatch.setattr(degradation, "run_sweep", boom)
+    with pytest.raises(ValueError, match=r"loss rate must be a probability in \[0, 1\], "
+                       f"got {rate!r}"):
+        run_degradation_grid(**{**KW, "loss_rates": (0.0, rate)})
 
 
 def test_grid_rides_the_sweep_pool_and_cache(tmp_path, monkeypatch):

@@ -256,36 +256,6 @@ def test_committed_bench_sweep_json_schema():
     check_sweep_schema(json.loads(path.read_text()))
 
 
-def test_trace_uses_separate_cache_keys():
-    cell = SweepCell(app="sor", protocol="vc_sd", nprocs=2)
-    assert cell_key(cell, trace=True) != cell_key(cell, trace=False)
-    assert cell_key(cell, trace=False) == cell_key(cell)  # untraced keys unchanged
-
-
-def test_traced_sweep_adds_breakdown_without_changing_rows(tmp_path):
-    cells = CELLS[:1]
-    plain = run_sweep(cells, jobs=1, cache_dir=None)
-    traced = run_sweep(cells, jobs=1, cache_dir=str(tmp_path), trace=True)
-    # bit-identical simulated statistics
-    assert rows(plain) == rows(traced)
-    assert [c.fingerprint() for c in plain.cells] == [
-        c.fingerprint() for c in traced.cells
-    ]
-    breakdown = traced.cells[0].result.breakdown
-    assert breakdown is not None
-    assert sum(breakdown[0]["percent"].values()) == pytest.approx(100.0)
-    cell_json = traced.to_json()["cells"][0]
-    assert "breakdown" in cell_json
-    assert "breakdown" not in plain.to_json()["cells"][0]
-    # the traced entry was cached under the trace key and recalls its breakdown
-    recalled = run_sweep(cells, jobs=1, cache_dir=str(tmp_path), trace=True)
-    assert recalled.cells[0].cache_hit
-    assert recalled.cells[0].result.breakdown == breakdown
-    # an untraced sweep over the same cache dir misses (different key space)
-    untraced = run_sweep(cells, jobs=1, cache_dir=str(tmp_path), trace=False)
-    assert not untraced.cells[0].cache_hit
-
-
 def test_default_cells_cover_all_apps_and_protocols():
     cells = default_cells()
     assert {c.app for c in cells} == {"is", "gauss", "sor", "nn"}

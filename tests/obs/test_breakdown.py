@@ -92,10 +92,10 @@ def test_empty_trace_gives_empty_breakdown():
 )
 def test_percentages_sum_to_100_across_protocols(app, protocol):
     tracer = EventTracer()
-    result = run_app(APPS[app], protocol, 4, tracer=tracer)
-    assert result.breakdown is not None
-    assert sorted(result.breakdown) == list(range(4))
-    for row in result.breakdown.values():
+    run_app(APPS[app], protocol, 4, tracer=tracer)
+    breakdown = compute_breakdown(tracer.events)
+    assert sorted(breakdown) == list(range(4))
+    for row in breakdown.values():
         assert sum(row["percent"].values()) == pytest.approx(100.0, abs=1e-9)
         assert sum(row["seconds"].values()) == pytest.approx(row["total"])
 
@@ -106,9 +106,10 @@ def test_percentages_sum_to_100_across_protocols(app, protocol):
 def test_single_rank_run():
     """nprocs=1: one row, no idle (it is its own last finisher), sums exact."""
     tracer = EventTracer()
-    result = run_app(APPS["sor"], "vc_sd", 1, tracer=tracer)
-    assert sorted(result.breakdown) == [0]
-    row = result.breakdown[0]
+    run_app(APPS["sor"], "vc_sd", 1, tracer=tracer)
+    breakdown = compute_breakdown(tracer.events)
+    assert sorted(breakdown) == [0]
+    row = breakdown[0]
     assert IDLE not in row["seconds"]
     assert sum(row["percent"].values()) == pytest.approx(100.0, abs=1e-9)
     assert sum(row["seconds"].values()) == pytest.approx(row["total"])
@@ -176,7 +177,7 @@ def test_app_intervals_matches_breakdown_pieces():
 def test_format_breakdown_renders_all_processes():
     tracer = EventTracer()
     run_app(APPS["sor"], "vc_sd", 2, tracer=tracer)
-    text = format_breakdown(tracer.breakdown())
+    text = format_breakdown(compute_breakdown(tracer.events))
     assert "compute" in text
     assert "mean" in text
     for pid in (0, 1):

@@ -143,6 +143,7 @@ def test_consumer_contract_pinned_on_is_vc_d_8(tmp_path):
     import hashlib
 
     from repro.obs import (
+        compute_breakdown,
         compute_critical_path,
         validate_chrome_trace,
         write_chrome_trace,
@@ -151,7 +152,7 @@ def test_consumer_contract_pinned_on_is_vc_d_8(tmp_path):
     def digest(obj):
         return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
-    tracer, result = traced_run(nprocs=8)
+    tracer, _ = traced_run(nprocs=8)
     cp = compute_critical_path(tracer)
     assert len(cp.segments) == 2351 and digest(cp.segments) == "384baab6e27927dc"
     assert cp.by_category == {
@@ -162,14 +163,15 @@ def test_consumer_contract_pinned_on_is_vc_d_8(tmp_path):
         "diff": 0.0027537124999845054,
     }
     assert len(cp.waits) == 4326 and digest(cp.waits) == "ef3542881de66efc"
-    assert result.breakdown[0]["seconds"] == {
+    breakdown = compute_breakdown(tracer.events)
+    assert breakdown[0]["seconds"] == {
         "compute": 3.4682553135713965,
         "acquire-wait": 0.06718408535715456,
         "page-fault": 0.05792150750001315,
         "barrier-wait": 0.13597750392858182,
         "diff-wait": 0.22135069249999295,
     }
-    assert digest(result.breakdown) == "7e7a385df9a1ff6a"
+    assert digest(breakdown) == "7e7a385df9a1ff6a"
     # the instants the contention metrics are folded from (one per diff
     # pull, grant and barrier arrival) came later: the other rows keep
     # their pins, and these are pinned on their own

@@ -1,6 +1,5 @@
 """Tests for the trace exporters and the Chrome-trace schema validator."""
 
-import io
 import json
 import math
 from itertools import chain
@@ -18,10 +17,8 @@ from repro.obs import (
     chrome_trace,
     export,
     flame_summary,
-    iter_chrome_trace,
     validate_chrome_trace,
     write_chrome_trace,
-    write_jsonl,
 )
 
 
@@ -64,11 +61,11 @@ def test_write_chrome_trace_deterministic_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-# -- byte identity of the streamed text form ---------------------------------------
+# -- byte identity of the written text form ----------------------------------------
 
 
 def _canonical(doc) -> str:
-    """The bytes the writers have always put on disk for ``doc``."""
+    """The bytes the writer has always put on disk for ``doc``."""
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
@@ -101,54 +98,40 @@ _args = st.one_of(
     st.dictionaries(_keys, st.integers() | _json_values, max_size=3),
 )
 _pids = st.one_of(st.integers(-1, 3), st.integers(HOST_PID, HOST_PID + 2))
-# ``end`` is a time on a complete span and ``None`` on every other row
-_events = st.lists(
-    st.tuples(st.sampled_from("BEXiC"), _times, _pids, _text,
-              st.none() | _text, st.none() | _text, _args, _times)
-    .map(lambda row: row if row[0] == "X" else (*row[:7], None)),
-    max_size=12,
-)
+
+
+# rows every rule accepts: finite times >= 0, named heads, an ``X`` row that
+# ends no earlier than it begins, and each ``E`` right after its ``B`` on the
+# same lane
+_times_ok = st.one_of(st.floats(0, 1e12), st.sampled_from([0.0, -0.0, 5e-324, 1e-320]))
+_names = _text.filter(bool)
+_rows_ok = st.tuples(st.sampled_from("XiCM"), _times_ok, _pids, _text,
+                     st.none() | _text, _names, _args, _times_ok).map(
+    lambda row: (*row[:7], row[1] + row[7]) if row[0] == "X" else (*row[:7], None))
+_spans_ok = st.tuples(_times_ok, _times_ok, _pids, _text, st.none() | _text,
+                      _names, _args).map(
+    lambda s: [("B", s[0], s[2], s[3], s[4], s[5], s[6], None),
+               ("E", s[0] + s[1], s[2], s[3], s[4], None, None, None)])
+_events_ok = st.lists(_rows_ok.map(lambda row: [row]) | _spans_ok,
+                      min_size=1, max_size=8).map(lambda rows: sum(rows, []))
 
 
 @settings(max_examples=100, deadline=None)
-@given(events=_events)
-def test_streamed_bytes_equal_dumped_document(events):
-    """The text form is ``json.dumps`` of the dict form, byte for byte — all
-    six phases (the five recorded ones plus the ``M`` rows every document
-    opens its processes and lanes with), unbalanced spans, hostile strings,
-    non-finite times and durations, ``args`` of every shape on and off the
+@given(events=_events_ok)
+def test_streamed_bytes_equal_dumped_document(events, tmp_path_factory):
+    """The file the writer streams is ``json.dumps`` of the dict form, byte
+    for byte — all six phases (the five recorded ones plus the ``M`` rows
+    every document opens its processes and lanes with), hostile strings,
+    subnormal and negative-zero times, ``args`` of every shape on and off the
     template path, simulated, engine and host pids — and where the chunks
     break does not change it."""
+    path = tmp_path_factory.mktemp("bytes") / "t.json"
     want = _canonical(chrome_trace(events))
-    assert "".join(iter_chrome_trace(events)) == want
+    write_chrome_trace(events, str(path))
+    assert path.read_text() == want
     with mock.patch.object(export, "_CHUNK_EVENTS", 1):
-        chunks = list(iter_chrome_trace(events))
-    assert "".join(chunks) == want
-    n_rows = len(chrome_trace(events)["traceEvents"])
-    assert len(chunks) == n_rows + 2  # opening, one chunk per event, closing
-
-
-def test_empty_event_list_streams_valid_json():
-    text = "".join(iter_chrome_trace([]))
-    assert text == _canonical(chrome_trace([]))
-    assert json.loads(text) == {"traceEvents": [], "displayTimeUnit": "ms"}
-
-
-def test_iter_chrome_trace_is_lazy():
-    """Chunks come out as events go in — no second copy of the event list."""
-    pulled = []
-
-    def events():
-        for i in range(3):
-            pulled.append(i)
-            yield ("i", float(i), 0, "app", "compute", f"e{i}", None, None)
-
-    with mock.patch.object(export, "_CHUNK_EVENTS", 1):
-        chunks = iter_chrome_trace(events())
-        assert pulled == []
-        assert next(chunks) == '{"traceEvents":['
-        assert "process_name" in next(chunks)
-        assert pulled == [0]
+        write_chrome_trace(events, str(path))
+    assert path.read_text() == want
 
 
 def _fake_host():
@@ -281,7 +264,9 @@ def _verdicts(events, path) -> list:
     return outcomes
 
 
-# the byte-identity property's rows, plus a recorded "M" row and an unknown phase
+# rows of every phase, an unknown one included, with any times (NaN, the
+# infinities, negative ones) and unbalanced spans; ``end`` is a time on a
+# complete span and ``None`` on every other row
 _any_phase_events = st.lists(
     st.tuples(st.sampled_from("BEXiCMZ"), _times, _pids, _text,
               st.none() | _text, st.none() | _text, _args, _times)
@@ -295,65 +280,15 @@ _any_phase_events = st.lists(
 def test_writer_and_validator_agree_on_any_trace(events, tmp_path_factory):
     """The writer keeps the validator's rules in one pass with one memo entry
     per row head, yet gives the same verdict and message on every document —
-    the hostile ones of the byte-identity property included — and a file it
-    writes is the canonical text of the document."""
+    hostile ones included — and a file it writes is the canonical text of
+    the document."""
     path = tmp_path_factory.mktemp("agree") / "t.json"
     validator, writer = _verdicts(events, path)
     assert writer == validator
-    want = _canonical(chrome_trace(events))
-    assert "".join(iter_chrome_trace(events)) == want
     if writer is None:
-        assert path.read_text() == want
+        assert path.read_text() == _canonical(chrome_trace(events))
     else:
         assert not path.exists()
-
-
-def test_jsonl_roundtrip():
-    tracer = small_trace()
-    buf = io.StringIO()
-    write_jsonl(tracer, buf)
-    lines = buf.getvalue().splitlines()
-    assert len(lines) == len(tracer.events)
-    first = json.loads(lines[0])
-    assert set(first) == {"ph", "t", "pid", "lane", "cat", "name", "args", "end"}
-    rows = [json.loads(line) for line in lines]
-    assert [tuple(row.values()) for row in rows] == [
-        tuple(ev) for ev in json.loads(json.dumps(tracer.events))]
-    assert all((row["end"] is not None) == (row["ph"] == "X") for row in rows)
-    assert any(row["ph"] == "X" for row in rows)
-
-
-def test_jsonl_streaming_matches_batch(tmp_path):
-    """File, handle and generator forms all produce identical bytes."""
-    from repro.obs import iter_jsonl_lines
-
-    tracer = small_trace()
-    streamed = "".join(iter_jsonl_lines(tracer))
-    buf = io.StringIO()
-    write_jsonl(tracer, buf)
-    assert buf.getvalue() == streamed
-    path = tmp_path / "events.jsonl"
-    write_jsonl(tracer, str(path))
-    assert path.read_text() == streamed
-
-
-def test_iter_jsonl_lines_is_lazy():
-    """The export pulls events one at a time — no second copy of the list."""
-    from repro.obs import iter_jsonl_lines
-
-    pulled = []
-
-    def events():
-        for i in range(3):
-            pulled.append(i)
-            yield ("i", float(i), 0, "app", "compute", f"e{i}", None, None)
-
-    lines = iter_jsonl_lines(events())
-    assert pulled == []  # nothing consumed before iteration starts
-    first = json.loads(next(lines))
-    assert first["name"] == "e0"
-    assert pulled == [0]  # exactly one event materialised per line
-    assert [json.loads(line)["name"] for line in lines] == ["e1", "e2"]
 
 
 def test_flame_summary_text():
@@ -407,18 +342,14 @@ def test_row_of_the_wrong_width_is_refused_by_index(tmp_path):
     """Every exporter reads rows through one contract: 8 fields.  A 7-field
     row (the shape before ``end``) names its index instead of dying as an
     anonymous unpack error inside a generator — and no file is left."""
-    from repro.obs import iter_jsonl_lines
-
     good = ("i", 0.0, 0, "app", "compute", "e", None, None)
     events = [good, good, good[:7]]
     path = tmp_path / "t.json"
     for export_it in (
         lambda: chrome_trace(events),
-        lambda: "".join(iter_chrome_trace(iter(events))),
+        lambda: write_chrome_trace(iter(events), str(path)),
         lambda: write_chrome_trace(events, str(path)),
         lambda: write_chrome_trace(chain(events, _fake_host().events), str(path)),
-        lambda: list(iter_jsonl_lines(events)),
-        lambda: write_jsonl(iter(events), io.StringIO()),
         lambda: flame_summary(events),
     ):
         with pytest.raises(ValueError, match="event 2: expected 8 fields .* got 7"):

@@ -1,15 +1,12 @@
-"""Whole-trace passes pause the cycle collector; generators never do.
+"""Whole-trace passes pause the cycle collector.
 
 Every pass that walks a finished trace to completion runs with the collector
 off and puts it back as it found it, on return and on raise.  The evidence
 that the pause frees nothing less: on a real traced run, a full collection
-right after each pass finds nothing unreachable.  The two streaming
-generators hand the collector back untouched between yields, because a
-pause held inside a generator would stay in force in its consumer.
+right after each pass finds nothing unreachable.
 """
 
 import gc
-import io
 
 import pytest
 
@@ -22,11 +19,7 @@ from repro.obs import (
     check_history,
     compute_breakdown,
     compute_critical_path,
-    export,
-    iter_chrome_trace,
-    iter_jsonl_lines,
     write_chrome_trace,
-    write_jsonl,
 )
 from tests.apps.test_run_gc import SMALL_IS, gc_state  # noqa: F401  (fixture)
 
@@ -76,8 +69,6 @@ PASSES = {
         _probed_tracer(tracer, probe)),
     "write_chrome_trace": lambda tracer, recorder, probe, path: write_chrome_trace(
         probe(tracer.events), str(path)),
-    "write_jsonl": lambda tracer, recorder, probe, path: write_jsonl(
-        probe(tracer.events), io.StringIO()),
 }
 
 
@@ -123,17 +114,6 @@ def test_a_full_collection_after_each_pass_frees_nothing(traced_run, tmp_path):
         ("check_history", lambda: check_history(recorder, nprocs=4, protocol="vc_d")),
         ("compute_critical_path", lambda: compute_critical_path(tracer)),
         ("write_chrome_trace", lambda: write_chrome_trace(tracer, str(tmp_path / "t.json"))),
-        ("write_jsonl", lambda: write_jsonl(tracer, str(tmp_path / "t.jsonl"))),
     ):
         run_pass()
         assert gc.collect() == 0, name
-
-
-@pytest.mark.parametrize("stream", ["iter_chrome_trace", "iter_jsonl_lines"])
-def test_generators_leave_the_collector_alone_between_yields(
-        stream, traced_run, gc_state, monkeypatch):
-    tracer, _ = traced_run
-    monkeypatch.setattr(export, "_CHUNK_EVENTS", 64)
-    produce = iter_chrome_trace if stream == "iter_chrome_trace" else iter_jsonl_lines
-    states = {gc.isenabled() for _ in produce(tracer)}
-    assert states == {gc_state}

@@ -37,11 +37,6 @@ def test_untraced_run_allocates_no_events():
     assert sentinel.events == []
 
 
-def test_untraced_result_has_no_breakdown():
-    result = run_app(APPS["sor"], "vc_sd", 2)
-    assert result.breakdown is None
-
-
 def test_tracer_and_metrics_together_stay_bit_identical():
     from repro.obs import Metrics
 

@@ -7,12 +7,12 @@ report-only counts and rates) — so there is one test module.  Fixtures:
 ``sweep_doc``, ``degradation_doc`` and the committed, read-only
 ``benchmarks/e2e/baseline.json``.  Covered with N = 2 and N = 3: the gates,
 lost and added rows, refused kinds, ``git:REV[:path]`` loading and the
-legacy-manifest backfill, the terminal table and the HTML dashboard with its
-inline SVG sparklines, and the CLI's exit codes 0/1/2.
+legacy-manifest backfill, the terminal table, and the CLI's exit codes 0/1/2.
 """
 
 import copy
 import json
+import math
 import os
 import subprocess
 import warnings
@@ -26,7 +26,6 @@ from repro.obs import (
     GATE_THROUGHPUT,
     compute_trend,
     format_trend,
-    format_trend_html,
     load_report,
 )
 from repro.obs.report import OK, REGRESSED, SCHEMA
@@ -278,6 +277,14 @@ def test_throughput_drop_within_tolerance_is_ok():
     assert trend.regressions == []
 
 
+@pytest.mark.parametrize("tolerance", [math.nan, -1.0, math.inf])
+def test_tolerance_must_be_finite_and_non_negative(tolerance):
+    """A NaN tolerance passed every slowdown (the gate switched off) and a
+    negative one flagged identical reports: both are refused."""
+    with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+        compare(sweep_doc(), slowed(100), tolerance=tolerance)
+
+
 def test_any_exact_simulated_change_regresses():
     old, new = sweep_doc(), sweep_doc()
     new["cells"][0]["sim_time_seconds"] = 2.5000001
@@ -356,13 +363,6 @@ def test_format_trend_terminal():
     assert "verdict: ok" in format_trend(steady)
 
 
-def test_format_trend_html_has_sparklines():
-    docs = [sweep_doc(), sweep_doc(), sweep_doc()]
-    html = format_trend_html(compute_trend(docs, ["a", "b", "c"]))
-    assert html.lower().startswith("<!doctype html>")
-    assert "<svg" in html and "polyline" in html
-
-
 def test_trend_collects_manifests():
     old, new = sweep_doc(), sweep_doc()
     old["manifest"] = {"schema": 1, "git_rev": "a" * 40}
@@ -370,16 +370,6 @@ def test_trend_collects_manifests():
     assert trend.manifests[0]["git_rev"] == "a" * 40
     assert trend.manifests[1] == {"schema": 0}  # backfilled placeholder
     assert "revisions: a [aaaaaaaaaa] -> b\n" in format_trend(trend)
-    assert "<code>b [no manifest]</code>" in format_trend_html(trend)
-
-
-def test_format_html_is_standalone():
-    new = sweep_doc()
-    new["cells"][0]["sim_time_seconds"] = 2.51
-    html = format_trend_html(compare(sweep_doc(), new))
-    assert html.startswith("<!doctype html>")
-    assert "REGRESSED" in html
-    assert "<style>" in html and "http" not in html.split("</style>")[1]
 
 
 # -- loading: files, git:REV[:path] specs, the legacy-manifest backfill ------------
@@ -420,6 +410,13 @@ def test_load_report_git_spec():
     doc = load_report("git:HEAD:BENCH_sweep.json")
     assert doc["benchmark"] == "sweep"
     assert doc == load_report("git:HEAD")  # the default path
+
+
+def test_load_report_git_spec_from_any_cwd(tmp_path, monkeypatch):
+    """A git: spec reads the checkout that holds the running package, not the
+    caller's cwd (outside a checkout, ``git show`` used to exit 128)."""
+    monkeypatch.chdir(tmp_path)
+    assert len(load_report("git:HEAD")["cells"]) == 18
 
 
 def test_load_report_from_file_and_git(tmp_path):
@@ -467,13 +464,6 @@ def test_cli_report_regression_without_check_exits_zero(tmp_path):
     assert main(["report", base, new]) == 0
 
 
-def test_cli_report_writes_html(tmp_path, capsys):
-    a = _write(tmp_path, "a.json", sweep_doc())
-    out_html = tmp_path / "report.html"
-    assert main(["report", a, a, "--html", str(out_html)]) == 0
-    assert out_html.read_text().startswith("<!doctype html>")
-
-
 def test_cli_report_unreadable_input_exits_two(tmp_path, capsys):
     a = _write(tmp_path, "a.json", sweep_doc())
     assert main(["report", a, str(tmp_path / "missing.json")]) == 2
@@ -500,14 +490,23 @@ def test_cli_trend_check_exits_1_on_regression(tmp_path, capsys):
     assert "verdict: REGRESSED" in out
 
 
-def test_cli_trend_ok_exits_0_and_writes_html(tmp_path, capsys):
+def test_cli_trend_ok_exits_0(tmp_path, capsys):
     a = _write(tmp_path, "a.json", sweep_doc())
     b = _write(tmp_path, "b.json", sweep_doc())
     c = _write(tmp_path, "c.json", sweep_doc())
-    html = tmp_path / "trend.html"
-    code = main(["report", a, b, c, "--check", "--html", str(html)])
-    assert code == 0
-    assert "<svg" in html.read_text()
+    assert main(["report", a, b, c, "--check"]) == 0
+    assert "verdict: ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "fast"])
+def test_cli_tolerance_outside_its_range_is_a_usage_error(value, tmp_path, capsys):
+    base = _write(tmp_path, "a.json", sweep_doc())
+    slow = _write(tmp_path, "b.json", slowed(100))
+    assert main(["report", base, slow, "--check"]) == 1  # the gate a bad value hid
+    with pytest.raises(SystemExit) as exc:
+        main(["report", base, slow, "--check", "--throughput-tolerance", value])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_cli_trend_needs_two_specs(tmp_path, capsys):

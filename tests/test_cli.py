@@ -103,56 +103,34 @@ def test_trace_out_failing_validation_leaves_no_file(monkeypatch, tmp_path, extr
     assert list(tmp_path.iterdir()) == []
 
 
-def test_trace_command_jsonl_output(capsys, tmp_path):
-    import json
-
-    path = tmp_path / "events.jsonl"
-    assert main([
-        "trace", "sor", "--nprocs", "2", "--jsonl-out", str(path),
-    ]) == 0
-    lines = path.read_text().splitlines()
-    assert lines and all(json.loads(line)["ph"] in "BEXiC" for line in lines)
-
-
 def test_host_trace_rows_reach_both_exports(capsys, tmp_path):
-    """``--jsonl-out`` used to drop the host rows ``--trace-out`` carried, so
-    two exports of one run disagreed: both now write the same rows."""
+    """The host rows reach both outputs of a run: the printed host-time
+    breakdown and the Chrome trace, after every simulated row."""
     import json
 
     from repro.obs import HOST_PID
 
-    trace_out, jsonl_out = tmp_path / "t.json", tmp_path / "e.jsonl"
+    trace_out = tmp_path / "t.json"
     assert main([
         "run", "sor", "--protocol", "vc_sd", "--nprocs", "2", "--host-trace",
-        "--trace-out", str(trace_out), "--jsonl-out", str(jsonl_out),
+        "--trace-out", str(trace_out),
     ]) == 0
     assert "Host-time breakdown" in capsys.readouterr().out
-    phases = ["build", "execute", "extract", "verify"]
-    rows = [json.loads(line) for line in jsonl_out.read_text().splitlines()]
-    assert [r["cat"] for r in rows if r["pid"] == HOST_PID] == phases
     events = [e for e in json.loads(trace_out.read_text())["traceEvents"]
               if e["ph"] != "M"]
-    assert [e["cat"] for e in events if e["pid"] == HOST_PID] == phases
-    assert len(events) == len(rows)
+    phases = ["build", "execute", "extract", "verify"]
+    assert [e["cat"] for e in events[-4:]] == phases
+    assert [e["pid"] for e in events].count(HOST_PID) == 4
 
 
-def test_run_jsonl_out_implies_trace(capsys, tmp_path):
-    """``run --jsonl-out`` used to exit 0 and write nothing: only ``--trace``
-    and ``--trace-out`` installed a tracer."""
-    import json
-
-    path = tmp_path / "events.jsonl"
-    assert main([
-        "run", "sor", "--protocol", "vc_sd", "--nprocs", "2",
-        "--jsonl-out", str(path),
-    ]) == 0
-    lines = path.read_text().splitlines()
-    assert lines and all(json.loads(line)["ph"] in "BEXiC" for line in lines)
+def test_run_critical_path_implies_trace(capsys):
+    assert main(["run", "sor", "--protocol", "vc_sd", "--nprocs", "2"]) == 0
     assert "Critical path" not in capsys.readouterr().out
     assert main([
         "run", "sor", "--protocol", "vc_sd", "--nprocs", "2", "--critical-path",
     ]) == 0
-    assert "Critical path" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "Critical path" in out and "Where the time went" in out
 
 
 @pytest.mark.parametrize("cmd, nprocs, trace, check", [
@@ -250,6 +228,18 @@ def test_sweep_faults_runs_degradation_grid(capsys, tmp_path):
     assert report["benchmark"] == "faults_degradation"
     assert len(report["grid"]) == 2
     assert all(c["verified"] for c in report["grid"])
+
+
+@pytest.mark.parametrize("rate", ["nan", "1.5", "-0.5"])
+def test_sweep_loss_rate_outside_0_1_is_a_usage_error(rate, capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "is", "--procs", "2", "--protocols", "vc_sd", "--jobs", "1",
+              "--no-cache", "--loss-rates", "0", rate,
+              "--faults-out", str(tmp_path / "f.json"), "--faults"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "must be a probability in [0, 1]" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_faults_with_plan_file(capsys, tmp_path):
