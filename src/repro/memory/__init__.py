@@ -8,9 +8,10 @@ This package provides the machinery every protocol shares:
 * per-node page copies with the TreadMarks state machine
   (``NO_COPY → INVALID → RO → RW``),
 * **twins** (pristine copies taken at the first write of an interval) and
-  **run-length byte diffs** (created by comparing a page against its twin,
-  applied at consumers, and *integrated* — merged into a single diff — by the
-  VC_sd protocol).
+  **run-length byte diffs** (created by comparing a page against its twin —
+  lazily, when something first reads an interval's diff — applied at
+  consumers, and *integrated* — merged into a single diff — by the VC_sd
+  protocol).
 
 Nothing here touches the network; protocols drive data movement.
 """

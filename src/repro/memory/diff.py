@@ -15,11 +15,18 @@ header) and every run's bytes concatenated into one ``uint8`` payload — built
 from a change mask entirely in numpy (:func:`_diff_from_mask`) for both
 :func:`make_diff` and :func:`integrate_diffs`.  A diff so retains about its
 wire size plus ~0.4 KB of array headers, which matters because LRC keeps every
-diff of every interval for later diff requests.  The ``intp`` scatter index
-that applies all runs in one fancy-index store costs 8 bytes per changed byte:
-it is built on a diff's first application (most stored diffs are never applied
-in the process that made them), then kept (the same diff object is applied at
-every receiving node), and never pickled.
+diff of every interval for later diff requests.
+
+Lifecycle: as in TreadMarks, a closed interval's diff is *pending* until
+something reads it.  :func:`pending_diff` keeps the twin and the page's
+after-image (two arrays nobody changes again: the page copy is copy-on-write,
+:meth:`repro.memory.page.PageCopy.detach`) and :func:`make_diff` builds the
+runs on the first read — sizing, application, integration, comparison or
+pickling — after which the two arrays are dropped.  Most diffs are never read.
+The ``intp`` scatter index that applies all runs in one fancy-index store
+costs 8 bytes per changed byte, so it is kept only from a diff's second use on
+(most diffs are applied exactly once; the same diff object is applied at every
+receiving node) and never pickled.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import numpy as np
 __all__ = [
     "Diff",
     "make_diff",
+    "pending_diff",
     "apply_diff",
     "integrate_diffs",
     "full_page_diff",
@@ -41,12 +49,14 @@ __all__ = [
 DIFF_HEADER_BYTES = 12  # page id + run count + timestamp
 RUN_HEADER_BYTES = 4  # offset + length (2 shorts: pages are 4 KB)
 _MAX_OFFSET = 0xFFFF  # what one short of a run header can address
+_UNKEPT = object()  # ``Diff._index`` once a scatter index was built and not kept
 
 
 class Diff:
-    """Byte-level delta for one page; hashed and shared between nodes, so never mutated."""
+    """Byte-level delta for one page; hashed and shared between nodes, so its
+    value never changes (a pending diff's arrays are built, not changed)."""
 
-    __slots__ = ("page_id", "_starts", "_ends", "_data", "_index")
+    __slots__ = ("page_id", "_starts", "_ends", "_data", "_index", "_twin", "_after")
 
     def __init__(self, page_id: int, runs: Iterable[tuple[int, bytes]]):
         runs = tuple(runs)
@@ -108,13 +118,16 @@ class Diff:
         fancy-index operation then touches all runs, so VC_sd's diff integration
         scales with diff *count* rather than run count."""
         idx = self._index
-        if idx is None:
+        if idx is None or idx is _UNKEPT:
             # vectorised multi-arange: each payload position plus its run's
             # (page offset - payload position), which is constant along a run
+            # (array methods, not the np.* wrappers: their dispatch is a third
+            # of the cost on a diff of ~100 short runs)
             lengths = (self._ends - self._starts).astype(np.intp)
-            idx = np.repeat(self._ends - np.cumsum(lengths), lengths)
+            idx = (self._ends - lengths.cumsum()).repeat(lengths)
             idx += np.arange(idx.size)
-            self._index = idx
+            # kept from the second use on: most diffs are applied exactly once
+            self._index = _UNKEPT if self._index is None else idx
         if idx.size and self._ends[-1] > page_size:  # sorted: the last run ends highest
             run = f"[{self._starts[-1]}:{self._ends[-1]}]"
             raise ValueError(f"diff run {run} exceeds page size {page_size}")
@@ -122,7 +135,7 @@ class Diff:
 
 
 def _fill(diff: Diff, page_id: int, starts: np.ndarray, ends: np.ndarray, data: np.ndarray) -> Diff:
-    diff.page_id, diff._index = page_id, None
+    diff.page_id, diff._index, diff._twin, diff._after = page_id, None, None, None
     diff._starts, diff._ends, diff._data = starts, ends, data
     return diff
 
@@ -136,6 +149,34 @@ def _from_wire(page_id: int, starts: bytes, ends: bytes, data: bytes) -> Diff:
         np.frombuffer(ends, dtype=np.uint16),
         np.frombuffer(data, dtype=np.uint8),
     )
+
+
+class _PendingDiff(Diff):
+    """A :class:`Diff` whose arrays are not built yet.
+
+    Reading one of them misses its unset slot and lands in ``__getattr__``,
+    which builds all three and turns the object into a plain :class:`Diff`
+    (same slots), so a built diff pays no hook on any later access.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        if name not in ("_starts", "_ends", "_data"):
+            raise AttributeError(name)
+        built = make_diff(self.page_id, self._twin, self._after)
+        self._starts, self._ends, self._data = built._starts, built._ends, built._data
+        self._twin = self._after = None
+        self.__class__ = Diff
+        return getattr(self, name)
+
+
+def pending_diff(page_id: int, twin: np.ndarray, after: np.ndarray) -> Diff:
+    """The diff of ``after`` against ``twin``, built by :func:`make_diff` when
+    first read; neither array may change afterwards."""
+    diff = object.__new__(_PendingDiff)
+    diff.page_id, diff._index, diff._twin, diff._after = page_id, None, twin, after
+    return diff
 
 
 def _diff_from_mask(page_id: int, data: np.ndarray, changed: np.ndarray) -> Diff:

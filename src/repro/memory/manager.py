@@ -6,8 +6,10 @@ call :meth:`read_bytes`/:meth:`write_bytes`; the manager detects which pages
 are not in the right state and hands them to the protocol's fault handlers —
 the software analogue of an mprotect fault.
 
-Interval bookkeeping (twins, write sets, diff creation at release time) also
-lives here because every protocol shares it.
+Interval bookkeeping (twins, write sets, the pending diffs a release closes)
+also lives here because every protocol shares it, and so does every change to
+a page's bytes: a closed interval's after-image is shared with its pending
+diff, so a page is detached before anything writes it in place.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import TYPE_CHECKING, Generator, Iterable, Optional, Protocol as Typ
 import numpy as np
 
 from repro.memory.address_space import AddressSpace
-from repro.memory.diff import Diff, apply_diff, make_diff
+from repro.memory.diff import Diff, apply_diff, pending_diff
 from repro.memory.page import PageCopy, PageState
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -156,20 +158,24 @@ class MemoryManager:
         self.write_set.add(pid)
 
     def _close_twin(self, pid: int) -> Optional[Diff]:
-        """Diff one written page against its twin, drop the twin, leave it RO.
+        """Close one written page: drop its twin, leave it RO.
 
-        Returns the diff, or ``None`` if nothing actually changed.
+        Returns the pending diff of the page against its twin (its runs are
+        built when first read), or ``None`` if nothing actually changed.
         """
         copy = self.pages[pid]
-        if copy.twin is None:
+        twin, after = copy.twin, copy.data
+        if twin is None:
             raise RuntimeError(f"page {pid} written without twin")
-        diff = make_diff(pid, copy.twin, copy.data)
         copy.drop_twin()
         copy.state = PageState.RO
-        return None if diff.empty else diff
+        if twin.tobytes() == after.tobytes():
+            return None
+        after.flags.writeable = False  # the diff's after-image from now on
+        return pending_diff(pid, twin, after)
 
     def end_interval(self) -> dict[int, Diff]:
-        """Close the current interval: diff every written page against its twin.
+        """Close the current interval: one pending diff per written page.
 
         Pages downgrade RW→RO and twins are dropped.  Returns only non-empty
         diffs (a twinned page that was never actually modified produces none).
@@ -186,8 +192,8 @@ class MemoryManager:
         """Early-flush one written page (invalidation arrived while RW).
 
         Closes the page's twin and removes the page from the write set (the
-        caller will invalidate it).  Returns the diff, or ``None`` if nothing
-        actually changed.
+        caller will invalidate it).  Returns the pending diff, or ``None`` if
+        nothing actually changed.
         """
         diff = self._close_twin(pid)
         self.write_set.discard(pid)
@@ -197,15 +203,14 @@ class MemoryManager:
 
     def install_full_page(self, pid: int, content: bytes | np.ndarray, state: PageState = PageState.RO) -> None:
         copy = self.page(pid)
-        copy.materialise()
-        copy.data[:] = np.frombuffer(content, dtype=np.uint8) if isinstance(content, bytes) else content
+        copy.detach()[:] = np.frombuffer(content, dtype=np.uint8) if isinstance(content, bytes) else content
         copy.state = state
 
     def apply_diffs(self, pid: int, diffs: Iterable[Diff], state: PageState = PageState.RO) -> None:
         copy = self.page(pid)
-        copy.materialise()
+        data = copy.detach()
         for diff in diffs:
-            apply_diff(copy.data, diff)
+            apply_diff(data, diff)
         copy.state = state
 
     def zero_fill(self, pid: int, state: PageState = PageState.RO) -> None:

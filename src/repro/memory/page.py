@@ -30,7 +30,14 @@ class PageState(Enum):
 
 
 class PageCopy:
-    """One node's copy of one page, plus its twin while writable."""
+    """One node's copy of one page, plus its twin while writable.
+
+    ``data`` is copy-on-write: closing an interval hands the array to a
+    pending diff as its after-image and marks it read-only, so whatever
+    changes the page next works on a copy (:meth:`make_twin`,
+    :meth:`detach`) and the diff still reads the bytes the interval closed
+    with.
+    """
 
     __slots__ = ("page_id", "size", "state", "data", "twin")
 
@@ -47,12 +54,23 @@ class PageCopy:
             self.data = np.zeros(self.size, dtype=np.uint8)
         return self.data
 
+    def detach(self) -> np.ndarray:
+        """The backing array, ready for an in-place change: allocated if
+        absent, copied first if a pending diff shares it."""
+        data = self.materialise()
+        if not data.flags.writeable:
+            data = self.data = data.copy()
+        return data
+
     def make_twin(self) -> None:
+        """The current array becomes the twin and writing goes to a copy, so
+        the previous interval's after-image, if any, is the next twin."""
         if self.twin is not None:
             raise RuntimeError(f"page {self.page_id}: twin already exists")
         if self.data is None:
             raise RuntimeError(f"page {self.page_id}: cannot twin a page with no data")
-        self.twin = self.data.copy()
+        self.twin = self.data
+        self.data = self.data.copy()
 
     def drop_twin(self) -> None:
         self.twin = None

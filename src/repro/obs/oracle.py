@@ -46,7 +46,7 @@ Event tuples (first element is the kind, then ``t``, then the node id)::
 
     ("r",  t, n, page, digest)           read   (one per page touched)
     ("w",  t, n, page, digest)           write  (digest after the write)
-    ("iv", t, n, idx, pages)             interval published
+    ("iv", t, n, idx, pages)             interval closed (the pages it wrote)
     ("acq", t, n, kind, obj, mode)       lock/view acquired ("lock"/"view")
     ("rel", t, n, kind, obj, mode)       lock/view released
     ("ba", t, n, episode)                barrier arrival

@@ -6,8 +6,9 @@ provides what LRC_d and VC_d share verbatim (the paper: "V C_d ... uses the
 same implementation techniques (e.g. the invalidation protocol) as the
 LRC_d"):
 
-* interval bookkeeping — ending an interval diffs all written pages against
-  their twins and publishes an :class:`IntervalNotice`;
+* interval bookkeeping — ending an interval closes every written page
+  against its twin into a pending diff and publishes an
+  :class:`IntervalNotice`;
 * the **invalidate protocol** — applying a notice invalidates the named
   pages; the faulting access later pulls diffs from the writers
   (``DIFF_REQUEST``/``DIFF_REPLY``) and applies them in Lamport order;
@@ -117,9 +118,11 @@ class BaseDsmProtocol:
     def end_interval(self) -> Generator:
         """Close the current interval (``yield from``).
 
-        Diffs every written page against its twin (charging the scan cost),
-        stores the diffs locally for later diff requests, and returns the
-        :class:`IntervalNotice` — or ``None`` if nothing was written.
+        Closes every written page against its twin (charging the scan cost
+        here, although a diff's runs are built only when something first
+        reads it), stores the diffs locally for later diff requests, and
+        returns the :class:`IntervalNotice` — or ``None`` if nothing was
+        written.
         """
         dirty_pages = len(self.mm.write_set)
         if dirty_pages:
@@ -141,15 +144,17 @@ class BaseDsmProtocol:
         for pid, diffs in pages.items():
             self.diff_store[(pid, idx)] = diffs
             self.directory.note_writer(pid, self.node.id, now)
+        # the oracle is told what the interval closed, not what the notice says
+        closed = tuple(sorted(pages))
         notice = IntervalNotice(
             node=self.node.id,
             idx=idx,
             lamport=self.lamport,
-            pages=tuple(sorted(pages)),
+            pages=closed,
         )
         oracle = self.node.sim.oracle
         if oracle is not None:
-            oracle.interval(now, self.node.id, idx, notice.pages)
+            oracle.interval(now, self.node.id, idx, closed)
         return notice
 
     # -- notice handling -----------------------------------------------------------

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
-from repro.memory.diff import apply_diff
 from repro.memory.page import PageState
 from repro.net.message import Message, MessageKind
 from repro.protocols.base import CTRL_MSG_BYTES, HANDLER_BASE_COST
@@ -106,15 +105,14 @@ class HlrcProtocol(LrcProtocol):
         oracle = self.node.sim.oracle
         nbytes = 0
         for pid, diffs in msg.payload["pages"].items():
-            copy = self.mm.page(pid)
-            copy.materialise()
-            for diff in diffs:
-                apply_diff(copy.data, diff)
-                nbytes += diff.changed_bytes
+            # a push leaves the home copy's state as it is
+            self.mm.apply_diffs(pid, diffs, self.mm.state(pid))
+            nbytes += sum(diff.changed_bytes for diff in diffs)
             self._applied.setdefault(pid, set()).add((writer, idx))
             if oracle is not None:
                 oracle.apply(
-                    self.node.sim.now, self.node.id, pid, ((writer, idx),), copy.data
+                    self.node.sim.now, self.node.id, pid, ((writer, idx),),
+                    self.mm.pages[pid].data,
                 )
             self._retry_waiting(pid)
         if nbytes:

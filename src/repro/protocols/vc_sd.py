@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Generator, Optional
 import numpy as np
 
 from repro.memory.diff import Diff, apply_diff, integrate_diffs
-from repro.memory.page import PageState
 from repro.protocols.timestamps import IntervalNotice
 from repro.protocols.vc import VcProtocol, ViewState
 
@@ -182,10 +181,8 @@ class VcSdProtocol(VcProtocol):
                 raise RuntimeError(
                     f"node {self.node.id}: grant diff for page {pid} but no base copy"
                 )
-            for diff in diff_list:
-                apply_diff(copy.data, diff)
-                nbytes += diff.changed_bytes
-            copy.state = PageState.RO
+            self.mm.apply_diffs(pid, diff_list)
+            nbytes += sum(diff.changed_bytes for diff in diff_list)
         oracle = self.node.sim.oracle
         if oracle is not None:
             # recorded even when both maps are empty: the checker tracks the

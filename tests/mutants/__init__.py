@@ -100,8 +100,8 @@ CATALOGUE: tuple[Mutant, ...] = (
     Mutant(
         "second_page_notice_dropped",
         "repro.protocols.base:BaseDsmProtocol.end_interval",
-        "pages=tuple(sorted(pages)),",
-        "pages=tuple(sorted(pages))[:1] + tuple(sorted(pages))[2:],",
+        "pages=closed,",
+        "pages=closed[:1] + closed[2:],",
         "tests/faults/test_nonperturbation.py::test_no_plan_matches_committed_sweep[is-lrc_d-8]",
         "an interval's write notice omits its second page",
     ),

@@ -83,12 +83,28 @@ def adversary() -> dict:
     return out
 
 
-def main(argv=None) -> None:
+def parse_args(argv=None) -> argparse.Namespace:
+    """``columns`` and ``names``; mutant names may come before or after
+    ``--columns`` (its ``nargs="+"`` takes them too, so they are sorted out
+    here by which list they belong to)."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", default=[m.name for m in CATALOGUE])
-    parser.add_argument("--columns", nargs="+", default=list(COLUMNS),
-                        choices=COLUMNS)
+    parser.add_argument("names", nargs="*")
+    parser.add_argument("--columns", nargs="+", default=list(COLUMNS))
     args = parser.parse_args(argv)
+    known = {m.name for m in CATALOGUE}
+    names = args.names + [c for c in args.columns if c not in COLUMNS]
+    for name in names:
+        if name not in known:
+            parser.error(f"{name!r} is neither a column {COLUMNS} nor a catalogued mutant")
+    args.columns = [c for c in args.columns if c in COLUMNS]
+    if not args.columns:
+        parser.error(f"--columns needs at least one of {COLUMNS}")
+    args.names = names or [m.name for m in CATALOGUE]
+    return args
+
+
+def main(argv=None) -> None:
+    args = parse_args(argv)
     for name in args.names:
         mutant = by_name(name)
         row = {"mutant": name}

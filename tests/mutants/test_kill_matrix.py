@@ -41,3 +41,39 @@ def test_a_mutant_that_crashes_the_run_makes_the_adversary_fail(monkeypatch):
     with pytest.raises(SimError, match="died"):
         main(["adversary", "is", "--protocol", "lrc_d", "--nprocs", "4",
               "--budget", "3", "--seed", "11", "--no-cache"])
+
+
+def test_the_oracle_sees_a_write_notice_that_omits_a_closed_page(monkeypatch):
+    """The oracle is told the pages an interval closed, not the pages its
+    notice names, so a notice that drops one shows as stale reads."""
+    from repro.bench.sweep import default_cells, run_sweep
+
+    apply(by_name("second_page_notice_dropped"), monkeypatch)
+    cell = next(c for c in default_cells()
+                if (c.app, c.protocol, c.nprocs, c.variant) == ("is", "lrc_d", 8, "default"))
+    (done,) = run_sweep([cell], cache_dir=None, verify=False, check=True).cells
+    findings = done.result.consistency["findings"]
+    assert findings and {f["kind"] for f in findings} == {"stale-read"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--columns", "e2e", "second_page_notice_dropped"],
+    ["second_page_notice_dropped", "--columns", "e2e"],
+])
+def test_matrix_takes_a_mutant_name_before_or_after_its_columns(argv):
+    from tests.mutants.matrix import parse_args
+
+    args = parse_args(argv)
+    assert args.columns == ["e2e"] and args.names == ["second_page_notice_dropped"]
+
+
+def test_matrix_defaults_and_refusals():
+    from tests.mutants.matrix import COLUMNS, parse_args
+
+    args = parse_args([])
+    assert args.columns == list(COLUMNS) and len(args.names) == len(CATALOGUE)
+    assert parse_args(["--columns", "e2e", "adversary"]).columns == ["e2e", "adversary"]
+    for argv in (["--columns", "e2e", "no_such_mutant"], ["--columns", "dedupe_off"]):
+        with pytest.raises(SystemExit) as exit_info:
+            parse_args(argv)
+        assert exit_info.value.code == 2
