@@ -9,7 +9,7 @@ wire size is what the paper's "Data" row measures, so the accounting here
 
 which mirrors TreadMarks' (offset, length, data...) encoding.
 
-Layout: a :class:`Diff` holds three numpy arrays and no per-run Python
+Layout: a built :class:`Diff` holds three numpy arrays and no per-run Python
 object — run start and end offsets as ``uint16`` (the two shorts of a run
 header) and every run's bytes concatenated into one ``uint8`` payload — built
 from a change mask entirely in numpy (:func:`_diff_from_mask`) for both
@@ -26,7 +26,14 @@ pickling — after which the two arrays are dropped.  Most diffs are never read.
 The ``intp`` scatter index that applies all runs in one fancy-index store
 costs 8 bytes per changed byte, so it is kept only from a diff's second use on
 (most diffs are applied exactly once; the same diff object is applied at every
-receiving node) and never pickled.
+receiving node) and never pickled.  From that second use on a diff whose runs
+are maximal (no run ends where the next begins: every diff built from a change
+mask) also drops its two run-bound arrays: the runs are the index's unbroken
+stretches, so :attr:`Diff.runs`, ``==``, ``hash`` and pickling derive the
+bounds from it and :attr:`Diff.wire_size` reads the kept run count.  A diff is
+thus in one of three forms: pending (twin and after-image), built (bounds and
+payload) or indexed (index, payload and run count).  ``Diff(...)`` accepts
+adjacent runs; such a diff is a :class:`_JoinedDiff` and keeps its bounds.
 """
 
 from __future__ import annotations
@@ -56,7 +63,9 @@ class Diff:
     """Byte-level delta for one page; hashed and shared between nodes, so its
     value never changes (a pending diff's arrays are built, not changed)."""
 
-    __slots__ = ("page_id", "_starts", "_ends", "_data", "_index", "_twin", "_after")
+    __slots__ = (
+        "page_id", "_starts", "_ends", "_data", "_nruns", "_index", "_twin", "_after",
+    )
 
     def __init__(self, page_id: int, runs: Iterable[tuple[int, bytes]]):
         runs = tuple(runs)
@@ -76,12 +85,28 @@ class Diff:
             np.array([off + len(data) for off, data in runs], dtype=np.uint16),
             np.frombuffer(b"".join(data for _, data in runs), dtype=np.uint8),
         )
+        if any(off + len(data) == nxt for (off, data), (nxt, _) in zip(runs, runs[1:])):
+            self.__class__ = _JoinedDiff
 
     @property
     def runs(self) -> tuple[tuple[int, bytes], ...]:
         """The ``(offset, bytes)`` runs, derived on demand (tests and debugging)."""
-        payloads = np.split(self._data, np.cumsum(self._ends[:-1] - self._starts[:-1]))
-        return tuple((off, run.tobytes()) for off, run in zip(self._starts.tolist(), payloads))
+        starts, ends = self._bounds()
+        payloads = np.split(self._data, np.cumsum(ends[:-1] - starts[:-1]))
+        return tuple((off, run.tobytes()) for off, run in zip(starts.tolist(), payloads))
+
+    def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Run start and end offsets, derived from the kept index once the
+        bound arrays were dropped (the runs are then its unbroken stretches)."""
+        if self._starts is not None:
+            return self._starts, self._ends
+        idx = self._index
+        if not idx.size:
+            return idx.astype(np.uint16), idx.astype(np.uint16)
+        cut = (idx[1:] != idx[:-1] + 1).nonzero()[0] + 1
+        first = np.concatenate(([0], cut))
+        last = np.concatenate((cut - 1, [idx.size - 1]))
+        return idx[first].astype(np.uint16), (idx[last] + 1).astype(np.uint16)
 
     @property
     def empty(self) -> bool:
@@ -93,11 +118,12 @@ class Diff:
 
     @property
     def wire_size(self) -> int:
-        return DIFF_HEADER_BYTES + RUN_HEADER_BYTES * self._starts.size + self._data.size
+        return DIFF_HEADER_BYTES + RUN_HEADER_BYTES * self._nruns + self._data.size
 
     def _wire(self) -> tuple[int, bytes, bytes, bytes]:
         """The diff's whole value: what is pickled, compared and hashed."""
-        return self.page_id, self._starts.tobytes(), self._ends.tobytes(), self._data.tobytes()
+        starts, ends = self._bounds()
+        return self.page_id, starts.tobytes(), ends.tobytes(), self._data.tobytes()
 
     def __reduce__(self):
         return _from_wire, self._wire()
@@ -111,7 +137,7 @@ class Diff:
         return hash(self._wire())
 
     def __repr__(self) -> str:
-        return f"Diff(page_id={self.page_id}, runs={self._starts.size}, bytes={self._data.size})"
+        return f"Diff(page_id={self.page_id}, runs={self._nruns}, bytes={self._data.size})"
 
     def _scatter_index(self, page_size: int) -> np.ndarray:
         """Page offset of every payload byte, checked to fit ``page_size``: one
@@ -127,45 +153,63 @@ class Diff:
             idx = (self._ends - lengths.cumsum()).repeat(lengths)
             idx += np.arange(idx.size)
             # kept from the second use on: most diffs are applied exactly once
-            self._index = _UNKEPT if self._index is None else idx
-        if idx.size and self._ends[-1] > page_size:  # sorted: the last run ends highest
-            run = f"[{self._starts[-1]}:{self._ends[-1]}]"
+            if self._index is None:
+                self._index = _UNKEPT
+            else:
+                self._index = idx
+                if type(self) is Diff:  # maximal runs: the index has the bounds
+                    self._starts = self._ends = None
+        if idx.size and idx[-1] >= page_size:  # sorted: the last byte is the highest
+            starts, ends = self._bounds()
+            run = f"[{starts[-1]}:{ends[-1]}]"
             raise ValueError(f"diff run {run} exceeds page size {page_size}")
         return idx
 
 
+class _JoinedDiff(Diff):
+    """A :class:`Diff` with adjacent runs (one ends where the next begins),
+    which only ``Diff(...)`` and unpickling make: its index cannot tell the
+    runs apart, so it keeps its bounds."""
+
+    __slots__ = ()
+
+
 def _fill(diff: Diff, page_id: int, starts: np.ndarray, ends: np.ndarray, data: np.ndarray) -> Diff:
     diff.page_id, diff._index, diff._twin, diff._after = page_id, None, None, None
-    diff._starts, diff._ends, diff._data = starts, ends, data
+    diff._starts, diff._ends, diff._data, diff._nruns = starts, ends, data, starts.size
     return diff
 
 
 def _from_wire(page_id: int, starts: bytes, ends: bytes, data: bytes) -> Diff:
     """Rebuild a pickled diff; trusted, so :class:`Diff`'s validation is skipped."""
-    return _fill(
+    diff = _fill(
         object.__new__(Diff),
         page_id,
         np.frombuffer(starts, dtype=np.uint16),
         np.frombuffer(ends, dtype=np.uint16),
         np.frombuffer(data, dtype=np.uint8),
     )
+    if (diff._starts[1:] == diff._ends[:-1]).any():
+        diff.__class__ = _JoinedDiff
+    return diff
 
 
 class _PendingDiff(Diff):
     """A :class:`Diff` whose arrays are not built yet.
 
     Reading one of them misses its unset slot and lands in ``__getattr__``,
-    which builds all three and turns the object into a plain :class:`Diff`
+    which builds them all and turns the object into a plain :class:`Diff`
     (same slots), so a built diff pays no hook on any later access.
     """
 
     __slots__ = ()
 
     def __getattr__(self, name: str):
-        if name not in ("_starts", "_ends", "_data"):
+        if name not in ("_starts", "_ends", "_data", "_nruns"):
             raise AttributeError(name)
         built = make_diff(self.page_id, self._twin, self._after)
         self._starts, self._ends, self._data = built._starts, built._ends, built._data
+        self._nruns = built._nruns
         self._twin = self._after = None
         self.__class__ = Diff
         return getattr(self, name)

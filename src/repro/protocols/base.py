@@ -85,7 +85,9 @@ class BaseDsmProtocol:
         self._early_flush: dict[int, list[Diff]] = {}  # current interval's flushes
         # invalidation bookkeeping
         self.pending: dict[int, list[IntervalNotice]] = {}  # pid -> unapplied notices
-        self.seen_keys: set[tuple[int, int]] = set()  # applied (node, idx)
+        # applied notices, one int per writer: bit ``idx`` is set once that
+        # writer's interval ``idx`` was applied here
+        self.seen_notices: list[int] = [0] * system.nprocs
         # local processes blocked on a grant or a barrier release, by
         # ("lock" | "view" | "barrier", id)
         self._parked: dict[tuple[str, int], Event] = {}
@@ -166,24 +168,27 @@ class BaseDsmProtocol:
     def apply_notices(self, notices: Iterable[IntervalNotice]) -> None:
         """Invalidate pages named by unseen notices and queue them as pending.
 
+        A notice is seen once its bit is set in its writer's entry of
+        ``seen_notices``: one int per writer, not one record per notice.
         Only a page this node holds a copy of changes state.  One being
         written is first flushed as an early diff of the current interval, so
         our own modifications survive the invalidation (TreadMarks does the
         same when a write notice hits a twinned page).
         """
         me = self.node.id
-        seen = self.seen_keys
+        seen = self.seen_notices
         pending = self.pending
         held = self.mm.pages
         for notice in notices:
             if notice.lamport > self.lamport:
                 self.lamport = notice.lamport
-            if notice.node == me:
+            writer = notice.node
+            if writer == me:
                 continue
-            key = (notice.node, notice.idx)
-            if key in seen:
+            mask, bit = seen[writer], 1 << notice.idx
+            if mask & bit:
                 continue
-            seen.add(key)
+            seen[writer] = mask | bit
             for pid in notice.pages:
                 queued = pending.get(pid)
                 if queued is None:

@@ -95,8 +95,7 @@ class LrcProtocol(BaseDsmProtocol):
         for notice in notices:
             self._record_notice(notice)
         self.apply_notices(notices)
-        for notice in notices:
-            self.vc.advance(notice.node, notice.idx)
+        self.vc.see(notices)
         if vc is not None:
             self.vc.merge(vc)
 

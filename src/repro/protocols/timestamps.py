@@ -47,6 +47,13 @@ class VectorClock:
         if idx > self._v[i]:
             self._v[i] = idx
 
+    def see(self, notices: Iterable["IntervalNotice"]) -> None:
+        """Record every interval named by ``notices`` as seen."""
+        v = self._v
+        for notice in notices:
+            if notice.idx > v[notice.node]:
+                v[notice.node] = notice.idx
+
     def merge(self, other: Sequence[int]) -> None:
         if len(other) != len(self._v):
             raise ValueError("vector clock length mismatch")
