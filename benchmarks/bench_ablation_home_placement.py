@@ -15,6 +15,7 @@ VOPP's views hand to the system for free.
 """
 
 from repro.apps import gauss, is_sort
+from repro.apps.common import program_builder
 from benchmarks.conftest import attach, run_once
 
 NPROCS = 16
@@ -25,12 +26,10 @@ def _run(app, policy: str):
 
     config = app.default_config()
     system = make_system(NPROCS, "hlrc_d")
-    for proto in system.dsm.protocols:
+    for proto in system.protocols:
         proto.home_policy = policy
-    body = app.build(system, config)
-    system.run_program(body)
-    out = app.extract(system, config)
-    assert app.outputs_match(out, app.sequential(config))
+    system.run_program(program_builder(app, "hlrc_d")(system, config))
+    assert app.outputs_match(system.app_output, app.sequential(config))
     return system.stats
 
 

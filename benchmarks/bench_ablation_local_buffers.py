@@ -12,7 +12,7 @@ per-step shipping cost that local buffers avoid.
 """
 
 from repro.apps import gauss
-from repro.apps.common import run_app
+from repro.apps.common import program_builder
 from benchmarks.conftest import attach, run_once
 
 NPROCS = 16
@@ -23,10 +23,8 @@ def _run(variant: str, manager_offset: int):
 
     config = gauss.default_config()
     system = VoppSystem(NPROCS, protocol="vc_sd", manager_offset=manager_offset)
-    body = gauss.build(system, config, variant)
-    system.run_program(body)
-    out = gauss.extract(system, config)
-    assert gauss.outputs_match(out, gauss.sequential(config))
+    system.run_program(program_builder(gauss, "vc_sd", variant)(system, config))
+    assert gauss.outputs_match(system.app_output, gauss.sequential(config))
     return system.stats
 
 

@@ -7,7 +7,7 @@ the VC_d invalidate protocol).
 """
 
 from repro.apps import is_sort
-from repro.bench.runner import Entry
+from repro.apps.common import program_builder
 from benchmarks.conftest import attach, run_once
 
 NPROCS = 16
@@ -17,13 +17,11 @@ def _run(piggyback: bool):
     from repro.core.program import make_system
 
     system = make_system(NPROCS, "vc_sd")
-    for proto in system.dsm.protocols:
+    for proto in system.protocols:
         proto.piggyback_enabled = piggyback
     config = is_sort.default_config()
-    body = is_sort.build(system, config)
-    system.run_program(body)
-    out = is_sort.extract(system, config)
-    assert is_sort.outputs_match(out, is_sort.sequential(config))
+    system.run_program(program_builder(is_sort, "vc_sd")(system, config))
+    assert is_sort.outputs_match(system.app_output, is_sort.sequential(config))
     return system.stats
 
 

@@ -16,7 +16,9 @@ NN        back-propagation neural network training; VOPP version uses local
           version (Table 9)
 ========  =====================================================================
 
-Every parallel run is validated against the sequential reference.
+Each module's ``PROGRAMS`` table maps (programming model, variant) to the
+builder of that program; :func:`repro.apps.common.run_app` runs exactly
+those.  Every parallel run is validated against the sequential reference.
 """
 
 from repro.apps.common import AppConfig, AppResult, run_app

@@ -23,13 +23,13 @@ from typing import Any, Callable, Generator, Optional
 
 import numpy as np
 
-from repro.core.program import make_system
+from repro.core.program import MODELS, make_system
 from repro.obs.gcpause import gc_paused
 from repro.obs.tracer import EventTracer
 from repro.net.config import NetConfig, NodeConfig
 from repro.protocols.runstats import RunStats
 
-__all__ = ["AppConfig", "AppResult", "charge", "chunk_bounds", "run_app"]
+__all__ = ["AppConfig", "AppResult", "charge", "chunk_bounds", "program_builder", "run_app"]
 
 
 @dataclass
@@ -117,6 +117,32 @@ class AppResult:
         return self.stats.table_row()
 
 
+def program_builder(app_module, protocol: str, variant: str = "default") -> Callable:
+    """``app_module``'s builder for ``variant`` in ``protocol``'s programming
+    model: its ``PROGRAMS[MODELS[protocol], variant]``.
+
+    A pair the app has no program for raises ``ValueError`` naming the
+    variants it has in that model.
+    """
+    model = MODELS.get(protocol)
+    if model is None:
+        raise ValueError(f"unknown protocol {protocol!r}; expected one of {sorted(MODELS)}")
+    programs = app_module.PROGRAMS
+    build = programs.get((model, variant))
+    if build is not None:
+        return build
+    from repro.apps import APPS
+
+    name = next((k for k, m in APPS.items() if m is app_module), app_module.__name__)
+    variants = [v for m, v in programs if m == model]
+    if not variants and model == "mpi":
+        raise ValueError(f"{name} has no MPI version (only nn does)")
+    raise ValueError(
+        f"{name} has no {model} variant {variant!r} "
+        f"(its {model} variants: {', '.join(variants)})"
+    )
+
+
 @gc_paused()
 def run_app(
     app_module,
@@ -136,11 +162,12 @@ def run_app(
     """Build, run and (optionally) verify one application.
 
     ``app_module`` must expose ``default_config()``, ``sequential(config)``,
-    ``build(system, config, variant)`` returning the program body, and
-    ``extract(system, config)`` returning the comparable output.  ``system``
-    is whatever :func:`repro.core.program.make_system` returns for
-    ``protocol`` — for ``"mpi"`` an :class:`repro.mpi.MpiSystem`, which an
-    app with a message-passing version (``build_mpi``) builds against.
+    ``outputs_match(got, expected)`` and ``PROGRAMS``, its table of programs
+    (:func:`program_builder` picks the one for ``protocol`` and
+    ``variant``).  A program's builder allocates on ``system`` — whatever
+    :func:`repro.core.program.make_system` returns for ``protocol``, an
+    :class:`repro.mpi.MpiSystem` for ``"mpi"`` — and returns the body every
+    rank runs; rank 0 leaves the comparable output on ``system.app_output``.
 
     The two recorder hooks: ``tracer`` (a :class:`repro.obs.EventTracer`)
     records structured events for the caller to analyse
@@ -159,20 +186,16 @@ def run_app(
     out — without ever touching the simulation (simulated observables stay
     bit-identical).
 
-    ``"mpi"`` for an app without ``build_mpi`` raises ``ValueError`` up
-    front.  An exhausted retransmission budget or a fail-stop crash episode
-    raises :class:`repro.faults.RunAborted` carrying a structured
-    :class:`~repro.faults.RunFailure`; any other exception propagates
-    unchanged (it is a bug, not a fault outcome).
+    A protocol or variant the app has no program for raises ``ValueError``
+    before anything is built.  An exhausted retransmission budget or a
+    fail-stop crash episode raises :class:`repro.faults.RunAborted` carrying
+    a structured :class:`~repro.faults.RunFailure`; any other exception
+    propagates unchanged (it is a bug, not a fault outcome).
 
     The cycle collector is paused over the whole call and put back as it was
     found on every way out (:func:`repro.obs.gcpause.gc_paused` says why).
     """
-    if protocol == "mpi" and not hasattr(app_module, "build_mpi"):
-        from repro.apps import APPS
-
-        name = next((k for k, m in APPS.items() if m is app_module), app_module.__name__)
-        raise ValueError(f"{name} has no MPI version (only nn does)")
+    build = program_builder(app_module, protocol, variant)
     unprofiled = nullcontext()
     span = _host_phases(host) if host is not None else (lambda cat: unprofiled)
     config = config or app_module.default_config()
@@ -188,11 +211,11 @@ def run_app(
         sim.oracle = oracle
         if faults is not None:
             system.cluster.install_faults(faults)
-        body = app_module.build(system, config, variant)
+        body = build(system, config)
     with span("execute"):
         _run_or_abort(system.cluster, lambda: system.run_program(body))
     with span("extract"):
-        output = app_module.extract(system, config)
+        output = system.app_output
         metrics = None if metrics is None else metrics.fold(sim.tracer.events)
     result = AppResult(
         protocol, nprocs, output, system.stats, system.time,

@@ -14,6 +14,8 @@ Variants
   the network each step, through a double-buffered pair of pivot views; the
   per-processor row blocks are views written once at the start and once at
   the end.
+* ``vopp`` / ``no_local_buffers``: the §3.1 ablation — rows are updated in
+  place in the shared block views every step.
 
 The parallel result is bitwise-identical to the sequential reference (the
 per-row floating-point operations do not depend on the distribution).
@@ -22,13 +24,14 @@ per-row floating-point operations do not depend on the distribution).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Generator
 
 import numpy as np
 
 from repro.apps.common import AppConfig, charge
 
-__all__ = ["GaussConfig", "default_config", "sequential", "build", "extract", "outputs_match"]
+__all__ = ["GaussConfig", "PROGRAMS", "default_config", "sequential", "outputs_match"]
 
 CYC_ELIM = 4.0  # cycles per matrix element updated (multiply + subtract)
 CYC_COPY = 1.0  # cycles per element copied between buffers
@@ -116,7 +119,16 @@ def _build_traditional(system, config: GaussConfig):
 # -- VOPP --------------------------------------------------------------------------
 
 
-def _build_vopp(system, config: GaussConfig):
+def _build_vopp(system, config: GaussConfig, local_buffers: bool):
+    """Rows live in per-processor block views; only the pivot row crosses the
+    network each step, through a double-buffered pair of pivot views.
+
+    With ``local_buffers`` (§3.1) each processor copies its rows out of its
+    block once, eliminates them locally and writes them back at the end.
+    Without (the ablation) every step updates the rows in place in the shared
+    block view, so each release ships the step's row diffs through the view
+    manager — the data volume the local buffers avoid.
+    """
     n, P = config.n, system.nprocs
     blocks = []
     for q in range(P):
@@ -143,83 +155,22 @@ def _build_vopp(system, config: GaussConfig):
                 yield from blocks[q].write_all(rt, a[rows])
                 yield from rt.release_view(BLOCK + q)
         yield from rt.barrier()
-        # local buffer for the infrequently-shared rows (§3.1)
-        yield from rt.acquire_Rview(BLOCK + p)
-        local = (yield from blocks[p].read_all(rt)).copy()
-        yield from rt.release_Rview(BLOCK + p)
-        yield from charge(rt, config, local.size, CYC_COPY)
+        if local_buffers:
+            # local buffer for the infrequently-shared rows (§3.1)
+            yield from rt.acquire_Rview(BLOCK + p)
+            local = (yield from blocks[p].read_all(rt)).copy()
+            yield from rt.release_Rview(BLOCK + p)
+            yield from charge(rt, config, local.size, CYC_COPY)
         row_pos = {i: j for j, i in enumerate(mine)}
         for k in range(n - 1):
             pv = PIVOT + (k % 2)  # double-buffered pivot views
             if k in row_pos:
-                yield from rt.acquire_view(pv)
-                yield from pivots[k % 2].write(rt, 0, local[row_pos[k]])
-                yield from rt.release_view(pv)
-            yield from rt.barrier()
-            yield from rt.acquire_Rview(pv)
-            pivot = yield from pivots[k % 2].read(rt)
-            yield from rt.release_Rview(pv)
-            todo = [i for i in mine if i > k]
-            for i in todo:
-                _eliminate_row(local[row_pos[i]], pivot, k)
-            yield from charge(rt, config, len(todo) * (n - k), CYC_ELIM)
-        # write results back into the shared views for the final read-out
-        yield from rt.acquire_view(BLOCK + p)
-        yield from blocks[p].write_all(rt, local)
-        yield from rt.release_view(BLOCK + p)
-        yield from charge(rt, config, local.size, CYC_COPY)
-        yield from rt.barrier()
-        if p == 0:
-            out = np.empty((n, n), dtype=np.float64)
-            for q in range(P):
-                rows = _my_rows(n, P, q)
-                yield from rt.acquire_Rview(BLOCK + q)
-                data = yield from blocks[q].read_all(rt)
-                yield from rt.release_Rview(BLOCK + q)
-                out[rows] = data[: len(rows)]
-            system.app_output = out
-        return None
-
-    return body
-
-
-def _build_vopp_no_local_buffers(system, config: GaussConfig):
-    """Ablation of §3.1: rows stay in the shared block views and every step
-    updates them in place, so each release ships the step's row diffs through
-    the view manager — the data volume the local buffers avoid."""
-    n, P = config.n, system.nprocs
-    blocks = []
-    for q in range(P):
-        rows = _my_rows(n, P, q)
-        blocks.append(
-            system.alloc_array(
-                f"rows{q}", (max(len(rows), 1), n), dtype="float64", page_aligned=True
-            )
-        )
-    pivots = [
-        system.alloc_array(f"pivot{j}", n, dtype="float64", page_aligned=True)
-        for j in range(2)
-    ]
-    BLOCK, PIVOT = 0, P
-
-    def body(rt) -> Generator:
-        p = rt.rank
-        mine = _my_rows(n, P, p)
-        if p == 0:
-            a = _matrix(config)
-            for q in range(P):
-                rows = _my_rows(n, P, q)
-                yield from rt.acquire_view(BLOCK + q)
-                yield from blocks[q].write_all(rt, a[rows])
-                yield from rt.release_view(BLOCK + q)
-        yield from rt.barrier()
-        row_pos = {i: j for j, i in enumerate(mine)}
-        for k in range(n - 1):
-            pv = PIVOT + (k % 2)
-            if k in row_pos:
-                yield from rt.acquire_Rview(BLOCK + p)
-                pivot_row = yield from blocks[p].read_row(rt, row_pos[k])
-                yield from rt.release_Rview(BLOCK + p)
+                if local_buffers:
+                    pivot_row = local[row_pos[k]]
+                else:
+                    yield from rt.acquire_Rview(BLOCK + p)
+                    pivot_row = yield from blocks[p].read_row(rt, row_pos[k])
+                    yield from rt.release_Rview(BLOCK + p)
                 yield from rt.acquire_view(pv)
                 yield from pivots[k % 2].write(rt, 0, pivot_row)
                 yield from rt.release_view(pv)
@@ -228,7 +179,10 @@ def _build_vopp_no_local_buffers(system, config: GaussConfig):
             pivot = yield from pivots[k % 2].read(rt)
             yield from rt.release_Rview(pv)
             todo = [i for i in mine if i > k]
-            if todo:
+            if local_buffers:
+                for i in todo:
+                    _eliminate_row(local[row_pos[i]], pivot, k)
+            elif todo:
                 # no local buffer: work directly in the shared view
                 yield from rt.acquire_view(BLOCK + p)
                 for i in todo:
@@ -237,6 +191,12 @@ def _build_vopp_no_local_buffers(system, config: GaussConfig):
                     yield from blocks[p].write_row(rt, row_pos[i], row)
                 yield from rt.release_view(BLOCK + p)
             yield from charge(rt, config, len(todo) * (n - k), CYC_ELIM)
+        if local_buffers:
+            # write results back into the shared views for the final read-out
+            yield from rt.acquire_view(BLOCK + p)
+            yield from blocks[p].write_all(rt, local)
+            yield from rt.release_view(BLOCK + p)
+            yield from charge(rt, config, local.size, CYC_COPY)
         yield from rt.barrier()
         if p == 0:
             out = np.empty((n, n), dtype=np.float64)
@@ -252,17 +212,9 @@ def _build_vopp_no_local_buffers(system, config: GaussConfig):
     return body
 
 
-def build(system, config: GaussConfig, variant: str = "default"):
-    """VOPP variants: ``"default"`` (local buffers, §3.1) or
-    ``"no_local_buffers"`` (the ablation)."""
-    from repro.core.program import TraditionalSystem
-
-    if isinstance(system, TraditionalSystem):
-        return _build_traditional(system, config)
-    if variant == "no_local_buffers":
-        return _build_vopp_no_local_buffers(system, config)
-    return _build_vopp(system, config)
-
-
-def extract(system, config: GaussConfig):
-    return system.app_output
+# (programming model, variant) -> builder(system, config) -> program body
+PROGRAMS = {
+    ("traditional", "default"): _build_traditional,
+    ("vopp", "default"): partial(_build_vopp, local_buffers=True),
+    ("vopp", "no_local_buffers"): partial(_build_vopp, local_buffers=False),
+}

@@ -22,13 +22,14 @@ Variants
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Generator
 
 import numpy as np
 
 from repro.apps.common import AppConfig, charge, chunk_bounds
 
-__all__ = ["IsConfig", "default_config", "sequential", "build", "extract", "outputs_match"]
+__all__ = ["IsConfig", "PROGRAMS", "default_config", "sequential", "outputs_match"]
 
 # calibrated per-op costs (cycles on the 350 MHz node)
 CYC_HIST = 12.0  # per key histogrammed
@@ -228,17 +229,10 @@ def _build_vopp(system, config: IsConfig, fewer_barriers: bool):
     return body
 
 
-def build(system, config: IsConfig, variant: str = "default"):
-    """Variants: traditional systems ignore ``variant``; VOPP systems accept
-    ``"default"`` (same barriers) or ``"lb"`` (fewer barriers, §3.2)."""
-    from repro.core.program import TraditionalSystem
-
-    if isinstance(system, TraditionalSystem):
-        return _build_traditional(system, config)
-    if variant == "lb":
-        return _build_vopp(system, config, fewer_barriers=True)
-    return _build_vopp(system, config, fewer_barriers=False)
-
-
-def extract(system, config: IsConfig) -> dict:
-    return system.app_output
+# (programming model, variant) -> builder(system, config) -> program body;
+# VOPP keeps the original's barriers by default, "lb" has fewer (§3.2)
+PROGRAMS = {
+    ("traditional", "default"): _build_traditional,
+    ("vopp", "default"): partial(_build_vopp, fewer_barriers=False),
+    ("vopp", "lb"): partial(_build_vopp, fewer_barriers=True),
+}

@@ -27,21 +27,14 @@ bitwise equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Generator
 
 import numpy as np
 
 from repro.apps.common import AppConfig, charge, chunk_bounds
 
-__all__ = [
-    "NnConfig",
-    "default_config",
-    "sequential",
-    "build",
-    "extract",
-    "outputs_match",
-    "build_mpi",
-]
+__all__ = ["NnConfig", "PROGRAMS", "default_config", "sequential", "outputs_match"]
 
 CYC_GRAD = 20.0  # cycles per weight per sample (forward + backward)
 CYC_UPDATE = 4.0  # cycles per weight updated
@@ -206,7 +199,7 @@ def _build_traditional(system, config: NnConfig):
 # -- VOPP ----------------------------------------------------------------------------------
 
 
-def _build_vopp(system, config: NnConfig, use_rview: bool = True):
+def _build_vopp(system, config: NnConfig, use_rview: bool):
     P = system.nprocs
     W = n_weights(config)
     V = config.grad_views
@@ -310,27 +303,10 @@ def _build_vopp(system, config: NnConfig, use_rview: bool = True):
     return body
 
 
-def build(system, config: NnConfig, variant: str = "default"):
-    """VOPP variants: ``"default"`` (Rviews for the weight reads, §3.4) or
-    ``"no_rview"`` (exclusive views everywhere — the ablation)."""
-    from repro.core.program import TraditionalSystem
-    from repro.mpi import MpiSystem
-
-    if isinstance(system, MpiSystem):
-        return build_mpi(system, config)
-    if isinstance(system, TraditionalSystem):
-        return _build_traditional(system, config)
-    return _build_vopp(system, config, use_rview=(variant != "no_rview"))
-
-
-def extract(system, config: NnConfig):
-    return system.app_output
-
-
 # -- MPI -------------------------------------------------------------------------------------
 
 
-def build_mpi(system, config: NnConfig):
+def _build_message_passing(system, config: NnConfig):
     """Program body for the Table 9 MPI baseline: scatter data once,
     allreduce the gradient.  Rank 0 stashes the read-out on
     ``system.app_output``, like the DSM versions."""
@@ -369,3 +345,13 @@ def build_mpi(system, config: NnConfig):
         return None
 
     return body
+
+
+# (programming model, variant) -> builder(system, config) -> program body;
+# VOPP reads the weights under Rviews by default, "no_rview" is the ablation
+PROGRAMS = {
+    ("traditional", "default"): _build_traditional,
+    ("vopp", "default"): partial(_build_vopp, use_rview=True),
+    ("vopp", "no_rview"): partial(_build_vopp, use_rview=False),
+    ("mpi", "default"): _build_message_passing,
+}

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.apps.common import AppConfig, charge, chunk_bounds
 
-__all__ = ["SorConfig", "default_config", "sequential", "build", "extract", "outputs_match"]
+__all__ = ["SorConfig", "PROGRAMS", "default_config", "sequential", "outputs_match"]
 
 CYC_STENCIL = 8.0  # cycles per element relaxed
 CYC_COPY = 1.0
@@ -244,13 +244,8 @@ def _build_vopp(system, config: SorConfig):
     return body
 
 
-def build(system, config: SorConfig, variant: str = "default"):
-    from repro.core.program import TraditionalSystem
-
-    if isinstance(system, TraditionalSystem):
-        return _build_traditional(system, config)
-    return _build_vopp(system, config)
-
-
-def extract(system, config: SorConfig):
-    return system.app_output
+# (programming model, variant) -> builder(system, config) -> program body
+PROGRAMS = {
+    ("traditional", "default"): _build_traditional,
+    ("vopp", "default"): _build_vopp,
+}

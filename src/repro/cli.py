@@ -4,8 +4,10 @@ Commands
 --------
 ``run APP``
     Run one application on one protocol and print the paper-style statistics
-    row (``--protocol``, ``--nprocs``, ``--variant``).  Every observer is a
-    flag of this one command:
+    row (``--protocol``, ``--nprocs``, ``--variant``).  The app's
+    ``PROGRAMS`` table says which variants each protocol's programming model
+    has (``list`` prints them); any other pair exits 2 before anything
+    runs.  Every observer is a flag of this one command:
 
     * ``--trace`` records structured events and prints where the time went
       (per-process breakdown, message mix); ``--trace-out`` exports a Chrome
@@ -41,8 +43,9 @@ Commands
 ``sweep APP``
     Print a speedup table for an application across processor counts.
     ``sweep --faults [PLAN.json]`` instead runs the fault-degradation grid
-    (slowdown vs loss rate per protocol) and writes ``BENCH_faults.json``;
-    ``--check-consistency`` checks every matrix (or grid) cell.
+    (slowdown vs loss rate per protocol, at one ``--procs`` value) and
+    writes ``BENCH_faults.json``; ``--check-consistency`` checks every
+    matrix (or grid) cell, and is refused with a speedup table.
 ``profile APP``
     Run one application under ``cProfile`` and print the hottest functions
     (``--top``, ``--sort``); ``--profile-out`` dumps the raw stats for
@@ -56,7 +59,8 @@ Commands
     the gated host numbers at ``--throughput-tolerance``; ``--check`` makes
     regressions a non-zero exit for CI.
 ``list``
-    Show the available applications, protocols, variants and tables.
+    Show the available applications, protocols, variants (read from each
+    app's ``PROGRAMS`` table) and tables.
 ``adversary APP``
     Seeded adversarial fault sampling (:mod:`repro.faults.adversary`):
     evaluate ``--budget`` random fault plans against one protocol
@@ -74,22 +78,18 @@ import sys
 from itertools import chain
 
 from repro.apps import APPS
-from repro.apps.common import run_app
+from repro.apps.common import program_builder, run_app
 from repro.faults import EXIT_RUN_FAILURE, RunAborted, format_failure
 from repro.protocols import PROTOCOLS
 
-VARIANTS = {
-    "is": ("default", "lb"),
-    "gauss": ("default", "no_local_buffers"),
-    "sor": ("default",),
-    "nn": ("default", "no_rview"),
-}
-
-
-def _mpi_unsupported(app_name: str, protocols) -> bool:
-    """Say so (and return True) when ``mpi`` is asked of an app without it."""
-    if "mpi" in protocols and not hasattr(APPS[app_name], "build_mpi"):
-        print(f"error: {app_name} has no MPI version (only nn does)", file=sys.stderr)
+def _no_program(app_name: str, protocols, variant: str = "default") -> bool:
+    """Say so (and return True) when the app has no program for ``variant``
+    under one of ``protocols``: the one lookup :func:`run_app` makes too."""
+    try:
+        for protocol in protocols:
+            program_builder(APPS[app_name], protocol, variant)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return True
     return False
 
@@ -176,7 +176,7 @@ def _write_trace_out(tracer, args: argparse.Namespace, host) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     """The one run body; ``check`` and ``trace`` are presets of its flags."""
-    if _mpi_unsupported(args.app, (args.protocol,)):
+    if _no_program(args.app, (args.protocol,), args.variant):
         return 2
     from repro import obs
 
@@ -245,7 +245,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     """Host-CPU profile of one run."""
-    if _mpi_unsupported(args.app, (args.protocol,)):
+    if _no_program(args.app, (args.protocol,), args.variant):
         return 2
     import cProfile
     import pstats
@@ -330,10 +330,16 @@ def _cmd_sweep_faults(args: argparse.Namespace, jobs: int, cache_dir) -> int:
         write_degradation_report,
     )
 
-    nprocs = args.procs[0] if len(args.procs) == 1 else 8
+    app = args.app or "is"
+    if args.procs is not None and len(args.procs) > 1:
+        print("error: the degradation grid runs at one --procs value, "
+              f"got {len(args.procs)}", file=sys.stderr)
+        return 2
+    if _no_program(app, args.protocols):
+        return 2
     report = run_degradation_grid(
-        app=args.app or "is",
-        nprocs=nprocs,
+        app=app,
+        nprocs=args.procs[0] if args.procs else 8,
         protocols=tuple(args.protocols),
         loss_rates=tuple(args.loss_rates),
         seed=args.faults_seed,
@@ -389,12 +395,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.bench.runner import Entry, speedup_experiment
     from repro.bench.tables import format_speedup_table
 
-    if _mpi_unsupported(args.app, args.protocols):
+    if args.check_consistency:
+        print("error: --check-consistency checks the full matrix or the "
+              "degradation grid, not a speedup table", file=sys.stderr)
+        return 2
+    if _no_program(args.app, args.protocols):
         return 2
     entries = tuple(Entry(proto, proto) for proto in args.protocols)
     speedups = speedup_experiment(
-        APPS[args.app], entries, proc_counts=tuple(args.procs), jobs=jobs,
-        cache_dir=cache_dir,
+        APPS[args.app], entries, proc_counts=tuple(args.procs or (2, 4, 8, 16)),
+        jobs=jobs, cache_dir=cache_dir,
     )
     print(format_speedup_table(f"Speedup of {args.app}", speedups))
     return 0
@@ -458,7 +468,8 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
 def _cmd_list(_args: argparse.Namespace) -> int:
     print("applications:")
     for name in APPS:
-        print(f"  {name:<8} variants: {', '.join(VARIANTS[name])}")
+        variants = dict.fromkeys(variant for _, variant in APPS[name].PROGRAMS)
+        print(f"  {name:<8} variants: {', '.join(variants)}")
     print("protocols:", ", ".join(sorted(PROTOCOLS)), "+ mpi (NN only)")
     print("tables: 1-9 (paper evaluation section); `python -m repro table N`")
     return 0
@@ -584,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
         "functions by host CPU time",
     )
     _add_cell_flags(p_profile, nprocs=16)
-    p_profile.add_argument("--top", type=int, default=25,
+    p_profile.add_argument("--top", type=_count, default=25,
                            help="number of functions to print (default 25)")
     p_profile.add_argument("--sort", default="cumulative",
                            choices=("cumulative", "tottime", "ncalls"),
@@ -628,7 +639,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--protocols", nargs="+", default=["lrc_d", "vc_sd"],
         choices=[*sorted(PROTOCOLS), "mpi"],
     )
-    p_sweep.add_argument("--procs", nargs="+", type=_count, default=[2, 4, 8, 16])
+    p_sweep.add_argument(
+        "--procs", nargs="+", type=_count, default=None,
+        help="processor counts of the speedup table (default: 2 4 8 16); "
+        "the degradation grid takes one (default: 8)",
+    )
     p_sweep.add_argument(
         "--jobs", type=_count, default=None,
         help="worker processes (default: CPU count)",

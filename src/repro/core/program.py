@@ -1,7 +1,7 @@
 """System facades: what a program is built against and run on.
 
-A DSM *system* bundles a :class:`repro.protocols.system.DsmSystem` with typed
-array allocation and hands each rank's process its runtime.  Program bodies
+A DSM *system* is a :class:`repro.protocols.system.DsmSystem` with typed
+array allocation that hands each rank's process its runtime.  Program bodies
 are generators taking the per-rank runtime::
 
     def body(rt):
@@ -18,63 +18,42 @@ the right kind for a protocol name — a DSM facade, or the
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional, Type
+from typing import Callable, Generator, Type
 
 import numpy as np
 
 from repro.core.shared_array import SharedArray
 from repro.core.vopp import BaseRuntime, TraditionalRuntime, VoppRuntime
 from repro.mpi import MpiSystem
-from repro.net.config import NetConfig, NodeConfig
 from repro.protocols.system import DsmSystem
 
-__all__ = ["BaseSystem", "VoppSystem", "TraditionalSystem", "make_system"]
+__all__ = ["MODELS", "BaseSystem", "VoppSystem", "TraditionalSystem", "make_system"]
+
+# the programming model each protocol runs; an app's ``PROGRAMS`` table is
+# keyed by it (:func:`repro.apps.common.program_builder`)
+MODELS = {
+    "lrc_d": "traditional",
+    "hlrc_d": "traditional",
+    "vc_d": "vopp",
+    "vc_sd": "vopp",
+    "mpi": "mpi",
+}
 
 
-class BaseSystem:
-    """Common facade over a DSM deployment."""
+class BaseSystem(DsmSystem):
+    """A DSM deployment with typed array allocation and a per-rank runtime;
+    a subclass names the programming ``model`` whose protocols it accepts."""
 
     runtime_cls: Type[BaseRuntime] = BaseRuntime
+    model = ""
 
-    def __init__(
-        self,
-        nprocs: int,
-        protocol: str,
-        netcfg: Optional[NetConfig] = None,
-        nodecfg: Optional[NodeConfig] = None,
-        page_size: Optional[int] = None,
-        manager_offset: int = 0,
-        sim=None,
-    ):
-        self.dsm = DsmSystem(
-            nprocs,
-            protocol=protocol,
-            netcfg=netcfg,
-            nodecfg=nodecfg,
-            page_size=page_size,
-            manager_offset=manager_offset,
-            sim=sim,
-        )
+    def __init__(self, nprocs: int, protocol: str, **kw):
+        if MODELS.get(protocol) != self.model:
+            runs = " or ".join(p for p, m in MODELS.items() if m == self.model)
+            raise ValueError(f"{self.model} programs run on {runs}, not {protocol!r}")
+        super().__init__(nprocs, protocol=protocol, **kw)
         self.arrays: dict[str, SharedArray] = {}
         self.app_output = None  # applications stash their rank-0 read-out here
-
-    # -- convenience properties ----------------------------------------------------
-
-    @property
-    def nprocs(self) -> int:
-        return self.dsm.nprocs
-
-    @property
-    def cluster(self):
-        return self.dsm.cluster
-
-    @property
-    def sim(self):
-        return self.dsm.sim
-
-    @property
-    def stats(self):
-        return self.dsm.stats
 
     @property
     def time(self) -> float:
@@ -100,7 +79,7 @@ class BaseSystem:
             shape = (shape,)
         dt = np.dtype(dtype)
         nbytes = int(np.prod(shape)) * dt.itemsize
-        region = self.dsm.alloc(name, nbytes, page_aligned=page_aligned)
+        region = self.alloc(name, nbytes, page_aligned=page_aligned)
         arr = SharedArray(region, shape, dt)
         self.arrays[name] = arr
         return arr
@@ -131,10 +110,9 @@ class VoppSystem(BaseSystem):
     """
 
     runtime_cls = VoppRuntime
+    model = "vopp"
 
     def __init__(self, nprocs: int, protocol: str = "vc_sd", **kw):
-        if protocol not in ("vc_d", "vc_sd"):
-            raise ValueError(f"VOPP runs on vc_d or vc_sd, not {protocol!r}")
         super().__init__(nprocs, protocol, **kw)
 
 
@@ -147,19 +125,15 @@ class TraditionalSystem(BaseSystem):
     """
 
     runtime_cls = TraditionalRuntime
+    model = "traditional"
 
     def __init__(self, nprocs: int, protocol: str = "lrc_d", **kw):
-        if protocol not in ("lrc_d", "hlrc_d"):
-            raise ValueError(
-                f"traditional programs run on lrc_d or hlrc_d, not {protocol!r}"
-            )
         super().__init__(nprocs, protocol, **kw)
 
 
 def make_system(nprocs: int, protocol: str, **kw) -> "BaseSystem | MpiSystem":
     """Factory choosing the right kind of system for a protocol name."""
-    if protocol == "mpi":
+    model = MODELS.get(protocol)
+    if model == "mpi":
         return MpiSystem(nprocs, **kw)
-    if protocol in ("lrc_d", "hlrc_d"):
-        return TraditionalSystem(nprocs, protocol=protocol, **kw)
-    return VoppSystem(nprocs, protocol=protocol, **kw)
+    return (TraditionalSystem if model == "traditional" else VoppSystem)(nprocs, protocol, **kw)

@@ -27,12 +27,12 @@ class BaseRuntime:
     def __init__(self, system: "BaseSystem", rank: int):
         self.system = system
         self.rank = rank
-        self.proto: BaseDsmProtocol = system.dsm.protocols[rank]
+        self.proto: BaseDsmProtocol = system.protocols[rank]
         self.node = self.proto.node
 
     @property
     def nprocs(self) -> int:
-        return self.system.dsm.nprocs
+        return self.system.nprocs
 
     @property
     def now(self) -> float:
@@ -79,8 +79,8 @@ class VoppRuntime(BaseRuntime):
         Expensive but convenient: acquires each known view read-only and
         touches all of its pages, forcing a full update.
         """
-        page_size = self.system.dsm.space.page_size
-        views = self.system.dsm.views
+        page_size = self.system.space.page_size
+        views = self.system.views
         for view_id in views.known_views():
             yield from self.acquire_Rview(view_id)
             for pid in views.pages_of(view_id):

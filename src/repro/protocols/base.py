@@ -85,9 +85,6 @@ class BaseDsmProtocol:
         self._early_flush: dict[int, list[Diff]] = {}  # current interval's flushes
         # invalidation bookkeeping
         self.pending: dict[int, list[IntervalNotice]] = {}  # pid -> unapplied notices
-        # applied notices, one int per writer: bit ``idx`` is set once that
-        # writer's interval ``idx`` was applied here
-        self.seen_notices: list[int] = [0] * system.nprocs
         # local processes blocked on a grant or a barrier release, by
         # ("lock" | "view" | "barrier", id)
         self._parked: dict[tuple[str, int], Event] = {}
@@ -166,29 +163,28 @@ class BaseDsmProtocol:
             self.lamport = stamp
 
     def apply_notices(self, notices: Iterable[IntervalNotice]) -> None:
-        """Invalidate pages named by unseen notices and queue them as pending.
+        """Invalidate the pages named by foreign notices and queue them as
+        pending.
 
-        A notice is seen once its bit is set in its writer's entry of
-        ``seen_notices``: one int per writer, not one record per notice.
+        No sender hands a node a notice it has already applied, so there is
+        no seen-set to test: LRC grants and barrier releases carry only what
+        lies past the receiver's vector clock, which covers every notice it
+        applied; a view grant carries the view's log past what the acquirer
+        was last given, and a notice sits in one view's log; the transport
+        drops a duplicated frame before dispatch.
         Only a page this node holds a copy of changes state.  One being
         written is first flushed as an early diff of the current interval, so
         our own modifications survive the invalidation (TreadMarks does the
         same when a write notice hits a twinned page).
         """
         me = self.node.id
-        seen = self.seen_notices
         pending = self.pending
         held = self.mm.pages
         for notice in notices:
             if notice.lamport > self.lamport:
                 self.lamport = notice.lamport
-            writer = notice.node
-            if writer == me:
+            if notice.node == me:
                 continue
-            mask, bit = seen[writer], 1 << notice.idx
-            if mask & bit:
-                continue
-            seen[writer] = mask | bit
             for pid in notice.pages:
                 queued = pending.get(pid)
                 if queued is None:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps import is_sort
-from repro.apps.common import run_app
+from repro.apps.common import program_builder, run_app
 
 SMALL = is_sort.IsConfig(n_keys=2000, b_max=64, reps=4, bucket_views=4, work_factor=1.0)
 
@@ -66,7 +66,7 @@ def test_bad_bucket_view_split_rejected():
 
     cfg = is_sort.IsConfig(n_keys=100, b_max=10, reps=1, bucket_views=3)
     with pytest.raises(ValueError):
-        is_sort.build(VoppSystem(2), cfg)
+        program_builder(is_sort, "vc_sd")(VoppSystem(2), cfg)
 
 
 def test_chunk_bounds_cover_everything():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps import sor
-from repro.apps.common import run_app
+from repro.apps.common import program_builder, run_app
 from repro.core.program import make_system
 
 SMALL = sor.SorConfig(rows=20, cols=16, iterations=3, work_factor=1.0)
@@ -59,7 +59,7 @@ def test_lrc_retains_little_more_than_the_wire_size_of_its_diffs():
     grow a scatter index).  Measured 2.9x; per-run Python objects gave 18.5x."""
     cfg = sor.SorConfig(rows=64, cols=512, iterations=8, work_factor=1.0)
     system = make_system(4, "lrc_d")
-    body = sor.build(system, cfg, "default")
+    body = program_builder(sor, "lrc_d")(system, cfg)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -67,7 +67,7 @@ def test_lrc_retains_little_more_than_the_wire_size_of_its_diffs():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    stored = [d for p in system.dsm.protocols for diffs in p.diff_store.values() for d in diffs]
+    stored = [d for p in system.protocols for diffs in p.diff_store.values() for d in diffs]
     assert len(stored) > 1000
     assert peak <= 4 * sum(d.wire_size for d in stored)
 

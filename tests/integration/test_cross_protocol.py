@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.apps import gauss, is_sort, nn, sor
-from repro.apps.common import run_app
+from repro.apps.common import program_builder, run_app
 from repro.faults import Episode, FaultPlan
 from repro.net.config import NetConfig
 
@@ -84,10 +84,8 @@ def test_manager_offset_preserves_correctness():
 
     for offset in (0, 1, 3):
         system = VoppSystem(4, protocol="vc_sd", manager_offset=offset)
-        body = is_sort.build(system, IS_SMALL)
-        system.run_program(body)
-        out = is_sort.extract(system, IS_SMALL)
-        assert is_sort.outputs_match(out, is_sort.sequential(IS_SMALL))
+        system.run_program(program_builder(is_sort, "vc_sd")(system, IS_SMALL))
+        assert is_sort.outputs_match(system.app_output, is_sort.sequential(IS_SMALL))
 
 
 def test_gauss_no_local_buffers_variant_correct():

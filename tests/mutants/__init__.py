@@ -139,13 +139,6 @@ CATALOGUE: tuple[Mutant, ...] = (
         "an exclusive acquire is granted while Rview holders still read",
     ),
     Mutant(
-        "seen_notice_applied_again",
-        "repro.protocols.base:BaseDsmProtocol.apply_notices",
-        "if mask & bit:", "if False:",
-        "tests/protocols/test_edge_cases.py::test_notice_invalidation_rules",
-        "a write notice already applied at a node is applied there again",
-    ),
-    Mutant(
         "reply_bytes_short",
         "repro.protocols.base:BaseDsmProtocol._handle_diff_request",
         "sum(d.wire_size for d in diffs)", "sum(d.wire_size for d in diffs[:-1])",

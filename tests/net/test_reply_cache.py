@@ -10,6 +10,7 @@ arrive again.  Any other entry waits for the duplicate horizon.
 import pytest
 
 from repro.apps import is_sort
+from repro.apps.common import program_builder
 from repro.core import make_system
 from repro.faults import Episode, FaultPlan
 from repro.net import Cluster, MessageKind, NetConfig
@@ -150,7 +151,7 @@ def test_a_loss_plan_pops_every_reply_answered_once():
 def test_a_fault_free_is_run_ends_with_every_reply_cache_empty():
     system = make_system(8, "vc_d")
     config = is_sort.default_config()
-    system.run_program(is_sort.build(system, config))
-    assert is_sort.outputs_match(is_sort.extract(system, config), is_sort.sequential(config))
+    system.run_program(program_builder(is_sort, "vc_d")(system, config))
+    assert is_sort.outputs_match(system.app_output, is_sort.sequential(config))
     assert system.stats.table_row()["Diff Requests"] > 0
     assert [len(node.transport._reply_cache) for node in system.cluster.nodes] == [0] * 8

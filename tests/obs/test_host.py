@@ -106,16 +106,16 @@ def test_aborted_run_closes_every_host_span():
     assert [row[4] for row in host.events] == ["build", "execute"]
 
 
-def test_span_contextmanager_closes_on_error(monkeypatch):
+def test_span_contextmanager_closes_on_error():
     """Any exception, not only an abort, still closes the phase it leaves."""
 
-    def broken_extract(system, config):
-        raise RuntimeError("boom")
+    class BrokenMetrics:  # folded in the extract phase
+        def fold(self, events):
+            raise RuntimeError("boom")
 
-    monkeypatch.setattr(APPS["sor"], "extract", broken_extract)
     host = EventTracer()
     with pytest.raises(RuntimeError, match="boom"):
-        run_app(APPS["sor"], "vc_sd", 2, host=host)
+        run_app(APPS["sor"], "vc_sd", 2, host=host, metrics=BrokenMetrics())
     assert [row[4] for row in host.events] == ["build", "execute", "extract"]
 
 

@@ -1,6 +1,6 @@
 """After a fault-free run a node keeps only the protocol state still needed:
-its applied notices as one int per writer, and every diff applied more than
-once as its scatter index, its bytes and its run count."""
+every diff applied more than once as its scatter index, its bytes and its
+run count."""
 
 from collections import Counter
 
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.apps import is_sort
+from repro.apps.common import program_builder
 from repro.core import make_system
 from repro.memory import manager
 
@@ -26,23 +27,8 @@ def is8_vcd():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(manager, "apply_diff", counting)
         system = make_system(8, "vc_d")
-        system.run_program(is_sort.build(system, is_sort.default_config(), "default"))
-    return system.dsm.protocols, applications
-
-
-def test_seen_notices_are_one_int_per_writer(is8_vcd):
-    protocols, _ = is8_vcd
-    nprocs = len(protocols)
-    for p in protocols:
-        assert not hasattr(p, "seen_keys")
-        seen = p.seen_notices
-        assert len(seen) == nprocs and all(type(mask) is int for mask in seen)
-        assert seen[p.node.id] == 0  # own notices are never recorded
-        for writer, mask in enumerate(seen):
-            # bit idx per applied interval: none before the first, none past the last
-            assert not mask & 1
-            assert mask.bit_length() <= protocols[writer].interval_seq + 1
-    assert sum(bin(mask).count("1") for p in protocols for mask in p.seen_notices) > 1000
+        system.run_program(program_builder(is_sort, "vc_d")(system, is_sort.default_config()))
+    return system.protocols, applications
 
 
 def test_a_diff_applied_twice_keeps_only_its_index_bytes_and_run_count(is8_vcd):

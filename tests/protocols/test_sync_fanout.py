@@ -85,7 +85,7 @@ def test_barrier_and_acquire_emit_one_record_sequence(protocol):
         assert spans[2][1] <= sync[2][1] <= spans[3][1]
 
         # RunStats: the rank's shard timed exactly those two waits
-        shard = system.dsm.stats_for(rank)
+        shard = system.stats_for(rank)
         assert (shard.acquire_time_n, shard.acquire_time_sum) == (1, acquire_wait)
         assert (shard.barrier_time_n, shard.barrier_time_sum) == (1, barrier_wait)
 

@@ -20,7 +20,7 @@ import heapq
 import sys
 
 from repro.apps import APPS
-from repro.apps.common import AppResult, _run_or_abort, run_app
+from repro.apps.common import AppResult, _run_or_abort, program_builder, run_app
 from repro.bench.sweep import SweepCell, default_cells, row_fingerprint
 from repro.core.program import make_system
 from repro.sim import SimError, Simulator
@@ -117,10 +117,11 @@ class TiePermutingSimulator(Simulator):
 def _run_on(cell: SweepCell, sim: Simulator) -> AppResult:
     """``run_app``'s build, run and extract, on a simulator of our choosing."""
     app, config = APPS[cell.app], cell.config()
+    build = program_builder(app, cell.protocol, cell.variant)
     system = make_system(cell.nprocs, cell.protocol, sim=sim)
-    body = app.build(system, config, cell.variant)
+    body = build(system, config)
     _run_or_abort(system.cluster, lambda: system.run_program(body))
-    output = app.extract(system, config)
+    output = system.app_output
     return AppResult(
         cell.protocol, cell.nprocs, output, system.stats, system.time,
         verified=app.outputs_match(output, app.sequential(config)),

@@ -64,6 +64,53 @@ def test_sweep_mpi_on_non_nn_rejected(capsys):
     assert main(["sweep", "gauss", "--protocols", "mpi", "--procs", "2"]) == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["run", "is", "--variant", "bogus"], "is has no vopp variant 'bogus'"),
+    (["run", "sor", "--variant", "no_rview"], "sor has no vopp variant 'no_rview'"),
+    (["run", "is", "--protocol", "lrc_d", "--variant", "lb"],
+     "is has no traditional variant 'lb'"),
+    (["check", "gauss", "--variant", "lb"], "gauss has no vopp variant 'lb'"),
+    (["profile", "nn", "--protocol", "mpi", "--variant", "no_rview"],
+     "nn has no mpi variant 'no_rview'"),
+    (["sweep", "is", "--faults", "--protocols", "vc_sd", "mpi"],
+     "is has no MPI version (only nn does)"),
+])
+def test_a_variant_the_app_lacks_is_refused_before_running(argv, message, capsys):
+    """An unknown variant used to run the default program, print
+    "verified" and exit 0."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("top", ["-3", "0"])
+def test_profile_top_below_one_is_a_usage_error(top, capsys):
+    """``--top -3`` printed all but the last three functions, ``--top 0``
+    none, both with exit 0."""
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", "sor", "--nprocs", "2", "--top", top])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_sweep_faults_refuses_more_than_one_procs_value(capsys, tmp_path):
+    """The grid used to run at 8 ranks whenever --procs had two values."""
+    out = tmp_path / "f.json"
+    assert main(["sweep", "--faults", "--procs", "4", "16",
+                 "--faults-out", str(out)]) == 2
+    assert "one --procs value, got 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_app_refuses_check_consistency(capsys):
+    """A speedup table has no oracle: the flag used to be dropped, exit 0."""
+    assert main(["sweep", "sor", "--procs", "2", "--protocols", "vc_sd",
+                 "--check-consistency", "--no-cache"]) == 2
+    captured = capsys.readouterr()
+    assert "--check-consistency" in captured.err and captured.out == ""
+
+
 def test_trace_command_prints_breakdown_and_mix(capsys, tmp_path):
     import json
 
