@@ -321,10 +321,11 @@ def _oracle_exit(reports: list, what: str) -> int:
     return 0
 
 
-def _cmd_sweep_faults(args: argparse.Namespace, jobs: int, cache_dir) -> int:
+def _cmd_sweep_faults(args: argparse.Namespace, protocols, jobs: int, cache_dir) -> int:
     """`sweep --faults [PLAN]`: the per-protocol degradation grid."""
     from repro.bench.degradation import (
         DEFAULT_FAULTS_OUTPUT,
+        DEFAULT_LOSS_RATES,
         format_degradation_grid,
         run_degradation_grid,
         write_degradation_report,
@@ -335,14 +336,14 @@ def _cmd_sweep_faults(args: argparse.Namespace, jobs: int, cache_dir) -> int:
         print("error: the degradation grid runs at one --procs value, "
               f"got {len(args.procs)}", file=sys.stderr)
         return 2
-    if _no_program(app, args.protocols):
+    if _no_program(app, protocols):
         return 2
     report = run_degradation_grid(
         app=app,
         nprocs=args.procs[0] if args.procs else 8,
-        protocols=tuple(args.protocols),
-        loss_rates=tuple(args.loss_rates),
-        seed=args.faults_seed,
+        protocols=tuple(protocols),
+        loss_rates=tuple(args.loss_rates or DEFAULT_LOSS_RATES),
+        seed=7 if args.faults_seed is None else args.faults_seed,
         base_plan=_load_faults(args),  # a path: layer the loss sweep over that plan
         check=args.check_consistency,
         jobs=jobs,
@@ -358,13 +359,41 @@ def _cmd_sweep_faults(args: argparse.Namespace, jobs: int, cache_dir) -> int:
     return 0
 
 
+# protocols of a speedup table and of the degradation grid when --protocols
+# is not given
+SWEEP_PROTOCOLS = ("lrc_d", "vc_sd")
+
+
+def _sweep_refuses(args: argparse.Namespace) -> bool:
+    """Print one ``error:`` line and return True if a flag was given that
+    the chosen sweep mode has no use for (it used to be dropped, exit 0)."""
+    if args.faults is not None:
+        mode, unused = "the degradation grid (sweep --faults)", ("report",)
+    elif args.app is None:
+        mode = "the full matrix (sweep with no app)"
+        unused = ("protocols", "procs", "loss_rates", "faults_seed", "faults_out")
+    else:
+        mode = "a speedup table (sweep APP)"
+        unused = ("report", "loss_rates", "faults_seed", "faults_out", "check_consistency")
+    for dest in unused:
+        value = getattr(args, dest)
+        if value is not None and value is not False:
+            flag = "--" + dest.replace("_", "-")
+            print(f"error: {flag} does not apply to {mode}", file=sys.stderr)
+            return True
+    return False
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.bench import sweep as sweep_mod
 
+    if _sweep_refuses(args):
+        return 2
     cache_dir = None if args.no_cache else (args.cache_dir or sweep_mod.DEFAULT_CACHE_DIR)
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
+    protocols = args.protocols or SWEEP_PROTOCOLS
     if args.faults is not None:
-        return _cmd_sweep_faults(args, jobs, cache_dir)
+        return _cmd_sweep_faults(args, protocols, jobs, cache_dir)
     if args.app is None:
         # full benchmark matrix -> consolidated BENCH_sweep.json
         report = sweep_mod.run_sweep(
@@ -395,13 +424,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.bench.runner import Entry, speedup_experiment
     from repro.bench.tables import format_speedup_table
 
-    if args.check_consistency:
-        print("error: --check-consistency checks the full matrix or the "
-              "degradation grid, not a speedup table", file=sys.stderr)
+    if _no_program(args.app, protocols):
         return 2
-    if _no_program(args.app, args.protocols):
-        return 2
-    entries = tuple(Entry(proto, proto) for proto in args.protocols)
+    entries = tuple(Entry(proto, proto) for proto in protocols)
     speedups = speedup_experiment(
         APPS[args.app], entries, proc_counts=tuple(args.procs or (2, 4, 8, 16)),
         jobs=jobs, cache_dir=cache_dir,
@@ -487,6 +512,18 @@ def _count(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """``type=`` of ``--drop-seed``: an int >= 0, as ``NetConfig`` requires,
+    so a negative seed is a usage error rather than a traceback."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _float(text: str) -> float:
     try:
         return float(text)
@@ -558,7 +595,7 @@ def _add_run_command(sub, name: str, help: str, nprocs: int = 16, **preset) -> N
     p.add_argument("--faults-out", default=None, metavar="PATH",
                    help="dump the exact active fault plan JSON before the "
                    "run (replayable with --faults PATH)")
-    p.add_argument("--drop-seed", type=int, default=None, metavar="SEED",
+    p.add_argument("--drop-seed", type=_seed, default=None, metavar="SEED",
                    help="seed for the RED drop stream")
     p.add_argument("--host-trace", action="store_true",
                    help="profile host wall-clock time (monotonic spans "
@@ -636,8 +673,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("app", nargs="?", default=None, choices=sorted(APPS))
     p_sweep.add_argument(
-        "--protocols", nargs="+", default=["lrc_d", "vc_sd"],
+        "--protocols", nargs="+", default=None,
         choices=[*sorted(PROTOCOLS), "mpi"],
+        help="protocols of a speedup table or the degradation grid "
+        "(default: lrc_d vc_sd)",
     )
     p_sweep.add_argument(
         "--procs", nargs="+", type=_count, default=None,
@@ -660,10 +699,11 @@ def build_parser() -> argparse.ArgumentParser:
                          "rate per protocol) instead of the matrix; an optional "
                          "plan file is layered under every cell")
     p_sweep.add_argument("--loss-rates", nargs="+", type=_probability,
-                         default=[0.0, 0.002, 0.005, 0.01, 0.02], metavar="P",
-                         help="loss rates swept by the degradation grid")
-    p_sweep.add_argument("--faults-seed", type=int, default=7,
-                         help="FaultPlan seed for the degradation grid")
+                         default=None, metavar="P",
+                         help="loss rates swept by the degradation grid "
+                         "(default: 0 0.002 0.005 0.01 0.02)")
+    p_sweep.add_argument("--faults-seed", type=int, default=None,
+                         help="FaultPlan seed for the degradation grid (default: 7)")
     p_sweep.add_argument("--faults-out", default=None, metavar="PATH",
                          help="degradation report path (default BENCH_faults.json)")
     p_sweep.add_argument("--check-consistency", action="store_true",

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.memory.address_space import AddressSpace
 from repro.memory.diff import Diff, apply_diff, pending_diff
-from repro.memory.page import PageCopy, PageState
+from repro.memory.page import NO_COPY, RO, RW, PageCopy, PageState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.cluster import Node
@@ -81,15 +81,19 @@ class MemoryManager:
 
     def state(self, pid: int) -> PageState:
         copy = self.pages.get(pid)
-        return copy.state if copy is not None else PageState.NO_COPY
+        return copy.state if copy is not None else NO_COPY
 
     # -- application access path -------------------------------------------------
 
     def read_bytes(self, addr: int, nbytes: int) -> Generator:
         """Read ``nbytes`` at ``addr`` (``yield from``); returns a uint8 array."""
         segs = self._segments(addr, nbytes)
-        page = self.page
-        faulting = [s[0] for s in segs if not page(s[0]).readable]
+        pages = self.pages
+        faulting = [
+            pid for pid, _, _, _ in segs
+            if (copy := pages.get(pid)) is None
+            or (state := copy.state) is not RO and state is not RW
+        ]
         if faulting:
             if self.fault_handler is None:
                 raise RuntimeError("no protocol attached to memory manager")
@@ -98,7 +102,6 @@ class MemoryManager:
         if oracle is not None:
             now = self.node.sim.now
             nid = self.node.id
-            pages = self.pages
             for pid in dict.fromkeys(s[0] for s in segs):
                 oracle.read(now, nid, pid, pages[pid].data)
         return self._gather(segs, nbytes)
@@ -108,8 +111,11 @@ class MemoryManager:
         data = np.asarray(data, dtype=np.uint8).ravel()
         nbytes = data.shape[0]
         segs = self._segments(addr, nbytes)
-        page = self.page
-        faulting = [s[0] for s in segs if not page(s[0]).writable]
+        pages = self.pages
+        faulting = [
+            pid for pid, _, _, _ in segs
+            if (copy := pages.get(pid)) is None or copy.state is not RW
+        ]
         if faulting:
             if self.fault_handler is None:
                 raise RuntimeError("no protocol attached to memory manager")
@@ -119,7 +125,6 @@ class MemoryManager:
         if oracle is not None:
             now = self.node.sim.now
             nid = self.node.id
-            pages = self.pages
             for pid in dict.fromkeys(s[0] for s in segs):
                 oracle.write(now, nid, pid, pages[pid].data)
         return None
@@ -129,13 +134,13 @@ class MemoryManager:
         if len(segs) == 1:
             pid, off, _, take = segs[0]
             copy = pages[pid]
-            if not copy.readable:
+            if (state := copy.state) is not RO and state is not RW:
                 raise RuntimeError(f"page {pid} not readable after fault handling")
             return copy.data[off : off + take].copy()
         out = np.empty(nbytes, dtype=np.uint8)
         for pid, off, out_off, take in segs:
             copy = pages[pid]
-            if not copy.readable:
+            if (state := copy.state) is not RO and state is not RW:
                 raise RuntimeError(f"page {pid} not readable after fault handling")
             out[out_off : out_off + take] = copy.data[off : off + take]
         return out
@@ -144,7 +149,7 @@ class MemoryManager:
         pages = self.pages
         for pid, off, out_off, take in segs:
             copy = pages[pid]
-            if not copy.writable:
+            if copy.state is not RW:
                 raise RuntimeError(f"page {pid} not writable after fault handling")
             copy.data[off : off + take] = data[out_off : out_off + take]
 
@@ -154,7 +159,7 @@ class MemoryManager:
         """Twin the page and mark it RW + in the current write set."""
         copy = self.page(pid)
         copy.make_twin()
-        copy.state = PageState.RW
+        copy.state = RW
         self.write_set.add(pid)
 
     def _close_twin(self, pid: int) -> Optional[Diff]:
@@ -168,7 +173,7 @@ class MemoryManager:
         if twin is None:
             raise RuntimeError(f"page {pid} written without twin")
         copy.drop_twin()
-        copy.state = PageState.RO
+        copy.state = RO
         if twin.tobytes() == after.tobytes():
             return None
         after.flags.writeable = False  # the diff's after-image from now on
@@ -201,19 +206,19 @@ class MemoryManager:
 
     # -- protocol data movement helpers ---------------------------------------------
 
-    def install_full_page(self, pid: int, content: bytes | np.ndarray, state: PageState = PageState.RO) -> None:
+    def install_full_page(self, pid: int, content: bytes | np.ndarray, state: PageState = RO) -> None:
         copy = self.page(pid)
         copy.detach()[:] = np.frombuffer(content, dtype=np.uint8) if isinstance(content, bytes) else content
         copy.state = state
 
-    def apply_diffs(self, pid: int, diffs: Iterable[Diff], state: PageState = PageState.RO) -> None:
+    def apply_diffs(self, pid: int, diffs: Iterable[Diff], state: PageState = RO) -> None:
         copy = self.page(pid)
         data = copy.detach()
         for diff in diffs:
             apply_diff(data, diff)
         copy.state = state
 
-    def zero_fill(self, pid: int, state: PageState = PageState.RO) -> None:
+    def zero_fill(self, pid: int, state: PageState = RO) -> None:
         """First-touch materialisation of an untouched (all-zero) page."""
         copy = self.page(pid)
         copy.materialise()

@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["PageState", "PageCopy"]
+__all__ = ["PageState", "PageCopy", "NO_COPY", "INVALID", "RO", "RW"]
 
 
 class PageState(Enum):
@@ -21,12 +21,19 @@ class PageState(Enum):
         Valid for reading; a write fault creates a twin and upgrades to RW.
     ``RW``
         Valid and being written in the current interval (twin exists).
+
+    Hot paths read the module constants below, not ``PageState.X``, which is
+    slow on CPython 3.11 (docs/simulator.md, "What a state test costs").
     """
 
     NO_COPY = "no_copy"
     INVALID = "invalid"
     RO = "ro"
     RW = "rw"
+
+
+# the members themselves (``RO is PageState.RO``), read as module globals
+NO_COPY, INVALID, RO, RW = PageState.NO_COPY, PageState.INVALID, PageState.RO, PageState.RW
 
 
 class PageCopy:
@@ -44,7 +51,7 @@ class PageCopy:
     def __init__(self, page_id: int, size: int):
         self.page_id = page_id
         self.size = size
-        self.state = PageState.NO_COPY
+        self.state = NO_COPY
         self.data: Optional[np.ndarray] = None
         self.twin: Optional[np.ndarray] = None
 
@@ -77,11 +84,12 @@ class PageCopy:
 
     @property
     def readable(self) -> bool:
-        return self.state in (PageState.RO, PageState.RW)
+        state = self.state
+        return state is RO or state is RW
 
     @property
     def writable(self) -> bool:
-        return self.state is PageState.RW
+        return self.state is RW
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<PageCopy {self.page_id} {self.state.name}>"

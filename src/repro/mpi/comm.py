@@ -26,6 +26,7 @@ from repro.net.transport import Waiter
 __all__ = ["MpiComm", "MpiSystem"]
 
 MPI_HEADER_BYTES = 16
+MPI_DATA = MessageKind.MPI_DATA
 
 
 def _payload_size(data: Any, size: Optional[int]) -> int:
@@ -53,7 +54,7 @@ class MpiComm:
         self.size = size
         self._queues: dict[tuple[int, int], deque] = {}
         self._waiters: dict[tuple[int, int], deque] = {}
-        node.register_handler(MessageKind.MPI_DATA, self._on_data, cost=0.0)
+        node.register_handler(MPI_DATA, self._on_data, cost=0.0)
 
     # -- point to point -----------------------------------------------------------
 
@@ -66,7 +67,7 @@ class MpiComm:
             )
         nbytes = _payload_size(data, size)
         return self.node.transport.send_reliable(
-            dest, MessageKind.MPI_DATA, {"tag": tag, "data": data, "src": self.rank}, nbytes
+            dest, MPI_DATA, {"tag": tag, "data": data, "src": self.rank}, nbytes
         )
 
     def recv(self, source: int, tag: int = 0) -> Generator:

@@ -18,7 +18,9 @@ class MessageKind(str, Enum):
     """Protocol-level message kinds, shared by all DSM protocols and MPI.
 
     Using one enum keeps the dispatcher simple and lets the statistics layer
-    break message counts down uniformly.
+    break message counts down uniformly.  Hot modules bind the kinds they use
+    at import (``ACK = MessageKind.ACK``): a ``MessageKind.X`` read is slow on
+    CPython 3.11 (docs/simulator.md, "What a state test costs").
     """
 
     # transport

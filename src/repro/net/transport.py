@@ -64,6 +64,10 @@ from repro.sim.engine import Effect, Process
 
 from repro.net.message import Message, MessageKind
 
+# tested on every received frame, so bound once (docs/simulator.md, "What a
+# state test costs")
+ACK = MessageKind.ACK
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.config import NetConfig
     from repro.net.nic import Nic
@@ -340,7 +344,7 @@ class Transport:
 
     def on_receive(self, msg: Message) -> Message | None:
         """Filter a received message; return it iff the protocol should see it."""
-        if msg.kind is MessageKind.ACK:
+        if msg.kind is ACK:
             # the wake's cause is the *original* message (acks have no send
             # edge), whose edge points back at this very node — so the
             # critical-path walk charges the whole round trip to wire and
@@ -348,7 +352,7 @@ class Transport:
             self._answered(msg.payload, msg.payload, None)
             return None
         if msg.need_ack:
-            ack = Message(self.node_id, msg.src, MessageKind.ACK, msg.msg_id,
+            ack = Message(self.node_id, msg.src, ACK, msg.msg_id,
                           self.cfg.ack_bytes, next(self._ids))
             self.stats.count_ack()
             self.post(ack)

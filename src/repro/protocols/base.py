@@ -33,10 +33,16 @@ from typing import TYPE_CHECKING, Any, Generator, Iterable, Optional
 
 from repro.memory.diff import Diff
 from repro.memory.manager import MemoryManager
-from repro.memory.page import PageState
+from repro.memory.page import INVALID, NO_COPY, RO, RW
 from repro.net.message import Message, MessageKind
 from repro.protocols.timestamps import IntervalNotice
 from repro.sim import Event, Timeout
+
+# the kinds this module sends and handles, read as globals: a function body
+# never reads an Enum member (docs/simulator.md, "What a state test costs")
+DIFF_REQUEST, DIFF_REPLY = MessageKind.DIFF_REQUEST, MessageKind.DIFF_REPLY
+PAGE_REQUEST, PAGE_REPLY = MessageKind.PAGE_REQUEST, MessageKind.PAGE_REPLY
+BARRIER_ARRIVE, BARRIER_RELEASE = MessageKind.BARRIER_ARRIVE, MessageKind.BARRIER_RELEASE
 
 # shared zero-delay hop effect (stateless: apply() only reads it)
 _HOP = Timeout(0)
@@ -97,13 +103,13 @@ class BaseDsmProtocol:
 
     def _register_handlers(self) -> None:
         self.node.register_handler(
-            MessageKind.DIFF_REQUEST, self._handle_diff_request, cost=HANDLER_BASE_COST
+            DIFF_REQUEST, self._handle_diff_request, cost=HANDLER_BASE_COST
         )
         self.node.register_handler(
-            MessageKind.PAGE_REQUEST, self._handle_page_request, cost=HANDLER_BASE_COST
+            PAGE_REQUEST, self._handle_page_request, cost=HANDLER_BASE_COST
         )
-        self.node.register_handler(MessageKind.BARRIER_ARRIVE, self._handle_barrier_arrive)
-        self.node.register_handler(MessageKind.BARRIER_RELEASE, self._handle_barrier_release)
+        self.node.register_handler(BARRIER_ARRIVE, self._handle_barrier_arrive)
+        self.node.register_handler(BARRIER_RELEASE, self._handle_barrier_release)
 
     @property
     def nprocs(self) -> int:
@@ -192,13 +198,13 @@ class BaseDsmProtocol:
                 else:
                     queued.append(notice)
                 copy = held.get(pid)
-                if copy is None or copy.state is PageState.NO_COPY:
+                if copy is None or (state := copy.state) is NO_COPY:
                     continue
-                if copy.state is PageState.RW:
+                if state is RW:
                     diff = self.mm.flush_page(pid)
                     if diff is not None:
                         self._early_flush.setdefault(pid, []).append(diff)
-                copy.state = PageState.INVALID
+                copy.state = INVALID
 
     # -- fault handling (invalidate protocol: LRC_d and VC_d) ------------------------
 
@@ -226,7 +232,7 @@ class BaseDsmProtocol:
         yield from self._make_valid(pids)
         for pid in pids:
             copy = self.mm.page(pid)
-            if copy.state is not PageState.RW:
+            if copy.state is not RW:
                 # twin creation copies the page
                 yield from self.node.copy_cost(self.system.space.page_size)
                 self.mm.start_writing(pid)
@@ -249,8 +255,11 @@ class BaseDsmProtocol:
         is exactly how centralised consumers (the LRC barrier manager reading
         everyone's data) congest their receive buffer.
         """
+        held = self.mm.pages
         faulting = [
-            pid for pid in pids if self.mm.state(pid) in (PageState.NO_COPY, PageState.INVALID)
+            pid for pid in pids
+            if (copy := held.get(pid)) is None
+            or (state := copy.state) is NO_COPY or state is INVALID
         ]
         if not faulting:
             return
@@ -268,7 +277,7 @@ class BaseDsmProtocol:
         yield from self.node.sim.all_of(fetchers)
 
     def _make_one_valid(self, pid: int, lane: str = "app") -> Generator:
-        if self.mm.state(pid) is PageState.NO_COPY:
+        if self.mm.state(pid) is NO_COPY:
             yield from self._fetch_base_copy(pid)
         yield from self._fetch_pending_diffs(pid, lane)
 
@@ -283,9 +292,7 @@ class BaseDsmProtocol:
             if oracle is not None:
                 oracle.zero_fill(now, self.node.id, pid, self.mm.pages[pid].data)
             return
-        reply = yield from self.node.request(
-            src, MessageKind.PAGE_REQUEST, pid, size=CTRL_MSG_BYTES
-        )
+        reply = yield from self.node.request(src, PAGE_REQUEST, pid, size=CTRL_MSG_BYTES)
         yield from self.node.copy_cost(self.system.space.page_size)
         self.mm.install_full_page(pid, reply.payload)
         oracle = self.node.sim.oracle
@@ -303,8 +310,8 @@ class BaseDsmProtocol:
         notices = self.pending.pop(pid, [])
         if not notices:
             copy = self.mm.pages.get(pid)
-            if copy is not None and copy.state is PageState.INVALID:
-                copy.state = PageState.RO
+            if copy is not None and copy.state is INVALID:
+                copy.state = RO
             return
         tracer = self.node.sim.tracer
         if tracer is None:
@@ -327,7 +334,7 @@ class BaseDsmProtocol:
             (writer,) = by_writer
             if writer != self.node.id and len(by_writer[writer]) > self.FULL_PAGE_FETCH_THRESHOLD:
                 reply = yield from self.node.request(
-                    writer, MessageKind.PAGE_REQUEST, pid, size=CTRL_MSG_BYTES
+                    writer, PAGE_REQUEST, pid, size=CTRL_MSG_BYTES
                 )
                 yield from self.node.copy_cost(self.system.space.page_size)
                 self.mm.install_full_page(pid, reply.payload)
@@ -348,7 +355,7 @@ class BaseDsmProtocol:
         # waking the faulting process; a gathered call's one wake-up needs
         # no such stand-in.
         requests = [
-            (writer, MessageKind.DIFF_REQUEST, (pid, sorted(idxs)),
+            (writer, DIFF_REQUEST, (pid, sorted(idxs)),
              CTRL_MSG_BYTES + 4 * len(idxs))
             for writer, idxs in sorted(by_writer.items())
         ]
@@ -409,13 +416,13 @@ class BaseDsmProtocol:
             if nbytes is None:
                 nbytes = sized[key] = sum(d.wire_size for d in diffs)
             size += nbytes
-        self.node.reply_to(msg, MessageKind.DIFF_REPLY, diffs_by_idx, size)
+        self.node.reply_to(msg, DIFF_REPLY, diffs_by_idx, size)
 
     def _handle_page_request(self, msg: Message) -> None:
         content = self.mm.snapshot_page(msg.payload)
         self.node.reply_to(
             msg,
-            MessageKind.PAGE_REPLY,
+            PAGE_REPLY,
             content,
             size=CTRL_MSG_BYTES + len(content),
         )
@@ -511,7 +518,7 @@ class BaseDsmProtocol:
         else:
             yield from self.node.send_reliable(
                 self.BARRIER_MANAGER,
-                MessageKind.BARRIER_ARRIVE,
+                BARRIER_ARRIVE,
                 (self.node.id, gen, carried),
                 size=CTRL_MSG_BYTES + size,
             )
@@ -545,7 +552,7 @@ class BaseDsmProtocol:
                 self.node.sim.spawn(
                     self.node.send_reliable(
                         node_id,
-                        MessageKind.BARRIER_RELEASE,
+                        BARRIER_RELEASE,
                         (gen, released),
                         CTRL_MSG_BYTES + size,
                     ),

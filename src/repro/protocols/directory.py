@@ -38,13 +38,17 @@ class PageDirectory:
         """Record that ``node`` materialised ``pid`` at ``t``; the first
         claim wins, and at one instant the lower node."""
         claim = (t, node)
-        self._origins[pid] = min(self._origins.get(pid, claim), claim)
+        held = self._origins.get(pid)
+        if held is None or claim < held:
+            self._origins[pid] = claim
 
     def note_writer(self, pid: int, node: int, t: float) -> None:
         """Record that ``node`` wrote ``pid`` at ``t``; the last note wins,
         and at one instant the higher node."""
         note = (t, node)
-        self._writers[pid] = max(self._writers.get(pid, note), note)
+        held = self._writers.get(pid)
+        if held is None or note > held:
+            self._writers[pid] = note
 
     def origin(self, pid: int) -> Optional[int]:
         """The node that first materialised ``pid``, or ``None``."""

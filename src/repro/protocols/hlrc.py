@@ -30,11 +30,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
-from repro.memory.page import PageState
+from repro.memory.page import RO, RW
 from repro.net.message import Message, MessageKind
-from repro.protocols.base import CTRL_MSG_BYTES, HANDLER_BASE_COST
+from repro.protocols.base import CTRL_MSG_BYTES, HANDLER_BASE_COST, PAGE_REPLY, PAGE_REQUEST
 from repro.protocols.lrc import LrcProtocol
 from repro.sim import Event
+
+DIFF_PUSH = MessageKind.DIFF_PUSH
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.protocols.system import DsmSystem
@@ -60,7 +62,7 @@ class HlrcProtocol(LrcProtocol):
         self._waiting: dict[int, list[Message]] = {}
         # local accesses (we are home) waiting for outstanding diff pushes
         self._home_events: dict[int, list] = {}
-        node.register_handler(MessageKind.DIFF_PUSH, self._handle_diff_push)
+        node.register_handler(DIFF_PUSH, self._handle_diff_push)
 
     # -- home assignment ---------------------------------------------------------
 
@@ -92,7 +94,7 @@ class HlrcProtocol(LrcProtocol):
             )
             yield from self.node.send_reliable(
                 home,
-                MessageKind.DIFF_PUSH,
+                DIFF_PUSH,
                 {"node": self.node.id, "idx": notice.idx, "pages": pages},
                 size=size,
             )
@@ -122,7 +124,7 @@ class HlrcProtocol(LrcProtocol):
 
     def _make_one_valid(self, pid: int, lane: str = "app") -> Generator:
         state = self.mm.state(pid)
-        if state in (PageState.RO, PageState.RW):
+        if state is RO or state is RW:
             return
         notices = self.pending.pop(pid, [])
         home = self.home_of(pid)
@@ -151,12 +153,12 @@ class HlrcProtocol(LrcProtocol):
                 evt = Event(self.node.sim)
                 self._home_events.setdefault(pid, []).append(evt)
                 yield evt.wait()
-            copy.state = PageState.RO
+            copy.state = RO
             return
         need = [(n.node, n.idx) for n in notices]
         reply = yield from self.node.request(
             home,
-            MessageKind.PAGE_REQUEST,
+            PAGE_REQUEST,
             {"pid": pid, "need": need},
             size=CTRL_MSG_BYTES + 8 * len(need),
         )
@@ -184,7 +186,7 @@ class HlrcProtocol(LrcProtocol):
         content = self.mm.snapshot_page(pid)
         self.node.reply_to(
             msg,
-            MessageKind.PAGE_REPLY,
+            PAGE_REPLY,
             {"content": content},
             size=CTRL_MSG_BYTES + len(content),
         )

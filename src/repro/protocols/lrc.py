@@ -32,6 +32,9 @@ from repro.protocols.base import (
 )
 from repro.protocols.timestamps import IntervalNotice, VectorClock, notices_wire_size
 
+LOCK_ACQUIRE, LOCK_GRANT = MessageKind.LOCK_ACQUIRE, MessageKind.LOCK_GRANT
+LOCK_FORWARD = MessageKind.LOCK_FORWARD
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.protocols.system import DsmSystem
     from repro.net.cluster import Node
@@ -64,9 +67,9 @@ class LrcProtocol(BaseDsmProtocol):
         self._shipped: dict[int, list[int]] = {}
         # manager-side lock table (only used on manager nodes)
         self._locks: dict[int, _LockState] = {}
-        node.register_handler(MessageKind.LOCK_ACQUIRE, self._handle_lock_acquire)
-        node.register_handler(MessageKind.LOCK_GRANT, self._handle_lock_grant)
-        node.register_handler(MessageKind.LOCK_FORWARD, self._handle_lock_release_msg)
+        node.register_handler(LOCK_ACQUIRE, self._handle_lock_acquire)
+        node.register_handler(LOCK_GRANT, self._handle_lock_grant)
+        node.register_handler(LOCK_FORWARD, self._handle_lock_release_msg)
 
     # -- knowledge bookkeeping ------------------------------------------------------
 
@@ -141,7 +144,7 @@ class LrcProtocol(BaseDsmProtocol):
             evt = self._park(("lock", lock_id))
             yield from self.node.send_reliable(
                 manager,
-                MessageKind.LOCK_ACQUIRE,
+                LOCK_ACQUIRE,
                 {"lock": lock_id, "vc": self.vc.copy(), "node": self.node.id},
                 size=CTRL_MSG_BYTES + self.vc.wire_size,
             )
@@ -163,7 +166,7 @@ class LrcProtocol(BaseDsmProtocol):
             notices = self._unshipped_for_manager(manager)
             yield from self.node.send_reliable(
                 manager,
-                MessageKind.LOCK_FORWARD,
+                LOCK_FORWARD,
                 {
                     "lock": lock_id,
                     "vc": self.vc.copy(),
@@ -199,7 +202,7 @@ class LrcProtocol(BaseDsmProtocol):
         grant = {"lock": lock_id, "notices": notices, "vc": self.vc.copy()}
         size = CTRL_MSG_BYTES + self.vc.wire_size + notices_wire_size(notices)
         self.node.sim.spawn(
-            self.node.send_reliable(waiter.payload["node"], MessageKind.LOCK_GRANT, grant, size),
+            self.node.send_reliable(waiter.payload["node"], LOCK_GRANT, grant, size),
             name=f"grant-{self.node.id}-{lock_id}",
         )
 

@@ -36,6 +36,9 @@ from repro.protocols.base import (
 )
 from repro.protocols.timestamps import IntervalNotice, notices_wire_size
 
+VIEW_ACQUIRE, VIEW_GRANT = MessageKind.VIEW_ACQUIRE, MessageKind.VIEW_GRANT
+VIEW_RELEASE = MessageKind.VIEW_RELEASE
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.protocols.system import DsmSystem
     from repro.net.cluster import Node
@@ -74,9 +77,9 @@ class VcProtocol(BaseDsmProtocol):
         self._views: dict[int, ViewState] = {}  # manager-side
         self.held_excl: Optional[int] = None
         self.held_r: list[int] = []
-        node.register_handler(MessageKind.VIEW_ACQUIRE, self._handle_view_acquire)
-        node.register_handler(MessageKind.VIEW_GRANT, self._handle_view_grant)
-        node.register_handler(MessageKind.VIEW_RELEASE, self._handle_view_release)
+        node.register_handler(VIEW_ACQUIRE, self._handle_view_acquire)
+        node.register_handler(VIEW_GRANT, self._handle_view_grant)
+        node.register_handler(VIEW_RELEASE, self._handle_view_release)
 
     # -- access discipline --------------------------------------------------------------
 
@@ -142,7 +145,7 @@ class VcProtocol(BaseDsmProtocol):
             self.stats.count_acquire_msg()
             yield from self.node.send_reliable(
                 manager,
-                MessageKind.VIEW_ACQUIRE,
+                VIEW_ACQUIRE,
                 (view_id, mode, self.node.id),
                 size=CTRL_MSG_BYTES,
             )
@@ -199,7 +202,7 @@ class VcProtocol(BaseDsmProtocol):
             size = CTRL_MSG_BYTES + (notice.wire_size if notice else 0) + extra_size
             yield from self.node.send_reliable(
                 manager,
-                MessageKind.VIEW_RELEASE,
+                VIEW_RELEASE,
                 (view_id, mode, self.node.id, notice, extra_payload),
                 size=size,
             )
@@ -255,7 +258,7 @@ class VcProtocol(BaseDsmProtocol):
         else:
             size = CTRL_MSG_BYTES + self._grant_size(payload)
             self.node.sim.spawn(
-                self.node.send_reliable(node_id, MessageKind.VIEW_GRANT, payload, size),
+                self.node.send_reliable(node_id, VIEW_GRANT, payload, size),
                 name=f"view-grant-{state.view_id}-{node_id}",
             )
 

@@ -111,6 +111,97 @@ def test_sweep_app_refuses_check_consistency(capsys):
     assert "--check-consistency" in captured.err and captured.out == ""
 
 
+@pytest.fixture
+def nothing_runs(monkeypatch, tmp_path):
+    """A sweep that gets past its checks fails the test instead of running;
+    the cwd is a scratch directory, so a written default report shows."""
+    import repro.bench.degradation
+    import repro.bench.runner
+    import repro.bench.sweep
+
+    def ran(*_args, **_kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(repro.bench.sweep, "run_sweep", ran)
+    monkeypatch.setattr(repro.bench.runner, "speedup_experiment", ran)
+    monkeypatch.setattr(repro.bench.degradation, "run_degradation_grid", ran)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "--protocols", "vc_sd", "--procs", "2"],
+     "--protocols does not apply to the full matrix (sweep with no app)"),
+    (["sweep", "sor", "--procs", "2", "--protocols", "vc_sd", "--report", "r.json",
+      "--loss-rates", "0.5", "--faults-seed", "3"],
+     "--report does not apply to a speedup table (sweep APP)"),
+    (["sweep", "--faults", "--report", "r2.json"],
+     "--report does not apply to the degradation grid (sweep --faults)"),
+])
+def test_sweep_refuses_a_flag_its_mode_would_drop(argv, message, capsys, nothing_runs):
+    """Each used to exit 0: the matrix ran at 8/16 ranks over every protocol,
+    the speedup table wrote no r.json, the grid wrote only BENCH_faults.json."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert list(nothing_runs.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode,flag", [
+    *((["sweep"], flag) for flag in (
+        ["--protocols", "vc_sd"], ["--procs", "8"], ["--loss-rates", "0"],
+        ["--faults-seed", "0"], ["--faults-out", "f.json"])),
+    *((["sweep", "is"], flag) for flag in (
+        ["--report", "r.json"], ["--loss-rates", "0"], ["--faults-seed", "0"],
+        ["--faults-out", "f.json"], ["--check-consistency"])),
+    (["sweep", "--faults"], ["--report", "r.json"]),
+], ids=lambda part: "_".join(part))
+def test_every_flag_a_sweep_mode_ignores_is_refused(mode, flag, capsys, nothing_runs):
+    assert main([*mode, *flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flag[0]} does not apply to ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_sweep_defaults_are_resolved_per_mode(monkeypatch, capsys):
+    """``None`` defaults tell a given flag from an absent one; an absent one
+    still means what it did: lrc_d vc_sd, the five loss rates, seed 7."""
+    import repro.bench.degradation
+    import repro.bench.runner
+
+    seen = {}
+
+    def grid(**kwargs):
+        seen["grid"] = kwargs
+        raise SystemExit(0)
+
+    def speedups(app, entries, **kwargs):
+        seen["table"] = tuple(e.protocol for e in entries)
+        raise SystemExit(0)
+
+    monkeypatch.setattr(repro.bench.degradation, "run_degradation_grid", grid)
+    monkeypatch.setattr(repro.bench.runner, "speedup_experiment", speedups)
+    for argv in (["sweep", "--faults"], ["sweep", "sor"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert seen["table"] == ("lrc_d", "vc_sd")
+    assert seen["grid"]["protocols"] == ("lrc_d", "vc_sd")
+    assert seen["grid"]["loss_rates"] == (0.0, 0.002, 0.005, 0.01, 0.02)
+    assert seen["grid"]["seed"] == 7
+
+
+@pytest.mark.parametrize("cmd", ["run", "check", "trace"])
+def test_negative_drop_seed_is_a_usage_error(cmd, capsys):
+    """``--drop-seed -5`` used to die in ``NetConfig`` with a traceback, exit 1."""
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "is", "--nprocs", "2", "--drop-seed", "-5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"repro {cmd}: error: argument --drop-seed: must be >= 0, got -5"]
+
+
 def test_trace_command_prints_breakdown_and_mix(capsys, tmp_path):
     import json
 
