@@ -17,7 +17,7 @@ from __future__ import annotations
 import gc
 import math
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from time import perf_counter
 from typing import Any, Callable, Generator, Optional
 
@@ -26,7 +26,7 @@ import numpy as np
 from repro.core.program import MODELS, make_system
 from repro.obs.gcpause import gc_paused
 from repro.obs.tracer import EventTracer
-from repro.net.config import NetConfig, NodeConfig
+from repro.net.config import NetConfig, NodeConfig, is_count
 from repro.protocols.runstats import RunStats
 
 __all__ = ["AppConfig", "AppResult", "charge", "chunk_bounds", "program_builder", "run_app"]
@@ -42,6 +42,10 @@ class AppConfig:
         # NaN fails the test too: a NaN or negative factor would charge no compute
         if not 0 <= self.work_factor < math.inf:
             raise ValueError(f"work_factor must be finite and >= 0, got {self.work_factor!r}")
+        # a count that is not an int dies mid-run in ``range()``; a bool runs as 1
+        for f in fields(self):
+            if f.type in ("int", int) and not is_count(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be an int, got {getattr(self, f.name)!r}")
 
     def charge_seconds(self, ops: float, cycles_per_op: float, cpu_hz: float) -> float:
         return self.work_factor * ops * cycles_per_op / cpu_hz

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-__all__ = ["NetConfig", "NodeConfig"]
+__all__ = ["NetConfig", "NodeConfig", "is_count"]
 
 
 def _require(cfg: object, rule: str, ok: Callable[[float], bool], *names: str) -> None:
@@ -22,6 +22,12 @@ def _require(cfg: object, rule: str, ok: Callable[[float], bool], *names: str) -
             raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
+def is_count(value: object) -> bool:
+    """An ``int`` that is not a ``bool``: a fractional retry budget is never
+    reached, and ``True`` is a flag, not a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class NetConfig:
     """Network-level parameters.
@@ -29,16 +35,17 @@ class NetConfig:
     Attributes
     ----------
     bandwidth_bps:
-        Link rate of every NIC port, bits per second (> 0; 100 Mbps Ethernet).
+        Link rate of every NIC port, bits per second (finite, > 0; 100 Mbps
+        Ethernet).
     switch_latency:
-        Store-and-forward latency through the switch, seconds (>= 0).
+        Store-and-forward latency through the switch, seconds (finite, >= 0).
     send_overhead / recv_overhead:
         Fixed per-message software cost (UDP/IP stack traversal, interrupt
         handling) on a 350 MHz CPU, seconds (finite, >= 0).  ~60 µs each way
         is typical for the era.
     header_bytes:
         Per-message framing added on the wire (Ethernet + IP + UDP headers);
-        this and the other byte sizes are >= 0.
+        this and the other byte sizes are ints >= 0.
     recv_buffer_bytes:
         Receiver socket buffer capacity in bytes (Linux 2.4 default UDP
         rcvbuf: 64 KB); arrivals beyond this are dropped — the congestion
@@ -52,14 +59,14 @@ class NetConfig:
         messages fill the buffer; the tiny VC barrier messages never do —
         the paper's "Rexmit" asymmetry between LRC_d and VC_d.
     drop_seed:
-        Seed (>= 0) of the RED drop stream, so congestion loss is
+        Seed (an int >= 0) of the RED drop stream, so congestion loss is
         reproducible.  Loss in this model comes from buffer congestion only;
         uniform loss is a ``loss`` episode of a :class:`repro.faults.FaultPlan`.
     rexmit_timeout:
-        Retransmission timeout, seconds (> 0), the same after every copy.
+        Retransmission timeout, seconds (finite, > 0), the same after every copy.
         The paper observes ~1 s of waiting per retransmission.
     max_retries:
-        Retransmission attempts (>= 0) before the transport gives up.
+        Retransmission attempts (an int >= 0) before the transport gives up.
     ack_bytes:
         Size of a transport-level acknowledgement.
     """
@@ -77,12 +84,13 @@ class NetConfig:
     ack_bytes: int = 42
 
     def __post_init__(self) -> None:
-        _require(self, "> 0", lambda v: v > 0, "bandwidth_bps", "rexmit_timeout")
-        _require(self, ">= 0", lambda v: v >= 0,
-                 "switch_latency", "header_bytes", "recv_buffer_bytes",
-                 "red_threshold_bytes", "drop_seed", "max_retries", "ack_bytes")
+        _require(self, "finite and > 0", lambda v: 0 < v < math.inf,
+                 "bandwidth_bps", "rexmit_timeout")
         _require(self, "finite and >= 0", lambda v: 0 <= v < math.inf,
-                 "send_overhead", "recv_overhead")
+                 "switch_latency", "send_overhead", "recv_overhead")
+        _require(self, "an int >= 0", lambda v: is_count(v) and v >= 0,
+                 "header_bytes", "recv_buffer_bytes", "red_threshold_bytes",
+                 "drop_seed", "max_retries", "ack_bytes")
 
     def tx_time(self, payload_bytes: int) -> float:
         """Wire occupancy of a message of ``payload_bytes`` at link rate."""
@@ -101,7 +109,7 @@ class NodeConfig:
         Memory bandwidth for page/diff copies (twin creation, diff apply),
         bytes per second (finite, > 0).
     page_size:
-        Virtual-memory page size in bytes (> 0; paper: 4 KB).
+        Virtual-memory page size in bytes (an int > 0; paper: 4 KB).
     """
 
     cpu_hz: float = 350e6
@@ -111,7 +119,7 @@ class NodeConfig:
     def __post_init__(self) -> None:
         _require(self, "finite and > 0", lambda v: 0 < v < math.inf,
                  "cpu_hz", "mem_copy_bps")
-        _require(self, "> 0", lambda v: v > 0, "page_size")
+        _require(self, "an int > 0", lambda v: is_count(v) and v > 0, "page_size")
 
     def cycles(self, n: float) -> float:
         """Seconds taken by ``n`` cycles on this node."""

@@ -44,3 +44,11 @@ def test_vopp_moves_less_data():
     lrc = run_app(gauss, "lrc_d", 4, SMALL)
     sd = run_app(gauss, "vc_sd", 4, SMALL)
     assert sd.stats.net.data_bytes < lrc.stats.net.data_bytes
+
+
+@pytest.mark.parametrize("field, value", [("n", 24.0), ("n", True), ("seed", 7.5)])
+def test_config_refuses_a_count_that_is_not_an_int(field, value):
+    """Every integer field is checked when the config is built, naming the
+    field: a float matrix order is no count, nor is a bool."""
+    with pytest.raises(ValueError, match=f"^{field} must be an int"):
+        gauss.GaussConfig(**{field: value})

@@ -79,3 +79,14 @@ def test_chunk_bounds_cover_everything():
             assert spans[-1][1] == total
             for (a, b), (c, d) in zip(spans, spans[1:]):
                 assert b == c
+
+
+@pytest.mark.parametrize(
+    "field, value", [("reps", 2.5), ("n_keys", 1e3), ("bucket_views", True), ("seed", None)]
+)
+def test_config_refuses_a_count_that_is_not_an_int(field, value):
+    """``reps=2.5`` used to build and then kill ``app-0`` mid-run with a
+    ``range()`` ``TypeError``; every integer field is checked when the config
+    is built, naming the field."""
+    with pytest.raises(ValueError, match=f"^{field} must be an int"):
+        is_sort.IsConfig(**{field: value})

@@ -76,3 +76,15 @@ def test_n_weights_layout():
     # unpack is a view decomposition covering every weight exactly once
     rebuilt = np.concatenate([w1.ravel(), b1, w2.ravel(), b2])
     assert np.array_equal(rebuilt, w)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("epochs", 2.5), ("grad_views", True), ("d_hidden", 8.0), ("n_samples", "64")],
+)
+def test_config_refuses_a_count_that_is_not_an_int(field, value):
+    """``epochs=2.5`` used to die mid-run and ``grad_views=True`` to run
+    silently as one view; every integer field is checked when the config is
+    built, naming the field."""
+    with pytest.raises(ValueError, match=f"^{field} must be an int"):
+        nn.NnConfig(**{field: value})

@@ -139,3 +139,11 @@ def test_every_version_relaxes_through_the_one_kernel(protocol, monkeypatch):
     assert not mismatches
     assert calls.count((SMALL.rows, SMALL.cols)) == sweeps  # the reference
     assert len(calls) == nprocs * sweeps + sweeps
+
+
+@pytest.mark.parametrize("field, value", [("rows", 20.0), ("iterations", 2.5), ("cols", True)])
+def test_config_refuses_a_count_that_is_not_an_int(field, value):
+    """Every integer field is checked when the config is built, naming the
+    field: a float grid size or sweep count is no count, nor is a bool."""
+    with pytest.raises(ValueError, match=f"^{field} must be an int"):
+        sor.SorConfig(**{field: value})

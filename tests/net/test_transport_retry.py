@@ -31,12 +31,16 @@ def _sink(received):
 
 
 @pytest.mark.parametrize(
-    "field, value", [("rexmit_timeout", 0.0), ("rexmit_timeout", -0.1), ("max_retries", -1)]
+    "field, value",
+    [("rexmit_timeout", 0.0), ("rexmit_timeout", -0.1), ("max_retries", -1),
+     ("rexmit_timeout", float("inf")), ("max_retries", 2.5), ("max_retries", True)],
 )
 def test_netconfig_rejects_an_unusable_retry_budget(field, value):
     """A zero timeout would exhaust every budget at t = 0 and a negative one
-    would retransmit forever under total loss: both are refused when the
-    config is built, naming the field."""
+    would retransmit forever under total loss, as would a fractional budget
+    (``attempt == max_retries`` never holds); an infinite timeout dies at the
+    first send.  All are refused when the config is built, naming the
+    field."""
     with pytest.raises(ValueError, match=field):
         NetConfig(**{field: value})
 

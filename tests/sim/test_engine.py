@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
+import bisect
+import itertools
 import math
 import random
 
@@ -497,6 +499,134 @@ def test_timer_order_matches_single_heap_reference():
         fifo = _mixed_timer_workload(True, ops)
         reference = _mixed_timer_workload(False, ops)
         assert fifo == reference, f"divergence on trial {trial}: {ops!r}"
+
+
+class _SortedQueueSim:
+    """The naive engine the run loop must equal: one sorted list of every
+    pending callback keyed ``(t, tsched, cls, seq)``, zero delays included,
+    and a cancelled timer dropped when it reaches the head."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_processed = 0
+        self._queue, self._cancelled = [], set()
+        self._seq = itertools.count()
+
+    def schedule(self, delay, fn, *args):
+        self.schedule_keyed(self.now + delay, self.now, 0, next(self._seq), fn, *args)
+
+    def call_soon(self, fn, *args):
+        self.schedule(0.0, fn, *args)
+
+    def schedule_keyed(self, t, tsched, cls, key, fn, *args):
+        bisect.insort(self._queue, (t, tsched, cls, key, fn, args))
+
+    def schedule_timer(self, delay, fn, *args):
+        entry = (self.now + delay, self.now, 0, next(self._seq), fn, args)
+        bisect.insort(self._queue, entry)
+        return entry
+
+    def cancel_timer(self, handle):
+        self._cancelled.add(handle)
+
+    def spawn(self, gen):
+        def resume(value=None):
+            try:
+                effect = gen.send(value)
+            except StopIteration:
+                return
+            self.schedule(effect.delay, resume, effect.value)
+
+        self.call_soon(resume)
+
+    def run(self, until=None):
+        queue = self._queue
+        while queue and (until is None or queue[0][0] <= until):
+            entry = queue.pop(0)
+            if entry in self._cancelled:
+                continue
+            self.now = entry[0]
+            self.events_processed += 1
+            entry[4](*entry[5])
+        if until is not None and until > self.now:
+            self.now = until
+        return self.now
+
+
+# what a callback does: ("soon"|"delay"|"keyed"|"keyed_now"|"timer"|"cancel"|"proc", arg)
+_loop_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["soon", "delay", "delay", "keyed", "keyed_now",
+                         "timer", "timer", "cancel", "proc"]),
+        st.integers(0, 7),
+    ),
+    min_size=1, max_size=12,
+)
+# 1e-20 vanishes in ``now + delay`` once now >= 1e-4, not before
+_LOOP_DELAYS = (0.0, 1e-20, 5e-324, 0.125, 0.25, 0.25, 0.5, 1.5)
+
+
+def _drive_loop(sim, ops, windows):
+    """Run a self-extending callback program on ``sim`` through the windows
+    ``run(until=w)`` and a final ``run()``; return the log and, after every
+    window, ``(now, events_processed, entries logged)``."""
+    log, marks, handles = [], [], []
+    ids, keys = itertools.count(1), itertools.count()
+
+    def proc(i):
+        yield Timeout(0)
+        log.append((sim.now, i, "p0"))
+        yield Timeout(_LOOP_DELAYS[i % len(_LOOP_DELAYS)])
+        log.append((sim.now, i, "p1"))
+
+    def cb(i):
+        log.append((sim.now, i))
+        if i > 40:
+            return  # the program ends: every callback from here only logs
+        for k in (0, 1):
+            kind, arg = ops[(i + k) % len(ops)]
+            new, now = next(ids), sim.now
+            if kind == "soon":
+                sim.call_soon(cb, new)
+            elif kind == "delay":
+                sim.schedule(_LOOP_DELAYS[arg], cb, new)
+            elif kind == "keyed":  # a frame leaving now, arriving later
+                sim.schedule_keyed(now + 0.25 * (arg + 1), now, 1, next(keys), cb, new)
+            elif kind == "keyed_now" and now > 0:  # departed in the past, due now
+                sim.schedule_keyed(now, now / 2, 1, next(keys), cb, new)
+            elif kind == "timer":
+                handles.append(sim.schedule_timer(TIMER_DELAY, cb, new))
+            elif kind == "cancel" and handles:  # the FIFO's head or any other
+                sim.cancel_timer(handles[0 if arg == 0 else arg % len(handles)])
+            elif kind == "proc":
+                sim.spawn(proc(new))
+
+    sim.call_soon(cb, 0)
+    for until in windows:
+        sim.run(until=until)
+        marks.append((sim.now, sim.events_processed, len(log)))
+    sim.run()
+    marks.append((sim.now, sim.events_processed, len(log)))
+    return log, marks
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_loop_ops,
+       windows=st.lists(st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.25, 2.0, 4.0]),
+                        max_size=5).map(sorted))
+@example(ops=[("timer", 0), ("timer", 1), ("cancel", 0), ("soon", 0)], windows=[1.0])
+@example(ops=[("timer", 0), ("timer", 0), ("cancel", 1), ("proc", 0)], windows=[0.0, 2.0])
+@example(ops=[("keyed_now", 0), ("delay", 1), ("delay", 2), ("proc", 4)], windows=[0.25])
+def test_run_loop_matches_a_single_sorted_queue(ops, windows):
+    """Property: the run loop (ready deque, heap and timer FIFO merged by one
+    head comparison) and the queue pushes inlined in ``Process._resume`` run
+    every callback in the order of one sorted ``(t, tsched, cls, seq)``
+    queue, with the same ``events_processed`` and ``now`` after each chained
+    ``run(until=...)`` window.  The program mixes ``Timeout(0)``,
+    ``call_soon``, sub-ulp delays, arrivals keyed at ``t == now`` from an
+    earlier departure, and timers cancelled at the FIFO's head and behind it."""
+    assert _drive_loop(Simulator(), ops, windows) == \
+        _drive_loop(_SortedQueueSim(), ops, windows)
 
 
 # -- cancellable timers: a cancelled timer never becomes an event ------------------
