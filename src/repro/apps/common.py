@@ -42,10 +42,14 @@ class AppConfig:
         # NaN fails the test too: a NaN or negative factor would charge no compute
         if not 0 <= self.work_factor < math.inf:
             raise ValueError(f"work_factor must be finite and >= 0, got {self.work_factor!r}")
-        # a count that is not an int dies mid-run in ``range()``; a bool runs as 1
+        # a count that is not an int dies mid-run in ``range()``, a bool runs
+        # as 1, and one below 1 does nothing (``reps=0`` verified) or fails
+        # late; only ``seed`` may be 0
         for f in fields(self):
-            if f.type in ("int", int) and not is_count(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be an int, got {getattr(self, f.name)!r}")
+            if f.type in ("int", int):
+                value, least = getattr(self, f.name), 0 if f.name == "seed" else 1
+                if not (is_count(value) and value >= least):
+                    raise ValueError(f"{f.name} must be an int >= {least}, got {value!r}")
 
     def charge_seconds(self, ops: float, cycles_per_op: float, cpu_hz: float) -> float:
         return self.work_factor * ops * cycles_per_op / cpu_hz

@@ -31,6 +31,8 @@ from repro.faults import Episode, FaultPlan
 __all__ = [
     "DEFAULT_FAULTS_OUTPUT",
     "DEFAULT_LOSS_RATES",
+    "DEFAULT_PROTOCOLS",
+    "grid_cells",
     "run_degradation_grid",
     "format_degradation_grid",
     "write_degradation_report",
@@ -77,6 +79,29 @@ def _grid_row(done: CellResult, loss_rate: float) -> dict:
     return row
 
 
+def grid_cells(
+    app: str = "is",
+    nprocs: int = 8,
+    protocols: Sequence[str] = DEFAULT_PROTOCOLS,
+    loss_rates: Sequence[float] = DEFAULT_LOSS_RATES,
+    seed: int = 7,
+    base_plan: Optional[FaultPlan] = None,
+) -> list[tuple[float, SweepCell]]:
+    """The grid's cells, protocol-major, each beside its loss rate: the
+    ``base_plan`` episodes plus a uniform loss episode at that rate (none at
+    rate 0), under the fault seed ``seed``.  The defaults are the committed
+    ``BENCH_faults.json`` grid."""
+    base = base_plan.episodes if base_plan is not None else ()
+    return [
+        (rate, SweepCell(app=app, protocol=protocol, nprocs=nprocs, faults=FaultPlan(
+            base + ((Episode(kind="loss", drop_prob=rate),) if rate > 0.0 else ()),
+            seed=seed,
+        )))
+        for protocol in protocols
+        for rate in loss_rates
+    ]
+
+
 def run_degradation_grid(
     app: str = "is",
     nprocs: int = 8,
@@ -111,19 +136,8 @@ def run_degradation_grid(
     loss_rates = tuple(sorted(set(float(r) for r in loss_rates)))
     if not loss_rates:
         raise ValueError("need at least one loss rate")
-    base = base_plan.episodes if base_plan is not None else ()
-    plans = [
-        FaultPlan(
-            base + ((Episode(kind="loss", drop_prob=rate),) if rate > 0.0 else ()),
-            seed=seed,
-        )
-        for rate in loss_rates
-    ]
-    cells = [
-        SweepCell(app=app, protocol=protocol, nprocs=nprocs, faults=plan)
-        for protocol in protocols
-        for plan in plans
-    ]
+    cells = [cell for _, cell in
+             grid_cells(app, nprocs, protocols, loss_rates, seed, base_plan)]
     done = iter(
         run_sweep(cells, jobs=jobs, cache_dir=cache_dir, verify=verify,
                   check=check).cells

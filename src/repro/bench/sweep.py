@@ -4,9 +4,9 @@ A :class:`SweepCell` is the whole name of a run — (app, protocol, variant,
 nprocs, seed) plus the two things that can make two such runs differ, a
 fault plan and an app-config override — and :func:`_execute_cell` is the
 one function that runs and checks it.  Everything that runs cells in bulk
-(the matrix, the table drivers, the degradation grid, the adversary)
-submits cells to :func:`run_sweep`, which fans them over a
-``ProcessPoolExecutor`` and collects one :class:`CellResult` each.  Every simulation is self-contained
+(the matrix, the table drivers, the degradation grid) submits cells to
+:func:`run_sweep`, which fans them over a ``ProcessPoolExecutor`` and
+collects one :class:`CellResult` each.  Every simulation is self-contained
 and deterministic, so parallel execution is **bit-identical** to serial:
 the table rows of a cell do not depend on which worker ran it or in what
 order (``tests/bench/test_sweep.py`` asserts this).
@@ -211,8 +211,7 @@ def cell_key(
     Consistency-checked runs (``check``) key separately: their results carry
     the oracle verdict the unchecked ones lack.  The cell's fault plan is
     hashed in by its JSON form, so equal plans built separately share an
-    entry — a restarted adversary run and its shrink passes recall instead
-    of re-running.
+    entry.
     """
     material = {
         "app": cell.app,

@@ -61,12 +61,6 @@ Commands
 ``list``
     Show the available applications, protocols, variants (read from each
     app's ``PROGRAMS`` table) and tables.
-``adversary APP``
-    Seeded adversarial fault sampling (:mod:`repro.faults.adversary`):
-    evaluate ``--budget`` random fault plans against one protocol
-    (``--protocol``, ``--seed``), delta-debug the worst to a 1-minimal plan,
-    and print both.  Exit code 4 if the worst plan produces a
-    consistency violation (a protocol bug, the jackpot fitness class).
 """
 
 from __future__ import annotations
@@ -321,17 +315,19 @@ def _oracle_exit(reports: list, what: str) -> int:
     return 0
 
 
-def _cmd_sweep_faults(args: argparse.Namespace, protocols, jobs: int, cache_dir) -> int:
+def _cmd_sweep_faults(args: argparse.Namespace, jobs: int, cache_dir) -> int:
     """`sweep --faults [PLAN]`: the per-protocol degradation grid."""
     from repro.bench.degradation import (
         DEFAULT_FAULTS_OUTPUT,
         DEFAULT_LOSS_RATES,
+        DEFAULT_PROTOCOLS,
         format_degradation_grid,
         run_degradation_grid,
         write_degradation_report,
     )
 
     app = args.app or "is"
+    protocols = args.protocols or DEFAULT_PROTOCOLS
     if args.procs is not None and len(args.procs) > 1:
         print("error: the degradation grid runs at one --procs value, "
               f"got {len(args.procs)}", file=sys.stderr)
@@ -359,8 +355,7 @@ def _cmd_sweep_faults(args: argparse.Namespace, protocols, jobs: int, cache_dir)
     return 0
 
 
-# protocols of a speedup table and of the degradation grid when --protocols
-# is not given
+# protocols of a speedup table when --protocols is not given
 SWEEP_PROTOCOLS = ("lrc_d", "vc_sd")
 
 
@@ -391,9 +386,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     cache_dir = None if args.no_cache else (args.cache_dir or sweep_mod.DEFAULT_CACHE_DIR)
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    protocols = args.protocols or SWEEP_PROTOCOLS
     if args.faults is not None:
-        return _cmd_sweep_faults(args, protocols, jobs, cache_dir)
+        return _cmd_sweep_faults(args, jobs, cache_dir)
     if args.app is None:
         # full benchmark matrix -> consolidated BENCH_sweep.json
         report = sweep_mod.run_sweep(
@@ -424,6 +418,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.bench.runner import Entry, speedup_experiment
     from repro.bench.tables import format_speedup_table
 
+    protocols = args.protocols or SWEEP_PROTOCOLS
     if _no_program(args.app, protocols):
         return 2
     entries = tuple(Entry(proto, proto) for proto in protocols)
@@ -432,61 +427,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         jobs=jobs, cache_dir=cache_dir,
     )
     print(format_speedup_table(f"Speedup of {args.app}", speedups))
-    return 0
-
-
-def _cmd_adversary(args: argparse.Namespace) -> int:
-    """Adversarial fault sampling against one cell."""
-    import json
-
-    from repro.obs.oracle import EXIT_CONSISTENCY
-
-    cache_dir = None
-    if not args.no_cache:
-        from repro.bench.sweep import DEFAULT_CACHE_DIR
-
-        cache_dir = args.cache_dir or DEFAULT_CACHE_DIR
-    from repro.faults import FaultPlan
-    from repro.faults.adversary import search
-
-    result = search(
-        app=args.app, protocol=args.protocol, nprocs=args.nprocs,
-        budget=args.budget, seed=args.seed,
-        cache_dir=cache_dir, shrink=not args.no_shrink, log=print,
-    )
-    best = result.best
-    print()
-    print(
-        f"adversary — {args.app} on {args.protocol}, {args.nprocs} processors: "
-        f"{result.budget} random plans evaluated (seed {result.seed})"
-    )
-    print(
-        f"  baseline  {result.baseline_time:.6f} simulated s; winner class "
-        f"{best['class']}, magnitude {best['magnitude']}"
-        + (f" (slowdown {best['slowdown']}x)" if best["slowdown"] else "")
-    )
-    print(f"  winning plan ({best['episodes']} episode(s)):")
-    print("    " + json.dumps(best["plan"], sort_keys=True))
-    if result.shrunk is not None:
-        print(
-            f"  shrunk to {result.shrunk['episodes']} episode(s) "
-            f"({result.shrink_evals} shrink evals), class "
-            f"{result.shrunk['class']}, magnitude {result.shrunk['magnitude']}:"
-        )
-        print("    " + json.dumps(result.shrunk["plan"], sort_keys=True))
-    if args.plan_out:
-        FaultPlan.from_json(best["plan"]).dump(args.plan_out)
-        print(f"wrote winning plan to {args.plan_out}")
-    if args.shrunk_out and result.shrunk is not None:
-        FaultPlan.from_json(result.shrunk["plan"]).dump(args.shrunk_out)
-        print(f"wrote shrunk plan to {args.shrunk_out}")
-    if best["class"] == "consistency":
-        print(
-            "error: the winning plan produces consistency violations — "
-            "a protocol bug, not a slow cell",
-            file=sys.stderr,
-        )
-        return EXIT_CONSISTENCY
     return 0
 
 
@@ -675,8 +615,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--protocols", nargs="+", default=None,
         choices=[*sorted(PROTOCOLS), "mpi"],
-        help="protocols of a speedup table or the degradation grid "
-        "(default: lrc_d vc_sd)",
+        help="protocols of a speedup table (default: lrc_d vc_sd) or the "
+        "degradation grid (default: lrc_d vc_d vc_sd)",
     )
     p_sweep.add_argument(
         "--procs", nargs="+", type=_count, default=None,
@@ -711,34 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "under the consistency oracle; exit 4 if any cell "
                          "has violations")
     p_sweep.set_defaults(fn=_cmd_sweep)
-
-    p_adv = sub.add_parser(
-        "adversary",
-        help="seeded random fault plans against one protocol: keep and shrink "
-        "the one that hurts it most (docs/robustness.md)",
-    )
-    p_adv.add_argument("app", nargs="?", default="is", choices=sorted(APPS))
-    p_adv.add_argument("--protocol", default="vc_d", choices=sorted(PROTOCOLS),
-                       help="protocol under attack")
-    p_adv.add_argument("--nprocs", type=_count, default=8)
-    p_adv.add_argument("--budget", type=_count, default=24, metavar="N",
-                       help="random fault plans to evaluate (shrinking runs "
-                       "extra evaluations afterwards)")
-    p_adv.add_argument("--seed", type=int, default=11,
-                       help="sampler seed; fixed seed + budget reproduces the "
-                       "result bit-identically")
-    p_adv.add_argument("--no-shrink", action="store_true",
-                       help="skip the delta-debugging shrink of the winner")
-    p_adv.add_argument("--plan-out", default=None, metavar="PATH",
-                       help="write the winning plan JSON (replay with "
-                       "`check --faults PATH`)")
-    p_adv.add_argument("--shrunk-out", default=None, metavar="PATH",
-                       help="write the shrunk winning plan JSON")
-    p_adv.add_argument("--no-cache", action="store_true",
-                       help="ignore and don't write the result cache")
-    p_adv.add_argument("--cache-dir", default=None,
-                       help="result cache directory (default: .cache/sweep)")
-    p_adv.set_defaults(fn=_cmd_adversary)
 
     p_list = sub.add_parser("list", help="show apps, protocols and tables")
     p_list.set_defaults(fn=_cmd_list)

@@ -259,10 +259,6 @@ class FaultPlan:
     def by_kind(self, *kinds: str) -> tuple:
         return tuple(ep for ep in self.episodes if ep.kind in kinds)
 
-    def canonical(self) -> str:
-        """Deterministic JSON string — the adversary's memo key."""
-        return json.dumps(self.to_json(), sort_keys=True)
-
     def to_json(self) -> dict:
         return {
             "seed": self.seed,

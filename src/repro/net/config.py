@@ -38,7 +38,9 @@ class NetConfig:
         Link rate of every NIC port, bits per second (finite, > 0; 100 Mbps
         Ethernet).
     switch_latency:
-        Store-and-forward latency through the switch, seconds (finite, >= 0).
+        Store-and-forward latency through the switch, seconds (finite, >= 0;
+        it, ``send_overhead`` and ``header_bytes`` are not all 0, so no frame
+        arrives at the instant it is sent).
     send_overhead / recv_overhead:
         Fixed per-message software cost (UDP/IP stack traversal, interrupt
         handling) on a 350 MHz CPU, seconds (finite, >= 0).  ~60 µs each way
@@ -91,6 +93,13 @@ class NetConfig:
         _require(self, "an int >= 0", lambda v: is_count(v) and v >= 0,
                  "header_bytes", "recv_buffer_bytes", "red_threshold_bytes",
                  "drop_seed", "max_retries", "ack_bytes")
+        # a frame arrives send_overhead + tx_time(size + header) +
+        # switch_latency after it starts: with all three 0 an empty frame
+        # would arrive at the instant it was sent, ahead of the work made
+        # ready at that instant
+        if not (self.header_bytes or self.send_overhead or self.switch_latency):
+            raise ValueError("header_bytes, send_overhead and switch_latency must "
+                             "not all be 0: a frame would arrive as it is sent")
 
     def tx_time(self, payload_bytes: int) -> float:
         """Wire occupancy of a message of ``payload_bytes`` at link rate."""

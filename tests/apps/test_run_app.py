@@ -4,6 +4,8 @@ import pytest
 
 from repro.apps import APPS
 from repro.apps.common import run_app
+from repro.apps.is_sort import IsConfig
+from repro.apps.nn import NnConfig
 from repro.apps.sor import SorConfig
 from repro.bench.sweep import SweepCell, run_sweep
 
@@ -27,3 +29,19 @@ def test_config_rejects_a_work_factor_that_charges_no_compute(factor):
     with pytest.raises(ValueError, match="work_factor"):
         SorConfig(work_factor=factor)
     assert SorConfig(work_factor=0.0).work_factor == 0.0
+
+
+@pytest.mark.parametrize("config, field, least", [
+    (IsConfig, "reps=0", 1), (IsConfig, "reps=-3", 1),
+    (SorConfig, "iterations=-1", 1), (NnConfig, "grad_views=0", 1),
+    (NnConfig, "seed=-1", 0),
+], ids=lambda part: getattr(part, "__name__", str(part)))
+def test_config_refuses_a_count_below_its_least(config, field, least):
+    """``reps=0`` and ``reps=-3`` used to verify, with the same time,
+    ``iterations=-1`` to verify without a sweep, and ``grad_views=0`` to
+    build and fail its verification: every count field but ``seed`` must be
+    at least 1, and ``seed`` at least 0."""
+    name, value = field.split("=")
+    with pytest.raises(ValueError, match=f"^{name} must be an int >= {least}, got {value}$"):
+        config(**{name: int(value)})
+    config(**{name: least})

@@ -11,14 +11,16 @@ mutant's witness.  Columns:
     cell by cell: a fingerprint that differs from the committed one, an
     answer that fails sequential verification, an oracle finding (also on a
     wrong answer), or a run that raises or aborts.
-``adversary``
-    ``repro.faults.adversary.search`` at IS/8, budget 24, seeds 11 and 13,
-    under ``lrc_d``, ``vc_d`` and ``vc_sd``: a kill is a consistency-class
-    winner or a run that raises.  Run against an older revision's ``src``
-    this measures whatever search that revision had.
+``grid``
+    the 15 cells of ``BENCH_faults.json`` (IS/8 under ``lrc_d``, ``vc_d``
+    and ``vc_sd`` at each loss rate, fault seed 7), judged the same way but
+    without fingerprints: a run that raises, an answer that fails
+    verification, an oracle finding, or an abort of a loss-0 cell.  An
+    abort under loss is a fault the protocol reports, not a kill.
 
 Everything runs uncached: the sweep cache is keyed by source text, and a
-mutant patches code, not text.  A full run takes tens of minutes.
+mutant patches code, not text.  A mutant takes about 15 s under ``e2e``
+and 2-8 s under ``grid``.
 """
 
 import argparse
@@ -28,14 +30,38 @@ import pytest
 
 from tests.mutants import CATALOGUE, REPO, apply, by_name
 
-COLUMNS = ("e2e", "adversary")
-PROTOCOLS = ("lrc_d", "vc_d", "vc_sd")
-SEEDS = (11, 13)
+COLUMNS = ("e2e", "grid")
+
+
+def judge(cell, label: str, out: dict, abort_kills: bool = True):
+    """Run ``cell`` uncached and unverified with the oracle on (so the oracle
+    reports on a wrong answer too) and file each kill under ``out``: a raise
+    or (if ``abort_kills``) an abort under ``crash``, findings under
+    ``oracle``, a finished answer that fails the sequential reference under
+    ``verification``.  Returns the finished :class:`CellResult`, else None."""
+    from repro.apps import APPS
+    from repro.bench.sweep import run_sweep
+
+    try:
+        (done,) = run_sweep([cell], cache_dir=None, verify=False, check=True).cells
+    except Exception as exc:  # noqa: BLE001 - a crash is a kill
+        out["crash"].append(f"{label}: {type(exc).__name__}")
+        return None
+    result = done.result
+    if result.consistency["findings"]:
+        out["oracle"].append(label)
+    if result.failure is not None:
+        if abort_kills:
+            out["crash"].append(f"{label}: {result.failure.reason}")
+        return None
+    app = APPS[cell.app]
+    if not app.outputs_match(result.output, app.sequential(cell.config())):
+        out["verification"].append(label)
+    return done
 
 
 def e2e() -> dict:
-    from repro.apps import APPS
-    from repro.bench.sweep import default_cells, run_sweep
+    from repro.bench.sweep import default_cells
 
     committed = {
         (c["app"], c["protocol"], c["nprocs"], c["variant"]): c["fingerprint"]
@@ -44,42 +70,19 @@ def e2e() -> dict:
     out = {"fingerprint": [], "verification": [], "oracle": [], "crash": []}
     for cell in default_cells():
         label = f"{cell.app}/{cell.protocol}/{cell.nprocs}/{cell.variant}"
-        try:
-            # unverified, so the oracle reports on a wrong answer too
-            (done,) = run_sweep([cell], cache_dir=None, verify=False,
-                                check=True).cells
-        except Exception as exc:  # noqa: BLE001 - a crash is a kill
-            out["crash"].append(f"{label}: {type(exc).__name__}")
-            continue
-        result = done.result
-        if result.consistency["findings"]:
-            out["oracle"].append(label)
-        if result.failure is not None:
-            out["crash"].append(f"{label}: {result.failure.reason}")
-            continue
-        app = APPS[cell.app]
-        if not app.outputs_match(result.output, app.sequential(cell.config())):
-            out["verification"].append(label)
+        done = judge(cell, label, out)
         key = (cell.app, cell.protocol, cell.nprocs, cell.variant)
-        if done.fingerprint() != committed[key]:
+        if done is not None and done.fingerprint() != committed[key]:
             out["fingerprint"].append(label)
     return out
 
 
-def adversary() -> dict:
-    from repro.faults.adversary import search
+def grid() -> dict:
+    from repro.bench.degradation import grid_cells
 
-    out = {}
-    for protocol in PROTOCOLS:
-        for seed in SEEDS:
-            try:
-                r = search(app="is", protocol=protocol, nprocs=8, budget=24,
-                           seed=seed, shrink=False)
-                verdict = r.best["class"]
-            except Exception as exc:  # noqa: BLE001 - a crash is a kill
-                verdict = f"raised {type(exc).__name__}"
-            out[f"{protocol}/{seed}"] = verdict
-    out["killed"] = sum(v != "slowdown" and v != "abort" for v in out.values())
+    out = {"verification": [], "oracle": [], "crash": []}
+    for rate, cell in grid_cells():
+        judge(cell, f"{cell.protocol}/{rate}", out, abort_kills=rate == 0.0)
     return out
 
 
@@ -112,8 +115,8 @@ def main(argv=None) -> None:
             apply(mutant, patch)
             if "e2e" in args.columns:
                 row["e2e"] = e2e()
-            if "adversary" in args.columns:
-                row["adversary"] = adversary()
+            if "grid" in args.columns:
+                row["grid"] = grid()
         print(json.dumps(row), flush=True)
 
 

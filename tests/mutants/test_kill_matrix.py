@@ -31,16 +31,17 @@ def test_each_mutant_is_killed_by_its_cheapest_witness(mutant, tmp_path):
         f"{mutant.name} survived {mutant.witness}:\n{done.stdout[-2000:]}")
 
 
-def test_a_mutant_that_crashes_the_run_makes_the_adversary_fail(monkeypatch):
-    """Random plans with loss or duplication retransmit reliable sends; with
-    the dedupe off the second delivery kills a dispatcher, and the error
-    reaches the caller instead of ranking as a slow plan."""
+def test_a_mutant_that_crashes_the_run_makes_the_grid_fail(monkeypatch, tmp_path):
+    """Loss retransmits reliable sends; with the dedupe off the second
+    delivery kills a dispatcher, and the error reaches the caller of
+    ``sweep --faults`` instead of becoming a failure row."""
     from repro.cli import main
 
     apply(by_name("dedupe_off"), monkeypatch)
     with pytest.raises(SimError, match="died"):
-        main(["adversary", "is", "--protocol", "lrc_d", "--nprocs", "4",
-              "--budget", "3", "--seed", "11", "--no-cache"])
+        main(["sweep", "--faults", "--protocols", "lrc_d", "--procs", "4",
+              "--loss-rates", "0.02", "--no-cache", "--jobs", "1",
+              "--faults-out", str(tmp_path / "faults.json")])
 
 
 def test_the_oracle_sees_a_write_notice_that_omits_a_closed_page(monkeypatch):
@@ -72,7 +73,7 @@ def test_matrix_defaults_and_refusals():
 
     args = parse_args([])
     assert args.columns == list(COLUMNS) and len(args.names) == len(CATALOGUE)
-    assert parse_args(["--columns", "e2e", "adversary"]).columns == ["e2e", "adversary"]
+    assert parse_args(["--columns", "e2e", "grid"]).columns == ["e2e", "grid"]
     for argv in (["--columns", "e2e", "no_such_mutant"], ["--columns", "dedupe_off"]):
         with pytest.raises(SystemExit) as exit_info:
             parse_args(argv)

@@ -331,6 +331,18 @@ def test_netconfig_rejects_an_unusable_network(field, value):
     assert NetConfig(switch_latency=0.0).switch_latency == 0.0
 
 
+def test_netconfig_rejects_a_network_whose_frames_arrive_as_they_are_sent():
+    """With no header, send overhead or switch latency an empty frame arrives
+    at its send instant and ran ahead of the work made ready at that instant
+    (the run loop takes a due arrival before the ready deque).  Any one of
+    the three being positive is enough."""
+    with pytest.raises(ValueError, match="must not all be 0"):
+        NetConfig(header_bytes=0, send_overhead=0.0, switch_latency=0.0)
+    NetConfig(send_overhead=0.0, switch_latency=0.0)
+    NetConfig(header_bytes=0, switch_latency=0.0)
+    NetConfig(header_bytes=0, send_overhead=0.0)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("cpu_hz", 0), ("cpu_hz", float("nan")), ("mem_copy_bps", -1.0),

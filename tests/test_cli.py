@@ -164,8 +164,9 @@ def test_every_flag_a_sweep_mode_ignores_is_refused(mode, flag, capsys, nothing_
 
 
 def test_sweep_defaults_are_resolved_per_mode(monkeypatch, capsys):
-    """``None`` defaults tell a given flag from an absent one; an absent one
-    still means what it did: lrc_d vc_sd, the five loss rates, seed 7."""
+    """``None`` defaults tell a given flag from an absent one.  An absent one
+    means lrc_d vc_sd for a speedup table, and the committed grid for
+    ``--faults``: lrc_d vc_d vc_sd, the five loss rates, seed 7."""
     import repro.bench.degradation
     import repro.bench.runner
 
@@ -185,7 +186,7 @@ def test_sweep_defaults_are_resolved_per_mode(monkeypatch, capsys):
         with pytest.raises(SystemExit):
             main(argv)
     assert seen["table"] == ("lrc_d", "vc_sd")
-    assert seen["grid"]["protocols"] == ("lrc_d", "vc_sd")
+    assert seen["grid"]["protocols"] == ("lrc_d", "vc_d", "vc_sd")
     assert seen["grid"]["loss_rates"] == (0.0, 0.002, 0.005, 0.01, 0.02)
     assert seen["grid"]["seed"] == 7
 
@@ -467,8 +468,6 @@ def test_invalid_table_rejected():
     ["profile", "is", "--nprocs", "0"],
     ["sweep", "is", "--procs", "2", "0"],
     ["sweep", "is", "--jobs", "0"],
-    ["adversary", "is", "--nprocs", "0"],
-    ["adversary", "is", "--budget", "0"],
 ], ids="_".join)
 def test_count_below_one_is_a_usage_error(argv, capsys):
     """Every count flag takes an int >= 1: a zero or negative count is
@@ -601,60 +600,3 @@ def test_run_failure_diagnostic_embeds_plan_and_seeds(capsys, tmp_path):
     assert "fault plan" in err and "episode(s)" in err
     assert "faults_seed=3" in err
 
-
-# -- adversary command ------------------------------------------------------------
-
-
-def test_adversary_single_cell(capsys, tmp_path):
-    import json
-
-    plan_out = tmp_path / "winner.json"
-    shrunk_out = tmp_path / "shrunk.json"
-    assert main([
-        "adversary", "is", "--protocol", "lrc_d", "--nprocs", "4",
-        "--budget", "4", "--seed", "3", "--no-cache",
-        "--plan-out", str(plan_out), "--shrunk-out", str(shrunk_out),
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "baseline" in out and "winner class" in out
-    assert "winning plan" in out and "shrunk" in out
-    winner = json.loads(plan_out.read_text())
-    assert winner["episodes"]
-    shrunk = json.loads(shrunk_out.read_text())
-    assert len(shrunk["episodes"]) <= len(winner["episodes"])
-
-    from repro.faults import FaultPlan
-
-    FaultPlan.from_json(winner).validate()
-    FaultPlan.from_json(shrunk).validate()
-
-
-def test_adversary_exits_4_when_the_worst_plan_is_inconsistent(monkeypatch, capsys):
-    """A consistency-class winner is a protocol bug: exit 4, whatever the
-    magnitude of the slow or aborted plans beside it."""
-    from repro.apps.common import AppResult
-    from repro.faults.adversary import Evaluator
-
-    def evaluate(self, plan):
-        verdict = "clean" if plan is None else "violations"
-        return AppResult("vc_d", 4, None, None, 1.0, consistency={
-            "verdict": verdict, "findings": [] if plan is None else [{}]})
-
-    monkeypatch.setattr(Evaluator, "evaluate", evaluate)
-    assert main(["adversary", "is", "--nprocs", "4", "--budget", "2",
-                 "--no-cache"]) == 4
-    assert "consistency violations" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("flag", [
-    ["--grid"], ["--protocols", "vc_d"], ["--bench-out", "x.json"],
-    ["--population", "6"], ["--verbose"],
-], ids=lambda f: f[0])
-def test_adversary_has_no_grid_or_population_flags(flag, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["adversary", "is", *flag])
-    assert exc.value.code == 2
-
-
-def test_adversary_in_parser_help():
-    assert "adversary" in build_parser().format_help()
